@@ -320,7 +320,7 @@ func BenchmarkBaselineDetJoin(b *testing.B) {
 
 // concurrentJoinFixture uploads two joinable tables to a fresh engine
 // server and pre-issues a query so the benchmark times only the
-// server-side ExecuteJoin.
+// server-side OpenJoin + Drain.
 func concurrentJoinFixture(b *testing.B, rows int) (*engine.Server, *securejoin.Query) {
 	b.Helper()
 	cli, err := engine.NewClient(securejoin.Params{M: 1, T: 1}, nil)
@@ -353,7 +353,7 @@ func concurrentJoinFixture(b *testing.B, rows int) (*engine.Server, *securejoin.
 	return srv, q
 }
 
-// BenchmarkConcurrentJoins measures ExecuteJoin throughput over shared
+// BenchmarkConcurrentJoins measures drained-join throughput over shared
 // read-only tables as parallelism grows. The table store takes only a
 // read lock per query, so ns/op should drop roughly linearly with
 // GOMAXPROCS until the cores saturate — the joins are genuinely
@@ -366,7 +366,11 @@ func BenchmarkConcurrentJoins(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, _, err := srv.ExecuteJoin("L", "R", q); err != nil {
+					st, err := srv.OpenJoin("L", "R", engine.JoinSpec{Query: q})
+					if err == nil {
+						_, _, err = st.Drain()
+					}
+					if err != nil {
 						b.Error(err) // Fatal must not run on a RunParallel worker
 						return
 					}
@@ -377,7 +381,7 @@ func BenchmarkConcurrentJoins(b *testing.B) {
 }
 
 // BenchmarkJoinStreamVsMaterialize contrasts draining a bounded-batch
-// JoinStream against the materializing ExecuteJoin. With -benchmem the
+// JoinStream against the materializing Drain. With -benchmem the
 // streamed variant's allocations stay flat in the batch size while the
 // one-shot path scales with the full result cardinality.
 func BenchmarkJoinStreamVsMaterialize(b *testing.B) {
@@ -385,7 +389,11 @@ func BenchmarkJoinStreamVsMaterialize(b *testing.B) {
 	b.Run("materialize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := srv.ExecuteJoin("L", "R", q); err != nil {
+			st, err := srv.OpenJoin("L", "R", engine.JoinSpec{Query: q})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := st.Drain(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -262,7 +262,11 @@ func concurrent() error {
 						errs <- err
 						return
 					}
-					if _, _, err := srv.ExecuteJoin("L", "R", q); err != nil {
+					st, err := srv.OpenJoin("L", "R", engine.JoinSpec{Query: q})
+					if err == nil {
+						_, _, err = st.Drain()
+					}
+					if err != nil {
 						errs <- err
 						return
 					}
@@ -478,7 +482,7 @@ func multijoin(rows int, outDir string) error {
 		}
 		n := 0
 		start := time.Now()
-		revealed, err := sqlpkg.Execute(sqlpkg.EngineRunner{Eng: eng, Keys: keys}, plan,
+		revealed, err := sqlpkg.Execute(sqlpkg.EngineRunner(eng, keys), plan,
 			func(sqlpkg.ResultRow) error { n++; return nil })
 		if err != nil {
 			return err
@@ -653,7 +657,7 @@ func semijoin(rows int, outDir string) error {
 		for _, st := range plan.Steps {
 			chain = append(chain, st.Left.Table+"x"+st.Right.Table)
 		}
-		runner := &decRunner{inner: sqlpkg.EngineRunner{Eng: eng, Keys: keys}, ctr: decCtr}
+		runner := &decRunner{inner: sqlpkg.EngineRunner(eng, keys), ctr: decCtr}
 		n := 0
 		start := time.Now()
 		revealed, err := sqlpkg.Execute(runner, plan, func(sqlpkg.ResultRow) error { n++; return nil })
@@ -798,23 +802,30 @@ func decryptAblation(rows int, outDir string) error {
 	// 3 + 4. End-to-end through the engine (precomputed + parallel
 	// workers), first with a cold decrypt cache, then re-executing the
 	// same query so every row is served from cache.
+	engineJoin := func(mode string, spec engine.JoinSpec) (float64, error) {
+		start := time.Now()
+		st, err := eng.OpenJoin("L", "R", spec)
+		if err != nil {
+			return 0, err
+		}
+		res, _, err := st.Drain()
+		if err != nil {
+			return 0, err
+		}
+		secs := time.Since(start).Seconds()
+		addSeries(mode, secs, len(res))
+		return secs, nil
+	}
 	before := eng.DecryptCacheStats()
-	start = time.Now()
-	res, _, err := eng.ExecuteJoin("L", "R", q)
+	coldSecs, err := engineJoin("precomputed_cache_cold", engine.JoinSpec{Query: q})
 	if err != nil {
 		return err
 	}
-	coldSecs := time.Since(start).Seconds()
-	addSeries("precomputed_cache_cold", coldSecs, len(res))
-
 	mid := eng.DecryptCacheStats()
-	start = time.Now()
-	res, _, err = eng.ExecuteJoin("L", "R", q)
+	warmSecs, err := engineJoin("precomputed_cache_warm", engine.JoinSpec{Query: q})
 	if err != nil {
 		return err
 	}
-	warmSecs := time.Since(start).Seconds()
-	addSeries("precomputed_cache_warm", warmSecs, len(res))
 	after := eng.DecryptCacheStats()
 
 	// 5 + 6. The acceptance case: a repeated *prefiltered* join under
@@ -825,21 +836,14 @@ func decryptAblation(rows int, outDir string) error {
 	if err != nil {
 		return err
 	}
-	start = time.Now()
-	pres, _, err := eng.ExecuteJoinPrefiltered("L", "R", pq)
+	preColdSecs, err := engineJoin("prefiltered_cache_cold", engine.JoinSpec{Prefilter: pq})
 	if err != nil {
 		return err
 	}
-	preColdSecs := time.Since(start).Seconds()
-	addSeries("prefiltered_cache_cold", preColdSecs, len(pres))
-
-	start = time.Now()
-	pres, _, err = eng.ExecuteJoinPrefiltered("L", "R", pq)
+	preWarmSecs, err := engineJoin("prefiltered_cache_warm", engine.JoinSpec{Prefilter: pq})
 	if err != nil {
 		return err
 	}
-	preWarmSecs := time.Since(start).Seconds()
-	addSeries("prefiltered_cache_warm", preWarmSecs, len(pres))
 
 	warmHits := after.Hits - mid.Hits
 	warmMisses := after.Misses - mid.Misses

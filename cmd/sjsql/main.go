@@ -71,28 +71,25 @@ func main() {
 	}
 }
 
-// app binds the compiled catalog to exactly one execution backend: the
-// in-process engine (eng+keys), a wire connection to a live sjserver
-// (cli), or a sharded cluster of sjservers (clu). All run the same
-// compiled plans through the same operator tree executor.
+// app binds the compiled catalog to exactly one execution backend,
+// picked at connect time: runner is the one plan-step runner over that
+// backend's transport — the in-process engine, a wire connection to a
+// live sjserver, or a sharded cluster of sjservers, the wire ones
+// synchronous or (-async) through the servers' job queues.
 type app struct {
 	catalog *sql.Catalog
 	maxRows int
 	out     io.Writer
-	async   bool
-
-	eng  *engine.Server
-	keys *engine.Client
-	cli  *client.Client
-	clu  *client.Cluster
+	runner  sql.StepRunner
+	// retry bounds the whole-plan re-run after a shed (see exec).
+	retry client.RetryConfig
 }
 
 func run(out io.Writer, scale float64, seed int64, query string, maxRows int, connect, servers string, index bool, workers int, async bool) error {
-	a, cleanup, err := setup(out, scale, seed, maxRows, connect, servers, index, workers)
+	a, cleanup, err := setup(out, scale, seed, maxRows, connect, servers, index, workers, async)
 	if err != nil {
 		return err
 	}
-	a.async = async
 	defer cleanup()
 
 	if query != "" {
@@ -117,7 +114,7 @@ func run(out io.Writer, scale float64, seed int64, query string, maxRows int, co
 // chosen backend, and syncs the catalog's statistics (row counts and
 // index state) from the backend's table state so the planner orders
 // joins and picks prefiltered execution from what is actually stored.
-func setup(out io.Writer, scale float64, seed int64, maxRows int, connect, servers string, index bool, workers int) (*app, func(), error) {
+func setup(out io.Writer, scale float64, seed int64, maxRows int, connect, servers string, index bool, workers int, async bool) (*app, func(), error) {
 	catalog, err := sql.NewCatalog(
 		sql.TableSchema{Name: "Customers", JoinColumn: "custkey", Attrs: map[string]int{"selectivity": 0}},
 		sql.TableSchema{Name: "Orders", JoinColumn: "custkey", Attrs: map[string]int{"selectivity": 0}},
@@ -168,54 +165,58 @@ func setup(out io.Writer, scale float64, seed int64, maxRows int, connect, serve
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
-		a.clu, err = client.DialCluster(addrs, params)
+		clu, err := client.DialCluster(addrs, params)
 		if err != nil {
 			return nil, nil, err
 		}
-		cleanup := func() { a.clu.Close() }
+		cleanup := func() { clu.Close() }
 		for name, rows := range tables {
 			if index {
-				err = a.clu.UploadIndexed(name, rows)
+				err = clu.UploadIndexed(name, rows)
 			} else {
-				err = a.clu.Upload(name, rows)
+				err = clu.Upload(name, rows)
 			}
 			if err != nil {
 				cleanup()
 				return nil, nil, err
 			}
 		}
-		if _, err := a.clu.SyncCatalog(catalog); err != nil {
+		if _, err := clu.SyncCatalog(catalog); err != nil {
 			cleanup()
 			return nil, nil, err
 		}
+		// No whole-plan retry: the cluster retries a shed shard
+		// individually while the other shards keep streaming (degraded
+		// mode lives per backend, inside the scatter).
+		a.runner, a.retry = clu.Runner(async), client.RetryConfig{Attempts: 1}
 		fmt.Fprintf(os.Stderr, "uploaded %d customers + %d orders + %d profiles sharded over %d servers in %v (indexed=%v)\n",
-			len(customers), len(orders), len(profiles), a.clu.Shards(), time.Since(start).Round(time.Millisecond), index)
+			len(customers), len(orders), len(profiles), clu.Shards(), time.Since(start).Round(time.Millisecond), index)
 		return a, cleanup, nil
 	}
 
 	if connect == "" {
-		a.keys, err = engine.NewClient(params, nil)
+		keys, err := engine.NewClient(params, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		a.eng = engine.NewServer()
-		a.eng.SetDecryptCache(64 << 20)
+		eng := engine.NewServer()
+		eng.SetDecryptCache(64 << 20)
 		// EXPLAIN's "decrypt cache:" line reads the engine's counters at
 		// compile time through this hook.
-		catalog.SetDecryptCacheStats(a.eng.DecryptCacheStats)
+		catalog.SetDecryptCacheStats(eng.DecryptCacheStats)
 		for name, rows := range tables {
 			var enc *engine.EncryptedTable
 			if index {
-				enc, err = a.keys.EncryptTableIndexed(name, rows)
+				enc, err = keys.EncryptTableIndexed(name, rows)
 			} else {
-				enc, err = a.keys.EncryptTable(name, rows)
+				enc, err = keys.EncryptTable(name, rows)
 			}
 			if err != nil {
 				return nil, nil, err
 			}
-			a.eng.Upload(enc)
+			eng.Upload(enc)
 		}
-		for _, st := range a.eng.TableStats() {
+		for _, st := range eng.TableStats() {
 			if err := catalog.SetStats(st.Name, st.Rows, st.Indexed); err != nil {
 				return nil, nil, err
 			}
@@ -223,31 +224,33 @@ func setup(out io.Writer, scale float64, seed int64, maxRows int, connect, serve
 				return nil, nil, err
 			}
 		}
+		a.runner = sql.EngineRunner(eng, keys)
 		fmt.Fprintf(os.Stderr, "uploaded %d customers + %d orders + %d profiles in-process in %v (indexed=%v)\n",
 			len(customers), len(orders), len(profiles), time.Since(start).Round(time.Millisecond), index)
 		return a, func() {}, nil
 	}
 
-	a.cli, err = client.Dial(connect, params)
+	cli, err := client.Dial(connect, params)
 	if err != nil {
 		return nil, nil, err
 	}
-	cleanup := func() { a.cli.Close() }
+	cleanup := func() { cli.Close() }
 	for name, rows := range tables {
 		if index {
-			err = a.cli.UploadIndexed(name, rows)
+			err = cli.UploadIndexed(name, rows)
 		} else {
-			err = a.cli.Upload(name, rows)
+			err = cli.Upload(name, rows)
 		}
 		if err != nil {
 			cleanup()
 			return nil, nil, err
 		}
 	}
-	if _, err := a.cli.SyncCatalog(catalog); err != nil {
+	if _, err := cli.SyncCatalog(catalog); err != nil {
 		cleanup()
 		return nil, nil, err
 	}
+	a.runner = cli.Runner(async)
 	fmt.Fprintf(os.Stderr, "uploaded %d customers + %d orders + %d profiles to %s in %v (indexed=%v)\n",
 		len(customers), len(orders), len(profiles), connect, time.Since(start).Round(time.Millisecond), index)
 	return a, cleanup, nil
@@ -283,41 +286,17 @@ func (a *app) exec(stmt string) error {
 		return nil
 	}
 
+	// A shed step (client.ErrOverloaded) is rejected by admission control
+	// — at submit, or before a sync join streams its first batch — and
+	// only the last step emits, so no row was emitted yet and re-running
+	// the whole plan is safe (jobs an aborted attempt already submitted
+	// just run and expire with the job TTL).
 	var revealed int
-	switch {
-	case a.eng != nil:
-		revealed, err = sql.Execute(sql.EngineRunner{Eng: a.eng, Keys: a.keys}, plan, emit)
-	case a.clu != nil:
-		// No whole-plan WithRetry here: the cluster retries a shed shard
-		// individually while the other shards keep streaming (degraded
-		// mode lives per backend, inside the scatter).
-		if a.async {
-			revealed, err = a.clu.ExecutePlanAsync(plan, emit)
-		} else {
-			revealed, err = a.clu.ExecutePlan(plan, emit)
-		}
-	case a.async:
-		// Batch submission: every plan step is enqueued as a job up
-		// front, so the server pipelines the steps on its worker pool
-		// while the attaches stitch results in step order. Shedding can
-		// only happen during SubmitPlan — before any row is emitted — so
-		// the whole-plan retry stays safe (steps already submitted by an
-		// aborted attempt just run and expire with the job TTL).
-		err = client.WithRetry(client.RetryConfig{}, func() error {
-			var rerr error
-			revealed, rerr = a.cli.ExecutePlanAsync(plan, emit)
-			return rerr
-		})
-	default:
-		// A shed join (client.ErrOverloaded) is rejected by admission
-		// control before any result batch is streamed, so no rows were
-		// emitted yet and re-running the whole plan is safe.
-		err = client.WithRetry(client.RetryConfig{}, func() error {
-			var rerr error
-			revealed, rerr = a.cli.ExecutePlan(plan, emit)
-			return rerr
-		})
-	}
+	err = client.WithRetry(a.retry, func() error {
+		var rerr error
+		revealed, rerr = sql.Execute(a.runner, plan, emit)
+		return rerr
+	})
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ func TestConnectModePicksPrefilteredPlan(t *testing.T) {
 	// Small scale: 7 customers, 75 orders — big enough that a single
 	// predicate is estimated selective (est. 1 of 7 rows), cheap enough
 	// to encrypt in a unit test.
-	a, cleanup, err := setup(&out, 0.00005, 1, 10, addr, "", true, 2)
+	a, cleanup, err := setup(&out, 0.00005, 1, 10, addr, "", true, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestConnectModeThreeWayJoin(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	var out bytes.Buffer
-	a, cleanup, err := setup(&out, 0.00005, 1, 100, addr, "", true, 0)
+	a, cleanup, err := setup(&out, 0.00005, 1, 100, addr, "", true, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestServersModeShardedJoin(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	a, cleanup, err := setup(&out, 0.00005, 1, 100, "", strings.Join(addrs, ","), true, 0)
+	a, cleanup, err := setup(&out, 0.00005, 1, 100, "", strings.Join(addrs, ","), true, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestConnectModeFallsBackUnindexed(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	var out bytes.Buffer
-	a, cleanup, err := setup(&out, 0.00001, 1, 10, addr, "", false, 0)
+	a, cleanup, err := setup(&out, 0.00001, 1, 10, addr, "", false, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,11 @@ func runQuery(client *engine.Client, server *engine.Server, sql string,
 	if err != nil {
 		return err
 	}
-	rows, trace, err := server.ExecuteJoin("Teams", "Employees", q)
+	stream, err := server.OpenJoin("Teams", "Employees", engine.JoinSpec{Query: q})
+	if err != nil {
+		return err
+	}
+	rows, trace, err := stream.Drain()
 	if err != nil {
 		return err
 	}

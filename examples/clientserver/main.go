@@ -62,9 +62,10 @@ func main() {
 	// SELECT * FROM Patients JOIN Insurers ON insurer
 	// WHERE Patients.dept IN ('oncology') AND Insurers.plan IN ('gold') —
 	// drained batch by batch as the server streams SJ.Match output.
-	stream, err := cli.JoinQuery("Patients", "Insurers",
+	stream, err := cli.JoinQueryOpts("Patients", "Insurers",
 		securejoin.Selection{0: [][]byte{[]byte("oncology")}},
 		securejoin.Selection{0: [][]byte{[]byte("gold")}},
+		client.JoinOpts{},
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -111,9 +112,10 @@ func main() {
 		wg.Add(1)
 		go func(dept string) {
 			defer wg.Done()
-			results, revealed, err := cli.Join("Patients", "Insurers",
+			results, revealed, err := cli.JoinWith("Patients", "Insurers",
 				securejoin.Selection{0: [][]byte{[]byte(dept)}},
 				securejoin.Selection{},
+				client.JoinOpts{},
 			)
 			if err != nil {
 				log.Fatal(err)

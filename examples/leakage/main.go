@@ -114,25 +114,21 @@ func runRealEngine() (leakage.PairSet, error) {
 	server.Upload(encT)
 	server.Upload(encE)
 
-	q1, err := client.NewQuery(
-		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
-		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := server.ExecuteJoin("Teams", "Employees", q1); err != nil {
-		return nil, err
-	}
-	q2, err := client.NewQuery(
-		securejoin.Selection{0: [][]byte{[]byte("Database")}},
-		securejoin.Selection{0: [][]byte{[]byte("Programmer")}},
-	)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := server.ExecuteJoin("Teams", "Employees", q2); err != nil {
-		return nil, err
+	for _, sel := range [][2]string{{"Web Application", "Tester"}, {"Database", "Programmer"}} {
+		q, err := client.NewQuery(
+			securejoin.Selection{0: [][]byte{[]byte(sel[0])}},
+			securejoin.Selection{0: [][]byte{[]byte(sel[1])}},
+		)
+		if err != nil {
+			return nil, err
+		}
+		stream, err := server.OpenJoin("Teams", "Employees", engine.JoinSpec{Query: q})
+		if err != nil {
+			return nil, err
+		}
+		if _, _, err := stream.Drain(); err != nil {
+			return nil, err
+		}
 	}
 
 	_, closure := server.ObservedLeakage()

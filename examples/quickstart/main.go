@@ -54,7 +54,11 @@ func main() {
 	}
 
 	// 4. The server joins over ciphertexts only.
-	rows, trace, err := server.ExecuteJoin("Albums", "Artists", q)
+	stream, err := server.OpenJoin("Albums", "Artists", engine.JoinSpec{Query: q})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, trace, err := stream.Drain()
 	if err != nil {
 		log.Fatal(err)
 	}

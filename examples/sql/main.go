@@ -72,7 +72,7 @@ func main() {
 		 WHERE Teams.Key = Employees.Team AND Offices.TeamKey = Teams.Key
 		 AND Employees.Role = 'Programmer'`,
 	}
-	runner := sql.EngineRunner{Eng: server, Keys: client}
+	runner := sql.EngineRunner(server, client)
 	for _, qs := range queries {
 		fmt.Println(qs)
 		plan, err := catalog.Compile(qs)

@@ -9,7 +9,7 @@
 // goroutine, and concurrent Join/Upload/Ping calls from multiple
 // goroutines pipeline over the single connection. Join results can be
 // consumed incrementally through JoinStream as the server streams
-// batches, or all at once with Join.
+// batches, or all at once with JoinWith.
 package client
 
 import (
@@ -545,6 +545,22 @@ func (s *JoinStream) Next() ([]JoinResult, error) {
 // valid once Next has returned io.EOF.
 func (s *JoinStream) RevealedPairs() int { return s.revealed }
 
+// drain pulls the stream to exhaustion: every decrypted result and the
+// revealed-pair count — the shared tail of JoinWith and WaitJob.
+func (s *JoinStream) drain() ([]JoinResult, int, error) {
+	var out []JoinResult
+	for {
+		batch, err := s.Next()
+		if err == io.EOF {
+			return out, s.revealed, nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, batch...)
+	}
+}
+
 // Close releases a stream that will not be drained: the server is told
 // to cancel the query's remaining work, and the frames already in
 // flight are discarded in the background so pipelined requests keep
@@ -586,26 +602,27 @@ type JoinOpts struct {
 	Workers int
 }
 
-// JoinPlan starts the join a compiled single-step SQL plan describes,
-// honoring the planner's strategy: a prefiltered plan ships SSE token
-// maps for exactly the sides the planner chose to pre-filter (a side
-// left on full scan never reveals its query keywords), a full-scan
-// plan ships join tokens only. The strategy and per-side token rule
-// live solely in sql.Plan.Spec — this is its wire-mode twin, marshaling
-// the compiled spec into a JoinRequest instead of handing it to
-// engine.Server.OpenJoin. Multi-join plans run through ExecutePlan,
-// which stitches the pairwise steps client-side.
-func (c *Client) JoinPlan(p *sql.Plan) (*JoinStream, error) {
-	spec, err := p.Spec(c.keys)
+// adHocReq compiles an ad-hoc join — two selections plus options — into
+// its wire request: an engine.JoinSpec under a fresh query key (so
+// repeated identical calls are unlinkable at the server), shipped
+// through joinReqFromSpec like every plan step.
+func adHocReq(keys *engine.Client, tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*wire.JoinRequest, error) {
+	spec := engine.JoinSpec{Workers: opts.Workers}
+	var err error
+	if opts.Prefilter {
+		spec.Prefilter, err = keys.NewPrefilterQuery(selA, selB)
+	} else {
+		spec.Query, err = keys.NewQuery(selA, selB)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return c.joinSpec(p.TableA, p.TableB, spec)
+	return joinReqFromSpec(tableA, tableB, spec)
 }
 
 // joinReqFromSpec marshals one compiled engine.JoinSpec into the wire
-// request it describes — the shared builder behind synchronous joins
-// and async job submission.
+// request it describes — the one request builder, behind ad-hoc joins
+// and plan steps, synchronous and submitted, single-server and sharded.
 func joinReqFromSpec(tableA, tableB string, spec engine.JoinSpec) (*wire.JoinRequest, error) {
 	req := &wire.JoinRequest{
 		TableA: tableA, TableB: tableB, Workers: spec.Workers,
@@ -639,37 +656,41 @@ func joinReqFromSpec(tableA, tableB string, spec engine.JoinSpec) (*wire.JoinReq
 	return req, nil
 }
 
-// joinSpec ships one compiled engine.JoinSpec as a JoinRequest and
-// opens the response stream.
-func (c *Client) joinSpec(tableA, tableB string, spec engine.JoinSpec) (*JoinStream, error) {
-	req, err := joinReqFromSpec(tableA, tableB, spec)
+// open ships one join request and returns its result stream. Sync sends
+// a Join and the server streams on this request; async routes the same
+// request through the server's job queue — Submit, then Attach to the
+// job — so the work (and its spooled result) outlives the connection.
+func (c *Client) open(req *wire.JoinRequest, async bool) (*JoinStream, error) {
+	if async {
+		info, err := c.submit(req)
+		if err != nil {
+			return nil, err
+		}
+		return c.AttachJob(info.ID)
+	}
+	p, err := c.send(&wire.Request{Join: req})
 	if err != nil {
 		return nil, err
 	}
-	pd, err := c.send(&wire.Request{Join: req})
-	if err != nil {
-		return nil, err
-	}
-	return &JoinStream{c: c, p: pd}, nil
+	return &JoinStream{c: c, p: p}, nil
 }
 
-// planRunner adapts the wire client to sql.StepRunner: each plan step
-// becomes one JoinRequest, and the response stream's sealed payloads
-// are opened with the client's keys as batches arrive.
-type planRunner struct{ c *Client }
-
-func (r planRunner) RunStep(p *sql.Plan, step int, in sql.StepInput) (sql.StepStream, error) {
-	spec, err := p.SpecFor(step, r.c.keys)
-	if err != nil {
-		return nil, err
-	}
-	spec.CandidatesA = in.CandidatesL
-	st := &p.Steps[step]
-	js, err := r.c.joinSpec(st.Left.Table, st.Right.Table, spec)
-	if err != nil {
-		return nil, err
-	}
-	return wireStepStream{js}, nil
+// Runner returns the sql.Runner whose transport is this connection:
+// each plan step becomes one JoinRequest — sent as a synchronous join,
+// or, with async, submitted as a job when execution reaches the step
+// (so semi-join candidate lists propagate either way) and attached.
+func (c *Client) Runner(async bool) sql.Runner {
+	return sql.Runner{Keys: c.keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
+		req, err := joinReqFromSpec(tableL, tableR, spec)
+		if err != nil {
+			return nil, err
+		}
+		js, err := c.open(req, async)
+		if err != nil {
+			return nil, err
+		}
+		return wireStepStream{js}, nil
+	}}
 }
 
 // wireStepStream adapts JoinStream (which already decrypts payloads) to
@@ -698,87 +719,25 @@ func (s wireStepStream) RevealedPairs() int { return s.js.RevealedPairs() }
 // stitched result row; the returned count sums the revealed pairs over
 // all executed steps.
 func (c *Client) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(planRunner{c}, p, emit)
+	return sql.Execute(c.Runner(false), p, emit)
 }
 
-// JoinQuery starts SELECT * FROM tableA JOIN tableB ON joinA = joinB
-// WHERE selA AND selB and returns a stream of result batches. A fresh
-// query key is drawn, so repeated identical calls are unlinkable at the
-// server.
-func (c *Client) JoinQuery(tableA, tableB string, selA, selB securejoin.Selection) (*JoinStream, error) {
-	return c.JoinQueryOpts(tableA, tableB, selA, selB, JoinOpts{})
-}
-
-// JoinQueryOpts starts a join query with explicit execution options.
+// JoinQueryOpts starts SELECT * FROM tableA JOIN tableB ON joinA = joinB
+// WHERE selA AND selB and returns a stream of result batches.
 func (c *Client) JoinQueryOpts(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*JoinStream, error) {
-	req, err := c.buildJoinReq(tableA, tableB, selA, selB, opts)
+	req, err := adHocReq(c.keys, tableA, tableB, selA, selB, opts)
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.send(&wire.Request{Join: req})
-	if err != nil {
-		return nil, err
-	}
-	return &JoinStream{c: c, p: p}, nil
+	return c.open(req, false)
 }
 
-// buildJoinReq draws a fresh query key and marshals one ad-hoc join
-// query into its wire request — the shared builder behind JoinQueryOpts
-// and SubmitJoinQuery.
-func (c *Client) buildJoinReq(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*wire.JoinRequest, error) {
-	req := &wire.JoinRequest{TableA: tableA, TableB: tableB, Workers: opts.Workers}
-	var q *securejoin.Query
-	if opts.Prefilter {
-		pq, err := c.keys.NewPrefilterQuery(selA, selB)
-		if err != nil {
-			return nil, err
-		}
-		if req.PrefilterA, err = sse.MarshalTokenMap(pq.TokensA); err != nil {
-			return nil, err
-		}
-		if req.PrefilterB, err = sse.MarshalTokenMap(pq.TokensB); err != nil {
-			return nil, err
-		}
-		q = pq.Join
-	} else {
-		var err error
-		if q, err = c.keys.NewQuery(selA, selB); err != nil {
-			return nil, err
-		}
-	}
-	var err error
-	if req.TokenA, err = q.TokenA.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	if req.TokenB, err = q.TokenB.MarshalBinary(); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// Join executes a join query and drains its stream, returning all
+// JoinWith executes a join query and drains its stream, returning all
 // decrypted results and the revealed-pair count.
-func (c *Client) Join(tableA, tableB string, selA, selB securejoin.Selection) ([]JoinResult, int, error) {
-	return c.JoinWith(tableA, tableB, selA, selB, JoinOpts{})
-}
-
-// JoinWith executes a join query with explicit execution options and
-// drains its stream.
 func (c *Client) JoinWith(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) ([]JoinResult, int, error) {
 	stream, err := c.JoinQueryOpts(tableA, tableB, selA, selB, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []JoinResult
-	for {
-		batch, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, batch...)
-	}
-	return out, stream.RevealedPairs(), nil
+	return stream.drain()
 }

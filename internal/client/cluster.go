@@ -349,23 +349,25 @@ func (s *clusterStepStream) push(rows []sql.StepRow) bool {
 	}
 }
 
-// shardJoinReqs specializes one step's join request per shard. With no
-// candidate list every shard receives the shared request unchanged
-// (same tokens everywhere — see ClusterRunner.RunStep). With one, the
-// global hub-row ids are remapped to each shard's local row numbers;
-// a shard left with no candidates gets a nil slot and is skipped
+// shardJoinReqs specializes one join request per shard. With no
+// candidate list every shard receives the shared request unchanged:
+// the shards jointly execute one logical query, so a semi-honest
+// coalition of backends sees exactly the single-server request, not N
+// fresher-keyed variants of it. With one, base.CandidatesA holds global
+// hub-row ids that are remapped to each shard's local row numbers; a
+// shard left with no candidates gets a nil slot and is skipped
 // entirely — correct because no cross-shard match exists, and
 // necessary because the wire encoding cannot distinguish an empty
 // restriction from no restriction.
-func (cl *Cluster) shardJoinReqs(base *wire.JoinRequest, tableL string, candidates []int) []*wire.JoinRequest {
+func (cl *Cluster) shardJoinReqs(base *wire.JoinRequest) []*wire.JoinRequest {
 	reqs := make([]*wire.JoinRequest, len(cl.clients))
-	if len(candidates) == 0 {
+	if len(base.CandidatesA) == 0 {
 		for s := range reqs {
 			reqs[s] = base
 		}
 		return reqs
 	}
-	locals := cl.localCandidates(tableL, candidates)
+	locals := cl.localCandidates(base.TableA, base.CandidatesA)
 	for s := range reqs {
 		if len(locals[s]) == 0 {
 			continue
@@ -412,23 +414,22 @@ func (cl *Cluster) localCandidates(table string, candidates []int) [][]int {
 	return out
 }
 
-// scatter runs one join step on every shard concurrently and returns
-// the merged stream: reqs carries one request per shard (see
-// shardJoinReqs; a nil slot skips that shard). tableL/tableR name the
-// step's sides for row-identity remapping. In async mode each shard's
-// work is submitted as a server-side job first and the results are
-// attached, so the shards' worker pools (and job spools) own the
-// execution.
+// scatter runs one join on every shard concurrently and returns the
+// merged stream; base is the single-server request, specialized per
+// shard by shardJoinReqs. Each shard's request goes through that
+// backend's Client.open, so async routes it through the shard's job
+// queue exactly as it would on a single server.
 //
 // Degraded mode: a shard that sheds (ErrOverloaded) is retried with
 // jittered exponential backoff on that shard alone — its siblings
 // keep streaming. Admission control rejects before any batch is
 // produced, so the retry re-sends a request that has emitted nothing.
-func (cl *Cluster) scatter(tableL, tableR string, reqs []*wire.JoinRequest, async bool) *clusterStepStream {
+func (cl *Cluster) scatter(base *wire.JoinRequest, async bool) *clusterStepStream {
 	ms := &clusterStepStream{
 		batches: make(chan []sql.StepRow, len(cl.clients)),
 		quit:    make(chan struct{}),
 	}
+	reqs := cl.shardJoinReqs(base)
 	var wg sync.WaitGroup
 	for s := range cl.clients {
 		if reqs[s] == nil {
@@ -437,10 +438,9 @@ func (cl *Cluster) scatter(tableL, tableR string, reqs []*wire.JoinRequest, asyn
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			label := strconv.Itoa(shard)
 			started := time.Now()
-			revealed, err := cl.runShard(shard, tableL, tableR, reqs[shard], async, ms)
-			cl.met.ShardSeconds.With(label).Observe(time.Since(started).Seconds())
+			revealed, err := cl.runShard(shard, reqs[shard], async, ms)
+			cl.met.ShardSeconds.With(strconv.Itoa(shard)).Observe(time.Since(started).Seconds())
 			if err != nil {
 				ms.fail(fmt.Errorf("shard %d (%s): %w", shard, cl.addrs[shard], err))
 				return
@@ -460,34 +460,13 @@ func (cl *Cluster) scatter(tableL, tableR string, reqs []*wire.JoinRequest, asyn
 // runShard executes one shard's portion of a scattered join, retrying
 // on shed, and pushes remapped batches into the merged stream. It
 // returns the shard's revealed-pair count.
-func (cl *Cluster) runShard(shard int, tableL, tableR string, req *wire.JoinRequest, async bool, ms *clusterStepStream) (int, error) {
-	c := cl.clients[shard]
+func (cl *Cluster) runShard(shard int, req *wire.JoinRequest, async bool, ms *clusterStepStream) (int, error) {
 	label := strconv.Itoa(shard)
 	revealed := 0
-	cfg := cl.retry
-	cfg.Sleep = func(d time.Duration) {
-		cl.met.ShardRetries.With(label).Inc()
-		time.Sleep(d)
-	}
-	err := WithRetry(cfg, func() error {
-		var js *JoinStream
-		if async {
-			info, err := c.submitJoinReq(req)
-			if err != nil {
-				if errors.Is(err, ErrOverloaded) {
-					cl.met.ShardShed.With(label).Inc()
-				}
-				return err
-			}
-			if js, err = c.AttachJob(info.ID); err != nil {
-				return err
-			}
-		} else {
-			pd, err := c.send(&wire.Request{Join: req})
-			if err != nil {
-				return err
-			}
-			js = &JoinStream{c: c, p: pd}
+	attempt := func() error {
+		js, err := cl.clients[shard].open(req, async)
+		if err != nil {
+			return err
 		}
 		for {
 			batch, err := js.Next()
@@ -496,12 +475,6 @@ func (cl *Cluster) runShard(shard int, tableL, tableR string, req *wire.JoinRequ
 				return nil
 			}
 			if err != nil {
-				// A shed surfaces on the first Next (the terminal Err frame
-				// precedes any batch), so retrying the whole open+drain
-				// re-sends a request that delivered nothing.
-				if errors.Is(err, ErrOverloaded) {
-					cl.met.ShardShed.With(label).Inc()
-				}
 				return err
 			}
 			if len(batch) == 0 {
@@ -510,8 +483,8 @@ func (cl *Cluster) runShard(shard int, tableL, tableR string, req *wire.JoinRequ
 			rows := make([]sql.StepRow, len(batch))
 			for i, r := range batch {
 				rows[i] = sql.StepRow{
-					RowL:     cl.globalRow(tableL, shard, r.RowA),
-					RowR:     cl.globalRow(tableR, shard, r.RowB),
+					RowL:     cl.globalRow(req.TableA, shard, r.RowA),
+					RowR:     cl.globalRow(req.TableB, shard, r.RowB),
 					PayloadL: r.PayloadA,
 					PayloadR: r.PayloadB,
 				}
@@ -521,39 +494,38 @@ func (cl *Cluster) runShard(shard int, tableL, tableR string, req *wire.JoinRequ
 				return errors.New("cluster stream closed")
 			}
 		}
+	}
+	cfg := cl.retry
+	cfg.Sleep = func(d time.Duration) {
+		cl.met.ShardRetries.With(label).Inc()
+		time.Sleep(d)
+	}
+	err := WithRetry(cfg, func() error {
+		// A shed surfaces at submit, or on a sync join's first Next (the
+		// terminal Err frame precedes any batch), so retrying the whole
+		// open+drain re-sends a request that delivered nothing.
+		err := attempt()
+		if errors.Is(err, ErrOverloaded) {
+			cl.met.ShardShed.With(label).Inc()
+		}
+		return err
 	})
 	return revealed, err
 }
 
-// ClusterRunner adapts a Cluster to sql.StepRunner, the third backend
-// beside sql.EngineRunner (in-process) and the single-server wire
-// runner: each plan step compiles to ONE join request that is
-// scattered to every shard, and the merged stream feeds sql.Execute's
-// stitcher unchanged. Async routes each shard's step through that
-// backend's job queue instead of a synchronous join.
-type ClusterRunner struct {
-	Cluster *Cluster
-	Async   bool
-}
-
-func (r ClusterRunner) RunStep(p *sql.Plan, step int, in sql.StepInput) (sql.StepStream, error) {
-	spec, err := p.SpecFor(step, r.Cluster.keys)
-	if err != nil {
-		return nil, err
-	}
-	st := &p.Steps[step]
-	// One token set per step, shared by every shard: the shards jointly
-	// execute one logical query, and a semi-honest coalition of
-	// backends then sees exactly the single-server request, not N
-	// fresher-keyed variants of it. Only the semi-join candidate lists
-	// differ per shard — each backend receives the (remapped) subset of
-	// hub rows it actually stores.
-	req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
-	if err != nil {
-		return nil, err
-	}
-	reqs := r.Cluster.shardJoinReqs(req, st.Left.Table, in.CandidatesL)
-	return r.Cluster.scatter(st.Left.Table, st.Right.Table, reqs, r.Async), nil
+// Runner returns the sql.Runner whose transport is the whole cluster:
+// each plan step compiles to ONE join request — one token set shared by
+// every shard — that is scattered, and the merged stream feeds
+// sql.Execute's stitcher unchanged. Async routes each shard's step
+// through that backend's job queue instead of a synchronous join.
+func (cl *Cluster) Runner(async bool) sql.Runner {
+	return sql.Runner{Keys: cl.keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
+		req, err := joinReqFromSpec(tableL, tableR, spec)
+		if err != nil {
+			return nil, err
+		}
+		return cl.scatter(req, async), nil
+	}}
 }
 
 // ExecutePlan runs a compiled SQL plan scatter-gather: every pairwise
@@ -562,25 +534,25 @@ func (r ClusterRunner) RunStep(p *sql.Plan, step int, in sql.StepInput) (sql.Ste
 // revealed pairs over all steps and shards — by the alignment argument
 // above, equal to what one server executing the same plan would report.
 func (cl *Cluster) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(ClusterRunner{Cluster: cl}, p, emit)
+	return sql.Execute(cl.Runner(false), p, emit)
 }
 
 // ExecutePlanAsync is ExecutePlan with every shard's step submitted to
 // that backend's job queue (surviving disconnects and restarts per
 // shard, like Client.ExecutePlanAsync does for one server).
 func (cl *Cluster) ExecutePlanAsync(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(ClusterRunner{Cluster: cl, Async: true}, p, emit)
+	return sql.Execute(cl.Runner(true), p, emit)
 }
 
 // Join executes one ad-hoc equi-join scatter-gather and drains it:
 // the merged decrypted results (single-server row identities when this
 // cluster did the upload) and the summed revealed-pair count.
 func (cl *Cluster) Join(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) ([]JoinResult, int, error) {
-	req, err := cl.clients[0].buildJoinReq(tableA, tableB, selA, selB, opts)
+	req, err := adHocReq(cl.keys, tableA, tableB, selA, selB, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	ms := cl.scatter(tableA, tableB, cl.shardJoinReqs(req, tableA, nil), false)
+	ms := cl.scatter(req, false)
 	defer ms.Close()
 	var out []JoinResult
 	for {

@@ -3,8 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -14,8 +12,8 @@ import (
 )
 
 // This file is the client side of the async job subsystem: a join can
-// be submitted as a job (SubmitJoinQuery / SubmitPlan), acknowledged
-// immediately with a job ID, and then polled (JobStatus) or streamed
+// be submitted as a job (SubmitJoinQuery), acknowledged immediately
+// with a job ID, and then polled (JobStatus) or streamed
 // (AttachJob) from this or any later connection — the server spools a
 // completed job's result durably, so the submitting client may
 // disconnect, or the server restart, between submit and attach.
@@ -38,46 +36,16 @@ type JobInfo = wire.JobInfo
 // AttachJob or WaitJob. A full worker queue sheds the submission with
 // ErrOverloaded; submit ran no work and is safe to retry (WithRetry).
 func (c *Client) SubmitJoinQuery(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*JobInfo, error) {
-	req, err := c.buildJoinReq(tableA, tableB, selA, selB, opts)
+	req, err := adHocReq(c.keys, tableA, tableB, selA, selB, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.submitJoinReq(req)
+	return c.submit(req)
 }
 
-// SubmitPlan submits every pairwise join step of a compiled SQL plan
-// as its own async job and returns the job IDs in step order. Resume
-// the plan — after a disconnect or even a server restart — by handing
-// the same plan and IDs to ExecuteSubmitted.
-//
-// Eager whole-plan submission cannot carry semi-join candidate lists
-// (a step's candidates are the previous step's matches, unknown at
-// submit time), so every step executes in full. ExecutePlanAsync
-// submits lazily step by step and keeps the reduction.
-func (c *Client) SubmitPlan(p *sql.Plan) ([]string, error) {
-	ids := make([]string, len(p.Steps))
-	for step := range p.Steps {
-		spec, err := p.SpecFor(step, c.keys)
-		if err != nil {
-			return nil, err
-		}
-		st := &p.Steps[step]
-		req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
-		if err != nil {
-			return nil, err
-		}
-		info, err := c.submitJoinReq(req)
-		if err != nil {
-			return nil, fmt.Errorf("submitting plan step %d: %w", step, err)
-		}
-		ids[step] = info.ID
-	}
-	return ids, nil
-}
-
-// submitJoinReq ships one join request as a Submit and decodes the
-// job-info ack.
-func (c *Client) submitJoinReq(req *wire.JoinRequest) (*JobInfo, error) {
+// submit ships one join request as a Submit and decodes the job-info
+// ack.
+func (c *Client) submit(req *wire.JoinRequest) (*JobInfo, error) {
 	p, err := c.send(&wire.Request{Submit: &wire.SubmitRequest{Join: req}})
 	if err != nil {
 		return nil, err
@@ -138,18 +106,7 @@ func (c *Client) WaitJob(id string) ([]JoinResult, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []JoinResult
-	for {
-		batch, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, batch...)
-	}
-	return out, stream.RevealedPairs(), nil
+	return stream.drain()
 }
 
 // PollJob polls a job's status until it reaches a terminal state
@@ -191,74 +148,11 @@ func (c *Client) PollJobCtx(ctx context.Context, id string, interval time.Durati
 	}
 }
 
-// jobRunner adapts submitted jobs to sql.StepRunner: step i's stream
-// is an attach to ids[i] instead of a fresh JoinRequest. The jobs were
-// submitted before execution began, so in.CandidatesL is deliberately
-// ignored — the steps ran (or run) in full, and the stitch discards
-// non-candidate rows client-side, yielding identical results without
-// the semi-join savings.
-type jobRunner struct {
-	c   *Client
-	ids []string
-}
-
-func (r jobRunner) RunStep(p *sql.Plan, step int, in sql.StepInput) (sql.StepStream, error) {
-	js, err := r.c.AttachJob(r.ids[step])
-	if err != nil {
-		return nil, err
-	}
-	return wireStepStream{js}, nil
-}
-
-// asyncStepRunner submits each step as a job at the moment Execute
-// reaches it and attaches immediately — the lazy twin of SubmitPlan +
-// jobRunner. Per-step submission is what lets the semi-join reduction
-// work through the job queue: by the time step k+1 is submitted, the
-// previous step's matches are known and ride the request as its
-// candidate list.
-type asyncStepRunner struct{ c *Client }
-
-func (r asyncStepRunner) RunStep(p *sql.Plan, step int, in sql.StepInput) (sql.StepStream, error) {
-	spec, err := p.SpecFor(step, r.c.keys)
-	if err != nil {
-		return nil, err
-	}
-	spec.CandidatesA = in.CandidatesL
-	st := &p.Steps[step]
-	req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
-	if err != nil {
-		return nil, err
-	}
-	info, err := r.c.submitJoinReq(req)
-	if err != nil {
-		return nil, fmt.Errorf("submitting plan step %d: %w", step, err)
-	}
-	js, err := r.c.AttachJob(info.ID)
-	if err != nil {
-		return nil, err
-	}
-	return wireStepStream{js}, nil
-}
-
-// ExecuteSubmitted stitches the results of a plan previously submitted
-// with SubmitPlan: step i attaches to ids[i], and the decrypted
-// intermediates are joined client-side exactly as in ExecutePlan. The
-// ids must come from a SubmitPlan of an equivalent plan.
-func (c *Client) ExecuteSubmitted(p *sql.Plan, ids []string, emit func(sql.ResultRow) error) (int, error) {
-	if len(ids) != len(p.Steps) {
-		return 0, fmt.Errorf("client: plan has %d steps but %d job IDs were given", len(p.Steps), len(ids))
-	}
-	return sql.Execute(jobRunner{c: c, ids: ids}, p, emit)
-}
-
-// ExecutePlanAsync runs a plan through the server's job queue: each
+// ExecutePlanAsync is ExecutePlan through the server's job queue: each
 // step is submitted as a job when execution reaches it, then attached
-// and stitched — ExecutePlan with the steps executing on the server's
-// worker pool (and their completed results spooling durably) rather
-// than being tied to this connection's request lifetimes. Submission
-// is per step, so semi-join candidate lists propagate exactly as in
-// the synchronous path; to pre-submit a whole plan up front (at the
-// cost of full per-step execution), use SubmitPlan + ExecuteSubmitted.
+// and stitched — the steps execute on the server's worker pool, and
+// their completed results spool durably, rather than being tied to
+// this connection's request lifetimes.
 func (c *Client) ExecutePlanAsync(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(asyncStepRunner{c}, p, emit)
+	return sql.Execute(c.Runner(true), p, emit)
 }

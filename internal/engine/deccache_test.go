@@ -50,7 +50,7 @@ func TestDecryptCacheWarmHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldTrace, err := server.ExecuteJoin("Teams", "Employees", q)
+	cold, coldTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDecryptCacheWarmHit(t *testing.T) {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/6", st.Hits, st.Misses)
 	}
 
-	warm, warmTrace, err := server.ExecuteJoin("Teams", "Employees", q)
+	warm, warmTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestDecryptCacheFreshTokensMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := server.ExecuteJoin("Teams", "Employees", q); err != nil {
+		if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestDecryptCacheInvalidationOnRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, coldTrace, err := server.ExecuteJoin("Teams", "Employees", q)
+	cold, coldTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestDecryptCacheInvalidationOnRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm, warmTrace, err := server.ExecuteJoin("Teams", "Employees", q)
+	warm, warmTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestDecryptCachePrefilterSparseFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	cold, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	warm, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +206,11 @@ func TestDecryptCacheOversizedDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	cold, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	warm, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestDecryptCacheOversizedKeepsSmallTablesWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	cold, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	warm, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestDecryptCacheSwapDuringJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	want, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestDecryptCacheSwapDuringJoins(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		got, _, err := server.ExecuteJoin("Teams", "Employees", q)
+		got, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,7 @@
 // operations each — run truly in parallel. Join results are produced
 // incrementally through JoinStream, whose Next method yields bounded
 // batches as SJ.Match progresses instead of materializing the whole
-// result set; ExecuteJoin remains as a convenience that drains a
-// stream.
+// result set; Drain collects a stream for callers that want it whole.
 //
 // The server additionally records, per query, the equality pairs its
 // execution observed — the sigma(q) trace of Section 5.2 — so examples
@@ -660,13 +659,6 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 	return st, nil
 }
 
-// OpenJoinQuery starts a full-scan join with the pre-plan signature —
-// a thin wrapper over the spec pipeline kept for callers that predate
-// JoinSpec.
-func (s *Server) OpenJoinQuery(tableA, tableB string, q *securejoin.Query, batch int) (*JoinStream, error) {
-	return s.OpenJoin(tableA, tableB, JoinSpec{Query: q, Batch: batch})
-}
-
 // Next returns the joined rows produced by the next batch of probe-side
 // rows. A batch may be empty of matches yet non-terminal; the stream is
 // exhausted when Next returns io.EOF, at which point the query trace
@@ -771,22 +763,10 @@ func (st *JoinStream) RevealedPairs() int {
 	return st.trace.Pairs.Len()
 }
 
-// ExecuteJoin runs one equi-join query to completion: SJ.Dec over both
-// tables followed by a hash-based SJ.Match. It returns the joined row
-// payloads and records the query's observed leakage. It is a
-// convenience wrapper that drains a JoinStream; servers streaming
-// results to clients use OpenJoin directly.
-func (s *Server) ExecuteJoin(tableA, tableB string, q *securejoin.Query) ([]JoinedRow, *QueryTrace, error) {
-	st, err := s.OpenJoin(tableA, tableB, JoinSpec{Query: q})
-	if err != nil {
-		return nil, nil, err
-	}
-	return drain(st)
-}
-
-// drain pulls a stream to exhaustion and returns the accumulated rows
-// with the recorded trace — the shared tail of the one-shot wrappers.
-func drain(st *JoinStream) ([]JoinedRow, *QueryTrace, error) {
+// Drain pulls the stream to exhaustion and returns the accumulated rows
+// with the recorded trace, for callers that want the whole result at
+// once; servers streaming results to clients call Next themselves.
+func (st *JoinStream) Drain() ([]JoinedRow, *QueryTrace, error) {
 	var result []JoinedRow
 	for {
 		rows, err := st.Next()

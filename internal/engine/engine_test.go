@@ -52,7 +52,7 @@ func TestEndToEndJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, trace, err := server.ExecuteJoin("Teams", "Employees", q)
+	rows, trace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := server.ExecuteJoin("Teams", "Employees", q1); err != nil {
+	if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q1}); err != nil {
 		t.Fatal(err)
 	}
 	q2, err := client.NewQuery(
@@ -99,7 +99,7 @@ func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := server.ExecuteJoin("Teams", "Employees", q2); err != nil {
+	if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,10 +153,10 @@ func TestUnknownTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := server.ExecuteJoin("Teams", "Nope", q); err == nil {
+	if _, _, err := join(server, "Teams", "Nope", JoinSpec{Query: q}); err == nil {
 		t.Fatal("join against a missing table should fail")
 	}
-	if _, _, err := server.ExecuteJoin("Nope", "Teams", q); err == nil {
+	if _, _, err := join(server, "Nope", "Teams", JoinSpec{Query: q}); err == nil {
 		t.Fatal("join against a missing table should fail")
 	}
 }
@@ -202,7 +202,7 @@ func TestRepeatedQueryUnlinkable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := server.ExecuteJoin("Teams", "Employees", q); err != nil {
+		if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,4 +210,13 @@ func TestRepeatedQueryUnlinkable(t *testing.T) {
 	if closure.Len() != 1 {
 		t.Fatalf("re-running a query should not grow the closure: %d pairs", closure.Len())
 	}
+}
+
+// join runs one join to completion: OpenJoin followed by Drain.
+func join(s *Server, tableA, tableB string, spec JoinSpec) ([]JoinedRow, *QueryTrace, error) {
+	st, err := s.OpenJoin(tableA, tableB, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return st.Drain()
 }

@@ -47,7 +47,7 @@ func TestKeyExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	rows, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestKeyExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows2, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestKeyExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows3, _, err := server.ExecuteJoin("Extra", "Teams", q2)
+	rows3, _, err := join(server, "Extra", "Teams", JoinSpec{Query: q2})
 	if err != nil {
 		t.Fatal(err)
 	}

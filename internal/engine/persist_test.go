@@ -59,7 +59,7 @@ func TestSaveLoadTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	rows, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSaveLoadTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows2, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}

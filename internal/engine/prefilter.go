@@ -21,7 +21,7 @@ import (
 // additionally learns which rows match each *individual* attribute
 // predicate (standard SSE access-pattern leakage), not only the
 // equality pairs among fully-matching rows. Clients wanting the exact
-// leakage of Theorem 5.2 use ExecuteJoin instead.
+// leakage of Theorem 5.2 leave JoinSpec.Prefilter nil.
 
 // PrefilterQuery carries, for each table, the SSE tokens of the query's
 // selection predicates: one token list per restricted attribute
@@ -77,19 +77,6 @@ func (c *Client) sseTokens(sel securejoin.Selection) map[int][]sse.SearchToken {
 		out[attr] = toks
 	}
 	return out
-}
-
-// ExecuteJoinPrefiltered runs a join like ExecuteJoin but resolves the
-// selection predicates through each table's SSE index first, paying
-// SJ.Dec only for candidate rows. Tables uploaded without an index are
-// processed in full. It is a thin wrapper draining the same planned
-// pipeline behind OpenJoin that serves full scans.
-func (s *Server) ExecuteJoinPrefiltered(tableA, tableB string, q *PrefilterQuery) ([]JoinedRow, *QueryTrace, error) {
-	st, err := s.OpenJoin(tableA, tableB, JoinSpec{Prefilter: q})
-	if err != nil {
-		return nil, nil, err
-	}
-	return drain(st)
 }
 
 // candidates resolves a table's pre-filter: the intersection over

@@ -42,7 +42,7 @@ func TestPrefilteredJoinMatchesFullJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, trace, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	fast, trace, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPrefilteredJoinMatchesFullJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _, err := server.ExecuteJoin("Teams", "Employees", q)
+	full, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPrefilteredJoinINClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPrefilterOnUnindexedTableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestPrefilterEmptySelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows, _, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPrefilterNoMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, trace, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	rows, trace, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestPrefilteredStreamMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantTrace, err := server.ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	want, wantTrace, err := join(server, "Teams", "Employees", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestJoinSpecWorkersMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, _, err := drain(st)
+		rows, _, err := st.Drain()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,7 +194,7 @@ func TestRegisterTableOverwriteReplacesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := server.ExecuteJoinPrefiltered("T", "O", pq)
+	rows, _, err := join(server, "T", "O", JoinSpec{Prefilter: pq})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestLeakageCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trace, err := server.ExecuteJoin("Teams", "Employees", q)
+	_, trace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestLeakageCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := restarted.ExecuteJoin("Teams", "Employees", q2); err != nil {
+	if _, _, err := join(restarted, "Teams", "Employees", JoinSpec{Query: q2}); err != nil {
 		t.Fatal(err)
 	}
 	after := restarted.LeakageCounters()

@@ -13,10 +13,10 @@ import (
 	"repro/internal/securejoin"
 )
 
-// TestJoinStreamMatchesExecuteJoin drains a stream with batch size 1
+// TestJoinStreamMatchesDrain drains a stream with batch size 1
 // and checks it produces exactly the rows and trace of the one-shot
 // path.
-func TestJoinStreamMatchesExecuteJoin(t *testing.T) {
+func TestJoinStreamMatchesDrain(t *testing.T) {
 	client, server := setup(t)
 	sel := securejoin.Selection{}
 
@@ -24,7 +24,7 @@ func TestJoinStreamMatchesExecuteJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantTrace, err := server.ExecuteJoin("Teams", "Employees", q1)
+	want, wantTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestJoinStreamMatchesExecuteJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := server.OpenJoinQuery("Teams", "Employees", q2, 1)
+	stream, err := server.OpenJoin("Teams", "Employees", JoinSpec{Query: q2, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestJoinStreamMatchesExecuteJoin(t *testing.T) {
 		t.Fatalf("%d rows arrived in %d batches; want at least one batch per probe row", len(got), batches)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("stream produced %d rows, ExecuteJoin %d", len(got), len(want))
+		t.Fatalf("stream produced %d rows, Drain %d", len(got), len(want))
 	}
 	match := make(map[string]bool, len(want))
 	for _, r := range want {
@@ -72,7 +72,7 @@ func TestJoinStreamMatchesExecuteJoin(t *testing.T) {
 		}
 	}
 	if stream.RevealedPairs() != wantTrace.Pairs.Len() {
-		t.Fatalf("stream trace %d pairs, ExecuteJoin trace %d", stream.RevealedPairs(), wantTrace.Pairs.Len())
+		t.Fatalf("stream trace %d pairs, Drain trace %d", stream.RevealedPairs(), wantTrace.Pairs.Len())
 	}
 	// Exhausted stream keeps returning EOF.
 	if _, err := stream.Next(); err != io.EOF {
@@ -89,7 +89,7 @@ func TestJoinStreamCloseRecordsPartialLeakage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := server.OpenJoinQuery("Teams", "Employees", q, 1)
+	st, err := server.OpenJoin("Teams", "Employees", JoinSpec{Query: q, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestJoinStreamCloseRecordsPartialLeakage(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecuteJoin runs joins from many goroutines against
+// TestConcurrentJoins runs joins from many goroutines against
 // shared read-only tables plus concurrent uploads of fresh tables; with
 // -race this validates the RWMutex table store and the separate trace
 // lock.
-func TestConcurrentExecuteJoin(t *testing.T) {
+func TestConcurrentJoins(t *testing.T) {
 	client, server := setup(t)
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -152,7 +152,7 @@ func TestConcurrentExecuteJoin(t *testing.T) {
 				errs <- err
 				return
 			}
-			rows, trace, err := server.ExecuteJoin("Teams", "Employees", q)
+			rows, trace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
 			if err != nil {
 				errs <- err
 				return

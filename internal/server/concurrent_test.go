@@ -51,7 +51,7 @@ func TestConcurrentJoinsOneClient(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results, revealed, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+			results, revealed, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -86,7 +86,7 @@ func TestJoinStreamsInBatches(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 7)
 
-	stream, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestSequentialDrainOfConcurrentStreams(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 12)
 
-	a, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	a, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	b, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSkewedJoinRespectsBatchBound(t *testing.T) {
 	if err := c.Upload("R", same("right", 4)); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestAbandonedStreamDoesNotStallConnection(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 6)
 
-	stream, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAbandonedStreamDoesNotStallConnection(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after abandoned stream: %v", err)
 	}
-	results, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestChunkedUploadLargePayloads(t *testing.T) {
 	if err := c.Upload("Small", mk('a', 8)); err != nil {
 		t.Fatal(err)
 	}
-	results, _, err := c.Join("Big", "Small", securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c.JoinWith("Big", "Small", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestUncommittedUploadInvisible(t *testing.T) {
 func startServerEngineTable(t *testing.T, addr, table string) ([]client.JoinResult, error) {
 	t.Helper()
 	c := dial(t, addr)
-	results, _, err := c.Join(table, table, securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c.JoinWith(table, table, securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	return results, err
 }
 
@@ -427,7 +427,7 @@ func TestCloseWaitsForInFlightRequests(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 4)
 
-	stream, err := c.JoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

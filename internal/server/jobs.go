@@ -22,13 +22,14 @@ import (
 // threw the pairings away.
 //
 // Execution model. ALL join work — synchronous Join requests and
-// submitted jobs alike — runs on one bounded worker pool fed by a fair
-// FIFO queue (tasks run in arrival order), replacing the per-request
-// join goroutines. The queue composes with PR 6's admission control:
-// sync joins still pass the per-connection gate and the global join
-// semaphore first, and a full queue sheds either kind of work with
-// wire.CodeOverloaded — bounded latency, typed retry, no unbounded
-// backlog of latent pairing work.
+// submitted jobs alike — is a joinTask run by the one executor
+// (runTask) on one bounded worker pool fed by a fair FIFO queue
+// (tasks run in arrival order). The pool size is the number of joins
+// executing at once, for both kinds; the queue is the only global
+// admission gate: a join of either kind arriving at a full queue is
+// shed with wire.CodeOverloaded — bounded latency, typed retry, no
+// unbounded backlog of latent pairing work. Sync joins additionally
+// pass their connection's in-flight cap first (see observe.go).
 //
 // Job lifecycle: queued → running → done|failed. A completed job's
 // result (or failure) is spooled through internal/store before the job
@@ -46,15 +47,31 @@ const defaultJobQueueDepth = 64
 // attachment before the reaper deletes it.
 const defaultJobTTL = time.Hour
 
-// joinTask is one unit of join work on the pool: either a synchronous
-// join (ss/id/jr set — the response streams straight to the submitting
-// connection) or an async job.
+// joinTask is one unit of join work on the pool. The executor knows
+// nothing about who asked: a synchronous join's task streams each batch
+// to the submitting connection (session.joinTask), an async job's
+// collects them for the spool (Server.jobTask).
 type joinTask struct {
-	ss  *session
-	id  uint64
-	jr  *wire.JoinRequest
-	job *job
+	jr *wire.JoinRequest
+	// begin runs on the worker that picked the task up, before any join
+	// work.
+	begin func()
+	// progress is the engine's per-step hook; nil when nobody polls.
+	progress func(engine.JoinProgress)
+	// cancel stops the drain when closed; nil means never.
+	cancel <-chan struct{}
+	// sink receives every converted result batch, in order.
+	sink func([]wire.JoinedRow) error
+	// finish runs exactly once: after the drain with its outcome, or —
+	// without begin — with errShuttingDown for a task still queued when
+	// the server closes.
+	finish func(revealed int, err error)
 }
+
+var (
+	errJoinCancelled = errors.New("join cancelled")
+	errShuttingDown  = errors.New("server shutting down")
+)
 
 // job is the server-side state of one submitted join. Mutable fields
 // are guarded by mu; done is closed exactly once, when the job reaches
@@ -64,14 +81,13 @@ type joinTask struct {
 // only path holding both — it iterates the table under jobMu and
 // briefly takes each job's mu to read its terminal state. Every other
 // path takes exactly one of the two: handleSubmit, lookupJob, pinJob,
-// unpinJob and jobGauges take only jobMu; snapshot, runJob, failJob
-// and executeJob's progress hook take only the job's mu. Since no
+// unpinJob and jobGauges take only jobMu; snapshot, completeJob, failJob
+// and jobTask's hooks take only the job's mu. Since no
 // path acquires jobMu while holding any job's mu, the pair cannot
 // deadlock; new code must preserve that — never call a jobMu-taking
 // helper with a job's mu held.
 type job struct {
 	id             string
-	jr             *wire.JoinRequest // nil for jobs recovered from the store
 	tableA, tableB string
 	created        time.Time
 
@@ -201,36 +217,60 @@ func (s *Server) joinWorker() {
 	}
 }
 
-// runTask executes one queued unit of join work.
+// runTask is the one join executor: it parses the request, opens the
+// engine stream, drains it into the task's sink and reports the outcome
+// to the task's finish.
 func (s *Server) runTask(t joinTask) {
-	if t.job != nil {
-		s.runJob(t.job)
+	t.begin()
+	spec, err := s.joinSpecFrom(t.jr)
+	if err != nil {
+		t.finish(0, err)
 		return
 	}
-	started := time.Now()
-	defer t.ss.reqs.Done()
-	defer t.ss.releaseJoin()
-	if err := t.ss.handleJoin(t.id, t.jr); err != nil {
-		s.logf("request %d: writing response: %v", t.id, err)
+	spec.Progress = t.progress
+	stream, err := s.eng.OpenJoin(t.jr.TableA, t.jr.TableB, spec)
+	if err != nil {
+		t.finish(0, err)
+		return
 	}
-	s.met.ReqSeconds.With("join").Observe(time.Since(started).Seconds())
+	err = drainJoin(stream, t)
+	// Whatever ended the drain — EOF, cancel, engine error, a sink whose
+	// peer died — closing the stream puts the leakage observed so far in
+	// the audit log before finish reports the outcome. The counters'
+	// checkpoint follows the report, so its fsync never adds to a
+	// reply's latency.
+	stream.Close()
+	t.finish(stream.RevealedPairs(), err)
+	s.persistCounters()
 }
 
-// abortTask disposes of a task that will never run because the server
-// is shutting down: sync joins get a terminal error frame (their
-// session's reqs.Wait depends on it), async jobs fail so attached
-// waiters unblock.
-func (s *Server) abortTask(t joinTask) {
-	if t.job != nil {
-		s.failJob(t.job, errors.New("server shutting down before job started"))
-		return
+// drainJoin pulls the stream to exhaustion, handing each batch to the
+// task's sink in wire form, unless the task is cancelled first.
+func drainJoin(stream *engine.JoinStream, t joinTask) error {
+	for {
+		select {
+		case <-t.cancel:
+			return errJoinCancelled
+		default:
+		}
+		rows, err := stream.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		out := make([]wire.JoinedRow, len(rows))
+		for i, r := range rows {
+			out[i] = wire.JoinedRow{
+				RowA: r.RowA, RowB: r.RowB,
+				PayloadA: r.PayloadA, PayloadB: r.PayloadB,
+			}
+		}
+		if err := t.sink(out); err != nil {
+			return err
+		}
 	}
-	t.ss.clearCancel(t.id)
-	if err := t.ss.sendErr(t.id, errors.New("server shutting down")); err != nil {
-		s.logf("request %d: writing shutdown response: %v", t.id, err)
-	}
-	t.ss.releaseJoin()
-	t.ss.reqs.Done()
 }
 
 // enqueueJoin offers a task to the queue without blocking. False means
@@ -254,15 +294,17 @@ func (s *Server) enqueueJoin(t joinTask) bool {
 	}
 }
 
-// drainTasks aborts queued tasks while Close waits for connections and
-// workers to finish — without it a session blocked in reqs.Wait on a
-// queued sync join (whose worker already exited) would deadlock the
-// shutdown. It runs until stop is closed.
+// drainTasks finishes queued tasks unrun while Close waits for
+// connections and workers to finish: sync joins get their terminal
+// error frame — without it a session blocked in reqs.Wait on a queued
+// sync join (whose worker already exited) would deadlock the shutdown —
+// and queued jobs fail so attached waiters unblock. It runs until stop
+// is closed.
 func (s *Server) drainTasks(stop chan struct{}) {
 	for {
 		select {
 		case t := <-s.taskQueue:
-			s.abortTask(t)
+			t.finish(0, errShuttingDown)
 		case <-stop:
 			return
 		}
@@ -329,7 +371,6 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	}
 	j := &job{
 		id:      jobID,
-		jr:      sub.Join,
 		tableA:  sub.Join.TableA,
 		tableB:  sub.Join.TableB,
 		created: time.Now(),
@@ -339,7 +380,7 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	s.jobMu.Lock()
 	s.jobs[jobID] = j
 	s.jobMu.Unlock()
-	if !s.enqueueJoin(joinTask{job: j}) {
+	if !s.enqueueJoin(s.jobTask(j, sub.Join)) {
 		s.jobMu.Lock()
 		delete(s.jobs, jobID)
 		s.jobMu.Unlock()
@@ -417,24 +458,50 @@ func (ss *session) sendUnknownJob(id uint64, jobID string) error {
 	})
 }
 
-// runJob executes one async job on a pool worker: open the join, drain
-// it, spool the completed result durably, and only then mark the job
-// terminal — so a client that observes "done" can rely on the result
-// surviving a restart.
-func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	j.state = wire.JobRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-	s.met.JobsRunning.Inc()
-	defer s.met.JobsRunning.Dec()
-
-	rows, revealed, err := s.executeJob(j)
-	if err != nil {
-		s.failJob(j, err)
-		return
+// jobTask is the pool task of one async job: the batches are collected,
+// and finish spools the completed result durably and only then marks
+// the job terminal — so a client that observes "done" can rely on the
+// result surviving a restart. The progress hook publishes the engine's
+// counters so JobStatus polls see them live.
+func (s *Server) jobTask(j *job, jr *wire.JoinRequest) joinTask {
+	var rows []wire.JoinedRow
+	running := false
+	return joinTask{
+		jr: jr,
+		begin: func() {
+			j.mu.Lock()
+			j.state = wire.JobRunning
+			j.started = time.Now()
+			j.mu.Unlock()
+			s.met.JobsRunning.Inc()
+			running = true
+		},
+		progress: func(p engine.JoinProgress) {
+			j.mu.Lock()
+			j.rowsDecrypted = p.RowsDecrypted
+			j.stepsDone = p.StepsDone
+			j.revealedPairs = p.RevealedPairs
+			j.mu.Unlock()
+		},
+		sink: func(batch []wire.JoinedRow) error {
+			rows = append(rows, batch...)
+			return nil
+		},
+		finish: func(revealed int, err error) {
+			if running {
+				s.met.JobsRunning.Dec()
+			}
+			if err != nil {
+				s.failJob(j, err)
+				return
+			}
+			s.completeJob(j, rows, revealed)
+		},
 	}
+}
 
+// completeJob spools a drained job's result and marks it done.
+func (s *Server) completeJob(j *job, rows []wire.JoinedRow, revealed int) {
 	spooled := false
 	if s.store != nil {
 		meta := store.JobMeta{
@@ -473,7 +540,6 @@ func (s *Server) runJob(j *job) {
 	s.met.JobsCompleted.Inc()
 	s.met.JobSeconds.Observe(time.Since(j.created).Seconds())
 	s.logf("job %s done: %d result rows, %d revealed pairs", j.id, len(rows), revealed)
-	s.persistCounters()
 }
 
 // failJob marks a job failed (spooling the failure when a store is
@@ -499,46 +565,6 @@ func (s *Server) failJob(j *job, err error) {
 	s.met.JobsFailed.Inc()
 	s.met.JobSeconds.Observe(now.Sub(j.created).Seconds())
 	s.logf("job %s failed: %v", j.id, err)
-	s.persistCounters()
-}
-
-// executeJob runs the job's join to completion, publishing progress
-// through the engine's hook so JobStatus polls see live counters.
-func (s *Server) executeJob(j *job) ([]wire.JoinedRow, int, error) {
-	spec, err := s.joinSpecFrom(j.jr)
-	if err != nil {
-		return nil, 0, err
-	}
-	spec.Batch = s.batch
-	spec.Progress = func(p engine.JoinProgress) {
-		j.mu.Lock()
-		j.rowsDecrypted = p.RowsDecrypted
-		j.stepsDone = p.StepsDone
-		j.revealedPairs = p.RevealedPairs
-		j.mu.Unlock()
-	}
-	stream, err := s.eng.OpenJoin(j.jr.TableA, j.jr.TableB, spec)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer stream.Close()
-	var out []wire.JoinedRow
-	for {
-		chunk, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, r := range chunk {
-			out = append(out, wire.JoinedRow{
-				RowA: r.RowA, RowB: r.RowB,
-				PayloadA: r.PayloadA, PayloadB: r.PayloadB,
-			})
-		}
-	}
-	return out, stream.RevealedPairs(), nil
 }
 
 // recoverJobs re-registers the store's spooled jobs at startup so

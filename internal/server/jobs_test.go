@@ -58,7 +58,7 @@ func TestJobLifecycleMatchesSyncJoin(t *testing.T) {
 
 	selA := securejoin.Selection{0: [][]byte{[]byte("Web Application")}}
 	selB := securejoin.Selection{0: [][]byte{[]byte("Tester")}}
-	want, wantRevealed, err := c.Join("Teams", "Employees", selA, selB)
+	want, wantRevealed, err := c.JoinWith("Teams", "Employees", selA, selB, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestJobAttachAfterDisconnect(t *testing.T) {
 
 	selA := securejoin.Selection{0: [][]byte{[]byte("Web Application")}}
 	selB := securejoin.Selection{0: [][]byte{[]byte("Tester")}}
-	want, wantRevealed, err := c1.Join("Teams", "Employees", selA, selB)
+	want, wantRevealed, err := c1.JoinWith("Teams", "Employees", selA, selB, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	if _, err := c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("submit while worker busy: %v, want client.ErrOverloaded", err)
 	}
-	if _, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{}); !errors.Is(err, client.ErrOverloaded) {
+	if _, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("sync join while worker busy: %v, want client.ErrOverloaded", err)
 	}
 	if srv.met.ShedTotal.Value() < 2 {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -13,11 +12,13 @@ import (
 // keep unbounded concurrent pairing work from toppling the process,
 // and the health report served on Ping acks and /healthz.
 //
-// Shedding beats queueing here because join work is extreme: a single
-// join costs thousands of bn256 pairings, so a queue one request deep
-// per connection already represents minutes of CPU. Rejecting with a
-// typed retryable error (wire.CodeOverloaded) keeps latency bounded
-// and lets clients back off — see client.WithRetry.
+// Admission is shed-first because join work is extreme: a single join
+// costs thousands of bn256 pairings, so every queued join is minutes of
+// latent CPU. A sync join passes its connection's in-flight cap, then —
+// like a submitted job — the worker pool's bounded FIFO queue (jobs.go);
+// whatever does not fit is rejected with a typed retryable error
+// (wire.CodeOverloaded), which keeps latency bounded and lets clients
+// back off — see client.WithRetry.
 
 // serverMetrics is the wire-layer metric set, registered next to the
 // engine's in one registry. All fields are nil-safe no-ops when the
@@ -73,20 +74,6 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 // path; the HTTP /metrics endpoint renders it.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// SetMaxConcurrentJoins bounds the joins executing at once across all
-// connections — the global join-worker semaphore. A join arriving at
-// the bound is shed immediately with wire.CodeOverloaded instead of
-// queueing (each queued join would hold thousands of pairings of
-// latent CPU work). n <= 0 removes the bound (the default). Call
-// before Listen.
-func (s *Server) SetMaxConcurrentJoins(n int) {
-	if n <= 0 {
-		s.joinSem = nil
-		return
-	}
-	s.joinSem = make(chan struct{}, n)
-}
-
 // SetMaxJoinsPerConn bounds the joins in flight on one connection;
 // beyond it the connection's further joins are shed with
 // wire.CodeOverloaded so one client cannot monopolize the join
@@ -114,43 +101,33 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 	s.idleTimeout.Store(int64(d))
 }
 
-// joinGate tracks one connection's in-flight joins.
-type joinGate struct {
-	joins atomic.Int64
-}
-
-// admitJoin applies admission control to one join request: the
-// connection's in-flight join cap first, then the global join-worker
-// semaphore, both without blocking — a rejected join is shed with a
-// typed frame, not queued. Returns false when the request was shed
-// (its terminal frame has been sent).
-func (ss *session) admitJoin(id uint64) bool {
+// admitJoin applies admission control to one synchronous join, without
+// blocking: the connection's in-flight join cap first, then the worker
+// pool's bounded queue. A join that does not fit is shed with a typed
+// frame; an admitted one holds a connection slot until its task's
+// finish returns it through endJoin.
+func (ss *session) admitJoin(id uint64, jr *wire.JoinRequest) {
 	s := ss.srv
-	if int(ss.gate.joins.Load()) >= s.maxJoinsPerConn {
+	if int(ss.joins.Load()) >= s.maxJoinsPerConn {
 		s.shed(ss, id, "connection join cap reached")
-		return false
+		return
 	}
-	if s.joinSem != nil {
-		select {
-		case s.joinSem <- struct{}{}:
-		default:
-			s.shed(ss, id, "server join capacity reached")
-			return false
-		}
-	}
-	ss.gate.joins.Add(1)
+	ss.joins.Add(1)
 	s.met.InflightJoins.Inc()
-	return true
+	ss.registerCancel(id)
+	ss.reqs.Add(1)
+	if !s.enqueueJoin(ss.joinTask(id, jr)) {
+		ss.endJoin(id)
+		s.shed(ss, id, "join queue full")
+	}
 }
 
-// releaseJoin returns an admitted join's slots.
-func (ss *session) releaseJoin() {
-	s := ss.srv
-	ss.gate.joins.Add(-1)
-	s.met.InflightJoins.Dec()
-	if s.joinSem != nil {
-		<-s.joinSem
-	}
+// endJoin returns an admitted join's connection slot.
+func (ss *session) endJoin(id uint64) {
+	ss.clearCancel(id)
+	ss.joins.Add(-1)
+	ss.srv.met.InflightJoins.Dec()
+	ss.reqs.Done()
 }
 
 // shed rejects a request with the typed overload code. The send runs

@@ -2,9 +2,8 @@ package server
 
 import (
 	"errors"
-	"fmt"
+	"io"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -24,74 +23,91 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestOverloadedServerShedsJoins pins the admission-control contract:
-// with a join-worker semaphore of one, the first join is admitted and
-// completes, every concurrent join is shed with a typed retryable
-// error, capacity frees afterwards, and no goroutine leaks.
+// TestOverloadedServerShedsJoins pins the admission-control contract of
+// the one gate every join passes, the worker pool's bounded queue: with
+// one worker and a queue of one, a sync join occupies the worker, a
+// submitted job fills the queue, and from then on a sync join and a
+// submit are shed alike — same typed retryable code, same counter —
+// until the work drains, the slot frees, and no goroutine leaks.
 func TestOverloadedServerShedsJoins(t *testing.T) {
 	srv := New(nil)
-	srv.SetMaxConcurrentJoins(1)
+	srv.SetJobWorkers(1)
+	srv.SetJobQueueDepth(1)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	c := dial(t, addr)
-	const rows = 24
+	const rows = 12
 	uploadPair(t, c, rows)
+	none := securejoin.Selection{}
 
 	before := runtime.NumGoroutine()
 
-	// Join 1: admitted. Waiting for the in-flight gauge guarantees it
-	// holds the semaphore before any competitor is sent; the join's
-	// thousands of pairings keep it held far longer than the sheds take.
-	done := make(chan error, 1)
-	go func() {
-		results, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
-		if err == nil && len(results) != rows {
-			err = fmt.Errorf("admitted join returned %d rows, want %d", len(results), rows)
-		}
-		done <- err
-	}()
-	waitFor(t, "join 1 admission", func() bool { return srv.met.InflightJoins.Value() == 1 })
+	// Join 1: admitted and running. The health probe travels the same
+	// connection behind the join request, so once it reports the join in
+	// flight and the queue empty, the only worker holds it — for ~24
+	// pairings of work, far longer than the sheds below take.
+	stream1, err := c.JoinQueryOpts("L", "R", none, none, client.JoinOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker to take join 1", func() bool {
+		h, err := c.Health()
+		return err == nil && h.InflightJoins == 1 && h.JobsQueued == 0
+	})
 
-	// Joins 2..N: all must shed, none may queue or execute.
-	const extra = 4
-	var wg sync.WaitGroup
-	shedErrs := make(chan error, extra)
-	for i := 0; i < extra; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
-			shedErrs <- err
-		}()
+	// Job 2: accepted into the queue's one place, behind join 1.
+	job2, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{})
+	if err != nil {
+		t.Fatalf("submit into the empty queue: %v", err)
 	}
-	wg.Wait()
-	close(shedErrs)
-	shed := 0
-	for err := range shedErrs {
-		if err == nil {
-			t.Fatal("join admitted beyond the semaphore capacity")
-		}
-		if !errors.Is(err, client.ErrOverloaded) {
-			t.Fatalf("shed join failed with %v, want client.ErrOverloaded", err)
-		}
-		shed++
-	}
-	if shed != extra {
-		t.Fatalf("%d joins shed, want %d", shed, extra)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("admitted join: %v", err)
-	}
-	if got := srv.met.ShedTotal.Value(); got != extra {
-		t.Fatalf("shed counter = %d, want %d", got, extra)
+	if h, err := c.Health(); err != nil || h.JobsQueued != 1 {
+		t.Fatalf("health after the queued submit = %+v, %v; want 1 job queued", h, err)
 	}
 
-	// The admitted join released its slot: the next join is admitted.
-	if _, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{}); err != nil {
+	// The queue is full: both kinds of join work are shed, with the same
+	// code, and neither queues nor executes.
+	if _, _, err := c.JoinWith("L", "R", none, none, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("sync join at a full queue: %v, want client.ErrOverloaded", err)
+	}
+	if _, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("submit at a full queue: %v, want client.ErrOverloaded", err)
+	}
+	if got := srv.met.ShedTotal.Value(); got != 2 {
+		t.Fatalf("shed counter = %d, want 2 (one sync join, one submit)", got)
+	}
+
+	// Everything admitted completes, in arrival order.
+	n := 0
+	for {
+		batch, err := stream1.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("admitted join: %v", err)
+		}
+		n += len(batch)
+	}
+	if n != rows {
+		t.Fatalf("admitted join returned %d rows, want %d", n, rows)
+	}
+	if got, _, err := c.WaitJob(job2.ID); err != nil || len(got) != rows {
+		t.Fatalf("queued job returned %d rows, %v; want %d", len(got), err, rows)
+	}
+
+	// The slot frees: gauges return to zero and the next join is admitted.
+	waitFor(t, "the gauges to drain", func() bool {
+		h, err := c.Health()
+		return err == nil && h.InflightJoins == 0 && h.JobsQueued == 0
+	})
+	if _, _, err := c.JoinWith("L", "R", none, none, client.JoinOpts{}); err != nil {
 		t.Fatalf("join after load drained: %v", err)
+	}
+	if got := srv.met.ShedTotal.Value(); got != 2 {
+		t.Fatalf("shed counter = %d after recovery, want 2", got)
 	}
 
 	// Shed requests must not leave request goroutines (or engine worker
@@ -114,18 +130,18 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+		_, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 		done <- err
 	}()
 	waitFor(t, "join 1 admission", func() bool { return srv.met.InflightJoins.Value() == 1 })
 
-	if _, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{}); !errors.Is(err, client.ErrOverloaded) {
+	if _, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("second join on the capped connection: %v, want client.ErrOverloaded", err)
 	}
 	// The cap is per connection: a second client joins concurrently
 	// (under its own keys, so it matches nothing — but it executes).
 	c2 := dial(t, addr)
-	if _, _, err := c2.Join("L", "R", securejoin.Selection{}, securejoin.Selection{}); err != nil {
+	if _, _, err := c2.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); err != nil {
 		t.Fatalf("join on a second connection: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -134,28 +150,35 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 }
 
 // TestWithRetrySucceedsAfterShed drives client.WithRetry end-to-end
-// against a genuinely overloaded server: the semaphore is held by the
-// test, released after the first shed, and the retried join succeeds.
+// against a genuinely overloaded server: a job holds the only worker of
+// a rendezvous queue, the first sync join sheds, and a retry after the
+// job finished succeeds.
 func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	srv := New(nil)
-	srv.SetMaxConcurrentJoins(1)
+	srv.SetJobWorkers(1)
+	srv.SetJobQueueDepth(0)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	c := dial(t, addr)
-	uploadPair(t, c, 4)
+	const rows = 12
+	uploadPair(t, c, rows)
+	none := securejoin.Selection{}
 
-	// Occupy the only join slot directly; the first attempt must shed.
-	srv.joinSem <- struct{}{}
+	// Occupy the only worker for ~24 pairings of work; the first attempt
+	// arrives while it runs and must shed.
+	if _, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the job to hold the worker", func() bool { return srv.met.JobsRunning.Value() == 1 })
 	attempts := 0
-	err = client.WithRetry(client.RetryConfig{Base: time.Millisecond}, func() error {
+	var results []client.JoinResult
+	err = client.WithRetry(client.RetryConfig{Attempts: 40, Base: 100 * time.Millisecond}, func() error {
 		attempts++
-		if attempts == 1 {
-			defer func() { <-srv.joinSem }() // free the slot after the shed
-		}
-		_, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+		var err error
+		results, _, err = c.JoinWith("L", "R", none, none, client.JoinOpts{})
 		return err
 	})
 	if err != nil {
@@ -163,6 +186,12 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	}
 	if attempts < 2 {
 		t.Fatalf("join succeeded on attempt %d; the first should have shed", attempts)
+	}
+	if len(results) != rows {
+		t.Fatalf("retried join returned %d rows, want %d", len(results), rows)
+	}
+	if got := srv.met.ShedTotal.Value(); got != uint64(attempts-1) {
+		t.Fatalf("shed counter = %d, want one per failed attempt (%d)", got, attempts-1)
 	}
 }
 
@@ -185,7 +214,7 @@ func TestIdleTimeoutClosesIdleConnection(t *testing.T) {
 	// A join outlasting the idle timeout is not idleness: the deadline
 	// expiring while its request executes just re-arms, and the join
 	// completes (its ~32 SJ.Dec pairings take well over the timeout).
-	if _, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{}); err != nil {
+	if _, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); err != nil {
 		t.Fatalf("join under idle timeout: %v", err)
 	}
 

@@ -53,7 +53,7 @@ func TestPrefilteredJoinOverTCP(t *testing.T) {
 	selA := securejoin.Selection{0: [][]byte{[]byte("Web Application")}}
 	selB := securejoin.Selection{0: [][]byte{[]byte("Tester")}}
 
-	full, fullRevealed, err := c.Join("Teams", "Employees", selA, selB)
+	full, fullRevealed, err := c.JoinWith("Teams", "Employees", selA, selB, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,11 @@ func TestPrefilteredJoinOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, libTrace, err := srv.Engine().ExecuteJoinPrefiltered("Teams", "Employees", pq)
+	libStream, err := srv.Engine().OpenJoin("Teams", "Employees", engine.JoinSpec{Prefilter: pq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, libTrace, err := libStream.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

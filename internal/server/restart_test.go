@@ -108,7 +108,7 @@ func TestRestartRecoversTablesAndJoins(t *testing.T) {
 	}
 	// Also a full scan, exercising the join path that ignores the
 	// recovered SSE index, for the non-prefiltered sigma.
-	fullAfter, fullRevealed, err := c2.Join("Teams", "Employees", selA, selB)
+	fullAfter, fullRevealed, err := c2.JoinWith("Teams", "Employees", selA, selB, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

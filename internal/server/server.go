@@ -50,7 +50,6 @@ type Server struct {
 	reg             *metrics.Registry
 	met             serverMetrics
 	started         time.Time
-	joinSem         chan struct{} // global join-worker semaphore; nil = unlimited
 	maxJoinsPerConn int
 	idleTimeout     atomic.Int64 // nanoseconds; 0 = no idle timeout
 	http            *http.Server // optional /metrics + /healthz endpoint
@@ -209,7 +208,7 @@ func (s *Server) Close() error {
 		})
 		// The workers exit on done without draining the queue, but a
 		// session may be blocked in reqs.Wait on a queued sync join (and
-		// job waiters on queued jobs) — drain and abort those tasks until
+		// job waiters on queued jobs) — drain and fail those tasks until
 		// every connection and worker has finished.
 		var drainStop chan struct{}
 		if s.taskQueue != nil {
@@ -219,7 +218,7 @@ func (s *Server) Close() error {
 		s.wg.Wait()
 		if drainStop != nil {
 			close(drainStop)
-			// Abort whatever is still queued (only detached jobs can
+			// Fail whatever is still queued (only detached jobs can
 			// remain: a queued sync join implies a live session, and those
 			// all finished above) so their waiters' channels close and
 			// their failure reaches the store before it does.
@@ -227,7 +226,7 @@ func (s *Server) Close() error {
 			for {
 				select {
 				case t := <-s.taskQueue:
-					s.abortTask(t)
+					t.finish(0, errShuttingDown)
 				default:
 					break drain
 				}
@@ -318,7 +317,7 @@ type session struct {
 	writeMu sync.Mutex
 	reqs    sync.WaitGroup
 	sem     chan struct{}
-	gate    joinGate // per-connection join admission (see observe.go)
+	joins   atomic.Int64 // in-flight sync joins, for the per-connection cap (see observe.go)
 
 	// closed is closed when the connection's read loop exits — the
 	// client is gone — so blocking handlers (AttachJob waiting on a
@@ -419,8 +418,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			if idle > 0 && errors.Is(err, os.ErrDeadlineExceeded) {
 				// In-flight work lives either in a request slot or — for
 				// joins, which execute on the worker pool — in the
-				// connection's join gate; either one means not idle.
-				if len(ss.sem) > 0 || ss.gate.joins.Load() > 0 {
+				// connection's join count; either one means not idle.
+				if len(ss.sem) > 0 || ss.joins.Load() > 0 {
 					continue
 				}
 				// Typed close notice (ID 0 = connection-level, see wire)
@@ -460,21 +459,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if req.Join != nil {
 			// Admission control runs on the read loop, so a shed response
-			// never queues behind the very load it is reporting. An
-			// admitted join is handed to the worker pool's FIFO queue
-			// rather than its own goroutine; a full queue sheds exactly
-			// like an exhausted semaphore.
-			if !ss.admitJoin(req.ID) {
-				continue
-			}
-			ss.registerCancel(req.ID)
-			ss.reqs.Add(1)
-			if !s.enqueueJoin(joinTask{ss: ss, id: req.ID, jr: req.Join}) {
-				ss.clearCancel(req.ID)
-				ss.releaseJoin()
-				ss.reqs.Done()
-				s.shed(ss, req.ID, "join queue full")
-			}
+			// never queues behind the very load it is reporting.
+			ss.admitJoin(req.ID, req.Join)
 			continue
 		}
 		ss.sem <- struct{}{}
@@ -628,9 +614,9 @@ func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
 }
 
 // joinSpecFrom parses a wire join request — tokens and optional SSE
-// prefilters — into the engine spec it describes. Shared by the sync
-// join path and the async job executor (which also validates submits
-// with it, so malformed tokens fail at submit time).
+// prefilters — into the engine spec it describes. The join executor
+// calls it for every task; handleSubmit also validates submissions with
+// it, so malformed tokens fail at submit time.
 func (s *Server) joinSpecFrom(jr *wire.JoinRequest) (engine.JoinSpec, error) {
 	var ta, tb securejoin.Token
 	if err := ta.UnmarshalBinary(jr.TokenA); err != nil {
@@ -694,64 +680,59 @@ func (ss *session) sendRowBatches(id uint64, rows []wire.JoinedRow) (int, error)
 	return sent, nil
 }
 
-func (ss *session) handleJoin(id uint64, jr *wire.JoinRequest) error {
-	defer ss.clearCancel(id)
-	spec, err := ss.srv.joinSpecFrom(jr)
-	if err != nil {
-		return ss.sendErr(id, err)
-	}
-	stream, err := ss.srv.eng.OpenJoin(jr.TableA, jr.TableB, spec)
-	if err != nil {
-		return ss.sendErr(id, err)
-	}
-	// Whatever ends this request — drain, cancel, engine error, dead
-	// peer — the leakage observed so far must reach the audit log, and
-	// the updated counters must reach the store. Defers run LIFO, so
-	// the stream closes (recording its trace) before the checkpoint.
-	defer ss.srv.persistCounters()
-	defer stream.Close()
-	cancelled := ss.cancelled(id)
+// joinTask is the pool task of one synchronous join: each batch streams
+// to the connection as it is produced, a Cancel for the request stops
+// the drain, and finish writes the terminal frame and returns the
+// connection's join slot.
+func (ss *session) joinTask(id uint64, jr *wire.JoinRequest) joinTask {
+	s := ss.srv
+	var started time.Time
 	sent := 0
-	for {
-		select {
-		case <-cancelled:
-			ss.srv.logf("join %q x %q cancelled after %d rows", jr.TableA, jr.TableB, sent)
-			return ss.sendErr(id, errors.New("join cancelled"))
-		default:
-		}
-		rows, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return ss.sendErr(id, err)
-		}
-		out := make([]wire.JoinedRow, len(rows))
-		for i, r := range rows {
-			out[i] = wire.JoinedRow{
-				RowA: r.RowA, RowB: r.RowB,
-				PayloadA: r.PayloadA, PayloadB: r.PayloadB,
+	return joinTask{
+		jr:     jr,
+		begin:  func() { started = time.Now() },
+		cancel: ss.cancelled(id),
+		sink: func(rows []wire.JoinedRow) error {
+			n, err := ss.sendRowBatches(id, rows)
+			sent += n
+			if err != nil {
+				// finish still tries a terminal frame: if the conn is alive
+				// (e.g. a single row overflowed the frame limit) the client
+				// must get one.
+				return fmt.Errorf("streaming result: %v", err)
 			}
-		}
-		n, err := ss.sendRowBatches(id, out)
-		sent += n
-		if err != nil {
-			// Best effort: if the conn is still alive (e.g. a single row
-			// overflowed the frame limit) the client must still get a
-			// terminal frame.
-			ss.sendErr(id, fmt.Errorf("streaming result: %v", err))
-			return err
-		}
+			return nil
+		},
+		finish: func(revealed int, err error) {
+			frame := &wire.Frame{ID: id, Summary: &wire.JoinSummary{RevealedPairs: revealed}}
+			if err != nil {
+				frame = &wire.Frame{ID: id, Err: err.Error()}
+				s.logf("join %q x %q failed after %d rows: %v", jr.TableA, jr.TableB, sent, err)
+			} else {
+				s.logf("join %q x %q: %d result rows, %d revealed pairs", jr.TableA, jr.TableB, sent, revealed)
+			}
+			// Everything the client can read back about its own join —
+			// the engine's series were recorded when the stream ended —
+			// is in place before the terminal frame tells it the join is
+			// over. A task failed unrun at shutdown took no time.
+			if !started.IsZero() {
+				s.met.ReqSeconds.With("join").Observe(time.Since(started).Seconds())
+			}
+			if err := ss.send(frame); err != nil {
+				s.logf("request %d: writing response: %v", id, err)
+			}
+			// The slot outlives the reply: the idle-timeout check reads it,
+			// so a connection is never idle-closed mid-reply.
+			ss.endJoin(id)
+		},
 	}
-	revealed := stream.RevealedPairs()
-	ss.srv.logf("join %q x %q: %d result rows, %d revealed pairs", jr.TableA, jr.TableB, sent, revealed)
-	return ss.send(&wire.Frame{ID: id, Summary: &wire.JoinSummary{RevealedPairs: revealed}})
 }
 
 // persistCounters checkpoints the engine's per-table leakage counters
-// to the store after a join. Best-effort by design: table data is never
-// at risk, and a crash between a join's trace recording and its
-// checkpoint costs at most that one join's counter increments.
+// to the store after an executed join (see runTask). Best-effort by
+// design: table data is never at risk, and a crash between a join's
+// trace recording and its checkpoint costs at most that one join's
+// counter increments.
 func (s *Server) persistCounters() {
 	if s.store == nil {
 		return

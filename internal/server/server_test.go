@@ -57,10 +57,10 @@ func TestUploadAndJoinOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, revealed, err := c.Join("Teams", "Employees",
+	results, revealed, err := c.JoinWith("Teams", "Employees",
 		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
 		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
-	)
+		client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestUploadAndJoinOverTCP(t *testing.T) {
 func TestJoinUnknownTableOverTCP(t *testing.T) {
 	addr := startServer(t)
 	c := dial(t, addr)
-	if _, _, err := c.Join("A", "B", securejoin.Selection{}, securejoin.Selection{}); err == nil {
+	if _, _, err := c.JoinWith("A", "B", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); err == nil {
 		t.Fatal("join against unknown tables should fail")
 	}
 }
@@ -99,8 +99,8 @@ func TestMultipleClientsIsolatedKeys(t *testing.T) {
 	}
 	// A join across tables encrypted under DIFFERENT master keys finds
 	// nothing: D values never collide across msk instances.
-	results, _, err := c1.Join("T1", "T2",
-		securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c1.JoinWith("T1", "T2",
+		securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestSequentialQueriesOverOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		results, _, err := c.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+		results, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -45,7 +45,7 @@ func TestCrossSessionKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	results, _, err := c2.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c2.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFreshKeysCannotQueryOldTables(t *testing.T) {
 	c1.Close()
 
 	c2 := dial(t, addr) // fresh keys
-	results, _, err := c2.Join("L", "R", securejoin.Selection{}, securejoin.Selection{})
+	results, _, err := c2.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

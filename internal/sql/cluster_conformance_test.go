@@ -22,33 +22,35 @@ import (
 
 // clusterFixture boots one reference server plus a 2-shard cluster,
 // all sharing the reference client's key material so every execution
-// decrypts the same ciphertext world.
-func clusterFixture(t *testing.T) (*client.Client, *client.Cluster) {
+// decrypts the same ciphertext world. srvs[0] is the reference server,
+// srvs[1:] are the shards.
+func clusterFixture(t *testing.T) (single *client.Client, cl *client.Cluster, srvs []*server.Server) {
 	t.Helper()
-	newSrv := func() string {
+	var addrs []string
+	for i := 0; i < 3; i++ {
 		srv := server.New(nil)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		return addr
+		srvs, addrs = append(srvs, srv), append(addrs, addr)
 	}
-	single, err := client.Dial(newSrv(), securejoin.Params{M: 2, T: 3})
+	single, err := client.Dial(addrs[0], securejoin.Params{M: 2, T: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { single.Close() })
-	cl, err := client.DialClusterWithKeys([]string{newSrv(), newSrv()}, single.Keys())
+	cl, err = client.DialClusterWithKeys(addrs[1:], single.Keys())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return single, cl
+	return single, cl, srvs
 }
 
 func TestSQLConformanceCluster(t *testing.T) {
-	single, cl := clusterFixture(t)
+	single, cl, _ := clusterFixture(t)
 
 	teams, employees := conformanceTables()
 	for name, rows := range map[string][]engine.PlainRow{
@@ -159,7 +161,7 @@ func TestSQLConformanceCluster(t *testing.T) {
 }
 
 func TestSQLConformanceClusterMultiJoin(t *testing.T) {
-	single, cl := clusterFixture(t)
+	single, cl, _ := clusterFixture(t)
 
 	teams, employees := conformanceTables()
 	offices := conformanceOffices()
@@ -175,14 +177,7 @@ func TestSQLConformanceClusterMultiJoin(t *testing.T) {
 		}
 	}
 
-	cat, err := sql.NewCatalog(
-		sql.TableSchema{Name: "Teams", JoinColumn: "Key", Attrs: map[string]int{"Name": 0, "Dept": 1}},
-		sql.TableSchema{Name: "Employees", JoinColumn: "Team", Attrs: map[string]int{"Role": 0, "Level": 1}},
-		sql.TableSchema{Name: "Offices", JoinColumn: "TeamKey", Attrs: map[string]int{"Site": 0}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := multiJoinCatalog(t)
 	if _, err := cl.SyncCatalog(cat); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sql_test
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"testing"
@@ -15,14 +14,14 @@ import (
 )
 
 // The end-to-end SQL conformance suite: every query is compiled once
-// and then executed five ways —
+// and then executed six ways —
 //
-//  1. in-process full scan        (engine.ExecuteJoin)
-//  2. in-process prefiltered      (engine.ExecuteJoinPrefiltered)
-//  3. wire full scan              (client.Join)
+//  1. in-process full scan        (engine.OpenJoin, JoinSpec.Query)
+//  2. in-process prefiltered      (engine.OpenJoin, JoinSpec.Prefilter)
+//  3. wire full scan              (client.JoinWith)
 //  4. wire prefiltered            (client.JoinWith{Prefilter})
-//  5. wire, planner-chosen        (client.JoinPlan)
-//  6. in-process cached           (engine.ExecuteJoin re-run, same token)
+//  5. wire, planner-chosen        (client.ExecutePlan: the one runner)
+//  6. in-process cached           (mode 1 re-run under the same token)
 //
 // — and all six must produce identical row sets, identical decrypted
 // payloads, and identical sigma(q) revealed-pair counts. The whole
@@ -148,6 +147,20 @@ func conformanceOffices() []engine.PlainRow {
 	}
 }
 
+// multiJoinCatalog declares the three tables of the multi-join suites.
+func multiJoinCatalog(t *testing.T) *sql.Catalog {
+	t.Helper()
+	cat, err := sql.NewCatalog(
+		sql.TableSchema{Name: "Teams", JoinColumn: "Key", Attrs: map[string]int{"Name": 0, "Dept": 1}},
+		sql.TableSchema{Name: "Employees", JoinColumn: "Team", Attrs: map[string]int{"Role": 0, "Level": 1}},
+		sql.TableSchema{Name: "Offices", JoinColumn: "TeamKey", Attrs: map[string]int{"Site": 0}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
 const multiJoinBase = `SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team JOIN Offices ON Offices.TeamKey = Teams.Key`
 
 // multiJoinQueries: rows are (teams, employees, offices) row triples in
@@ -200,14 +213,7 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 		}
 	}
 
-	cat, err := sql.NewCatalog(
-		sql.TableSchema{Name: "Teams", JoinColumn: "Key", Attrs: map[string]int{"Name": 0, "Dept": 1}},
-		sql.TableSchema{Name: "Employees", JoinColumn: "Team", Attrs: map[string]int{"Role": 0, "Level": 1}},
-		sql.TableSchema{Name: "Offices", JoinColumn: "TeamKey", Attrs: map[string]int{"Site": 0}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cat := multiJoinCatalog(t)
 	if _, err := c.SyncCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +257,7 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 					r.Rows[0], r.Rows[1], r.Rows[2], r.Payloads[0], r.Payloads[1], r.Payloads[2])
 			}
 			var libRows []string
-			libRevealed, err := sql.Execute(sql.EngineRunner{Eng: eng, Keys: keys}, plan,
+			libRevealed, err := sql.Execute(sql.EngineRunner(eng, keys), plan,
 				func(r sql.ResultRow) error { libRows = append(libRows, render(r)); return nil })
 			if err != nil {
 				t.Fatal(err)
@@ -430,35 +436,37 @@ func TestSQLConformance(t *testing.T) {
 			}
 			var execs []execution
 
+			// libJoin drains one in-process join and opens its payloads.
+			libJoin := func(mode string, spec engine.JoinSpec) {
+				t.Helper()
+				st, err := eng.OpenJoin(plan.TableA, plan.TableB, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, trace, err := st.Drain()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := execution{mode: mode, revealed: trace.Pairs.Len()}
+				for _, r := range rows {
+					e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, open(r.PayloadA), open(r.PayloadB)))
+				}
+				execs = append(execs, e)
+			}
+
 			// 1. In-process full scan — the reference semantics.
 			q, err := keys.NewQuery(plan.SelA, plan.SelB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			libFull, trace, err := eng.ExecuteJoin(plan.TableA, plan.TableB, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := execution{mode: "lib-full", revealed: trace.Pairs.Len()}
-			for _, r := range libFull {
-				e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, open(r.PayloadA), open(r.PayloadB)))
-			}
-			execs = append(execs, e)
+			libJoin("lib-full", engine.JoinSpec{Query: q})
 
 			// 2. In-process prefiltered.
 			pq, err := keys.NewPrefilterQuery(plan.SelA, plan.SelB)
 			if err != nil {
 				t.Fatal(err)
 			}
-			libPre, preTrace, err := eng.ExecuteJoinPrefiltered(plan.TableA, plan.TableB, pq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e = execution{mode: "lib-prefiltered", revealed: preTrace.Pairs.Len()}
-			for _, r := range libPre {
-				e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, open(r.PayloadA), open(r.PayloadB)))
-			}
-			execs = append(execs, e)
+			libJoin("lib-prefiltered", engine.JoinSpec{Prefilter: pq})
 
 			// 3 + 4. Wire full scan and wire prefiltered.
 			for _, mode := range []struct {
@@ -472,47 +480,30 @@ func TestSQLConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e = execution{mode: mode.name, revealed: revealed}
+				e := execution{mode: mode.name, revealed: revealed}
 				for _, r := range rows {
 					e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, r.PayloadA, r.PayloadB))
 				}
 				execs = append(execs, e)
 			}
 
-			// 5. The planner-chosen wire execution.
-			stream, err := c.JoinPlan(plan)
+			// 5. The planner-chosen wire execution: the compiled plan
+			// through the one runner over the synchronous wire transport.
+			e := execution{mode: "wire-planned"}
+			e.revealed, err = c.ExecutePlan(plan, func(r sql.ResultRow) error {
+				e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.Rows[0], r.Rows[1], r.Payloads[0], r.Payloads[1]))
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			e = execution{mode: "wire-planned"}
-			for {
-				batch, err := stream.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range batch {
-					e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, r.PayloadA, r.PayloadB))
-				}
-			}
-			e.revealed = stream.RevealedPairs()
 			execs = append(execs, e)
 
 			// 6. Cached re-execution: the same token against the same
 			// tables must be served from the decrypt cache, with
 			// identical rows and sigma.
 			hitsBefore := eng.DecryptCacheStats().Hits
-			libCached, cachedTrace, err := eng.ExecuteJoin(plan.TableA, plan.TableB, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e = execution{mode: "lib-cached", revealed: cachedTrace.Pairs.Len()}
-			for _, r := range libCached {
-				e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, open(r.PayloadA), open(r.PayloadB)))
-			}
-			execs = append(execs, e)
+			libJoin("lib-cached", engine.JoinSpec{Query: q})
 			if hits := eng.DecryptCacheStats().Hits; hits <= hitsBefore {
 				t.Errorf("cached re-execution recorded no decrypt-cache hits (%d before, %d after)", hitsBefore, hits)
 			}

@@ -16,9 +16,8 @@ import (
 // planner left on full scan gets no token map, so its query keywords
 // are never revealed to the server without a corresponding speedup.
 //
-// The resulting spec runs through engine.Server.OpenJoin; wire-mode
-// callers use client.Client.ExecutePlan instead, which performs the
-// same derivation per step and ships the tokens in JoinRequests.
+// Runner.RunStep is the caller: it hands the spec to a Transport, which
+// opens it in process or ships it in a JoinRequest.
 func (p *Plan) SpecFor(step int, keys *engine.Client) (engine.JoinSpec, error) {
 	if step < 0 || step >= len(p.Steps) {
 		return engine.JoinSpec{}, fmt.Errorf("sql: plan has no step %d", step)
@@ -53,17 +52,6 @@ func (p *Plan) SpecFor(step int, keys *engine.Client) (engine.JoinSpec, error) {
 	return spec, nil
 }
 
-// Spec compiles a single-join plan into the engine's JoinSpec — the
-// pre-operator-tree entry point, kept for two-table callers. Multi-join
-// plans must run through Execute (or client.Client.ExecutePlan), which
-// stitches the pairwise steps.
-func (p *Plan) Spec(keys *engine.Client) (engine.JoinSpec, error) {
-	if len(p.Steps) != 1 {
-		return engine.JoinSpec{}, fmt.Errorf("sql: plan joins %d tables in %d steps; use Execute for multi-join plans", len(p.Tables), len(p.Steps))
-	}
-	return p.SpecFor(0, keys)
-}
-
 // StepRow is one decrypted result pair of a pairwise join step: the
 // row numbers and opened payloads of the step's left and right tables.
 type StepRow struct {
@@ -92,11 +80,8 @@ type StepInput struct {
 }
 
 // StepRunner executes one pairwise encrypted join of a compiled plan.
-// internal/sql provides the in-process EngineRunner; internal/client
-// implements the wire twin over JoinRequest frames. Runners that
-// cannot honor in.CandidatesL (e.g. re-attaching pre-submitted jobs)
-// may ignore it — the stitch discards non-candidate rows client-side
-// either way, so results are identical, just slower.
+// Runner is the implementation; the interface remains so callers can
+// wrap it (benchmarks count rows around each step).
 type StepRunner interface {
 	RunStep(p *Plan, step int, in StepInput) (StepStream, error)
 }
@@ -222,31 +207,44 @@ func emitOrCollect(emit func(ResultRow) error, next *[]ResultRow, row ResultRow,
 	return nil
 }
 
-// EngineRunner executes plan steps against an in-process engine,
-// opening result payloads with the client's keys so the emitted rows
-// match what wire-mode execution delivers.
-type EngineRunner struct {
-	Eng  *engine.Server
+// Transport opens one compiled pairwise join wherever the step's tables
+// live and returns its result stream with the payloads already opened:
+// in process (EngineRunner), over one connection or scattered over a
+// cluster's shards (internal/client), synchronously or through a
+// server's job queue.
+type Transport func(tableL, tableR string, spec engine.JoinSpec) (StepStream, error)
+
+// Runner is the one way to run a plan step: compile it with the
+// client's keys, restrict its left side to the semi-join candidates,
+// and hand it to the transport. How a step executes never depends on
+// how it is delivered, so every transport reveals the same pairs.
+type Runner struct {
 	Keys *engine.Client
-	// Batch bounds probe-side rows per stream batch (0 = engine
-	// default).
-	Batch int
+	Open Transport
 }
 
-// RunStep compiles one step and opens its engine JoinStream.
-func (r EngineRunner) RunStep(p *Plan, step int, in StepInput) (StepStream, error) {
+func (r Runner) RunStep(p *Plan, step int, in StepInput) (StepStream, error) {
 	spec, err := p.SpecFor(step, r.Keys)
 	if err != nil {
 		return nil, err
 	}
-	spec.Batch = r.Batch
 	spec.CandidatesA = in.CandidatesL
 	st := &p.Steps[step]
-	js, err := r.Eng.OpenJoin(st.Left.Table, st.Right.Table, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &engineStepStream{js: js, keys: r.Keys}, nil
+	return r.Open(st.Left.Table, st.Right.Table, spec)
+}
+
+// EngineRunner is the Runner over the in-process transport: the spec
+// goes straight to eng.OpenJoin and result payloads are opened with the
+// client's keys, so the emitted rows match what the wire transports
+// deliver.
+func EngineRunner(eng *engine.Server, keys *engine.Client) Runner {
+	return Runner{Keys: keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (StepStream, error) {
+		js, err := eng.OpenJoin(tableL, tableR, spec)
+		if err != nil {
+			return nil, err
+		}
+		return &engineStepStream{js: js, keys: keys}, nil
+	}}
 }
 
 // engineStepStream adapts engine.JoinStream to StepStream, decrypting

@@ -544,8 +544,8 @@ func resolveJoinSide(ref ColRef, pos int, schemas []TableSchema, byName map[stri
 // the statistics allow. With no row statistics every weight ties and
 // the walk degrades to declaration order, which is also the
 // deterministic tie-break. A two-table query always keeps its declared
-// side order: the pre-tree APIs expose side A/B directly (JoinedRow,
-// client.JoinPlan), so reordering them would flip user-visible columns
+// side order: callers read sides A/B directly (Plan.TableA/SelA,
+// JoinedRow), so reordering them would flip user-visible columns
 // without reducing any work — both sides of a single pairwise join are
 // decrypted either way.
 func chooseOrder(sides []*SidePlan, adj [][]int) (order, partners []int, reason string, err error) {

@@ -1,0 +1,142 @@
+package sql_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/server"
+	"repro/internal/sql"
+)
+
+// TestSQLConformanceTransports: every transport is the same query. One
+// 3-way semi-join plan runs through the one runner over each transport
+// and must come out identical to the in-process run — rows and opened
+// payloads, summed revealed pairs, and the rows each step put through
+// SJ.Dec (summed over shards). The last is what catches a transport
+// that loses the semi-join candidates on the way: the results would
+// still be right (the stitch discards the extra matches), but the step
+// would decrypt — and so reveal pairs over — the whole hub table.
+func TestSQLConformanceTransports(t *testing.T) {
+	single, cl, srvs := clusterFixture(t)
+
+	teams, employees := conformanceTables()
+	for name, rows := range map[string][]engine.PlainRow{
+		"Teams": teams, "Employees": employees, "Offices": conformanceOffices(),
+	} {
+		if err := single.UploadIndexed(name, rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.UploadIndexed(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := multiJoinCatalog(t)
+	if _, err := single.SyncCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+
+	// Offices in Kitchener or Remote belong to Teams rows 1 and 2 (keys 2
+	// and 3), so the second step's hub candidates are a strict subset of
+	// Teams — and each of the two shards stores one of them (keys 1 and 3
+	// hash to shard 0, key 2 to shard 1). A shard left without candidates
+	// is skipped outright and would decrypt fewer right-side rows than
+	// one server does; here none is.
+	const query = multiJoinBase + ` WHERE Offices.Site IN ('Kitchener', 'Remote')`
+	plan, err := cat.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != 2 || !plan.Steps[1].SemiJoin {
+		t.Fatalf("want a 2-step plan with a semi-join stitch:\n%s", plan.Describe())
+	}
+	cat.SetSemiJoin(false)
+	fullPlan, err := cat.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat.SetSemiJoin(true)
+
+	// decrypted sums sj_rows_decrypted_total over the given servers.
+	decrypted := func(srvs []*server.Server) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, srv := range srvs {
+				n += srv.Registry().Get("sj_rows_decrypted_total").(*metrics.Counter).Value()
+			}
+			return n
+		}
+	}
+	one, shards := decrypted(srvs[:1]), decrypted(srvs[1:])
+
+	type outcome struct {
+		rows     string
+		revealed int
+		perStep  []uint64 // rows through SJ.Dec, per executed step
+	}
+	// run executes p through r with the transport wrapped to read the
+	// counter at every step boundary: Execute drains step i completely
+	// before it opens step i+1, so the deltas attribute each decrypted
+	// row to the step that ran it.
+	run := func(t *testing.T, r sql.Runner, decrypted func() uint64, p *sql.Plan) outcome {
+		t.Helper()
+		var marks []uint64
+		open := r.Open
+		r.Open = func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
+			marks = append(marks, decrypted())
+			return open(tableL, tableR, spec)
+		}
+		var rows []string
+		revealed, err := sql.Execute(r, p, func(row sql.ResultRow) error {
+			rows = append(rows, fmt.Sprintf("%d|%d|%d|%s|%s|%s",
+				row.Rows[0], row.Rows[1], row.Rows[2], row.Payloads[0], row.Payloads[1], row.Payloads[2]))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		marks = append(marks, decrypted())
+		out := outcome{rows: canonical(t, rows), revealed: revealed}
+		for i := 1; i < len(marks); i++ {
+			out.perStep = append(out.perStep, marks[i]-marks[i-1])
+		}
+		return out
+	}
+
+	inProcess := sql.EngineRunner(srvs[0].Engine(), single.Keys())
+	want := run(t, inProcess, one, plan)
+	if want.rows == "" {
+		t.Fatal("the plan matched no rows; the comparison would be vacuous")
+	}
+	// The plan must be one where losing the candidates shows: without
+	// the reduction its stitch step decrypts more rows.
+	if full := run(t, inProcess, one, fullPlan); len(want.perStep) != 2 || want.perStep[1] >= full.perStep[1] {
+		t.Fatalf("semi-join decrypted %v rows per step, full execution %v: the stitch step is not reduced", want.perStep, full.perStep)
+	}
+
+	for _, tr := range []struct {
+		name      string
+		runner    sql.Runner
+		decrypted func() uint64
+	}{
+		{"wire sync", single.Runner(false), one},
+		{"wire async", single.Runner(true), one},
+		{"2-shard sync", cl.Runner(false), shards},
+		{"2-shard async", cl.Runner(true), shards},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			got := run(t, tr.runner, tr.decrypted, plan)
+			if got.rows != want.rows {
+				t.Errorf("rows differ from in-process:\n%s\nvs\n%s", got.rows, want.rows)
+			}
+			if got.revealed != want.revealed {
+				t.Errorf("revealed %d pairs, in-process revealed %d", got.revealed, want.revealed)
+			}
+			if !reflect.DeepEqual(got.perStep, want.perStep) {
+				t.Errorf("rows decrypted per step = %v, in-process = %v", got.perStep, want.perStep)
+			}
+		})
+	}
+}
