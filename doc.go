@@ -5,5 +5,5 @@
 // encryption, the Secure Join scheme, baseline join-encryption schemes,
 // a leakage analyzer, a TPC-H workload generator and a client/server
 // encrypted-DBMS engine. See README.md for a tour and DESIGN.md for the
-// system inventory; bench_test.go regenerates the paper's figures.
+// system inventory; cmd/sjbench regenerates the paper's figures.
 package repro

@@ -1,5 +1,6 @@
 // Pre-filter and parallelization example: quantifies the two optional
-// server-side optimizations on one workload.
+// server-side optimizations on one workload — the same engine join
+// with JoinSpec.Prefilter unset or set, on one SJ.Dec worker or all.
 //
 //  1. The SSE pre-filter of Section 4.3: resolving the selection
 //     predicates through a searchable index first means SJ.Dec runs over
@@ -26,21 +27,21 @@ func main() {
 	}
 	sel := bench.Selection(tpch.Sel25, 1)
 
-	full, err := w.RunServerJoinFullScan(sel)
+	full, err := w.RunJoin(sel, false, bench.PerCore)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full scan        : %8.2fs  (%d matches) — leakage-optimal, SJ.Dec on every row\n",
-		full.ServerTime.Seconds(), full.Matches)
+	fmt.Printf("full scan        : %8.2fs  (%d matches, %d pairs revealed) — leakage-optimal, SJ.Dec on every row\n",
+		full.ServerTime.Seconds(), full.Matches, full.RevealedPairs)
 
-	pre, err := w.RunServerJoin(sel)
+	pre, err := w.RunJoin(sel, true, bench.PerCore)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("SSE pre-filter   : %8.2fs  (%d matches) — SJ.Dec only on selection-matching rows\n",
-		pre.ServerTime.Seconds(), pre.Matches)
+	fmt.Printf("SSE pre-filter   : %8.2fs  (%d matches, %d pairs revealed) — SJ.Dec only on selection-matching rows\n",
+		pre.ServerTime.Seconds(), pre.Matches, pre.RevealedPairs)
 
-	par, err := w.RunServerJoinParallel(sel, 0)
+	par, err := w.RunJoin(sel, true, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // TPC-H workload example: generates a small Orders x Customers instance
 // with the paper's selectivity column, encrypts it, runs one join query
 // per selectivity class and reports server-side timings — a miniature of
-// the Figure 3 experiment through the public API.
+// the Figure 3 experiment on sjbench's fixture.
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 
 	fmt.Println("SELECT * FROM Orders JOIN Customers ON custkey WHERE selectivity IN (s):")
 	for _, sel := range tpch.Selectivities {
-		res, err := w.RunServerJoin(bench.Selection(sel.Label, 1))
+		res, err := w.RunJoin(bench.Selection(sel.Label, 1), true, bench.PerCore)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,15 +1,15 @@
-// Package bench is the shared harness behind cmd/sjbench and the
-// repository's testing.B benchmarks. It builds the paper's workloads
-// (TPC-H Orders x Customers with the selectivity column), runs the
-// client- and server-side phases of Secure Join separately, and returns
-// the series that Figures 2, 3 and 4 and the Section 6.5 comparison
-// plot/report.
+// Package bench is the fixture behind cmd/sjbench's paper figures. It
+// builds the paper's workload (TPC-H Orders x Customers with the
+// selectivity column) inside an in-process engine.Server and times
+// queries through engine.OpenJoin — the join path the system runs — so
+// Figures 3 and 4 and the Section 6.5 comparison describe the program
+// as served; Figure 2 times the single-row kernels as the paper defines
+// them.
 //
-// Absolute numbers differ from the paper (pure-Go big-integer pairing vs
-// the authors' optimized C library), so EXPERIMENTS.md compares shapes:
-// which operation dominates, linearity in table size and IN-clause size,
-// slope ordering across selectivities, and hash-join vs nested-loop
-// scaling.
+// Absolute numbers differ from the paper (pure-Go pairing vs the
+// authors' optimized C library), so the figures compare shapes: which
+// operation dominates, linearity in table size and IN-clause size, and
+// slope ordering across selectivities.
 package bench
 
 import (
@@ -17,8 +17,8 @@ import (
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/engine"
 	"repro/internal/securejoin"
-	"repro/internal/sse"
 	"repro/internal/tpch"
 )
 
@@ -81,96 +81,57 @@ func MeasureCryptoOps(t, reps int) (CryptoBenchResult, error) {
 	return res, nil
 }
 
-// Workload is an encrypted TPC-H Orders x Customers instance ready for
-// server-side measurements. Alongside the Secure Join ciphertexts it
-// carries the SSE pre-filter indexes of Section 4.3: the paper's
-// Figures 3 and 4 report runtimes proportional to selectivity * n,
-// which implies SJ.Dec runs only over the selection-matching rows —
-// exactly what the pre-filter provides. RunServerJoin reproduces that
-// setup; RunServerJoinFullScan is the leakage-optimal full-table scan.
+// Workload is the paper's evaluation fixture: a TPC-H Orders x Customers
+// instance whose single filterable attribute is the selectivity column
+// (Section 6.1), encrypted with SSE pre-filter indexes and uploaded into
+// an in-process engine.Server — the tables the system would hold after
+// two UploadIndexed calls.
 type Workload struct {
-	Scheme    *securejoin.Scheme
-	Dataset   *tpch.Dataset
-	Customers []*securejoin.RowCiphertext
-	Orders    []*securejoin.RowCiphertext
+	Dataset *tpch.Dataset
 
-	sseClient *sse.Client
-	idxC      *sse.Index
-	idxO      *sse.Index
+	keys *engine.Client
+	srv  *engine.Server
 }
 
-// BuildWorkload generates and encrypts a TPC-H instance at the given
-// scale factor with IN-clause bound t. The single filterable attribute
-// is the selectivity column, as in Section 6.1.
+// The engine table names of the fixture; Customers is the build side.
+const (
+	tableCustomers = "Customers"
+	tableOrders    = "Orders"
+)
+
+// BuildWorkload generates a TPC-H instance at the given scale factor,
+// encrypts it under fresh keys with IN-clause bound t and uploads it.
 func BuildWorkload(scaleFactor float64, t int, seed int64) (*Workload, error) {
-	scheme, err := securejoin.Setup(securejoin.Params{M: 1, T: t}, nil)
+	keys, err := engine.NewClient(securejoin.Params{M: 1, T: t}, nil)
 	if err != nil {
 		return nil, err
 	}
 	ds := tpch.Generate(scaleFactor, seed)
 
-	customers := make([]securejoin.Row, len(ds.Customers))
-	attrsC := make([][][]byte, len(ds.Customers))
+	customers := make([]engine.PlainRow, len(ds.Customers))
 	for i, c := range ds.Customers {
-		customers[i] = securejoin.Row{
+		customers[i] = engine.PlainRow{
 			JoinValue: tpch.CustomerJoinValue(c),
 			Attrs:     [][]byte{[]byte(c.Selectivity)},
 		}
-		attrsC[i] = customers[i].Attrs
 	}
-	orders := make([]securejoin.Row, len(ds.Orders))
-	attrsO := make([][][]byte, len(ds.Orders))
+	orders := make([]engine.PlainRow, len(ds.Orders))
 	for i, o := range ds.Orders {
-		orders[i] = securejoin.Row{
+		orders[i] = engine.PlainRow{
 			JoinValue: tpch.OrderJoinValue(o),
 			Attrs:     [][]byte{[]byte(o.Selectivity)},
 		}
-		attrsO[i] = orders[i].Attrs
 	}
 
-	ctC, err := scheme.EncryptTable(customers)
-	if err != nil {
-		return nil, err
+	srv := engine.NewServer()
+	for name, rows := range map[string][]engine.PlainRow{tableCustomers: customers, tableOrders: orders} {
+		tab, err := keys.EncryptTableIndexed(name, rows)
+		if err != nil {
+			return nil, err
+		}
+		srv.Upload(tab)
 	}
-	ctO, err := scheme.EncryptTable(orders)
-	if err != nil {
-		return nil, err
-	}
-
-	sseClient, err := sse.NewClient(nil)
-	if err != nil {
-		return nil, err
-	}
-	idxC, err := sseClient.BuildIndex(attrsC)
-	if err != nil {
-		return nil, err
-	}
-	idxO, err := sseClient.BuildIndex(attrsO)
-	if err != nil {
-		return nil, err
-	}
-	return &Workload{
-		Scheme: scheme, Dataset: ds,
-		Customers: ctC, Orders: ctO,
-		sseClient: sseClient, idxC: idxC, idxO: idxO,
-	}, nil
-}
-
-// prefilter resolves the candidate rows of one table for a selection.
-func (w *Workload) prefilter(idx *sse.Index, sel securejoin.Selection) ([]int, error) {
-	toks := make([]sse.SearchToken, 0, len(sel[0]))
-	for _, v := range sel[0] {
-		toks = append(toks, w.sseClient.Tokenize(0, v))
-	}
-	return idx.SearchUnion(toks)
-}
-
-func subset(cts []*securejoin.RowCiphertext, rows []int) []*securejoin.RowCiphertext {
-	out := make([]*securejoin.RowCiphertext, len(rows))
-	for i, r := range rows {
-		out[i] = cts[r]
-	}
-	return out
+	return &Workload{Dataset: ds, keys: keys, srv: srv}, nil
 }
 
 // Selection returns the benchmark selection predicate for one
@@ -186,121 +147,53 @@ func Selection(label string, inSize int) securejoin.Selection {
 	return securejoin.Selection{0: values}
 }
 
+// PerCore is the Workers value behind every series of Figures 3 and 4
+// and the Section 6.5 comparison: one SJ.Dec worker, so the seconds are
+// per core — comparable across hosts and with the paper's
+// single-threaded numbers.
+const PerCore = 1
+
 // JoinResult is one server-side join measurement.
 type JoinResult struct {
-	ServerTime time.Duration
-	Matches    int
+	ServerTime    time.Duration
+	Matches       int
+	RevealedPairs int
 }
 
-// RunServerJoin measures the server-side cost of one query in the
-// paper's evaluation setup: pre-filter both tables to the
-// selection-matching rows, run SJ.Dec over the candidates and SJ.Match
-// as a hash join. Token generation (client side) is excluded. This is
-// the configuration whose runtime grows as selectivity * n, matching
-// the slope ordering of Figures 3 and 4.
-func (w *Workload) RunServerJoin(sel securejoin.Selection) (JoinResult, error) {
-	q, err := w.Scheme.NewQuery(sel, sel)
+// RunJoin measures the server-side cost of one query applying sel to
+// both tables, through the join path the system runs: the client mints
+// the tokens before the clock starts, and the timed region is exactly
+// engine.OpenJoin plus draining the stream. With prefilter set the
+// query carries SSE tokens and SJ.Dec runs over the selection-matching
+// rows only — the paper's evaluation setup, whose runtime grows as
+// selectivity * n (the slope ordering of Figures 3 and 4); unset is the
+// leakage-optimal full scan, independent of selectivity. workers is
+// engine.JoinSpec.Workers (0 = every core).
+func (w *Workload) RunJoin(sel securejoin.Selection, prefilter bool, workers int) (JoinResult, error) {
+	spec := engine.JoinSpec{Workers: workers}
+	var err error
+	if prefilter {
+		spec.Prefilter, err = w.keys.NewPrefilterQuery(sel, sel)
+	} else {
+		spec.Query, err = w.keys.NewQuery(sel, sel)
+	}
 	if err != nil {
 		return JoinResult{}, err
 	}
 	start := time.Now()
-	candC, err := w.prefilter(w.idxC, sel)
+	stream, err := w.srv.OpenJoin(tableCustomers, tableOrders, spec)
 	if err != nil {
 		return JoinResult{}, err
 	}
-	candO, err := w.prefilter(w.idxO, sel)
+	rows, _, err := stream.Drain()
 	if err != nil {
 		return JoinResult{}, err
 	}
-	dc, err := securejoin.DecryptTable(q.TokenA, subset(w.Customers, candC))
-	if err != nil {
-		return JoinResult{}, err
-	}
-	do, err := securejoin.DecryptTable(q.TokenB, subset(w.Orders, candO))
-	if err != nil {
-		return JoinResult{}, err
-	}
-	pairs := securejoin.HashJoin(dc, do)
-	return JoinResult{ServerTime: time.Since(start), Matches: len(pairs)}, nil
-}
-
-// RunServerJoinParallel is RunServerJoin with SJ.Dec spread over the
-// given number of workers — the multi-core deployment Section 6.5 notes
-// the scheme supports trivially (0 = GOMAXPROCS).
-func (w *Workload) RunServerJoinParallel(sel securejoin.Selection, workers int) (JoinResult, error) {
-	q, err := w.Scheme.NewQuery(sel, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	start := time.Now()
-	candC, err := w.prefilter(w.idxC, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	candO, err := w.prefilter(w.idxO, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	dc, err := securejoin.DecryptTableParallel(q.TokenA, subset(w.Customers, candC), workers)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	do, err := securejoin.DecryptTableParallel(q.TokenB, subset(w.Orders, candO), workers)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	pairs := securejoin.HashJoin(dc, do)
-	return JoinResult{ServerTime: time.Since(start), Matches: len(pairs)}, nil
-}
-
-// RunServerJoinFullScan measures the leakage-optimal configuration
-// without the SSE pre-filter: SJ.Dec over every row of both tables.
-// Its runtime is independent of selectivity — the ablation that shows
-// what the pre-filter buys.
-func (w *Workload) RunServerJoinFullScan(sel securejoin.Selection) (JoinResult, error) {
-	q, err := w.Scheme.NewQuery(sel, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	start := time.Now()
-	dc, err := securejoin.DecryptTable(q.TokenA, w.Customers)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	do, err := securejoin.DecryptTable(q.TokenB, w.Orders)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	pairs := securejoin.HashJoin(dc, do)
-	return JoinResult{ServerTime: time.Since(start), Matches: len(pairs)}, nil
-}
-
-// RunServerJoinNestedLoop is the ablation variant using the O(n^2)
-// nested-loop SJ.Match over the same pre-filtered candidates.
-func (w *Workload) RunServerJoinNestedLoop(sel securejoin.Selection) (JoinResult, error) {
-	q, err := w.Scheme.NewQuery(sel, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	start := time.Now()
-	candC, err := w.prefilter(w.idxC, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	candO, err := w.prefilter(w.idxO, sel)
-	if err != nil {
-		return JoinResult{}, err
-	}
-	dc, err := securejoin.DecryptTable(q.TokenA, subset(w.Customers, candC))
-	if err != nil {
-		return JoinResult{}, err
-	}
-	do, err := securejoin.DecryptTable(q.TokenB, subset(w.Orders, candO))
-	if err != nil {
-		return JoinResult{}, err
-	}
-	pairs := securejoin.NestedLoopJoin(dc, do)
-	return JoinResult{ServerTime: time.Since(start), Matches: len(pairs)}, nil
+	return JoinResult{
+		ServerTime:    time.Since(start),
+		Matches:       len(rows),
+		RevealedPairs: stream.RevealedPairs(),
+	}, nil
 }
 
 // HahnWorkload is the comparison workload for the Hahn et al. baseline.

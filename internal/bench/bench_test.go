@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/tpch"
 )
 
@@ -23,34 +24,93 @@ func TestMeasureCryptoOps(t *testing.T) {
 	}
 }
 
+// TestWorkloadJoinCounts checks the figure harness against plaintext:
+// per selectivity class the prefiltered join, the full scan and the
+// Hahn baseline all return the plaintext join's count, and the
+// prefiltered run puts exactly the selection-matching rows through
+// SJ.Dec while the full scan decrypts every row of both tables — the
+// property that makes Figure 3's slope ordering hold.
 func TestWorkloadJoinCounts(t *testing.T) {
-	w, err := BuildWorkload(0.0001, 1, 9)
+	// Seed 7 gives the 1/12.5 class two matching orders at this scale,
+	// so the match comparison is not 0 == 0 throughout.
+	const scale, seed = 0.0001, 7
+	w, err := BuildWorkload(scale, 1, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Secure Join and the Hahn baseline must agree on the number of
-	// matches for the same selection (both compute the same plaintext
-	// join).
-	res, err := w.RunServerJoin(Selection(tpch.Sel12_5, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hw, err := BuildHahnWorkload(0.0001, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hres := hw.RunServerJoin(tpch.Sel12_5)
-	if res.Matches != hres.Matches {
-		t.Fatalf("secure join found %d matches, Hahn %d", res.Matches, hres.Matches)
-	}
+	reg := metrics.NewRegistry()
+	w.srv.Instrument(reg)
+	decrypted := reg.Get("sj_rows_decrypted_total").(*metrics.Counter)
+	allRows := uint64(len(w.Dataset.Customers) + len(w.Dataset.Orders))
 
-	// Nested-loop ablation agrees with the hash join.
-	nl, err := w.RunServerJoinNestedLoop(Selection(tpch.Sel12_5, 1))
-	if err != nil {
-		t.Fatal(err)
+	custLabel := make(map[int]string, len(w.Dataset.Customers))
+	for _, c := range w.Dataset.Customers {
+		custLabel[c.CustKey] = c.Selectivity
 	}
-	if nl.Matches != res.Matches {
-		t.Fatalf("nested loop found %d matches, hash join %d", nl.Matches, res.Matches)
+	total := 0
+	for _, class := range tpch.Selectivities {
+		// The plaintext join: an order matches when it and its customer
+		// both carry the class label.
+		var selected uint64
+		want := 0
+		for _, l := range custLabel {
+			if l == class.Label {
+				selected++
+			}
+		}
+		for _, o := range w.Dataset.Orders {
+			if o.Selectivity != class.Label {
+				continue
+			}
+			selected++
+			if custLabel[o.CustKey] == class.Label {
+				want++
+			}
+		}
+		total += want
+
+		sel := Selection(class.Label, 1)
+		mark := decrypted.Value()
+		pre, err := w.RunJoin(sel, true, PerCore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preDec := decrypted.Value() - mark
+		mark = decrypted.Value()
+		// Every core for the full scans: the counts do not depend on the
+		// worker pool, and they are most of this test's pairings.
+		full, err := w.RunJoin(sel, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullDec := decrypted.Value() - mark
+		// A fresh Hahn server per class: its unwrapped tags persist
+		// across queries, so a reused one would also count the earlier
+		// classes' matches.
+		hw, err := BuildHahnWorkload(scale, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hahn := hw.RunServerJoin(class.Label)
+
+		if pre.Matches != want || full.Matches != want || hahn.Matches != want {
+			t.Errorf("%s: matches prefiltered %d, full scan %d, Hahn %d; plaintext join has %d",
+				class.Label, pre.Matches, full.Matches, hahn.Matches, want)
+		}
+		if pre.RevealedPairs != full.RevealedPairs {
+			t.Errorf("%s: prefiltered run revealed %d pairs, full scan %d; sigma(q) must not depend on the pre-filter",
+				class.Label, pre.RevealedPairs, full.RevealedPairs)
+		}
+		if preDec != selected {
+			t.Errorf("%s: prefiltered run decrypted %d rows, want the %d selection-matching rows",
+				class.Label, preDec, selected)
+		}
+		if fullDec != allRows {
+			t.Errorf("%s: full scan decrypted %d rows, want all %d", class.Label, fullDec, allRows)
+		}
+	}
+	if total == 0 {
+		t.Error("no class has a plaintext match: the comparison checked nothing")
 	}
 }
 

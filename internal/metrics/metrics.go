@@ -145,53 +145,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts by linear interpolation inside the containing bucket — the
-// same estimate Prometheus' histogram_quantile computes. Observations
-// in the +Inf bucket clamp to the last finite bound. Returns NaN when
-// the histogram is empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			upper := math.Inf(1)
-			if i < len(h.bounds) {
-				upper = h.bounds[i]
-			} else if len(h.bounds) > 0 {
-				// +Inf bucket: clamp to the last finite bound, the
-				// best estimate available without the raw values.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			if math.IsInf(upper, 1) {
-				return lower
-			}
-			return lower + (upper-lower)*((rank-float64(cum))/float64(n))
-		}
-		cum += n
-	}
-	if len(h.bounds) > 0 {
-		return h.bounds[len(h.bounds)-1]
-	}
-	return math.NaN()
-}
-
 // metric is one registered entry: its metadata plus a renderer that
 // appends exposition-format sample lines for the current value.
 type metric struct {
@@ -231,8 +184,8 @@ func (r *Registry) register(m *metric) {
 
 // Get returns the registered metric value with the given name — a
 // *Counter, *Gauge, *Histogram or one of the Vec types — or nil when
-// absent. Callers type-assert; sjbench uses it to pull histogram
-// quantiles out of a live server's registry.
+// absent. Callers type-assert; the repo benchmark and the tests use it
+// to read counters out of a live server's registry.
 func (r *Registry) Get(name string) any {
 	if r == nil {
 		return nil

@@ -42,7 +42,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || !math.IsNaN(h.Quantile(0.5)) {
+	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram not inert")
 	}
 	var cv *CounterVec
@@ -84,36 +84,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if got, want := h.Sum(), 1+1+2+2.1+5+7.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("sum = %g, want %g", got, want)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(nil, "h", "", []float64{1, 2, 4})
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5) // all in le=1
-	}
-	// Every observation in [0,1]: the median interpolates inside it.
-	if q := h.Quantile(0.5); q <= 0 || q > 1 {
-		t.Errorf("p50 = %g, want in (0,1]", q)
-	}
-	h2 := NewHistogram(nil, "h2", "", []float64{1, 2, 4})
-	for i := 0; i < 50; i++ {
-		h2.Observe(0.5)
-	}
-	for i := 0; i < 50; i++ {
-		h2.Observe(3) // le=4
-	}
-	if q := h2.Quantile(0.9); q < 2 || q > 4 {
-		t.Errorf("p90 = %g, want in [2,4]", q)
-	}
-	// +Inf observations clamp to the last finite bound.
-	h3 := NewHistogram(nil, "h3", "", []float64{1, 2})
-	h3.Observe(100)
-	if q := h3.Quantile(0.99); q != 2 {
-		t.Errorf("+Inf quantile = %g, want clamp to 2", q)
-	}
-	if !math.IsNaN((&Histogram{}).Quantile(0.5)) {
-		t.Error("empty histogram quantile should be NaN")
 	}
 }
 

@@ -209,7 +209,7 @@ func (s *Server) joinWorker() {
 	for {
 		select {
 		case t := <-s.taskQueue:
-			s.met.JoinQueueDepth.Set(int64(len(s.taskQueue)))
+			s.met.JoinQueueDepth.Dec()
 			s.runTask(t)
 		case <-s.done:
 			return
@@ -285,11 +285,17 @@ func (s *Server) enqueueJoin(t joinTask) bool {
 		return false
 	default:
 	}
+	// The gauge is a sum of atomic adds — one Inc per accepted send, one
+	// Dec per receive — so no interleaving of enqueuers, workers and the
+	// shutdown drain can leave it off the queue's length once they are
+	// quiet. Counting before the send (and taking it back on refusal)
+	// keeps the receiver's Dec from ever running first.
+	s.met.JoinQueueDepth.Inc()
 	select {
 	case s.taskQueue <- t:
-		s.met.JoinQueueDepth.Set(int64(len(s.taskQueue)))
 		return true
 	default:
+		s.met.JoinQueueDepth.Dec()
 		return false
 	}
 }
@@ -304,11 +310,18 @@ func (s *Server) drainTasks(stop chan struct{}) {
 	for {
 		select {
 		case t := <-s.taskQueue:
-			t.finish(0, errShuttingDown)
+			s.failQueued(t)
 		case <-stop:
 			return
 		}
 	}
+}
+
+// failQueued finishes a task received from the queue during shutdown
+// without running it.
+func (s *Server) failQueued(t joinTask) {
+	s.met.JoinQueueDepth.Dec()
+	t.finish(0, errShuttingDown)
 }
 
 // newJobID returns a fresh random job identifier.

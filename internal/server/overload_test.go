@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,6 +114,69 @@ func TestOverloadedServerShedsJoins(t *testing.T) {
 	// Shed requests must not leave request goroutines (or engine worker
 	// pools) behind. Finished goroutines unwind asynchronously, so poll.
 	waitFor(t, "goroutines to drain", func() bool { return runtime.NumGoroutine() <= before+2 })
+}
+
+// TestQueueDepthGaugeSettlesAtZero pins sj_server_join_queue_depth to
+// the queue it describes: after a burst of sync joins and submits
+// racing one worker for the queue, and again after Close fails what was
+// still queued, the gauge reads exactly 0 — every accepted send is
+// matched by one receive, whichever of the worker and the shutdown
+// drain made it.
+func TestQueueDepthGaugeSettlesAtZero(t *testing.T) {
+	srv := New(nil)
+	srv.SetJobWorkers(1)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dial(t, addr)
+	uploadPair(t, c, 1)
+	none := securejoin.Selection{}
+
+	const burst = 4
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, _, err := c.JoinWith("L", "R", none, none, client.JoinOpts{}); err != nil {
+				t.Errorf("sync join: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			info, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{})
+			if err == nil {
+				_, _, err = c.WaitJob(info.ID)
+			}
+			if err != nil {
+				t.Errorf("submitted join: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, "the server to go quiet", func() bool {
+		h, err := c.Health()
+		return err == nil && h.JobsQueued == 0 && h.JobsRunning == 0 && h.InflightJoins == 0
+	})
+	if got := srv.met.JoinQueueDepth.Value(); got != 0 {
+		t.Fatalf("queue depth gauge = %d over an empty, idle queue", got)
+	}
+
+	// Shutdown with work still queued: one job takes the worker, the
+	// rest are failed by the drain, not run.
+	for i := 0; i < 3; i++ {
+		if _, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{}); err != nil {
+			t.Fatalf("submit %d before close: %v", i, err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.met.JoinQueueDepth.Value(); got != 0 {
+		t.Fatalf("queue depth gauge = %d after Close drained the queue", got)
+	}
 }
 
 // TestPerConnectionJoinCapSheds: one connection's in-flight join cap

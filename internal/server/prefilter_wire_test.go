@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/client"
@@ -130,74 +129,5 @@ func TestPrefilteredJoinUnindexedTableOverTCP(t *testing.T) {
 	}
 	if len(results) != 1 || revealed != 1 {
 		t.Fatalf("fallback join: %d rows, %d pairs; want 1, 1", len(results), revealed)
-	}
-}
-
-// BenchmarkPrefilteredJoinWire measures one join per iteration over a
-// loopback connection at three selectivities, full-scan vs prefiltered:
-// the prefiltered server pays SJ.Dec only for the candidate rows, so
-// the gap should track selectivity.
-func BenchmarkPrefilteredJoinWire(b *testing.B) {
-	const n = 100 // rows per table; 1% selectivity = 1 candidate row
-	srv := New(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := client.Dial(addr, securejoin.Params{M: 1, T: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-
-	mk := func() []engine.PlainRow {
-		out := make([]engine.PlainRow, n)
-		for i := range out {
-			attr := "bulk"
-			switch {
-			case i < n/100:
-				attr = "c1"
-			case i < n/100+n/10:
-				attr = "c10"
-			}
-			out[i] = engine.PlainRow{
-				JoinValue: []byte(fmt.Sprintf("k-%d", i)),
-				Attrs:     [][]byte{[]byte(attr)},
-				Payload:   []byte(fmt.Sprintf("row-%d", i)),
-			}
-		}
-		return out
-	}
-	for _, name := range []string{"L", "R"} {
-		if err := c.UploadIndexed(name, mk()); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	sels := []struct {
-		label string
-		sel   securejoin.Selection
-	}{
-		{"sel=1%", securejoin.Selection{0: [][]byte{[]byte("c1")}}},
-		{"sel=10%", securejoin.Selection{0: [][]byte{[]byte("c10")}}},
-		{"sel=100%", securejoin.Selection{}},
-	}
-	for _, sc := range sels {
-		for _, mode := range []struct {
-			label string
-			opts  client.JoinOpts
-		}{
-			{"full", client.JoinOpts{Workers: 1}},
-			{"prefiltered", client.JoinOpts{Prefilter: true, Workers: 1}},
-		} {
-			b.Run(sc.label+"/"+mode.label, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := c.JoinWith("L", "R", sc.sel, sc.sel, mode.opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

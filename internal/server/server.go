@@ -226,7 +226,7 @@ func (s *Server) Close() error {
 			for {
 				select {
 				case t := <-s.taskQueue:
-					t.finish(0, errShuttingDown)
+					s.failQueued(t)
 				default:
 					break drain
 				}
