@@ -65,27 +65,29 @@ func run() error {
 	fmt.Println()
 
 	// t1: ... WHERE Name = "Web Application" AND Role = "Tester"
-	if err := runQuery(client, server,
+	sigma1, err := runQuery(client, server,
 		`SELECT * FROM Employees JOIN Teams ON Team = Key WHERE Name = "Web Application" AND Role = "Tester"`,
 		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
 		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
-		"Table 3 (result at t1)"); err != nil {
+		"Table 3 (result at t1)")
+	if err != nil {
 		return err
 	}
 
 	// t2: ... WHERE Name = "Database" AND Role = "Programmer"
-	if err := runQuery(client, server,
+	sigma2, err := runQuery(client, server,
 		`SELECT * FROM Employees JOIN Teams ON Team = Key WHERE Name = "Database" AND Role = "Programmer"`,
 		securejoin.Selection{0: [][]byte{[]byte("Database")}},
 		securejoin.Selection{0: [][]byte{[]byte("Programmer")}},
-		"Table 4 (result at t2)"); err != nil {
+		"Table 4 (result at t2)")
+	if err != nil {
 		return err
 	}
 
-	perQuery, closure := server.ObservedLeakage()
+	_, closure := server.ObservedLeakage()
 	fmt.Println("Cumulative server view after both queries:")
-	for i, q := range perQuery {
-		fmt.Printf("  sigma(q%d): %d pair(s)\n", i+1, q.Len())
+	for i, sigma := range []int{sigma1, sigma2} {
+		fmt.Printf("  sigma(q%d): %d pair(s)\n", i+1, sigma)
 	}
 	fmt.Printf("  transitive closure of union: %d pair(s)\n", closure.Len())
 	for _, p := range closure.Sorted() {
@@ -98,38 +100,40 @@ func run() error {
 	return nil
 }
 
+// runQuery executes one query of the timeline and prints its result;
+// it returns |sigma(q)|, the pairs the server observed.
 func runQuery(client *engine.Client, server *engine.Server, sql string,
-	selTeams, selEmployees securejoin.Selection, label string) error {
+	selTeams, selEmployees securejoin.Selection, label string) (int, error) {
 	fmt.Println(sql)
 	q, err := client.NewQuery(selTeams, selEmployees)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	stream, err := server.OpenJoin("Teams", "Employees", engine.JoinSpec{Query: q})
 	if err != nil {
-		return err
+		return 0, err
 	}
-	rows, trace, err := stream.Drain()
+	rows, _, err := stream.Drain()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	fmt.Printf("%s — %d row(s):\n", label, len(rows))
 	for _, r := range rows {
 		pa, err := client.OpenPayload(r.PayloadA)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		pb, err := client.OpenPayload(r.PayloadB)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		emp := strings.Split(string(pb), "|")
 		team := strings.Split(string(pa), "|")
 		fmt.Printf("  Record=%s Employee=%s Role=%s T.Key=%s T.Name=%s\n",
 			emp[0], emp[1], emp[2], team[0], team[1])
 	}
-	fmt.Printf("  server observed %d equality pair(s) for this query\n\n", trace.Pairs.Len())
-	return nil
+	fmt.Printf("  server observed %d equality pair(s) for this query\n\n", stream.RevealedPairs())
+	return stream.RevealedPairs(), nil
 }
 
 func row(join, attr, payload string) engine.PlainRow {

@@ -58,13 +58,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, trace, err := stream.Drain()
+	rows, _, err := stream.Drain()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 5. The client decrypts the matched payloads.
-	fmt.Printf("%d joined rows (server observed %d equality pairs):\n", len(rows), trace.Pairs.Len())
+	fmt.Printf("%d joined rows (server observed %d equality pairs):\n", len(rows), stream.RevealedPairs())
 	for _, r := range rows {
 		pa, err := client.OpenPayload(r.PayloadA)
 		if err != nil {

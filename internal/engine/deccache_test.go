@@ -67,9 +67,9 @@ func TestDecryptCacheWarmHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJoin(t, cold, warm)
-	if coldTrace.Pairs.Len() != warmTrace.Pairs.Len() {
+	if coldTrace.Pairs().Len() != warmTrace.Pairs().Len() {
 		t.Fatalf("sigma changed under caching: %d vs %d pairs",
-			coldTrace.Pairs.Len(), warmTrace.Pairs.Len())
+			coldTrace.Pairs().Len(), warmTrace.Pairs().Len())
 	}
 	st = server.DecryptCacheStats()
 	if st.Hits != 6 || st.Misses != 6 {
@@ -136,9 +136,9 @@ func TestDecryptCacheInvalidationOnRegister(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameJoin(t, cold, warm)
-	if coldTrace.Pairs.Len() != warmTrace.Pairs.Len() {
+	if coldTrace.Pairs().Len() != warmTrace.Pairs().Len() {
 		t.Fatalf("sigma changed across re-register: %d vs %d pairs",
-			coldTrace.Pairs.Len(), warmTrace.Pairs.Len())
+			coldTrace.Pairs().Len(), warmTrace.Pairs().Len())
 	}
 	st := server.DecryptCacheStats()
 	// Teams (2 rows) hits on the second run; Employees' 4 rows must be

@@ -15,9 +15,9 @@
 // batches as SJ.Match progresses instead of materializing the whole
 // result set; Drain collects a stream for callers that want it whole.
 //
-// The server additionally records, per query, the equality pairs its
-// execution observed — the sigma(q) trace of Section 5.2 — so examples
-// and tests can audit the leakage of a series of queries.
+// The server additionally folds the equality classes each query's
+// execution observed — the sigma(q) trace of Section 5.2 — into one
+// leakage.Ledger, so examples and tests can audit what a series revealed.
 package engine
 
 import (
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,12 +192,17 @@ type JoinedRow struct {
 	PayloadA, PayloadB []byte
 }
 
-// QueryTrace is the server-observable leakage of one query: the equality
-// pairs revealed among rows matching the selection criteria (cross-table
-// and intra-table), i.e. sigma(q) of Section 5.2.
+// QueryTrace is the server-observable leakage of one query, sigma(q) of
+// Section 5.2: the classes of rows (of either table) whose D values came
+// out equal. Merges is what of it was news to the server's ledger —
+// nothing, for a repeated query — and all a durable server persists.
 type QueryTrace struct {
-	Pairs leakage.PairSet
+	Classes [][]leakage.RowRef
+	Merges  [][]leakage.RowRef
 }
+
+// Pairs expands the classes into the revealed equality pairs.
+func (t *QueryTrace) Pairs() leakage.PairSet { return leakage.Expand(t.Classes) }
 
 // TableStore is the optional durability hook of a Server: when set,
 // RegisterTable persists each table version (and DropTable each
@@ -238,13 +244,12 @@ type Server struct {
 	// setup — while concurrent joins load it once per decrypt phase.
 	decCache atomic.Pointer[decryptCache]
 
-	// traceMu guards the leakage records, separately from the table
-	// store so concurrent joins serialize only on the cheap trace
-	// append, never on the pairing-heavy execution.
-	traceMu    sync.Mutex
-	cumulative leakage.PairSet
-	perQuery   []leakage.PairSet
-	leakCounts map[string]uint64
+	// traceMu guards the leakage ledger, separately from the table
+	// store so concurrent joins serialize only on the cheap class
+	// merges, never on the pairing-heavy execution.
+	traceMu sync.Mutex
+	ledger  *leakage.Ledger
+	queries atomic.Int64 // traces recorded by this process
 
 	// met is the instrumentation surface (see metrics.go). The zero
 	// value records nothing; Instrument replaces it before serving.
@@ -254,10 +259,9 @@ type Server struct {
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		tables:     make(map[string]*EncryptedTable),
-		versions:   make(map[string]uint64),
-		cumulative: leakage.NewPairSet(),
-		leakCounts: make(map[string]uint64),
+		tables:   make(map[string]*EncryptedTable),
+		versions: make(map[string]uint64),
+		ledger:   leakage.NewLedger(),
 	}
 }
 
@@ -400,51 +404,26 @@ func (s *Server) snapshot(tableA, tableB string) (ta, tb *EncryptedTable, va, vb
 	return ta, tb, va, vb, nil
 }
 
-// recordTrace appends one query's leakage to the audit log and bumps
-// the per-table revealed-pair counters.
-func (s *Server) recordTrace(trace *QueryTrace) {
-	s.traceMu.Lock()
-	s.perQuery = append(s.perQuery, trace.Pairs)
-	s.cumulative.AddAll(trace.Pairs)
-	touched := make(map[string]bool, 2)
-	for p := range trace.Pairs {
-		s.leakCounts[p.A.Table]++
-		touched[p.A.Table] = true
-		if p.B.Table != p.A.Table {
-			s.leakCounts[p.B.Table]++
-			touched[p.B.Table] = true
-		}
-	}
-	for table := range touched {
-		s.met.RevealedPairs.With(table).Set(int64(s.leakCounts[table]))
-	}
-	s.traceMu.Unlock()
-}
-
-// LeakageCounters returns, per table, how many revealed equality pairs
-// recorded so far touch that table (an intra-table pair counts once).
-// Unlike the full PairSet traces these counters are cheap to persist,
-// so a durable server checkpoints them across restarts.
-func (s *Server) LeakageCounters() map[string]uint64 {
+// AddLeakage folds classes of rows known to be equal into the ledger —
+// a terminating stream's sigma(q) or, at recovery, the merges an earlier
+// process persisted — and returns the merges that changed it.
+func (s *Server) AddLeakage(classes [][]leakage.RowRef) [][]leakage.RowRef {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
-	out := make(map[string]uint64, len(s.leakCounts))
-	for k, v := range s.leakCounts {
-		out[k] = v
+	merges := s.ledger.Add(classes)
+	if len(merges) > 0 {
+		for table, n := range s.ledger.Touching() {
+			s.met.RevealedPairs.With(table).Set(int64(n))
+		}
 	}
-	return out
+	return merges
 }
 
-// SeedLeakageCounters restores per-table counters checkpointed by an
-// earlier process (see LeakageCounters), replacing the current values
-// of the named tables. Call it at recovery, before serving queries.
-func (s *Server) SeedLeakageCounters(counters map[string]uint64) {
+// ClosurePairs is the size of the closure of everything revealed so far.
+func (s *Server) ClosurePairs() int {
 	s.traceMu.Lock()
-	for k, v := range counters {
-		s.leakCounts[k] = v
-		s.met.RevealedPairs.With(k).Set(int64(v))
-	}
-	s.traceMu.Unlock()
+	defer s.traceMu.Unlock()
+	return s.ledger.Pairs()
 }
 
 // DefaultBatchSize is the number of rows per JoinStream batch when the
@@ -492,13 +471,13 @@ type JoinSpec struct {
 	Workers int
 	// Progress, when non-nil, is called after each completed pipeline
 	// step — the build-side decrypt, then every probe batch — with the
-	// cumulative counters so far. It runs on the goroutine draining the
+	// running totals so far. It runs on the goroutine draining the
 	// stream, so implementations must be fast and must synchronize their
 	// own state; the async job table uses it to publish live JobStatus.
 	Progress func(JoinProgress)
 }
 
-// JoinProgress is the cumulative progress of one join execution,
+// JoinProgress is the progress so far of one join execution,
 // reported through JoinSpec.Progress.
 type JoinProgress struct {
 	// RowsDecrypted counts rows run through SJ.Dec (or served for them
@@ -546,20 +525,19 @@ type JoinStream struct {
 	probe    []int            // candidate rows of B, ascending; nil = every row
 	skipA    bool             // key-only projection: omit side-A payloads
 	skipB    bool             // key-only projection: omit side-B payloads
-	bucketsB map[string][]int // D value of B -> rows seen so far (intra-B pairs)
-	pairs    leakage.PairSet  // leakage accumulated as matching progresses
+	bucketsB map[string][]int // D value of B -> rows seen so far
+	revealed int              // |sigma(q)| so far, the pairs within the classes of index+bucketsB
 	next     int              // next entry of probe to decrypt
-	trace    *QueryTrace
-	done     bool
-	err      error     // sticky terminal error, re-returned by Next
-	started  time.Time // stream open time, for the join wall-time histogram
+	trace    *QueryTrace      // set when the stream terminates
+	err      error            // sticky terminal error, re-returned by Next
+	started  time.Time        // stream open time, for the join wall-time histogram
 
 	progress  func(JoinProgress) // optional per-step progress hook
 	rowsDec   int                // rows decrypted so far, both sides
 	stepsDone int                // completed pipeline steps
 }
 
-// reportProgress publishes the stream's cumulative counters through the
+// reportProgress publishes the stream's running totals through the
 // spec's hook, if any.
 func (st *JoinStream) reportProgress() {
 	if st.progress == nil {
@@ -568,7 +546,7 @@ func (st *JoinStream) reportProgress() {
 	st.progress(JoinProgress{
 		RowsDecrypted: st.rowsDec,
 		StepsDone:     st.stepsDone,
-		RevealedPairs: st.pairs.Len(),
+		RevealedPairs: st.revealed,
 	})
 }
 
@@ -619,23 +597,17 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 	}
 	s.met.DecSeconds.Observe(time.Since(decStart).Seconds())
 	s.met.RowsDecrypted.Add(uint64(len(das)))
+	// A row entering the class of its D value pairs with every row in it:
+	// intra-A pairs leak here, before the first probe.
 	index := make(map[string][]int, len(das))
+	revealed := 0
 	for i, d := range das {
+		revealed += len(index[string(d)])
 		index[string(d)] = append(index[string(d)], candRow(candA, i))
 	}
 	batch := spec.Batch
 	if batch <= 0 {
 		batch = DefaultBatchSize
-	}
-	// The intra-A pairs were observed the moment side A was decrypted;
-	// seed the trace with them so even a stream closed before the first
-	// probe audits honestly. (das itself need not be retained.)
-	pairs := leakage.NewPairSet()
-	for _, sp := range securejoin.SelfPairs(das) {
-		pairs.Add(leakage.Pair{
-			A: leakage.RowRef{Table: tableA, Row: candRow(candA, sp[0])},
-			B: leakage.RowRef{Table: tableA, Row: candRow(candA, sp[1])},
-		})
 	}
 	st := &JoinStream{
 		srv:    s,
@@ -649,7 +621,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 		skipA:    spec.SkipPayloadA,
 		skipB:    spec.SkipPayloadB,
 		bucketsB: make(map[string][]int),
-		pairs:    pairs,
+		revealed: revealed,
 		started:  started,
 		progress: spec.Progress,
 	}
@@ -664,7 +636,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 // exhausted when Next returns io.EOF, at which point the query trace
 // has been recorded.
 func (st *JoinStream) Next() ([]JoinedRow, error) {
-	if st.done {
+	if st.trace != nil {
 		if st.err != nil {
 			return nil, st.err
 		}
@@ -705,21 +677,13 @@ func (st *JoinStream) Next() ([]JoinedRow, error) {
 				jr.PayloadB = st.tb.Rows[rowB].Payload
 			}
 			out = append(out, jr)
-			st.pairs.Add(leakage.Pair{
-				A: leakage.RowRef{Table: st.tableA, Row: rowA},
-				B: leakage.RowRef{Table: st.tableB, Row: rowB},
-			})
 		}
-		// Intra-B equalities: this row pairs with every earlier B row
-		// sharing its D value — the incremental form of SelfPairs, so
-		// neither the D values nor a second match pass is needed.
-		for _, prior := range st.bucketsB[key] {
-			st.pairs.Add(leakage.Pair{
-				A: leakage.RowRef{Table: st.tableB, Row: prior},
-				B: leakage.RowRef{Table: st.tableB, Row: rowB},
-			})
+		// The row enters its class and pairs with every A and earlier B row
+		// in it — unless, in a self-join, side A already put it there.
+		if st.tableA != st.tableB || !slices.Contains(st.index[key], rowB) {
+			st.revealed += len(st.index[key]) + len(st.bucketsB[key])
+			st.bucketsB[key] = append(st.bucketsB[key], rowB)
 		}
-		st.bucketsB[key] = append(st.bucketsB[key], rowB)
 	}
 	st.next = end
 	st.rowsDec += len(chunk)
@@ -728,16 +692,38 @@ func (st *JoinStream) Next() ([]JoinedRow, error) {
 	return out, nil
 }
 
+// classes reads sigma(q) off the two D-value maps: per D value, the A
+// rows and the B rows that share it, when that is two rows or more.
+func (st *JoinStream) classes() [][]leakage.RowRef {
+	byKey := make(map[string][]leakage.RowRef, len(st.index))
+	add := func(table string, side map[string][]int) {
+		for key, rows := range side {
+			for _, r := range rows {
+				byKey[key] = append(byKey[key], leakage.RowRef{Table: table, Row: r})
+			}
+		}
+	}
+	add(st.tableA, st.index)
+	add(st.tableB, st.bucketsB)
+	var out [][]leakage.RowRef
+	for _, class := range byKey {
+		if len(class) >= 2 {
+			out = append(out, class)
+		}
+	}
+	return out
+}
+
 // finish records the leakage accumulated so far — the full sigma(q)
 // when the stream is drained, a prefix when it failed or was released
 // early. Idempotent.
 func (st *JoinStream) finish() {
-	if st.done {
+	if st.trace != nil {
 		return
 	}
-	st.done = true
-	st.trace = &QueryTrace{Pairs: st.pairs}
-	st.srv.recordTrace(st.trace)
+	classes := st.classes()
+	st.trace = &QueryTrace{Classes: classes, Merges: st.srv.AddLeakage(classes)}
+	st.srv.queries.Add(1)
 	st.srv.met.JoinsCompleted.Inc()
 	st.srv.met.JoinSeconds.Observe(time.Since(st.started).Seconds())
 }
@@ -754,14 +740,9 @@ func (st *JoinStream) Close() {
 // stream has terminated (drained, failed, or closed).
 func (st *JoinStream) Trace() *QueryTrace { return st.trace }
 
-// RevealedPairs is the size of the query's sigma(q) trace; valid after
-// the stream is exhausted.
-func (st *JoinStream) RevealedPairs() int {
-	if st.trace == nil {
-		return 0
-	}
-	return st.trace.Pairs.Len()
-}
+// RevealedPairs is the size of sigma(q) observed so far — of the whole
+// query once the stream is exhausted.
+func (st *JoinStream) RevealedPairs() int { return st.revealed }
 
 // Drain pulls the stream to exhaustion and returns the accumulated rows
 // with the recorded trace, for callers that want the whole result at
@@ -781,17 +762,12 @@ func (st *JoinStream) Drain() ([]JoinedRow, *QueryTrace, error) {
 	return result, st.Trace(), nil
 }
 
-// ObservedLeakage returns the per-query traces recorded so far and the
-// transitive closure of their union — by Corollary 5.2.2 this closure is
-// everything a semi-honest server can derive from the whole series.
-func (s *Server) ObservedLeakage() (perQuery []leakage.PairSet, closure leakage.PairSet) {
-	// Snapshot under the lock, compute the (potentially expensive)
-	// closure outside it so auditing never stalls concurrent joins'
-	// trace recording.
+// ObservedLeakage returns how many traces this process has recorded and
+// the closure of everything revealed — by Corollary 5.2.2 all a
+// semi-honest server can derive from the whole series.
+func (s *Server) ObservedLeakage() (queries int, closure leakage.PairSet) {
 	s.traceMu.Lock()
-	perQuery = append([]leakage.PairSet(nil), s.perQuery...)
-	cumulative := leakage.NewPairSet()
-	cumulative.AddAll(s.cumulative)
-	s.traceMu.Unlock()
-	return perQuery, cumulative.TransitiveClosure()
+	classes := s.ledger.Classes()
+	s.traceMu.Unlock() // expanding classes into pairs is quadratic: not under the lock
+	return int(s.queries.Load()), leakage.Expand(classes)
 }

@@ -70,13 +70,13 @@ func TestEndToEndJoin(t *testing.T) {
 	if !bytes.Equal(pa, []byte("team-1")) || !bytes.Equal(pb, []byte("kaily")) {
 		t.Fatalf("payloads = %q, %q", pa, pb)
 	}
-	if trace.Pairs.Len() != 1 {
-		t.Fatalf("query trace has %d pairs, want 1", trace.Pairs.Len())
+	if trace.Pairs().Len() != 1 {
+		t.Fatalf("query trace has %d pairs, want 1", trace.Pairs().Len())
 	}
 }
 
 // TestSeriesLeakageIsClosureOnly replays the two queries of the paper's
-// timeline and verifies that the server's cumulative observation equals
+// timeline and verifies that what the server holds after the series equals
 // exactly the transitive closure of the per-query traces (Corollary
 // 5.2.2) — 2 pairs, not Hahn's 6.
 func TestSeriesLeakageIsClosureOnly(t *testing.T) {
@@ -89,7 +89,8 @@ func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q1}); err != nil {
+	_, trace1, err := join(server, "Teams", "Employees", JoinSpec{Query: q1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	q2, err := client.NewQuery(
@@ -99,18 +100,20 @@ func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := join(server, "Teams", "Employees", JoinSpec{Query: q2}); err != nil {
+	_, trace2, err := join(server, "Teams", "Employees", JoinSpec{Query: q2})
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	perQuery, closure := server.ObservedLeakage()
-	if len(perQuery) != 2 {
-		t.Fatalf("%d per-query traces", len(perQuery))
+	queries, closure := server.ObservedLeakage()
+	if queries != 2 {
+		t.Fatalf("%d traces recorded", queries)
 	}
+	sigmas := []leakage.PairSet{trace1.Pairs(), trace2.Pairs()}
 	if closure.Len() != 2 {
 		t.Fatalf("closure has %d pairs, want 2", closure.Len())
 	}
-	if leakage.IsSuperAdditive(closure, perQuery) {
+	if leakage.IsSuperAdditive(closure, sigmas) {
 		t.Fatal("engine leaked super-additively")
 	}
 	want := leakage.NewPairSet(

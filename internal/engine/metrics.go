@@ -31,10 +31,10 @@ type Metrics struct {
 	DecCacheEvictions *metrics.Counter
 	DecCacheOversized *metrics.Counter
 	DecCacheBytes     *metrics.Gauge
-	// RevealedPairs tracks, per table, the leakage counter: how many
-	// revealed equality pairs recorded so far touch that table. A gauge,
-	// not a counter, because recovery seeds it from the store's
-	// checkpoint.
+	// RevealedPairs is, per table, how many pairs of the ledger's closure
+	// have an endpoint in it (see leakage.Ledger.Touching): revealing a
+	// pair again changes nothing, and recovery replays the persisted
+	// ledger into it.
 	RevealedPairs *metrics.GaugeVec
 }
 
@@ -52,7 +52,7 @@ func NewMetrics(reg *metrics.Registry) Metrics {
 		DecCacheEvictions: metrics.NewCounter(reg, "sj_decrypt_cache_evictions_total", "decrypt-cache entries evicted by the byte budget"),
 		DecCacheOversized: metrics.NewCounter(reg, "sj_decrypt_cache_oversized_total", "decrypt-cache fills dropped because one entry alone exceeded the byte budget"),
 		DecCacheBytes:     metrics.NewGauge(reg, "sj_decrypt_cache_bytes", "current decrypt-cache footprint in bytes"),
-		RevealedPairs:     metrics.NewGaugeVec(reg, "sj_revealed_pairs", "revealed equality pairs touching each table (sigma leakage counter)", "table"),
+		RevealedPairs:     metrics.NewGaugeVec(reg, "sj_revealed_pairs", "pairs of the leakage closure with an endpoint in each table", "table"),
 	}
 }
 

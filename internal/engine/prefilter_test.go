@@ -64,8 +64,8 @@ func TestPrefilteredJoinMatchesFullJoin(t *testing.T) {
 			t.Fatalf("row %d differs: %v vs %v", i, fast[i], full[i])
 		}
 	}
-	if trace.Pairs.Len() != 1 {
-		t.Fatalf("trace has %d pairs", trace.Pairs.Len())
+	if trace.Pairs().Len() != 1 {
+		t.Fatalf("trace has %d pairs", trace.Pairs().Len())
 	}
 }
 
@@ -162,8 +162,8 @@ func TestPrefilterNoMatches(t *testing.T) {
 	// The Employees side is unrestricted, so its intra-table equality
 	// pairs (two teams of two) are legitimately revealed even though
 	// the cross join is empty — exactly the paper's leakage definition.
-	if trace.Pairs.Len() != 2 {
-		t.Fatalf("expected the 2 intra-Employees pairs, got %d", trace.Pairs.Len())
+	if trace.Pairs().Len() != 2 {
+		t.Fatalf("expected the 2 intra-Employees pairs, got %d", trace.Pairs().Len())
 	}
 }
 
@@ -215,8 +215,8 @@ func TestPrefilteredStreamMatchesOneShot(t *testing.T) {
 			t.Fatalf("row %d differs: %v vs %v", i, got[i], want[i])
 		}
 	}
-	if st.RevealedPairs() != wantTrace.Pairs.Len() {
-		t.Fatalf("stream trace %d pairs, one-shot trace %d", st.RevealedPairs(), wantTrace.Pairs.Len())
+	if st.RevealedPairs() != wantTrace.Pairs().Len() {
+		t.Fatalf("stream trace %d pairs, one-shot trace %d", st.RevealedPairs(), wantTrace.Pairs().Len())
 	}
 }
 
@@ -244,9 +244,8 @@ func TestPrefilteredStreamCloseRecordsPrefix(t *testing.T) {
 	if st.RevealedPairs() != 2 {
 		t.Fatalf("prefix trace has %d pairs, want the 2 intra-A pairs", st.RevealedPairs())
 	}
-	perQuery, _ := server.ObservedLeakage()
-	if len(perQuery) != 1 || perQuery[0].Len() != 2 {
-		t.Fatalf("audit log = %v, want one 2-pair trace", perQuery)
+	if queries, closure := server.ObservedLeakage(); queries != 1 || !closure.Equal(st.Trace().Pairs()) || closure.Len() != 2 {
+		t.Fatalf("ledger holds %d trace(s), closure %v; want the one 2-pair trace", queries, closure.Sorted())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/securejoin"
 )
 
@@ -213,11 +214,12 @@ func TestRegisterTableOverwriteReplacesIndex(t *testing.T) {
 	}
 }
 
-// TestLeakageCounters: counters track per-table revealed pairs and can
-// be checkpointed and reseeded across a simulated restart.
-func TestLeakageCounters(t *testing.T) {
+// TestLedgerCountsClosureOncePerTable: sj_revealed_pairs{table} is the
+// closure pairs with an endpoint in the table and ClosurePairs their
+// total, both unmoved by a repeated query and both rebuilt by replaying
+// the first query's merges into a fresh server.
+func TestLedgerCountsClosureOncePerTable(t *testing.T) {
 	client := storeTestClient(t)
-	server := NewServer()
 	teams, employees := exampleTables()
 	encT, err := client.EncryptTable("Teams", teams)
 	if err != nil {
@@ -227,51 +229,69 @@ func TestLeakageCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encT)
-	server.Upload(encE)
-
-	q, err := client.NewQuery(securejoin.Selection{}, securejoin.Selection{})
-	if err != nil {
-		t.Fatal(err)
+	newServer := func() *Server {
+		server := NewServer()
+		server.Instrument(metrics.NewRegistry())
+		server.Upload(encT)
+		server.Upload(encE)
+		return server
 	}
-	_, trace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	counters := server.LeakageCounters()
-	var wantTeams, wantEmployees uint64
-	for p := range trace.Pairs {
-		if p.A.Table == "Teams" || p.B.Table == "Teams" {
-			wantTeams++
+	// run executes the full join and returns its trace.
+	run := func(server *Server) *QueryTrace {
+		t.Helper()
+		q, err := client.NewQuery(securejoin.Selection{}, securejoin.Selection{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.A.Table == "Employees" || p.B.Table == "Employees" {
-			wantEmployees++
+		st, err := server.OpenJoin("Teams", "Employees", JoinSpec{Query: q})
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, trace, err := st.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace
 	}
-	if trace.Pairs.Len() == 0 {
-		t.Fatal("query revealed no pairs; counters untestable")
-	}
-	if counters["Teams"] != wantTeams || counters["Employees"] != wantEmployees {
-		t.Fatalf("counters = %v, want Teams=%d Employees=%d", counters, wantTeams, wantEmployees)
+	gauge := func(server *Server, table string) int {
+		return int(server.met.RevealedPairs.With(table).Value())
 	}
 
-	// "Restart": a fresh server seeded with the checkpoint reports the
-	// same counters and keeps incrementing from them.
-	restarted := NewServer()
-	restarted.SeedLeakageCounters(counters)
-	restarted.Upload(encT)
-	restarted.Upload(encE)
-	q2, err := client.NewQuery(securejoin.Selection{}, securejoin.Selection{})
-	if err != nil {
-		t.Fatal(err)
+	server := newServer()
+	trace := run(server)
+	pairs := trace.Pairs()
+	if pairs.Len() == 0 || len(trace.Merges) == 0 {
+		t.Fatal("query revealed no pairs; the ledger is untestable")
 	}
-	if _, _, err := join(restarted, "Teams", "Employees", JoinSpec{Query: q2}); err != nil {
-		t.Fatal(err)
+	want := map[string]int{}
+	for p := range pairs {
+		want[p.A.Table]++
+		if p.B.Table != p.A.Table {
+			want[p.B.Table]++
+		}
 	}
-	after := restarted.LeakageCounters()
-	if after["Teams"] != 2*wantTeams || after["Employees"] != 2*wantEmployees {
-		t.Fatalf("seeded counters after identical query = %v, want Teams=%d Employees=%d",
-			after, 2*wantTeams, 2*wantEmployees)
+	check := func(server *Server, when string) {
+		t.Helper()
+		if got := server.ClosurePairs(); got != pairs.Len() {
+			t.Fatalf("%s: ClosurePairs = %d, want %d", when, got, pairs.Len())
+		}
+		for table, n := range want {
+			if got := gauge(server, table); got != n {
+				t.Fatalf("%s: sj_revealed_pairs{%s} = %d, want %d", when, table, got, n)
+			}
+		}
 	}
+	check(server, "after one query")
+	if again := run(server); len(again.Merges) != 0 {
+		t.Fatalf("the repeated query added %d merges", len(again.Merges))
+	}
+	check(server, "after the same query again")
+
+	restarted := newServer()
+	restarted.AddLeakage(trace.Merges)
+	check(restarted, "after replaying the merges")
+	if again := run(restarted); len(again.Merges) != 0 {
+		t.Fatalf("the repeated query added %d merges to the restored ledger", len(again.Merges))
+	}
+	check(restarted, "after the same query on the restored ledger")
 }

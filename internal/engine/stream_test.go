@@ -71,8 +71,8 @@ func TestJoinStreamMatchesDrain(t *testing.T) {
 			t.Fatalf("stream produced unexpected pair (%d,%d)", r.RowA, r.RowB)
 		}
 	}
-	if stream.RevealedPairs() != wantTrace.Pairs.Len() {
-		t.Fatalf("stream trace %d pairs, Drain trace %d", stream.RevealedPairs(), wantTrace.Pairs.Len())
+	if stream.RevealedPairs() != wantTrace.Pairs().Len() {
+		t.Fatalf("stream trace %d pairs, Drain trace %d", stream.RevealedPairs(), wantTrace.Pairs().Len())
 	}
 	// Exhausted stream keeps returning EOF.
 	if _, err := stream.Next(); err != io.EOF {
@@ -107,14 +107,99 @@ func TestJoinStreamCloseRecordsPartialLeakage(t *testing.T) {
 	if st.RevealedPairs() != 1 {
 		t.Fatalf("partial trace has %d pairs, want 1", st.RevealedPairs())
 	}
-	perQuery, _ := server.ObservedLeakage()
-	if len(perQuery) != 1 || perQuery[0].Len() != 1 {
-		t.Fatalf("audit log = %v, want one 1-pair trace", perQuery)
+	if queries, closure := server.ObservedLeakage(); queries != 1 || !closure.Equal(st.Trace().Pairs()) || closure.Len() != 1 {
+		t.Fatalf("ledger holds %d trace(s), closure %v; want the one 1-pair trace", queries, closure.Sorted())
 	}
 	// Close is idempotent and does not double-record.
 	st.Close()
-	if perQuery, _ := server.ObservedLeakage(); len(perQuery) != 1 {
-		t.Fatalf("second Close appended a trace: %d entries", len(perQuery))
+	if queries, _ := server.ObservedLeakage(); queries != 1 {
+		t.Fatalf("second Close recorded a trace: %d recorded", queries)
+	}
+}
+
+// TestJoinStreamSigmaIsClassSizes: the stream's running sigma(q) count
+// is read off class sizes, never off materialised pairs, so it must
+// equal the expansion of the trace in every way a stream can end. The
+// self-join is the case where counting rows would be wrong: one
+// physical row is the same RowRef on both sides and pairs with itself
+// on neither.
+func TestJoinStreamSigmaIsClassSizes(t *testing.T) {
+	client, server := setup(t)
+	// People: rows 0, 1, 2 share a join value; attribute "a" selects rows
+	// 0, 2 and 3. Self-joined with that selection on side A only, side A
+	// leaks the class {0,2} and probing row 1 grows it to {0,1,2}; rows
+	// 0, 2 and 3 arrive on side B as the rows side A already holds.
+	people := []PlainRow{
+		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}},
+		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("b")}},
+		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}},
+		{JoinValue: []byte("y"), Attrs: [][]byte{[]byte("a")}},
+	}
+	encP, err := client.EncryptTable("People", people)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server.Upload(encP)
+	// Broken is Teams with a first row no token can decrypt: a probe over
+	// it fails at its first batch.
+	teams, _ := exampleTables()
+	broken, err := client.EncryptTable("Broken", teams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Rows[0].Join.C.Elems = broken.Rows[0].Join.C.Elems[:1]
+	server.Upload(broken)
+
+	selA := securejoin.Selection{0: [][]byte{[]byte("a")}}
+	for _, tc := range []struct {
+		name           string
+		tableA, tableB string
+		selA           securejoin.Selection
+		batches        int // Next calls before Close; -1 drains
+		failing        bool
+		want           int
+	}{
+		{"self-join drained", "People", "People", selA, -1, false, 3},
+		{"self-join closed before the first probe", "People", "People", selA, 0, false, 1},
+		{"self-join closed after the duplicate row", "People", "People", selA, 1, false, 1},
+		{"self-join closed after the new row", "People", "People", selA, 2, false, 3},
+		// Employees' two intra-A classes are visible although no probe
+		// batch ever succeeds.
+		{"failed first Next keeps the build side", "Employees", "Broken", securejoin.Selection{}, 1, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := client.NewQuery(tc.selA, securejoin.Selection{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := server.ClosurePairs()
+			st, err := server.OpenJoin(tc.tableA, tc.tableB, JoinSpec{Query: q, Batch: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nextErr error
+			for i := 0; i != tc.batches && nextErr == nil; i++ {
+				_, nextErr = st.Next()
+			}
+			if failed := nextErr != nil && nextErr != io.EOF; failed != tc.failing {
+				t.Fatalf("Next error = %v, want failure: %v", nextErr, tc.failing)
+			}
+			st.Close()
+			pairs := st.Trace().Pairs()
+			if st.RevealedPairs() != tc.want || pairs.Len() != tc.want {
+				t.Fatalf("RevealedPairs = %d, trace expands to %d pairs, want %d: %v",
+					st.RevealedPairs(), pairs.Len(), tc.want, pairs.Sorted())
+			}
+			_, closure := server.ObservedLeakage()
+			for p := range pairs {
+				if !closure.Contains(p) {
+					t.Fatalf("ledger is missing %v", p)
+				}
+			}
+			if grew := server.ClosurePairs() - before; grew != 0 && len(st.Trace().Merges) == 0 {
+				t.Fatalf("closure grew by %d pairs but the stream reports no merges", grew)
+			}
+		})
 	}
 }
 
@@ -161,7 +246,7 @@ func TestConcurrentJoins(t *testing.T) {
 				errs <- fmt.Errorf("concurrent join: %d rows, want 4", len(rows))
 				return
 			}
-			if trace.Pairs.Len() == 0 {
+			if trace.Pairs().Len() == 0 {
 				errs <- errors.New("concurrent join recorded empty trace")
 			}
 		}()
@@ -171,9 +256,10 @@ func TestConcurrentJoins(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	perQuery, _ := server.ObservedLeakage()
-	if len(perQuery) != goroutines {
-		t.Fatalf("recorded %d traces, want %d", len(perQuery), goroutines)
+	// Eight identical queries merged concurrently teach what one does.
+	queries, closure := server.ObservedLeakage()
+	if queries != goroutines || closure.Len() != 6 || server.ClosurePairs() != 6 {
+		t.Fatalf("recorded %d traces and a closure of %d pairs, want %d and 6", queries, closure.Len(), goroutines)
 	}
 }
 

@@ -124,7 +124,7 @@ func (s PairSet) TransitiveClosure() PairSet {
 	for p := range s {
 		uf.Union(p.A, p.B)
 	}
-	return uf.Pairs()
+	return Expand(uf.Classes())
 }
 
 // IsSuperAdditive reports whether observed leaks strictly more than the
@@ -148,12 +148,13 @@ func IsSuperAdditive(observed PairSet, perQuery []PairSet) bool {
 // UnionFind maintains equivalence classes of row references.
 type UnionFind struct {
 	parent map[RowRef]RowRef
-	rank   map[RowRef]int
+	grown  map[RowRef]int // |class| - 1 per class root: an unseen row is a class of one
+	pairs  int            // pairs within classes, the sum of C(|class|, 2)
 }
 
 // NewUnionFind returns an empty structure.
 func NewUnionFind() *UnionFind {
-	return &UnionFind{parent: make(map[RowRef]RowRef), rank: make(map[RowRef]int)}
+	return &UnionFind{parent: make(map[RowRef]RowRef), grown: make(map[RowRef]int)}
 }
 
 // Find returns the class representative of x, adding x if unseen.
@@ -171,20 +172,26 @@ func (u *UnionFind) Find(x RowRef) RowRef {
 	return root
 }
 
-// Union merges the classes of a and b.
-func (u *UnionFind) Union(a, b RowRef) {
+// Union merges the classes of a and b, the smaller into the larger, and
+// reports whether they were two classes until now.
+func (u *UnionFind) Union(a, b RowRef) bool {
 	ra, rb := u.Find(a), u.Find(b)
 	if ra == rb {
-		return
+		return false
 	}
-	if u.rank[ra] < u.rank[rb] {
+	na, nb := u.grown[ra]+1, u.grown[rb]+1
+	if na < nb {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
+	u.grown[ra] = na + nb - 1
+	delete(u.grown, rb)
+	u.pairs += na * nb // C(na+nb, 2) - C(na, 2) - C(nb, 2)
+	return true
 }
+
+// Pairs is the size of the closure of the equalities added so far.
+func (u *UnionFind) Pairs() int { return u.pairs }
 
 // Connected reports whether a and b are in the same class.
 func (u *UnionFind) Connected(a, b RowRef) bool {
@@ -221,10 +228,10 @@ func (u *UnionFind) Classes() [][]RowRef {
 	return out
 }
 
-// Pairs expands every equivalence class into all of its internal pairs.
-func (u *UnionFind) Pairs() PairSet {
+// Expand returns the pair set a list of equivalence classes stands for.
+func Expand(classes [][]RowRef) PairSet {
 	out := NewPairSet()
-	for _, members := range u.Classes() {
+	for _, members := range classes {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
 				out.Add(Pair{A: members[i], B: members[j]})

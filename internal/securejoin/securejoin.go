@@ -391,23 +391,3 @@ func NestedLoopJoin(das, dbs []DValue) []MatchPair {
 	}
 	return out
 }
-
-// SelfPairs returns the equality pairs within a single decrypted table
-// (rows of the same table that decrypt to equal values under the current
-// query). The paper's leakage definition (Section 5.2) counts these
-// pairs too — e.g. the (b0^1, b0^2) pair of Example 2.1.
-func SelfPairs(ds []DValue) [][2]int {
-	buckets := make(map[string][]int, len(ds))
-	for i, d := range ds {
-		buckets[string(d)] = append(buckets[string(d)], i)
-	}
-	var out [][2]int
-	for _, rows := range buckets {
-		for x := 0; x < len(rows); x++ {
-			for y := x + 1; y < len(rows); y++ {
-				out = append(out, [2]int{rows[x], rows[y]})
-			}
-		}
-	}
-	return out
-}

@@ -249,9 +249,9 @@ func TestAbandonedStreamDoesNotStallConnection(t *testing.T) {
 	if len(results) != 6 {
 		t.Fatalf("join after abandoned stream: %d rows, want 6", len(results))
 	}
-	// Both queries — the abandoned one included — are in the audit log.
-	if perQuery, _ := srv.Engine().ObservedLeakage(); len(perQuery) != 2 {
-		t.Fatalf("audit log has %d traces, want 2", len(perQuery))
+	// Both queries — the abandoned one included — reached the ledger.
+	if queries, _ := srv.Engine().ObservedLeakage(); queries != 2 {
+		t.Fatalf("ledger recorded %d traces, want 2", queries)
 	}
 }
 

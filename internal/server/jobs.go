@@ -236,12 +236,16 @@ func (s *Server) runTask(t joinTask) {
 	err = drainJoin(stream, t)
 	// Whatever ended the drain — EOF, cancel, engine error, a sink whose
 	// peer died — closing the stream puts the leakage observed so far in
-	// the audit log before finish reports the outcome. The counters'
-	// checkpoint follows the report, so its fsync never adds to a
-	// reply's latency.
+	// the ledger before finish reports the outcome. What it added, if
+	// anything, is persisted after the report, so the fsync delays no
+	// reply; merges commute, so concurrent joins append in any order.
 	stream.Close()
 	t.finish(stream.RevealedPairs(), err)
-	s.persistCounters()
+	if merges := stream.Trace().Merges; s.store != nil && len(merges) > 0 {
+		if err := s.store.RecordLedger(merges); err != nil {
+			s.logf("persisting leakage ledger: %v", err)
+		}
+	}
 }
 
 // drainJoin pulls the stream to exhaustion, handing each batch to the

@@ -150,10 +150,6 @@ func (s *Server) health() *wire.HealthInfo {
 		ready = false
 	default:
 	}
-	var leaked uint64
-	for _, v := range s.eng.LeakageCounters() {
-		leaked += v
-	}
 	queued, running, stored := s.jobGauges()
 	return &wire.HealthInfo{
 		Ready:         ready,
@@ -161,7 +157,7 @@ func (s *Server) health() *wire.HealthInfo {
 		ActiveConns:   int(s.met.ActiveConns.Value()),
 		InflightJoins: int(s.met.InflightJoins.Value()),
 		ShedTotal:     s.met.ShedTotal.Value(),
-		RevealedPairs: leaked,
+		RevealedPairs: uint64(s.eng.ClosurePairs()),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		JobsQueued:    queued,
 		JobsRunning:   running,

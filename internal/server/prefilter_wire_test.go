@@ -94,8 +94,8 @@ func TestPrefilteredJoinOverTCP(t *testing.T) {
 			t.Fatalf("row %d payload A differs", i)
 		}
 	}
-	if preRevealed != libTrace.Pairs.Len() {
-		t.Fatalf("revealed pairs: wire-prefiltered %d, library %d", preRevealed, libTrace.Pairs.Len())
+	if preRevealed != libTrace.Pairs().Len() {
+		t.Fatalf("revealed pairs: wire-prefiltered %d, library %d", preRevealed, libTrace.Pairs().Len())
 	}
 	if preRevealed != fullRevealed {
 		t.Fatalf("revealed pairs: prefiltered %d, full scan %d", preRevealed, fullRevealed)

@@ -16,8 +16,8 @@ import (
 )
 
 // startDurableServer opens (or reopens) the data dir and serves a
-// store-backed server on a fresh port.
-func startDurableServer(t *testing.T, dir string) (*Server, string) {
+// store-backed server on a fresh port; configure runs before Listen.
+func startDurableServer(t *testing.T, dir string, configure ...func(*Server)) (*Server, string) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -27,6 +27,9 @@ func startDurableServer(t *testing.T, dir string) (*Server, string) {
 		t.Fatalf("data dir damaged: %v", d)
 	}
 	srv := NewWithStore(nil, st)
+	for _, f := range configure {
+		f(srv)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +43,9 @@ func startDurableServer(t *testing.T, dir string) (*Server, string) {
 // the server stopped, a brand-new server started on the same -data dir
 // with a fresh connection — and the same join must return identical
 // rows (payload bytes included) and the same revealed-pair (sigma)
-// count, with the persisted leakage counters carried across too.
+// count. The leakage ledger is carried across too: the closure is the
+// same before and after, and repeating the join adds nothing to it or
+// to the manifest.
 func TestRestartRecoversTablesAndJoins(t *testing.T) {
 	dir := t.TempDir()
 	srv1, addr1 := startDurableServer(t, dir)
@@ -58,9 +63,9 @@ func TestRestartRecoversTablesAndJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countersBefore := srv1.Engine().LeakageCounters()
-	if len(countersBefore) == 0 {
-		t.Fatal("join left no leakage counters to persist")
+	_, closureBefore := srv1.Engine().ObservedLeakage()
+	if closureBefore.Len() == 0 {
+		t.Fatal("join left no leakage to persist")
 	}
 
 	c1.Close()
@@ -71,14 +76,12 @@ func TestRestartRecoversTablesAndJoins(t *testing.T) {
 	// The restart: a new process image — new store handle, new engine,
 	// new listener — with nothing carried over but the directory.
 	srv2, addr2 := startDurableServer(t, dir)
-	if got := srv2.Engine().LeakageCounters(); len(got) != len(countersBefore) {
-		t.Fatalf("recovered counters %v, want %v", got, countersBefore)
-	} else {
-		for k, v := range countersBefore {
-			if got[k] != v {
-				t.Fatalf("recovered counters %v, want %v", got, countersBefore)
-			}
-		}
+	recordsAtStart := srv2.store.RecordCount()
+	if _, got := srv2.Engine().ObservedLeakage(); !got.Equal(closureBefore) {
+		t.Fatalf("recovered closure %v, want %v", got.Sorted(), closureBefore.Sorted())
+	}
+	if got := srv2.health().RevealedPairs; got != uint64(closureBefore.Len()) {
+		t.Fatalf("health reports %d revealed pairs after restart, want %d", got, closureBefore.Len())
 	}
 	c2, err := client.DialWithKeys(addr2, keys)
 	if err != nil {
@@ -115,6 +118,17 @@ func TestRestartRecoversTablesAndJoins(t *testing.T) {
 	if len(fullAfter) != len(before) || fullRevealed != beforeRevealed {
 		t.Fatalf("full scan after restart: %d rows / %d pairs, want %d / %d",
 			len(fullAfter), fullRevealed, len(before), beforeRevealed)
+	}
+	// The repeated joins taught the server nothing: same closure, and —
+	// once Close has waited for the workers — not one manifest record.
+	if _, got := srv2.Engine().ObservedLeakage(); !got.Equal(closureBefore) {
+		t.Fatalf("closure after repeating the join %v, want %v", got.Sorted(), closureBefore.Sorted())
+	}
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.store.RecordCount(); got != recordsAtStart {
+		t.Fatalf("repeating the join grew the manifest from %d to %d records", recordsAtStart, got)
 	}
 }
 

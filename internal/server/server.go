@@ -54,12 +54,6 @@ type Server struct {
 	idleTimeout     atomic.Int64 // nanoseconds; 0 = no idle timeout
 	http            *http.Server // optional /metrics + /healthz endpoint
 
-	// countersMu makes each leakage-counter checkpoint a consistent
-	// read-then-append: without it two finishing joins could write
-	// their snapshots to the manifest in the opposite order they read
-	// them, leaving the older one as the durable tail.
-	countersMu sync.Mutex
-
 	// Async job subsystem (see jobs.go): the job table, the bounded
 	// worker pool executing ALL join work (sync and submitted), and its
 	// FIFO task queue. Pool sizing is configured before Serve.
@@ -88,7 +82,7 @@ func New(logger *log.Logger) *Server {
 
 // NewWithStore returns a server backed by a durable table store: every
 // table the store recovered is re-registered (with its SSE index) and
-// the persisted leakage counters are restored, then uploads committed
+// the persisted leakage ledger is replayed, then uploads committed
 // over the wire persist through the store before they are acked. st may
 // be nil for the in-memory behavior of New. The server owns the store
 // from here on: Close closes it.
@@ -109,8 +103,8 @@ func NewWithStore(logger *log.Logger, st *store.Store) *Server {
 		done:            make(chan struct{}),
 		conns:           make(map[net.Conn]struct{}),
 	}
-	// Instrument the engine before the recovery below so the seeded
-	// leakage counters land in the gauges too.
+	// Instrument the engine before the recovery below so the replayed
+	// ledger lands in the sj_revealed_pairs gauges too.
 	s.eng.Instrument(reg)
 	if st != nil {
 		st.Instrument(reg)
@@ -121,7 +115,7 @@ func NewWithStore(logger *log.Logger, st *store.Store) *Server {
 			s.eng.Upload(t)
 			s.logf("recovered table %q (%d rows, indexed=%v)", t.Name, len(t.Rows), t.Index != nil)
 		}
-		s.eng.SeedLeakageCounters(st.Counters())
+		s.eng.AddLeakage(st.Ledger())
 		s.eng.SetStore(st)
 		s.recoverJobs(st)
 		s.logf("store %s: %d tables recovered, %d damaged", st.Dir(), len(tables), len(st.Damaged()))
@@ -725,22 +719,6 @@ func (ss *session) joinTask(id uint64, jr *wire.JoinRequest) joinTask {
 			// so a connection is never idle-closed mid-reply.
 			ss.endJoin(id)
 		},
-	}
-}
-
-// persistCounters checkpoints the engine's per-table leakage counters
-// to the store after an executed join (see runTask). Best-effort by
-// design: table data is never at risk, and a crash between a join's
-// trace recording and its checkpoint costs at most that one join's
-// counter increments.
-func (s *Server) persistCounters() {
-	if s.store == nil {
-		return
-	}
-	s.countersMu.Lock()
-	defer s.countersMu.Unlock()
-	if err := s.store.RecordCounters(s.eng.LeakageCounters()); err != nil {
-		s.logf("persisting leakage counters: %v", err)
 	}
 }
 

@@ -447,7 +447,7 @@ func TestSQLConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := execution{mode: mode, revealed: trace.Pairs.Len()}
+				e := execution{mode: mode, revealed: trace.Pairs().Len()}
 				for _, r := range rows {
 					e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, open(r.PayloadA), open(r.PayloadB)))
 				}

@@ -2,10 +2,12 @@ package sql_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/leakage"
 	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/sql"
@@ -19,10 +21,19 @@ import (
 // that loses the semi-join candidates on the way: the results would
 // still be right (the stitch discards the extra matches), but the step
 // would decrypt — and so reveal pairs over — the whole hub table.
+//
+// The sharded runs are also held to the leakage argument of sharding:
+// equal join values hash to one shard, so no class of equal rows spans
+// two, and the union of the shards' ledgers — their rows renamed to
+// the single server's row numbers — is the single server's ledger.
 func TestSQLConformanceTransports(t *testing.T) {
 	single, cl, srvs := clusterFixture(t)
 
 	teams, employees := conformanceTables()
+	// globalRow[table][shard][local row] is the row's number in the
+	// unsharded table: the cluster partitions by FNV-1a of the join value
+	// and keeps each shard's rows in table order.
+	globalRow := map[string][2][]int{}
 	for name, rows := range map[string][]engine.PlainRow{
 		"Teams": teams, "Employees": employees, "Offices": conformanceOffices(),
 	} {
@@ -32,6 +43,26 @@ func TestSQLConformanceTransports(t *testing.T) {
 		if err := cl.UploadIndexed(name, rows); err != nil {
 			t.Fatal(err)
 		}
+		var shards [2][]int
+		for i, r := range rows {
+			h := fnv.New64a()
+			h.Write(r.JoinValue)
+			shards[h.Sum64()%2] = append(shards[h.Sum64()%2], i)
+		}
+		globalRow[name] = shards
+	}
+	shardedClosure := func() leakage.PairSet {
+		union := leakage.NewPairSet()
+		for s, srv := range srvs[1:] {
+			global := func(r leakage.RowRef) leakage.RowRef {
+				return leakage.RowRef{Table: r.Table, Row: globalRow[r.Table][s][r.Row]}
+			}
+			_, closure := srv.Engine().ObservedLeakage()
+			for p := range closure {
+				union.Add(leakage.Pair{A: global(p.A), B: global(p.B)})
+			}
+		}
+		return union
 	}
 	cat := multiJoinCatalog(t)
 	if _, err := single.SyncCatalog(cat); err != nil {
@@ -110,6 +141,9 @@ func TestSQLConformanceTransports(t *testing.T) {
 	if want.rows == "" {
 		t.Fatal("the plan matched no rows; the comparison would be vacuous")
 	}
+	// Read now: the full-execution run below teaches this server more
+	// than the plan under test does.
+	_, wantClosure := srvs[0].Engine().ObservedLeakage()
 	// The plan must be one where losing the candidates shows: without
 	// the reduction its stitch step decrypts more rows.
 	if full := run(t, inProcess, one, fullPlan); len(want.perStep) != 2 || want.perStep[1] >= full.perStep[1] {
@@ -120,11 +154,12 @@ func TestSQLConformanceTransports(t *testing.T) {
 		name      string
 		runner    sql.Runner
 		decrypted func() uint64
+		sharded   bool
 	}{
-		{"wire sync", single.Runner(false), one},
-		{"wire async", single.Runner(true), one},
-		{"2-shard sync", cl.Runner(false), shards},
-		{"2-shard async", cl.Runner(true), shards},
+		{"wire sync", single.Runner(false), one, false},
+		{"wire async", single.Runner(true), one, false},
+		{"2-shard sync", cl.Runner(false), shards, true},
+		{"2-shard async", cl.Runner(true), shards, true},
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			got := run(t, tr.runner, tr.decrypted, plan)
@@ -136,6 +171,11 @@ func TestSQLConformanceTransports(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.perStep, want.perStep) {
 				t.Errorf("rows decrypted per step = %v, in-process = %v", got.perStep, want.perStep)
+			}
+			if tr.sharded {
+				if closure := shardedClosure(); !closure.Equal(wantClosure) {
+					t.Errorf("union of the shards' closures = %v, the single server's = %v", closure.Sorted(), wantClosure.Sorted())
+				}
 			}
 		})
 	}

@@ -4,15 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/leakage"
 )
 
 // tableState snapshots the observable state of a store for
 // before/after-compaction comparisons.
-func tableState(t testing.TB, s *Store) (tables map[string][]byte, counters map[string]uint64) {
+func tableState(t testing.TB, s *Store) (tables map[string][]byte, ledger [][]leakage.RowRef) {
 	t.Helper()
 	tables = make(map[string][]byte)
 	for _, tab := range s.Tables() {
@@ -22,12 +24,12 @@ func tableState(t testing.TB, s *Store) (tables map[string][]byte, counters map[
 		}
 		tables[tab.Name] = buf.Bytes()
 	}
-	return tables, s.Counters()
+	return tables, s.Ledger()
 }
 
-func assertSameState(t *testing.T, s *Store, wantTables map[string][]byte, wantCounters map[string]uint64) {
+func assertSameState(t *testing.T, s *Store, wantTables map[string][]byte, wantLedger [][]leakage.RowRef) {
 	t.Helper()
-	gotTables, gotCounters := tableState(t, s)
+	gotTables, gotLedger := tableState(t, s)
 	if len(gotTables) != len(wantTables) {
 		t.Fatalf("%d tables after compaction, want %d", len(gotTables), len(wantTables))
 	}
@@ -36,20 +38,15 @@ func assertSameState(t *testing.T, s *Store, wantTables map[string][]byte, wantC
 			t.Fatalf("table %q drifted across compaction", name)
 		}
 	}
-	if len(gotCounters) != len(wantCounters) {
-		t.Fatalf("counters = %v, want %v", gotCounters, wantCounters)
-	}
-	for k, v := range wantCounters {
-		if gotCounters[k] != v {
-			t.Fatalf("counter %q = %d, want %d", k, gotCounters[k], v)
-		}
+	if !reflect.DeepEqual(gotLedger, wantLedger) {
+		t.Fatalf("ledger = %v, want %v", gotLedger, wantLedger)
 	}
 }
 
 // TestCompactFoldsManifest: an explicit Compact folds a manifest full
-// of overwrites, deletions and counter checkpoints down to one record
-// per live table plus the latest checkpoint, preserving every byte of
-// live state across the rewrite and a subsequent recovery.
+// of overwrites, deletions and ledger deltas down to one record per
+// live table plus the ledger in one, preserving every byte of live
+// state across the rewrite and a subsequent recovery.
 func TestCompactFoldsManifest(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestClient(t)
@@ -59,14 +56,14 @@ func TestCompactFoldsManifest(t *testing.T) {
 	mustCommit(t, s, encTable(t, c, "gone", false, "x"))
 	for i := 0; i < 5; i++ {
 		mustCommit(t, s, encTable(t, c, "churn", false, "v", "v", "v"))
-		if err := s.RecordCounters(map[string]uint64{"keep": uint64(i + 1), "churn": 7}); err != nil {
+		if err := s.RecordLedger([][]leakage.RowRef{merge("keep", "churn", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
-	wantTables, wantCounters := tableState(t, s)
+	wantTables, wantLedger := tableState(t, s)
 	before := s.RecordCount()
 	if before != 13 {
 		t.Fatalf("RecordCount = %d, want 13", before)
@@ -75,11 +72,11 @@ func TestCompactFoldsManifest(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	// 2 live tables + 1 counters checkpoint.
+	// 2 live tables + the 5 merges in 1 ledger record.
 	if got := s.RecordCount(); got != 3 {
 		t.Fatalf("RecordCount after Compact = %d, want 3", got)
 	}
-	assertSameState(t, s, wantTables, wantCounters)
+	assertSameState(t, s, wantTables, wantLedger)
 
 	// The compacted manifest must still accept appends, and everything
 	// must recover from disk.
@@ -100,23 +97,23 @@ func TestCompactFoldsManifest(t *testing.T) {
 		err := engine.SaveTable(&buf, tableByName(t, s2, "late"))
 		return buf.Bytes(), err
 	}()
-	assertSameState(t, s2, wantTables, wantCounters)
+	assertSameState(t, s2, wantTables, wantLedger)
 }
 
-// TestOpenAutoCompacts: Open rewrites a record-heavy manifest (the
-// one-checkpoint-per-join growth pattern) without changing any live
-// state.
+// TestOpenAutoCompacts: Open rewrites a record-heavy manifest (here a
+// long series in which every join taught the server one merge) without
+// changing any live state.
 func TestOpenAutoCompacts(t *testing.T) {
 	dir := t.TempDir()
 	c := newTestClient(t)
 	s := mustOpen(t, dir)
 	mustCommit(t, s, encTable(t, c, "T", true, "p1", "p2"))
 	for i := 0; i < compactThreshold+10; i++ {
-		if err := s.RecordCounters(map[string]uint64{"T": uint64(i)}); err != nil {
+		if err := s.RecordLedger([][]leakage.RowRef{merge("T", "T", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantTables, wantCounters := tableState(t, s)
+	wantTables, wantLedger := tableState(t, s)
 	if s.RecordCount() <= compactThreshold {
 		t.Fatalf("test setup too small: %d records", s.RecordCount())
 	}
@@ -125,10 +122,10 @@ func TestOpenAutoCompacts(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir)
-	if got := s2.RecordCount(); got != 2 { // 1 table + 1 checkpoint
+	if got := s2.RecordCount(); got != 2 { // 1 table + 1 ledger record
 		t.Fatalf("RecordCount after auto-compaction = %d, want 2", got)
 	}
-	assertSameState(t, s2, wantTables, wantCounters)
+	assertSameState(t, s2, wantTables, wantLedger)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +134,7 @@ func TestOpenAutoCompacts(t *testing.T) {
 	if len(s3.Damaged()) != 0 {
 		t.Fatalf("damage after auto-compaction: %v", s3.Damaged())
 	}
-	assertSameState(t, s3, wantTables, wantCounters)
+	assertSameState(t, s3, wantTables, wantLedger)
 }
 
 // TestCompactRefusesDamage: compacting a store that recovered damaged
@@ -190,10 +187,10 @@ func TestCompactionTornMidRewrite(t *testing.T) {
 	s := mustOpen(t, dir)
 	mustCommit(t, s, encTable(t, c, "A", true, "a1", "a2"))
 	mustCommit(t, s, encTable(t, c, "B", false, "b1"))
-	if err := s.RecordCounters(map[string]uint64{"A": 3, "B": 1}); err != nil {
+	if err := s.RecordLedger([][]leakage.RowRef{merge("A", "B", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	wantTables, wantCounters := tableState(t, s)
+	wantTables, wantLedger := tableState(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +211,7 @@ func TestCompactionTornMidRewrite(t *testing.T) {
 	if len(s2.Damaged()) != 0 {
 		t.Fatalf("torn staging file reported as damage: %v", s2.Damaged())
 	}
-	assertSameState(t, s2, wantTables, wantCounters)
+	assertSameState(t, s2, wantTables, wantLedger)
 	if _, err := os.Stat(filepath.Join(dir, compactName)); !os.IsNotExist(err) {
 		t.Fatalf("staging litter survived Open: %v", err)
 	}

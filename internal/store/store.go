@@ -57,6 +57,7 @@ import (
 	"syscall"
 
 	"repro/internal/engine"
+	"repro/internal/leakage"
 	"repro/internal/metrics"
 )
 
@@ -76,10 +77,9 @@ const (
 	maxRecordSize = 1 << 20
 
 	// compactThreshold is the replayed-record count past which Open
-	// rewrites the manifest: counter checkpoints append one record per
-	// join, so a busy server's manifest grows without bound until a
-	// compaction folds it to one record per live table plus the latest
-	// checkpoint.
+	// rewrites the manifest: overwrites, deletions and reaped jobs leave
+	// dead records behind until a compaction folds the log to one record
+	// per live table and job plus the ledger.
 	compactThreshold = 64
 )
 
@@ -95,9 +95,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const (
 	opCommit    uint8 = 1 // table version committed
 	opDelete    uint8 = 2 // table deleted
-	opCounters  uint8 = 3 // per-table leakage counters checkpoint
+	opCounters  uint8 = 3 // written before the ledger existed; replay ignores it
 	opJob       uint8 = 4 // completed async job result committed
 	opJobDelete uint8 = 5 // job result reaped
+	opLedger    uint8 = 6 // leakage-ledger delta: the merges one join added
 )
 
 // record is the gob image of one manifest entry. Every record is
@@ -110,18 +111,18 @@ const (
 type record struct {
 	Seq      uint64
 	Op       uint8
-	Table    string            // opCommit, opDelete
-	Snapshot string            // opCommit: file name under tables/; opJob: under jobs/
-	Digest   []byte            // opCommit, opJob: SHA-256 of the snapshot/spool file
-	Rows     int               // opCommit, opJob
-	Indexed  bool              // opCommit
-	Counters map[string]uint64 // opCounters: last record wins
-	Job      string            // opJob, opJobDelete: job ID
-	JobA     string            // opJob: join operand tables
-	JobB     string            // opJob
-	JobErr   string            // opJob: failure message of a failed job
-	Pairs    int               // opJob: sigma(q) of the completed join
-	Finished int64             // opJob: completion time, Unix seconds
+	Table    string // opCommit, opDelete
+	Snapshot string // opCommit: file name under tables/; opJob: under jobs/
+	Digest   []byte // opCommit, opJob: SHA-256 of the snapshot/spool file
+	Rows     int    // opCommit, opJob
+	Indexed  bool   // opCommit
+	Ledger   []byte // opLedger: the merges, a [][]leakage.RowRef, as a gob image of their own so no other record carries their type descriptor
+	Job      string // opJob, opJobDelete: job ID
+	JobA     string // opJob: join operand tables
+	JobB     string // opJob
+	JobErr   string // opJob: failure message of a failed job
+	Pairs    int    // opJob: sigma(q) of the completed join
+	Finished int64  // opJob: completion time, Unix seconds
 }
 
 // Damage describes one table (or manifest region) Open found broken and
@@ -148,7 +149,7 @@ type entry struct {
 
 // Store is a durable table set backed by one data directory. It is safe
 // for concurrent use; all mutating operations are serialized and fsync
-// before returning, so a table (or counter checkpoint) acked by a call
+// before returning, so a table (or ledger delta) acked by a call
 // survives any later crash.
 type Store struct {
 	dir string
@@ -158,12 +159,12 @@ type Store struct {
 	seq      uint64
 	// records counts the manifest's framed records (replayed + appended
 	// since), the statistic the auto-compaction trigger watches.
-	records  int
-	entries  map[string]entry
-	tables   map[string]*engine.EncryptedTable
-	jobs     map[string]jobEntry
-	counters map[string]uint64
-	damaged  []Damage
+	records int
+	entries map[string]entry
+	tables  map[string]*engine.EncryptedTable
+	jobs    map[string]jobEntry
+	merges  [][]leakage.RowRef // the durable ledger: at most (revealed rows - classes) merges
+	damaged []Damage
 	// appendErr is sticky: once an append fails mid-write the manifest
 	// may have a torn tail, and appending after it would bury valid
 	// records behind garbage replay cannot cross.
@@ -216,7 +217,6 @@ func Open(dir string) (*Store, error) {
 		entries:  make(map[string]entry),
 		tables:   make(map[string]*engine.EncryptedTable),
 		jobs:     make(map[string]jobEntry),
-		counters: make(map[string]uint64),
 	}
 	// A leftover compaction staging file means a compaction crashed
 	// before its atomic rename: the old MANIFEST (locked above) is
@@ -270,11 +270,12 @@ func (s *Store) replay() error {
 		case opDelete:
 			delete(s.entries, rec.Table)
 		case opCounters:
-			counters := make(map[string]uint64, len(rec.Counters))
-			for k, v := range rec.Counters {
-				counters[k] = v
+		case opLedger:
+			var merges [][]leakage.RowRef
+			if err := gob.NewDecoder(bytes.NewReader(rec.Ledger)).Decode(&merges); err != nil {
+				s.damaged = append(s.damaged, Damage{Reason: fmt.Sprintf("manifest: ledger record (seq %d) skipped: %v", rec.Seq, err)})
 			}
-			s.counters = counters
+			s.merges = append(s.merges, merges...)
 		case opJob:
 			s.jobs[rec.Job] = jobEntry{
 				snapshot: rec.Snapshot,
@@ -431,15 +432,11 @@ func (s *Store) Tables() []*engine.EncryptedTable {
 	return out
 }
 
-// Counters returns the last durable leakage-counter checkpoint.
-func (s *Store) Counters() map[string]uint64 {
+// Ledger returns every merge recorded so far, for replay at recovery.
+func (s *Store) Ledger() [][]leakage.RowRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.counters))
-	for k, v := range s.counters {
-		out[k] = v
-	}
-	return out
+	return append([][]leakage.RowRef(nil), s.merges...)
 }
 
 // Damaged reports what Open found broken and skipped. The slice is
@@ -527,27 +524,46 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
-// RecordCounters checkpoints the per-table leakage counters (revealed
-// equality pairs touching each table, see engine.LeakageCounters) so
-// the audit state survives restarts alongside the tables it describes.
-// The whole map is written each time; replay keeps the last checkpoint.
-func (s *Store) RecordCounters(counters map[string]uint64) error {
+// RecordLedger appends the merges one join added to the leakage ledger
+// (engine.QueryTrace.Merges), so the closure a series has revealed
+// survives restarts. A delta: replay concatenates the records.
+func (s *Store) RecordLedger(merges [][]leakage.RowRef) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usable(); err != nil {
 		return err
 	}
-	cp := make(map[string]uint64, len(counters))
-	for k, v := range counters {
-		cp[k] = v
-	}
-	seq := s.seq + 1
-	if err := s.append(&record{Seq: seq, Op: opCounters, Counters: cp}); err != nil {
+	recs, err := ledgerRecords(merges)
+	if err != nil {
 		return err
 	}
-	s.seq = seq
-	s.counters = cp
+	for _, rec := range recs {
+		rec.Seq = s.seq + 1
+		if err := s.append(rec); err != nil {
+			return err
+		}
+		s.seq++
+	}
+	s.merges = append(s.merges, merges...)
 	return nil
+}
+
+// ledgerRecords encodes merges as opLedger records, halving the list
+// until each half's gob image fits one manifest record.
+func ledgerRecords(merges [][]leakage.RowRef) ([]*record, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(merges); err != nil || len(merges) == 0 {
+		return nil, err
+	}
+	if buf.Len() <= maxRecordSize/2 || len(merges) == 1 {
+		return []*record{{Op: opLedger, Ledger: buf.Bytes()}}, nil
+	}
+	head, err := ledgerRecords(merges[:len(merges)/2])
+	if err != nil {
+		return nil, err
+	}
+	tail, err := ledgerRecords(merges[len(merges)/2:])
+	return append(head, tail...), err
 }
 
 // Close releases the manifest. Further mutating calls fail with
@@ -596,8 +612,9 @@ func (s *Store) append(rec *record) error {
 }
 
 // encodeRecord frames one record the way append writes it: length
-// prefix, gob payload, CRC-32C trailer.
-func encodeRecord(rec *record) ([]byte, error) {
+// prefix, gob payload, CRC-32C trailer (rec is a *record; tests also
+// frame an earlier version's shape).
+func encodeRecord(rec any) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
@@ -623,12 +640,12 @@ func (s *Store) RecordCount() int {
 }
 
 // Compact rewrites the manifest to its live state — one commit record
-// per live table plus one leakage-counter checkpoint — discarding the
-// history of overwrites, deletions and stale checkpoints that grow it
-// one record per join. The rewrite is crash-safe: the new manifest is
-// staged under MANIFEST.compact, fsynced, and atomically renamed over
-// MANIFEST; a crash at any point leaves either the old manifest intact
-// (plus staging litter Open discards) or the new one fully in place.
+// per live table and job plus the ledger's merges, re-chunked —
+// discarding the history of overwrites, deletions and reaped jobs. The
+// rewrite is crash-safe: the new manifest is staged under
+// MANIFEST.compact, fsynced, and atomically renamed over MANIFEST; a
+// crash at any point leaves either the old manifest intact (plus
+// staging litter Open discards) or the new one fully in place.
 // The staging file's lock is taken before the rename, so the directory
 // never has a moment where a second process could claim it.
 //
@@ -662,50 +679,29 @@ func (s *Store) Compact() error {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		return abort(fmt.Errorf("store: locking compacted manifest: %w", err))
 	}
-	seq := s.seq
-	records := 0
-	for _, name := range sortedKeys(s.entries) {
-		e := s.entries[name]
-		seq++
-		b, err := encodeRecord(&record{
-			Seq: seq, Op: opCommit,
-			Table: name, Snapshot: e.snapshot, Digest: e.digest,
-			Rows: len(s.tables[name].Rows), Indexed: s.tables[name].Index != nil,
-		})
-		if err != nil {
-			return abort(err)
-		}
-		if _, err := f.Write(b); err != nil {
-			return abort(fmt.Errorf("store: writing compacted manifest: %w", err))
-		}
-		records++
+	live, err := ledgerRecords(s.merges)
+	if err != nil {
+		return abort(err)
 	}
 	for _, id := range sortedKeys(s.jobs) {
-		je := s.jobs[id]
-		seq++
-		b, err := encodeRecord(jobRecord(seq, je))
-		if err != nil {
-			return abort(err)
-		}
-		if _, err := f.Write(b); err != nil {
-			return abort(fmt.Errorf("store: writing compacted manifest: %w", err))
-		}
-		records++
+		live = append(live, jobRecord(0, s.jobs[id]))
 	}
-	if len(s.counters) > 0 {
-		seq++
-		cp := make(map[string]uint64, len(s.counters))
-		for k, v := range s.counters {
-			cp[k] = v
-		}
-		b, err := encodeRecord(&record{Seq: seq, Op: opCounters, Counters: cp})
+	for _, name := range sortedKeys(s.entries) {
+		e := s.entries[name]
+		live = append(live, &record{
+			Op: opCommit, Table: name, Snapshot: e.snapshot, Digest: e.digest,
+			Rows: len(s.tables[name].Rows), Indexed: s.tables[name].Index != nil,
+		})
+	}
+	for i, rec := range live {
+		rec.Seq = s.seq + uint64(i) + 1
+		b, err := encodeRecord(rec)
 		if err != nil {
 			return abort(err)
 		}
 		if _, err := f.Write(b); err != nil {
 			return abort(fmt.Errorf("store: writing compacted manifest: %w", err))
 		}
-		records++
 	}
 	if err := f.Sync(); err != nil {
 		return abort(fmt.Errorf("store: syncing compacted manifest: %w", err))
@@ -713,23 +709,17 @@ func (s *Store) Compact() error {
 	if err := os.Rename(path, filepath.Join(s.dir, manifestName)); err != nil {
 		return abort(fmt.Errorf("store: installing compacted manifest: %w", err))
 	}
-	if err := syncDir(s.dir); err != nil {
-		// The rename happened but may not be durable; future appends go
-		// to the new file either way (both outcomes hold identical live
-		// state), so just surface the error.
-		s.manifest.Close()
-		s.manifest = f
-		s.seq = seq
-		s.records = records
-		return err
-	}
-	// Swap the handles: the old inode is unlinked and its lock dies
-	// with the close; f holds the lock on the live manifest.
+	// The rename happened: whether or not it could be made durable, both
+	// outcomes hold identical live state and future appends go to the new
+	// file, so swap the handles and surface any error. The old inode is
+	// unlinked and its lock dies with the close; f holds the lock on the
+	// live manifest.
+	err = syncDir(s.dir)
 	s.manifest.Close()
 	s.manifest = f
-	s.seq = seq
-	s.records = records
-	return nil
+	s.seq += uint64(len(live))
+	s.records = len(live)
+	return err
 }
 
 // countingWriter counts bytes passing through, for the snapshot-bytes

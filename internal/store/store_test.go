@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/leakage"
 	"repro/internal/securejoin"
 )
 
@@ -142,8 +144,8 @@ func TestLockSingleOpener(t *testing.T) {
 
 func TestOpenEmptyDir(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
-	if len(s.Tables()) != 0 || len(s.Counters()) != 0 {
-		t.Fatalf("fresh store not empty: %d tables, %d counters", len(s.Tables()), len(s.Counters()))
+	if len(s.Tables()) != 0 || len(s.Ledger()) != 0 {
+		t.Fatalf("fresh store not empty: %d tables, %d ledger merges", len(s.Tables()), len(s.Ledger()))
 	}
 	assertNoDamage(t, s)
 }
@@ -172,16 +174,25 @@ func TestCommitRecoverRoundTrip(t *testing.T) {
 	sameTable(t, tableByName(t, s2, "indexed"), indexedTab)
 }
 
-// TestCountersRoundTrip: the whole-map checkpoint semantics — last
-// record wins, including dropped keys.
-func TestCountersRoundTrip(t *testing.T) {
+// merge is one ledger merge between row i of table a and row i of b.
+func merge(a, b string, i int) []leakage.RowRef {
+	return []leakage.RowRef{{Table: a, Row: i}, {Table: b, Row: i}}
+}
+
+// TestLedgerRoundTrip: ledger records are deltas — replay concatenates
+// them — and a join that taught the server nothing appends no record.
+func TestLedgerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.RecordCounters(map[string]uint64{"A": 3, "B": 5}); err != nil {
-		t.Fatal(err)
+	first := [][]leakage.RowRef{merge("A", "B", 0), merge("A", "B", 1)}
+	second := [][]leakage.RowRef{merge("A", "A", 2)}
+	for _, delta := range [][][]leakage.RowRef{first, nil, second, {}} {
+		if err := s.RecordLedger(delta); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.RecordCounters(map[string]uint64{"A": 4}); err != nil {
-		t.Fatal(err)
+	if got := s.RecordCount(); got != 2 {
+		t.Fatalf("RecordCount = %d after two deltas and two empty ones, want 2", got)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -189,9 +200,117 @@ func TestCountersRoundTrip(t *testing.T) {
 
 	s2 := mustOpen(t, dir)
 	assertNoDamage(t, s2)
-	got := s2.Counters()
-	if len(got) != 1 || got["A"] != 4 {
-		t.Fatalf("recovered counters %v, want map[A:4]", got)
+	if got, want := s2.Ledger(), append(first, second...); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered ledger %v, want %v", got, want)
+	}
+}
+
+// TestLedgerIgnoresOldCounterRecords: a data dir written before the
+// ledger existed holds opCounters checkpoints. They replay silently —
+// not as damage, which would make Compact refuse — and the next
+// compaction drops them.
+func TestLedgerIgnoresOldCounterRecords(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestClient(t)
+	s := mustOpen(t, dir)
+	tab := encTable(t, c, "T", false, "x")
+	mustCommit(t, s, tab)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The record shape of that version, framed as it framed it.
+	old, err := encodeRecord(&struct {
+		Seq      uint64
+		Op       uint8
+		Counters map[string]uint64
+	}{Seq: 2, Op: opCounters, Counters: map[string]uint64{"T": 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mf.Write(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir)
+	assertNoDamage(t, s2)
+	sameTable(t, tableByName(t, s2, "T"), tab)
+	if got := s2.RecordCount(); got != 2 {
+		t.Fatalf("RecordCount = %d, want the commit and the old checkpoint", got)
+	}
+	if len(s2.Ledger()) != 0 {
+		t.Fatalf("old counters became ledger merges: %v", s2.Ledger())
+	}
+	if err := s2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.RecordCount(); got != 1 {
+		t.Fatalf("RecordCount after Compact = %d, want 1", got)
+	}
+}
+
+// TestLedgerUndecodableRecordIsDamage: a ledger record that passes its
+// CRC but does not decode is reported and skipped; the deltas around it
+// still replay.
+func TestLedgerUndecodableRecordIsDamage(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	good := [][]leakage.RowRef{merge("A", "B", 0)}
+	if err := s.RecordLedger(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.append(&record{Seq: s.seq + 1, Op: opLedger, Ledger: []byte("not gob")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir)
+	if d := s2.Damaged(); len(d) != 1 || !strings.Contains(d[0].Reason, "ledger record") {
+		t.Fatalf("damage = %v, want the one ledger record", d)
+	}
+	if !reflect.DeepEqual(s2.Ledger(), good) {
+		t.Fatalf("recovered ledger %v, want %v", s2.Ledger(), good)
+	}
+}
+
+// TestLedgerSplitsOversizedDelta: a merge list whose gob image exceeds
+// maxRecordSize is split across records, by RecordLedger and again by
+// Compact, instead of being rejected.
+func TestLedgerSplitsOversizedDelta(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	name := strings.Repeat("t", 100)
+	merges := make([][]leakage.RowRef, 3*maxRecordSize/(2*len(name)))
+	for i := range merges {
+		merges[i] = merge(name, name, i)
+	}
+	if err := s.RecordLedger(merges); err != nil {
+		t.Fatal(err)
+	}
+	records := s.RecordCount()
+	if records < 2 {
+		t.Fatalf("%d merges of over %d bytes went into %d record(s)", len(merges), 2*len(name)*len(merges), records)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.RecordCount(); got != records {
+		t.Fatalf("RecordCount after Compact = %d, want %d", got, records)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, dir)
+	assertNoDamage(t, s2)
+	if !reflect.DeepEqual(s2.Ledger(), merges) {
+		t.Fatalf("recovered %d merges, want the %d recorded", len(s2.Ledger()), len(merges))
 	}
 }
 
@@ -268,7 +387,7 @@ func TestClosedStore(t *testing.T) {
 	if err := s.Commit(encTable(t, c, "T", false, "x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Commit on closed store: %v, want ErrClosed", err)
 	}
-	if err := s.RecordCounters(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("RecordCounters on closed store: %v, want ErrClosed", err)
+	if err := s.RecordLedger(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("RecordLedger on closed store: %v, want ErrClosed", err)
 	}
 }

@@ -280,8 +280,9 @@ type HealthInfo struct {
 	// ShedTotal counts requests rejected by admission control since
 	// start.
 	ShedTotal uint64
-	// RevealedPairs sums the per-table leakage counters (an intra-table
-	// pair counts once per table it touches).
+	// RevealedPairs is the size of the server's leakage closure: every
+	// equality pair derivable from all queries so far, each counted once
+	// however often it was revealed.
 	RevealedPairs uint64
 	// UptimeSeconds is the time since the server started serving.
 	UptimeSeconds float64
