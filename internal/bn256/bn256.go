@@ -118,7 +118,8 @@ func (e *G1) Marshal() []byte {
 }
 
 // Unmarshal decodes a point produced by Marshal, verifying that it lies
-// on the curve.
+// on the curve. E(Fp) has prime order r, so that is the whole G1
+// membership check.
 func (e *G1) Unmarshal(data []byte) error {
 	if len(data) != 64 {
 		return errors.New("bn256: invalid G1 encoding length")
@@ -188,11 +189,20 @@ func (e *G2) Equal(a *G2) bool {
 	return e.p.Equal(&a.p)
 }
 
-// Marshal encodes e as 128 bytes: x.a0 || x.a1 || y.a0 || y.a1, big
-// endian. The identity encodes as all zeros.
+// Flag bits of the compressed G2 encoding, in its first byte: p < 2^254
+// leaves the top two bits of a big-endian coordinate free.
+const (
+	g2Infinity = 0x80
+	g2YSign    = 0x40
+)
+
+// Marshal encodes e in 64 compressed bytes: x.a0 || x.a1, big endian,
+// with the sign of y (sgn0) in bit 6 of the first byte. The identity
+// encodes as 0x80 followed by zeros.
 func (e *G2) Marshal() []byte {
-	out := make([]byte, 128)
+	out := make([]byte, 64)
 	if e.p.IsInfinity() {
+		out[0] = g2Infinity
 		return out
 	}
 	var a twistPoint
@@ -200,69 +210,66 @@ func (e *G2) Marshal() []byte {
 	a.MakeAffine()
 	a.x.a0.Marshal(out[0:32])
 	a.x.a1.Marshal(out[32:64])
-	a.y.a0.Marshal(out[64:96])
-	a.y.a1.Marshal(out[96:128])
+	if a.y.sgn0() {
+		out[0] |= g2YSign
+	}
 	return out
 }
 
-// Unmarshal decodes a point produced by Marshal, verifying both the twist
-// equation and membership in the order-r subgroup.
+// Unmarshal decodes a point produced by Marshal: it recovers y from the
+// twist equation and verifies membership in the order-r subgroup. Each
+// point has exactly one accepted encoding.
 func (e *G2) Unmarshal(data []byte) error {
-	if len(data) != 128 {
+	if len(data) != 64 {
 		return errors.New("bn256: invalid G2 encoding length")
 	}
-	if allZero(data) {
+	flags := data[0] & (g2Infinity | g2YSign)
+	if flags&g2Infinity != 0 {
+		if data[0] != g2Infinity || !allZero(data[1:]) {
+			return errors.New("bn256: malformed G2 infinity encoding")
+		}
 		e.p.SetInfinity()
 		return nil
 	}
+	var x0 [32]byte
+	copy(x0[:], data[:32])
+	x0[0] &^= flags
 	var a twistPoint
-	if err := a.x.a0.Unmarshal(data[0:32]); err != nil {
+	if err := a.x.a0.Unmarshal(x0[:]); err != nil {
 		return err
 	}
 	if err := a.x.a1.Unmarshal(data[32:64]); err != nil {
 		return err
 	}
-	if err := a.y.a0.Unmarshal(data[64:96]); err != nil {
-		return err
+	var rhs gfP2
+	rhs.Square(&a.x)
+	rhs.Mul(&rhs, &a.x)
+	rhs.Add(&rhs, &twistB)
+	if !a.y.Sqrt(&rhs) {
+		return errors.New("bn256: G2 x-coordinate not on the twist")
 	}
-	if err := a.y.a1.Unmarshal(data[96:128]); err != nil {
-		return err
+	if a.y.sgn0() != (flags&g2YSign != 0) {
+		a.y.Neg(&a.y)
 	}
 	a.z.SetOne()
-	if !a.isOnTwist() {
-		return errors.New("bn256: malformed G2 point")
-	}
-	var check twistPoint
-	check.Mul(&a, Order)
-	if !check.IsInfinity() {
+	if !a.inG2() {
 		return errors.New("bn256: G2 point not in the order-r subgroup")
 	}
 	e.p.Set(&a)
 	return nil
 }
 
-// Pair computes the reduced Tate pairing e(p, q).
-func Pair(p *G1, q *G2) *GT {
-	gt := &GT{}
-	gt.p = pair(&p.p, &q.p)
-	return gt
+// Pair computes the optimal ate pairing e(q, p).
+func Pair(q *G2, p *G1) *GT {
+	return PairBatch([]*G2{q}, []*G1{p})
 }
 
-// PairBatch computes the product of pairings prod_i e(ps[i], qs[i]) with a
-// single shared Miller loop and one final exponentiation. It is
-// substantially faster than multiplying len(ps) individual pairings.
-func PairBatch(ps []*G1, qs []*G2) *GT {
-	cps := make([]*curvePoint, len(ps))
-	cqs := make([]*twistPoint, len(qs))
-	for i := range ps {
-		cps[i] = &ps[i].p
-	}
-	for i := range qs {
-		cqs[i] = &qs[i].p
-	}
-	gt := &GT{}
-	gt.p = pairBatch(cps, cqs)
-	return gt
+// PairBatch computes the product of pairings prod_i e(qs[i], ps[i]) with
+// one shared Miller loop and one final exponentiation. It is
+// substantially faster than multiplying len(ps) individual pairings. It
+// panics if the two batches differ in length.
+func PairBatch(qs []*G2, ps []*G1) *GT {
+	return PairBatchPrecomputed(PrecomputePairBatch(qs), ps)
 }
 
 // Mul sets e = a * b (the GT group operation) and returns e.

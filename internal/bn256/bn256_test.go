@@ -59,9 +59,9 @@ func TestPairingBilinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// e(g1^a, g2^b) must equal e(g1, g2)^(ab).
-	lhs := Pair(pa, qb)
-	base := Pair(new(G1).ScalarBaseMult(big.NewInt(1)), new(G2).ScalarBaseMult(big.NewInt(1)))
+	// e(g2^b, g1^a) must equal e(g2, g1)^(ab).
+	lhs := Pair(qb, pa)
+	base := Pair(new(G2).ScalarBaseMult(big.NewInt(1)), new(G1).ScalarBaseMult(big.NewInt(1)))
 	ab := new(big.Int).Mul(a, b)
 	ab.Mod(ab, Order)
 	rhs := new(GT).Exp(base, ab)
@@ -76,15 +76,15 @@ func TestPairingBilinearity(t *testing.T) {
 func TestPairingNonDegenerate(t *testing.T) {
 	g1 := new(G1).ScalarBaseMult(big.NewInt(1))
 	g2 := new(G2).ScalarBaseMult(big.NewInt(1))
-	e := Pair(g1, g2)
+	e := Pair(g2, g1)
 	if e.IsOne() {
-		t.Fatal("e(g1, g2) == 1")
+		t.Fatal("e(g2, g1) == 1")
 	}
-	// e(g1, g2)^r == 1 (GT has order r).
+	// e(g2, g1)^r == 1 (GT has order r).
 	var er GT
 	er.Exp(e, Order)
 	if !er.IsOne() {
-		t.Fatal("e(g1, g2)^r != 1")
+		t.Fatal("e(g2, g1)^r != 1")
 	}
 }
 
@@ -105,9 +105,9 @@ func TestPairBatchMatchesProduct(t *testing.T) {
 		_ = b
 		ps = append(ps, p)
 		qs = append(qs, q)
-		expected.Mul(expected, Pair(p, q))
+		expected.Mul(expected, Pair(q, p))
 	}
-	got := PairBatch(ps, qs)
+	got := PairBatch(qs, ps)
 	if !got.Equal(expected) {
 		t.Fatal("PairBatch disagrees with the product of individual pairings")
 	}
@@ -116,7 +116,7 @@ func TestPairBatchMatchesProduct(t *testing.T) {
 func TestGTMarshalRoundTrip(t *testing.T) {
 	_, p, _ := RandomG1(rand.Reader)
 	_, q, _ := RandomG2(rand.Reader)
-	e := Pair(p, q)
+	e := Pair(q, p)
 	data := e.Marshal()
 	var e2 GT
 	if err := e2.Unmarshal(data); err != nil {

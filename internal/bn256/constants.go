@@ -1,6 +1,6 @@
 // Package bn256 implements a 256-bit Barreto–Naehrig pairing-friendly
-// elliptic curve with groups G1, G2 and GT of prime order Order, and a
-// bilinear Tate pairing e: G1 x G2 -> GT.
+// elliptic curve with groups G1, G2 and GT of prime order Order, and the
+// bilinear optimal ate pairing e: G2 x G1 -> GT.
 //
 // The curve is defined by the BN parameter u below; the field prime p,
 // the group order r, the trace of Frobenius t and the G2 twist cofactor
@@ -14,8 +14,12 @@
 // G1 is the group of points of E: y^2 = x^3 + 3 over Fp with generator
 // (1, 2). G2 is the order-r subgroup of the sextic D-twist
 // E': y^2 = x^3 + 3/xi over Fp2, and GT is the order-r subgroup of
-// Fp12*. The pairing is the reduced Tate pairing computed with a Miller
-// loop over r and a final exponentiation to the power (p^12-1)/r.
+// Fp12*. The pairing e: G2 x G1 -> GT is the optimal ate pairing
+// (Vercauteren): a Miller loop over the 65-bit 6u+2 that walks
+// multiples of the G2 argument, two Frobenius end-lines, and a final
+// exponentiation to the power (p^12-1)/r. Its G2 argument is the fixed
+// one: PrecomputePairBatch records a G2 batch's lines once and
+// PairBatchPrecomputed evaluates them at any number of G1 batches.
 //
 // The implementation is self-contained (standard library only): Fp uses
 // 4x64-bit Montgomery limbs and the extension tower Fp2/Fp6/Fp12 is
@@ -43,6 +47,11 @@ var (
 	// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 	// exponentiation.
 	finalExpHard *big.Int
+	// sixUPlus2 is the optimal ate Miller loop length 6u + 2.
+	sixUPlus2 *big.Int
+	// sixUSquared is t - 1 = 6u^2, the eigenvalue of the twisted
+	// Frobenius on G2 (p mod r).
+	sixUSquared *big.Int
 )
 
 func bigFromBase10(s string) *big.Int {
@@ -75,8 +84,10 @@ func initParams() {
 	Order.Add(Order, one)
 
 	// t = 6u^2 + 1
-	trace = new(big.Int).Mul(u2, big.NewInt(6))
-	trace.Add(trace, one)
+	sixUSquared = new(big.Int).Mul(u2, big.NewInt(6))
+	trace = new(big.Int).Add(sixUSquared, one)
+	sixUPlus2 = new(big.Int).Mul(u, big.NewInt(6))
+	sixUPlus2.Add(sixUPlus2, big.NewInt(2))
 
 	// twist cofactor c2 = p - 1 + t
 	twistCofactor = new(big.Int).Add(P, trace)

@@ -120,6 +120,14 @@ func TestG2MarshalRoundTrip(t *testing.T) {
 			t.Fatal("G2 marshal round trip failed")
 		}
 	}
+	inf := new(G2).SetInfinity()
+	var q G2
+	if err := q.Unmarshal(inf.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if !q.IsInfinity() {
+		t.Fatal("G2 infinity round trip failed")
+	}
 }
 
 func TestG1UnmarshalRejectsOffCurve(t *testing.T) {
@@ -139,16 +147,29 @@ func TestG1UnmarshalRejectsOffCurve(t *testing.T) {
 }
 
 func TestG2UnmarshalRejectsOffCurve(t *testing.T) {
-	_, p, err := RandomG2(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	// An x with x^3 + b' not a square in Fp2 names no twist point.
+	for n := int64(1); n < 100; n++ {
+		var x, rhs, y gfP2
+		x.a0 = *newGFp(n)
+		rhs.Square(&x)
+		rhs.Mul(&rhs, &x)
+		rhs.Add(&rhs, &twistB)
+		if y.Sqrt(&rhs) {
+			continue
+		}
+		data := make([]byte, 64)
+		x.a0.Marshal(data[:32])
+		x.a1.Marshal(data[32:])
+		var q G2
+		if err := q.Unmarshal(data); err == nil {
+			t.Fatal("accepted an x-coordinate off the twist")
+		}
+		if err := q.Unmarshal(data[:63]); err == nil {
+			t.Fatal("accepted a truncated G2 encoding")
+		}
+		return
 	}
-	data := p.Marshal()
-	data[127] ^= 1
-	var q G2
-	if err := q.Unmarshal(data); err == nil {
-		t.Fatal("accepted an off-twist G2 point")
-	}
+	t.Fatal("no off-twist x-coordinate in scan range")
 }
 
 func TestG2UnmarshalRejectsWrongSubgroup(t *testing.T) {
@@ -186,16 +207,65 @@ func TestG2UnmarshalRejectsWrongSubgroup(t *testing.T) {
 	t.Skip("no cofactor-order point found in scan range")
 }
 
+// TestSubgroupCheckMatchesOrder pins the psi check G2.Unmarshal runs,
+// psi(Q) == [6u^2]Q, against the definition [r]Q == 0 on points of G2,
+// on random twist points whose cofactor was not cleared, and on their
+// r-multiples, which lie wholly in the cofactor part.
+func TestSubgroupCheckMatchesOrder(t *testing.T) {
+	var pts []twistPoint
+	for i := 0; i < 4; i++ {
+		_, q, err := RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, q.p)
+	}
+	for len(pts) < 16 {
+		x := randGFp2(t)
+		var rhs, y gfP2
+		rhs.Square(x)
+		rhs.Mul(&rhs, x)
+		rhs.Add(&rhs, &twistB)
+		if !y.Sqrt(&rhs) {
+			continue
+		}
+		pt := twistPoint{x: *x, y: y}
+		pt.z.SetOne()
+		var cof twistPoint
+		cof.Mul(&pt, Order)
+		pts = append(pts, pt, cof)
+	}
+	var inf twistPoint
+	inf.SetInfinity()
+	pts = append(pts, inf)
+
+	inG2 := 0
+	for i := range pts {
+		var rq twistPoint
+		rq.Mul(&pts[i], Order)
+		got, want := pts[i].inG2(), rq.IsInfinity()
+		if got != want {
+			t.Fatalf("point %d: psi check says %v, [r]Q == 0 says %v", i, got, want)
+		}
+		if got {
+			inG2++
+		}
+	}
+	if inG2 != 5 {
+		t.Fatalf("%d of %d points in G2, want the 4 random G2 points and infinity", inG2, len(pts))
+	}
+}
+
 func TestPairingWithInfinity(t *testing.T) {
 	_, p, _ := RandomG1(rand.Reader)
 	_, q, _ := RandomG2(rand.Reader)
 	infG1 := new(G1).SetInfinity()
 	infG2 := new(G2).SetInfinity()
-	if !Pair(infG1, q).IsOne() {
-		t.Fatal("e(0, Q) != 1")
+	if !Pair(q, infG1).IsOne() {
+		t.Fatal("e(Q, 0) != 1")
 	}
-	if !Pair(p, infG2).IsOne() {
-		t.Fatal("e(P, 0) != 1")
+	if !Pair(infG2, p).IsOne() {
+		t.Fatal("e(0, P) != 1")
 	}
 }
 
@@ -205,16 +275,16 @@ func TestPairingLinearityInEachArgument(t *testing.T) {
 	q := new(G2).ScalarBaseMult(b)
 	k := big.NewInt(7)
 
-	// e(kP, Q) == e(P, kQ) == e(P, Q)^k
+	// e(Q, kP) == e(kQ, P) == e(Q, P)^k
 	kp := new(G1).ScalarMult(p, k)
 	kq := new(G2).ScalarMult(q, k)
-	base := Pair(p, q)
+	base := Pair(q, p)
 	want := new(GT).Exp(base, k)
-	if !Pair(kp, q).Equal(want) {
-		t.Fatal("e(kP, Q) != e(P, Q)^k")
+	if !Pair(q, kp).Equal(want) {
+		t.Fatal("e(Q, kP) != e(Q, P)^k")
 	}
-	if !Pair(p, kq).Equal(want) {
-		t.Fatal("e(P, kQ) != e(P, Q)^k")
+	if !Pair(kq, p).Equal(want) {
+		t.Fatal("e(kQ, P) != e(Q, P)^k")
 	}
 }
 
@@ -229,8 +299,8 @@ func TestPairBatchWithInfinitySlots(t *testing.T) {
 	_, q, _ := RandomG2(rand.Reader)
 	inf1 := new(G1).SetInfinity()
 	inf2 := new(G2).SetInfinity()
-	got := PairBatch([]*G1{p, inf1}, []*G2{q, inf2})
-	want := Pair(p, q)
+	got := PairBatch([]*G2{q, inf2, q}, []*G1{p, p, inf1})
+	want := Pair(q, p)
 	if !got.Equal(want) {
 		t.Fatal("infinity slots should contribute the identity")
 	}

@@ -143,8 +143,8 @@ func TestTwistGeneratorProperties(t *testing.T) {
 	}
 }
 
-// TestPairingAgreesUnderPointAddition: e(P1 + P2, Q) = e(P1,Q) e(P2,Q),
-// the homomorphism in the first argument through actual point addition
+// TestPairingAgreesUnderPointAddition: e(Q, P1 + P2) = e(Q, P1) e(Q, P2),
+// the homomorphism in the G1 argument through actual point addition
 // rather than scalar arithmetic.
 func TestPairingAgreesUnderPointAddition(t *testing.T) {
 	k1, k2 := big.NewInt(11), big.NewInt(23)
@@ -153,8 +153,8 @@ func TestPairingAgreesUnderPointAddition(t *testing.T) {
 	q := new(G2).ScalarBaseMult(big.NewInt(5))
 
 	sum := new(G1).Add(p1, p2)
-	lhs := Pair(sum, q)
-	rhs := new(GT).Mul(Pair(p1, q), Pair(p2, q))
+	lhs := Pair(q, sum)
+	rhs := new(GT).Mul(Pair(q, p1), Pair(q, p2))
 	if !lhs.Equal(rhs) {
 		t.Fatal("pairing does not distribute over G1 addition")
 	}

@@ -199,63 +199,47 @@ func (e *gfP) Double(a *gfP) *gfP {
 	return e.Add(a, a)
 }
 
-// mul512 computes the full 512-bit product of a and b.
-func mul512(a, b *gfP) [8]uint64 {
-	var r [8]uint64
-	for i := 0; i < 4; i++ {
-		var carry uint64
-		ai := a[i]
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(ai, b[j])
-			var c uint64
-			lo, c = bits.Add64(lo, r[i+j], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			r[i+j] = lo
-			carry = hi
-		}
-		r[i+4] = carry
-	}
-	return r
+// madd returns the 128-bit a*b + c + d as (hi, lo); it cannot overflow.
+func madd(a, b, c, d uint64) (hi, lo uint64) {
+	var carry uint64
+	hi, lo = bits.Mul64(a, b)
+	lo, carry = bits.Add64(lo, c, 0)
+	hi += carry
+	lo, carry = bits.Add64(lo, d, 0)
+	hi += carry
+	return hi, lo
 }
 
-// montReduce performs Montgomery reduction of a 512-bit value, returning
-// t = r * 2^-256 mod p with t < p.
-func montReduce(r *[8]uint64) gfP {
-	var extra uint64
-	for i := 0; i < 4; i++ {
-		m := r[i] * np
-		var carry uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(m, pLimbs[j])
-			var c uint64
-			lo, c = bits.Add64(lo, r[i+j], 0)
-			hi += c
-			lo, c = bits.Add64(lo, carry, 0)
-			hi += c
-			r[i+j] = lo
-			carry = hi
-		}
-		// Propagate carry into the upper words.
-		for k := i + 4; k < 8 && carry != 0; k++ {
-			var c uint64
-			r[k], c = bits.Add64(r[k], carry, 0)
-			carry = c
-		}
-		extra += carry
-	}
-	t := gfP{r[4], r[5], r[6], r[7]}
-	if extra != 0 || t.gteP() {
-		t.subP()
-	}
-	return t
-}
-
-// Mul sets e = a * b mod p (Montgomery form) and returns e.
+// Mul sets e = a * b * 2^-256 mod p (the Montgomery product) and returns
+// e. It interleaves each multiply row with its reduction row (CIOS,
+// Koç–Acar–Kaliski), each row unrolled; unrolling the four rows too
+// measured slower (register spills). Because p < 2^254 leaves the top
+// limb's two high bits clear, the running value stays below 2p in four
+// limbs, the extra carry words of textbook CIOS are never needed, and
+// one conditional subtraction at the end reduces the result (the
+// "no-carry" variant of Botrel and El Housni, TCHES 2023).
 func (e *gfP) Mul(a, b *gfP) *gfP {
-	r := mul512(a, b)
-	*e = montReduce(&r)
+	var t0, t1, t2, t3 uint64
+	for i := 0; i < 4; i++ {
+		v := a[i]
+		// t += v*b; m chosen so that t + m*p is divisible by 2^64;
+		// t = (t + m*p) >> 64.
+		c1, c0 := madd(v, b[0], t0, 0)
+		m := c0 * np
+		c2, _ := madd(m, pLimbs[0], c0, 0)
+		c1, c0 = madd(v, b[1], c1, t1)
+		c2, t0 = madd(m, pLimbs[1], c2, c0)
+		c1, c0 = madd(v, b[2], c1, t2)
+		c2, t1 = madd(m, pLimbs[2], c2, c0)
+		c1, c0 = madd(v, b[3], c1, t3)
+		hi, lo := madd(m, pLimbs[3], c0, c2)
+		t2 = lo
+		t3 = hi + c1
+	}
+	*e = gfP{t0, t1, t2, t3}
+	if e.gteP() {
+		e.subP()
+	}
 	return e
 }
 
@@ -271,9 +255,7 @@ func (e *gfP) montEncode(a *gfP) *gfP {
 
 // montDecode converts a from Montgomery into canonical form.
 func (e *gfP) montDecode(a *gfP) *gfP {
-	r := [8]uint64{a[0], a[1], a[2], a[3]}
-	*e = montReduce(&r)
-	return e
+	return e.Mul(a, &gfP{1})
 }
 
 // Exp sets e = a^k mod p for a non-negative exponent k and returns e.

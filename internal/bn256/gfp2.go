@@ -25,6 +25,10 @@ var (
 	// p2Minus1Over2 and p2Minus1Over3 are residue-test exponents.
 	p2Minus1Over2 *big.Int
 	p2Minus1Over3 *big.Int
+	// pPlus1Over4 is the Fp square-root exponent (p = 3 mod 4) and inv2
+	// is 1/2; Sqrt runs on every G2 decode, so both are fixed here.
+	pPlus1Over4 *big.Int
+	inv2        gfP
 )
 
 func initGFp2() {
@@ -35,6 +39,8 @@ func initGFp2() {
 	p2m1 := new(big.Int).Sub(p2, big.NewInt(1))
 	p2Minus1Over2 = new(big.Int).Rsh(p2m1, 1)
 	p2Minus1Over3 = new(big.Int).Div(p2m1, big.NewInt(3))
+	pPlus1Over4 = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
+	inv2.Invert(newGFp(2))
 	if new(big.Int).Mod(p2m1, big.NewInt(3)).Sign() != 0 {
 		panic("bn256: p^2-1 not divisible by 3")
 	}
@@ -138,6 +144,15 @@ func (e *gfP2) Double(a *gfP2) *gfP2 {
 	e.a0.Double(&a.a0)
 	e.a1.Double(&a.a1)
 	return e
+}
+
+// sgn0 is the RFC 9380 sign of e: the parity of its first non-zero
+// canonical coordinate, so e and -e differ in sign unless e is zero.
+func (e *gfP2) sgn0() bool {
+	var a0, a1 gfP
+	a0.montDecode(&e.a0)
+	a1.montDecode(&e.a1)
+	return a0[0]&1 == 1 || (a0.IsZero() && a1[0]&1 == 1)
 }
 
 // Mul sets e = a*b using Karatsuba multiplication and returns e.
@@ -249,11 +264,21 @@ func (e *gfP2) Sqrt(a *gfP2) bool {
 		e.SetZero()
 		return true
 	}
-	pPlus1Over4 := new(big.Int).Add(P, big.NewInt(1))
-	pPlus1Over4.Rsh(pPlus1Over4, 2)
-	inv2 := newGFp(2)
-	inv2.Invert(inv2)
-
+	var check gfP
+	if a.a1.IsZero() {
+		// a is in Fp, and so is one of a0 and -a0 (-1 is a non-residue):
+		// the root is sqrt(a0) or i sqrt(-a0). The loop below would need
+		// x0 != 0 and finds only the first.
+		var r gfP
+		if r.Exp(&a.a0, pPlus1Over4); check.Square(&r).Equal(&a.a0) {
+			e.a0, e.a1 = r, gfP{}
+			return true
+		}
+		r.Neg(&a.a0)
+		r.Exp(&r, pPlus1Over4)
+		e.a0, e.a1 = gfP{}, r
+		return true
+	}
 	// lambda = sqrt(norm(a)) in Fp.
 	var norm, t gfP
 	norm.Square(&a.a0)
@@ -261,7 +286,6 @@ func (e *gfP2) Sqrt(a *gfP2) bool {
 	norm.Add(&norm, &t)
 	var lambda gfP
 	lambda.Exp(&norm, pPlus1Over4)
-	var check gfP
 	if check.Square(&lambda); !check.Equal(&norm) {
 		return false
 	}
@@ -269,7 +293,7 @@ func (e *gfP2) Sqrt(a *gfP2) bool {
 		// delta = (a0 + lambda)/2, then x0 = sqrt(delta), x1 = a1/(2 x0).
 		var delta gfP
 		delta.Add(&a.a0, &lambda)
-		delta.Mul(&delta, inv2)
+		delta.Mul(&delta, &inv2)
 		var x0 gfP
 		x0.Exp(&delta, pPlus1Over4)
 		var sq gfP
@@ -277,7 +301,7 @@ func (e *gfP2) Sqrt(a *gfP2) bool {
 			var x0inv, x1 gfP
 			x0inv.Invert(&x0)
 			x1.Mul(&a.a1, &x0inv)
-			x1.Mul(&x1, inv2)
+			x1.Mul(&x1, &inv2)
 			var cand gfP2
 			cand.a0 = x0
 			cand.a1 = x1

@@ -1,31 +1,48 @@
 package bn256
 
-// The reduced Tate pairing e(P, Q) = f_{r,P}(psi(Q))^((p^12-1)/r), where
-// psi is the untwisting isomorphism psi(x, y) = (omega^2 x, omega^3 y)
-// from the twist E'(Fp2) into E(Fp12).
+// The optimal ate pairing (Vercauteren, "Optimal Pairings", IEEE TIT
+// 2010) on this BN curve is
 //
-// The Miller loop walks multiples of P with affine arithmetic over Fp
-// (cheap), evaluating the line functions at psi(Q). Because the
-// embedding degree is even and psi(Q)'s x-coordinate lies in the
-// subfield Fp6 (omega^2 = tau), vertical lines evaluate into Fp6 and
-// are erased by the final exponentiation, so they are skipped
-// ("denominator elimination").
+//	e(Q, P) = (f_{6u+2,Q}(P) * l_{T,pi(Q)}(P) * l_{T+pi(Q),-pi^2(Q)}(P))^((p^12-1)/r)
 //
-// millerBatch evaluates the product of several pairings in one loop.
-// All slots share the loop over r, so the per-step affine inversions
-// are batched with Montgomery's simultaneous-inversion trick and the
-// expensive final exponentiation is performed once. This is the
-// workhorse behind SJ.Dec, which pairs a d-element token with a
-// d-element ciphertext.
+// with T = [6u+2]Q and pi the Frobenius carried through the twist. The
+// Miller loop walks multiples of Q in G2 and evaluates each line at the
+// G1 point P. SJ.Dec pairs one token (G2) against every row (G1) of a
+// table, so the token is the fixed argument: PrecomputePairBatch walks
+// the token's points once, projectively, and records every line, and
+// PairBatchPrecomputed evaluates the recorded program at a row's points.
+// Pair and PairBatch are exactly precompute-then-evaluate, so there is
+// one Miller loop.
+//
+// A line through points of psi(E'), psi(x, y) = (omega^2 x, omega^3 y),
+// evaluated at P = (xP, yP) has the shape
+//
+//	A*yP + (B*xP) omega + C omega^3,   A, B, C in Fp2.
+//
+// The final exponentiation erases every factor in a proper subfield of
+// Fp12 (p^6 - 1 divides (p^12-1)/r), so a line may be scaled by any
+// Fp2 constant and, per row, by the Fp constant 1/yP. The recorded
+// program stores b = B/A and c = C/A, and a row evaluates each line as
+// 1 + (b xP/yP) omega + (c/yP) omega^3: four base-field multiplications
+// to instantiate, ten Fp2 multiplications to multiply in (mulLine).
 
-// pairSlot carries the per-pair Miller loop state.
-type pairSlot struct {
-	px, py gfP  // affine P
-	qx, qy gfP2 // affine Q on the twist
-	tx, ty gfP  // running point T = kP, affine
-	inf    bool // T is the point at infinity
-	skip   bool // degenerate input (P or Q at infinity): contribute 1
+// ppOp is one step of a recorded Miller program: an accumulator
+// squaring (slot < 0), or the normalized line of slot.
+type ppOp struct {
+	slot int32
+	b, c gfP2
 }
+
+// PairingPrecomp is the recorded Miller program of a fixed batch of G2
+// points. It is immutable after construction and safe for concurrent
+// use by multiple goroutines.
+type PairingPrecomp struct {
+	n   int
+	ops []ppOp
+}
+
+// Size returns the number of G2 slots the program was built for.
+func (pc *PairingPrecomp) Size() int { return pc.n }
 
 // batchInvert replaces each element of xs with its inverse using
 // Montgomery's trick: one field inversion plus 3(n-1) multiplications.
@@ -51,161 +68,209 @@ func batchInvert(xs []*gfP) {
 	*xs[0] = inv
 }
 
-// lineEval computes the sparse Fp12 coefficients of the line through the
-// slot's current T with slope lambda, evaluated at psi(Q):
-//
-//	l = (lambda*Tx - Ty) + (-lambda*Qx) tau + (Qy) tau*omega
-//
-// The constant coefficient c = lambda*Tx - Ty lives in the base field,
-// which mulLine exploits.
-func (s *pairSlot) lineEval(lambda, c *gfP, l01, l11 *gfP2) {
-	c.Mul(lambda, &s.tx)
-	c.Sub(c, &s.ty)
-
-	var negLambda gfP
-	negLambda.Neg(lambda)
-	l01.MulScalar(&s.qx, &negLambda)
-
-	l11.Set(&s.qy)
+// millerRecorder accumulates a Miller program with each line's yP
+// coefficient A kept aside until normalize divides it out.
+type millerRecorder struct {
+	pc *PairingPrecomp
+	as []gfP2
 }
 
-// millerBatch computes f = prod_i f_{r, P_i}(psi(Q_i)) over one shared
-// Miller loop. Slots whose P or Q is infinite contribute the identity.
-func millerBatch(slots []*pairSlot) gfP12 {
-	var f gfP12
-	f.SetOne()
+func (r *millerRecorder) square() {
+	r.pc.ops = append(r.pc.ops, ppOp{slot: -1})
+}
 
-	active := func() []*pairSlot {
-		as := make([]*pairSlot, 0, len(slots))
-		for _, s := range slots {
-			if !s.skip && !s.inf {
-				as = append(as, s)
-			}
-		}
-		return as
+func (r *millerRecorder) line(slot int32, a, b, c *gfP2) {
+	r.pc.ops = append(r.pc.ops, ppOp{slot: slot, b: *b, c: *c})
+	r.as = append(r.as, *a)
+}
+
+// double records the tangent line at the Jacobian point t and doubles
+// it. With slope lambda = 3X^2/(2YZ) and the line scaled by 2YZ^3:
+// A = 2YZ^3, B = -3X^2 Z^2, C = 3X^3 - 2Y^2.
+func (r *millerRecorder) double(slot int32, t *twistPoint) {
+	var zz, a, b, c, x2, y2 gfP2
+	zz.Square(&t.z)
+	a.Mul(&t.y, &t.z)
+	a.Mul(&a, &zz)
+	a.Double(&a)
+	x2.Square(&t.x)
+	b.Double(&x2)
+	b.Add(&b, &x2) // 3X^2
+	c.Mul(&b, &t.x)
+	y2.Square(&t.y)
+	y2.Double(&y2)
+	c.Sub(&c, &y2)
+	b.Mul(&b, &zz)
+	b.Neg(&b)
+	r.line(slot, &a, &b, &c)
+	t.Double(t)
+}
+
+// add records the line through the Jacobian point t and the affine
+// point q and sets t = t + q. With H = xQ Z^2 - X, N = yQ Z^3 - Y and
+// the line scaled by D = ZH: A = D, B = -N, C = N xQ - D yQ.
+func (r *millerRecorder) add(slot int32, t, q *twistPoint) {
+	var zz, h, n, a, b, c, t0 gfP2
+	zz.Square(&t.z)
+	h.Mul(&q.x, &zz)
+	h.Sub(&h, &t.x)
+	n.Mul(&q.y, &zz)
+	n.Mul(&n, &t.z)
+	n.Sub(&n, &t.y)
+	a.Mul(&t.z, &h)
+	b.Neg(&n)
+	c.Mul(&n, &q.x)
+	t0.Mul(&a, &q.y)
+	c.Sub(&c, &t0)
+	r.line(slot, &a, &b, &c)
+	t.Add(t, q)
+}
+
+// normalize divides every recorded line by its A. 1/A = conj(A)/N(A)
+// with the norm N(A) in Fp, so one batched base-field inversion covers
+// the whole program.
+func (r *millerRecorder) normalize() {
+	norms := make([]gfP, len(r.as))
+	invs := make([]*gfP, len(r.as))
+	for i := range r.as {
+		var t gfP
+		norms[i].Square(&r.as[i].a0)
+		t.Square(&r.as[i].a1)
+		norms[i].Add(&norms[i], &t)
+		invs[i] = &norms[i]
 	}
-
-	denoms := make([]*gfP, 0, len(slots))
-	lambdas := make([]gfP, len(slots))
-
-	for i := Order.BitLen() - 2; i >= 0; i-- {
-		f.Square(&f)
-
-		// Doubling step: lambda = 3Tx^2 / (2Ty) for every active slot.
-		as := active()
-		denoms = denoms[:0]
-		dblSlots := as[:0]
-		for _, s := range as {
-			if s.ty.IsZero() {
-				// 2T = infinity: vertical line, erased by the final
-				// exponentiation.
-				s.inf = true
-				continue
-			}
-			idx := len(dblSlots)
-			lambdas[idx].Double(&s.ty)
-			denoms = append(denoms, &lambdas[idx])
-			dblSlots = append(dblSlots, s)
-		}
-		batchInvert(denoms)
-		for j, s := range dblSlots {
-			// lambda = 3 Tx^2 / (2 Ty); lambdas[j] already holds (2Ty)^-1.
-			var num, lambda, t2 gfP
-			num.Square(&s.tx)
-			t2.Double(&num)
-			num.Add(&t2, &num)
-			lambda.Mul(&num, &lambdas[j])
-
-			var c gfP
-			var l01, l11 gfP2
-			s.lineEval(&lambda, &c, &l01, &l11)
-			f.mulLine(&f, &c, &l01, &l11)
-
-			// T = 2T: x3 = lambda^2 - 2Tx, y3 = lambda(Tx - x3) - Ty.
-			var x3, y3, t gfP
-			x3.Square(&lambda)
-			t.Double(&s.tx)
-			x3.Sub(&x3, &t)
-			t.Sub(&s.tx, &x3)
-			y3.Mul(&lambda, &t)
-			y3.Sub(&y3, &s.ty)
-			s.tx.Set(&x3)
-			s.ty.Set(&y3)
-		}
-
-		if Order.Bit(i) == 0 {
+	batchInvert(invs)
+	k := 0
+	for i := range r.pc.ops {
+		op := &r.pc.ops[i]
+		if op.slot < 0 {
 			continue
 		}
+		var ainv gfP2
+		ainv.Conjugate(&r.as[k])
+		ainv.MulScalar(&ainv, &norms[k])
+		op.b.Mul(&op.b, &ainv)
+		op.c.Mul(&op.c, &ainv)
+		k++
+	}
+}
 
-		// Addition step: T = T + P with lambda = (Py - Ty)/(Px - Tx).
-		as = active()
-		denoms = denoms[:0]
-		addSlots := as[:0]
-		for _, s := range as {
-			var dx gfP
-			dx.Sub(&s.px, &s.tx)
-			if dx.IsZero() {
-				var sumY gfP
-				sumY.Add(&s.ty, &s.py)
-				if sumY.IsZero() {
-					// T = -P: vertical line, erased; T becomes infinity.
-					s.inf = true
-					continue
-				}
-				// T = P: a doubling disguised as an addition. Handle via
-				// the tangent line.
-				var twoY, num, lambda gfP
-				twoY.Double(&s.ty)
-				twoY.Invert(&twoY)
-				num.Square(&s.tx)
-				var tmp gfP
-				tmp.Double(&num)
-				num.Add(&tmp, &num)
-				lambda.Mul(&num, &twoY)
-				var c gfP
-				var l01, l11 gfP2
-				s.lineEval(&lambda, &c, &l01, &l11)
-				f.mulLine(&f, &c, &l01, &l11)
-				var x3, y3, t gfP
-				x3.Square(&lambda)
-				t.Double(&s.tx)
-				x3.Sub(&x3, &t)
-				t.Sub(&s.tx, &x3)
-				y3.Mul(&lambda, &t)
-				y3.Sub(&y3, &s.ty)
-				s.tx.Set(&x3)
-				s.ty.Set(&y3)
-				continue
-			}
-			idx := len(addSlots)
-			lambdas[idx].Set(&dx)
-			denoms = append(denoms, &lambdas[idx])
-			addSlots = append(addSlots, s)
+// PrecomputePairBatch records the optimal ate Miller program of a fixed
+// batch of G2 points, to be evaluated against many G1 batches with
+// PairBatchPrecomputed. Points at infinity record no lines: they pair
+// to the identity. The returned handle is immutable and safe for
+// concurrent use.
+func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
+	pc := &PairingPrecomp{n: len(qs)}
+	type slot struct {
+		j    int32
+		q, t twistPoint // q affine, t the running multiple
+	}
+	var slots []slot
+	for j, g := range qs {
+		if g.p.IsInfinity() {
+			continue
 		}
-		batchInvert(denoms)
-		for j, s := range addSlots {
-			var num, lambda gfP
-			num.Sub(&s.py, &s.ty)
-			lambda.Mul(&num, &lambdas[j])
+		s := slot{j: int32(j)}
+		s.q.Set(&g.p)
+		s.q.MakeAffine()
+		s.t.Set(&s.q)
+		slots = append(slots, s)
+	}
+	// 64 squarings; per slot 64 doubling, 36 addition and 2 end lines.
+	pc.ops = make([]ppOp, 0, sixUPlus2.BitLen()*(1+2*len(slots)))
+	r := &millerRecorder{pc: pc, as: make([]gfP2, 0, cap(pc.ops))}
 
-			var c gfP
-			var l01, l11 gfP2
-			s.lineEval(&lambda, &c, &l01, &l11)
-			f.mulLine(&f, &c, &l01, &l11)
-
-			// T = T + P.
-			var x3, y3, t gfP
-			x3.Square(&lambda)
-			t.Add(&s.tx, &s.px)
-			x3.Sub(&x3, &t)
-			t.Sub(&s.tx, &x3)
-			y3.Mul(&lambda, &t)
-			y3.Sub(&y3, &s.ty)
-			s.tx.Set(&x3)
-			s.ty.Set(&y3)
+	for i := sixUPlus2.BitLen() - 2; i >= 0; i-- {
+		r.square()
+		for k := range slots {
+			r.double(slots[k].j, &slots[k].t)
+		}
+		if sixUPlus2.Bit(i) == 1 {
+			for k := range slots {
+				r.add(slots[k].j, &slots[k].t, &slots[k].q)
+			}
 		}
 	}
+	for k := range slots {
+		s := &slots[k]
+		var q1, q2 twistPoint
+		q1.Frobenius(&s.q)
+		q2.Frobenius(&q1)
+		q2.Neg(&q2)
+		r.add(s.j, &s.t, &q1)
+		r.add(s.j, &s.t, &q2)
+	}
+	r.normalize()
+	return pc
+}
+
+// miller evaluates the recorded program at one batch of G1 points.
+// Slots whose P is infinite contribute the identity. Accumulator
+// squarings are elided while the accumulator is still one.
+func (pc *PairingPrecomp) miller(ps []*G1) gfP12 {
+	// Per slot, xs = xP/yP and ys = 1/yP. yP is never zero: E(Fp) has
+	// prime order, so it has no point of order two.
+	xs := make([]gfP, pc.n)
+	ys := make([]gfP, pc.n)
+	skip := make([]bool, pc.n)
+	invs := make([]*gfP, 0, pc.n)
+	for j, g := range ps {
+		if g.p.IsInfinity() {
+			skip[j] = true
+			continue
+		}
+		var a curvePoint
+		a.Set(&g.p)
+		a.MakeAffine()
+		xs[j] = a.x
+		ys[j] = a.y
+		invs = append(invs, &ys[j])
+	}
+	batchInvert(invs)
+	for j := range xs {
+		xs[j].Mul(&xs[j], &ys[j])
+	}
+
+	var f gfP12
+	f.SetOne()
+	one := true
+	var l1, l3 gfP2
+	for i := range pc.ops {
+		op := &pc.ops[i]
+		if op.slot < 0 {
+			if !one {
+				f.Square(&f)
+			}
+			continue
+		}
+		if skip[op.slot] {
+			continue
+		}
+		l1.MulScalar(&op.b, &xs[op.slot])
+		l3.MulScalar(&op.c, &ys[op.slot])
+		if one {
+			// f = 1 * l: install the sparse line directly.
+			f.SetOne()
+			f.c1.b0 = l1
+			f.c1.b1 = l3
+			one = false
+			continue
+		}
+		f.mulLine(&f, &l1, &l3)
+	}
 	return f
+}
+
+// PairBatchPrecomputed computes prod_i e(Q_i, P_i) for the fixed G2
+// batch recorded in pc, equal to PairBatch of the original points with
+// ps. It panics if len(ps) differs from the precomputed batch size.
+func PairBatchPrecomputed(pc *PairingPrecomp, ps []*G1) *GT {
+	if len(ps) != pc.n {
+		panic("bn256: mismatched pairing batch")
+	}
+	f := pc.miller(ps)
+	return &GT{p: finalExponentiation(&f)}
 }
 
 // finalExponentiation raises f to (p^12-1)/r, mapping Miller-loop output
@@ -294,48 +359,4 @@ func hardExponentiation(a *gfP12) gfP12 {
 	t0.cyclotomicSquare(&t0)
 	t0.Mul(&t0, &t1)
 	return t0
-}
-
-// newPairSlot prepares Miller loop state for e(P, Q), normalizing both
-// points to affine coordinates.
-func newPairSlot(p *curvePoint, q *twistPoint) *pairSlot {
-	s := &pairSlot{}
-	if p.IsInfinity() || q.IsInfinity() {
-		s.skip = true
-		return s
-	}
-	var pa curvePoint
-	pa.Set(p)
-	pa.MakeAffine()
-	var qa twistPoint
-	qa.Set(q)
-	qa.MakeAffine()
-	s.px.Set(&pa.x)
-	s.py.Set(&pa.y)
-	s.qx.Set(&qa.x)
-	s.qy.Set(&qa.y)
-	s.tx.Set(&pa.x)
-	s.ty.Set(&pa.y)
-	return s
-}
-
-// pair computes the reduced Tate pairing of a single point pair.
-func pair(p *curvePoint, q *twistPoint) gfP12 {
-	slots := []*pairSlot{newPairSlot(p, q)}
-	f := millerBatch(slots)
-	return finalExponentiation(&f)
-}
-
-// pairBatch computes prod_i e(P_i, Q_i) with one shared Miller loop and a
-// single final exponentiation.
-func pairBatch(ps []*curvePoint, qs []*twistPoint) gfP12 {
-	if len(ps) != len(qs) {
-		panic("bn256: mismatched pairing batch")
-	}
-	slots := make([]*pairSlot, len(ps))
-	for i := range ps {
-		slots[i] = newPairSlot(ps[i], qs[i])
-	}
-	f := millerBatch(slots)
-	return finalExponentiation(&f)
 }

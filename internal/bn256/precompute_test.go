@@ -26,33 +26,39 @@ func randPairBatch(t *testing.T, n int) ([]*G1, []*G2) {
 
 // TestPairBatchPrecomputedMatchesPairBatch pins the fixed-argument
 // evaluation against the direct batched pairing over a range of batch
-// sizes: the recorded Miller program must reproduce millerBatch's
-// output exactly.
+// sizes, and against the product of single pairings.
 func TestPairBatchPrecomputedMatchesPairBatch(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		ps, qs := randPairBatch(t, n)
-		pc := PrecomputePairBatch(ps)
+		pc := PrecomputePairBatch(qs)
 		if pc.Size() != n {
 			t.Fatalf("Size() = %d, want %d", pc.Size(), n)
 		}
-		want := PairBatch(ps, qs)
-		got := PairBatchPrecomputed(pc, qs)
+		want := PairBatch(qs, ps)
+		got := PairBatchPrecomputed(pc, ps)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatalf("n=%d: precomputed pairing disagrees with PairBatch", n)
+		}
+		prod := new(GT).SetOne()
+		for i := range ps {
+			prod.Mul(prod, Pair(qs[i], ps[i]))
+		}
+		if !got.Equal(prod) {
+			t.Fatalf("n=%d: precomputed pairing disagrees with the product of pairings", n)
 		}
 	}
 }
 
 // TestPairBatchPrecomputedReuse checks that one handle evaluated
-// against several distinct G2 batches matches PairBatch on each.
+// against several distinct G1 batches matches PairBatch on each.
 func TestPairBatchPrecomputedReuse(t *testing.T) {
 	const n = 4
-	ps, _ := randPairBatch(t, n)
-	pc := PrecomputePairBatch(ps)
+	_, qs := randPairBatch(t, n)
+	pc := PrecomputePairBatch(qs)
 	for round := 0; round < 3; round++ {
-		_, qs := randPairBatch(t, n)
-		want := PairBatch(ps, qs)
-		got := PairBatchPrecomputed(pc, qs)
+		ps, _ := randPairBatch(t, n)
+		want := PairBatch(qs, ps)
+		got := PairBatchPrecomputed(pc, ps)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatalf("round %d: precomputed pairing diverged on reuse", round)
 		}
@@ -60,8 +66,8 @@ func TestPairBatchPrecomputedReuse(t *testing.T) {
 }
 
 // TestPairBatchPrecomputedEdgeCases covers the degenerate inputs: a
-// point at infinity on either side, the single-slot batch, and the
-// empty batch, each of which must agree with PairBatch.
+// point at infinity on either side contributes the identity, the
+// single-slot batch agrees with PairBatch, and the empty batch is one.
 func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	infG1 := new(G1).ScalarBaseMult(Order)
 	infG2 := new(G2).ScalarBaseMult(Order)
@@ -72,17 +78,16 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		pc := PrecomputePairBatch(nil)
 		got := PairBatchPrecomputed(pc, nil)
-		want := PairBatch(nil, nil)
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatal("empty batch disagrees with PairBatch")
+		if !got.IsOne() {
+			t.Fatal("empty batch is not the identity")
 		}
 	})
 
 	t.Run("single", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 1)
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
+		want := PairBatch(qs, ps)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatal("single-slot batch disagrees with PairBatch")
 		}
@@ -91,9 +96,9 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("g1-infinity", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 3)
 		ps[1] = infG1
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
+		want := new(GT).Mul(Pair(qs[0], ps[0]), Pair(qs[2], ps[2]))
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatal("G1 infinity slot disagrees with PairBatch")
 		}
@@ -102,9 +107,9 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("g2-infinity", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 3)
 		qs[2] = infG2
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
+		pc := PrecomputePairBatch(qs)
+		got := PairBatchPrecomputed(pc, ps)
+		want := new(GT).Mul(Pair(qs[0], ps[0]), Pair(qs[1], ps[1]))
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatal("G2 infinity slot disagrees with PairBatch")
 		}
@@ -113,43 +118,41 @@ func TestPairBatchPrecomputedEdgeCases(t *testing.T) {
 	t.Run("all-infinity", func(t *testing.T) {
 		ps := []*G1{infG1, infG1}
 		qs := []*G2{infG2, infG2}
-		pc := PrecomputePairBatch(ps)
-		got := PairBatchPrecomputed(pc, qs)
-		want := PairBatch(ps, qs)
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatal("all-infinity batch disagrees with PairBatch")
+		pc := PrecomputePairBatch(qs)
+		if !PairBatchPrecomputed(pc, ps).IsOne() {
+			t.Fatal("all-infinity batch is not the identity")
 		}
 	})
 
 	t.Run("mismatched-length-panics", func(t *testing.T) {
 		ps, qs := randPairBatch(t, 2)
-		pc := PrecomputePairBatch(ps)
+		pc := PrecomputePairBatch(qs)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("no panic on mismatched batch length")
 			}
 		}()
-		PairBatchPrecomputed(pc, qs[:1])
+		PairBatchPrecomputed(pc, ps[:1])
 	})
 }
 
 // TestPairingPrecompConcurrent shares one handle across goroutines,
-// each evaluating its own G2 batch; under -race this doubles as the
+// each evaluating its own G1 batch; under -race this doubles as the
 // data-race check for the shared read-only program.
 func TestPairingPrecompConcurrent(t *testing.T) {
 	const n = 3
 	const workers = 8
-	ps, _ := randPairBatch(t, n)
-	pc := PrecomputePairBatch(ps)
+	_, qs := randPairBatch(t, n)
+	pc := PrecomputePairBatch(qs)
 
 	type job struct {
-		qs   []*G2
+		ps   []*G1
 		want []byte
 	}
 	jobs := make([]job, workers)
 	for i := range jobs {
-		_, qs := randPairBatch(t, n)
-		jobs[i] = job{qs: qs, want: PairBatch(ps, qs).Marshal()}
+		ps, _ := randPairBatch(t, n)
+		jobs[i] = job{ps: ps, want: PairBatch(qs, ps).Marshal()}
 	}
 
 	var wg sync.WaitGroup
@@ -158,7 +161,7 @@ func TestPairingPrecompConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got := PairBatchPrecomputed(pc, jobs[i].qs)
+			got := PairBatchPrecomputed(pc, jobs[i].ps)
 			if !bytes.Equal(got.Marshal(), jobs[i].want) {
 				bad[i] = true
 			}
@@ -172,24 +175,24 @@ func TestPairingPrecompConcurrent(t *testing.T) {
 	}
 }
 
-// TestPrecomputeBilinearity checks e(kG, Q) = e(G, Q)^k through the
-// precomputed path.
+// TestPrecomputeBilinearity checks e(kG, P) = e(G, P)^k through the
+// precomputed path: the recorded lines of [k]G and of G.
 func TestPrecomputeBilinearity(t *testing.T) {
-	k, p, err := RandomG1(rand.Reader)
+	k, q, err := RandomG2(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, q, err := RandomG2(rand.Reader)
+	_, p, err := RandomG1(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	pc := PrecomputePairBatch([]*G1{p})
-	lhs := PairBatchPrecomputed(pc, []*G2{q})
+	pc := PrecomputePairBatch([]*G2{q})
+	lhs := PairBatchPrecomputed(pc, []*G1{p})
 
-	g := new(G1).ScalarBaseMult(big.NewInt(1))
-	pcG := PrecomputePairBatch([]*G1{g})
-	rhs := PairBatchPrecomputed(pcG, []*G2{q})
+	g := new(G2).ScalarBaseMult(big.NewInt(1))
+	pcG := PrecomputePairBatch([]*G2{g})
+	rhs := PairBatchPrecomputed(pcG, []*G1{p})
 	rhs = new(GT).Exp(rhs, k)
 
 	if !bytes.Equal(lhs.Marshal(), rhs.Marshal()) {

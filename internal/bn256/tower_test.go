@@ -82,8 +82,16 @@ func TestGFp2Arithmetic(t *testing.T) {
 }
 
 func TestGFp2Sqrt(t *testing.T) {
-	for i := 0; i < 25; i++ {
+	for i := 0; i < 27; i++ {
 		a := randGFp2(t)
+		switch i {
+		case 25:
+			// A root i*r with r in Fp: its square -r^2 lies in Fp and is
+			// a non-residue there, so the root's real part is zero.
+			a.a0.SetZero()
+		case 26:
+			a.a1.SetZero()
+		}
 		var sq gfP2
 		sq.Square(a)
 		var root gfP2
@@ -205,21 +213,25 @@ func TestFrobenius2IsP2Power(t *testing.T) {
 func TestMulLineMatchesGeneric(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a := randGFp12(t)
-		c, _ := randGFp(t)
-		l01, l11 := randGFp2(t), randGFp2(t)
+		l1, l3 := randGFp2(t), randGFp2(t)
 
-		var viaSparse gfP12
-		viaSparse.mulLine(a, c, l01, l11)
-
+		// 1 + l1 omega + l3 omega^3: omega is c1.b0, omega^3 is c1.b1.
 		var l gfP12
-		l.c0.b0.a0.Set(c)
-		l.c0.b1.Set(l01)
-		l.c1.b1.Set(l11)
+		l.SetOne()
+		l.c1.b0.Set(l1)
+		l.c1.b1.Set(l3)
 		var viaGeneric gfP12
 		viaGeneric.Mul(a, &l)
 
+		var viaSparse gfP12
+		viaSparse.mulLine(a, l1, l3)
 		if !viaSparse.Equal(&viaGeneric) {
 			t.Fatal("mulLine disagrees with generic multiplication")
+		}
+		viaSparse.Set(a)
+		viaSparse.mulLine(&viaSparse, l1, l3)
+		if !viaSparse.Equal(&viaGeneric) {
+			t.Fatal("aliased mulLine disagrees with generic multiplication")
 		}
 	}
 }

@@ -50,6 +50,9 @@ func initTwist() {
 			panic("bn256: cofactor-cleared twist point does not have order r")
 		}
 		gen.MakeAffine()
+		if !gen.inG2() {
+			panic("bn256: Frobenius does not act as 6u^2 on G2")
+		}
 		twistGen = gen
 		return
 	}
@@ -216,6 +219,32 @@ func (t *twistPoint) Neg(a *twistPoint) *twistPoint {
 	t.y.Neg(&a.y)
 	t.z.Set(&a.z)
 	return t
+}
+
+// Frobenius sets t to the p-power Frobenius of a carried through the
+// twist (untwist, raise to p, twist back): with omega^(p-1) =
+// xi^((p-1)/6), (x, y) maps to (conj(x) omega^(2(p-1)), conj(y)
+// omega^(3(p-1))). Conjugating Z keeps the map valid in Jacobian form.
+func (t *twistPoint) Frobenius(a *twistPoint) *twistPoint {
+	t.x.Conjugate(&a.x)
+	t.x.Mul(&t.x, &frob1Consts[2])
+	t.y.Conjugate(&a.y)
+	t.y.Mul(&t.y, &frob1Consts[3])
+	t.z.Conjugate(&a.z)
+	return t
+}
+
+// inG2 reports whether t lies in the order-r subgroup. On G2 the
+// Frobenius acts as multiplication by p = trace - 1 = 6u^2 mod r, and
+// on the twist of this BN curve no other point satisfies that (El
+// Housni, Guillevic, Piellard, AFRICACRYPT 2022;
+// TestSubgroupCheckMatchesOrder pins it against [r]t == 0), so a
+// 127-bit scalar multiplication replaces the 254-bit one.
+func (t *twistPoint) inG2() bool {
+	var pi, m twistPoint
+	pi.Frobenius(t)
+	m.Mul(t, sixUSquared)
+	return pi.Equal(&m)
 }
 
 // Mul sets t = k*a using double-and-add and returns t.

@@ -11,10 +11,16 @@
 // vectors instead), only the second component of keys and ciphertexts is
 // kept, and decryption outputs the group element
 //
-//	D = e(g1, g2)^(det(B) * <v, w>)
+//	D = e(g2, g1)^(det(B) * <v, w>)
 //
 // without extracting a discrete logarithm: Secure Join only compares D
 // values for equality.
+//
+// Keys and tokens live in G2 and ciphertexts in G1, so that the token,
+// which SJ.Dec pairs against every row of a table, is the optimal ate
+// pairing's fixed argument (see bn256). The scheme's correctness and
+// its generic-group security argument are symmetric in the two source
+// groups (DESIGN.md, "Crypto substrate").
 package ipe
 
 import (
@@ -56,17 +62,17 @@ func Setup(n int, rng io.Reader) (*MasterKey, error) {
 
 // SecretKey is a full-scheme functional key (K1, K2) for a vector v.
 type SecretKey struct {
-	K1 *bn256.G1
-	K2 []*bn256.G1
+	K1 *bn256.G2
+	K2 []*bn256.G2
 }
 
 // Ciphertext is a full-scheme ciphertext (C1, C2) for a vector w.
 type Ciphertext struct {
-	C1 *bn256.G2
-	C2 []*bn256.G2
+	C1 *bn256.G1
+	C2 []*bn256.G1
 }
 
-// KeyGen produces the pair sk = (g1^(alpha det B), g1^(alpha v B)) for a
+// KeyGen produces the pair sk = (g2^(alpha det B), g2^(alpha v B)) for a
 // fresh uniform alpha.
 func (msk *MasterKey) KeyGen(v zq.Vector, rng io.Reader) (*SecretKey, error) {
 	if len(v) != msk.N {
@@ -77,17 +83,17 @@ func (msk *MasterKey) KeyGen(v zq.Vector, rng io.Reader) (*SecretKey, error) {
 		return nil, err
 	}
 	sk := &SecretKey{
-		K1: new(bn256.G1).ScalarBaseMult(alpha.Mul(msk.Det).Big()),
-		K2: make([]*bn256.G1, msk.N),
+		K1: new(bn256.G2).ScalarBaseMult(alpha.Mul(msk.Det).Big()),
+		K2: make([]*bn256.G2, msk.N),
 	}
 	vb := msk.B.MulVec(v)
 	for i, c := range vb {
-		sk.K2[i] = new(bn256.G1).ScalarBaseMult(alpha.Mul(c).Big())
+		sk.K2[i] = new(bn256.G2).ScalarBaseMult(alpha.Mul(c).Big())
 	}
 	return sk, nil
 }
 
-// Encrypt produces the pair ct = (g2^beta, g2^(beta w B*)) for a fresh
+// Encrypt produces the pair ct = (g1^beta, g1^(beta w B*)) for a fresh
 // uniform beta.
 func (msk *MasterKey) Encrypt(w zq.Vector, rng io.Reader) (*Ciphertext, error) {
 	if len(w) != msk.N {
@@ -98,12 +104,12 @@ func (msk *MasterKey) Encrypt(w zq.Vector, rng io.Reader) (*Ciphertext, error) {
 		return nil, err
 	}
 	ct := &Ciphertext{
-		C1: new(bn256.G2).ScalarBaseMult(beta.Big()),
-		C2: make([]*bn256.G2, msk.N),
+		C1: new(bn256.G1).ScalarBaseMult(beta.Big()),
+		C2: make([]*bn256.G1, msk.N),
 	}
 	wb := msk.BStar.MulVec(w)
 	for i, c := range wb {
-		ct.C2[i] = new(bn256.G2).ScalarBaseMult(beta.Mul(c).Big())
+		ct.C2[i] = new(bn256.G1).ScalarBaseMult(beta.Mul(c).Big())
 	}
 	return ct, nil
 }
@@ -133,18 +139,18 @@ func Decrypt(sk *SecretKey, ct *Ciphertext, s []int64) (int64, error) {
 }
 
 // Token is a modified-scheme key: the single vector component
-// Tk = g1^(v B). The paper calls this the query's "unlocking token".
+// Tk = g2^(v B). The paper calls this the query's "unlocking token".
 type Token struct {
-	Elems []*bn256.G1
-}
-
-// CiphertextM is a modified-scheme ciphertext: the single vector
-// component C = g2^(w B*).
-type CiphertextM struct {
 	Elems []*bn256.G2
 }
 
-// KeyGenModified computes Tk = g1^(v B) with alpha = 1; per Section 4.2
+// CiphertextM is a modified-scheme ciphertext: the single vector
+// component C = g1^(w B*).
+type CiphertextM struct {
+	Elems []*bn256.G1
+}
+
+// KeyGenModified computes Tk = g2^(v B) with alpha = 1; per Section 4.2
 // the randomness that alpha provided lives inside v itself (the delta
 // slot appended by the Secure Join token builder).
 func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
@@ -152,28 +158,28 @@ func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 		return nil, fmt.Errorf("ipe: token vector has length %d, want %d", len(v), msk.N)
 	}
 	vb := msk.B.MulVec(v)
-	tk := &Token{Elems: make([]*bn256.G1, msk.N)}
+	tk := &Token{Elems: make([]*bn256.G2, msk.N)}
 	for i, c := range vb {
-		tk.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
+		tk.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
 	}
 	return tk, nil
 }
 
-// EncryptModified computes C = g2^(w B*) with beta = 1; the gamma slots
+// EncryptModified computes C = g1^(w B*) with beta = 1; the gamma slots
 // inside w carry the randomness.
 func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
 	if len(w) != msk.N {
 		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
 	}
 	wb := msk.BStar.MulVec(w)
-	ct := &CiphertextM{Elems: make([]*bn256.G2, msk.N)}
+	ct := &CiphertextM{Elems: make([]*bn256.G1, msk.N)}
 	for i, c := range wb {
-		ct.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
+		ct.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
 	}
 	return ct, nil
 }
 
-// DecryptModified computes D = e(Tk, C) = e(g1,g2)^(det(B) <v, w>) using
+// DecryptModified computes D = e(Tk, C) = e(g2,g1)^(det(B) <v, w>) using
 // one batched multi-pairing. Secure Join compares these D values for
 // equality; their discrete logs are never extracted.
 func DecryptModified(tk *Token, ct *CiphertextM) (*bn256.GT, error) {
@@ -184,7 +190,7 @@ func DecryptModified(tk *Token, ct *CiphertextM) (*bn256.GT, error) {
 	return bn256.PairBatch(tk.Elems, ct.Elems), nil
 }
 
-// TokenPrecomp is a token with its G1-side Miller program recorded
+// TokenPrecomp is a token with its Miller program recorded
 // once, amortizing the fixed-argument pairing work across every
 // ciphertext the token is paired with. The handle is immutable and
 // safe for concurrent use by multiple goroutines.
@@ -205,7 +211,7 @@ func (tp *TokenPrecomp) Dim() int { return tp.n }
 
 // Decrypt computes the same D value DecryptModified would for the
 // precomputed token, evaluating the recorded Miller program at the
-// ciphertext's G2 elements.
+// ciphertext's G1 elements.
 func (tp *TokenPrecomp) Decrypt(ct *CiphertextM) (*bn256.GT, error) {
 	if tp.n != len(ct.Elems) {
 		return nil, fmt.Errorf("ipe: token dimension %d does not match ciphertext dimension %d",

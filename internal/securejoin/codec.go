@@ -10,18 +10,20 @@ import (
 
 // Wire encodings for tokens and row ciphertexts, used by the TCP
 // client/server protocol and by anything that persists encrypted tables.
-// Both are a 4-byte big-endian element count followed by fixed-size
-// group-element encodings (64 bytes per G1 element, 128 per G2).
+// Both are a 4-byte big-endian element count followed by 64-byte group
+// elements: a row's G1 elements as affine x || y, a token's G2 elements
+// compressed (x in Fp2 plus the sign of y; see bn256.G2.Marshal).
 
-const (
-	g1Size = 64
-	g2Size = 128
-)
+const elemSize = 64
+
+// oldRowElemSize is the size of a row element written before rows moved
+// from G2 to G1; such rows cannot be read, only re-uploaded.
+const oldRowElemSize = 128
 
 // MarshalBinary encodes the token.
 func (t *Token) MarshalBinary() ([]byte, error) {
 	n := len(t.Tk.Elems)
-	out := make([]byte, 4, 4+n*g1Size)
+	out := make([]byte, 4, 4+n*elemSize)
 	binary.BigEndian.PutUint32(out, uint32(n))
 	for _, e := range t.Tk.Elems {
 		out = append(out, e.Marshal()...)
@@ -30,20 +32,17 @@ func (t *Token) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a token produced by MarshalBinary, validating
-// every group element.
+// every group element (G2 subgroup membership included, so a malicious
+// encoder cannot smuggle points of small order).
 func (t *Token) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("securejoin: token encoding too short")
+	n, err := elemCount("token", data)
+	if err != nil {
+		return err
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) != n*g1Size {
-		return fmt.Errorf("securejoin: token encoding has %d trailing bytes, want %d", len(data), n*g1Size)
-	}
-	elems := make([]*bn256.G1, n)
-	for i := 0; i < n; i++ {
-		elems[i] = new(bn256.G1)
-		if err := elems[i].Unmarshal(data[i*g1Size : (i+1)*g1Size]); err != nil {
+	elems := make([]*bn256.G2, n)
+	for i := range elems {
+		elems[i] = new(bn256.G2)
+		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
 			return fmt.Errorf("securejoin: token element %d: %w", i, err)
 		}
 	}
@@ -54,7 +53,7 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 // MarshalBinary encodes the row ciphertext.
 func (ct *RowCiphertext) MarshalBinary() ([]byte, error) {
 	n := len(ct.C.Elems)
-	out := make([]byte, 4, 4+n*g2Size)
+	out := make([]byte, 4, 4+n*elemSize)
 	binary.BigEndian.PutUint32(out, uint32(n))
 	for _, e := range ct.C.Elems {
 		out = append(out, e.Marshal()...)
@@ -63,25 +62,37 @@ func (ct *RowCiphertext) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a row ciphertext produced by MarshalBinary,
-// validating every group element (curve membership and G2 subgroup
-// checks included, so a malicious encoder cannot smuggle small-order
-// points).
+// validating every group element. G1 has cofactor 1, so the curve
+// equation is the whole membership check.
 func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("securejoin: ciphertext encoding too short")
+	n, err := elemCount("ciphertext", data)
+	if err != nil {
+		if n > 0 && len(data) == 4+n*oldRowElemSize {
+			return fmt.Errorf("securejoin: ciphertext elements are %d bytes, written before rows moved to %d-byte G1 elements; re-upload the table", oldRowElemSize, elemSize)
+		}
+		return err
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if len(data) != n*g2Size {
-		return fmt.Errorf("securejoin: ciphertext encoding has %d trailing bytes, want %d", len(data), n*g2Size)
-	}
-	elems := make([]*bn256.G2, n)
-	for i := 0; i < n; i++ {
-		elems[i] = new(bn256.G2)
-		if err := elems[i].Unmarshal(data[i*g2Size : (i+1)*g2Size]); err != nil {
+	elems := make([]*bn256.G1, n)
+	for i := range elems {
+		elems[i] = new(bn256.G1)
+		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
 			return fmt.Errorf("securejoin: ciphertext element %d: %w", i, err)
 		}
 	}
 	ct.C = &ipe.CiphertextM{Elems: elems}
 	return nil
+}
+
+// elemCount reads the element count of an encoding and checks that the
+// body holds exactly that many elements. On a length mismatch it still
+// returns the count it read.
+func elemCount(what string, data []byte) (int, error) {
+	if len(data) < 4 {
+		return 0, fmt.Errorf("securejoin: %s encoding too short", what)
+	}
+	n := int(binary.BigEndian.Uint32(data))
+	if len(data)-4 != n*elemSize {
+		return n, fmt.Errorf("securejoin: %s encoding has %d trailing bytes, want %d", what, len(data)-4, n*elemSize)
+	}
+	return n, nil
 }

@@ -2,6 +2,7 @@ package securejoin
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/bn256"
@@ -92,7 +93,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 		t.Fatal("short ciphertext encoding accepted")
 	}
 	// Correct length but invalid group elements.
-	junk := make([]byte, 4+128)
+	junk := make([]byte, 4+64)
 	junk[3] = 1
 	for i := 4; i < len(junk); i++ {
 		junk[i] = 0xff
@@ -100,6 +101,44 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if err := ct.UnmarshalBinary(junk); err == nil {
 		t.Fatal("non-curve ciphertext element accepted")
 	}
+	// A row written when row elements were 128-byte G2 points.
+	old := make([]byte, 4+128)
+	old[3] = 1
+	if err := ct.UnmarshalBinary(old); err == nil || !strings.Contains(err.Error(), "re-upload") {
+		t.Fatalf("old-format ciphertext: got %v, want an error saying to re-upload", err)
+	}
+}
+
+// FuzzTokenUnmarshal feeds hostile bytes to the token codec, the first
+// thing the server does with a join request. The corpus under
+// testdata/fuzz/FuzzTokenUnmarshal seeds it with a valid token, count
+// and length mismatches, and elements with bad flag bits, x >= p, x off
+// the twist and the infinity encoding. A failure must be an error,
+// never a panic; an accepted token must re-encode to the same bytes.
+func FuzzTokenUnmarshal(f *testing.F) {
+	s := newTestScheme(f, 1, 1)
+	q, err := s.NewQuery(Selection{}, Selection{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := q.TokenA.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tk Token
+		if err := tk.UnmarshalBinary(data); err != nil {
+			return
+		}
+		again, err := tk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("accepted a non-canonical token encoding")
+		}
+	})
 }
 
 // TestTamperedCiphertextDoesNotMatch injects a fault: flipping any
@@ -134,7 +173,7 @@ func TestTamperedCiphertextDoesNotMatch(t *testing.T) {
 
 	// Tamper: swap two ciphertext elements — each remains a valid group
 	// element, but the encoded vector changes.
-	swapped := append([]*bn256.G2{}, ct.C.Elems...)
+	swapped := append([]*bn256.G1{}, ct.C.Elems...)
 	swapped[0], swapped[1] = swapped[1], swapped[0]
 	tampered := &RowCiphertext{C: &ipe.CiphertextM{Elems: swapped}}
 

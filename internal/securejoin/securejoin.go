@@ -90,7 +90,7 @@ type Row struct {
 	Attrs     [][]byte
 }
 
-// RowCiphertext is the SJ.Enc output for one row: C = g2^(w B*).
+// RowCiphertext is the SJ.Enc output for one row: C = g1^(w B*).
 type RowCiphertext struct {
 	C *ipe.CiphertextM
 }
@@ -176,7 +176,7 @@ func (sel Selection) validate(p Params) error {
 	return nil
 }
 
-// Token is the SJ.TokenGen output for one table: Tk = g1^(v B).
+// Token is the SJ.TokenGen output for one table: Tk = g2^(v B).
 type Token struct {
 	Tk *ipe.Token
 }
@@ -263,7 +263,7 @@ func (s *Scheme) TokenGen(k zq.Scalar, sel Selection) (*Token, error) {
 
 // DValue is the opaque decryption result of SJ.Dec for one row: a
 // canonical encoding of the GT element
-// e(g1,g2)^(det(B)(k H(a0) + sum_i P_i(a_i))). Equal DValues (as byte
+// e(g2,g1)^(det(B)(k H(a0) + sum_i P_i(a_i))). Equal DValues (as byte
 // strings) correspond to equal GT elements, so they can key a hash join.
 type DValue []byte
 
@@ -277,12 +277,11 @@ func Decrypt(tk *Token, ct *RowCiphertext) (DValue, error) {
 	return DValue(gt.Marshal()), nil
 }
 
-// TokenPrecomp is a token whose G1-side Miller program has been
-// recorded once. A query token is paired against every row of a
-// table, so the per-step inversions and point-chain updates of the
-// Miller loop — which depend only on the token — are paid once here
-// instead of once per row. The handle is immutable and safe for
-// concurrent use.
+// TokenPrecomp is a token whose Miller program has been recorded once.
+// A query token is paired against every row of a table, so the
+// twist-point chain and the line normalization of the Miller loop —
+// which depend only on the token — are paid once here instead of once
+// per row. The handle is immutable and safe for concurrent use.
 type TokenPrecomp struct {
 	tp *ipe.TokenPrecomp
 }

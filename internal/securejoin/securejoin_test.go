@@ -20,7 +20,7 @@ func buildExampleTables() (teams, employees []Row) {
 	return teams, employees
 }
 
-func newTestScheme(t *testing.T, m, tt int) *Scheme {
+func newTestScheme(t testing.TB, m, tt int) *Scheme {
 	t.Helper()
 	s, err := Setup(Params{M: m, T: tt}, nil)
 	if err != nil {

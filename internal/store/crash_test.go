@@ -1,6 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -173,6 +178,63 @@ func TestRecommitHealsDamage(t *testing.T) {
 		t.Fatalf("recovered %d tables, want 2", len(s2.Tables()))
 	}
 	sameTable(t, tableByName(t, s2, "T2"), healed)
+}
+
+// TestPreSwapSnapshotIsDamage: a snapshot written when row elements
+// were 128-byte G2 points (before rows moved to G1) is reported as
+// damage that names the element size and asks for a re-upload. It is
+// never served, and a fresh Commit of the same name heals it.
+func TestPreSwapSnapshotIsDamage(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestClient(t)
+	s := mustOpen(t, dir)
+	keep := encTable(t, c, "Keep", false, "k")
+	mustCommit(t, s, keep)
+
+	// engine.SaveTable's image of that version: each row's join
+	// ciphertext is a 4-byte element count and 128-byte elements. Only
+	// the shape matters; the element bytes are never reached.
+	type oldRow struct{ Join, Payload []byte }
+	dim := c.Params().Dim()
+	join := make([]byte, 4+dim*128)
+	binary.BigEndian.PutUint32(join, uint32(dim))
+	for i := 4; i < len(join); i++ {
+		join[i] = byte(i)
+	}
+	var snap bytes.Buffer
+	if err := gob.NewEncoder(&snap).Encode(&struct {
+		Name string
+		Rows []oldRow
+	}{Name: "T", Rows: []oldRow{{Join: join, Payload: []byte("sealed")}}}); err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("%016x.snap", s.seq+1)
+	if err := os.WriteFile(filepath.Join(dir, tablesDir, name), snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	digest := sha256.Sum256(snap.Bytes())
+	if err := s.append(&record{Seq: s.seq + 1, Op: opCommit, Table: "T", Snapshot: name, Digest: digest[:], Rows: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustOpen(t, dir)
+	assertDamagedTable(t, s2, "T", "elements are 128 bytes")
+	assertDamagedTable(t, s2, "T", "re-upload the table")
+	if tables := s2.Tables(); len(tables) != 1 || tables[0].Name != "Keep" {
+		t.Fatalf("recovered %d tables, want just Keep", len(tables))
+	}
+	healed := encTable(t, c, "T", false, "fresh")
+	mustCommit(t, s2, healed)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustOpen(t, dir)
+	assertNoDamage(t, s3)
+	sameTable(t, tableByName(t, s3, "T"), healed)
+	sameTable(t, tableByName(t, s3, "Keep"), keep)
 }
 
 // TestSweepRemovesCrashLitter: stray temp files (interrupted snapshot

@@ -1,4 +1,4 @@
-// Package wire defines the v2 client/server protocol: a versioned
+// Package wire defines the v3 client/server protocol: a versioned
 // handshake followed by length-prefixed gob frames. Requests carry a
 // client-chosen ID and may be pipelined; the server answers each ID
 // with zero or more JoinBatch frames followed by exactly one terminal
@@ -20,9 +20,11 @@ import (
 )
 
 // Version is the protocol version spoken by this package. Version 1 was
-// the unversioned blocking request/response protocol; it is no longer
-// accepted.
-const Version = 2
+// the unversioned blocking request/response protocol. Version 2 carried
+// tokens in G1 and row ciphertexts in G2; version 3 swapped the groups,
+// which changed both encodings. Neither is accepted any more, so a
+// client of either fails at the handshake rather than in a codec.
+const Version = 3
 
 // MaxFrameSize bounds a single frame's payload so a malformed or
 // hostile peer cannot force an unbounded allocation.
@@ -156,7 +158,7 @@ type UploadRow struct {
 // should use for this query (0 picks the server default; the server
 // clamps the hint to its core count). All three fields are gob
 // zero-valued when absent, so requests from clients that predate them
-// execute exactly the v2 full-scan, server-paced join — no handshake
+// execute exactly the plain full-scan, server-paced join — no handshake
 // or version change.
 //
 // CandidatesA/B optionally restrict a side to an explicit row-id list
@@ -410,11 +412,11 @@ func ClientHandshake(c *Conn) error {
 	if err := c.Recv(&ack); err != nil {
 		return fmt.Errorf("wire: handshake: %w", err)
 	}
-	if ack.Err != "" {
-		return fmt.Errorf("wire: handshake rejected: %s", ack.Err)
-	}
 	if ack.Version != Version {
 		return fmt.Errorf("%w: server speaks v%d, client v%d", ErrVersionMismatch, ack.Version, Version)
+	}
+	if ack.Err != "" {
+		return fmt.Errorf("wire: handshake rejected: %s", ack.Err)
 	}
 	return nil
 }

@@ -183,27 +183,44 @@ func TestHandshake(t *testing.T) {
 }
 
 func TestHandshakeVersionMismatch(t *testing.T) {
+	// A v1 client, a v2 client (tokens in G1, rows in G2: the encodings
+	// before the group swap) and a future client are each rejected with
+	// a descriptive ack, and the server reports the mismatch.
+	for _, v := range []uint32{1, 2, Version + 1} {
+		cliSide, srvSide := net.Pipe()
+		srvErr := make(chan error, 1)
+		go func() { srvErr <- ServerHandshake(NewConn(srvSide)) }()
+
+		cli := NewConn(cliSide)
+		if err := cli.Send(&Hello{Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		var ack HelloAck
+		if err := cli.Recv(&ack); err != nil {
+			t.Fatal(err)
+		}
+		if ack.Err == "" || ack.Version != Version {
+			t.Fatalf("v%d: ack = %+v, want rejection naming v%d", v, ack, Version)
+		}
+		if err := <-srvErr; !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("v%d: server handshake: got %v, want ErrVersionMismatch", v, err)
+		}
+		cliSide.Close()
+		srvSide.Close()
+	}
+
+	// This client against a v2 server, which rejects it the same way.
 	cliSide, srvSide := net.Pipe()
 	defer cliSide.Close()
 	defer srvSide.Close()
-
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- ServerHandshake(NewConn(srvSide)) }()
-
-	// A v1 (or future) client announcing the wrong version is rejected
-	// with a descriptive ack, and the server reports the mismatch.
-	cli := NewConn(cliSide)
-	if err := cli.Send(&Hello{Version: 1}); err != nil {
-		t.Fatal(err)
-	}
-	var ack HelloAck
-	if err := cli.Recv(&ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Err == "" || ack.Version != Version {
-		t.Fatalf("ack = %+v, want rejection naming v%d", ack, Version)
-	}
-	if err := <-srvErr; !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("server handshake: got %v, want ErrVersionMismatch", err)
+	go func() {
+		srv := NewConn(srvSide)
+		var hello Hello
+		if srv.Recv(&hello) == nil {
+			srv.Send(&HelloAck{Version: 2, Err: "unsupported protocol version 3 (server speaks 2)"})
+		}
+	}()
+	if err := ClientHandshake(NewConn(cliSide)); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("client against a v2 server: got %v, want ErrVersionMismatch", err)
 	}
 }
