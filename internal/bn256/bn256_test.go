@@ -25,6 +25,71 @@ func TestParamsDerivation(t *testing.T) {
 	}
 }
 
+// checkWNAF asserts the wNAF contract for the digits of k at width w.
+func checkWNAF(t *testing.T, k *big.Int, w uint, digits []int8) {
+	t.Helper()
+	sum := new(big.Int)
+	for i := len(digits) - 1; i >= 0; i-- {
+		sum.Lsh(sum, 1)
+		sum.Add(sum, big.NewInt(int64(digits[i])))
+		if d := digits[i]; d != 0 && (d%2 == 0 || d >= 1<<(w-1) || d <= -(1<<(w-1))) {
+			t.Fatalf("wnaf(%v, %d): digit %d at %d is even or too large", k, w, d, i)
+		}
+	}
+	if sum.Cmp(k) != 0 {
+		t.Fatalf("wnaf(%v, %d) sums to %v", k, w, sum)
+	}
+	for i := range digits {
+		nonzero := 0
+		for j := i; j < i+int(w) && j < len(digits); j++ {
+			if digits[j] != 0 {
+				nonzero++
+			}
+		}
+		if nonzero > 1 {
+			t.Fatalf("wnaf(%v, %d): %d non-zero digits in the window at %d", k, w, nonzero, i)
+		}
+	}
+	if len(digits) > 0 && digits[len(digits)-1] <= 0 {
+		t.Fatalf("wnaf(%v, %d): leading digit %d is not positive", k, w, digits[len(digits)-1])
+	}
+}
+
+func wnafWeight(digits []int8) int {
+	n := 0
+	for _, d := range digits {
+		if d != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func TestWNAFRecoding(t *testing.T) {
+	ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 254), big.NewInt(1))
+	fixed := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(7), big.NewInt(255), ones, Order, u, sixUPlus2}
+	for w := uint(2); w <= 6; w++ {
+		for _, k := range fixed {
+			checkWNAF(t, k, w, wnaf(k, w))
+		}
+		for i := 0; i < 50; i++ {
+			k := randScalar(t)
+			checkWNAF(t, k, w, wnaf(k, w))
+		}
+	}
+	// The loop constants' weights, which set the pairing's line and
+	// multiplication counts.
+	if got := wnafWeight(sixUPlus2NAF); got != 22 {
+		t.Fatalf("NAF weight of 6u+2 = %d, want 22", got)
+	}
+	if got := len(sixUPlus2NAF); got != 66 {
+		t.Fatalf("NAF length of 6u+2 = %d, want 66", got)
+	}
+	if got := wnafWeight(uWNAF); got != 14 {
+		t.Fatalf("width-4 wNAF weight of u = %d, want 14", got)
+	}
+}
+
 func TestG1Order(t *testing.T) {
 	var e G1
 	e.ScalarBaseMult(Order)

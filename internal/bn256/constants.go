@@ -15,8 +15,8 @@
 // (1, 2). G2 is the order-r subgroup of the sextic D-twist
 // E': y^2 = x^3 + 3/xi over Fp2, and GT is the order-r subgroup of
 // Fp12*. The pairing e: G2 x G1 -> GT is the optimal ate pairing
-// (Vercauteren): a Miller loop over the 65-bit 6u+2 that walks
-// multiples of the G2 argument, two Frobenius end-lines, and a final
+// (Vercauteren): a Miller loop over the signed digits of 6u+2 that
+// walks multiples of the G2 argument, two Frobenius end-lines, and a final
 // exponentiation to the power (p^12-1)/r. Its G2 argument is the fixed
 // one: PrecomputePairBatch records a G2 batch's lines once and
 // PairBatchPrecomputed evaluates them at any number of G1 batches.
@@ -47,8 +47,12 @@ var (
 	// finalExpHard is (p^4 - p^2 + 1)/r, the hard part of the final
 	// exponentiation.
 	finalExpHard *big.Int
-	// sixUPlus2 is the optimal ate Miller loop length 6u + 2.
-	sixUPlus2 *big.Int
+	// sixUPlus2 is the optimal ate Miller loop length 6u + 2, and
+	// sixUPlus2NAF its non-adjacent form, the digits the loop walks.
+	sixUPlus2    *big.Int
+	sixUPlus2NAF []int8
+	// uWNAF is the width-4 wNAF of u, the digits of expByU.
+	uWNAF []int8
 	// sixUSquared is t - 1 = 6u^2, the eigenvalue of the twisted
 	// Frobenius on G2 (p mod r).
 	sixUSquared *big.Int
@@ -88,6 +92,8 @@ func initParams() {
 	trace = new(big.Int).Add(sixUSquared, one)
 	sixUPlus2 = new(big.Int).Mul(u, big.NewInt(6))
 	sixUPlus2.Add(sixUPlus2, big.NewInt(2))
+	sixUPlus2NAF = wnaf(sixUPlus2, 2)
+	uWNAF = wnaf(u, 4)
 
 	// twist cofactor c2 = p - 1 + t
 	twistCofactor = new(big.Int).Add(P, trace)
@@ -104,6 +110,32 @@ func initParams() {
 		panic("bn256: (p^4 - p^2 + 1) not divisible by r")
 	}
 	finalExpHard = h
+}
+
+// scalarWNAFWidth is the wNAF width of G1 and G2 scalar multiplication.
+const scalarWNAFWidth = 5
+
+// wnaf returns the width-w non-adjacent form of k >= 0, least
+// significant digit first: sum d_i 2^i = k, every non-zero digit is odd
+// with |d_i| < 2^(w-1), and any w consecutive digits hold at most one
+// non-zero. Width 2 is the plain NAF. The leading digit is positive.
+func wnaf(k *big.Int, w uint) []int8 {
+	n := new(big.Int).Set(k)
+	var d big.Int
+	digits := make([]int8, 0, k.BitLen()+1)
+	for n.Sign() > 0 {
+		var di int64
+		if n.Bit(0) == 1 {
+			di = int64(n.Bits()[0] & (1<<w - 1))
+			if di >= 1<<(w-1) {
+				di -= 1 << w
+			}
+			n.Sub(n, d.SetInt64(di))
+		}
+		digits = append(digits, int8(di))
+		n.Rsh(n, 1)
+	}
+	return digits
 }
 
 func init() {

@@ -192,15 +192,29 @@ func (c *curvePoint) Neg(a *curvePoint) *curvePoint {
 	return c
 }
 
-// Mul sets c = k*a using double-and-add and returns c.
+// Mul sets c = k*a for k >= 0 and returns c. It walks the width-5
+// wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
+// entry for a negative digit. It is variable-time: its running time
+// depends on k.
 func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
-	var acc curvePoint
+	var table [1 << (scalarWNAFWidth - 2)]curvePoint // table[i] = (2i+1)a
+	var a2 curvePoint
+	a2.Double(a)
+	table[0].Set(a)
+	for i := 1; i < len(table); i++ {
+		table[i].Add(&table[i-1], &a2)
+	}
+	var acc, neg curvePoint
 	acc.SetInfinity()
-	base := *a
-	for i := k.BitLen() - 1; i >= 0; i-- {
+	digits := wnaf(k, scalarWNAFWidth)
+	for i := len(digits) - 1; i >= 0; i-- {
 		acc.Double(&acc)
-		if k.Bit(i) == 1 {
-			acc.Add(&acc, &base)
+		switch d := digits[i]; {
+		case d > 0:
+			acc.Add(&acc, &table[d/2])
+		case d < 0:
+			neg.Neg(&table[-d/2])
+			acc.Add(&acc, &neg)
 		}
 	}
 	return c.Set(&acc)

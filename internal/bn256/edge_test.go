@@ -49,6 +49,75 @@ func TestGFpEdgeValues(t *testing.T) {
 		}
 	}
 
+	// The branch-free select at the end of Add and Mul (reduceOnce) at
+	// exactly p-1, p, p+1 and 2p-1 on raw limbs.
+	for _, c := range []struct{ in, want *big.Int }{
+		{pm1, pm1},
+		{P, big.NewInt(0)},
+		{new(big.Int).Add(P, one), one},
+		{new(big.Int).Sub(new(big.Int).Lsh(P, 1), one), pm1},
+	} {
+		var e gfP
+		for i, w := range c.in.Bits() {
+			e[i] = uint64(w)
+		}
+		e.reduceOnce()
+		if got := rawBig(&e); got.Cmp(c.want) != 0 {
+			t.Fatalf("reduceOnce(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+
+	// Add and Mul operands whose raw sum or Montgomery product lands on
+	// those boundaries before the select. Add acts on raw limbs, so raw
+	// operands summing to p-1, p, p+1 and 2p-2 (the largest sum of
+	// reduced operands) reach them directly.
+	half := new(big.Int).Rsh(P, 1)
+	for _, pair := range [][2]*big.Int{
+		{pm1, big.NewInt(0)},
+		{pm1, one},
+		{half, new(big.Int).Add(half, one)},
+		{pm1, big.NewInt(2)},
+		{pm1, pm1},
+	} {
+		ra, rb := gfPFromRawBig(pair[0]), gfPFromRawBig(pair[1])
+		var sum gfP
+		sum.Add(&ra, &rb)
+		want := new(big.Int).Add(pair[0], pair[1])
+		want.Mod(want, P)
+		if got := rawBig(&sum); got.Cmp(want) != 0 {
+			t.Fatalf("raw add %v + %v = %v, want %v", pair[0], pair[1], got, want)
+		}
+	}
+	// Mul's pre-select value is t = (ab + Mp)/R with M < R chosen so
+	// that R divides the numerator; t = ab/R mod p, and t < ab/R + p.
+	// Raw a = (p-1)R mod p times raw b = 1 gives t = p-1 exactly. For
+	// t = p+1, pick b = (p+1)R/a mod p with ab > R: t is 1 mod p and
+	// above ab/R > 1, so it is p+1. t = p would need ab = 0 mod p, which
+	// gives t = 0, and t = 2p-1 would need ab > (p-1)R > p^2, so neither
+	// is reachable from reduced operands.
+	rBig := new(big.Int).Lsh(one, 256)
+	mulCases := [][2]*big.Int{{new(big.Int).Mod(new(big.Int).Mul(pm1, rBig), P), one}}
+	for a := big.NewInt(3); len(mulCases) < 4; a.Add(a, new(big.Int).Lsh(one, 200)) {
+		b := new(big.Int).Mul(new(big.Int).Add(P, one), rBig)
+		b.Mul(b, new(big.Int).ModInverse(a, P))
+		b.Mod(b, P)
+		if new(big.Int).Mul(a, b).Cmp(rBig) > 0 {
+			mulCases = append(mulCases, [2]*big.Int{new(big.Int).Set(a), b})
+		}
+	}
+	rInv := new(big.Int).ModInverse(rBig, P)
+	for _, pair := range mulCases {
+		ra, rb := gfPFromRawBig(pair[0]), gfPFromRawBig(pair[1])
+		var prod gfP
+		prod.Mul(&ra, &rb)
+		want := new(big.Int).Mul(pair[0], pair[1])
+		want.Mul(want, rInv)
+		want.Mod(want, P)
+		if got := rawBig(&prod); got.Cmp(want) != 0 {
+			t.Fatalf("raw mul %v * %v = %v, want %v", pair[0], pair[1], got, want)
+		}
+	}
+
 	// (p-1)^2 mod p == 1.
 	fpm1 := gfPFromBig(pm1)
 	var sq gfP
@@ -63,6 +132,36 @@ func TestGFpEdgeValues(t *testing.T) {
 	if !negZero.IsZero() {
 		t.Fatal("-0 != 0")
 	}
+
+	// Sub's masked add-back: 0 - x borrows for every x != 0, x - x never.
+	for _, x := range edges {
+		fx := gfPFromBig(x)
+		var d gfP
+		d.Sub(&zero, fx)
+		want := new(big.Int).Neg(x)
+		want.Mod(want, P)
+		if d.BigInt().Cmp(want) != 0 {
+			t.Fatalf("0 - %v = %v, want %v", x, d.BigInt(), want)
+		}
+		if d.Sub(fx, fx); !d.IsZero() {
+			t.Fatalf("%v - %v != 0", x, x)
+		}
+		var n gfP
+		if n.Neg(fx); n.BigInt().Cmp(want) != 0 {
+			t.Fatalf("-%v = %v, want %v", x, n.BigInt(), want)
+		}
+	}
+}
+
+// rawBig returns the raw limbs of e as an integer, without Montgomery
+// decoding.
+func rawBig(e *gfP) *big.Int {
+	out := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		out.Lsh(out, 64)
+		out.Or(out, new(big.Int).SetUint64(e[i]))
+	}
+	return out
 }
 
 func TestGFpDoubleNearP(t *testing.T) {

@@ -128,7 +128,8 @@ func (e *gfP) Equal(a *gfP) bool {
 	return e[0] == a[0] && e[1] == a[1] && e[2] == a[2] && e[3] == a[3]
 }
 
-// gteP reports whether the raw limbs of e are >= p.
+// gteP reports whether the raw limbs of e are >= p. It branches on the
+// value, so it serves only range checks on untrusted input.
 func (e *gfP) gteP() bool {
 	for i := 3; i >= 0; i-- {
 		if e[i] > pLimbs[i] {
@@ -141,14 +142,22 @@ func (e *gfP) gteP() bool {
 	return true // equal
 }
 
-// subP sets e = e - p over the raw limbs (assumes e >= p or a pending
-// carry makes the subtraction safe).
-func (e *gfP) subP() {
+// reduceOnce sets e = e mod p for raw limbs e < 2p, without branching on
+// the value: it computes e - p and keeps it unless the subtraction
+// borrowed. Because p < 2^254, every sum of two reduced elements and
+// every Montgomery product fits in four limbs below 2p.
+func (e *gfP) reduceOnce() {
+	var t gfP
 	var b uint64
-	e[0], b = bits.Sub64(e[0], pLimbs[0], 0)
-	e[1], b = bits.Sub64(e[1], pLimbs[1], b)
-	e[2], b = bits.Sub64(e[2], pLimbs[2], b)
-	e[3], _ = bits.Sub64(e[3], pLimbs[3], b)
+	t[0], b = bits.Sub64(e[0], pLimbs[0], 0)
+	t[1], b = bits.Sub64(e[1], pLimbs[1], b)
+	t[2], b = bits.Sub64(e[2], pLimbs[2], b)
+	t[3], b = bits.Sub64(e[3], pLimbs[3], b)
+	keep := -b // all ones when e < p
+	e[0] = t[0] ^ (t[0]^e[0])&keep
+	e[1] = t[1] ^ (t[1]^e[1])&keep
+	e[2] = t[2] ^ (t[2]^e[2])&keep
+	e[3] = t[3] ^ (t[3]^e[3])&keep
 }
 
 // Add sets e = a + b mod p and returns e.
@@ -157,41 +166,31 @@ func (e *gfP) Add(a, b *gfP) *gfP {
 	e[0], c = bits.Add64(a[0], b[0], 0)
 	e[1], c = bits.Add64(a[1], b[1], c)
 	e[2], c = bits.Add64(a[2], b[2], c)
-	e[3], c = bits.Add64(a[3], b[3], c)
-	if c == 1 || e.gteP() {
-		e.subP()
-	}
+	e[3], _ = bits.Add64(a[3], b[3], c)
+	e.reduceOnce()
 	return e
 }
 
-// Sub sets e = a - b mod p and returns e.
+// Sub sets e = a - b mod p and returns e. A borrow adds p back, masked
+// rather than branched.
 func (e *gfP) Sub(a, b *gfP) *gfP {
 	var brw uint64
 	e[0], brw = bits.Sub64(a[0], b[0], 0)
 	e[1], brw = bits.Sub64(a[1], b[1], brw)
 	e[2], brw = bits.Sub64(a[2], b[2], brw)
 	e[3], brw = bits.Sub64(a[3], b[3], brw)
-	if brw == 1 {
-		var c uint64
-		e[0], c = bits.Add64(e[0], pLimbs[0], 0)
-		e[1], c = bits.Add64(e[1], pLimbs[1], c)
-		e[2], c = bits.Add64(e[2], pLimbs[2], c)
-		e[3], _ = bits.Add64(e[3], pLimbs[3], c)
-	}
+	mask := -brw
+	var c uint64
+	e[0], c = bits.Add64(e[0], pLimbs[0]&mask, 0)
+	e[1], c = bits.Add64(e[1], pLimbs[1]&mask, c)
+	e[2], c = bits.Add64(e[2], pLimbs[2]&mask, c)
+	e[3], _ = bits.Add64(e[3], pLimbs[3]&mask, c)
 	return e
 }
 
 // Neg sets e = -a mod p and returns e.
 func (e *gfP) Neg(a *gfP) *gfP {
-	if a.IsZero() {
-		return e.SetZero()
-	}
-	var brw uint64
-	e[0], brw = bits.Sub64(pLimbs[0], a[0], 0)
-	e[1], brw = bits.Sub64(pLimbs[1], a[1], brw)
-	e[2], brw = bits.Sub64(pLimbs[2], a[2], brw)
-	e[3], _ = bits.Sub64(pLimbs[3], a[3], brw)
-	return e
+	return e.Sub(&gfP{}, a)
 }
 
 // Double sets e = 2a mod p and returns e.
@@ -216,7 +215,7 @@ func madd(a, b, c, d uint64) (hi, lo uint64) {
 // measured slower (register spills). Because p < 2^254 leaves the top
 // limb's two high bits clear, the running value stays below 2p in four
 // limbs, the extra carry words of textbook CIOS are never needed, and
-// one conditional subtraction at the end reduces the result (the
+// one branch-free reduceOnce at the end reduces the result (the
 // "no-carry" variant of Botrel and El Housni, TCHES 2023).
 func (e *gfP) Mul(a, b *gfP) *gfP {
 	var t0, t1, t2, t3 uint64
@@ -237,9 +236,7 @@ func (e *gfP) Mul(a, b *gfP) *gfP {
 		t3 = hi + c1
 	}
 	*e = gfP{t0, t1, t2, t3}
-	if e.gteP() {
-		e.subP()
-	}
+	e.reduceOnce()
 	return e
 }
 

@@ -209,36 +209,6 @@ func (e *gfP12) cyclotomicSquare(a *gfP12) *gfP12 {
 	return e
 }
 
-// expCyclotomic sets e = a^k for a in the cyclotomic subgroup, using
-// cyclotomic squarings and a fixed 4-bit window. The final
-// exponentiation's hard part spends ~1000 squarings here, so the
-// cheaper squaring and the 4x reduction in multiplications both land on
-// every pairing.
-func (e *gfP12) expCyclotomic(a *gfP12, k *big.Int) *gfP12 {
-	var table [16]gfP12
-	table[1].Set(a)
-	for i := 2; i < 16; i++ {
-		table[i].Mul(&table[i-1], a)
-	}
-	var acc gfP12
-	acc.SetOne()
-	bits := k.BitLen()
-	start := (bits+3)/4*4 - 4
-	for w := start; w >= 0; w -= 4 {
-		if w != start {
-			acc.cyclotomicSquare(&acc)
-			acc.cyclotomicSquare(&acc)
-			acc.cyclotomicSquare(&acc)
-			acc.cyclotomicSquare(&acc)
-		}
-		nib := k.Bit(w) | k.Bit(w+1)<<1 | k.Bit(w+2)<<2 | k.Bit(w+3)<<3
-		if nib != 0 {
-			acc.Mul(&acc, &table[nib])
-		}
-	}
-	return e.Set(&acc)
-}
-
 // Invert sets e = a^-1 and returns e. Inverting zero yields zero.
 func (e *gfP12) Invert(a *gfP12) *gfP12 {
 	// 1/(c0 + c1 w) = (c0 - c1 w)/(c0^2 - c1^2 tau)

@@ -12,19 +12,12 @@ type gfP2 struct {
 }
 
 var (
-	// xi is the quadratic and cubic non-residue in Fp2 that defines the
-	// tower Fp6 = Fp2[tau]/(tau^3 - xi). It is chosen at init as the
-	// first element of the form n + i that is neither a square nor a
-	// cube in Fp2.
+	// xi = 9 + i is the quadratic and cubic non-residue in Fp2 that
+	// defines the tower Fp6 = Fp2[tau]/(tau^3 - xi); TestXiIsNonResidue
+	// checks that it is neither a square nor a cube.
 	xi gfP2
 	// xiInv is xi^-1, used for the twist curve coefficient b' = 3/xi.
 	xiInv gfP2
-	// xiN is the small integer n with xi = n + i, letting MulXi run on
-	// additions instead of a full Fp2 multiplication.
-	xiN int64
-	// p2Minus1Over2 and p2Minus1Over3 are residue-test exponents.
-	p2Minus1Over2 *big.Int
-	p2Minus1Over3 *big.Int
 	// pPlus1Over4 is the Fp square-root exponent (p = 3 mod 4) and inv2
 	// is 1/2; Sqrt runs on every G2 decode, so both are fixed here.
 	pPlus1Over4 *big.Int
@@ -35,33 +28,9 @@ func initGFp2() {
 	if new(big.Int).Mod(P, big.NewInt(4)).Int64() != 3 {
 		panic("bn256: prime is not 3 mod 4; i^2 = -1 is not a tower base")
 	}
-	p2 := new(big.Int).Mul(P, P)
-	p2m1 := new(big.Int).Sub(p2, big.NewInt(1))
-	p2Minus1Over2 = new(big.Int).Rsh(p2m1, 1)
-	p2Minus1Over3 = new(big.Int).Div(p2m1, big.NewInt(3))
 	pPlus1Over4 = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
 	inv2.Invert(newGFp(2))
-	if new(big.Int).Mod(p2m1, big.NewInt(3)).Sign() != 0 {
-		panic("bn256: p^2-1 not divisible by 3")
-	}
-
-	// Find xi = n + i that is a quadratic and cubic non-residue.
-	one := newGFp2One()
-	for n := int64(1); ; n++ {
-		var cand gfP2
-		cand.a0 = *newGFp(n)
-		cand.a1 = *newGFp(1)
-		var t gfP2
-		if t.Exp(&cand, p2Minus1Over2); t.Equal(one) {
-			continue
-		}
-		if t.Exp(&cand, p2Minus1Over3); t.Equal(one) {
-			continue
-		}
-		xi = cand
-		xiN = n
-		break
-	}
+	xi = gfP2{a0: *newGFp(9), a1: *newGFp(1)}
 	xiInv.Invert(&xi)
 }
 
@@ -190,44 +159,25 @@ func (e *gfP2) Square(a *gfP2) *gfP2 {
 	return e
 }
 
-// MulXi sets e = a * xi and returns e. Since xi = n + i for a small n,
-// the product is (n*a0 - a1) + (a0 + n*a1)*i, computed with a short
-// double-and-add chain instead of a full Fp2 multiplication. MulXi sits
-// on every tau-reduction in the tower, so this is one of the hottest
-// field operations in the pairing.
+// MulXi sets e = a * xi and returns e. With xi = 9 + i the product is
+// (9 a0 - a1) + (a0 + 9 a1) i, and 9x = 8x + x is three doublings and an
+// addition, so MulXi costs no multiplication. It sits on every
+// tau-reduction in the tower, making it one of the hottest field
+// operations in the pairing.
 func (e *gfP2) MulXi(a *gfP2) *gfP2 {
-	var na0, na1, r0, r1 gfP
-	mulSmall(&na0, &a.a0, xiN)
-	mulSmall(&na1, &a.a1, xiN)
-	r0.Sub(&na0, &a.a1)
-	r1.Add(&a.a0, &na1)
-	e.a0.Set(&r0)
-	e.a1.Set(&r1)
+	var n0, n1 gfP
+	n0.Double(&a.a0)
+	n0.Double(&n0)
+	n0.Double(&n0)
+	n0.Add(&n0, &a.a0)
+	n1.Double(&a.a1)
+	n1.Double(&n1)
+	n1.Double(&n1)
+	n1.Add(&n1, &a.a1)
+	n0.Sub(&n0, &a.a1)
+	e.a1.Add(&a.a0, &n1)
+	e.a0 = n0
 	return e
-}
-
-// mulSmall sets e = n*a for a small positive integer n using
-// double-and-add on field additions.
-func mulSmall(e, a *gfP, n int64) {
-	var acc gfP
-	started := false
-	for bit := 62; bit >= 0; bit-- {
-		if started {
-			acc.Double(&acc)
-		}
-		if n&(1<<uint(bit)) != 0 {
-			if started {
-				acc.Add(&acc, a)
-			} else {
-				acc.Set(a)
-				started = true
-			}
-		}
-	}
-	if !started {
-		acc.SetZero()
-	}
-	e.Set(&acc)
 }
 
 // Invert sets e = a^-1 and returns e. Inverting zero yields zero.

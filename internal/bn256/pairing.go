@@ -163,8 +163,8 @@ func (r *millerRecorder) normalize() {
 func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 	pc := &PairingPrecomp{n: len(qs)}
 	type slot struct {
-		j    int32
-		q, t twistPoint // q affine, t the running multiple
+		j        int32
+		q, nq, t twistPoint // q and -q affine, t the running multiple
 	}
 	var slots []slot
 	for j, g := range qs {
@@ -174,21 +174,33 @@ func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 		s := slot{j: int32(j)}
 		s.q.Set(&g.p)
 		s.q.MakeAffine()
+		s.nq.Neg(&s.q)
 		s.t.Set(&s.q)
 		slots = append(slots, s)
 	}
-	// 64 squarings; per slot 64 doubling, 36 addition and 2 end lines.
-	pc.ops = make([]ppOp, 0, sixUPlus2.BitLen()*(1+2*len(slots)))
+	// The loop walks the NAF of 6u+2 (66 digits, 22 non-zero) from the
+	// top: 65 squarings, and per slot 65 doubling lines, 21 addition
+	// lines (with q or -q) and 2 end lines. A -1 digit adds -q: the
+	// Miller function this computes differs from f_{6u+2,Q} only by
+	// vertical-line factors, which lie in Fp6 and vanish in the final
+	// exponentiation, so GT is unchanged (TestKnownAnswerVectors).
+	n := len(sixUPlus2NAF)
+	pc.ops = make([]ppOp, 0, n*(1+2*len(slots)))
 	r := &millerRecorder{pc: pc, as: make([]gfP2, 0, cap(pc.ops))}
 
-	for i := sixUPlus2.BitLen() - 2; i >= 0; i-- {
+	for i := n - 2; i >= 0; i-- {
 		r.square()
 		for k := range slots {
 			r.double(slots[k].j, &slots[k].t)
 		}
-		if sixUPlus2.Bit(i) == 1 {
+		switch sixUPlus2NAF[i] {
+		case 1:
 			for k := range slots {
 				r.add(slots[k].j, &slots[k].t, &slots[k].q)
+			}
+		case -1:
+			for k := range slots {
+				r.add(slots[k].j, &slots[k].t, &slots[k].nq)
 			}
 		}
 	}
@@ -278,9 +290,9 @@ func PairBatchPrecomputed(pc *PairingPrecomp, ps []*G1) *GT {
 // and the p^2 Frobenius; after it the element lies in the cyclotomic
 // subgroup, so the hard part (p^4-p^2+1)/r runs as the Devegili et al.
 // Frobenius decomposition in the BN parameter u — three exponentiations
-// by the 63-bit u on cyclotomic squarings instead of one by a 1000-bit
-// exponent. The tower tests pin it against the plain finalExpHard
-// exponentiation.
+// by the 63-bit u (expByU, signed digits on cyclotomic squarings)
+// instead of one by a 1000-bit exponent. The tower tests pin it against
+// the plain finalExpHard exponentiation.
 func finalExponentiation(f *gfP12) gfP12 {
 	var t0, t1 gfP12
 	// f^(p^6-1) = conj(f) * f^-1
@@ -294,16 +306,30 @@ func finalExponentiation(f *gfP12) gfP12 {
 	return hardExponentiation(&t0)
 }
 
-// expByU sets e = a^u for a in the cyclotomic subgroup, via plain
-// square-and-multiply on cyclotomic squarings (u is 63 bits).
+// expByU sets e = a^u for a in the cyclotomic subgroup. It walks the
+// width-4 wNAF of u (14 non-zero digits) on cyclotomic squarings with a
+// table of a, a^3, a^5, a^7; a negative digit multiplies by the
+// conjugate, which is the inverse in the cyclotomic subgroup. That is 16
+// Fp12 multiplications where the binary digits of u cost 27.
 func (e *gfP12) expByU(a *gfP12) *gfP12 {
-	var acc, base gfP12
-	base.Set(a)
-	acc.Set(a)
-	for i := u.BitLen() - 2; i >= 0; i-- {
+	var table [4]gfP12 // table[i] = a^(2i+1)
+	var a2 gfP12
+	a2.cyclotomicSquare(a)
+	table[0].Set(a)
+	for i := 1; i < len(table); i++ {
+		table[i].Mul(&table[i-1], &a2)
+	}
+	n := len(uWNAF)
+	var acc, t gfP12
+	acc.Set(&table[uWNAF[n-1]/2])
+	for i := n - 2; i >= 0; i-- {
 		acc.cyclotomicSquare(&acc)
-		if u.Bit(i) == 1 {
-			acc.Mul(&acc, &base)
+		switch d := uWNAF[i]; {
+		case d > 0:
+			acc.Mul(&acc, &table[d/2])
+		case d < 0:
+			t.Conjugate(&table[-d/2])
+			acc.Mul(&acc, &t)
 		}
 	}
 	return e.Set(&acc)

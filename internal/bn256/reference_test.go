@@ -103,6 +103,50 @@ func TestJacobianAgainstAffineReference(t *testing.T) {
 	}
 }
 
+// affineMul is the reference scalar multiplication: binary
+// double-and-add on the affine big.Int group law.
+func affineMul(p affinePoint, k *big.Int) affinePoint {
+	acc := affinePoint{inf: true}
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc = affineAdd(acc, acc)
+		if k.Bit(i) == 1 {
+			acc = affineAdd(acc, p)
+		}
+	}
+	return acc
+}
+
+// TestScalarMultAgainstAffineReference checks the wNAF scalar
+// multiplication against the reference, on random scalars and on ones
+// whose binary form is a long run of ones (every window carries).
+func TestScalarMultAgainstAffineReference(t *testing.T) {
+	one := big.NewInt(1)
+	var ks []*big.Int
+	for _, n := range []uint{5, 64, 127, 200, 253} {
+		ks = append(ks, new(big.Int).Sub(new(big.Int).Lsh(one, n), one))
+	}
+	ks = append(ks, new(big.Int).Sub(Order, one), big.NewInt(0), one, big.NewInt(15), big.NewInt(17))
+	for i := 0; i < 5; i++ {
+		ks = append(ks, randScalar(t))
+	}
+	gen := affineFromCurvePoint(&curveGen)
+	base := affineMul(gen, randScalar(t))
+	var baseJ curvePoint
+	baseJ.x, baseJ.y = *gfPFromBig(base.x), *gfPFromBig(base.y)
+	baseJ.z.SetOne()
+	for _, k := range ks {
+		var got curvePoint
+		got.Mul(&curveGen, k)
+		if !affineFromCurvePoint(&got).equal(affineMul(gen, k)) {
+			t.Fatalf("[k]G disagrees with the affine reference for k = %v", k)
+		}
+		got.Mul(&baseJ, k)
+		if !affineFromCurvePoint(&got).equal(affineMul(base, k)) {
+			t.Fatalf("[k]P disagrees with the affine reference for k = %v", k)
+		}
+	}
+}
+
 // TestScalarMultAgainstRepeatedAddition validates Mul against the
 // definition for small scalars.
 func TestScalarMultAgainstRepeatedAddition(t *testing.T) {

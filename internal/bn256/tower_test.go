@@ -24,14 +24,23 @@ func randGFp12(t *testing.T) *gfP12 {
 }
 
 func TestXiIsNonResidue(t *testing.T) {
+	// xi is fixed at 9 + i; the tower is a field only if xi is neither a
+	// square nor a cube in Fp2.
 	one := newGFp2One()
+	p2m1 := new(big.Int).Sub(new(big.Int).Mul(P, P), big.NewInt(1))
 	var sq gfP2
-	if sq.Exp(&xi, p2Minus1Over2); sq.Equal(one) {
+	if sq.Exp(&xi, new(big.Int).Rsh(p2m1, 1)); sq.Equal(one) {
 		t.Fatal("xi is a square in Fp2")
 	}
 	var cb gfP2
-	if cb.Exp(&xi, p2Minus1Over3); cb.Equal(one) {
+	if cb.Exp(&xi, new(big.Int).Div(p2m1, big.NewInt(3))); cb.Equal(one) {
 		t.Fatal("xi is a cube in Fp2")
+	}
+	var nine gfP2
+	nine.a0 = *newGFp(9)
+	nine.a1.SetOne()
+	if !xi.Equal(&nine) {
+		t.Fatal("xi != 9 + i")
 	}
 }
 
@@ -237,8 +246,8 @@ func TestMulLineMatchesGeneric(t *testing.T) {
 }
 
 func TestMulXiMatchesGeneric(t *testing.T) {
-	// The small-n double-and-add MulXi must agree with a full
-	// multiplication by the xi constant.
+	// The straight-line MulXi must agree with a full multiplication by
+	// the xi constant.
 	for i := 0; i < 20; i++ {
 		a := randGFp2(t)
 		var fast, generic gfP2
@@ -317,17 +326,23 @@ func TestFrobenius1IsPPower(t *testing.T) {
 	}
 }
 
-func TestExpCyclotomicMatchesExp(t *testing.T) {
-	c := easyPart(t, randGFp12(t))
-	k, err := rand.Int(rand.Reader, Order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaExp, viaCyclo gfP12
-	viaExp.Exp(c, k)
-	viaCyclo.expCyclotomic(c, k)
-	if !viaCyclo.Equal(&viaExp) {
-		t.Fatal("expCyclotomic disagrees with Exp")
+func TestExpByUMatchesExp(t *testing.T) {
+	// expByU's signed digits use the conjugate as the inverse, which
+	// holds only in the cyclotomic subgroup, so the inputs are taken
+	// after the easy part.
+	for i := 0; i < 3; i++ {
+		c := easyPart(t, randGFp12(t))
+		var viaExp, viaU gfP12
+		viaExp.Exp(c, u)
+		viaU.expByU(c)
+		if !viaU.Equal(&viaExp) {
+			t.Fatal("expByU disagrees with Exp(u)")
+		}
+		viaU.Set(c)
+		viaU.expByU(&viaU)
+		if !viaU.Equal(&viaExp) {
+			t.Fatal("aliased expByU disagrees with Exp(u)")
+		}
 	}
 }
 

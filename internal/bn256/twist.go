@@ -247,15 +247,29 @@ func (t *twistPoint) inG2() bool {
 	return pi.Equal(&m)
 }
 
-// Mul sets t = k*a using double-and-add and returns t.
+// Mul sets t = k*a for k >= 0 and returns t. It walks the width-5
+// wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
+// entry for a negative digit. It is variable-time: its running time
+// depends on k.
 func (t *twistPoint) Mul(a *twistPoint, k *big.Int) *twistPoint {
-	var acc twistPoint
+	var table [1 << (scalarWNAFWidth - 2)]twistPoint // table[i] = (2i+1)a
+	var a2 twistPoint
+	a2.Double(a)
+	table[0].Set(a)
+	for i := 1; i < len(table); i++ {
+		table[i].Add(&table[i-1], &a2)
+	}
+	var acc, neg twistPoint
 	acc.SetInfinity()
-	base := *a
-	for i := k.BitLen() - 1; i >= 0; i-- {
+	digits := wnaf(k, scalarWNAFWidth)
+	for i := len(digits) - 1; i >= 0; i-- {
 		acc.Double(&acc)
-		if k.Bit(i) == 1 {
-			acc.Add(&acc, &base)
+		switch d := digits[i]; {
+		case d > 0:
+			acc.Add(&acc, &table[d/2])
+		case d < 0:
+			neg.Neg(&table[-d/2])
+			acc.Add(&acc, &neg)
 		}
 	}
 	return t.Set(&acc)
