@@ -16,7 +16,7 @@
 //
 // The pure-Go pairing is slower than the authors' C library, so by
 // default the TPC-H scale factors are divided by -scalediv (100). Run
-// with -scalediv 1 for paper-scale row counts (hours of CPU time).
+// with -scalediv 1 for paper-scale row counts.
 package main
 
 import (

@@ -56,13 +56,17 @@ func randomK(r io.Reader) (*big.Int, error) {
 	}
 }
 
-// ScalarBaseMult sets e = g1^k where g1 is the generator (1, 2).
+// ScalarBaseMult sets e = g1^k where g1 is the generator (1, 2). It is
+// the constant-time fixed-base comb (comb.go) and the way to multiply
+// by a secret scalar; only reading k out of its big.Int (norm,
+// FillBytes) is variable-time.
 func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
-	e.p.Mul(&curveGen, norm(k))
+	e.p.combBaseMult(norm(k))
 	return e
 }
 
-// ScalarMult sets e = a^k.
+// ScalarMult sets e = a^k with the variable-time wNAF: k must be
+// public. Secret scalars go through ScalarBaseMult.
 func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
 	e.p.Mul(&a.p, norm(k))
 	return e
@@ -100,6 +104,17 @@ func (e *G1) IsInfinity() bool {
 // Equal reports whether e == a.
 func (e *G1) Equal(a *G1) bool {
 	return e.p.Equal(&a.p)
+}
+
+// NormalizeG1 puts every point of ps in affine form with one field
+// inversion for the whole batch, so that their Marshal calls skip the
+// inversion each would pay. The points' values do not change.
+func NormalizeG1(ps []*G1) {
+	cs := make([]*curvePoint, len(ps))
+	for i, e := range ps {
+		cs[i] = &e.p
+	}
+	batchMakeAffine(cs)
 }
 
 // Marshal encodes e as 64 bytes: the affine x and y coordinates, big
@@ -143,13 +158,15 @@ func (e *G1) Unmarshal(data []byte) error {
 	return nil
 }
 
-// ScalarBaseMult sets e = g2^k where g2 is the fixed twist generator.
+// ScalarBaseMult sets e = g2^k where g2 is the fixed twist generator,
+// with the constant-time fixed-base comb, as G1.ScalarBaseMult.
 func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
-	e.p.Mul(&twistGen, norm(k))
+	e.p.combBaseMult(norm(k))
 	return e
 }
 
-// ScalarMult sets e = a^k.
+// ScalarMult sets e = a^k with the variable-time wNAF: k must be
+// public. Secret scalars go through ScalarBaseMult.
 func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
 	e.p.Mul(&a.p, norm(k))
 	return e
@@ -187,6 +204,15 @@ func (e *G2) IsInfinity() bool {
 // Equal reports whether e == a.
 func (e *G2) Equal(a *G2) bool {
 	return e.p.Equal(&a.p)
+}
+
+// NormalizeG2 is NormalizeG1 for G2 points.
+func NormalizeG2(ps []*G2) {
+	ts := make([]*twistPoint, len(ps))
+	for i, e := range ps {
+		ts[i] = &e.p
+	}
+	batchMakeAffineTwist(ts)
 }
 
 // Flag bits of the compressed G2 encoding, in its first byte: p < 2^254

@@ -194,3 +194,35 @@ func TestGTMarshalRoundTrip(t *testing.T) {
 		t.Fatal("GT re-marshal differs")
 	}
 }
+
+// TestNormalizeKeepsEncodings checks that the batched affine
+// normalisation moves every point to Z = 1 without changing its
+// encoding, and leaves points at infinity alone.
+func TestNormalizeKeepsEncodings(t *testing.T) {
+	var g1s []*G1
+	var g2s []*G2
+	var want1, want2 [][]byte
+	for i := range 6 {
+		k := randScalar(t)
+		if i == 2 {
+			k.SetInt64(0)
+		}
+		g1s = append(g1s, new(G1).ScalarBaseMult(k))
+		g2s = append(g2s, new(G2).ScalarBaseMult(k))
+		want1 = append(want1, g1s[i].Marshal())
+		want2 = append(want2, g2s[i].Marshal())
+	}
+	NormalizeG1(g1s)
+	NormalizeG2(g2s)
+	for i := range g1s {
+		if !bytes.Equal(g1s[i].Marshal(), want1[i]) || !bytes.Equal(g2s[i].Marshal(), want2[i]) {
+			t.Fatalf("point %d changed its encoding", i)
+		}
+		if inf := g1s[i].IsInfinity(); inf != (i == 2) || !inf && !g1s[i].p.z.Equal(&rOne) {
+			t.Fatalf("G1 point %d is not normalised", i)
+		}
+		if inf := g2s[i].IsInfinity(); inf != (i == 2) || !inf && !g2s[i].p.z.IsOne() {
+			t.Fatalf("G2 point %d is not normalised", i)
+		}
+	}
+}

@@ -112,7 +112,8 @@ func initParams() {
 	finalExpHard = h
 }
 
-// scalarWNAFWidth is the wNAF width of G1 and G2 scalar multiplication.
+// scalarWNAFWidth is the wNAF width of the variable-time G1 and G2
+// scalar multiplication, which sees public scalars only.
 const scalarWNAFWidth = 5
 
 // wnaf returns the width-w non-adjacent form of k >= 0, least
@@ -145,4 +146,5 @@ func init() {
 	initTower()
 	initCurve()
 	initTwist()
+	initComb()
 }

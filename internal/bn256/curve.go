@@ -83,6 +83,30 @@ func (c *curvePoint) MakeAffine() *curvePoint {
 	return c
 }
 
+// batchMakeAffine does MakeAffine on every point of ps with one field
+// inversion for the whole batch (batchInvert). Points at infinity are
+// left as they are.
+func batchMakeAffine(ps []*curvePoint) {
+	zs := make([]*gfP, 0, len(ps))
+	for _, c := range ps {
+		if !c.IsInfinity() {
+			zs = append(zs, &c.z)
+		}
+	}
+	batchInvert(zs)
+	for _, c := range ps {
+		if c.IsInfinity() {
+			continue
+		}
+		var zInv2 gfP // c.z now holds 1/Z
+		zInv2.Square(&c.z)
+		c.x.Mul(&c.x, &zInv2)
+		c.y.Mul(&c.y, &zInv2)
+		c.y.Mul(&c.y, &c.z)
+		c.z.SetOne()
+	}
+}
+
 // Double sets c = 2a and returns c.
 func (c *curvePoint) Double(a *curvePoint) *curvePoint {
 	if a.IsInfinity() {
@@ -194,8 +218,9 @@ func (c *curvePoint) Neg(a *curvePoint) *curvePoint {
 
 // Mul sets c = k*a for k >= 0 and returns c. It walks the width-5
 // wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
-// entry for a negative digit. It is variable-time: its running time
-// depends on k.
+// entry for a negative digit. It is variable-time, so k must be public:
+// ScalarMult and tests. Secret scalars multiply the generator through
+// the constant-time comb of ScalarBaseMult (comb.go).
 func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	var table [1 << (scalarWNAFWidth - 2)]curvePoint // table[i] = (2i+1)a
 	var a2 curvePoint

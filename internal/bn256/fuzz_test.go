@@ -27,3 +27,25 @@ func FuzzG2Unmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScalarBaseMult reads arbitrary bytes as a big-endian scalar and
+// checks the constant-time comb against the variable-time wNAF Mul, by
+// encoding, in both groups. The corpus under
+// testdata/fuzz/FuzzScalarBaseMult seeds 0, 1, Order - 1, Order,
+// 2^254 - 1 and 2^256 - 1.
+func FuzzScalarBaseMult(f *testing.F) {
+	f.Add([]byte{1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k := new(big.Int).SetBytes(data)
+		var g1 G1
+		g1.p.Mul(&curveGen, k)
+		if !bytes.Equal(new(G1).ScalarBaseMult(k).Marshal(), g1.Marshal()) {
+			t.Fatalf("G1 comb differs from the wNAF for k = %v", k)
+		}
+		var g2 G2
+		g2.p.Mul(&twistGen, k)
+		if !bytes.Equal(new(G2).ScalarBaseMult(k).Marshal(), g2.Marshal()) {
+			t.Fatalf("G2 comb differs from the wNAF for k = %v", k)
+		}
+	})
+}

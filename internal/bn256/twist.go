@@ -114,6 +114,38 @@ func (t *twistPoint) MakeAffine() *twistPoint {
 	return t
 }
 
+// batchMakeAffineTwist does MakeAffine on every point of ps with one
+// field inversion for the whole batch: 1/Z = conj(Z)/N(Z), and the
+// norms N(Z) in Fp go through batchInvert. Points at infinity are left
+// as they are.
+func batchMakeAffineTwist(ps []*twistPoint) {
+	norms := make([]gfP, len(ps))
+	invs := make([]*gfP, 0, len(ps))
+	for i, t := range ps {
+		if !t.IsInfinity() {
+			var a1 gfP
+			norms[i].Square(&t.z.a0)
+			a1.Square(&t.z.a1)
+			norms[i].Add(&norms[i], &a1)
+			invs = append(invs, &norms[i])
+		}
+	}
+	batchInvert(invs)
+	for i, t := range ps {
+		if t.IsInfinity() {
+			continue
+		}
+		var zInv, zInv2 gfP2
+		zInv.Conjugate(&t.z)
+		zInv.MulScalar(&zInv, &norms[i])
+		zInv2.Square(&zInv)
+		t.x.Mul(&t.x, &zInv2)
+		t.y.Mul(&t.y, &zInv2)
+		t.y.Mul(&t.y, &zInv)
+		t.z.SetOne()
+	}
+}
+
 // Double sets t = 2a and returns t.
 func (t *twistPoint) Double(a *twistPoint) *twistPoint {
 	if a.IsInfinity() {
@@ -249,8 +281,10 @@ func (t *twistPoint) inG2() bool {
 
 // Mul sets t = k*a for k >= 0 and returns t. It walks the width-5
 // wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
-// entry for a negative digit. It is variable-time: its running time
-// depends on k.
+// entry for a negative digit. It is variable-time, so k must be public:
+// ScalarMult, the [6u^2] subgroup check, cofactor clearing and tests.
+// Secret scalars multiply the generator through the constant-time comb
+// of ScalarBaseMult (comb.go).
 func (t *twistPoint) Mul(a *twistPoint, k *big.Int) *twistPoint {
 	var table [1 << (scalarWNAFWidth - 2)]twistPoint // table[i] = (2i+1)a
 	var a2 twistPoint

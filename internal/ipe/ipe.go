@@ -152,7 +152,9 @@ type CiphertextM struct {
 
 // KeyGenModified computes Tk = g2^(v B) with alpha = 1; per Section 4.2
 // the randomness that alpha provided lives inside v itself (the delta
-// slot appended by the Secure Join token builder).
+// slot appended by the Secure Join token builder). The elements come
+// back affine, normalised with one batched inversion, so encoding and
+// precomputing them pays no inversion per element.
 func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 	if len(v) != msk.N {
 		return nil, fmt.Errorf("ipe: token vector has length %d, want %d", len(v), msk.N)
@@ -162,11 +164,13 @@ func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 	for i, c := range vb {
 		tk.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
 	}
+	bn256.NormalizeG2(tk.Elems)
 	return tk, nil
 }
 
 // EncryptModified computes C = g1^(w B*) with beta = 1; the gamma slots
-// inside w carry the randomness.
+// inside w carry the randomness. The elements come back affine, as in
+// KeyGenModified.
 func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
 	if len(w) != msk.N {
 		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
@@ -176,6 +180,7 @@ func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
 	for i, c := range wb {
 		ct.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
 	}
+	bn256.NormalizeG1(ct.Elems)
 	return ct, nil
 }
 
