@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -49,8 +50,8 @@ func TestGFpEdgeValues(t *testing.T) {
 		}
 	}
 
-	// The branch-free select at the end of Add and Mul (reduceOnce) at
-	// exactly p-1, p, p+1 and 2p-1 on raw limbs.
+	// The branch-free select (reduceOnce, which Add and Mul write in
+	// line) at exactly p-1, p, p+1 and 2p-1 on raw limbs.
 	for _, c := range []struct{ in, want *big.Int }{
 		{pm1, pm1},
 		{P, big.NewInt(0)},
@@ -68,9 +69,9 @@ func TestGFpEdgeValues(t *testing.T) {
 	}
 
 	// Add and Mul operands whose raw sum or Montgomery product lands on
-	// those boundaries before the select. Add acts on raw limbs, so raw
-	// operands summing to p-1, p, p+1 and 2p-2 (the largest sum of
-	// reduced operands) reach them directly.
+	// those boundaries before the select, which pins the in-line copies.
+	// Add acts on raw limbs, so raw operands summing to p-1, p, p+1 and
+	// 2p-2 (the largest sum of reduced operands) reach them directly.
 	half := new(big.Int).Rsh(P, 1)
 	for _, pair := range [][2]*big.Int{
 		{pm1, big.NewInt(0)},
@@ -89,12 +90,14 @@ func TestGFpEdgeValues(t *testing.T) {
 		}
 	}
 	// Mul's pre-select value is t = (ab + Mp)/R with M < R chosen so
-	// that R divides the numerator; t = ab/R mod p, and t < ab/R + p.
-	// Raw a = (p-1)R mod p times raw b = 1 gives t = p-1 exactly. For
-	// t = p+1, pick b = (p+1)R/a mod p with ab > R: t is 1 mod p and
-	// above ab/R > 1, so it is p+1. t = p would need ab = 0 mod p, which
-	// gives t = 0, and t = 2p-1 would need ab > (p-1)R > p^2, so neither
-	// is reachable from reduced operands.
+	// that R divides the numerator; t = ab/R mod p, and t < ab/R + p,
+	// which is below 2p for any operands below 2p because 4p < R (see
+	// Mul). Raw a = (p-1)R mod p times raw b = 1 gives t = p-1 exactly.
+	// For t = p+1, pick b = (p+1)R/a mod p with ab > R: t is 1 mod p and
+	// above ab/R > 1, so it is p+1. From reduced operands t = p would
+	// need ab = 0 mod p, which gives t = 0; TestMulUnreducedOperands
+	// reaches it with the raw operand p, and takes t toward 2p with
+	// operands near 2p.
 	rBig := new(big.Int).Lsh(one, 256)
 	mulCases := [][2]*big.Int{{new(big.Int).Mod(new(big.Int).Mul(pm1, rBig), P), one}}
 	for a := big.NewInt(3); len(mulCases) < 4; a.Add(a, new(big.Int).Lsh(one, 200)) {
@@ -151,6 +154,57 @@ func TestGFpEdgeValues(t *testing.T) {
 			t.Fatalf("-%v = %v, want %v", x, n.BigInt(), want)
 		}
 	}
+}
+
+// TestMulUnreducedOperands checks Mul on raw operands below 2p, the
+// range gfP2.Mul's unreduced Karatsuba sums (addNR) hand it, against the
+// Montgomery product ab*R^-1 mod p computed with big.Int. The result
+// must come out fully reduced.
+func TestMulUnreducedOperands(t *testing.T) {
+	one := big.NewInt(1)
+	twoP := new(big.Int).Lsh(P, 1)
+	twoPm1 := new(big.Int).Sub(twoP, one)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(one, 256), P)
+	check := func(a, b *big.Int) {
+		t.Helper()
+		ra, rb := rawGFp(a), rawGFp(b)
+		var prod gfP
+		prod.Mul(&ra, &rb)
+		want := new(big.Int).Mul(a, b)
+		want.Mul(want, rInv)
+		want.Mod(want, P)
+		if got := rawBig(&prod); got.Cmp(want) != 0 {
+			t.Fatalf("raw mul %v * %v = %v, want %v", a, b, got, want)
+		}
+	}
+
+	x := new(big.Int).Rsh(P, 3)
+	for _, pair := range [][2]*big.Int{
+		{twoPm1, twoPm1},
+		{twoPm1, one},
+		{one, twoPm1},
+		{P, x},      // t = p before the select
+		{P, twoPm1}, // t = p as well
+		{big.NewInt(0), twoPm1},
+		{twoPm1, big.NewInt(0)},
+	} {
+		check(pair[0], pair[1])
+	}
+
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		check(new(big.Int).Rand(r, twoP), new(big.Int).Rand(r, twoP))
+	}
+}
+
+// rawGFp loads n < 2^256 into limbs as is: no reduction, no Montgomery
+// conversion.
+func rawGFp(n *big.Int) gfP {
+	var e gfP
+	for i, w := range n.Bits() {
+		e[i] = uint64(w)
+	}
+	return e
 }
 
 // rawBig returns the raw limbs of e as an integer, without Montgomery

@@ -49,3 +49,44 @@ func FuzzScalarBaseMult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGFpArith reads 64 bytes as two big-endian raw operands, takes each
+// mod 2p (the range Mul accepts, see addNR) and checks Mul against the
+// big.Int Montgomery product ab*R^-1 mod p. When both operands are
+// reduced it also checks Add, Sub and Double, which act on raw limbs as
+// on integers mod p. Every result must come out fully reduced. The
+// corpus under testdata/fuzz/FuzzGFpArith seeds 0, 1, p - 1, p, 2p - 1
+// and all ones, each as both operands.
+func FuzzGFpArith(f *testing.F) {
+	one := big.NewInt(1)
+	twoP := new(big.Int).Lsh(P, 1)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(one, 256), P)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) != 64 {
+			return
+		}
+		a := new(big.Int).SetBytes(data[:32])
+		b := new(big.Int).SetBytes(data[32:])
+		a.Mod(a, twoP)
+		b.Mod(b, twoP)
+		ra, rb := rawGFp(a), rawGFp(b)
+		check := func(op string, got gfP, want *big.Int) {
+			t.Helper()
+			if rawBig(&got).Cmp(want.Mod(want, P)) != 0 {
+				t.Fatalf("%s(%v, %v) = %v, want %v", op, a, b, rawBig(&got), want)
+			}
+		}
+		var e gfP
+		e.Mul(&ra, &rb)
+		check("Mul", e, new(big.Int).Mul(new(big.Int).Mul(a, b), rInv))
+		if a.Cmp(P) >= 0 || b.Cmp(P) >= 0 {
+			return
+		}
+		e.Add(&ra, &rb)
+		check("Add", e, new(big.Int).Add(a, b))
+		e.Sub(&ra, &rb)
+		check("Sub", e, new(big.Int).Sub(a, b))
+		e.Double(&ra)
+		check("Double", e, new(big.Int).Lsh(a, 1))
+	})
+}

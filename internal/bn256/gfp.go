@@ -145,7 +145,9 @@ func (e *gfP) gteP() bool {
 // reduceOnce sets e = e mod p for raw limbs e < 2p, without branching on
 // the value: it computes e - p and keeps it unless the subtraction
 // borrowed. Because p < 2^254, every sum of two reduced elements and
-// every Montgomery product fits in four limbs below 2p.
+// every Montgomery product fits in four limbs below 2p. Add and Mul
+// write this select in line rather than call it, because the call cost
+// as much as the select; TestGFpEdgeValues pins it at its boundaries.
 func (e *gfP) reduceOnce() {
 	var t gfP
 	var b uint64
@@ -160,14 +162,36 @@ func (e *gfP) reduceOnce() {
 	e[3] = t[3] ^ (t[3]^e[3])&keep
 }
 
-// Add sets e = a + b mod p and returns e.
+// Add sets e = a + b mod p and returns e. The sum of two reduced
+// elements is below 2p, so reduceOnce's select, written in line, reduces
+// it.
 func (e *gfP) Add(a, b *gfP) *gfP {
+	var s0, s1, s2, s3, r0, r1, r2, r3, c uint64
+	s0, c = bits.Add64(a[0], b[0], 0)
+	s1, c = bits.Add64(a[1], b[1], c)
+	s2, c = bits.Add64(a[2], b[2], c)
+	s3, _ = bits.Add64(a[3], b[3], c)
+	r0, c = bits.Sub64(s0, pLimbs[0], 0)
+	r1, c = bits.Sub64(s1, pLimbs[1], c)
+	r2, c = bits.Sub64(s2, pLimbs[2], c)
+	r3, c = bits.Sub64(s3, pLimbs[3], c)
+	keep := -c
+	e[0] = r0 ^ (r0^s0)&keep
+	e[1] = r1 ^ (r1^s1)&keep
+	e[2] = r2 ^ (r2^s2)&keep
+	e[3] = r3 ^ (r3^s3)&keep
+	return e
+}
+
+// addNR sets e = a + b with no reduction and returns e. For reduced a
+// and b the sum is below 2p < 2^255, so it fits in four limbs; it is a
+// valid operand of Mul (see there) and of nothing else.
+func (e *gfP) addNR(a, b *gfP) *gfP {
 	var c uint64
 	e[0], c = bits.Add64(a[0], b[0], 0)
 	e[1], c = bits.Add64(a[1], b[1], c)
 	e[2], c = bits.Add64(a[2], b[2], c)
 	e[3], _ = bits.Add64(a[3], b[3], c)
-	e.reduceOnce()
 	return e
 }
 
@@ -198,45 +222,152 @@ func (e *gfP) Double(a *gfP) *gfP {
 	return e.Add(a, a)
 }
 
-// madd returns the 128-bit a*b + c + d as (hi, lo); it cannot overflow.
-func madd(a, b, c, d uint64) (hi, lo uint64) {
-	var carry uint64
-	hi, lo = bits.Mul64(a, b)
-	lo, carry = bits.Add64(lo, c, 0)
-	hi += carry
-	lo, carry = bits.Add64(lo, d, 0)
-	hi += carry
-	return hi, lo
-}
-
 // Mul sets e = a * b * 2^-256 mod p (the Montgomery product) and returns
-// e. It interleaves each multiply row with its reduction row (CIOS,
-// Koç–Acar–Kaliski), each row unrolled; unrolling the four rows too
-// measured slower (register spills). Because p < 2^254 leaves the top
-// limb's two high bits clear, the running value stays below 2p in four
-// limbs, the extra carry words of textbook CIOS are never needed, and
-// one branch-free reduceOnce at the end reduces the result (the
-// "no-carry" variant of Botrel and El Housni, TCHES 2023).
+// e. It is CIOS (Koç–Acar–Kaliski) with all four rows written out, in
+// the shape of gnark-crypto's generic no-carry template: each row takes
+// its four products first, then runs its carry chains, then adds the
+// m*p row that clears the low limb. Because p < 2^254 leaves the top
+// limb's two high bits clear, a row needs one word above the four limbs
+// and never the second carry word of textbook CIOS (the "no-carry"
+// variant of Botrel and El Housni, TCHES 2023), and reduceOnce's
+// select, written in line, ends it.
+//
+// Bounds, with R = 2^256 and a, b < 2p (Mul accepts unreduced operands
+// below 2p, such as addNR's sums). Row i maps the running value T to
+// (T + a_i*b + m*p)/2^64 with a_i, m < 2^64. If T < b + p, the new T is
+// below (b + p + (2^64-1)(b + p))/2^64 = b + p, so every T stays below
+// b + p < 3p < 2^256 and fits in four limbs t0..t3. Within a row,
+// T + a_i*b < b + p + 2^64*b < 2^320 fits in the five limbs t0..t4, and
+// so does T + a_i*b + m*p < 2^64(b + p). The value reaching the select
+// is t = (ab + Mp)/R with M < R, so t < ab/R + p < 4p^2/R + p < 2p,
+// because 4p < 2^256: one conditional subtraction reduces it.
 func (e *gfP) Mul(a, b *gfP) *gfP {
-	var t0, t1, t2, t3 uint64
-	for i := 0; i < 4; i++ {
-		v := a[i]
-		// t += v*b; m chosen so that t + m*p is divisible by 2^64;
-		// t = (t + m*p) >> 64.
-		c1, c0 := madd(v, b[0], t0, 0)
-		m := c0 * np
-		c2, _ := madd(m, pLimbs[0], c0, 0)
-		c1, c0 = madd(v, b[1], c1, t1)
-		c2, t0 = madd(m, pLimbs[1], c2, c0)
-		c1, c0 = madd(v, b[2], c1, t2)
-		c2, t1 = madd(m, pLimbs[2], c2, c0)
-		c1, c0 = madd(v, b[3], c1, t3)
-		hi, lo := madd(m, pLimbs[3], c0, c2)
-		t2 = lo
-		t3 = hi + c1
-	}
-	*e = gfP{t0, t1, t2, t3}
-	e.reduceOnce()
+	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, m, c uint64
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	p0, p1, p2, p3 := pLimbs[0], pLimbs[1], pLimbs[2], pLimbs[3]
+
+	// Row 0: T = a_0*b, then T = (T + m*p)/2^64.
+	h0, t0 = bits.Mul64(a[0], b0)
+	h1, t1 = bits.Mul64(a[0], b1)
+	h2, t2 = bits.Mul64(a[0], b2)
+	h3, t3 = bits.Mul64(a[0], b3)
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4, _ = bits.Add64(h3, 0, c)
+	m = t0 * np
+	h0, l0 = bits.Mul64(m, p0)
+	h1, l1 = bits.Mul64(m, p1)
+	h2, l2 = bits.Mul64(m, p2)
+	h3, l3 = bits.Mul64(m, p3)
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3, _ = bits.Add64(t4, 0, c)
+	t0, c = bits.Add64(t0, h0, 0)
+	t1, c = bits.Add64(t1, h1, c)
+	t2, c = bits.Add64(t2, h2, c)
+	t3, _ = bits.Add64(t3, h3, c)
+
+	// Row 1: T += a_1*b, then T = (T + m*p)/2^64.
+	h0, l0 = bits.Mul64(a[1], b0)
+	h1, l1 = bits.Mul64(a[1], b1)
+	h2, l2 = bits.Mul64(a[1], b2)
+	h3, l3 = bits.Mul64(a[1], b3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4, _ = bits.Add64(t4, h3, c)
+	m = t0 * np
+	h0, l0 = bits.Mul64(m, p0)
+	h1, l1 = bits.Mul64(m, p1)
+	h2, l2 = bits.Mul64(m, p2)
+	h3, l3 = bits.Mul64(m, p3)
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3, _ = bits.Add64(t4, 0, c)
+	t0, c = bits.Add64(t0, h0, 0)
+	t1, c = bits.Add64(t1, h1, c)
+	t2, c = bits.Add64(t2, h2, c)
+	t3, _ = bits.Add64(t3, h3, c)
+
+	// Row 2.
+	h0, l0 = bits.Mul64(a[2], b0)
+	h1, l1 = bits.Mul64(a[2], b1)
+	h2, l2 = bits.Mul64(a[2], b2)
+	h3, l3 = bits.Mul64(a[2], b3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4, _ = bits.Add64(t4, h3, c)
+	m = t0 * np
+	h0, l0 = bits.Mul64(m, p0)
+	h1, l1 = bits.Mul64(m, p1)
+	h2, l2 = bits.Mul64(m, p2)
+	h3, l3 = bits.Mul64(m, p3)
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3, _ = bits.Add64(t4, 0, c)
+	t0, c = bits.Add64(t0, h0, 0)
+	t1, c = bits.Add64(t1, h1, c)
+	t2, c = bits.Add64(t2, h2, c)
+	t3, _ = bits.Add64(t3, h3, c)
+
+	// Row 3.
+	h0, l0 = bits.Mul64(a[3], b0)
+	h1, l1 = bits.Mul64(a[3], b1)
+	h2, l2 = bits.Mul64(a[3], b2)
+	h3, l3 = bits.Mul64(a[3], b3)
+	t0, c = bits.Add64(t0, l0, 0)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4 = c
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4, _ = bits.Add64(t4, h3, c)
+	m = t0 * np
+	h0, l0 = bits.Mul64(m, p0)
+	h1, l1 = bits.Mul64(m, p1)
+	h2, l2 = bits.Mul64(m, p2)
+	h3, l3 = bits.Mul64(m, p3)
+	_, c = bits.Add64(t0, l0, 0)
+	t0, c = bits.Add64(t1, l1, c)
+	t1, c = bits.Add64(t2, l2, c)
+	t2, c = bits.Add64(t3, l3, c)
+	t3, _ = bits.Add64(t4, 0, c)
+	t0, c = bits.Add64(t0, h0, 0)
+	t1, c = bits.Add64(t1, h1, c)
+	t2, c = bits.Add64(t2, h2, c)
+	t3, _ = bits.Add64(t3, h3, c)
+
+	// t < 2p: keep t - p unless it borrowed.
+	var r0, r1, r2, r3 uint64
+	r0, c = bits.Sub64(t0, p0, 0)
+	r1, c = bits.Sub64(t1, p1, c)
+	r2, c = bits.Sub64(t2, p2, c)
+	r3, c = bits.Sub64(t3, p3, c)
+	keep := -c
+	e[0] = r0 ^ (r0^t0)&keep
+	e[1] = r1 ^ (r1^t1)&keep
+	e[2] = r2 ^ (r2^t2)&keep
+	e[3] = r3 ^ (r3^t3)&keep
 	return e
 }
 

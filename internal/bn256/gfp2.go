@@ -127,11 +127,13 @@ func (e *gfP2) sgn0() bool {
 // Mul sets e = a*b using Karatsuba multiplication and returns e.
 func (e *gfP2) Mul(a, b *gfP2) *gfP2 {
 	// (a0 + a1 i)(b0 + b1 i) = (a0b0 - a1b1) + ((a0+a1)(b0+b1) - a0b0 - a1b1) i
+	// The operand sums stay unreduced: each is below 2p, which gfP.Mul
+	// accepts and reduces.
 	var v0, v1, s, t gfP
 	v0.Mul(&a.a0, &b.a0)
 	v1.Mul(&a.a1, &b.a1)
-	s.Add(&a.a0, &a.a1)
-	t.Add(&b.a0, &b.a1)
+	s.addNR(&a.a0, &a.a1)
+	t.addNR(&b.a0, &b.a1)
 	s.Mul(&s, &t)
 	s.Sub(&s, &v0)
 	s.Sub(&s, &v1)
