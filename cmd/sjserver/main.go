@@ -24,7 +24,6 @@ func main() {
 	data := flag.String("data", "", "directory for the durable table store (empty = in-memory only)")
 	metricsAddr := flag.String("metrics", "", "address for the HTTP /metrics + /healthz endpoint (empty = disabled)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this, e.g. 5m (0 = never)")
-	decCacheBytes := flag.Int64("decrypt-cache-bytes", 64<<20, "byte budget for the decrypt-result cache (0 = disabled)")
 	jobWorkers := flag.Int("job-workers", 0, "joins executing at once, sync and async alike; joins beyond the pool's bounded queue are shed (0 = max(2, GOMAXPROCS))")
 	jobTTL := flag.Duration("job-ttl", 0, "keep finished async job results this long, e.g. 30m (0 = 1h default, negative = forever)")
 	flag.Parse()
@@ -40,7 +39,6 @@ func main() {
 	}
 	srv.SetBatchSize(*batch)
 	srv.SetIdleTimeout(*idleTimeout)
-	srv.SetDecryptCache(*decCacheBytes)
 	srv.SetJobWorkers(*jobWorkers)
 	srv.SetJobTTL(*jobTTL)
 	addr, err := srv.Listen(*listen)

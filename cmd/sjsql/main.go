@@ -200,10 +200,6 @@ func setup(out io.Writer, scale float64, seed int64, maxRows int, connect, serve
 			return nil, nil, err
 		}
 		eng := engine.NewServer()
-		eng.SetDecryptCache(64 << 20)
-		// EXPLAIN's "decrypt cache:" line reads the engine's counters at
-		// compile time through this hook.
-		catalog.SetDecryptCacheStats(eng.DecryptCacheStats)
 		for name, rows := range tables {
 			var enc *engine.EncryptedTable
 			if index {

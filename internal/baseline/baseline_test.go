@@ -47,38 +47,6 @@ func TestDetJoin(t *testing.T) {
 	}
 }
 
-func TestOnionHidesUntilStripped(t *testing.T) {
-	s, err := NewOnionScheme(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := s.EncryptColumn([][]byte{[]byte("x"), []byte("x"), []byte("y")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before stripping, equal plaintexts have different ciphertexts
-	// (probabilistic outer layer).
-	if bytes.Equal(col[0], col[1]) {
-		t.Fatal("onion ciphertexts for equal values are identical")
-	}
-	// After stripping, tags compare deterministically.
-	tags, err := Strip(s.OuterKey(), col)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tags[0], tags[1]) {
-		t.Fatal("stripped tags for equal values differ")
-	}
-	if bytes.Equal(tags[0], tags[2]) {
-		t.Fatal("stripped tags for distinct values collide")
-	}
-	// A wrong key must fail to strip.
-	bad := make([]byte, 32)
-	if _, err := Strip(bad, col); err == nil {
-		t.Fatal("stripping with a wrong key succeeded")
-	}
-}
-
 func TestHahnUnwrapRespectsSelection(t *testing.T) {
 	s, err := NewHahnScheme(nil)
 	if err != nil {

@@ -1,12 +1,9 @@
-// Package baseline implements the three comparison join-encryption
+// Package baseline implements two of the comparison join-encryption
 // schemes the paper analyses in Sections 2.1 and 6.5:
 //
 //   - DET: the deterministic-encryption join of Hacigumus et al.
 //     (SIGMOD'02), where equal join values encrypt to equal tags and the
 //     server can join by tag equality at any time.
-//   - Onion: CryptDB's onion encryption (SOSP'11), wrapping the
-//     deterministic tag in a probabilistic layer that the server strips
-//     from the entire column on the first join touching it.
 //   - Hahn: a functional simulation of Hahn et al. (ICDE'19), where the
 //     probabilistic wrapping is per-row and removable only for rows that
 //     match a query's selection criterion, joined with a nested loop.

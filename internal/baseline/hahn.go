@@ -1,9 +1,12 @@
 package baseline
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -178,4 +181,39 @@ func equalPairsOfState(st *ServerState) [][2]int {
 		}
 	}
 	return out
+}
+
+// sealGCM encrypts pt under key with a random nonce; the nonce is
+// prepended to the ciphertext.
+func sealGCM(key, pt []byte) ([]byte, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, err
+	}
+	nonce := make([]byte, gcm.NonceSize())
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return nil, err
+	}
+	return gcm.Seal(nonce, nonce, pt, nil), nil
+}
+
+// openGCM reverses sealGCM.
+func openGCM(key, ct []byte) ([]byte, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, err
+	}
+	if len(ct) < gcm.NonceSize() {
+		return nil, errors.New("baseline: ciphertext shorter than nonce")
+	}
+	nonce, body := ct[:gcm.NonceSize()], ct[gcm.NonceSize():]
+	return gcm.Open(nil, nonce, body, nil)
 }

@@ -69,10 +69,6 @@ type Cluster struct {
 	reg *metrics.Registry
 	met clusterMetrics
 
-	// retry tunes the per-shard degraded-mode backoff (see scatter);
-	// the zero value selects WithRetry's defaults.
-	retry RetryConfig
-
 	// mu guards shardMaps: per table, per shard, the global row index
 	// of each shard-local row — recorded at upload so merged results
 	// report the same row identities a single server would.
@@ -136,10 +132,6 @@ func (cl *Cluster) Shards() int { return len(cl.clients) }
 // Registry exposes the cluster's metric registry (per-shard latency
 // and degraded-mode counters) for scraping, e.g. by sjbench.
 func (cl *Cluster) Registry() *metrics.Registry { return cl.reg }
-
-// SetRetry tunes the per-shard degraded-mode backoff; the zero config
-// restores WithRetry's defaults.
-func (cl *Cluster) SetRetry(cfg RetryConfig) { cl.retry = cfg }
 
 // shardOf routes one join value to its shard: FNV-1a over the value,
 // mod the shard count. Every table uses the same function, which is
@@ -495,11 +487,10 @@ func (cl *Cluster) runShard(shard int, req *wire.JoinRequest, async bool, ms *cl
 			}
 		}
 	}
-	cfg := cl.retry
-	cfg.Sleep = func(d time.Duration) {
+	cfg := RetryConfig{Sleep: func(d time.Duration) {
 		cl.met.ShardRetries.With(label).Inc()
 		time.Sleep(d)
-	}
+	}}
 	err := WithRetry(cfg, func() error {
 		// A shed surfaces at submit, or on a sync join's first Next (the
 		// terminal Err frame precedes any batch), so retrying the whole

@@ -232,18 +232,6 @@ type Server struct {
 	tablesMu sync.RWMutex
 	tables   map[string]*EncryptedTable
 
-	// versions counts installs per table name, bumped on every Upload
-	// and RegisterTable and never reset (a dropped name keeps its
-	// counter), so a decrypt-cache entry keyed to an old version can
-	// never alias a re-registered table. Guarded by tablesMu.
-	versions map[string]uint64
-
-	// decCache, when non-nil, memoizes per-row SJ.Dec results (see
-	// deccache.go). An atomic pointer so SetDecryptCache may swap or
-	// detach the cache at runtime — job workers start joins long after
-	// setup — while concurrent joins load it once per decrypt phase.
-	decCache atomic.Pointer[decryptCache]
-
 	// traceMu guards the leakage ledger, separately from the table
 	// store so concurrent joins serialize only on the cheap class
 	// merges, never on the pairing-heavy execution.
@@ -259,9 +247,8 @@ type Server struct {
 // NewServer returns an empty server.
 func NewServer() *Server {
 	return &Server{
-		tables:   make(map[string]*EncryptedTable),
-		versions: make(map[string]uint64),
-		ledger:   leakage.NewLedger(),
+		tables: make(map[string]*EncryptedTable),
+		ledger: leakage.NewLedger(),
 	}
 }
 
@@ -282,21 +269,7 @@ func (s *Server) SetStore(st TableStore) {
 func (s *Server) Upload(t *EncryptedTable) {
 	s.tablesMu.Lock()
 	s.tables[t.Name] = t
-	s.versions[t.Name]++
 	s.tablesMu.Unlock()
-	s.invalidateDecrypts(t.Name)
-}
-
-// invalidateDecrypts purges a table's decrypt-cache entries after an
-// install or drop. The version bump already makes the stale entries
-// unreachable; the purge just stops them from occupying budget.
-func (s *Server) invalidateDecrypts(name string) {
-	cache := s.decCache.Load()
-	if cache == nil {
-		return
-	}
-	cache.purgeTable(name)
-	s.met.DecCacheBytes.Set(cache.sizeBytes())
 }
 
 // RegisterTable stores an encrypted table, replacing any previous
@@ -316,9 +289,7 @@ func (s *Server) RegisterTable(t *EncryptedTable) error {
 	}
 	s.tablesMu.Lock()
 	s.tables[t.Name] = t
-	s.versions[t.Name]++
 	s.tablesMu.Unlock()
-	s.invalidateDecrypts(t.Name)
 	return nil
 }
 
@@ -341,7 +312,6 @@ func (s *Server) DropTable(name string) error {
 	s.tablesMu.Lock()
 	delete(s.tables, name)
 	s.tablesMu.Unlock()
-	s.invalidateDecrypts(name)
 	return nil
 }
 
@@ -387,21 +357,19 @@ func (s *Server) Table(name string) (*EncryptedTable, error) {
 	return t, nil
 }
 
-// snapshot resolves both join operands, and their install versions for
-// decrypt-cache keying, under one read-lock acquisition.
-func (s *Server) snapshot(tableA, tableB string) (ta, tb *EncryptedTable, va, vb uint64, err error) {
+// snapshot resolves both join operands under one read-lock acquisition.
+func (s *Server) snapshot(tableA, tableB string) (ta, tb *EncryptedTable, err error) {
 	s.tablesMu.RLock()
 	ta, okA := s.tables[tableA]
 	tb, okB := s.tables[tableB]
-	va, vb = s.versions[tableA], s.versions[tableB]
 	s.tablesMu.RUnlock()
 	if !okA {
-		return nil, nil, 0, 0, fmt.Errorf("engine: unknown table %q", tableA)
+		return nil, nil, fmt.Errorf("engine: unknown table %q", tableA)
 	}
 	if !okB {
-		return nil, nil, 0, 0, fmt.Errorf("engine: unknown table %q", tableB)
+		return nil, nil, fmt.Errorf("engine: unknown table %q", tableB)
 	}
-	return ta, tb, va, vb, nil
+	return ta, tb, nil
 }
 
 // AddLeakage folds classes of rows known to be equal into the ledger —
@@ -480,8 +448,8 @@ type JoinSpec struct {
 // JoinProgress is the progress so far of one join execution,
 // reported through JoinSpec.Progress.
 type JoinProgress struct {
-	// RowsDecrypted counts rows run through SJ.Dec (or served for them
-	// from the decrypt cache) so far, build and probe sides alike.
+	// RowsDecrypted counts rows run through SJ.Dec so far, build and
+	// probe sides alike.
 	RowsDecrypted int
 	// StepsDone counts completed pipeline steps: 1 for the build-side
 	// decrypt+index, plus 1 per probe batch.
@@ -517,7 +485,7 @@ type JoinStream struct {
 	srv            *Server
 	tableA, tableB string
 	ta, tb         *EncryptedTable
-	tokenB         *tokenDec // probe-side token: Miller program + cache key
+	tokenB         *securejoin.TokenPrecomp // probe-side token's Miller program
 	batch          int
 	workers        int
 
@@ -559,7 +527,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 	if err != nil {
 		return nil, err
 	}
-	ta, tb, verA, verB, err := s.snapshot(tableA, tableB)
+	ta, tb, err := s.snapshot(tableA, tableB)
 	if err != nil {
 		return nil, err
 	}
@@ -588,10 +556,9 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 	// Build side: parallel SJ.Dec over A's candidates, indexed by D
 	// value under the original row numbers. Each token's Miller program
 	// is recorded once here — the build side replays it per row, the
-	// probe side per batch — and the decrypt cache (when attached) is
-	// keyed under the snapshotted table versions.
+	// probe side per batch.
 	decStart := time.Now()
-	das, err := s.decryptRows(s.newTokenDec(q.TokenA, tableA, verA), ta, candA, spec.Workers)
+	das, err := decryptRows(q.TokenA.Precompute(), ta, candA, spec.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +580,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 		srv:    s,
 		tableA: tableA, tableB: tableB,
 		ta: ta, tb: tb,
-		tokenB:   s.newTokenDec(q.TokenB, tableB, verB),
+		tokenB:   q.TokenB.Precompute(),
 		batch:    batch,
 		workers:  spec.Workers,
 		index:    index,
@@ -656,7 +623,7 @@ func (st *JoinStream) Next() ([]JoinedRow, error) {
 		batchRows[i] = candRow(st.probe, st.next+i)
 	}
 	decStart := time.Now()
-	chunk, err := st.srv.decryptRows(st.tokenB, st.tb, batchRows, st.workers)
+	chunk, err := decryptRows(st.tokenB, st.tb, batchRows, st.workers)
 	if err != nil {
 		st.err = err
 		st.finish() // the pairs observed before the failure still leaked
@@ -690,6 +657,21 @@ func (st *JoinStream) Next() ([]JoinedRow, error) {
 	st.stepsDone++
 	st.reportProgress()
 	return out, nil
+}
+
+// decryptRows runs SJ.Dec over the selected row subset (nil = every
+// row) through a token's precomputed Miller program, spreading the
+// pairings over a worker pool (workers <= 0 uses GOMAXPROCS).
+func decryptRows(pc *securejoin.TokenPrecomp, t *EncryptedTable, rows []int, workers int) ([]securejoin.DValue, error) {
+	cts := make([]*securejoin.RowCiphertext, candCount(rows, len(t.Rows)))
+	for i := range cts {
+		r := candRow(rows, i)
+		if r < 0 || r >= len(t.Rows) {
+			return nil, fmt.Errorf("engine: candidate row %d out of range", r)
+		}
+		cts[i] = t.Rows[r].Join
+	}
+	return securejoin.DecryptTableParallelWith(pc, cts, workers)
 }
 
 // classes reads sigma(q) off the two D-value maps: per D value, the A

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/leakage"
@@ -213,6 +215,101 @@ func TestRepeatedQueryUnlinkable(t *testing.T) {
 	if closure.Len() != 1 {
 		t.Fatalf("re-running a query should not grow the closure: %d pairs", closure.Len())
 	}
+}
+
+// TestSameJoinSpecTwice re-runs one JoinSpec, the same tokens included:
+// SJ.Dec is deterministic in (token, ciphertext), so the second run
+// returns the identical rows and sigma(q), and since it reveals only
+// pairs the first one did, the ledger's closure does not grow.
+func TestSameJoinSpecTwice(t *testing.T) {
+	client, server := setup(t)
+	q, err := client.NewQuery(
+		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
+		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JoinSpec{Query: q}
+	first, firstTrace, err := join(server, "Teams", "Employees", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 1 {
+		t.Fatalf("first run returned %d rows, want 1", len(first))
+	}
+	_, before := server.ObservedLeakage()
+	second, secondTrace, err := join(server, "Teams", "Employees", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(openRows(t, client, first), openRows(t, client, second)) {
+		t.Fatalf("rows changed between runs: %v vs %v", first, second)
+	}
+	if !firstTrace.Pairs().Equal(secondTrace.Pairs()) {
+		t.Fatalf("sigma changed between runs: %v vs %v", firstTrace.Pairs().Sorted(), secondTrace.Pairs().Sorted())
+	}
+	if _, after := server.ObservedLeakage(); !after.Equal(before) {
+		t.Fatalf("closure grew from %d to %d pairs on a repeated spec", before.Len(), after.Len())
+	}
+}
+
+// TestReRegisteredTableSameJoin re-encrypts Employees from the same
+// plaintext — fresh ciphertext randomness — and registers it over the
+// old version between two runs of one query: the join reads the new
+// table and returns the same rows and sigma(q).
+func TestReRegisteredTableSameJoin(t *testing.T) {
+	client, server := setup(t)
+	q, err := client.NewQuery(securejoin.Selection{}, securejoin.Selection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, beforeTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 4 {
+		t.Fatalf("first run returned %d rows, want 4", len(before))
+	}
+	_, employees := exampleTables()
+	encE, err := client.EncryptTable("Employees", employees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.RegisterTable(encE); err != nil {
+		t.Fatal(err)
+	}
+	after, afterTrace, err := join(server, "Teams", "Employees", JoinSpec{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(openRows(t, client, before), openRows(t, client, after)) {
+		t.Fatalf("rows changed across re-register: %v vs %v", before, after)
+	}
+	if !beforeTrace.Pairs().Equal(afterTrace.Pairs()) {
+		t.Fatalf("sigma changed across re-register: %v vs %v", beforeTrace.Pairs().Sorted(), afterTrace.Pairs().Sorted())
+	}
+}
+
+// openRows renders a join result as sorted "rowA|rowB|payloadA|payloadB"
+// lines with the payloads opened, so results whose sealed payloads
+// differ only in their encryption randomness compare equal.
+func openRows(t *testing.T, client *Client, rows []JoinedRow) []string {
+	t.Helper()
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		pa, err := client.OpenPayload(r.PayloadA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := client.OpenPayload(r.PayloadB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, pa, pb)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // join runs one join to completion: OpenJoin followed by Drain.

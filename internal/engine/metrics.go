@@ -23,14 +23,6 @@ type Metrics struct {
 	DecSeconds    *metrics.Histogram
 	// JoinSeconds is the open-to-termination wall time per join stream.
 	JoinSeconds *metrics.Histogram
-	// Decrypt-result cache counters (see deccache.go): hits and misses
-	// count rows looked up, evictions counts entries pushed out by the
-	// byte budget, and bytes gauges the cache's current footprint.
-	DecCacheHits      *metrics.Counter
-	DecCacheMisses    *metrics.Counter
-	DecCacheEvictions *metrics.Counter
-	DecCacheOversized *metrics.Counter
-	DecCacheBytes     *metrics.Gauge
 	// RevealedPairs is, per table, how many pairs of the ledger's closure
 	// have an endpoint in it (see leakage.Ledger.Touching): revealing a
 	// pair again changes nothing, and recovery replays the persisted
@@ -42,17 +34,12 @@ type Metrics struct {
 // nil for unregistered metrics).
 func NewMetrics(reg *metrics.Registry) Metrics {
 	return Metrics{
-		JoinsStarted:      metrics.NewCounter(reg, "sj_joins_started_total", "join streams opened"),
-		JoinsCompleted:    metrics.NewCounter(reg, "sj_joins_completed_total", "join streams terminated (drained, failed or closed early)"),
-		RowsDecrypted:     metrics.NewCounter(reg, "sj_rows_decrypted_total", "rows run through SJ.Dec pairings"),
-		DecSeconds:        metrics.NewHistogram(reg, "sj_dec_seconds", "latency of one SJ.Dec decrypt phase (build side or probe batch)", nil),
-		JoinSeconds:       metrics.NewHistogram(reg, "sj_join_seconds", "wall time of one join stream, open to termination", nil),
-		DecCacheHits:      metrics.NewCounter(reg, "sj_decrypt_cache_hits_total", "rows served from the decrypt-result cache"),
-		DecCacheMisses:    metrics.NewCounter(reg, "sj_decrypt_cache_misses_total", "rows that paid SJ.Dec pairings on a cache lookup"),
-		DecCacheEvictions: metrics.NewCounter(reg, "sj_decrypt_cache_evictions_total", "decrypt-cache entries evicted by the byte budget"),
-		DecCacheOversized: metrics.NewCounter(reg, "sj_decrypt_cache_oversized_total", "decrypt-cache fills dropped because one entry alone exceeded the byte budget"),
-		DecCacheBytes:     metrics.NewGauge(reg, "sj_decrypt_cache_bytes", "current decrypt-cache footprint in bytes"),
-		RevealedPairs:     metrics.NewGaugeVec(reg, "sj_revealed_pairs", "pairs of the leakage closure with an endpoint in each table", "table"),
+		JoinsStarted:   metrics.NewCounter(reg, "sj_joins_started_total", "join streams opened"),
+		JoinsCompleted: metrics.NewCounter(reg, "sj_joins_completed_total", "join streams terminated (drained, failed or closed early)"),
+		RowsDecrypted:  metrics.NewCounter(reg, "sj_rows_decrypted_total", "rows run through SJ.Dec pairings"),
+		DecSeconds:     metrics.NewHistogram(reg, "sj_dec_seconds", "latency of one SJ.Dec decrypt phase (build side or probe batch)", nil),
+		JoinSeconds:    metrics.NewHistogram(reg, "sj_join_seconds", "wall time of one join stream, open to termination", nil),
+		RevealedPairs:  metrics.NewGaugeVec(reg, "sj_revealed_pairs", "pairs of the leakage closure with an endpoint in each table", "table"),
 	}
 }
 

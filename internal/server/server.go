@@ -132,12 +132,13 @@ func (s *Server) SetBatchSize(n int) {
 	s.batch = n
 }
 
-// SetDecryptCache attaches a decrypt-result cache with the given byte
-// budget to the underlying engine (budget <= 0 disables caching). Call
-// before Listen, like SetBatchSize.
-func (s *Server) SetDecryptCache(budget int64) {
-	s.eng.SetDecryptCache(budget)
-}
+// SetDecryptCache does nothing. The server keeps no decrypt results:
+// each query carries fresh tokens, so a cache of D values could hit
+// only on a re-sent token, and no client re-sends one.
+// The method stays only because the benchmark harness still calls it
+// (env.serve in benchmark/workloads.go passes decryptCacheBytes); it
+// goes when that call does.
+func (s *Server) SetDecryptCache(int64) {}
 
 // Engine exposes the underlying engine, e.g. for leakage audits in
 // tests and examples.

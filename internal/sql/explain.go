@@ -25,7 +25,7 @@ func (p *Plan) Describe() string {
 		describeSide(&b, "A", &p.SideA, "")
 		describeSide(&b, "B", &p.SideB, "")
 		describeWorkers(&b, p.Workers)
-		describeCaches(&b, p)
+		describePlanCache(&b, p)
 		if p.Strategy == Prefiltered {
 			fmt.Fprintf(&b, "leakage: server additionally learns the rows matching each predicate value (SSE access pattern)\n")
 		} else {
@@ -58,7 +58,7 @@ func (p *Plan) Describe() string {
 		describeSide(&b, "B", &st.Right, "  ")
 	}
 	describeWorkers(&b, p.Workers)
-	describeCaches(&b, p)
+	describePlanCache(&b, p)
 	if p.Strategy == Prefiltered {
 		fmt.Fprintf(&b, "leakage: per pairwise join sigma(q), plus SSE access pattern on prefiltered sides; stitch keys stay client-side\n")
 	} else {
@@ -75,26 +75,13 @@ func describeWorkers(b *strings.Builder, workers int) {
 	}
 }
 
-// describeCaches renders the caching annotations: whether this plan
-// came from the plan cache, and — when the catalog carries a decrypt-
-// cache stats hook — the server's decrypt-result cache counters at
-// compile time.
-func describeCaches(b *strings.Builder, p *Plan) {
+// describePlanCache renders whether this plan came from the plan cache.
+func describePlanCache(b *strings.Builder, p *Plan) {
 	if p.Cached {
 		fmt.Fprintf(b, "plan cache: hit\n")
 	} else {
 		fmt.Fprintf(b, "plan cache: miss\n")
 	}
-	if p.DecCache == nil {
-		return
-	}
-	if !p.DecCache.Enabled {
-		fmt.Fprintf(b, "decrypt cache: disabled\n")
-		return
-	}
-	fmt.Fprintf(b, "decrypt cache: %d hit(s), %d miss(es), %d eviction(s), %d entrie(s), %d of %d bytes\n",
-		p.DecCache.Hits, p.DecCache.Misses, p.DecCache.Evictions,
-		p.DecCache.Entries, p.DecCache.Bytes, p.DecCache.Budget)
 }
 
 func describeSide(b *strings.Builder, label string, sp *SidePlan, indent string) {

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"strings"
-
-	"repro/internal/engine"
 )
 
 // Plan caching. Planning is pure: a compiled Plan depends only on the
@@ -114,22 +112,4 @@ func (c *Catalog) invalidatePlans() {
 	c.planByKey = nil
 	c.planLRU = nil
 	c.planMu.Unlock()
-}
-
-// SetDecryptCacheStats attaches a provider of the server's
-// decrypt-result cache statistics — typically
-// engine.Server.DecryptCacheStats for in-process catalogs — which
-// Compile snapshots onto every plan so EXPLAIN can render the cache's
-// hit/miss state alongside the planning decisions.
-func (c *Catalog) SetDecryptCacheStats(fn func() engine.DecryptCacheStats) {
-	c.decStats = fn
-}
-
-// stampDecCache snapshots the decrypt-cache statistics onto a plan.
-func (c *Catalog) stampDecCache(p *Plan) {
-	if c.decStats == nil {
-		return
-	}
-	st := c.decStats()
-	p.DecCache = &st
 }

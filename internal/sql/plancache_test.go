@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 )
 
@@ -188,27 +187,17 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDecryptStats checks the EXPLAIN hook: with a stats
-// provider attached, compiled plans carry a decrypt-cache snapshot and
-// Describe renders it.
+// TestPlanCacheDecryptStats checks EXPLAIN's plan-cache line: a miss on
+// the first compile, a hit on the second.
 func TestPlanCacheDecryptStats(t *testing.T) {
 	cat := cacheCatalog(t)
-	cat.SetDecryptCacheStats(func() engine.DecryptCacheStats {
-		return engine.DecryptCacheStats{Enabled: true, Hits: 5, Misses: 2, Entries: 1, Bytes: 2048, Budget: 1 << 20}
-	})
 	p, err := cat.Compile(`EXPLAIN ` + cacheQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DecCache == nil || p.DecCache.Hits != 5 {
-		t.Fatalf("plan carries no decrypt-cache snapshot: %+v", p.DecCache)
-	}
 	out := p.Describe()
 	if !strings.Contains(out, "plan cache: miss") {
 		t.Fatalf("EXPLAIN lacks the plan cache line:\n%s", out)
-	}
-	if !strings.Contains(out, "decrypt cache: 5 hit(s), 2 miss(es)") {
-		t.Fatalf("EXPLAIN lacks the decrypt cache line:\n%s", out)
 	}
 	warm, err := cat.Compile(`EXPLAIN ` + cacheQuery)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/securejoin"
 )
 
@@ -64,9 +63,6 @@ type Catalog struct {
 	planMu    sync.Mutex
 	planByKey map[string]*list.Element
 	planLRU   *list.List
-	// decStats, when set, supplies decrypt-cache statistics that
-	// Compile stamps onto plans for EXPLAIN.
-	decStats func() engine.DecryptCacheStats
 }
 
 // NewCatalog builds a catalog from schemas, rejecting duplicates and
@@ -355,10 +351,6 @@ type Plan struct {
 	// Cached marks a plan served from the catalog's plan cache rather
 	// than compiled fresh (see plancache.go).
 	Cached bool
-	// DecCache optionally carries the server's decrypt-result cache
-	// statistics snapshotted at compile time (see
-	// Catalog.SetDecryptCacheStats); EXPLAIN renders them.
-	DecCache *engine.DecryptCacheStats
 
 	// Two-table projections of Steps[0], kept so existing single-join
 	// callers (and the pre-plan client APIs) keep working unchanged.
@@ -711,7 +703,6 @@ func (c *Catalog) Compile(query string) (*Plan, error) {
 	if p := c.cachedPlan(key); p != nil {
 		p.Cached = true
 		p.Explain = q.Explain // EXPLAIN and its bare statement share a slot
-		c.stampDecCache(p)
 		c.met.planCacheHits.Inc()
 		return p, nil
 	}
@@ -721,7 +712,6 @@ func (c *Catalog) Compile(query string) (*Plan, error) {
 		return nil, err
 	}
 	c.storePlan(key, p)
-	c.stampDecCache(p)
 	return p, nil
 }
 
