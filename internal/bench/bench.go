@@ -14,12 +14,14 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/securejoin"
 	"repro/internal/tpch"
+	"repro/internal/zq"
 )
 
 // CryptoBenchResult is one row of Figure 2: per-row token generation,
@@ -32,8 +34,9 @@ type CryptoBenchResult struct {
 }
 
 // MeasureCryptoOps reproduces Figure 2 for one IN-clause size t: the
-// average latencies of SJ.TokenGen, SJ.Enc and SJ.Dec for a single
-// Customers row, averaged over reps repetitions.
+// latencies of SJ.TokenGen, SJ.Enc and SJ.Dec for a single Customers
+// row, each the median over reps repetitions, so one descheduled
+// repetition does not move it.
 func MeasureCryptoOps(t, reps int) (CryptoBenchResult, error) {
 	scheme, err := securejoin.Setup(securejoin.Params{M: 1, T: t}, nil)
 	if err != nil {
@@ -51,15 +54,19 @@ func MeasureCryptoOps(t, reps int) (CryptoBenchResult, error) {
 	}
 	sel := securejoin.Selection{0: inValues}
 
-	// round runs SJ.TokenGen, SJ.Enc and SJ.Dec once, timing each.
+	// round runs SJ.TokenGen, SJ.Enc and SJ.Dec once, timing each. It
+	// times one TokenGen, not NewQuery, whose two keygens overlap.
 	round := func() (r CryptoBenchResult, err error) {
-		start := time.Now()
-		q, err := scheme.NewQuery(sel, sel)
+		k, err := zq.RandomNonZero(nil)
 		if err != nil {
 			return r, err
 		}
-		// NewQuery issues two tokens; charge one.
-		r.TokenGen = time.Since(start) / 2
+		start := time.Now()
+		tk, err := scheme.TokenGen(k, sel)
+		if err != nil {
+			return r, err
+		}
+		r.TokenGen = time.Since(start)
 
 		start = time.Now()
 		ct, err := scheme.Encrypt(row)
@@ -69,7 +76,7 @@ func MeasureCryptoOps(t, reps int) (CryptoBenchResult, error) {
 		r.Encrypt = time.Since(start)
 
 		start = time.Now()
-		if _, err := securejoin.Decrypt(q.TokenA, ct); err != nil {
+		if _, err := securejoin.Decrypt(tk, ct); err != nil {
 			return r, err
 		}
 		r.Decrypt = time.Since(start)
@@ -83,19 +90,30 @@ func MeasureCryptoOps(t, reps int) (CryptoBenchResult, error) {
 	if _, err := round(); err != nil {
 		return res, err
 	}
+	var tokenGen, encrypt, decrypt []time.Duration
 	for i := 0; i < reps; i++ {
 		r, err := round()
 		if err != nil {
 			return res, err
 		}
-		res.TokenGen += r.TokenGen
-		res.Encrypt += r.Encrypt
-		res.Decrypt += r.Decrypt
+		tokenGen = append(tokenGen, r.TokenGen)
+		encrypt = append(encrypt, r.Encrypt)
+		decrypt = append(decrypt, r.Decrypt)
 	}
-	res.TokenGen /= time.Duration(reps)
-	res.Encrypt /= time.Duration(reps)
-	res.Decrypt /= time.Duration(reps)
+	res.TokenGen = median(tokenGen)
+	res.Encrypt = median(encrypt)
+	res.Decrypt = median(decrypt)
 	return res, nil
+}
+
+// median returns the middle of ds (the upper middle for an even
+// count), or 0 for none.
+func median(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // Workload is the paper's evaluation fixture: a TPC-H Orders x Customers

@@ -182,7 +182,7 @@ func BenchmarkPairBatchPrecomputed(b *testing.B) {
 }
 
 // BenchmarkG2Unmarshal is the per-element cost of a token decode: the
-// compressed point's square root plus the psi subgroup check.
+// compressed point's square root plus the G2 membership test.
 func BenchmarkG2Unmarshal(b *testing.B) {
 	_, q, _ := RandomG2(rand.Reader)
 	data := q.Marshal()

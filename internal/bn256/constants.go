@@ -51,7 +51,8 @@ var (
 	// sixUPlus2NAF its non-adjacent form, the digits the loop walks.
 	sixUPlus2    *big.Int
 	sixUPlus2NAF []int8
-	// uWNAF is the width-4 wNAF of u, the digits of expByU.
+	// uWNAF is the width-4 wNAF of u, the digits of expByU and of the
+	// G2 membership test's [u]Q.
 	uWNAF []int8
 	// sixUSquared is t - 1 = 6u^2, the eigenvalue of the twisted
 	// Frobenius on G2 (p mod r).
@@ -93,7 +94,7 @@ func initParams() {
 	sixUPlus2 = new(big.Int).Mul(u, big.NewInt(6))
 	sixUPlus2.Add(sixUPlus2, big.NewInt(2))
 	sixUPlus2NAF = wnaf(sixUPlus2, 2)
-	uWNAF = wnaf(u, 4)
+	uWNAF = wnaf(u, uWNAFWidth)
 
 	// twist cofactor c2 = p - 1 + t
 	twistCofactor = new(big.Int).Add(P, trace)
@@ -111,6 +112,10 @@ func initParams() {
 	}
 	finalExpHard = h
 }
+
+// uWNAFWidth is the wNAF width of uWNAF: 14 non-zero digits over a
+// table of four odd multiples, the fewest operations of any width.
+const uWNAFWidth = 4
 
 // scalarWNAFWidth is the wNAF width of the variable-time G1 and G2
 // scalar multiplication, which sees public scalars only.

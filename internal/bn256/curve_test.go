@@ -207,33 +207,70 @@ func TestG2UnmarshalRejectsWrongSubgroup(t *testing.T) {
 	t.Skip("no cofactor-order point found in scan range")
 }
 
-// TestSubgroupCheckMatchesOrder pins the psi check G2.Unmarshal runs,
-// psi(Q) == [6u^2]Q, against the definition [r]Q == 0 on points of G2,
-// on random twist points whose cofactor was not cleared, and on their
-// r-multiples, which lie wholly in the cofactor part.
+// TestSubgroupCheckMatchesOrder pins the membership test G2.Unmarshal
+// runs, [u+1]Q + psi([u]Q) + psi^2([u]Q) == psi^3([2u]Q), against the
+// definition [r]Q == 0 and against the older relation psi(Q) ==
+// [6u^2]Q. The points are random points of G2; random twist points
+// whose cofactor was not cleared, and their r-multiples, which lie
+// wholly in the cofactor part; points of order 10069, the cofactor's
+// one small prime factor, where a short relation is likeliest to
+// collapse; and G2 points plus such a component.
 func TestSubgroupCheckMatchesOrder(t *testing.T) {
-	var pts []twistPoint
-	for i := 0; i < 4; i++ {
+	// psi acts as lambda = 6u^2 on G2, where the relation's scalars cancel.
+	lambda := func(e int64) *big.Int { return new(big.Int).Exp(sixUSquared, big.NewInt(e), Order) }
+	sum := new(big.Int).Add(u, big.NewInt(1))
+	sum.Add(sum, new(big.Int).Mul(u, lambda(1)))
+	sum.Add(sum, new(big.Int).Mul(u, lambda(2)))
+	sum.Sub(sum, new(big.Int).Mul(new(big.Int).Lsh(u, 1), lambda(3)))
+	if sum.Mod(sum, Order).Sign() != 0 {
+		t.Fatal("(u+1) + u*lambda + u*lambda^2 - 2u*lambda^3 != 0 mod r")
+	}
+	const small = 10069
+	smallCof, rem := new(big.Int).DivMod(twistCofactor, big.NewInt(small), new(big.Int))
+	if rem.Sign() != 0 {
+		t.Fatalf("twist cofactor is not divisible by %d", small)
+	}
+	smallCof.Mul(smallCof, Order) // [r*h'/10069] maps the twist onto its order-10069 part
+
+	randTwist := func() twistPoint {
+		for {
+			x := randGFp2(t)
+			var rhs, y gfP2
+			rhs.Square(x)
+			rhs.Mul(&rhs, x)
+			rhs.Add(&rhs, &twistB)
+			if y.Sqrt(&rhs) {
+				pt := twistPoint{x: *x, y: y}
+				pt.z.SetOne()
+				return pt
+			}
+		}
+	}
+	var pts, g2s []twistPoint
+	for i := 0; i < 6; i++ {
 		_, q, err := RandomG2(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pts = append(pts, q.p)
+		g2s = append(g2s, q.p)
 	}
-	for len(pts) < 16 {
-		x := randGFp2(t)
-		var rhs, y gfP2
-		rhs.Square(x)
-		rhs.Mul(&rhs, x)
-		rhs.Add(&rhs, &twistB)
-		if !y.Sqrt(&rhs) {
-			continue
-		}
-		pt := twistPoint{x: *x, y: y}
-		pt.z.SetOne()
+	pts = append(pts, g2s...)
+	for i := 0; i < 6; i++ {
+		pt := randTwist()
 		var cof twistPoint
 		cof.Mul(&pt, Order)
 		pts = append(pts, pt, cof)
+	}
+	for i := 0; i < 6; {
+		var s twistPoint
+		pt := randTwist()
+		if s.Mul(&pt, smallCof); s.IsInfinity() {
+			continue
+		}
+		var mixed twistPoint
+		mixed.Add(&g2s[i], &s)
+		pts = append(pts, s, mixed)
+		i++
 	}
 	var inf twistPoint
 	inf.SetInfinity()
@@ -241,18 +278,20 @@ func TestSubgroupCheckMatchesOrder(t *testing.T) {
 
 	inG2 := 0
 	for i := range pts {
-		var rq twistPoint
+		var rq, pi, m twistPoint
 		rq.Mul(&pts[i], Order)
-		got, want := pts[i].inG2(), rq.IsInfinity()
-		if got != want {
-			t.Fatalf("point %d: psi check says %v, [r]Q == 0 says %v", i, got, want)
+		pi.Frobenius(&pts[i])
+		m.Mul(&pts[i], sixUSquared)
+		got, want, old := pts[i].inG2(), rq.IsInfinity(), pi.Equal(&m)
+		if got != want || old != want {
+			t.Fatalf("point %d: membership test says %v, psi(Q) == [6u^2]Q says %v, [r]Q == 0 says %v", i, got, old, want)
 		}
 		if got {
 			inG2++
 		}
 	}
-	if inG2 != 5 {
-		t.Fatalf("%d of %d points in G2, want the 4 random G2 points and infinity", inG2, len(pts))
+	if inG2 != len(g2s)+1 {
+		t.Fatalf("%d of %d points in G2, want the %d random G2 points and infinity", inG2, len(pts), len(g2s))
 	}
 }
 

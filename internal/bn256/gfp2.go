@@ -18,10 +18,12 @@ var (
 	xi gfP2
 	// xiInv is xi^-1, used for the twist curve coefficient b' = 3/xi.
 	xiInv gfP2
-	// pPlus1Over4 is the Fp square-root exponent (p = 3 mod 4) and inv2
-	// is 1/2; Sqrt runs on every G2 decode, so both are fixed here.
-	pPlus1Over4 *big.Int
-	inv2        gfP
+	// pPlus1Over4 is the Fp square-root exponent (p = 3 mod 4),
+	// pMinus3Over4 the exponent of the inverse root, and inv2 is 1/2;
+	// Sqrt runs on every G2 decode, so all three are fixed here.
+	pPlus1Over4  *big.Int
+	pMinus3Over4 *big.Int
+	inv2         gfP
 )
 
 func initGFp2() {
@@ -29,6 +31,7 @@ func initGFp2() {
 		panic("bn256: prime is not 3 mod 4; i^2 = -1 is not a tower base")
 	}
 	pPlus1Over4 = new(big.Int).Rsh(new(big.Int).Add(P, big.NewInt(1)), 2)
+	pMinus3Over4 = new(big.Int).Sub(pPlus1Over4, big.NewInt(1))
 	inv2.Invert(newGFp(2))
 	xi = gfP2{a0: *newGFp(9), a1: *newGFp(1)}
 	xiInv.Invert(&xi)
@@ -243,16 +246,19 @@ func (e *gfP2) Sqrt(a *gfP2) bool {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		// delta = (a0 + lambda)/2, then x0 = sqrt(delta), x1 = a1/(2 x0).
+		// One exponentiation gives both roots: with s =
+		// delta^((p-3)/4), x0 = s delta = delta^((p+1)/4), and s x0 =
+		// delta^((p-1)/2) = 1 once x0^2 == delta != 0, so 1/x0 = s.
 		var delta gfP
 		delta.Add(&a.a0, &lambda)
 		delta.Mul(&delta, &inv2)
-		var x0 gfP
-		x0.Exp(&delta, pPlus1Over4)
+		var s, x0 gfP
+		s.Exp(&delta, pMinus3Over4)
+		x0.Mul(&s, &delta)
 		var sq gfP
 		if sq.Square(&x0); sq.Equal(&delta) && !x0.IsZero() {
-			var x0inv, x1 gfP
-			x0inv.Invert(&x0)
-			x1.Mul(&a.a1, &x0inv)
+			var x1 gfP
+			x1.Mul(&a.a1, &s)
 			x1.Mul(&x1, &inv2)
 			var cand gfP2
 			cand.a0 = x0

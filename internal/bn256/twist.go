@@ -51,7 +51,7 @@ func initTwist() {
 		}
 		gen.MakeAffine()
 		if !gen.inG2() {
-			panic("bn256: Frobenius does not act as 6u^2 on G2")
+			panic("bn256: twist generator fails the G2 membership test")
 		}
 		twistGen = gen
 		return
@@ -266,36 +266,56 @@ func (t *twistPoint) Frobenius(a *twistPoint) *twistPoint {
 	return t
 }
 
-// inG2 reports whether t lies in the order-r subgroup. On G2 the
-// Frobenius acts as multiplication by p = trace - 1 = 6u^2 mod r, and
-// on the twist of this BN curve no other point satisfies that (El
-// Housni, Guillevic, Piellard, AFRICACRYPT 2022;
-// TestSubgroupCheckMatchesOrder pins it against [r]t == 0), so a
-// 127-bit scalar multiplication replaces the 254-bit one.
+// inG2 reports whether t lies in the order-r subgroup, by the BN-curve
+// G2 test of Dai, Lin, Zhao and Zhou (ePrint 2022/348):
+//
+//	[u+1]t + psi([u]t) + psi^2([u]t) == psi^3([2u]t)
+//
+// with psi the twisted Frobenius. On G2, psi acts as p = 6u^2 mod r,
+// and (u+1) + u*6u^2 + u*(6u^2)^2 - 2u*(6u^2)^3 == 0 mod r, so every
+// point of G2 passes; the paper shows no other twist point does
+// (TestSubgroupCheckMatchesOrder pins it against [r]t == 0, also on
+// points with a component of order 10069, the cofactor's one small
+// prime factor). Its one scalar multiplication walks the 63-bit u,
+// where psi(t) == [6u^2]t walked 127 bits; the rest is three
+// additions, a doubling and five Frobenius maps.
 func (t *twistPoint) inG2() bool {
-	var pi, m twistPoint
-	pi.Frobenius(t)
-	m.Mul(t, sixUSquared)
-	return pi.Equal(&m)
+	var ut, lhs, rhs twistPoint
+	ut.mulWNAF(t, uWNAF, uWNAFWidth)
+	lhs.Frobenius(&ut)
+	lhs.Add(&lhs, &ut)  // [u]t + psi([u]t)
+	lhs.Frobenius(&lhs) // psi([u]t) + psi^2([u]t)
+	lhs.Add(&lhs, &ut)
+	lhs.Add(&lhs, t)
+	rhs.Double(&ut)
+	rhs.Frobenius(&rhs)
+	rhs.Frobenius(&rhs)
+	rhs.Frobenius(&rhs)
+	return lhs.Equal(&rhs)
 }
 
 // Mul sets t = k*a for k >= 0 and returns t. It walks the width-5
 // wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
 // entry for a negative digit. It is variable-time, so k must be public:
-// ScalarMult, the [6u^2] subgroup check, cofactor clearing and tests.
-// Secret scalars multiply the generator through the constant-time comb
-// of ScalarBaseMult (comb.go).
+// ScalarMult, cofactor clearing and tests. Secret scalars multiply the
+// generator through the constant-time comb of ScalarBaseMult (comb.go).
 func (t *twistPoint) Mul(a *twistPoint, k *big.Int) *twistPoint {
+	return t.mulWNAF(a, wnaf(k, scalarWNAFWidth), scalarWNAFWidth)
+}
+
+// mulWNAF sets t = k*a for the k whose width-w wNAF is digits (w at
+// most scalarWNAFWidth) and returns t. The subgroup check passes u's
+// digits, computed once at init.
+func (t *twistPoint) mulWNAF(a *twistPoint, digits []int8, w uint) *twistPoint {
 	var table [1 << (scalarWNAFWidth - 2)]twistPoint // table[i] = (2i+1)a
 	var a2 twistPoint
 	a2.Double(a)
 	table[0].Set(a)
-	for i := 1; i < len(table); i++ {
+	for i := 1; i < 1<<(w-2); i++ {
 		table[i].Add(&table[i-1], &a2)
 	}
 	var acc, neg twistPoint
 	acc.SetInfinity()
-	digits := wnaf(k, scalarWNAFWidth)
 	for i := len(digits) - 1; i >= 0; i-- {
 		acc.Double(&acc)
 		switch d := digits[i]; {

@@ -553,12 +553,22 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 	candA = mergeCandidates(candA, spec.CandidatesA, len(ta.Rows))
 	candB = mergeCandidates(candB, spec.CandidatesB, len(tb.Rows))
 
+	// Each token's Miller program is recorded once, both at the same
+	// time — the build side replays A's per row, the probe side B's per
+	// batch.
+	var tokenB *securejoin.TokenPrecomp
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tokenB = q.TokenB.Precompute()
+	}()
+	tokenA := q.TokenA.Precompute()
+	<-done
+
 	// Build side: parallel SJ.Dec over A's candidates, indexed by D
-	// value under the original row numbers. Each token's Miller program
-	// is recorded once here — the build side replays it per row, the
-	// probe side per batch.
+	// value under the original row numbers.
 	decStart := time.Now()
-	das, err := decryptRows(q.TokenA.Precompute(), ta, candA, spec.Workers)
+	das, err := decryptRows(tokenA, ta, candA, spec.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +590,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 		srv:    s,
 		tableA: tableA, tableB: tableB,
 		ta: ta, tb: tb,
-		tokenB:   q.TokenB.Precompute(),
+		tokenB:   tokenB,
 		batch:    batch,
 		workers:  spec.Workers,
 		index:    index,

@@ -191,33 +191,65 @@ type Query struct {
 
 // NewQuery runs SJ.TokenGen for both tables of a join with a fresh
 // symmetric query key k drawn from Z_q \ {0}. selA filters table A,
-// selB filters table B.
+// selB filters table B. It reads the scheme's rng exactly as k followed
+// by TokenGen(k, selA) and TokenGen(k, selB) would, all on the calling
+// goroutine; only the two keygens, Dim G2 base mults each, run at once.
 func (s *Scheme) NewQuery(selA, selB Selection) (*Query, error) {
 	k, err := zq.RandomNonZero(s.rng)
 	if err != nil {
 		return nil, err
 	}
-	ta, err := s.TokenGen(k, selA)
+	va, err := s.tokenVector(k, selA)
 	if err != nil {
 		return nil, err
 	}
-	tb, err := s.TokenGen(k, selB)
+	vb, err := s.tokenVector(k, selB)
 	if err != nil {
 		return nil, err
 	}
-	return &Query{TokenA: ta, TokenB: tb}, nil
+	var tb *ipe.Token
+	var errB error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tb, errB = s.msk.KeyGenModified(vb)
+	}()
+	ta, err := s.msk.KeyGenModified(va)
+	<-done
+	if err != nil {
+		return nil, err
+	}
+	if errB != nil {
+		return nil, errB
+	}
+	return &Query{TokenA: &Token{Tk: ta}, TokenB: &Token{Tk: tb}}, nil
 }
 
-// TokenGen runs SJ.TokenGen for one table. The token vector is
+// TokenGen runs SJ.TokenGen for one table: it builds the token vector
+// and raises g2 to it. Exposed for callers that need token-level
+// control (e.g. issuing the two table tokens of one query with an
+// explicit shared k); most callers should use NewQuery.
+func (s *Scheme) TokenGen(k zq.Scalar, sel Selection) (*Token, error) {
+	v, err := s.tokenVector(k, sel)
+	if err != nil {
+		return nil, err
+	}
+	tk, err := s.msk.KeyGenModified(v)
+	if err != nil {
+		return nil, err
+	}
+	return &Token{Tk: tk}, nil
+}
+
+// tokenVector builds one table's token vector
 //
 //	v = ( k, P1 coeffs, ..., Pm coeffs, 0, delta )
 //
 // where P_i vanishes on the IN-clause values of attribute i (hashed into
 // Z_q with the same embedding used at encryption time) and is the zero
-// polynomial for unrestricted attributes. Exposed for callers that need
-// token-level control (e.g. issuing the two table tokens of one query
-// with an explicit shared k); most callers should use NewQuery.
-func (s *Scheme) TokenGen(k zq.Scalar, sel Selection) (*Token, error) {
+// polynomial for unrestricted attributes. Every rng read of a token
+// happens here.
+func (s *Scheme) tokenVector(k zq.Scalar, sel Selection) (zq.Vector, error) {
 	if k.IsZero() {
 		return nil, errors.New("securejoin: query key k must be non-zero")
 	}
@@ -253,12 +285,7 @@ func (s *Scheme) TokenGen(k zq.Scalar, sel Selection) (*Token, error) {
 		return nil, err
 	}
 	v[d-1] = delta
-
-	tk, err := s.msk.KeyGenModified(v)
-	if err != nil {
-		return nil, err
-	}
-	return &Token{Tk: tk}, nil
+	return v, nil
 }
 
 // DValue is the opaque decryption result of SJ.Dec for one row: a

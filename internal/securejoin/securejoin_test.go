@@ -1,7 +1,11 @@
 package securejoin
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
+
+	"repro/internal/zq"
 )
 
 // buildExampleTables returns the Teams and Employees tables of
@@ -186,5 +190,58 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if _, err := s.TokenGen(s.mustKey(t), Selection{0: [][]byte{[]byte("a"), []byte("b"), []byte("c")}}); err == nil {
 		t.Fatal("oversized IN clause should be rejected")
+	}
+}
+
+// TestNewQueryMatchesTokenGen pins NewQuery's rng draw order: k, then
+// token A's vector, then token B's. Two schemes loaded from one key,
+// each reading an identically seeded stream, must mint byte-identical
+// tokens whether the pair comes from NewQuery, whose keygens run
+// concurrently, or from k := zq.RandomNonZero followed by TokenGen(k,
+// selA) and TokenGen(k, selB), and must leave the streams at the same
+// offset.
+func TestNewQueryMatchesTokenGen(t *testing.T) {
+	key, err := newTestScheme(t, 2, 2).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	selA := Selection{0: {[]byte("Web Application"), []byte("Database")}}
+	selB := Selection{1: {[]byte("Tester")}}
+	for seed := int64(1); seed <= 3; seed++ {
+		rngQ, rngT := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		sq, err := LoadScheme(key, rngQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadScheme(key, rngT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := sq.NewQuery(selA, selB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := zq.RandomNonZero(rngT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			got  *Token
+			sel  Selection
+		}{{"A", q.TokenA, selA}, {"B", q.TokenB, selB}} {
+			want, err := st.TokenGen(k, c.sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, _ := c.got.MarshalBinary()
+			wb, _ := want.MarshalBinary()
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("seed %d: NewQuery's token %s differs from TokenGen's", seed, c.name)
+			}
+		}
+		if rngQ.Uint64() != rngT.Uint64() {
+			t.Fatalf("seed %d: NewQuery and TokenGen read the rng to different offsets", seed)
+		}
 	}
 }

@@ -53,6 +53,10 @@ const defaultJobTTL = time.Hour
 // collects them for the spool (Server.jobTask).
 type joinTask struct {
 	jr *wire.JoinRequest
+	// spec is jr already parsed: an async job's, which submit parsed to
+	// fail a malformed request early. nil on the sync path, which parses
+	// after admission so a shed request costs no decode.
+	spec *engine.JoinSpec
 	// begin runs on the worker that picked the task up, before any join
 	// work.
 	begin func()
@@ -217,18 +221,21 @@ func (s *Server) joinWorker() {
 	}
 }
 
-// runTask is the one join executor: it parses the request, opens the
-// engine stream, drains it into the task's sink and reports the outcome
-// to the task's finish.
+// runTask is the one join executor: it parses the request unless
+// submit already did, opens the engine stream, drains it into the
+// task's sink and reports the outcome to the task's finish.
 func (s *Server) runTask(t joinTask) {
 	t.begin()
-	spec, err := s.joinSpecFrom(t.jr)
-	if err != nil {
-		t.finish(0, err)
-		return
+	if t.spec == nil {
+		spec, err := s.joinSpecFrom(t.jr)
+		if err != nil {
+			t.finish(0, err)
+			return
+		}
+		t.spec = &spec
 	}
-	spec.Progress = t.progress
-	stream, err := s.eng.OpenJoin(t.jr.TableA, t.jr.TableB, spec)
+	t.spec.Progress = t.progress
+	stream, err := s.eng.OpenJoin(t.jr.TableA, t.jr.TableB, *t.spec)
 	if err != nil {
 		t.finish(0, err)
 		return
@@ -378,8 +385,10 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 		return ss.sendErr(id, errors.New("server: submit carries no join"))
 	}
 	// Parse the tokens and prefilters now so a malformed submission
-	// fails at submit time, not minutes later inside the queue.
-	if _, err := s.joinSpecFrom(sub.Join); err != nil {
+	// fails at submit time, not minutes later inside the queue; the task
+	// carries the parsed spec, so nothing decodes twice.
+	spec, err := s.joinSpecFrom(sub.Join)
+	if err != nil {
 		return ss.sendErr(id, err)
 	}
 	jobID, err := newJobID()
@@ -397,7 +406,7 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	s.jobMu.Lock()
 	s.jobs[jobID] = j
 	s.jobMu.Unlock()
-	if !s.enqueueJoin(s.jobTask(j, sub.Join)) {
+	if !s.enqueueJoin(s.jobTask(j, sub.Join, &spec)) {
 		s.jobMu.Lock()
 		delete(s.jobs, jobID)
 		s.jobMu.Unlock()
@@ -480,11 +489,12 @@ func (ss *session) sendUnknownJob(id uint64, jobID string) error {
 // the job terminal — so a client that observes "done" can rely on the
 // result surviving a restart. The progress hook publishes the engine's
 // counters so JobStatus polls see them live.
-func (s *Server) jobTask(j *job, jr *wire.JoinRequest) joinTask {
+func (s *Server) jobTask(j *job, jr *wire.JoinRequest, spec *engine.JoinSpec) joinTask {
 	var rows []wire.JoinedRow
 	running := false
 	return joinTask{
-		jr: jr,
+		jr:   jr,
+		spec: spec,
 		begin: func() {
 			j.mu.Lock()
 			j.state = wire.JobRunning

@@ -609,16 +609,22 @@ func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
 }
 
 // joinSpecFrom parses a wire join request — tokens and optional SSE
-// prefilters — into the engine spec it describes. The join executor
-// calls it for every task; handleSubmit also validates submissions with
-// it, so malformed tokens fail at submit time.
+// prefilters — into the engine spec it describes. handleSubmit calls it
+// for an async job, so malformed tokens fail at submit time; the join
+// executor calls it for a sync join once the join is admitted.
 func (s *Server) joinSpecFrom(jr *wire.JoinRequest) (engine.JoinSpec, error) {
+	// The two tokens decode at once: each is Dim square roots and G2
+	// membership tests. A's error wins when both are bad.
 	var ta, tb securejoin.Token
-	if err := ta.UnmarshalBinary(jr.TokenA); err != nil {
-		return engine.JoinSpec{}, fmt.Errorf("token A: %w", err)
+	decodedB := make(chan error, 1)
+	go func() { decodedB <- tb.UnmarshalBinary(jr.TokenB) }()
+	errA := ta.UnmarshalBinary(jr.TokenA)
+	errB := <-decodedB
+	if errA != nil {
+		return engine.JoinSpec{}, fmt.Errorf("token A: %w", errA)
 	}
-	if err := tb.UnmarshalBinary(jr.TokenB); err != nil {
-		return engine.JoinSpec{}, fmt.Errorf("token B: %w", err)
+	if errB != nil {
+		return engine.JoinSpec{}, fmt.Errorf("token B: %w", errB)
 	}
 	q := &securejoin.Query{TokenA: &ta, TokenB: &tb}
 
