@@ -14,7 +14,8 @@
 // micro-benchmarks from `go test -bench` in internal/bn256 and
 // internal/securejoin.
 //
-// The pure-Go pairing is slower than the authors' C library, so by
+// The pairing here is Go, with assembly only for the amd64 field
+// multiplications, and is slower than the authors' C library, so by
 // default the TPC-H scale factors are divided by -scalediv (100). Run
 // with -scalediv 1 for paper-scale row counts.
 package main

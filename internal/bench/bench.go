@@ -6,8 +6,9 @@
 // as served; Figure 2 times the single-row kernels as the paper defines
 // them.
 //
-// Absolute numbers differ from the paper (pure-Go pairing vs the
-// authors' optimized C library), so the figures compare shapes: which
+// Absolute numbers differ from the paper (a Go pairing, with assembly
+// only for the amd64 field multiplications, vs the authors' optimized
+// C library), so the figures compare shapes: which
 // operation dominates, linearity in table size and IN-clause size, and
 // slope ordering across selectivities.
 package bench

@@ -58,6 +58,40 @@ func BenchmarkGFpMul(b *testing.B) {
 	})
 }
 
+// gfP2Sink keeps the compiler from discarding a benchmarked result.
+var gfP2Sink gfP2
+
+// BenchmarkGFp2Mul times the Fp2 kernels the tower is built from: "mul"
+// and "square" repeat one operation on fixed inputs (throughput), and
+// "chain" feeds each product into the next, x = x*y (latency).
+func BenchmarkGFp2Mul(b *testing.B) {
+	rnd := func() gfP {
+		n, _ := rand.Int(rand.Reader, P)
+		return *gfPFromBig(n)
+	}
+	x, y := gfP2{rnd(), rnd()}, gfP2{rnd(), rnd()}
+	var out gfP2
+	b.Run("mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.Mul(&x, &y)
+		}
+		gfP2Sink = out
+	})
+	b.Run("square", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.Square(&x)
+		}
+		gfP2Sink = out
+	})
+	b.Run("chain", func(b *testing.B) {
+		acc := x
+		for i := 0; i < b.N; i++ {
+			acc.Mul(&acc, &y)
+		}
+		gfP2Sink = acc
+	})
+}
+
 func BenchmarkGFpInvert(b *testing.B) {
 	x, _ := rand.Int(rand.Reader, P)
 	fx := gfPFromBig(x)

@@ -24,7 +24,9 @@
 // The implementation is self-contained (standard library only): Fp uses
 // 4x64-bit Montgomery limbs and the extension tower Fp2/Fp6/Fp12 is
 // built as Fp2 = Fp(i) with i^2 = -1, Fp6 = Fp2[tau]/(tau^3 - xi) and
-// Fp12 = Fp6[omega]/(omega^2 - tau).
+// Fp12 = Fp6[omega]/(omega^2 - tau). On amd64 CPUs with BMI2 and ADX the
+// Fp and Fp2 multiplications run in assembly (gfp_amd64.s); the Go code
+// they match runs everywhere else and under the purego build tag.
 package bn256
 
 import (

@@ -197,6 +197,94 @@ func TestMulUnreducedOperands(t *testing.T) {
 	}
 }
 
+// TestFieldKernelsMatchGeneric checks the assembly field kernels against
+// the Go code they stand in for, which on a CPU with ADX nothing else
+// runs: gfP.Mul on raw operands below 2p, edge values included, and
+// gfP2.Mul, gfP2.Square and gfP2.MulXi on reduced operands, each with
+// the output aliasing a, b and both. Results must match limb for limb.
+func TestFieldKernelsMatchGeneric(t *testing.T) {
+	if !useADX {
+		t.Skip("no assembly field kernels: not amd64 with BMI2 and ADX, or built with -tags purego")
+	}
+	one := big.NewInt(1)
+	twoP := new(big.Int).Lsh(P, 1)
+	edges := []*big.Int{
+		big.NewInt(0), one, new(big.Int).Sub(P, one), P, new(big.Int).Sub(twoP, one),
+	}
+	r := rand.New(rand.NewSource(2))
+
+	mul := func(a, b gfP) {
+		t.Helper()
+		var want, got gfP
+		want.mulGeneric(&a, &b)
+		gfpMul(&got, &a, &b)
+		x, y := a, b
+		gfpMul(&x, &x, &b)
+		gfpMul(&y, &a, &y)
+		if got != want || x != want || y != want {
+			t.Fatalf("gfpMul(%v, %v) = %v, %v (c = a), %v (c = b); want %v",
+				rawBig(&a), rawBig(&b), rawBig(&got), rawBig(&x), rawBig(&y), rawBig(&want))
+		}
+		want.mulGeneric(&a, &a)
+		x = a
+		if gfpMul(&x, &x, &x); x != want {
+			t.Fatalf("gfpMul(%v, itself) = %v, want %v", rawBig(&a), rawBig(&x), rawBig(&want))
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			mul(rawGFp(a), rawGFp(b))
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		mul(rawGFp(new(big.Int).Rand(r, twoP)), rawGFp(new(big.Int).Rand(r, twoP)))
+	}
+
+	fp2 := func(a, b gfP2) {
+		t.Helper()
+		var want, got gfP2
+		want.mulGeneric(&a, &b)
+		gfp2Mul(&got, &a, &b)
+		x, y := a, b
+		gfp2Mul(&x, &x, &b)
+		gfp2Mul(&y, &a, &y)
+		if got != want || x != want || y != want {
+			t.Fatalf("gfp2Mul(%v, %v) = %v, %v (c = a), %v (c = b); want %v", &a, &b, &got, &x, &y, &want)
+		}
+		want.mulGeneric(&a, &a)
+		x = a
+		if gfp2Mul(&x, &x, &x); x != want {
+			t.Fatalf("gfp2Mul(%v, itself) = %v, want %v", &a, &x, &want)
+		}
+		want.squareGeneric(&a)
+		gfp2Square(&got, &a)
+		x = a
+		if gfp2Square(&x, &x); got != want || x != want {
+			t.Fatalf("gfp2Square(%v) = %v, %v (c = a); want %v", &a, &got, &x, &want)
+		}
+		want.mulXiGeneric(&a)
+		gfp2MulXi(&got, &a)
+		x = a
+		if gfp2MulXi(&x, &x); got != want || x != want {
+			t.Fatalf("gfp2MulXi(%v) = %v, %v (c = a); want %v", &a, &got, &x, &want)
+		}
+	}
+	reduced := edges[:3]
+	for _, a0 := range reduced {
+		for _, a1 := range reduced {
+			for _, b0 := range reduced {
+				for _, b1 := range reduced {
+					fp2(gfP2{rawGFp(a0), rawGFp(a1)}, gfP2{rawGFp(b0), rawGFp(b1)})
+				}
+			}
+		}
+	}
+	randFp := func() gfP { return rawGFp(new(big.Int).Rand(r, P)) }
+	for i := 0; i < 5000; i++ {
+		fp2(gfP2{randFp(), randFp()}, gfP2{randFp(), randFp()})
+	}
+}
+
 // rawGFp loads n < 2^256 into limbs as is: no reduction, no Montgomery
 // conversion.
 func rawGFp(n *big.Int) gfP {

@@ -54,9 +54,11 @@ func FuzzScalarBaseMult(f *testing.F) {
 // mod 2p (the range Mul accepts, see addNR) and checks Mul against the
 // big.Int Montgomery product ab*R^-1 mod p. When both operands are
 // reduced it also checks Add, Sub and Double, which act on raw limbs as
-// on integers mod p. Every result must come out fully reduced. The
-// corpus under testdata/fuzz/FuzzGFpArith seeds 0, 1, p - 1, p, 2p - 1
-// and all ones, each as both operands.
+// on integers mod p. Every result must come out fully reduced. Mul must
+// also match mulGeneric limb for limb, so on a CPU that runs the
+// assembly kernel the Go one is checked too. The corpus under
+// testdata/fuzz/FuzzGFpArith seeds 0, 1, p - 1, p, 2p - 1 and all ones,
+// each as both operands.
 func FuzzGFpArith(f *testing.F) {
 	one := big.NewInt(1)
 	twoP := new(big.Int).Lsh(P, 1)
@@ -76,9 +78,12 @@ func FuzzGFpArith(f *testing.F) {
 				t.Fatalf("%s(%v, %v) = %v, want %v", op, a, b, rawBig(&got), want)
 			}
 		}
-		var e gfP
+		var e, g gfP
 		e.Mul(&ra, &rb)
 		check("Mul", e, new(big.Int).Mul(new(big.Int).Mul(a, b), rInv))
+		if g.mulGeneric(&ra, &rb); g != e {
+			t.Fatalf("mulGeneric(%v, %v) = %v, Mul gives %v", a, b, rawBig(&g), rawBig(&e))
+		}
 		if a.Cmp(P) >= 0 || b.Cmp(P) >= 0 {
 			return
 		}

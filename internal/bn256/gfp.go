@@ -223,14 +223,26 @@ func (e *gfP) Double(a *gfP) *gfP {
 }
 
 // Mul sets e = a * b * 2^-256 mod p (the Montgomery product) and returns
-// e. It is CIOS (Koç–Acar–Kaliski) with all four rows written out, in
-// the shape of gnark-crypto's generic no-carry template: each row takes
-// its four products first, then runs its carry chains, then adds the
-// m*p row that clears the low limb. Because p < 2^254 leaves the top
-// limb's two high bits clear, a row needs one word above the four limbs
-// and never the second carry word of textbook CIOS (the "no-carry"
-// variant of Botrel and El Housni, TCHES 2023), and reduceOnce's
-// select, written in line, ends it.
+// e. Operands may be unreduced below 2p (see mulGeneric) and e may alias
+// either. On amd64 CPUs with BMI2 and ADX it runs the assembly kernel
+// gfpMul, which computes the same limbs; elsewhere, and under the purego
+// build tag, mulGeneric.
+func (e *gfP) Mul(a, b *gfP) *gfP {
+	if useADX {
+		gfpMul(e, a, b)
+		return e
+	}
+	return e.mulGeneric(a, b)
+}
+
+// mulGeneric is Mul in Go. It is CIOS (Koç–Acar–Kaliski) with all four
+// rows written out, in the shape of gnark-crypto's generic no-carry
+// template: each row takes its four products first, then runs its carry
+// chains, then adds the m*p row that clears the low limb. Because
+// p < 2^254 leaves the top limb's two high bits clear, a row needs one
+// word above the four limbs and never the second carry word of textbook
+// CIOS (the "no-carry" variant of Botrel and El Housni, TCHES 2023), and
+// reduceOnce's select, written in line, ends it.
 //
 // Bounds, with R = 2^256 and a, b < 2p (Mul accepts unreduced operands
 // below 2p, such as addNR's sums). Row i maps the running value T to
@@ -241,7 +253,7 @@ func (e *gfP) Double(a *gfP) *gfP {
 // so does T + a_i*b + m*p < 2^64(b + p). The value reaching the select
 // is t = (ab + Mp)/R with M < R, so t < ab/R + p < 4p^2/R + p < 2p,
 // because 4p < 2^256: one conditional subtraction reduces it.
-func (e *gfP) Mul(a, b *gfP) *gfP {
+func (e *gfP) mulGeneric(a, b *gfP) *gfP {
 	var t0, t1, t2, t3, t4, h0, h1, h2, h3, l0, l1, l2, l3, m, c uint64
 	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
 	p0, p1, p2, p3 := pLimbs[0], pLimbs[1], pLimbs[2], pLimbs[3]

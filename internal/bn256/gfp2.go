@@ -127,17 +127,29 @@ func (e *gfP2) sgn0() bool {
 	return a0[0]&1 == 1 || (a0.IsZero() && a1[0]&1 == 1)
 }
 
-// Mul sets e = a*b using Karatsuba multiplication and returns e.
+// Mul sets e = a*b for reduced a and b and returns e; e may alias
+// either. On amd64 CPUs with BMI2 and ADX it runs the assembly kernel
+// gfp2Mul, elsewhere mulGeneric.
 func (e *gfP2) Mul(a, b *gfP2) *gfP2 {
+	if useADX {
+		gfp2Mul(e, a, b)
+		return e
+	}
+	return e.mulGeneric(a, b)
+}
+
+// mulGeneric is Mul in Go, by Karatsuba multiplication. It calls the
+// Go base-field product, so it stays all Go on every CPU.
+func (e *gfP2) mulGeneric(a, b *gfP2) *gfP2 {
 	// (a0 + a1 i)(b0 + b1 i) = (a0b0 - a1b1) + ((a0+a1)(b0+b1) - a0b0 - a1b1) i
 	// The operand sums stay unreduced: each is below 2p, which gfP.Mul
 	// accepts and reduces.
 	var v0, v1, s, t gfP
-	v0.Mul(&a.a0, &b.a0)
-	v1.Mul(&a.a1, &b.a1)
+	v0.mulGeneric(&a.a0, &b.a0)
+	v1.mulGeneric(&a.a1, &b.a1)
 	s.addNR(&a.a0, &a.a1)
 	t.addNR(&b.a0, &b.a1)
-	s.Mul(&s, &t)
+	s.mulGeneric(&s, &t)
 	s.Sub(&s, &v0)
 	s.Sub(&s, &v1)
 	e.a0.Sub(&v0, &v1)
@@ -152,24 +164,46 @@ func (e *gfP2) MulScalar(a *gfP2, s *gfP) *gfP2 {
 	return e
 }
 
-// Square sets e = a^2 and returns e.
+// Square sets e = a^2 for reduced a and returns e; e may alias a. On
+// amd64 CPUs with BMI2 and ADX it runs the assembly kernel gfp2Square,
+// elsewhere squareGeneric.
 func (e *gfP2) Square(a *gfP2) *gfP2 {
+	if useADX {
+		gfp2Square(e, a)
+		return e
+	}
+	return e.squareGeneric(a)
+}
+
+// squareGeneric is Square in Go, on the Go base-field product.
+func (e *gfP2) squareGeneric(a *gfP2) *gfP2 {
 	// (a0 + a1 i)^2 = (a0+a1)(a0-a1) + 2 a0 a1 i
 	var s, d, m gfP
 	s.Add(&a.a0, &a.a1)
 	d.Sub(&a.a0, &a.a1)
-	m.Mul(&a.a0, &a.a1)
-	e.a0.Mul(&s, &d)
+	m.mulGeneric(&a.a0, &a.a1)
+	e.a0.mulGeneric(&s, &d)
 	e.a1.Double(&m)
 	return e
 }
 
-// MulXi sets e = a * xi and returns e. With xi = 9 + i the product is
-// (9 a0 - a1) + (a0 + 9 a1) i, and 9x = 8x + x is three doublings and an
-// addition, so MulXi costs no multiplication. It sits on every
-// tau-reduction in the tower, making it one of the hottest field
-// operations in the pairing.
+// MulXi sets e = a * xi for reduced a and returns e; e may alias a.
+// With xi = 9 + i the product is (9 a0 - a1) + (a0 + 9 a1) i, and
+// 9x = 8x + x is three doublings and an addition, so MulXi costs no
+// multiplication. It sits on every tau-reduction in the tower, making it
+// one of the hottest field operations in the pairing. On amd64 CPUs with
+// BMI2 and ADX it runs the assembly kernel gfp2MulXi, elsewhere
+// mulXiGeneric.
 func (e *gfP2) MulXi(a *gfP2) *gfP2 {
+	if useADX {
+		gfp2MulXi(e, a)
+		return e
+	}
+	return e.mulXiGeneric(a)
+}
+
+// mulXiGeneric is MulXi in Go.
+func (e *gfP2) mulXiGeneric(a *gfP2) *gfP2 {
 	var n0, n1 gfP
 	n0.Double(&a.a0)
 	n0.Double(&n0)

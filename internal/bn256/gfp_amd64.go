@@ -1,0 +1,36 @@
+//go:build !purego
+
+package bn256
+
+// useADX reports whether the CPU has BMI2 and ADX (CPUID leaf 7, EBX
+// bits 8 and 19), which the assembly field kernels need.
+var useADX = func() bool {
+	if maxLeaf, _ := cpuid(0); maxLeaf < 7 {
+		return false
+	}
+	_, ebx := cpuid(7)
+	return ebx&(1<<8) != 0 && ebx&(1<<19) != 0
+}()
+
+// cpuid returns EAX and EBX of CPUID leaf with ECX = 0.
+func cpuid(leaf uint32) (eax, ebx uint32)
+
+// gfpMul sets c = a*b*2^-256 mod p for a, b < 2p, as gfP.mulGeneric.
+//
+//go:noescape
+func gfpMul(c, a, b *gfP)
+
+// gfp2Mul sets c = a*b for reduced a and b, as gfP2.mulGeneric.
+//
+//go:noescape
+func gfp2Mul(c, a, b *gfP2)
+
+// gfp2Square sets c = a^2 for reduced a, as gfP2.squareGeneric.
+//
+//go:noescape
+func gfp2Square(c, a *gfP2)
+
+// gfp2MulXi sets c = a*xi for reduced a, as gfP2.mulXiGeneric.
+//
+//go:noescape
+func gfp2MulXi(c, a *gfP2)

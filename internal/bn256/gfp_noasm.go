@@ -1,0 +1,18 @@
+//go:build !amd64 || purego
+
+package bn256
+
+// useADX is false where there are no assembly field kernels: on other
+// architectures and under the purego build tag.
+const useADX = false
+
+// The kernels below only let the dispatchers compile: with useADX a
+// constant false, no caller reaches them.
+
+func gfpMul(c, a, b *gfP) { c.mulGeneric(a, b) }
+
+func gfp2Mul(c, a, b *gfP2) { c.mulGeneric(a, b) }
+
+func gfp2Square(c, a *gfP2) { c.squareGeneric(a) }
+
+func gfp2MulXi(c, a *gfP2) { c.mulXiGeneric(a) }

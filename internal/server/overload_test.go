@@ -273,27 +273,38 @@ func TestIdleTimeoutClosesIdleConnection(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	c := dial(t, addr)
 	uploadPair(t, c, 16)
-	srv.SetIdleTimeout(100 * time.Millisecond)
+	none := securejoin.Selection{}
+	join := func() time.Duration {
+		t.Helper()
+		start := time.Now()
+		if _, _, err := c.JoinWith("L", "R", none, none, client.JoinOpts{}); err != nil {
+			t.Fatalf("join under idle timeout: %v", err)
+		}
+		return time.Since(start)
+	}
 
 	// A join outlasting the idle timeout is not idleness: the deadline
 	// expiring while its request executes just re-arms, and the join
-	// completes (its ~32 SJ.Dec pairings take well over the timeout).
-	if _, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); err != nil {
-		t.Fatalf("join under idle timeout: %v", err)
+	// completes. How long a join takes depends on the machine, so one
+	// untimed join sets the timeout to a quarter of its duration, and
+	// the timed join must outlast it or the re-arm path went untested.
+	timeout := join() / 4
+	srv.SetIdleTimeout(timeout)
+	if took := join(); took <= timeout {
+		t.Fatalf("join took %v, within the %v idle timeout: the deadline never expired during it", took, timeout)
 	}
 
-	// True idleness: no request for 10x the timeout. The server sends
-	// the CodeIdleTimeout notice and closes; the client must fail typed.
-	time.Sleep(time.Second)
+	// True idleness: no request after the join. The server sends the
+	// CodeIdleTimeout notice and closes; the client must fail typed.
+	waitFor(t, "the idle close", func() bool {
+		return srv.met.IdleClosed.Value() == 1 && srv.met.ActiveConns.Value() == 0
+	})
 	err = c.Ping()
 	if err == nil {
 		t.Fatal("ping on an idle-closed connection succeeded")
 	}
 	if !errors.Is(err, client.ErrIdleClosed) {
 		t.Fatalf("ping after idle close: %v, want client.ErrIdleClosed", err)
-	}
-	if got := srv.met.IdleClosed.Value(); got != 1 {
-		t.Fatalf("idle-closed counter = %d, want 1", got)
 	}
 }
 
