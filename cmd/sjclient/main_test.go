@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
+	"repro/internal/tpch"
 )
 
 func TestParseCatalog(t *testing.T) {
@@ -94,11 +100,11 @@ func TestReadCSVRows(t *testing.T) {
 	}
 }
 
-// TestJoinFlagPlanMismatchFailsFast: flag/plan mismatches (manual
-// -prefilter or -async on a multi-join plan) must be rejected right
-// after planning — before the key file is read or any server dialed.
-// The key file here does not exist and no server is running, so the
-// test only passes if validation happens first.
+// TestJoinFlagPlanMismatchFailsFast: -async on a plan no single job
+// can hold must be rejected right after planning — before the key file
+// is read or any server dialed. The key file here does not exist and no
+// server is running, so the test only passes if validation happens
+// first.
 func TestJoinFlagPlanMismatchFailsFast(t *testing.T) {
 	catalog := "A:k;B:k;C:k"
 	query := "SELECT * FROM A JOIN B ON A.k = B.k JOIN C ON A.k = C.k"
@@ -109,11 +115,10 @@ func TestJoinFlagPlanMismatchFailsFast(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"prefilter multi-join", append([]string{"-prefilter"}, base...), "-prefilter applies only to two-table queries"},
 		{"async multi-join", append([]string{"-async"}, base...), "-async applies only to two-table queries"},
 		{"async sharded multi-join", append([]string{"-async", "-servers", "127.0.0.1:1,127.0.0.1:2"}, base...), "no single collectible ID"},
 	} {
-		err := cmdJoin(tc.args)
+		err := cmdJoin(tc.args, strings.NewReader(""), io.Discard)
 		if err == nil {
 			t.Fatalf("%s: cmdJoin accepted the mismatched flags", tc.name)
 		}
@@ -121,4 +126,206 @@ func TestJoinFlagPlanMismatchFailsFast(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q (validation ran too late?)", tc.name, err, tc.want)
 		}
 	}
+}
+
+// tpchFixture is a key file plus the TPC-H Customers and Orders CSVs,
+// as cmd/tpchgen writes them, in a test's temp dir.
+type tpchFixture struct{ keys, customers, orders string }
+
+func newTPCHFixture(t *testing.T, scale float64) tpchFixture {
+	t.Helper()
+	dir := t.TempDir()
+	f := tpchFixture{
+		keys:      filepath.Join(dir, "client.key"),
+		customers: filepath.Join(dir, "customers.csv"),
+		orders:    filepath.Join(dir, "orders.csv"),
+	}
+	ds := tpch.Generate(scale, 1)
+	var cbuf, obuf bytes.Buffer
+	if err := tpch.WriteCustomersCSV(&cbuf, ds.Customers); err != nil {
+		t.Fatal(err)
+	}
+	if err := tpch.WriteOrdersCSV(&obuf, ds.Orders); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(f.customers, cbuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(f.orders, obuf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdKeygen([]string{"-keys", f.keys, "-m", "1", "-t", "10"}); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// startServers runs n in-process sjservers and returns the flags that
+// point sjclient at them: -addr for one, -servers for more.
+func startServers(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		srv := server.New(nil)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, addr)
+	}
+	if n == 1 {
+		return []string{"-addr", addrs[0]}
+	}
+	return []string{"-servers", strings.Join(addrs, ",")}
+}
+
+// upload stores Customers, Orders and, from customers.csv again, the
+// per-customer Profiles table that 3-way joins chain through.
+func (f tpchFixture) upload(t *testing.T, target []string, index bool) {
+	t.Helper()
+	for _, tbl := range []struct{ name, csv string }{
+		{"Customers", f.customers}, {"Orders", f.orders}, {"Profiles", f.customers},
+	} {
+		args := append([]string{"-keys", f.keys, "-table", tbl.name, "-csv", tbl.csv,
+			"-join", "custkey", "-attrs", "selectivity", fmt.Sprintf("-index=%v", index)}, target...)
+		if err := cmdUpload(args); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+const tpchCatalog = "Customers:custkey:selectivity;Orders:custkey:selectivity;Profiles:custkey:selectivity"
+
+// join runs sjclient join against target, statements from -query or,
+// when query is empty, from stdin, and returns what it printed.
+func (f tpchFixture) join(t *testing.T, target []string, query, stdin string, extra ...string) string {
+	t.Helper()
+	args := append([]string{"-keys", f.keys, "-catalog", tpchCatalog, "-maxrows", "100"}, target...)
+	if query != "" {
+		args = append(args, "-query", query)
+	}
+	var out bytes.Buffer
+	if err := cmdJoin(append(args, extra...), strings.NewReader(stdin), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+func mustContain(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+const (
+	twoWay = `SELECT * FROM Orders JOIN Customers ON Orders.custkey = Customers.custkey
+		WHERE Customers.selectivity = 'none'`
+	threeWay = `SELECT * FROM Orders JOIN Customers ON Orders.custkey = Customers.custkey
+		JOIN Profiles ON Profiles.custkey = Customers.custkey WHERE Customers.selectivity = 'none'`
+)
+
+// TestJoinPicksPrefilteredPlanAfterSync: after an indexed upload, join
+// syncs row counts and index state from the server, and the planner
+// picks the prefiltered plan because the estimated candidate set beats
+// the synced row count. No flag asks for it.
+func TestJoinPicksPrefilteredPlanAfterSync(t *testing.T) {
+	// 7 customers and 75 orders: big enough that one predicate is
+	// estimated selective (1 of 7 rows), cheap enough to encrypt here.
+	f := newTPCHFixture(t, 0.00005)
+	target := startServers(t, 1)
+	f.upload(t, target, true)
+
+	explain := f.join(t, target, "EXPLAIN "+twoWay, "", "-workers", "2")
+	mustContain(t, explain,
+		"plan: prefiltered",
+		"side B: Customers [indexed, 7 rows]",
+		"-> prefiltered, 1 SSE token(s), est. 1 candidate row(s)",
+		"side A: Orders [indexed, 75 rows]",
+		"-> full scan (no WHERE predicates)",
+		"workers: 2")
+
+	// With 7 customers every selectivity class floors to 0 rows, so all
+	// 7 are 'none' and every one of the 75 orders survives the join.
+	mustContain(t, f.join(t, target, twoWay, ""), "75 rows in", "via prefiltered plan")
+}
+
+// checkStitched checks every printed row of a 3-way TPC-H join: three
+// columns in FROM order (order | customer | profile), the order's
+// custkey equal to the customer's, and the profile — uploaded from the
+// same CSV — equal to the customer.
+func checkStitched(t *testing.T, out string) {
+	t.Helper()
+	n := 0
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, "  ") {
+			continue
+		}
+		n++
+		cols := strings.Split(strings.TrimSpace(line), " | ")
+		if len(cols) != 3 {
+			t.Fatalf("stitched row has %d columns: %q", len(cols), line)
+		}
+		order, customer := strings.Split(cols[0], "|"), strings.Split(cols[1], "|")
+		if len(order) != 10 || order[1] != customer[0] || cols[1] != cols[2] {
+			t.Fatalf("row not stitched on custkey in FROM order: %q", line)
+		}
+	}
+	if n != 75 {
+		t.Fatalf("%d rows printed, want 75:\n%s", n, out)
+	}
+}
+
+// TestJoinThreeWayOrderAndStitch: a 3-table query over the wire is
+// ordered from the synced row counts (Customers and Profiles before
+// Orders), EXPLAIN renders the operator tree, and execution stitches
+// the pairwise joins into full 3-column rows.
+func TestJoinThreeWayOrderAndStitch(t *testing.T) {
+	f := newTPCHFixture(t, 0.00005)
+	target := startServers(t, 1)
+	f.upload(t, target, true)
+
+	mustContain(t, f.join(t, target, "EXPLAIN "+threeWay, ""),
+		"plan: 3-table join, 2 pairwise encrypted step(s), left-deep",
+		"join order: Customers, Profiles, Orders — row statistics (smallest estimated sides first)",
+		"step 1: Customers JOIN Profiles [prefiltered]",
+		"step 2: Customers JOIN Orders [prefiltered] (stitch on Customers rows, client-side)")
+
+	// Every order stitches to exactly one customer and one profile.
+	out := f.join(t, target, threeWay, "")
+	mustContain(t, out, "75 rows in", "2 join step(s)")
+	checkStitched(t, out)
+}
+
+// TestJoinServersSharded: the tables are hash-sharded over two servers,
+// the 3-way join runs scatter-gather, and the stitched result matches
+// the single-server one above (75 rows, 2 steps).
+func TestJoinServersSharded(t *testing.T) {
+	f := newTPCHFixture(t, 0.00005)
+	target := startServers(t, 2)
+	f.upload(t, target, true)
+
+	out := f.join(t, target, threeWay, "")
+	mustContain(t, out, "75 rows in", "2 join step(s)")
+	checkStitched(t, out)
+}
+
+// TestJoinFallsBackUnindexed: the same tables uploaded without SSE
+// indexes plan, and report, a full scan. The statements come from
+// stdin, one per line.
+func TestJoinFallsBackUnindexed(t *testing.T) {
+	f := newTPCHFixture(t, 0.00001)
+	target := startServers(t, 1)
+	f.upload(t, target, false)
+
+	oneLine := strings.Join(strings.Fields(twoWay), " ")
+	out := f.join(t, target, "", "EXPLAIN "+oneLine+"\n\n"+oneLine+"\n")
+	mustContain(t, out,
+		"plan: full scan",
+		"-> full scan (no SSE index)",
+		"via full scan plan",
+		"15 rows in")
 }

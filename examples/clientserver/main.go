@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/securejoin"
 	"repro/internal/server"
+	"repro/internal/sql"
 )
 
 func main() {
@@ -49,8 +49,8 @@ func main() {
 	}
 
 	// Indexed uploads: alongside the Secure Join ciphertexts each table
-	// carries its SSE pre-filter index, so prefiltered joins below can
-	// skip SJ.Dec for rows outside the selection.
+	// carries its SSE pre-filter index, so the planner can choose
+	// prefiltered joins that skip SJ.Dec for rows outside the selection.
 	if err := cli.UploadIndexed("Patients", patients); err != nil {
 		log.Fatal(err)
 	}
@@ -59,50 +59,42 @@ func main() {
 	}
 	fmt.Println("uploaded encrypted tables Patients and Insurers (with SSE indexes)")
 
-	// SELECT * FROM Patients JOIN Insurers ON insurer
-	// WHERE Patients.dept IN ('oncology') AND Insurers.plan IN ('gold') —
-	// drained batch by batch as the server streams SJ.Match output.
-	stream, err := cli.JoinQueryOpts("Patients", "Insurers",
-		securejoin.Selection{0: [][]byte{[]byte("oncology")}},
-		securejoin.Selection{0: [][]byte{[]byte("gold")}},
-		client.JoinOpts{},
+	// The client plans SQL against a catalog synced from the server:
+	// row counts and index state decide the join order and whether a
+	// side is prefiltered through its SSE index.
+	catalog, err := sql.NewCatalog(
+		sql.TableSchema{Name: "Patients", JoinColumn: "insurer", Attrs: map[string]int{"dept": 0}},
+		sql.TableSchema{Name: "Insurers", JoinColumn: "insurer", Attrs: map[string]int{"plan": 0}},
 	)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if _, err := cli.SyncCatalog(catalog); err != nil {
+		log.Fatal(err)
+	}
+	const join = "SELECT * FROM Patients JOIN Insurers ON Patients.insurer = Insurers.insurer"
+
+	// Both sides are selective against indexed tables, so the planner
+	// takes the Section 4.3 fast path: the request carries SSE search
+	// tokens, the server resolves the WHERE predicates through the
+	// uploaded indexes and pays SJ.Dec pairings only for candidate rows,
+	// and it additionally learns which rows match each predicate. Rows
+	// print as the server streams its batches.
+	plan, err := catalog.Compile(join + " WHERE Patients.dept = 'oncology' AND Insurers.plan = 'gold'")
 	if err != nil {
 		log.Fatal(err)
 	}
 	rows := 0
-	for {
-		batch, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range batch {
-			fmt.Printf("  %s  <->  %s\n", r.PayloadA, r.PayloadB)
-		}
-		rows += len(batch)
-	}
-	fmt.Printf("streamed join returned %d rows; server observed %d equality pairs\n",
-		rows, stream.RevealedPairs())
-
-	// The same query through the Section 4.3 fast path: the request
-	// additionally carries SSE search tokens, so the server resolves
-	// the WHERE predicates through the uploaded indexes and pays
-	// SJ.Dec pairings only for the candidate rows — results and
-	// revealed-pair counts are identical, but the server additionally
-	// learns which rows match each individual attribute predicate.
-	preResults, preRevealed, err := cli.JoinWith("Patients", "Insurers",
-		securejoin.Selection{0: [][]byte{[]byte("oncology")}},
-		securejoin.Selection{0: [][]byte{[]byte("gold")}},
-		client.JoinOpts{Prefilter: true},
-	)
+	revealed, err := cli.ExecutePlan(plan, func(r sql.ResultRow) error {
+		fmt.Printf("  %s  <->  %s\n", r.Payloads[0], r.Payloads[1])
+		rows++
+		return nil
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("prefiltered join returned %d rows (%d pairs revealed) touching only SSE candidates\n",
-		len(preResults), preRevealed)
+	fmt.Printf("streamed %s join returned %d rows; server observed %d equality pairs\n",
+		plan.Strategy, rows, revealed)
 
 	// The client is safe for concurrent use: these two queries pipeline
 	// over the same connection, and the server executes them in
@@ -112,16 +104,16 @@ func main() {
 		wg.Add(1)
 		go func(dept string) {
 			defer wg.Done()
-			results, revealed, err := cli.JoinWith("Patients", "Insurers",
-				securejoin.Selection{0: [][]byte{[]byte(dept)}},
-				securejoin.Selection{},
-				client.JoinOpts{},
-			)
+			plan, err := catalog.Compile(join + " WHERE Patients.dept = '" + dept + "'")
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("concurrent query dept=%s: %d rows (%d pairs revealed)\n",
-				dept, len(results), revealed)
+			rows := 0
+			revealed, err := cli.ExecutePlan(plan, func(sql.ResultRow) error { rows++; return nil })
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("concurrent query dept=%s: %d rows (%d pairs revealed)\n", dept, rows, revealed)
 		}(dept)
 	}
 	wg.Wait()

@@ -7,9 +7,9 @@
 // A Client speaks the wire v3 protocol and is safe for concurrent use:
 // requests carry unique IDs, responses are demultiplexed by a reader
 // goroutine, and concurrent Join/Upload/Ping calls from multiple
-// goroutines pipeline over the single connection. Join results can be
-// consumed incrementally through JoinStream as the server streams
-// batches, or all at once with JoinWith.
+// goroutines pipeline over the single connection. A join is a compiled
+// sql.Plan run by sql.Execute over Runner: each step's results are
+// consumed through a JoinStream as the server streams batches.
 package client
 
 import (
@@ -323,9 +323,9 @@ type TableInfo struct {
 }
 
 // DescribeTables lists the tables the server currently stores, sorted
-// by name. SQL front ends use it to sync a catalog's index metadata
-// (sql.Catalog.SetIndexed) so the planner picks prefiltered plans
-// against indexed tables automatically.
+// by name. SyncCatalog feeds it to a catalog's statistics
+// (sql.Catalog.SetStats and SetNDV) so the planner picks prefiltered
+// plans against indexed tables automatically.
 func (c *Client) DescribeTables() ([]TableInfo, error) {
 	p, err := c.send(&wire.Request{Describe: true})
 	if err != nil {
@@ -360,7 +360,13 @@ func (c *Client) DescribeTables() ([]TableInfo, error) {
 // unknown row count, so a stale catalog cannot make the planner emit a
 // prefiltered plan the server would full-scan anyway.
 func (c *Client) SyncCatalog(cat *sql.Catalog) ([]TableInfo, error) {
-	tables, err := c.DescribeTables()
+	return syncCatalog(cat, c.DescribeTables)
+}
+
+// syncCatalog applies one described table state to a catalog: the
+// sync loop behind Client.SyncCatalog and Cluster.SyncCatalog.
+func syncCatalog(cat *sql.Catalog, describe func() ([]TableInfo, error)) ([]TableInfo, error) {
+	tables, err := describe()
 	if err != nil {
 		return nil, err
 	}
@@ -391,8 +397,8 @@ func (c *Client) Upload(name string, rows []engine.PlainRow) error {
 }
 
 // UploadIndexed encrypts a table like Upload and additionally builds
-// and uploads its SSE pre-filter index, so the server can execute
-// prefiltered joins (JoinOpts.Prefilter) against it. The index reveals
+// and uploads its SSE pre-filter index, so the planner can choose
+// prefiltered joins against it. The index reveals
 // nothing at rest; searching it discloses which rows match each
 // individual attribute predicate — see the Section 4.3 trade-off in
 // internal/engine/prefilter.go.
@@ -722,20 +728,15 @@ func (c *Client) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, 
 	return sql.Execute(c.Runner(false), p, emit)
 }
 
-// JoinQueryOpts starts SELECT * FROM tableA JOIN tableB ON joinA = joinB
-// WHERE selA AND selB and returns a stream of result batches.
-func (c *Client) JoinQueryOpts(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*JoinStream, error) {
+// JoinWith executes SELECT * FROM tableA JOIN tableB ON joinA = joinB
+// WHERE selA AND selB and drains its stream, returning all decrypted
+// results and the revealed-pair count.
+func (c *Client) JoinWith(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) ([]JoinResult, int, error) {
 	req, err := adHocReq(c.keys, tableA, tableB, selA, selB, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return c.open(req, false)
-}
-
-// JoinWith executes a join query and drains its stream, returning all
-// decrypted results and the revealed-pair count.
-func (c *Client) JoinWith(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) ([]JoinResult, int, error) {
-	stream, err := c.JoinQueryOpts(tableA, tableB, selA, selB, opts)
+	stream, err := c.open(req, false)
 	if err != nil {
 		return nil, 0, err
 	}

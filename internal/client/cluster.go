@@ -263,20 +263,7 @@ func (cl *Cluster) DescribeTables() ([]TableInfo, error) {
 // summed row counts drive join ordering, the all-shards-indexed bit
 // the prefilter fast path.
 func (cl *Cluster) SyncCatalog(cat *sql.Catalog) ([]TableInfo, error) {
-	tables, err := cl.DescribeTables()
-	if err != nil {
-		return nil, err
-	}
-	stats := make(map[string]TableInfo, len(tables))
-	for _, t := range tables {
-		stats[t.Name] = t
-	}
-	for _, name := range cat.TableNames() {
-		t := stats[name]
-		_ = cat.SetStats(name, t.Rows, t.Indexed)
-		_ = cat.SetNDV(name, t.NDV)
-	}
-	return tables, nil
+	return syncCatalog(cat, cl.DescribeTables)
 }
 
 // clusterStepStream merges the per-shard join streams of one scattered
@@ -526,37 +513,4 @@ func (cl *Cluster) Runner(async bool) sql.Runner {
 // above, equal to what one server executing the same plan would report.
 func (cl *Cluster) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
 	return sql.Execute(cl.Runner(false), p, emit)
-}
-
-// ExecutePlanAsync is ExecutePlan with every shard's step submitted to
-// that backend's job queue (surviving disconnects and restarts per
-// shard, like Client.ExecutePlanAsync does for one server).
-func (cl *Cluster) ExecutePlanAsync(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(cl.Runner(true), p, emit)
-}
-
-// Join executes one ad-hoc equi-join scatter-gather and drains it:
-// the merged decrypted results (single-server row identities when this
-// cluster did the upload) and the summed revealed-pair count.
-func (cl *Cluster) Join(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) ([]JoinResult, int, error) {
-	req, err := adHocReq(cl.keys, tableA, tableB, selA, selB, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ms := cl.scatter(req, false)
-	defer ms.Close()
-	var out []JoinResult
-	for {
-		batch, err := ms.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, r := range batch {
-			out = append(out, JoinResult{RowA: r.RowL, RowB: r.RowR, PayloadA: r.PayloadL, PayloadB: r.PayloadR})
-		}
-	}
-	return out, ms.RevealedPairs(), nil
 }

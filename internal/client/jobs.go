@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // This file is the client side of the async job subsystem: a join can
-// be submitted as a job (SubmitJoinQuery), acknowledged immediately
+// be submitted as a job (SubmitPlan), acknowledged immediately
 // with a job ID, and then polled (JobStatus) or streamed
 // (AttachJob) from this or any later connection — the server spools a
 // completed job's result durably, so the submitting client may
@@ -37,6 +38,28 @@ type JobInfo = wire.JobInfo
 // ErrOverloaded; submit ran no work and is safe to retry (WithRetry).
 func (c *Client) SubmitJoinQuery(tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*JobInfo, error) {
 	req, err := adHocReq(c.keys, tableA, tableB, selA, selB, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.submit(req)
+}
+
+// SubmitPlan submits a compiled one-step plan as an async job, like
+// SubmitJoinQuery: the request is the plan's step 0 exactly as
+// Runner would send it, so the job decrypts the same rows and reveals
+// the same pairs as ExecutePlan. A multi-step plan is rejected before
+// anything is sent: its steps stitch client-side, so no single job
+// holds its result (run it with sql.Execute over Runner(true)).
+func (c *Client) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
+	if len(p.Steps) != 1 {
+		return nil, fmt.Errorf("client: a job runs one join step, and this plan has %d", len(p.Steps))
+	}
+	spec, err := p.SpecFor(0, c.keys)
+	if err != nil {
+		return nil, err
+	}
+	st := &p.Steps[0]
+	req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -146,13 +169,4 @@ func (c *Client) PollJobCtx(ctx context.Context, id string, interval time.Durati
 		case <-timer.C:
 		}
 	}
-}
-
-// ExecutePlanAsync is ExecutePlan through the server's job queue: each
-// step is submitted as a job when execution reaches it, then attached
-// and stitched — the steps execute on the server's worker pool, and
-// their completed results spool durably, rather than being tied to
-// this connection's request lifetimes.
-func (c *Client) ExecutePlanAsync(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(c.Runner(true), p, emit)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/securejoin"
+	"repro/internal/sql"
 	"repro/internal/wire"
 )
 
@@ -86,10 +87,7 @@ func TestJoinStreamsInBatches(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 7)
 
-	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := openJoin(t, c, "L", "R")
 	batches, rows := 0, 0
 	for {
 		batch, err := stream.Next()
@@ -132,15 +130,9 @@ func TestSequentialDrainOfConcurrentStreams(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 12)
 
-	a, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain := func(s *client.JoinStream) int {
+	a := openJoin(t, c, "L", "R")
+	b := openJoin(t, c, "L", "R")
+	drain := func(s sql.StepStream) int {
 		t.Helper()
 		n := 0
 		for {
@@ -192,10 +184,7 @@ func TestSkewedJoinRespectsBatchBound(t *testing.T) {
 	if err := c.Upload("R", same("right", 4)); err != nil {
 		t.Fatal(err)
 	}
-	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := openJoin(t, c, "L", "R")
 	rows := 0
 	for {
 		batch, err := stream.Next()
@@ -230,10 +219,7 @@ func TestAbandonedStreamDoesNotStallConnection(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 6)
 
-	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := openJoin(t, c, "L", "R")
 	if _, err := stream.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,10 +413,7 @@ func TestCloseWaitsForInFlightRequests(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 4)
 
-	stream, err := c.JoinQueryOpts("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream := openJoin(t, c, "L", "R")
 	first, err := stream.Next()
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/securejoin"
+	"repro/internal/sql"
 	"repro/internal/wire"
 )
 
@@ -111,6 +112,67 @@ func TestJobLifecycleMatchesSyncJoin(t *testing.T) {
 	if h.JobsStored == 0 {
 		t.Fatal("health reports no stored jobs after a completed job")
 	}
+}
+
+// TestSubmitPlanMatchesExecutePlan: a one-step plan submitted as a job
+// yields the rows, payload bytes and sigma ExecutePlan does, and a
+// multi-step plan is rejected before any job exists.
+func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	uploadIndexedTestTables(t, c)
+	cat, err := sql.NewCatalog(
+		sql.TableSchema{Name: "Teams", JoinColumn: "Key", Attrs: map[string]int{"Name": 0}},
+		sql.TableSchema{Name: "Employees", JoinColumn: "Team", Attrs: map[string]int{"Role": 0}},
+		sql.TableSchema{Name: "Offices", JoinColumn: "Team"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SyncCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+
+	multi, err := cat.Compile(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		JOIN Offices ON Offices.Team = Teams.Key`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitPlan(multi); err == nil {
+		t.Fatal("multi-step plan submitted as one job")
+	}
+	if h, err := c.Health(); err != nil || h.JobsQueued+h.JobsRunning+h.JobsStored != 0 {
+		t.Fatalf("health after the rejected submit = %+v, %v; want no job", h, err)
+	}
+
+	plan, err := cat.Compile(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		WHERE Teams.Name = 'Web Application'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Strategy != sql.Prefiltered {
+		t.Fatalf("plan strategy = %v, want prefiltered (the job must carry SSE tokens)", plan.Strategy)
+	}
+	var want []client.JoinResult
+	wantRevealed, err := c.ExecutePlan(plan, func(r sql.ResultRow) error {
+		want = append(want, client.JoinResult{RowA: r.Rows[0], RowB: r.Rows[1], PayloadA: r.Payloads[0], PayloadB: r.Payloads[1]})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("ExecutePlan returned %d rows, want 2", len(want))
+	}
+	info, err := c.SubmitPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotRevealed, err := c.WaitJob(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, got, want, gotRevealed, wantRevealed)
 }
 
 // TestJobStatusUnknownJob: an ID that was never submitted answers the

@@ -50,10 +50,7 @@ func TestOverloadedServerShedsJoins(t *testing.T) {
 	// connection behind the join request, so once it reports the join in
 	// flight and the queue empty, the only worker holds it — for ~24
 	// pairings of work, far longer than the sheds below take.
-	stream1, err := c.JoinQueryOpts("L", "R", none, none, client.JoinOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stream1 := openJoin(t, c, "L", "R")
 	waitFor(t, "the worker to take join 1", func() bool {
 		h, err := c.Health()
 		return err == nil && h.InflightJoins == 1 && h.JobsQueued == 0

@@ -7,6 +7,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/securejoin"
+	"repro/internal/sql"
 )
 
 func startServer(t *testing.T) string {
@@ -28,6 +29,21 @@ func dial(t *testing.T, addr string) *client.Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// openJoin starts an unfiltered join of tables a and b over c's
+// synchronous transport and returns its result stream undrained.
+func openJoin(t *testing.T, c *client.Client, a, b string) sql.StepStream {
+	t.Helper()
+	q, err := c.Keys().NewQuery(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Runner(false).Open(a, b, engine.JoinSpec{Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestPing(t *testing.T) {

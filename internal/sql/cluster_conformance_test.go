@@ -139,22 +139,19 @@ func TestSQLConformanceCluster(t *testing.T) {
 				t.Errorf("cluster summed sigma = %d pairs, single server revealed %d", clRevealed, singleRevealed)
 			}
 
-			// The ad-hoc scatter-gather path must agree too, with the same
-			// upload-map row identities.
-			adhoc, adhocRevealed, err := cl.Join(plan.TableA, plan.TableB, plan.SelA, plan.SelB,
-				client.JoinOpts{Prefilter: plan.Strategy == sql.Prefiltered})
+			// The same plan with every shard's step routed through that
+			// backend's job queue.
+			var asyncRows []string
+			asyncRevealed, err := sql.Execute(cl.Runner(true), plan,
+				func(r sql.ResultRow) error { asyncRows = append(asyncRows, render(r)); return nil })
 			if err != nil {
 				t.Fatal(err)
 			}
-			var adhocRows []string
-			for _, r := range adhoc {
-				adhocRows = append(adhocRows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, r.PayloadA, r.PayloadB))
+			if asyncCanon := canonical(t, asyncRows); asyncCanon != singleCanon {
+				t.Errorf("cluster async rows differ from single server:\n%s\nvs\n%s", asyncCanon, singleCanon)
 			}
-			if adhocCanon := canonical(t, adhocRows); adhocCanon != singleCanon {
-				t.Errorf("cluster ad-hoc join rows differ from single server:\n%s\nvs\n%s", adhocCanon, singleCanon)
-			}
-			if adhocRevealed != singleRevealed {
-				t.Errorf("cluster ad-hoc sigma = %d pairs, single server revealed %d", adhocRevealed, singleRevealed)
+			if asyncRevealed != singleRevealed {
+				t.Errorf("cluster async sigma = %d pairs, single server revealed %d", asyncRevealed, singleRevealed)
 			}
 		})
 	}
@@ -202,8 +199,10 @@ func TestSQLConformanceClusterMultiJoin(t *testing.T) {
 			// Both cluster modes: synchronous scatter and every shard-step
 			// routed through that backend's job queue.
 			execute := map[string]func(*sql.Plan, func(sql.ResultRow) error) (int, error){
-				"cluster-sync":  cl.ExecutePlan,
-				"cluster-async": cl.ExecutePlanAsync,
+				"cluster-sync": cl.ExecutePlan,
+				"cluster-async": func(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
+					return sql.Execute(cl.Runner(true), p, emit)
+				},
 			}
 
 			var want []string

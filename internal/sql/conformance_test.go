@@ -266,7 +266,7 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 			// Async mode submits each step lazily through the job queue,
 			// carrying the same candidate lists.
 			var asyncRows []string
-			asyncRevealed, err := c.ExecutePlanAsync(plan,
+			asyncRevealed, err := sql.Execute(c.Runner(true), plan,
 				func(r sql.ResultRow) error { asyncRows = append(asyncRows, render(r)); return nil })
 			if err != nil {
 				t.Fatal(err)
@@ -422,6 +422,7 @@ func TestSQLConformance(t *testing.T) {
 			if plan.Strategy != wantStrategy {
 				t.Fatalf("planner chose %v, want %v", plan.Strategy, wantStrategy)
 			}
+			a, b := &plan.Steps[0].Left, &plan.Steps[0].Right
 
 			type execution struct {
 				mode     string
@@ -433,7 +434,7 @@ func TestSQLConformance(t *testing.T) {
 			// libJoin drains one in-process join and opens its payloads.
 			libJoin := func(mode string, spec engine.JoinSpec) {
 				t.Helper()
-				st, err := eng.OpenJoin(plan.TableA, plan.TableB, spec)
+				st, err := eng.OpenJoin(a.Table, b.Table, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -449,14 +450,14 @@ func TestSQLConformance(t *testing.T) {
 			}
 
 			// 1. In-process full scan — the reference semantics.
-			q, err := keys.NewQuery(plan.SelA, plan.SelB)
+			q, err := keys.NewQuery(a.Sel, b.Sel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			libJoin("lib-full", engine.JoinSpec{Query: q})
 
 			// 2. In-process prefiltered.
-			pq, err := keys.NewPrefilterQuery(plan.SelA, plan.SelB)
+			pq, err := keys.NewPrefilterQuery(a.Sel, b.Sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -470,7 +471,7 @@ func TestSQLConformance(t *testing.T) {
 				{"wire-full", client.JoinOpts{}},
 				{"wire-prefiltered", client.JoinOpts{Prefilter: true}},
 			} {
-				rows, revealed, err := c.JoinWith(plan.TableA, plan.TableB, plan.SelA, plan.SelB, mode.opts)
+				rows, revealed, err := c.JoinWith(a.Table, b.Table, a.Sel, b.Sel, mode.opts)
 				if err != nil {
 					t.Fatal(err)
 				}

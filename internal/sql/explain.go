@@ -22,8 +22,8 @@ func (p *Plan) Describe() string {
 		default:
 			fmt.Fprintf(&b, "plan: full scan (SJ.Dec over every row)\n")
 		}
-		describeSide(&b, "A", &p.SideA, "")
-		describeSide(&b, "B", &p.SideB, "")
+		describeSide(&b, "A", &p.Steps[0].Left, "")
+		describeSide(&b, "B", &p.Steps[0].Right, "")
 		describeWorkers(&b, p.Workers)
 		describePlanCache(&b, p)
 		if p.Strategy == Prefiltered {

@@ -79,10 +79,6 @@ func checkPlanInvariants(t testing.TB, input string, plan *Plan) {
 	if (plan.Strategy == Prefiltered) != prefiltered {
 		t.Fatalf("plan strategy %v inconsistent with steps for %q", plan.Strategy, input)
 	}
-	if plan.TableA != plan.Steps[0].Left.Table || plan.TableB != plan.Steps[0].Right.Table ||
-		plan.SideA.Table != plan.TableA || plan.SideB.Table != plan.TableB {
-		t.Fatalf("legacy side projection diverged from step 0 for %q", input)
-	}
 	if plan.Describe() == "" {
 		t.Fatalf("empty Describe() for %q", input)
 	}

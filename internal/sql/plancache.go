@@ -11,10 +11,10 @@ import (
 // (schemas, row statistics, index flags, the worker hint). Compile
 // therefore memoizes plans under a canonical rendering of the parsed
 // statement, and every catalog mutation that could change a planning
-// decision — SetStats, SetNDV, SetIndexed, SetDefaultWorkers,
-// SetSemiJoin — clears the cache. Dashboards and EXPLAIN's repeated-query workloads re-plan the
-// same handful of shapes between stat syncs; those compiles become a
-// map lookup.
+// decision — SetStats, SetNDV, SetDefaultWorkers, SetSemiJoin —
+// clears the cache. Dashboards and EXPLAIN's repeated-query workloads
+// re-plan the same handful of shapes between stat syncs; those compiles
+// become a map lookup.
 //
 // A hit returns a shallow copy with Cached set: the slices and
 // Selection maps are shared with the cached plan, which is safe because

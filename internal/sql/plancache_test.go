@@ -124,8 +124,8 @@ func TestPlanCacheSelectSegment(t *testing.T) {
 	if p.Cached {
 		t.Fatal("key-only projection hit the SELECT * cache slot")
 	}
-	if !p.SideA.SkipPayload || !p.SideB.SkipPayload {
-		t.Fatalf("key-only projection kept payloads: %v/%v", p.SideA.SkipPayload, p.SideB.SkipPayload)
+	if !p.Steps[0].Left.SkipPayload || !p.Steps[0].Right.SkipPayload {
+		t.Fatalf("key-only projection kept payloads: %v/%v", p.Steps[0].Left.SkipPayload, p.Steps[0].Right.SkipPayload)
 	}
 	// Same list, different case: one slot.
 	if p, err = cat.Compile(strings.Replace(cacheQuery, "SELECT *", "select TEAMS.key, employees.TEAM", 1)); err != nil {
@@ -138,8 +138,8 @@ func TestPlanCacheSelectSegment(t *testing.T) {
 	if p, err = cat.Compile(cacheQuery); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Cached || p.SideA.SkipPayload || p.SideB.SkipPayload {
-		t.Fatalf("SELECT * slot corrupted: cached=%v skip=%v/%v", p.Cached, p.SideA.SkipPayload, p.SideB.SkipPayload)
+	if !p.Cached || p.Steps[0].Left.SkipPayload || p.Steps[0].Right.SkipPayload {
+		t.Fatalf("SELECT * slot corrupted: cached=%v skip=%v/%v", p.Cached, p.Steps[0].Left.SkipPayload, p.Steps[0].Right.SkipPayload)
 	}
 }
 
@@ -157,7 +157,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			}
 		}},
 		{"SetIndexed", func(c *Catalog) {
-			if err := c.SetIndexed("Teams", false); err != nil {
+			// The index bit alone, as SyncCatalog sets it.
+			if err := c.SetStats("Teams", 30, false); err != nil {
 				t.Fatal(err)
 			}
 		}},

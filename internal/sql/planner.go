@@ -117,22 +117,6 @@ func (c *Catalog) SetDefaultWorkers(n int) {
 	c.invalidatePlans()
 }
 
-// SetIndexed records whether a table carries an SSE pre-filter index,
-// enabling the planner's automatic fast path. It returns an error for
-// tables the catalog does not know (callers syncing from a server that
-// holds extra tables can ignore it).
-func (c *Catalog) SetIndexed(name string, indexed bool) error {
-	key := strings.ToLower(name)
-	s, ok := c.tables[key]
-	if !ok {
-		return fmt.Errorf("sql: unknown table %q", name)
-	}
-	s.Indexed = indexed
-	c.tables[key] = s
-	c.invalidatePlans()
-	return nil
-}
-
 // SetStats records a table's execution statistics: its row count and
 // whether it carries an SSE pre-filter index. The planner consults both
 // for join ordering (small tables first) and for the prefilter
@@ -327,9 +311,6 @@ type JoinStep struct {
 // Prefilter only decides whether SSE pre-filtering additionally narrows
 // the rows SJ.Dec touches. SpecFor compiles one step into the engine's
 // JoinSpec and Execute runs the whole tree (see exec.go).
-//
-// For compatibility with two-table callers, the fields of the first
-// step are mirrored in TableA/TableB, SelA/SelB and SideA/SideB.
 type Plan struct {
 	// Tables lists the FROM-clause tables in declaration order — the
 	// result column order of SELECT *.
@@ -351,12 +332,6 @@ type Plan struct {
 	// Cached marks a plan served from the catalog's plan cache rather
 	// than compiled fresh (see plancache.go).
 	Cached bool
-
-	// Two-table projections of Steps[0], kept so existing single-join
-	// callers (and the pre-plan client APIs) keep working unchanged.
-	TableA, TableB string
-	SelA, SelB     securejoin.Selection
-	SideA, SideB   SidePlan
 }
 
 // PlanQuery validates a parsed query against the catalog and compiles
@@ -501,12 +476,6 @@ func (c *Catalog) PlanQuery(q *JoinQuery) (*Plan, error) {
 			plan.Strategy = Prefiltered
 		}
 	}
-
-	// Legacy two-table projection of the first step.
-	first := plan.Steps[0]
-	plan.TableA, plan.TableB = first.Left.Table, first.Right.Table
-	plan.SelA, plan.SelB = first.Left.Sel, first.Right.Sel
-	plan.SideA, plan.SideB = first.Left, first.Right
 	c.met.record(plan, sides)
 	return plan, nil
 }
@@ -536,10 +505,10 @@ func resolveJoinSide(ref ColRef, pos int, schemas []TableSchema, byName map[stri
 // the statistics allow. With no row statistics every weight ties and
 // the walk degrades to declaration order, which is also the
 // deterministic tie-break. A two-table query always keeps its declared
-// side order: callers read sides A/B directly (Plan.TableA/SelA,
-// JoinedRow), so reordering them would flip user-visible columns
-// without reducing any work — both sides of a single pairwise join are
-// decrypted either way.
+// side order: both sides of a single pairwise join are decrypted either
+// way, so no order does less work, and the declared one keeps the
+// step's sides A/B — in EXPLAIN, in the request the server sees and in
+// a job's "A JOIN B" — the ones the query text names.
 func chooseOrder(sides []*SidePlan, adj [][]int) (order, partners []int, reason string, err error) {
 	n := len(sides)
 	known := 0
@@ -693,7 +662,7 @@ func predSummaries(counts map[string]int) []PredSummary {
 // normalized query shape (see plancache.go): re-compiling an unchanged
 // statement against an unchanged catalog returns a cached copy with
 // Cached set, skipping planning entirely. Catalog mutations (SetStats,
-// SetIndexed, SetDefaultWorkers) invalidate the cache.
+// SetNDV, SetDefaultWorkers, SetSemiJoin) invalidate the cache.
 func (c *Catalog) Compile(query string) (*Plan, error) {
 	q, err := Parse(query)
 	if err != nil {

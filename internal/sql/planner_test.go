@@ -82,13 +82,13 @@ func TestPlanStrategySelection(t *testing.T) {
 			if plan.Strategy != c.strategy {
 				t.Fatalf("strategy = %v, want %v", plan.Strategy, c.strategy)
 			}
-			if plan.SideA.Prefilter != c.preA || plan.SideB.Prefilter != c.preB {
+			if plan.Steps[0].Left.Prefilter != c.preA || plan.Steps[0].Right.Prefilter != c.preB {
 				t.Fatalf("prefilter sides = %v/%v, want %v/%v",
-					plan.SideA.Prefilter, plan.SideB.Prefilter, c.preA, c.preB)
+					plan.Steps[0].Left.Prefilter, plan.Steps[0].Right.Prefilter, c.preA, c.preB)
 			}
-			if plan.SideA.Reason != c.reasonA || plan.SideB.Reason != c.reasonB {
+			if plan.Steps[0].Left.Reason != c.reasonA || plan.Steps[0].Right.Reason != c.reasonB {
 				t.Fatalf("reasons = %q/%q, want %q/%q",
-					plan.SideA.Reason, plan.SideB.Reason, c.reasonA, c.reasonB)
+					plan.Steps[0].Left.Reason, plan.Steps[0].Right.Reason, c.reasonA, c.reasonB)
 			}
 		})
 	}
@@ -364,15 +364,15 @@ func TestJoinOrderStarStitch(t *testing.T) {
 }
 
 // TestTwoTableKeepsDeclarationOrder pins that statistics never reorder
-// a two-table plan: side A/B are part of the legacy API surface.
+// a two-table plan: its sides A/B stay the ones the query names.
 func TestTwoTableKeepsDeclarationOrder(t *testing.T) {
 	cat := orderCatalog(t, 1000, 10, 100)
 	plan, err := cat.Compile(`SELECT * FROM A JOIN B ON A.k = B.k`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.TableA != "A" || plan.TableB != "B" {
-		t.Fatalf("two-table sides reordered: %s, %s", plan.TableA, plan.TableB)
+	if plan.Steps[0].Left.Table != "A" || plan.Steps[0].Right.Table != "B" {
+		t.Fatalf("two-table sides reordered: %s, %s", plan.Steps[0].Left.Table, plan.Steps[0].Right.Table)
 	}
 	// The public OrderReason must not claim a statistics-driven order
 	// that the two-table compatibility rule overrides.
@@ -409,11 +409,11 @@ func TestPrefilterThreshold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.SideA.Prefilter != c.prefilter {
-				t.Fatalf("prefilter = %v, want %v (%+v)", plan.SideA.Prefilter, c.prefilter, plan.SideA)
+			if plan.Steps[0].Left.Prefilter != c.prefilter {
+				t.Fatalf("prefilter = %v, want %v (%+v)", plan.Steps[0].Left.Prefilter, c.prefilter, plan.Steps[0].Left)
 			}
-			if !c.prefilter && plan.SideA.Reason != c.reason {
-				t.Fatalf("reason = %q, want %q", plan.SideA.Reason, c.reason)
+			if !c.prefilter && plan.Steps[0].Left.Reason != c.reason {
+				t.Fatalf("reason = %q, want %q", plan.Steps[0].Left.Reason, c.reason)
 			}
 		})
 	}
@@ -490,10 +490,10 @@ func TestPlanPredSummaries(t *testing.T) {
 			}
 		}
 	}
-	assertPreds(plan.SideA.Preds, wantA, "A")
-	assertPreds(plan.SideB.Preds, wantB, "B")
-	if plan.SideA.Tokens() != 3 || plan.SideB.Tokens() != 3 {
-		t.Fatalf("token counts = %d/%d, want 3/3", plan.SideA.Tokens(), plan.SideB.Tokens())
+	assertPreds(plan.Steps[0].Left.Preds, wantA, "A")
+	assertPreds(plan.Steps[0].Right.Preds, wantB, "B")
+	if plan.Steps[0].Left.Tokens() != 3 || plan.Steps[0].Right.Tokens() != 3 {
+		t.Fatalf("token counts = %d/%d, want 3/3", plan.Steps[0].Left.Tokens(), plan.Steps[0].Right.Tokens())
 	}
 }
 
@@ -513,16 +513,23 @@ func TestPlanWorkers(t *testing.T) {
 	}
 }
 
+// TestSetIndexed: the index bit SyncCatalog sets through SetStats is
+// what turns a selective side's prefilter on and off.
 func TestSetIndexed(t *testing.T) {
 	cat := planCatalog(t, false, false)
-	if err := cat.SetIndexed("teams", true); err != nil {
-		t.Fatal(err) // case-insensitive lookup
+	for _, indexed := range []bool{true, false} {
+		if err := cat.SetStats("teams", 0, indexed); err != nil {
+			t.Fatal(err) // case-insensitive lookup
+		}
+		plan, err := cat.Compile(baseQuery + ` WHERE Teams.Name = 'x'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Steps[0].Left.Prefilter != indexed {
+			t.Fatalf("indexed=%v: side A prefilter = %v", indexed, plan.Steps[0].Left.Prefilter)
+		}
 	}
-	s, err := cat.Schema("Teams")
-	if err != nil || !s.Indexed {
-		t.Fatalf("Indexed not set: %+v, %v", s, err)
-	}
-	if err := cat.SetIndexed("Nope", true); err == nil {
+	if err := cat.SetStats("Nope", 0, true); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 }

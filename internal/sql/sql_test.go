@@ -224,17 +224,17 @@ func TestPlanQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.TableA != "Teams" || plan.TableB != "Employees" {
-		t.Fatalf("plan tables: %s, %s", plan.TableA, plan.TableB)
+	if plan.Steps[0].Left.Table != "Teams" || plan.Steps[0].Right.Table != "Employees" {
+		t.Fatalf("plan tables: %s, %s", plan.Steps[0].Left.Table, plan.Steps[0].Right.Table)
 	}
 	if len(plan.Steps) != 1 || plan.Steps[0].Stitch {
 		t.Fatalf("steps = %+v", plan.Steps)
 	}
-	if got := plan.SelA[0]; len(got) != 1 || string(got[0]) != "Web Application" {
-		t.Fatalf("SelA = %v", plan.SelA)
+	if got := plan.Steps[0].Left.Sel[0]; len(got) != 1 || string(got[0]) != "Web Application" {
+		t.Fatalf("side A selection = %v", plan.Steps[0].Left.Sel)
 	}
-	if got := plan.SelB[0]; len(got) != 1 || string(got[0]) != "Tester" {
-		t.Fatalf("SelB = %v", plan.SelB)
+	if got := plan.Steps[0].Right.Sel[0]; len(got) != 1 || string(got[0]) != "Tester" {
+		t.Fatalf("side B selection = %v", plan.Steps[0].Right.Sel)
 	}
 }
 
@@ -245,7 +245,7 @@ func TestPlanMergesPredicatesOnSameColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.SelB[0]; len(got) != 2 {
+	if got := plan.Steps[0].Right.Sel[0]; len(got) != 2 {
 		t.Fatalf("merged IN clause = %v", got)
 	}
 }
