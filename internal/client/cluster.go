@@ -168,8 +168,9 @@ func (cl *Cluster) upload(name string, rows []engine.PlainRow, indexed bool) err
 		parts[s] = append(parts[s], r)
 		shardMap[s] = append(shardMap[s], i)
 	}
-	// Encrypt sequentially (the scheme's encryptor shares state through
-	// the rng), upload concurrently (uploads are per-connection).
+	// Encrypt one shard after another: each EncryptTable already fans
+	// its rows out over every core and reads the shared rng in row
+	// order. Upload concurrently (uploads are per-connection).
 	tables := make([]*engine.EncryptedTable, n)
 	for s, part := range parts {
 		var t *engine.EncryptedTable

@@ -130,19 +130,38 @@ func NewClient(params securejoin.Params, rng io.Reader) (*Client, error) {
 // Params returns the scheme parameters of the client.
 func (c *Client) Params() securejoin.Params { return c.scheme.Params() }
 
-// EncryptTable encrypts a table for upload.
+// EncryptTable encrypts a table for upload on all GOMAXPROCS cores.
+// The client's rng is read only here, on the calling goroutine, in the
+// order a row-at-a-time loop reads it — per row gamma1, gamma2, then
+// the payload nonce — so a seeded rng yields the same table at any core
+// count. The row pool then runs the per-row group work and the AES-GCM
+// seal, which read no rng.
 func (c *Client) EncryptTable(name string, rows []PlainRow) (*EncryptedTable, error) {
-	out := &EncryptedTable{Name: name, Rows: make([]*EncryptedRow, len(rows)), NDV: countDistinctJoinValues(rows)}
+	rowErr := func(i int, err error) error {
+		return fmt.Errorf("engine: encrypting row %d of %s: %w", i, name, err)
+	}
+	drawn := make([]securejoin.DrawnRow, len(rows))
+	nonces := make([][]byte, len(rows))
 	for i, r := range rows {
-		jc, err := c.scheme.Encrypt(securejoin.Row{JoinValue: r.JoinValue, Attrs: r.Attrs})
-		if err != nil {
-			return nil, fmt.Errorf("engine: encrypting row %d of %s: %w", i, name, err)
+		var err error
+		if drawn[i], err = c.scheme.DrawRow(securejoin.Row{JoinValue: r.JoinValue, Attrs: r.Attrs}); err != nil {
+			return nil, rowErr(i, err)
 		}
-		pc, err := c.sealPayload(r.Payload)
-		if err != nil {
+		if nonces[i], err = c.payloadNonce(); err != nil {
 			return nil, err
 		}
-		out.Rows[i] = &EncryptedRow{Join: jc, Payload: pc}
+	}
+	out := &EncryptedTable{Name: name, Rows: make([]*EncryptedRow, len(rows)), NDV: countDistinctJoinValues(rows)}
+	err := securejoin.ForEachRow(len(rows), 0, func(i int) error {
+		jc, err := c.scheme.EncryptDrawn(drawn[i])
+		if err != nil {
+			return rowErr(i, err)
+		}
+		out.Rows[i] = &EncryptedRow{Join: jc, Payload: c.sealPayload(nonces[i], rows[i].Payload)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -177,12 +196,19 @@ func (c *Client) OpenPayload(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
-func (c *Client) sealPayload(pt []byte) ([]byte, error) {
+// payloadNonce draws one AES-GCM nonce from the client's rng.
+func (c *Client) payloadNonce() ([]byte, error) {
 	nonce := make([]byte, c.payloadAEAD.NonceSize())
 	if _, err := io.ReadFull(c.rng, nonce); err != nil {
 		return nil, fmt.Errorf("engine: sampling payload nonce: %w", err)
 	}
-	return c.payloadAEAD.Seal(nonce, nonce, pt, nil), nil
+	return nonce, nil
+}
+
+// sealPayload seals pt under nonce and prefixes the nonce to the blob.
+// It reads no rng and is safe for concurrent use.
+func (c *Client) sealPayload(nonce, pt []byte) []byte {
+	return c.payloadAEAD.Seal(nonce, nonce, pt, nil)
 }
 
 // JoinedRow is one element of a join result: the sealed payloads of the

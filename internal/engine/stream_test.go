@@ -270,10 +270,11 @@ func TestOpenPayloadAuthError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := client.sealPayload([]byte("secret"))
+	nonce, err := client.payloadNonce()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sealed := client.sealPayload(nonce, []byte("secret"))
 
 	// Round trip works.
 	pt, err := client.OpenPayload(sealed)
@@ -302,7 +303,7 @@ func TestOpenPayloadAuthError(t *testing.T) {
 
 // TestSealPayloadUsesClientRNG: with a deterministic rng the nonce —
 // and therefore the whole sealed blob — is reproducible, proving
-// sealPayload draws from the configured rng rather than crypto/rand.
+// payloadNonce draws from the configured rng rather than crypto/rand.
 func TestSealPayloadUsesClientRNG(t *testing.T) {
 	block, err := aes.NewCipher(make([]byte, 32))
 	if err != nil {
@@ -313,16 +314,16 @@ func TestSealPayloadUsesClientRNG(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Client{payloadAEAD: aead, rng: zeroReader{}}
-	s1, err := c.sealPayload([]byte("p"))
-	if err != nil {
-		t.Fatal(err)
+	seal := func() []byte {
+		nonce, err := c.payloadNonce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.sealPayload(nonce, []byte("p"))
 	}
-	s2, err := c.sealPayload([]byte("p"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1, s2 := seal(), seal()
 	if !bytes.Equal(s1, s2) {
-		t.Fatal("sealPayload ignored the client's deterministic rng")
+		t.Fatal("payloadNonce ignored the client's deterministic rng")
 	}
 	ns := aead.NonceSize()
 	if !bytes.Equal(s1[:ns], make([]byte, ns)) {

@@ -1,6 +1,7 @@
 package securejoin
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/zq"
@@ -14,4 +15,17 @@ func (s *Scheme) mustKey(t *testing.T) zq.Scalar {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// encryptTable runs SJ.Enc over rows one at a time on the scheme's rng.
+func encryptTable(s *Scheme, rows []Row) ([]*RowCiphertext, error) {
+	out := make([]*RowCiphertext, len(rows))
+	for i, r := range rows {
+		ct, err := s.Encrypt(r)
+		if err != nil {
+			return nil, fmt.Errorf("securejoin: encrypting row %d: %w", i, err)
+		}
+		out[i] = ct
+	}
+	return out, nil
 }

@@ -3,71 +3,92 @@ package securejoin
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// DecryptTableParallel runs SJ.Dec over a table using up to workers
-// goroutines (0 means GOMAXPROCS). Section 6.5 of the paper notes that,
-// unlike schemes that must reuse decrypted state across queries, Secure
-// Join's per-row decryptions are independent and parallelize trivially;
-// this is that observation made concrete. The token's Miller program is
-// recorded once and shared read-only by all workers, so the precompute
-// cost is paid once per table regardless of the worker count. The
-// output order matches the input order.
-func DecryptTableParallel(tk *Token, cts []*RowCiphertext, workers int) ([]DValue, error) {
-	return DecryptTableParallelWith(tk.Precompute(), cts, workers)
-}
-
-// DecryptTableParallelWith is DecryptTableParallel for callers that
-// already hold the token's precompute handle — a join stream decrypting
-// many probe batches under one token records the Miller program once
-// and reuses it here per batch instead of re-deriving it each time.
-func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers int) ([]DValue, error) {
+// ForEachRow is the row pool behind SJ.Dec and SJ.Enc of a table
+// (Section 6.5: per-row work parallelizes trivially). It runs row(i)
+// for every i in [0, n) on up to workers goroutines (0 means
+// GOMAXPROCS). Rows are fed in order and feeding stops once a row
+// fails, so every row below the first failure has run and the error
+// returned is the lowest failing row's, as in the plain loop. row(i)
+// must write only row i's output and read no rng: callers draw
+// randomness before the pool, in row order, so seeded outputs do not
+// depend on the worker count. With one worker, or n <= 1, it is the
+// plain loop on the calling goroutine.
+func ForEachRow(n, workers int, row func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Clamp after precomputing: tiny tables skip the pool entirely but
-	// still amortize the token side across their rows.
-	if workers > len(cts) {
-		workers = len(cts)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		return DecryptTableWith(pc, cts)
+		for i := 0; i < n; i++ {
+			if err := row(i); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
-	out := make([]DValue, len(cts))
+	// Each worker keeps its first failure, which is its lowest: a
+	// worker receives rows in increasing order.
 	errs := make([]error, workers)
 	errRows := make([]int, workers)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	next := make(chan int)
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
 				if errs[w] != nil {
-					continue // drain the channel so the feeder never blocks
-				}
-				d, err := pc.Decrypt(cts[i])
-				if err != nil {
-					errs[w] = err
-					errRows[w] = i
 					continue
 				}
-				out[i] = d
+				if err := row(i); err != nil {
+					errs[w], errRows[w] = err, i
+					failed.Store(true)
+				}
 			}
 		}(w)
 	}
-	for i := range cts {
+	for i := 0; i < n && !failed.Load(); i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 
+	var first error
+	firstRow := n
 	for w, err := range errs {
-		if err != nil {
-			return nil, decryptRowError(errRows[w], err)
+		if err != nil && errRows[w] < firstRow {
+			first, firstRow = err, errRows[w]
 		}
+	}
+	return first
+}
+
+// DecryptTableParallelWith runs SJ.Dec over a table on the row pool
+// with up to workers goroutines (0 means GOMAXPROCS), through a token
+// whose Miller program is recorded once and shared read-only by all
+// workers: a join stream decrypting many probe batches under one token
+// pays the precompute once, not per batch or per worker. The output
+// order matches the input order, and a failure names the lowest failing
+// row, as DecryptTableWith does.
+func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers int) ([]DValue, error) {
+	out := make([]DValue, len(cts))
+	err := ForEachRow(len(cts), workers, func(i int) error {
+		d, err := pc.Decrypt(cts[i])
+		if err != nil {
+			return decryptRowError(i, err)
+		}
+		out[i] = d
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

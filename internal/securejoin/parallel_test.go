@@ -2,6 +2,9 @@ package securejoin
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -15,7 +18,7 @@ func TestDecryptTableParallelMatchesSequential(t *testing.T) {
 			Attrs:     [][]byte{[]byte("a")},
 		}
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestDecryptTableParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 4, 32} {
-		par, err := DecryptTableParallel(q.TokenA, cts, workers)
+		par, err := DecryptTableParallelWith(q.TokenA.Precompute(), cts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -49,7 +52,7 @@ func TestDecryptTableParallelEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecryptTableParallel(q.TokenA, nil, 4)
+	out, err := DecryptTableParallelWith(q.TokenA.Precompute(), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +71,73 @@ func TestDecryptTableParallelPropagatesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a ciphertext with mismatched dimension to force a decrypt
-	// error in one slot.
-	bad := &RowCiphertext{C: ct.C}
-	short := *bad.C
-	short.Elems = short.Elems[:len(short.Elems)-1]
-	cts := []*RowCiphertext{ct, {C: &short}, ct, ct}
-	if _, err := DecryptTableParallel(q.TokenA, cts, 3); err == nil {
+	cts := []*RowCiphertext{ct, shortCiphertext(ct), ct, ct}
+	if _, err := DecryptTableParallelWith(q.TokenA.Precompute(), cts, 3); err == nil {
 		t.Fatal("error in one row was swallowed")
+	}
+}
+
+// shortCiphertext returns ct with its last element dropped, a
+// ciphertext of the wrong dimension that fails SJ.Dec at once.
+func shortCiphertext(ct *RowCiphertext) *RowCiphertext {
+	short := *ct.C
+	short.Elems = short.Elems[:len(short.Elems)-1]
+	return &RowCiphertext{C: &short}
+}
+
+// TestDecryptTableParallelErrorNamesLowestRow: with two corrupt rows
+// the pool reports the lower one, as the plain loop does, at every
+// worker count. The corrupt rows fail at once while good rows take a
+// pairing each, so a pool that reported whichever failure came first,
+// or whichever worker failed, would name row 4 on some schedules.
+func TestDecryptTableParallelErrorNamesLowestRow(t *testing.T) {
+	s := newTestScheme(t, 1, 1)
+	ct, err := s.Encrypt(Row{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.NewQuery(Selection{}, Selection{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := q.TokenA.Precompute()
+	bad := shortCiphertext(ct)
+	cts := []*RowCiphertext{ct, ct, ct, bad, bad, ct, ct, ct}
+	_, want := DecryptTableWith(pc, cts)
+	if want == nil || !strings.Contains(want.Error(), "row 3:") {
+		t.Fatalf("serial error = %v, want one naming row 3", want)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for rep := 0; rep < 5; rep++ {
+			_, err := DecryptTableParallelWith(pc, cts, workers)
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("workers=%d: error %v, want %v", workers, err, want)
+			}
+		}
+	}
+}
+
+// TestDecryptTableParallelOneWorkerStartsNoGoroutine: with one worker,
+// or one row, the pool is the plain loop on the calling goroutine. The
+// count may drop while an earlier test's goroutines finish exiting, but
+// it must not grow.
+func TestDecryptTableParallelOneWorkerStartsNoGoroutine(t *testing.T) {
+	for _, c := range []struct{ n, workers int }{{5, 1}, {1, 8}, {0, 8}} {
+		before := runtime.NumGoroutine()
+		var order []int
+		err := ForEachRow(c.n, c.workers, func(i int) error {
+			if got := runtime.NumGoroutine(); got > before {
+				return fmt.Errorf("%d goroutines inside the pool, %d before it", got, before)
+			}
+			order = append(order, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d workers=%d: %v", c.n, c.workers, err)
+		}
+		if len(order) != c.n || !slices.IsSorted(order) {
+			t.Fatalf("n=%d workers=%d: rows ran as %v", c.n, c.workers, order)
+		}
 	}
 }
 
@@ -92,7 +154,7 @@ func TestDecryptTableParallelConcurrentCallers(t *testing.T) {
 			Attrs:     [][]byte{[]byte("a")},
 		}
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +174,7 @@ func TestDecryptTableParallelConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			par, err := DecryptTableParallel(q.TokenA, cts, 3)
+			par, err := DecryptTableParallelWith(q.TokenA.Precompute(), cts, 3)
 			if err != nil {
 				errs <- err
 				return
@@ -147,7 +209,7 @@ func BenchmarkDecryptParallel(b *testing.B) {
 			Attrs:     [][]byte{[]byte("a")},
 		}
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -158,7 +220,7 @@ func BenchmarkDecryptParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := DecryptTableParallel(q.TokenA, cts, workers); err != nil {
+				if _, err := DecryptTableParallelWith(q.TokenA.Precompute(), cts, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,7 +17,7 @@ func encryptTestTable(t *testing.T, s *Scheme, n int) []*RowCiphertext {
 			Attrs:     [][]byte{[]byte(fmt.Sprintf("a-%d", i%2))},
 		}
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPrecomputedDecryptDimensionMismatch(t *testing.T) {
 
 // TestPrecomputedDecryptSharedHandleConcurrent shares one precompute
 // handle across goroutines that each decrypt a disjoint stripe of the
-// table, as DecryptTableParallel's workers do. Under -race this is the
+// table, as DecryptTableParallelWith's workers do. Under -race this is the
 // data-race check for the shared read-only Miller program.
 func TestPrecomputedDecryptSharedHandleConcurrent(t *testing.T) {
 	s := newTestScheme(t, 1, 1)
@@ -141,7 +141,7 @@ func BenchmarkDecryptPrecomputed(b *testing.B) {
 			Attrs:     [][]byte{[]byte("a")},
 		}
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,11 +41,11 @@ func TestRandomizedMatchProperty(t *testing.T) {
 		tableA, joinsA, attrsA := makeRows(rowsA)
 		tableB, joinsB, attrsB := makeRows(rowsB)
 
-		ctA, err := s.EncryptTable(tableA)
+		ctA, err := encryptTable(s, tableA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctB, err := s.EncryptTable(tableB)
+		ctB, err := encryptTable(s, tableB)
 		if err != nil {
 			t.Fatal(err)
 		}

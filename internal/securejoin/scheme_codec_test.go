@@ -8,7 +8,7 @@ func TestSchemeCodecRoundTrip(t *testing.T) {
 		{JoinValue: []byte("1"), Attrs: [][]byte{[]byte("a")}},
 		{JoinValue: []byte("1"), Attrs: [][]byte{[]byte("b")}},
 	}
-	cts, err := s.EncryptTable(rows)
+	cts, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

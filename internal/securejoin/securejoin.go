@@ -95,27 +95,54 @@ type RowCiphertext struct {
 	C *ipe.CiphertextM
 }
 
-// Encrypt runs SJ.Enc on one row. The plaintext vector is
-//
-//	w = ( H(a0), gamma2*a1^0..a1^t, ..., gamma2*am^0..am^t, gamma1, 0 )
-//
-// with fresh per-row gamma1, gamma2. Missing attributes (len(Attrs) < M)
-// are padded with the hash of an out-of-band padding tag so they can
-// never satisfy a selection polynomial by accident.
+// Encrypt runs SJ.Enc on one row: DrawRow then EncryptDrawn.
 func (s *Scheme) Encrypt(row Row) (*RowCiphertext, error) {
+	dr, err := s.DrawRow(row)
+	if err != nil {
+		return nil, err
+	}
+	return s.EncryptDrawn(dr)
+}
+
+// DrawnRow is a row with its SJ.Enc randomness, gamma1 and gamma2,
+// drawn: DrawRow's output and EncryptDrawn's input.
+type DrawnRow struct {
+	row            Row
+	gamma1, gamma2 zq.Scalar
+}
+
+// DrawRow is SJ.Enc's rng step for one row: it checks the row against
+// the scheme and reads gamma1 then gamma2 from the scheme's rng, as
+// Encrypt does. Every rng read of a row happens here, so a table
+// encryptor that calls DrawRow row by row on one goroutine reads a
+// seeded rng in the serial order whatever runs EncryptDrawn.
+func (s *Scheme) DrawRow(row Row) (DrawnRow, error) {
 	if len(row.Attrs) > s.params.M {
-		return nil, fmt.Errorf("securejoin: row has %d attributes, scheme supports %d",
+		return DrawnRow{}, fmt.Errorf("securejoin: row has %d attributes, scheme supports %d",
 			len(row.Attrs), s.params.M)
 	}
 	gamma1, err := zq.Random(s.rng)
 	if err != nil {
-		return nil, err
+		return DrawnRow{}, err
 	}
 	gamma2, err := zq.RandomNonZero(s.rng)
 	if err != nil {
-		return nil, err
+		return DrawnRow{}, err
 	}
+	return DrawnRow{row: row, gamma1: gamma1, gamma2: gamma2}, nil
+}
 
+// EncryptDrawn is SJ.Enc's compute step: it encrypts a drawn row. The
+// plaintext vector is
+//
+//	w = ( H(a0), gamma2*a1^0..a1^t, ..., gamma2*am^0..am^t, gamma1, 0 )
+//
+// Missing attributes (len(Attrs) < M) are padded with the hash of an
+// out-of-band padding tag so they can never satisfy a selection
+// polynomial by accident. It reads no rng and is safe for concurrent
+// use.
+func (s *Scheme) EncryptDrawn(dr DrawnRow) (*RowCiphertext, error) {
+	row := dr.row
 	d := s.params.Dim()
 	w := zq.NewVector(d)
 	w[0] = zq.Hash(row.JoinValue)
@@ -129,10 +156,10 @@ func (s *Scheme) Encrypt(row Row) (*RowCiphertext, error) {
 		powers := poly.PowersOf(embedded, s.params.T)
 		base := 1 + i*(s.params.T+1)
 		for j, pw := range powers {
-			w[base+j] = gamma2.Mul(pw)
+			w[base+j] = dr.gamma2.Mul(pw)
 		}
 	}
-	w[d-2] = gamma1
+	w[d-2] = dr.gamma1
 	// w[d-1] stays 0.
 
 	ct, err := s.msk.EncryptModified(w)
@@ -140,19 +167,6 @@ func (s *Scheme) Encrypt(row Row) (*RowCiphertext, error) {
 		return nil, err
 	}
 	return &RowCiphertext{C: ct}, nil
-}
-
-// EncryptTable encrypts a slice of rows.
-func (s *Scheme) EncryptTable(rows []Row) ([]*RowCiphertext, error) {
-	out := make([]*RowCiphertext, len(rows))
-	for i, r := range rows {
-		ct, err := s.Encrypt(r)
-		if err != nil {
-			return nil, fmt.Errorf("securejoin: encrypting row %d: %w", i, err)
-		}
-		out[i] = ct
-	}
-	return out, nil
 }
 
 // Selection is the per-table filtering predicate of a join query: for
@@ -337,8 +351,8 @@ func decryptRowError(row int, err error) error {
 
 // DecryptTable runs SJ.Dec over every row of a table with a full
 // Miller loop per row. It is kept as the naive baseline; table-scale
-// callers should use DecryptTableWith or DecryptTableParallel, which
-// precompute the token side once.
+// callers should use DecryptTableWith or DecryptTableParallelWith,
+// which precompute the token side once.
 func DecryptTable(tk *Token, cts []*RowCiphertext) ([]DValue, error) {
 	out := make([]DValue, len(cts))
 	for i, ct := range cts {

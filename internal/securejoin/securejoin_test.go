@@ -40,11 +40,11 @@ func TestExampleQueryT1(t *testing.T) {
 	s := newTestScheme(t, 1, 2)
 	teams, employees := buildExampleTables()
 
-	ctA, err := s.EncryptTable(teams)
+	ctA, err := encryptTable(s, teams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctB, err := s.EncryptTable(employees)
+	ctB, err := encryptTable(s, employees)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestExampleQueryT1(t *testing.T) {
 func TestUnselectiveQueryJoinsEverything(t *testing.T) {
 	s := newTestScheme(t, 1, 2)
 	teams, employees := buildExampleTables()
-	ctA, _ := s.EncryptTable(teams)
-	ctB, _ := s.EncryptTable(employees)
+	ctA, _ := encryptTable(s, teams)
+	ctB, _ := encryptTable(s, employees)
 
 	q, err := s.NewQuery(Selection{}, Selection{})
 	if err != nil {
@@ -102,7 +102,7 @@ func TestDifferentQueriesDoNotLink(t *testing.T) {
 	// this is the core of the no-super-additive-leakage property.
 	s := newTestScheme(t, 1, 2)
 	teams, _ := buildExampleTables()
-	ctA, _ := s.EncryptTable(teams)
+	ctA, _ := encryptTable(s, teams)
 
 	sel := Selection{0: [][]byte{[]byte("Web Application")}}
 	q1, err := s.NewQuery(sel, sel)
@@ -136,7 +136,7 @@ func TestSelfPairsWithinTable(t *testing.T) {
 		{JoinValue: []byte("1"), Attrs: [][]byte{[]byte("Tester")}},
 		{JoinValue: []byte("2"), Attrs: [][]byte{[]byte("Tester")}},
 	}
-	ct, _ := s.EncryptTable(employees)
+	ct, _ := encryptTable(s, employees)
 	q, err := s.NewQuery(Selection{0: [][]byte{[]byte("Tester")}}, Selection{})
 	if err != nil {
 		t.Fatal(err)
@@ -154,9 +154,9 @@ func TestINClauseMultipleValues(t *testing.T) {
 		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("green")}},
 		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("blue")}},
 	}
-	ct, _ := s.EncryptTable(rows)
+	ct, _ := encryptTable(s, rows)
 	other := []Row{{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("any")}}}
-	ctO, _ := s.EncryptTable(other)
+	ctO, _ := encryptTable(s, other)
 
 	q, err := s.NewQuery(
 		Selection{0: [][]byte{[]byte("red"), []byte("blue")}},

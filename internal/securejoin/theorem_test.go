@@ -97,7 +97,7 @@ func TestSelfJoinWithinOneTable(t *testing.T) {
 		{JoinValue: []byte("g2"), Attrs: [][]byte{[]byte("a")}},
 		{JoinValue: []byte("g1"), Attrs: [][]byte{[]byte("a")}},
 	}
-	ct, err := s.EncryptTable(rows)
+	ct, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestNonPKFKJoin(t *testing.T) {
 		{JoinValue: []byte("k"), Attrs: [][]byte{[]byte("b")}},
 		{JoinValue: []byte("other"), Attrs: [][]byte{[]byte("b")}},
 	}
-	ctL, _ := s.EncryptTable(left)
-	ctR, _ := s.EncryptTable(right)
+	ctL, _ := encryptTable(s, left)
+	ctR, _ := encryptTable(s, right)
 	q, err := s.NewQuery(Selection{}, Selection{})
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +150,9 @@ func TestMultipleAttributes(t *testing.T) {
 		{JoinValue: []byte("j"), Attrs: [][]byte{[]byte("red"), []byte("small")}},
 		{JoinValue: []byte("j"), Attrs: [][]byte{[]byte("blue"), []byte("large")}},
 	}
-	ct, _ := s.EncryptTable(rows)
+	ct, _ := encryptTable(s, rows)
 	probe := []Row{{JoinValue: []byte("j"), Attrs: [][]byte{[]byte("x"), []byte("y")}}}
-	ctP, _ := s.EncryptTable(probe)
+	ctP, _ := encryptTable(s, probe)
 
 	q, err := s.NewQuery(
 		Selection{0: [][]byte{[]byte("red")}, 1: [][]byte{[]byte("large")}},
@@ -176,12 +176,12 @@ func TestShortRowPadding(t *testing.T) {
 	rows := []Row{
 		{JoinValue: []byte("j"), Attrs: [][]byte{[]byte("red")}}, // attr 1 missing
 	}
-	ct, err := s.EncryptTable(rows)
+	ct, err := encryptTable(s, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe := []Row{{JoinValue: []byte("j"), Attrs: [][]byte{[]byte("x"), []byte("y")}}}
-	ctP, _ := s.EncryptTable(probe)
+	ctP, _ := encryptTable(s, probe)
 
 	q, err := s.NewQuery(
 		Selection{1: [][]byte{[]byte("anything")}},
