@@ -4,7 +4,7 @@
 // tokens and decrypts result payloads. The server never receives any key
 // material.
 //
-// A Client speaks the wire v3 protocol and is safe for concurrent use:
+// A Client speaks the wire v4 protocol and is safe for concurrent use:
 // requests carry unique IDs, responses are demultiplexed by a reader
 // goroutine, and concurrent Join/Upload/Ping calls from multiple
 // goroutines pipeline over the single connection. A join is a compiled

@@ -458,13 +458,9 @@ func (ss *session) handleAttach(id uint64, jobID string) error {
 		return ss.sendErr(id, fmt.Errorf("job %s failed: %s", jobID, errMsg))
 	}
 	if rows == nil && spooled {
-		spoolRows, err := s.store.ReadJobRows(jobID)
-		if err != nil {
+		var err error
+		if rows, err = s.store.ReadJobRows(jobID); err != nil {
 			return ss.sendErr(id, err)
-		}
-		rows = make([]wire.JoinedRow, len(spoolRows))
-		for i, r := range spoolRows {
-			rows[i] = wire.JoinedRow{RowA: r.RowA, RowB: r.RowB, PayloadA: r.PayloadA, PayloadB: r.PayloadB}
 		}
 	}
 	sent, err := ss.sendRowBatches(id, rows)
@@ -538,11 +534,7 @@ func (s *Server) completeJob(j *job, rows []wire.JoinedRow, revealed int) {
 			RevealedPairs: revealed,
 			FinishedUnix:  time.Now().Unix(),
 		}
-		spoolRows := make([]store.JobRow, len(rows))
-		for i, r := range rows {
-			spoolRows[i] = store.JobRow{RowA: r.RowA, RowB: r.RowB, PayloadA: r.PayloadA, PayloadB: r.PayloadB}
-		}
-		if err := s.store.CommitJob(meta, spoolRows); err != nil {
+		if err := s.store.CommitJob(meta, rows); err != nil {
 			// Non-fatal: the job is still served from memory for this
 			// process's life; only restart durability is lost.
 			s.logf("job %s: spooling result: %v", j.id, err)

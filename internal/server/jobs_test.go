@@ -2,14 +2,23 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"net"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/securejoin"
 	"repro/internal/sql"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -374,5 +383,81 @@ func TestJobReaperExpires(t *testing.T) {
 	})
 	if got := srv.met.JobsReaped.Value(); got == 0 {
 		t.Fatalf("reaped counter = %d, want > 0", got)
+	}
+}
+
+// TestAttachToGobSpooledJobIsUnknown: a data dir holding a job a v3
+// server spooled (an opJob record, a gob spool) starts with the job
+// forgotten and reported as damage, and an attach to it answers the
+// typed unknown-job, the signal to resubmit.
+func TestAttachToGobSpooledJobIsUnknown(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var spool bytes.Buffer
+	if err := gob.NewEncoder(&spool).Encode(&struct{ Rows []wire.JoinedRow }{
+		Rows: []wire.JoinedRow{{RowA: 1, RowB: 2, PayloadA: []byte("sealed")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const spoolName = "0000000000000001.spool"
+	if err := os.WriteFile(filepath.Join(dir, "jobs", spoolName), spool.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The manifest record as the store frames it: length, gob payload,
+	// CRC-32C. Gob matches the store's record fields by name.
+	digest := sha256.Sum256(spool.Bytes())
+	var rec bytes.Buffer
+	if err := gob.NewEncoder(&rec).Encode(&struct {
+		Seq             uint64
+		Op              uint8
+		Snapshot        string
+		Digest          []byte
+		Rows            int
+		Job, JobA, JobB string
+		Finished        int64
+	}{1, 4, spoolName, digest[:], 1, "0123456789abcdef", "A", "B", time.Now().Unix()}); err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(rec.Len()))
+	frame = append(frame, rec.Bytes()...)
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(rec.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st.Damaged(); len(d) != 1 || !strings.Contains(d[0].String(), "0123456789abcdef") {
+		t.Fatalf("damage %v, want one report naming the v3 job", d)
+	}
+	srv := NewWithStore(nil, st)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := wire.NewConn(raw)
+	if err := wire.ClientHandshake(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(&wire.Request{ID: 1, Attach: "0123456789abcdef"}); err != nil {
+		t.Fatal(err)
+	}
+	var f wire.Frame
+	if err := conn.Recv(&f); err != nil {
+		t.Fatal(err)
+	}
+	if f.ID != 1 || f.Code != wire.CodeUnknownJob {
+		t.Fatalf("attach to a v3-spooled job: %+v, want code %q", f, wire.CodeUnknownJob)
 	}
 }

@@ -89,7 +89,7 @@ func TestLedgerFlatOverSeries(t *testing.T) {
 		query(i) // the first cycle, and one query more to flush its appends
 	}
 	check("after the first cycle")
-	records, heap := srv.store.RecordCount(), liveHeap()
+	records, heap := manifestRecords(t, srv), liveHeap()
 	if want := 2 + len(cycle); records != want {
 		t.Fatalf("manifest holds %d records after the first cycle, want 2 uploads + %d ledger deltas", records, len(cycle))
 	}
@@ -108,7 +108,7 @@ func TestLedgerFlatOverSeries(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.store.RecordCount(); got != records {
+	if got := manifestRecords(t, srv); got != records {
 		t.Fatalf("manifest grew from %d to %d records over %d repeated queries", records, got, queries-len(cycle)-1)
 	}
 }

@@ -1,5 +1,5 @@
 // Package server implements the DBMS-provider side of the
-// database-as-a-service model over TCP, speaking the wire v3 protocol:
+// database-as-a-service model over TCP, speaking the wire v4 protocol:
 // a version handshake followed by length-prefixed gob frames. Every
 // request on a connection is dispatched on its own goroutine keyed by
 // the client-chosen request ID, so clients can pipeline uploads and

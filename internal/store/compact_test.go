@@ -64,17 +64,17 @@ func TestCompactFoldsManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantTables, wantLedger := tableState(t, s)
-	before := s.RecordCount()
+	before := recordCount(s)
 	if before != 13 {
-		t.Fatalf("RecordCount = %d, want 13", before)
+		t.Fatalf("records = %d, want 13", before)
 	}
 
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	// 2 live tables + the 5 merges in 1 ledger record.
-	if got := s.RecordCount(); got != 3 {
-		t.Fatalf("RecordCount after Compact = %d, want 3", got)
+	if got := recordCount(s); got != 3 {
+		t.Fatalf("records after Compact = %d, want 3", got)
 	}
 	assertSameState(t, s, wantTables, wantLedger)
 
@@ -88,8 +88,8 @@ func TestCompactFoldsManifest(t *testing.T) {
 	if len(s2.Damaged()) != 0 {
 		t.Fatalf("damage after compaction: %v", s2.Damaged())
 	}
-	if got := s2.RecordCount(); got != 4 {
-		t.Fatalf("RecordCount after reopen = %d, want 4", got)
+	if got := recordCount(s2); got != 4 {
+		t.Fatalf("records after reopen = %d, want 4", got)
 	}
 	tableByName(t, s2, "late")
 	wantTables["late"], _ = func() ([]byte, error) {
@@ -114,16 +114,16 @@ func TestOpenAutoCompacts(t *testing.T) {
 		}
 	}
 	wantTables, wantLedger := tableState(t, s)
-	if s.RecordCount() <= compactThreshold {
-		t.Fatalf("test setup too small: %d records", s.RecordCount())
+	if recordCount(s) <= compactThreshold {
+		t.Fatalf("test setup too small: %d records", recordCount(s))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := mustOpen(t, dir)
-	if got := s2.RecordCount(); got != 2 { // 1 table + 1 ledger record
-		t.Fatalf("RecordCount after auto-compaction = %d, want 2", got)
+	if got := recordCount(s2); got != 2 { // 1 table + 1 ledger record
+		t.Fatalf("records after auto-compaction = %d, want 2", got)
 	}
 	assertSameState(t, s2, wantTables, wantLedger)
 	if err := s2.Close(); err != nil {

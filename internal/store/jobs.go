@@ -3,11 +3,11 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/wire"
 )
 
 // This file persists completed async-job results, the spool behind the
@@ -16,14 +16,20 @@ import (
 // result is committed here before the job is marked done.
 //
 // Layout and protocol mirror table snapshots exactly: the result rows
-// are gob-encoded to <dir>/jobs/<seq>.spool (temp write, fsync, atomic
-// rename, directory sync), then an opJob manifest record referencing
-// the spool by name and SHA-256 digest is appended and fsynced. A job
-// is durable exactly when its record is; a crash in between leaves an
-// orphan spool the next Open sweeps. Failed jobs carry no spool — only
-// the opJob record with its error message — so a resubmit decision
-// survives restarts too. Reaping (TTL expiry) appends opJobDelete and
-// unlinks the spool.
+// are written to <dir>/jobs/<seq>.spool as one packed row record
+// (wire.AppendRows, the encoding a JoinBatch frame carries) with a temp
+// write, fsync, atomic rename and directory sync; then an opJobRows
+// manifest record referencing the spool by name and SHA-256 digest is
+// appended and fsynced. A job is durable exactly when its record is; a
+// crash in between leaves an orphan spool the next Open sweeps. Failed
+// jobs carry no spool — only the record with its error message — so a
+// resubmit decision survives restarts too. Reaping (TTL expiry) appends
+// opJobDelete and unlinks the spool.
+//
+// Jobs spooled by protocol v3 servers (opJob records, gob spools) are
+// not read: Open forgets each one, reports it in Damaged, retires its
+// record with an opJobDelete and lets the sweep remove its spool. An
+// attach to it answers unknown-job, the signal to resubmit.
 //
 // Spooled rows hold only what the server already stores: row indices
 // and sealed payload blobs. Nothing about the plaintext result leaks
@@ -33,10 +39,7 @@ import (
 // JobRow is one joined result row as spooled to disk: the row indices
 // of the two operands and their sealed payloads, exactly what the wire
 // layer streams to an attached client.
-type JobRow struct {
-	RowA, RowB         int
-	PayloadA, PayloadB []byte
-}
+type JobRow = wire.JoinedRow
 
 // JobMeta describes one completed job: identity, operands, result
 // cardinality, leakage, and — for failed jobs — the error message.
@@ -65,7 +68,7 @@ type jobEntry struct {
 // CommitJob and Compact.
 func jobRecord(seq uint64, je jobEntry) *record {
 	return &record{
-		Seq: seq, Op: opJob,
+		Seq: seq, Op: opJobRows,
 		Job:      je.meta.ID,
 		JobA:     je.meta.TableA,
 		JobB:     je.meta.TableB,
@@ -76,11 +79,6 @@ func jobRecord(seq uint64, je jobEntry) *record {
 		JobErr:   je.meta.Err,
 		Finished: je.meta.FinishedUnix,
 	}
-}
-
-// jobSpool is the gob image of one spool file.
-type jobSpool struct {
-	Rows []JobRow
 }
 
 // CommitJob makes one completed job durable: the result rows are
@@ -167,14 +165,14 @@ func (s *Store) ReadJobRows(id string) ([]JobRow, error) {
 	if sum := sha256.Sum256(data); !bytes.Equal(sum[:], je.digest) {
 		return nil, fmt.Errorf("store: job %q spool checksum mismatch", id)
 	}
-	var sp jobSpool
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sp); err != nil {
+	rows, err := wire.ParseRows(data)
+	if err != nil {
 		return nil, fmt.Errorf("store: decoding job spool: %w", err)
 	}
-	if len(sp.Rows) != je.meta.Rows {
-		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(sp.Rows), je.meta.Rows)
+	if len(rows) != je.meta.Rows {
+		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(rows), je.meta.Rows)
 	}
-	return sp.Rows, nil
+	return rows, nil
 }
 
 // DeleteJob durably removes a job (the reaper's primitive): the
@@ -202,18 +200,16 @@ func (s *Store) DeleteJob(id string) error {
 	return nil
 }
 
-// writeJobSpool serializes result rows to path, fsyncs, and returns the
-// SHA-256 and byte count of the written encoding (computed during the
-// write, never read back) — the job-spool twin of writeSnapshot.
+// writeJobSpool writes result rows to path as one packed row record,
+// fsyncs, and returns the SHA-256 and byte count of the record — the
+// job-spool twin of writeSnapshot.
 func writeJobSpool(path string, rows []JobRow) ([]byte, int64, error) {
+	data := wire.AppendRows(nil, rows)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: creating job spool: %w", err)
 	}
-	h := sha256.New()
-	var cw countingWriter
-	w := io.MultiWriter(f, h, &cw)
-	if err := gob.NewEncoder(w).Encode(&jobSpool{Rows: rows}); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, 0, fmt.Errorf("store: writing job spool: %w", err)
@@ -227,5 +223,6 @@ func writeJobSpool(path string, rows []JobRow) ([]byte, int64, error) {
 		os.Remove(path)
 		return nil, 0, fmt.Errorf("store: closing job spool: %w", err)
 	}
-	return h.Sum(nil), cw.n, nil
+	sum := sha256.Sum256(data)
+	return sum[:], int64(len(data)), nil
 }

@@ -96,9 +96,10 @@ const (
 	opCommit    uint8 = 1 // table version committed
 	opDelete    uint8 = 2 // table deleted
 	opCounters  uint8 = 3 // written before the ledger existed; replay ignores it
-	opJob       uint8 = 4 // completed async job result committed
+	opJob       uint8 = 4 // job result spooled in the retired gob format; replay forgets it
 	opJobDelete uint8 = 5 // job result reaped
 	opLedger    uint8 = 6 // leakage-ledger delta: the merges one join added
+	opJobRows   uint8 = 7 // completed async job result committed, spooled as a packed row record
 )
 
 // record is the gob image of one manifest entry. Every record is
@@ -112,17 +113,17 @@ type record struct {
 	Seq      uint64
 	Op       uint8
 	Table    string // opCommit, opDelete
-	Snapshot string // opCommit: file name under tables/; opJob: under jobs/
-	Digest   []byte // opCommit, opJob: SHA-256 of the snapshot/spool file
-	Rows     int    // opCommit, opJob
+	Snapshot string // opCommit: file name under tables/; opJobRows: under jobs/
+	Digest   []byte // opCommit, opJobRows: SHA-256 of the snapshot/spool file
+	Rows     int    // opCommit, opJobRows
 	Indexed  bool   // opCommit
 	Ledger   []byte // opLedger: the merges, a [][]leakage.RowRef, as a gob image of their own so no other record carries their type descriptor
-	Job      string // opJob, opJobDelete: job ID
-	JobA     string // opJob: join operand tables
-	JobB     string // opJob
-	JobErr   string // opJob: failure message of a failed job
-	Pairs    int    // opJob: sigma(q) of the completed join
-	Finished int64  // opJob: completion time, Unix seconds
+	Job      string // opJobRows, opJob, opJobDelete: job ID
+	JobA     string // opJobRows: join operand tables
+	JobB     string // opJobRows
+	JobErr   string // opJobRows: failure message of a failed job
+	Pairs    int    // opJobRows: sigma(q) of the completed join
+	Finished int64  // opJobRows: completion time, Unix seconds
 }
 
 // Damage describes one table (or manifest region) Open found broken and
@@ -245,6 +246,8 @@ func Open(dir string) (*Store, error) {
 func (s *Store) replay() error {
 	br := bufio.NewReader(s.manifest)
 	var good int64 // offset just past the last intact record
+	// gobJobs maps the job ID of each live opJob record to its spool.
+	gobJobs := make(map[string]string)
 	for {
 		rec, n, err := readRecord(br)
 		if err == io.EOF {
@@ -277,6 +280,10 @@ func (s *Store) replay() error {
 			}
 			s.merges = append(s.merges, merges...)
 		case opJob:
+			delete(s.jobs, rec.Job)
+			gobJobs[rec.Job] = rec.Snapshot
+		case opJobRows:
+			delete(gobJobs, rec.Job)
 			s.jobs[rec.Job] = jobEntry{
 				snapshot: rec.Snapshot,
 				digest:   rec.Digest,
@@ -292,6 +299,7 @@ func (s *Store) replay() error {
 			}
 		case opJobDelete:
 			delete(s.jobs, rec.Job)
+			delete(gobJobs, rec.Job)
 		default:
 			// A record from a future format version: skip it rather than
 			// refusing to recover the tables this version understands.
@@ -302,6 +310,19 @@ func (s *Store) replay() error {
 	}
 	if _, err := s.manifest.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seeking manifest end: %w", err)
+	}
+	// Forget the jobs a v3 server spooled with gob (the sweep removes
+	// their spools): report each once and retire its record. Without the
+	// retirement every Open would report it again, and Compact, which
+	// refuses while damage is reported, would never run. A failed append
+	// is sticky like any other; the report then comes back next Open.
+	for _, id := range sortedKeys(gobJobs) {
+		s.damaged = append(s.damaged, Damage{
+			Reason: fmt.Sprintf("job %q (%s): spooled in the v3 gob format; forgotten, resubmit it", id, gobJobs[id]),
+		})
+		if s.append(&record{Seq: s.seq + 1, Op: opJobDelete, Job: id}) == nil {
+			s.seq++
+		}
 	}
 	return nil
 }
@@ -629,14 +650,6 @@ func encodeRecord(rec any) ([]byte, error) {
 	var trailer [4]byte
 	binary.BigEndian.PutUint32(trailer[:], crc32.Checksum(payload, crcTable))
 	return append(b, trailer[:]...), nil
-}
-
-// RecordCount reports the number of framed records currently in the
-// manifest (replayed at Open plus appended since).
-func (s *Store) RecordCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.records
 }
 
 // Compact rewrites the manifest to its live state — one commit record

@@ -1,11 +1,14 @@
-// Package wire defines the v3 client/server protocol: a versioned
+// Package wire defines the v4 client/server protocol: a versioned
 // handshake followed by length-prefixed gob frames. Requests carry a
 // client-chosen ID and may be pipelined; the server answers each ID
 // with zero or more JoinBatch frames followed by exactly one terminal
 // frame (Ok, Err or Summary), interleaving frames of concurrent
 // requests on one connection. All cryptographic objects travel as
 // validated binary encodings (see securejoin's
-// MarshalBinary/UnmarshalBinary); payloads are opaque AEAD blobs.
+// MarshalBinary/UnmarshalBinary); payloads are opaque AEAD blobs. Bulk
+// result rows travel as one packed row record (AppendRows/ParseRows),
+// carried inside the gob frame as a single byte string; the server's
+// job spool stores the same record.
 package wire
 
 import (
@@ -22,9 +25,11 @@ import (
 // Version is the protocol version spoken by this package. Version 1 was
 // the unversioned blocking request/response protocol. Version 2 carried
 // tokens in G1 and row ciphertexts in G2; version 3 swapped the groups,
-// which changed both encodings. Neither is accepted any more, so a
-// client of either fails at the handshake rather than in a codec.
-const Version = 3
+// which changed both encodings. Version 4 carries a JoinBatch's rows as
+// one packed row record instead of a gob list of structs. No earlier
+// version is accepted, so an older peer fails at the handshake rather
+// than in a codec.
+const Version = 4
 
 // MaxFrameSize bounds a single frame's payload so a malformed or
 // hostile peer cannot force an unbounded allocation.
@@ -301,7 +306,8 @@ type HealthInfo struct {
 // stream.
 func (f *Frame) Terminal() bool { return f.Batch == nil }
 
-// JoinBatch carries a bounded chunk of join results.
+// JoinBatch carries a bounded chunk of join results. On the wire it is
+// one packed row record (see MarshalBinary), not a gob list.
 type JoinBatch struct {
 	Rows []JoinedRow
 }

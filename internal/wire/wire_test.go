@@ -184,9 +184,10 @@ func TestHandshake(t *testing.T) {
 
 func TestHandshakeVersionMismatch(t *testing.T) {
 	// A v1 client, a v2 client (tokens in G1, rows in G2: the encodings
-	// before the group swap) and a future client are each rejected with
-	// a descriptive ack, and the server reports the mismatch.
-	for _, v := range []uint32{1, 2, Version + 1} {
+	// before the group swap), a v3 client (result rows as a gob list)
+	// and a future client are each rejected with a descriptive ack, and
+	// the server reports the mismatch.
+	for _, v := range []uint32{1, 2, 3, Version + 1} {
 		cliSide, srvSide := net.Pipe()
 		srvErr := make(chan error, 1)
 		go func() { srvErr <- ServerHandshake(NewConn(srvSide)) }()
@@ -217,7 +218,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		srv := NewConn(srvSide)
 		var hello Hello
 		if srv.Recv(&hello) == nil {
-			srv.Send(&HelloAck{Version: 2, Err: "unsupported protocol version 3 (server speaks 2)"})
+			srv.Send(&HelloAck{Version: 2, Err: "unsupported protocol version 4 (server speaks 2)"})
 		}
 	}()
 	if err := ClientHandshake(NewConn(cliSide)); !errors.Is(err, ErrVersionMismatch) {
