@@ -1,5 +1,5 @@
 // Client/server example: runs the DBMS server on a loopback TCP port and
-// drives it with the v4 protocol client — the full database-as-a-service
+// drives it with the v5 protocol client — the full database-as-a-service
 // deployment of Section 2 in one process. The server sees only
 // ciphertexts and tokens; all keys stay on the client side of the
 // socket. Results stream back in bounded batches, and one connection
@@ -17,6 +17,7 @@ import (
 	"repro/internal/securejoin"
 	"repro/internal/server"
 	"repro/internal/sql"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("server listening on %s (protocol v4)\n", addr)
+	fmt.Printf("server listening on %s (protocol v%d)\n", addr, wire.Version)
 
 	cli, err := client.Dial(addr, securejoin.Params{M: 1, T: 2})
 	if err != nil {

@@ -4,7 +4,7 @@
 // tokens and decrypts result payloads. The server never receives any key
 // material.
 //
-// A Client speaks the wire v4 protocol and is safe for concurrent use:
+// A Client speaks the wire v5 protocol and is safe for concurrent use:
 // requests carry unique IDs, responses are demultiplexed by a reader
 // goroutine, and concurrent Join/Upload/Ping calls from multiple
 // goroutines pipeline over the single connection. A join is a compiled
@@ -633,8 +633,7 @@ func joinReqFromSpec(tableA, tableB string, spec engine.JoinSpec) (*wire.JoinReq
 	req := &wire.JoinRequest{
 		TableA: tableA, TableB: tableB, Workers: spec.Workers,
 		// Semi-join candidate lists and key-only projection flags ship
-		// verbatim; all four are gob-additive (zero values reproduce
-		// the legacy full behavior on older servers).
+		// verbatim.
 		CandidatesA: spec.CandidatesA, CandidatesB: spec.CandidatesB,
 		SkipPayloadA: spec.SkipPayloadA, SkipPayloadB: spec.SkipPayloadB,
 	}

@@ -141,6 +141,29 @@ func FuzzTokenUnmarshal(f *testing.F) {
 	})
 }
 
+// FuzzRowCiphertextUnmarshal feeds hostile bytes to the row ciphertext
+// codec, which a peer reaches through every upload row. The corpus
+// under testdata/fuzz/FuzzRowCiphertextUnmarshal seeds truncations,
+// huge and mismatched counts, a row of old 128-byte elements, elements
+// off the curve, with x = p or at infinity, a trailing byte, an empty
+// row and a valid row. A failure must be an error, never a panic; an
+// accepted row must re-encode to the same bytes.
+func FuzzRowCiphertextUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ct RowCiphertext
+		if err := ct.UnmarshalBinary(data); err != nil {
+			return
+		}
+		again, err := ct.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("accepted a non-canonical row ciphertext encoding")
+		}
+	})
+}
+
 // TestTamperedCiphertextDoesNotMatch injects a fault: flipping any
 // group element of a row ciphertext must break the match (failure
 // injection for the integrity of the match semantics).

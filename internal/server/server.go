@@ -1,6 +1,6 @@
 // Package server implements the DBMS-provider side of the
-// database-as-a-service model over TCP, speaking the wire v4 protocol:
-// a version handshake followed by length-prefixed gob frames. Every
+// database-as-a-service model over TCP, speaking the wire v5 protocol:
+// a version handshake followed by length-prefixed frames. Every
 // request on a connection is dispatched on its own goroutine keyed by
 // the client-chosen request ID, so clients can pipeline uploads and
 // joins; join results are streamed back as bounded JoinBatch frames —
@@ -503,8 +503,7 @@ func (ss *session) handle(req *wire.Request) {
 		err = ss.handleDescribe(req.ID)
 	case req.Ping:
 		// The ack doubles as the protocol's health probe: readiness and
-		// key gauges ride the Ok frame (gob-additive — old clients just
-		// see the ack).
+		// key gauges ride the Ok frame.
 		kind = "ping"
 		err = ss.send(&wire.Frame{ID: req.ID, Ok: true, Health: ss.srv.health()})
 	default:
@@ -555,6 +554,14 @@ func clampWorkers(hint int) int {
 // the table atomically on the Commit chunk, so a sequence that fails
 // or is abandoned mid-way never leaves a truncated table visible.
 func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
+	// The rows' byte strings alias the request frame. The table keeps
+	// only the payloads, copied into one block so it does not pin the
+	// frame's ciphertext bytes.
+	size := 0
+	for _, r := range up.Rows {
+		size += len(r.Payload)
+	}
+	payloads := make([]byte, 0, size)
 	rows := make([]*engine.EncryptedRow, len(up.Rows))
 	for i, r := range up.Rows {
 		var ct securejoin.RowCiphertext
@@ -564,7 +571,13 @@ func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
 			delete(ss.staging, up.Table)
 			return ss.sendErr(id, fmt.Errorf("row %d: %w", i, err))
 		}
-		rows[i] = &engine.EncryptedRow{Join: &ct, Payload: r.Payload}
+		var payload []byte
+		if len(r.Payload) > 0 {
+			start := len(payloads)
+			payloads = append(payloads, r.Payload...)
+			payload = payloads[start:len(payloads):len(payloads)]
+		}
+		rows[i] = &engine.EncryptedRow{Join: &ct, Payload: payload}
 	}
 	if !up.Append {
 		// First chunk of a sequence discards any stale staging left by

@@ -1,6 +1,7 @@
 package sse
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -9,7 +10,18 @@ import (
 // Wire encodings for the SSE pre-filter: the Index (uploaded alongside
 // a table) and per-attribute search-token lists (carried by prefiltered
 // join requests). Both are counted sequences of length-prefixed byte
-// strings, sorted so the encodings are deterministic.
+// strings, sorted so the encodings are deterministic. Both arrive from
+// a peer, so the decoders bound every count by the bytes left before
+// allocating and accept only the sorted, duplicate-free encoding the
+// encoders write.
+
+// minIndexEntryBytes and minTokenAttrBytes are the smallest encodings
+// of an index entry (two empty length-prefixed strings) and of a token
+// map attribute (its number and an empty token count).
+const (
+	minIndexEntryBytes = 8
+	minTokenAttrBytes  = 8
+)
 
 // MarshalBinary encodes the index.
 func (idx *Index) MarshalBinary() ([]byte, error) {
@@ -58,7 +70,11 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
+	if count > uint32(len(data)/minIndexEntryBytes) {
+		return fmt.Errorf("sse: %d index entries cannot fit in %d bytes", count, len(data))
+	}
 	postings := make(map[string][]byte, count)
+	var prev []byte
 	for i := uint32(0); i < count; i++ {
 		klen, err := readUint()
 		if err != nil {
@@ -76,6 +92,10 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 		if err != nil {
 			return err
 		}
+		if i > 0 && bytes.Compare(k, prev) <= 0 {
+			return fmt.Errorf("sse: index keys out of order or repeated at entry %d", i)
+		}
+		prev = k
 		postings[string(k)] = append([]byte(nil), v...)
 	}
 	if len(data) != 0 {
@@ -148,7 +168,11 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nattrs > uint32(len(data)/minTokenAttrBytes) {
+		return nil, fmt.Errorf("sse: %d token map attributes cannot fit in %d bytes", nattrs, len(data))
+	}
 	out := make(map[int][]SearchToken, nattrs)
+	var prev uint32
 	for i := uint32(0); i < nattrs; i++ {
 		attr, err := readUint()
 		if err != nil {
@@ -158,9 +182,10 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := out[int(attr)]; dup {
-			return nil, fmt.Errorf("sse: duplicate attribute %d in token map", attr)
+		if i > 0 && attr <= prev {
+			return nil, fmt.Errorf("sse: token map attribute %d out of order or repeated", attr)
 		}
+		prev = attr
 		// Each token costs at least 8 encoded bytes, so the remaining
 		// input bounds the preallocation against a hostile count.
 		capHint := ntoks

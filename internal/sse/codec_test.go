@@ -2,6 +2,7 @@ package sse
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -126,4 +127,69 @@ func TestTokenMapCodecRejectsCorrupt(t *testing.T) {
 	if _, err := MarshalTokenMap(map[int][]SearchToken{-1: nil}); err == nil {
 		t.Fatal("negative attribute accepted")
 	}
+}
+
+// TestCodecsBoundPeerCounts: a 4-byte input announcing 2^20 entries
+// (attributes) fails before either decoder sizes a map from the count,
+// where it used to allocate ~90 MB first.
+func TestCodecsBoundPeerCounts(t *testing.T) {
+	huge := []byte{0, 0x10, 0, 0} // count 2^20, nothing after it
+	for name, decode := range map[string]func() error{
+		"Index.UnmarshalBinary": func() error { return new(Index).UnmarshalBinary(huge) },
+		"UnmarshalTokenMap":     func() error { _, err := UnmarshalTokenMap(huge); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a count of 2^20 in 4 bytes", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s allocated %d bytes before failing, want under 64 KiB", name, n)
+		}
+	}
+}
+
+// FuzzIndexUnmarshal feeds hostile bytes to the index decoder, which a
+// peer reaches through an upload's Commit chunk. The corpus under
+// testdata/fuzz/FuzzIndexUnmarshal seeds truncations, a huge count, a
+// repeated key, keys out of order, a trailing byte and a valid index.
+// A failure must be an error, never a panic; an accepted index must
+// re-encode to the same bytes.
+func FuzzIndexUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var idx Index
+		if err := idx.UnmarshalBinary(data); err != nil {
+			return
+		}
+		again, err := idx.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted a non-canonical index encoding: %x re-encodes as %x", data, again)
+		}
+	})
+}
+
+// FuzzUnmarshalTokenMap feeds hostile bytes to the token-map decoder,
+// which a peer reaches through a join request's PrefilterA/B. The
+// corpus under testdata/fuzz/FuzzUnmarshalTokenMap seeds truncations,
+// huge attribute and token counts, a duplicate attribute, attributes
+// out of order, a trailing byte and a valid map.
+func FuzzUnmarshalTokenMap(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := UnmarshalTokenMap(data)
+		if err != nil {
+			return
+		}
+		again, err := MarshalTokenMap(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted a non-canonical token map encoding: %x re-encodes as %x", data, again)
+		}
+	})
 }

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"repro/internal/engine"
@@ -308,4 +310,97 @@ func TestGarbageManifestTolerated(t *testing.T) {
 	s2 := mustOpen(t, dir)
 	assertNoDamage(t, s2)
 	sameTable(t, tableByName(t, s2, "T"), tab)
+}
+
+// TestManifestNamesOnlyStoreFiles: a manifest record naming a snapshot
+// or spool the store never writes — "../../victim.txt", which resolves
+// outside the data directory — is reported as damage. The file it names
+// is never opened: it is a FIFO here, so opening it for reading would
+// let the writer below through. Neither Delete nor a replacing Commit
+// removes it.
+func TestManifestNamesOnlyStoreFiles(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "srv", "data")
+	victim := filepath.Join(root, "srv", "victim.txt") // what tables/../../victim.txt resolves to
+	const evil = "../../victim.txt"
+
+	s := mustOpen(t, dir)
+	c := newTestClient(t)
+	mustCommit(t, s, encTable(t, c, "Keep", false, "k"))
+	digest := sha256.Sum256(nil)
+	for _, rec := range []*record{
+		{Seq: s.seq + 1, Op: opCommit, Table: "Evil", Snapshot: evil, Digest: digest[:], Rows: 1},
+		{Seq: s.seq + 2, Op: opJobRows, Job: "evil", JobA: "Keep", JobB: "Keep", Snapshot: evil, Digest: digest[:], Rows: 1},
+	} {
+		if err := s.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := syscall.Mkfifo(victim, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Bool
+	go func() {
+		// Blocks until someone opens the FIFO for reading.
+		f, err := os.OpenFile(victim, os.O_WRONLY, 0)
+		if err != nil {
+			return
+		}
+		opened.Store(true)
+		f.Close()
+	}()
+	t.Cleanup(func() {
+		// Release the writer: a non-blocking reader completes its open.
+		if f, err := os.OpenFile(victim, os.O_RDONLY|syscall.O_NONBLOCK, 0); err == nil {
+			f.Close()
+		}
+	})
+
+	s2 := mustOpen(t, dir)
+	if opened.Load() {
+		t.Fatal("Open opened the file a manifest record names outside the data directory")
+	}
+	assertDamagedTable(t, s2, "Evil", `"`+evil+`"`)
+	jobReported := false
+	for _, d := range s2.Damaged() {
+		jobReported = jobReported || strings.Contains(d.String(), `job "evil"`) && strings.Contains(d.String(), evil)
+	}
+	if !jobReported {
+		t.Fatalf("no damage report naming job \"evil\" and its spool: %v", s2.Damaged())
+	}
+	if _, err := s2.ReadJobRows("evil"); err == nil {
+		t.Fatal("a job naming a foreign spool was served")
+	}
+	if err := s2.Delete("Evil"); err == nil {
+		t.Fatal("Delete found a table whose record names a foreign snapshot")
+	}
+	if err := s2.DeleteJob("evil"); err == nil {
+		t.Fatal("DeleteJob found a job whose record names a foreign spool")
+	}
+	mustCommit(t, s2, encTable(t, c, "Evil", false, "e"))
+	if err := s2.CommitJob(JobMeta{ID: "evil", TableA: "Keep", TableB: "Evil"}, []JobRow{{RowA: 0, RowB: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Lstat(victim); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
+		t.Fatalf("victim file after the deletes and replacing commits: %v, %v", fi, err)
+	}
+	if opened.Load() {
+		t.Fatal("the store opened the file a manifest record names outside the data directory")
+	}
+
+	// The replacing commits healed the table and the job, so the next
+	// Open is clean.
+	s3 := mustOpen(t, dir)
+	assertNoDamage(t, s3)
+	tableByName(t, s3, "Evil")
+	if _, err := s3.ReadJobRows("evil"); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -35,7 +35,9 @@
 // or fails to decode makes its table *damaged*: the table is skipped —
 // never served — and reported through Damaged; the broken file is kept
 // on disk for forensics. Stray temp files and orphan snapshots are
-// removed.
+// removed. A record naming a file the store does not write itself
+// (anything but <16 hex digits>.snap, or .spool for a job) is damage
+// too, and the file it names is never opened or removed.
 package store
 
 import (
@@ -136,8 +138,11 @@ type Damage struct {
 }
 
 func (d Damage) String() string {
-	if d.Table == "" {
+	switch {
+	case d.Table == "":
 		return d.Reason
+	case d.Snapshot == "":
+		return fmt.Sprintf("table %q: %s", d.Table, d.Reason)
 	}
 	return fmt.Sprintf("table %q (%s): %s", d.Table, d.Snapshot, d.Reason)
 }
@@ -246,8 +251,10 @@ func Open(dir string) (*Store, error) {
 func (s *Store) replay() error {
 	br := bufio.NewReader(s.manifest)
 	var good int64 // offset just past the last intact record
-	// gobJobs maps the job ID of each live opJob record to its spool.
-	gobJobs := make(map[string]string)
+	// forgotten maps each job replay drops to the reason it reports: a
+	// live opJob record, or a job record naming a spool the store never
+	// writes.
+	forgotten := make(map[string]string)
 	for {
 		rec, n, err := readRecord(br)
 		if err == io.EOF {
@@ -281,9 +288,15 @@ func (s *Store) replay() error {
 			s.merges = append(s.merges, merges...)
 		case opJob:
 			delete(s.jobs, rec.Job)
-			gobJobs[rec.Job] = rec.Snapshot
+			forgotten[rec.Job] = fmt.Sprintf("(%s): spooled in the v3 gob format; forgotten, resubmit it", rec.Snapshot)
 		case opJobRows:
-			delete(gobJobs, rec.Job)
+			// A failed job has no spool.
+			if rec.Snapshot != "" && !generatedName(rec.Snapshot, ".spool") {
+				delete(s.jobs, rec.Job)
+				forgotten[rec.Job] = fmt.Sprintf("(record seq %d): names spool %q, not a file the store writes; forgotten, resubmit it", rec.Seq, rec.Snapshot)
+				break
+			}
+			delete(forgotten, rec.Job)
 			s.jobs[rec.Job] = jobEntry{
 				snapshot: rec.Snapshot,
 				digest:   rec.Digest,
@@ -299,7 +312,7 @@ func (s *Store) replay() error {
 			}
 		case opJobDelete:
 			delete(s.jobs, rec.Job)
-			delete(gobJobs, rec.Job)
+			delete(forgotten, rec.Job)
 		default:
 			// A record from a future format version: skip it rather than
 			// refusing to recover the tables this version understands.
@@ -311,14 +324,15 @@ func (s *Store) replay() error {
 	if _, err := s.manifest.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seeking manifest end: %w", err)
 	}
-	// Forget the jobs a v3 server spooled with gob (the sweep removes
-	// their spools): report each once and retire its record. Without the
-	// retirement every Open would report it again, and Compact, which
-	// refuses while damage is reported, would never run. A failed append
-	// is sticky like any other; the report then comes back next Open.
-	for _, id := range sortedKeys(gobJobs) {
+	// Forget the dropped jobs (the sweep removes a gob spool; a name the
+	// store never wrote is never opened or removed): report each once and
+	// retire its record. Without the retirement every Open would report
+	// it again, and Compact, which refuses while damage is reported,
+	// would never run. A failed append is sticky like any other; the
+	// report then comes back next Open.
+	for _, id := range sortedKeys(forgotten) {
 		s.damaged = append(s.damaged, Damage{
-			Reason: fmt.Sprintf("job %q (%s): spooled in the v3 gob format; forgotten, resubmit it", id, gobJobs[id]),
+			Reason: fmt.Sprintf("job %q %s", id, forgotten[id]),
 		})
 		if s.append(&record{Seq: s.seq + 1, Op: opJobDelete, Job: id}) == nil {
 			s.seq++
@@ -361,6 +375,10 @@ func readRecord(br *bufio.Reader) (*record, int64, error) {
 func (s *Store) loadTables() {
 	for _, name := range sortedKeys(s.entries) {
 		e := s.entries[name]
+		if !generatedName(e.snapshot, ".snap") {
+			s.damage(name, "", fmt.Sprintf("manifest names snapshot %q, not a file the store writes; ignored", e.snapshot))
+			continue
+		}
 		path := filepath.Join(s.dir, tablesDir, e.snapshot)
 		data, err := os.ReadFile(path)
 		switch {
@@ -386,6 +404,23 @@ func (s *Store) loadTables() {
 		}
 		s.tables[name] = t
 	}
+}
+
+// generatedName reports whether name is one the store writes itself:
+// 16 lower-case hex digits (the record's seq) and ext. Replay opens and
+// removes only such names, so no manifest record can point the store at
+// a file outside its directory.
+func generatedName(name, ext string) bool {
+	seq, ok := strings.CutSuffix(name, ext)
+	if !ok || len(seq) != 16 {
+		return false
+	}
+	for _, c := range []byte(seq) {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // damage records one broken table and withdraws it from the live set so

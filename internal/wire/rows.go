@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +10,7 @@ import (
 )
 
 // The packed row record is the one binary image of a list of join
-// result rows, shared by the JoinBatch frame and the server's job
+// result rows, shared by the JoinBatch frame body and the server's job
 // spool:
 //
 //	uvarint  row count
@@ -36,14 +35,7 @@ const minRowBytes = 4
 // AppendRows appends the packed record of rows to dst, growing dst once
 // to the record's exact size.
 func AppendRows(dst []byte, rows []JoinedRow) []byte {
-	n := uvarintLen(uint64(len(rows)))
-	for i := range rows {
-		r := &rows[i]
-		n += uvarintLen(uint64(r.RowA)) + uvarintLen(uint64(r.RowB)) +
-			uvarintLen(uint64(len(r.PayloadA))) + len(r.PayloadA) +
-			uvarintLen(uint64(len(r.PayloadB))) + len(r.PayloadB)
-	}
-	dst = slices.Grow(dst, n)
+	dst = slices.Grow(dst, rowsLen(rows))
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for i := range rows {
 		r := &rows[i]
@@ -90,29 +82,34 @@ func ParseRows(b []byte) ([]JoinedRow, error) {
 	return rows, nil
 }
 
-// MarshalBinary encodes the batch as one packed row record, so gob
-// carries the rows as a single byte string.
-func (jb *JoinBatch) MarshalBinary() ([]byte, error) {
-	return AppendRows(nil, jb.Rows), nil
-}
-
-// UnmarshalBinary parses a packed row record. gob reuses data's buffer
-// after the call, so it is copied once and the rows alias the copy.
-func (jb *JoinBatch) UnmarshalBinary(data []byte) error {
-	rows, err := ParseRows(bytes.Clone(data))
-	if err != nil {
-		return err
+// rowsLen is the size of the packed record of rows.
+func rowsLen(rows []JoinedRow) int {
+	n := uvarintLen(uint64(len(rows)))
+	for i := range rows {
+		r := &rows[i]
+		n += uvarintLen(uint64(r.RowA)) + uvarintLen(uint64(r.RowB)) +
+			uvarintLen(uint64(len(r.PayloadA))) + len(r.PayloadA) +
+			uvarintLen(uint64(len(r.PayloadB))) + len(r.PayloadB)
 	}
-	jb.Rows = rows
-	return nil
+	return n
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
+// uvarint reads a minimally encoded uvarint, so every value has exactly
+// one encoding. n <= 0 reports a truncated, overlong or padded one.
+func uvarint(b []byte) (x uint64, n int) {
+	x, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return x, n
+}
+
 func readUvarint(b []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(b)
+	x, n := uvarint(b)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated or overlong uvarint", ErrBadRows)
+		return 0, nil, fmt.Errorf("%w: truncated, overlong or non-minimal uvarint", ErrBadRows)
 	}
 	return x, b[n:], nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -72,8 +73,8 @@ func resultRows(n int) []JoinedRow {
 }
 
 // TestParseRowsAllocs guards the in-place parse: the row slice is the
-// only allocation, and a frame's batch adds just the copy of gob's
-// buffer — never one per payload.
+// only allocation, and receiving a frame of those rows adds just the
+// frame's buffer and its JoinBatch — never one per payload.
 func TestParseRowsAllocs(t *testing.T) {
 	b := AppendRows(nil, resultRows(1500))
 	if n := testing.AllocsPerRun(20, func() {
@@ -83,13 +84,25 @@ func TestParseRowsAllocs(t *testing.T) {
 	}); n != 1 {
 		t.Errorf("ParseRows of 1500 rows: %v allocations, want 1", n)
 	}
-	if n := testing.AllocsPerRun(20, func() {
-		var jb JoinBatch
-		if err := jb.UnmarshalBinary(b); err != nil {
+	frame, err := marshal(&Frame{ID: 1, Batch: &JoinBatch{Rows: resultRows(1500)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	c := NewConn(struct {
+		io.Reader
+		io.Writer
+	}{bytes.NewReader(bytes.Repeat(frame, runs+1)), io.Discard}) // AllocsPerRun warms up once
+	var f Frame
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := c.Recv(&f); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Errorf("JoinBatch.UnmarshalBinary of 1500 rows: %v allocations, want at most 2", n)
+	}); n > 3 {
+		t.Errorf("Recv of a 1500-row batch frame: %v allocations, want at most 3", n)
+	}
+	if len(f.Batch.Rows) != 1500 {
+		t.Fatalf("received %d rows, want 1500", len(f.Batch.Rows))
 	}
 }
 

@@ -1,21 +1,19 @@
-// Package wire defines the v4 client/server protocol: a versioned
-// handshake followed by length-prefixed gob frames. Requests carry a
-// client-chosen ID and may be pipelined; the server answers each ID
-// with zero or more JoinBatch frames followed by exactly one terminal
-// frame (Ok, Err or Summary), interleaving frames of concurrent
-// requests on one connection. All cryptographic objects travel as
-// validated binary encodings (see securejoin's
-// MarshalBinary/UnmarshalBinary); payloads are opaque AEAD blobs. Bulk
-// result rows travel as one packed row record (AppendRows/ParseRows),
-// carried inside the gob frame as a single byte string; the server's
-// job spool stores the same record.
+// Package wire defines the v5 client/server protocol: a versioned
+// handshake followed by length-prefixed frames, each one message in the
+// hand-written encoding of codec.go. Requests carry a client-chosen ID
+// and may be pipelined; the server answers each ID with zero or more
+// JoinBatch frames followed by exactly one terminal frame (Ok, Err or
+// Summary), interleaving frames of concurrent requests on one
+// connection. All cryptographic objects travel as validated binary
+// encodings (see securejoin's MarshalBinary/UnmarshalBinary); payloads
+// are opaque AEAD blobs. Bulk result rows travel as one packed row
+// record (AppendRows/ParseRows), which the server's job spool stores
+// too.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,11 +23,11 @@ import (
 // Version is the protocol version spoken by this package. Version 1 was
 // the unversioned blocking request/response protocol. Version 2 carried
 // tokens in G1 and row ciphertexts in G2; version 3 swapped the groups,
-// which changed both encodings. Version 4 carries a JoinBatch's rows as
-// one packed row record instead of a gob list of structs. No earlier
-// version is accepted, so an older peer fails at the handshake rather
-// than in a codec.
-const Version = 4
+// which changed both encodings. Version 4 carried a JoinBatch's rows as
+// one packed row record inside a gob frame. Version 5 drops gob: every
+// message is hand-encoded. No other version is accepted, so a peer
+// speaking another one fails at the handshake rather than in a codec.
+const Version = 5
 
 // MaxFrameSize bounds a single frame's payload so a malformed or
 // hostile peer cannot force an unbounded allocation.
@@ -76,16 +74,13 @@ type HelloAck struct {
 //
 // Describe asks the server to list its stored tables (name, row count,
 // SSE-index presence) in a TableList frame — the catalog sync a SQL
-// planner needs to choose prefiltered plans in client mode. Like the
-// PR-2 prefilter fields it is gob-zero when absent, so old clients and
-// servers interoperate without a version bump.
-// Submit, JobStatus and Attach are the async job operations (all
-// gob-additive, like Describe): Submit enqueues a join on the server's
-// job queue and answers immediately with a JobInfo frame; JobStatus
-// polls a job by ID; Attach blocks until the job terminates and then
-// streams its result exactly like a synchronous join (Batch frames
-// followed by a Summary). Jobs are server-side state, so any later
-// connection may poll or attach.
+// planner needs to choose prefiltered plans in client mode.
+// Submit, JobStatus and Attach are the async job operations: Submit
+// enqueues a join on the server's job queue and answers immediately
+// with a JobInfo frame; JobStatus polls a job by ID; Attach blocks
+// until the job terminates and then streams its result exactly like a
+// synchronous join (Batch frames followed by a Summary). Jobs are
+// server-side state, so any later connection may poll or attach.
 type Request struct {
 	ID        uint64
 	Upload    *UploadRequest
@@ -117,23 +112,20 @@ type SubmitRequest struct {
 //
 // Index optionally carries the table's serialized SSE pre-filter index
 // (sse.Index encoding) on the Commit chunk, enabling prefiltered joins
-// against the table; it is ignored on non-Commit chunks. An absent
-// Index (the gob zero value, as sent by older clients) uploads the
-// table without a pre-filter, exactly as before the field existed.
+// against the table; it is ignored on non-Commit chunks. An empty
+// Index uploads the table without a pre-filter.
 //
 // Shard/ShardCount annotate a sharded upload: this server stores shard
 // Shard (0-based) of ShardCount hash-partitions of the named table,
 // partitioned client-side on the join-key attribute (see
 // client.Cluster). The fields are metadata only — the server stores
-// and joins the shard exactly like a whole table — and gob-additive:
-// their zero values (0, 0) are what unsharded clients always sent, so
-// no version bump.
+// and joins the shard exactly like a whole table; (0, 0) marks a whole
+// table.
 //
 // NDV, on the Commit chunk, carries the table's distinct-join-value
 // count, computed client-side at encrypt time (only the key owner sees
 // plaintext join values). It is planner metadata echoed back by
-// Describe; gob-additive — 0 (unknown) is what older clients always
-// sent.
+// Describe; 0 means unknown.
 type UploadRequest struct {
 	Table      string
 	Rows       []UploadRow
@@ -161,10 +153,8 @@ type UploadRow struct {
 // through the tables' SSE indexes first and pays SJ.Dec pairings only
 // for candidate rows. Workers hints how many SJ.Dec workers the server
 // should use for this query (0 picks the server default; the server
-// clamps the hint to its core count). All three fields are gob
-// zero-valued when absent, so requests from clients that predate them
-// execute exactly the plain full-scan, server-paced join — no handshake
-// or version change.
+// clamps the hint to its core count). With all three zero the request
+// is the plain full-scan, server-paced join.
 //
 // CandidatesA/B optionally restrict a side to an explicit row-id list
 // — the semi-join reduction: a multi-join executor ships the hub rows
@@ -173,9 +163,7 @@ type UploadRow struct {
 // list is a restriction; empty means none (executors never ship an
 // empty list — an empty intermediate short-circuits the plan client-
 // side instead). SkipPayloadA/B ask the server to omit that side's
-// sealed payloads from the result rows (key-only projection). All four
-// are gob-additive exactly like PrefilterA/B: their zero values are
-// what older clients always sent, so no version bump.
+// sealed payloads from the result rows (key-only projection).
 type JoinRequest struct {
 	TableA, TableB         string
 	TokenA, TokenB         []byte
@@ -200,15 +188,13 @@ type JoinRequest struct {
 // so clients can react to specific failures — retry an overloaded
 // server, report an idle disconnect — without parsing error strings.
 // Health optionally rides on a Ping ack, reporting server readiness
-// and key gauges. Both fields are gob-additive: a zero Code/nil Health
-// is what servers sent before the fields existed, so no version bump.
+// and key gauges.
 //
 // A Frame with ID 0 is a connection-level notice, not the response to
 // any request (clients allocate request IDs from 1): the server sends
 // one, with a Code naming the reason, immediately before it closes the
 // connection on its own initiative (e.g. CodeIdleTimeout).
-// Job is the terminal answer to a Submit or JobStatus request
-// (gob-additive like Health).
+// Job is the terminal answer to a Submit or JobStatus request.
 type Frame struct {
 	ID      uint64
 	Err     string
@@ -272,8 +258,8 @@ type JobInfo struct {
 }
 
 // HealthInfo reports server readiness and key gauges on a Ping ack —
-// the liveness/readiness probe of the protocol. Servers predating the
-// field send plain Ok acks (Health nil), which clients must tolerate.
+// the liveness/readiness probe of the protocol. A plain Ok ack (Health
+// nil) is a valid answer to a Ping, which clients must tolerate.
 type HealthInfo struct {
 	// Ready is true while the server accepts new work. It is the
 	// readiness bit a load balancer should route on.
@@ -306,8 +292,8 @@ type HealthInfo struct {
 // stream.
 func (f *Frame) Terminal() bool { return f.Batch == nil }
 
-// JoinBatch carries a bounded chunk of join results. On the wire it is
-// one packed row record (see MarshalBinary), not a gob list.
+// JoinBatch carries a bounded chunk of join results. On the wire its
+// body is one packed row record (see AppendRows).
 type JoinBatch struct {
 	Rows []JoinedRow
 }
@@ -334,10 +320,9 @@ type TableList struct {
 // table was uploaded with an SSE pre-filter index, which is what lets a
 // client-side planner choose prefiltered joins against it.
 // Shard/ShardCount echo the annotations of a sharded upload (zero for
-// whole tables — gob-additive, like the Shard fields on UploadRequest),
-// so a cluster client can verify which hash-partition a backend holds.
-// NDV echoes the distinct-join-value count of the upload (0 = unknown;
-// gob-additive), feeding the planner's per-value selectivity estimate.
+// whole tables), so a cluster client can verify which hash-partition a
+// backend holds. NDV echoes the distinct-join-value count of the upload
+// (0 = unknown), feeding the planner's per-value selectivity estimate.
 type TableInfo struct {
 	Name       string
 	Rows       int
@@ -347,11 +332,12 @@ type TableInfo struct {
 	NDV        int
 }
 
-// Conn frames gob messages over a byte stream: each message is a
-// 4-byte big-endian payload length followed by a self-contained gob
-// encoding. Send and Recv are not individually goroutine-safe; callers
-// serialize writers and readers separately (one writer lock, one
-// reader goroutine is the intended pattern).
+// Conn frames messages over a byte stream: each message is a 4-byte
+// big-endian payload length followed by the message's encoding (see
+// codec.go). The messages are *Hello, *HelloAck, *Request and *Frame.
+// Send and Recv are not individually goroutine-safe; callers serialize
+// writers and readers separately (one writer lock, one reader goroutine
+// is the intended pattern).
 type Conn struct {
 	r *bufio.Reader
 	w io.Writer
@@ -362,39 +348,37 @@ func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{r: bufio.NewReader(rw), w: rw}
 }
 
-// Send writes one framed message.
+// Send writes one framed message. It refuses a message over
+// MaxFrameSize or over one of the receiver's field caps.
 func (c *Conn) Send(v any) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
+	b, err := marshal(v)
+	if err != nil {
+		return err
 	}
-	b := buf.Bytes()
-	n := len(b) - 4
-	if n > MaxFrameSize {
-		return ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
 	if _, err := c.w.Write(b); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	return nil
 }
 
-// Recv reads one framed message into v. It returns io.EOF or
-// net.ErrClosed unwrapped on a clean boundary (connection ended
-// between frames); a stream that ends mid-frame yields an error
-// wrapping ErrTruncatedFrame AND the underlying cause, so callers can
-// still classify closed-connection errors with errors.Is.
+// Recv reads one framed message into v, overwriting every field. It
+// returns io.EOF or net.ErrClosed unwrapped on a clean boundary
+// (connection ended between frames); a stream that ends mid-frame
+// yields an error wrapping ErrTruncatedFrame AND the underlying cause,
+// so callers can still classify closed-connection errors with
+// errors.Is. A payload that is not a well-formed message of v's kind
+// yields ErrBadFrame. Byte strings in v alias a buffer this call
+// allocates.
 func (c *Conn) Recv(v any) error {
-	var hdr [4]byte
-	if n, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		if n == 0 && (err == io.EOF || errors.Is(err, net.ErrClosed)) {
+	hdr, err := c.r.Peek(4)
+	if err != nil {
+		if len(hdr) == 0 && (err == io.EOF || errors.Is(err, net.ErrClosed)) {
 			return err // clean boundary, not truncation
 		}
 		return fmt.Errorf("%w: header: %w", ErrTruncatedFrame, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	c.r.Discard(4)
 	if n == 0 || n > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -402,20 +386,22 @@ func (c *Conn) Recv(v any) error {
 	if _, err := io.ReadFull(c.r, payload); err != nil {
 		return fmt.Errorf("%w: payload: %w", ErrTruncatedFrame, err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
+	return unmarshal(payload, v)
 }
 
 // ClientHandshake performs the client side of the version handshake:
-// it sends a Hello and validates the HelloAck.
+// it sends a Hello and validates the HelloAck. A first frame that is
+// not a v5 HelloAck (a v4 server's gob frame, say) is a version
+// mismatch.
 func ClientHandshake(c *Conn) error {
 	if err := c.Send(&Hello{Version: Version}); err != nil {
 		return err
 	}
 	var ack HelloAck
 	if err := c.Recv(&ack); err != nil {
+		if errors.Is(err, ErrBadFrame) {
+			return fmt.Errorf("%w: server's first frame is not a v%d HelloAck (%v)", ErrVersionMismatch, Version, err)
+		}
 		return fmt.Errorf("wire: handshake: %w", err)
 	}
 	if ack.Version != Version {
@@ -429,11 +415,19 @@ func ClientHandshake(c *Conn) error {
 
 // ServerHandshake performs the server side of the version handshake.
 // On a version mismatch it sends a descriptive HelloAck before
-// returning ErrVersionMismatch so old clients fail loudly rather than
-// hanging.
+// returning ErrVersionMismatch so other clients fail rather than hang.
+// A first frame that is not a v5 Hello (a v4 client's gob frame, say)
+// is a version mismatch too.
 func ServerHandshake(c *Conn) error {
 	var hello Hello
 	if err := c.Recv(&hello); err != nil {
+		if errors.Is(err, ErrBadFrame) {
+			_ = c.Send(&HelloAck{
+				Version: Version,
+				Err:     fmt.Sprintf("unsupported protocol: first frame is not a v%d Hello", Version),
+			})
+			return fmt.Errorf("%w: client's first frame is not a v%d Hello (%v)", ErrVersionMismatch, Version, err)
+		}
 		return fmt.Errorf("wire: handshake: %w", err)
 	}
 	if hello.Version != Version {

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"os"
 	"testing"
 )
 
@@ -30,7 +32,7 @@ func loopback() (send, recv *Conn, transit *bytes.Buffer) {
 func frameTrip[T any](t *testing.T, in T, out *T) {
 	t.Helper()
 	send, recv, _ := loopback()
-	if err := send.Send(in); err != nil {
+	if err := send.Send(&in); err != nil {
 		t.Fatal(err)
 	}
 	if err := recv.Recv(out); err != nil {
@@ -184,10 +186,11 @@ func TestHandshake(t *testing.T) {
 
 func TestHandshakeVersionMismatch(t *testing.T) {
 	// A v1 client, a v2 client (tokens in G1, rows in G2: the encodings
-	// before the group swap), a v3 client (result rows as a gob list)
-	// and a future client are each rejected with a descriptive ack, and
-	// the server reports the mismatch.
-	for _, v := range []uint32{1, 2, 3, Version + 1} {
+	// before the group swap), a v3 client (result rows as a gob list), a
+	// v4 client (gob frames) and a future client, each announcing its
+	// version in a v5 Hello, are rejected with a descriptive ack, and the
+	// server reports the mismatch.
+	for _, v := range []uint32{1, 2, 3, 4, Version + 1} {
 		cliSide, srvSide := net.Pipe()
 		srvErr := make(chan error, 1)
 		go func() { srvErr <- ServerHandshake(NewConn(srvSide)) }()
@@ -218,10 +221,37 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 		srv := NewConn(srvSide)
 		var hello Hello
 		if srv.Recv(&hello) == nil {
-			srv.Send(&HelloAck{Version: 2, Err: "unsupported protocol version 4 (server speaks 2)"})
+			srv.Send(&HelloAck{Version: 2, Err: fmt.Sprintf("unsupported protocol version %d (server speaks 2)", Version)})
 		}
 	}()
 	if err := ClientHandshake(NewConn(cliSide)); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("client against a v2 server: got %v, want ErrVersionMismatch", err)
+	}
+
+	// A v4 peer's gob frames, recorded from a v4 build: its Hello and its
+	// HelloAck. Each is a version mismatch, not a codec error, and the
+	// server still answers with a rejecting ack.
+	hello, err := os.ReadFile("testdata/v4-hello.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	toServer := &pipeConn{in: bytes.NewBuffer(hello), out: &bytes.Buffer{}}
+	if err := ServerHandshake(NewConn(toServer)); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("recorded v4 Hello: got %v, want ErrVersionMismatch", err)
+	}
+	var ack HelloAck
+	if err := NewConn(&pipeConn{in: toServer.out, out: &bytes.Buffer{}}).Recv(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Err == "" || ack.Version != Version {
+		t.Fatalf("recorded v4 Hello: ack = %+v, want rejection naming v%d", ack, Version)
+	}
+	ackFrame, err := os.ReadFile("testdata/v4-helloack.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	toClient := &pipeConn{in: bytes.NewBuffer(ackFrame), out: &bytes.Buffer{}}
+	if err := ClientHandshake(NewConn(toClient)); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("recorded v4 HelloAck: got %v, want ErrVersionMismatch", err)
 	}
 }
