@@ -92,6 +92,59 @@ func BenchmarkGFp2Mul(b *testing.B) {
 	})
 }
 
+// gfP12Sink keeps the compiler from discarding a benchmarked result.
+var gfP12Sink gfP12
+
+// BenchmarkTower times the tower operations that own an SJ.Dec row: the
+// line product and the Fp12 square of the Miller loop, the Fp12 product
+// and the cyclotomic square of the final exponentiation, and the Fp6
+// product under both Fp12 ones. Each repeats one operation on fixed
+// inputs (throughput). The cyclotomic square's input is in the
+// cyclotomic subgroup, as in the pairing.
+func BenchmarkTower(b *testing.B) {
+	rnd := func() gfP {
+		n, _ := rand.Int(rand.Reader, P)
+		return *gfPFromBig(n)
+	}
+	rnd2 := func() gfP2 { return gfP2{rnd(), rnd()} }
+	rnd6 := func() gfP6 { return gfP6{rnd2(), rnd2(), rnd2()} }
+	x, y := gfP12{rnd6(), rnd6()}, gfP12{rnd6(), rnd6()}
+	l1, l3 := rnd2(), rnd2()
+	cyc := *easyPart(b, &x)
+	var out gfP12
+	var out6 gfP6
+	b.Run("mulLine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.mulLine(&x, &l1, &l3)
+		}
+		gfP12Sink = out
+	})
+	b.Run("fp6Mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out6.Mul(&x.c0, &y.c0)
+		}
+		gfP12Sink.c0 = out6
+	})
+	b.Run("fp12Square", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.Square(&x)
+		}
+		gfP12Sink = out
+	})
+	b.Run("fp12Mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.Mul(&x, &y)
+		}
+		gfP12Sink = out
+	})
+	b.Run("cyclotomicSquare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			out.cyclotomicSquare(&cyc)
+		}
+		gfP12Sink = out
+	})
+}
+
 func BenchmarkGFpInvert(b *testing.B) {
 	x, _ := rand.Int(rand.Reader, P)
 	fx := gfPFromBig(x)

@@ -199,9 +199,12 @@ func TestMulUnreducedOperands(t *testing.T) {
 
 // TestFieldKernelsMatchGeneric checks the assembly field kernels against
 // the Go code they stand in for, which on a CPU with ADX nothing else
-// runs: gfP.Mul on raw operands below 2p, edge values included, and
-// gfP2.Mul, gfP2.Square and gfP2.MulXi on reduced operands, each with
-// the output aliasing a, b and both. Results must match limb for limb.
+// runs: gfP.Mul on raw operands below 2p, edge values included;
+// gfP2.Mul and gfP2.Square on reduced operands; and the
+// lazily reduced tower kernels (line product, Fp6 and Fp12 product,
+// Fp12 square, cyclotomic square) on reduced operands built from the
+// edge values and at random. Each runs with the output apart and
+// aliasing every input. Results must match limb for limb.
 func TestFieldKernelsMatchGeneric(t *testing.T) {
 	if !useADX {
 		t.Skip("no assembly field kernels: not amd64 with BMI2 and ADX, or built with -tags purego")
@@ -262,12 +265,6 @@ func TestFieldKernelsMatchGeneric(t *testing.T) {
 		if gfp2Square(&x, &x); got != want || x != want {
 			t.Fatalf("gfp2Square(%v) = %v, %v (c = a); want %v", &a, &got, &x, &want)
 		}
-		want.mulXiGeneric(&a)
-		gfp2MulXi(&got, &a)
-		x = a
-		if gfp2MulXi(&x, &x); got != want || x != want {
-			t.Fatalf("gfp2MulXi(%v) = %v, %v (c = a); want %v", &a, &got, &x, &want)
-		}
 	}
 	reduced := edges[:3]
 	for _, a0 := range reduced {
@@ -282,6 +279,98 @@ func TestFieldKernelsMatchGeneric(t *testing.T) {
 	randFp := func() gfP { return rawGFp(new(big.Int).Rand(r, P)) }
 	for i := 0; i < 5000; i++ {
 		fp2(gfP2{randFp(), randFp()}, gfP2{randFp(), randFp()})
+	}
+
+	// The tower kernels, on operands whose every Fp coefficient is drawn
+	// from {0, 1, p-1} (a sample of the grid: it has 3^28 points), then
+	// on random reduced operands.
+	edgeFp := func() gfP { return rawGFp(reduced[r.Intn(len(reduced))]) }
+	for i := 0; i < 2000; i++ {
+		checkTowerKernels(t, randTowerOperands(edgeFp))
+	}
+	for i := 0; i < 5000; i++ {
+		checkTowerKernels(t, randTowerOperands(randFp))
+	}
+	// cyclotomicSquareGeneric is a polynomial, so the kernel must match
+	// it on any operand, as above; these operands are where it is used,
+	// in the cyclotomic subgroup.
+	for i := 0; i < 500; i++ {
+		ops := randTowerOperands(randFp)
+		ops.a = *easyPart(t, &ops.a)
+		checkTowerKernels(t, ops)
+	}
+}
+
+// towerOperands holds one set of operands for the tower kernels.
+type towerOperands struct {
+	a, b   gfP12
+	l1, l3 gfP2
+}
+
+// randTowerOperands fills a towerOperands with Fp coefficients from fp.
+func randTowerOperands(fp func() gfP) towerOperands {
+	var o towerOperands
+	for _, e := range []*gfP12{&o.a, &o.b} {
+		for _, c := range []*gfP2{&e.c0.b0, &e.c0.b1, &e.c0.b2, &e.c1.b0, &e.c1.b1, &e.c1.b2} {
+			*c = gfP2{fp(), fp()}
+		}
+	}
+	o.l1 = gfP2{fp(), fp()}
+	o.l3 = gfP2{fp(), fp()}
+	return o
+}
+
+// checkTowerKernels runs each assembly tower kernel on o against the Go
+// code it stands in for, with the output apart from the inputs and
+// aliasing each of them, and requires the same limbs.
+func checkTowerKernels(t testing.TB, o towerOperands) {
+	t.Helper()
+	a, b := o.a, o.b
+	var want, got gfP12
+
+	want.mulLineGeneric(&a, &o.l1, &o.l3)
+	gfp12MulLine(&got, &a, &o.l1, &o.l3)
+	x := a
+	if gfp12MulLine(&x, &x, &o.l1, &o.l3); got != want || x != want {
+		t.Fatalf("gfp12MulLine(%v, %v, %v) = %v, %v (e = a); want %v", &a, &o.l1, &o.l3, &got, &x, &want)
+	}
+
+	var want6, got6 gfP6
+	want6.mulGeneric(&a.c0, &b.c0)
+	gfp6Mul(&got6, &a.c0, &b.c0)
+	x6, y6 := a.c0, b.c0
+	gfp6Mul(&x6, &x6, &b.c0)
+	gfp6Mul(&y6, &a.c0, &y6)
+	if got6 != want6 || x6 != want6 || y6 != want6 {
+		t.Fatalf("gfp6Mul(%v, %v) = %v, %v (e = a), %v (e = b); want %v", &a.c0, &b.c0, &got6, &x6, &y6, &want6)
+	}
+	want6.mulGeneric(&a.c1, &a.c1)
+	x6 = a.c1
+	if gfp6Mul(&x6, &x6, &x6); x6 != want6 {
+		t.Fatalf("gfp6Mul(%v, itself) = %v, want %v", &a.c1, &x6, &want6)
+	}
+
+	want.mulGeneric(&a, &b)
+	gfp12Mul(&got, &a, &b)
+	x, y := a, b
+	gfp12Mul(&x, &x, &b)
+	gfp12Mul(&y, &a, &y)
+	if got != want || x != want || y != want {
+		t.Fatalf("gfp12Mul(%v, %v) = %v, %v (e = a), %v (e = b); want %v", &a, &b, &got, &x, &y, &want)
+	}
+
+	want.squareGeneric(&a)
+	gfp12Square(&got, &a)
+	x = a
+	if gfp12Square(&x, &x); got != want || x != want {
+		t.Fatalf("gfp12Square(%v) = %v, %v (e = a); want %v", &a, &got, &x, &want)
+	}
+
+	want.cyclotomicSquareGeneric(&a)
+	gfp12CyclotomicSquare(&got, &a)
+	x = a
+	if gfp12CyclotomicSquare(&x, &x); got != want || x != want {
+		t.Fatalf("gfp12CyclotomicSquare(%v) = %v, %v (e = a); want %v", &a, &got, &x, &want)
 	}
 }
 

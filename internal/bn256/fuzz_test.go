@@ -95,3 +95,32 @@ func FuzzGFpArith(f *testing.F) {
 		check("Double", e, new(big.Int).Lsh(a, 1))
 	})
 }
+
+// FuzzTowerKernels reads arbitrary bytes as the operands of the
+// assembly tower kernels, in 32-byte big-endian chunks, each taken mod
+// p as the raw limbs of a reduced Fp coefficient (missing bytes are
+// zero): two Fp12 elements and two line coefficients in Fp2, 28
+// coefficients in all. Every kernel must match the Go code it stands in
+// for, limb for limb, with the output apart and aliasing each input;
+// the cyclotomic square runs on the operand as given and on its image
+// under the easy part of the final exponentiation. The corpus under
+// testdata/fuzz/FuzzTowerKernels seeds all-zero, every coefficient
+// p - 1, every coefficient one, and random bytes. On a CPU without the
+// assembly kernels it skips.
+func FuzzTowerKernels(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !useADX {
+			t.Skip("no assembly field kernels")
+		}
+		next := func() gfP {
+			var chunk [32]byte
+			n := copy(chunk[:], data)
+			data = data[n:]
+			return rawGFp(new(big.Int).Mod(new(big.Int).SetBytes(chunk[:]), P))
+		}
+		o := randTowerOperands(next)
+		checkTowerKernels(t, o)
+		o.a = *easyPart(t, &o.a)
+		checkTowerKernels(t, o)
+	})
+}

@@ -11,8 +11,10 @@ import (
 type gfP [4]uint64
 
 var (
-	// pLimbs holds p as little-endian limbs.
-	pLimbs [4]uint64
+	// pLimbs holds p as little-endian limbs, and p2Limbs 2p, which the
+	// assembly tower kernels subtract when a result may lie in [2p, 4p).
+	pLimbs  [4]uint64
+	p2Limbs [4]uint64
 	// np is -p^-1 mod 2^64, the Montgomery reduction constant.
 	np uint64
 	// r2 is 2^512 mod p, used to convert into Montgomery form.
@@ -27,11 +29,12 @@ func initGFp() {
 	if P.BitLen() > 256 {
 		panic("bn256: prime does not fit in four limbs")
 	}
-	for i := 0; i < 4; i++ {
-		pLimbs[i] = 0
-	}
+	pLimbs, p2Limbs = [4]uint64{}, [4]uint64{}
 	for i, w := range P.Bits() {
 		pLimbs[i] = uint64(w)
+	}
+	for i, w := range new(big.Int).Lsh(P, 1).Bits() {
+		p2Limbs[i] = uint64(w)
 	}
 
 	// np = -p^-1 mod 2^64 via Newton iteration on the low limb.

@@ -106,8 +106,19 @@ func (e *gfP12) Sub(a, b *gfP12) *gfP12 {
 	return e
 }
 
-// Mul sets e = a*b and returns e.
+// Mul sets e = a*b and returns e; e may alias either. On amd64 CPUs
+// with BMI2 and ADX it runs the assembly kernel gfp12Mul, elsewhere
+// mulGeneric.
 func (e *gfP12) Mul(a, b *gfP12) *gfP12 {
+	if useADX {
+		gfp12Mul(e, a, b)
+		return e
+	}
+	return e.mulGeneric(a, b)
+}
+
+// mulGeneric is Mul in Go.
+func (e *gfP12) mulGeneric(a, b *gfP12) *gfP12 {
 	// Karatsuba: (c0 + c1 w)(d0 + d1 w) =
 	//   c0 d0 + c1 d1 tau + ((c0+c1)(d0+d1) - c0 d0 - c1 d1) w
 	var v0, v1, s, t gfP6
@@ -125,8 +136,19 @@ func (e *gfP12) Mul(a, b *gfP12) *gfP12 {
 	return e
 }
 
-// Square sets e = a^2 and returns e.
+// Square sets e = a^2 and returns e; e may alias a. On amd64 CPUs with
+// BMI2 and ADX it runs the assembly kernel gfp12Square, elsewhere
+// squareGeneric.
 func (e *gfP12) Square(a *gfP12) *gfP12 {
+	if useADX {
+		gfp12Square(e, a)
+		return e
+	}
+	return e.squareGeneric(a)
+}
+
+// squareGeneric is Square in Go.
+func (e *gfP12) squareGeneric(a *gfP12) *gfP12 {
 	// Complex squaring: with v = c0 c1,
 	//   (c0 + c1 w)^2 = (c0 + c1)(c0 + tau c1) - v - tau v + 2 v w,
 	// costing two Fp6 multiplications instead of the three of the
@@ -153,8 +175,19 @@ func (e *gfP12) Square(a *gfP12) *gfP12 {
 // w^6 = xi): w^0 = c0.b0, w^1 = c1.b0, w^2 = c0.b1, w^3 = c1.b1,
 // w^4 = c0.b2, w^5 = c1.b2. Nine Fp2 squarings replace the twelve Fp2
 // multiplications of a general squaring. Results are undefined outside
-// the cyclotomic subgroup.
+// the cyclotomic subgroup. e may alias a. On amd64 CPUs with BMI2 and
+// ADX it runs the assembly kernel gfp12CyclotomicSquare, elsewhere
+// cyclotomicSquareGeneric.
 func (e *gfP12) cyclotomicSquare(a *gfP12) *gfP12 {
+	if useADX {
+		gfp12CyclotomicSquare(e, a)
+		return e
+	}
+	return e.cyclotomicSquareGeneric(a)
+}
+
+// cyclotomicSquareGeneric is cyclotomicSquare in Go.
+func (e *gfP12) cyclotomicSquareGeneric(a *gfP12) *gfP12 {
 	var t0, t1, t2, t3, t4, t5, t6, t7, t8 gfP2
 
 	t0.Square(&a.c1.b1) // x4^2
@@ -300,9 +333,20 @@ func (e *gfP6) mulSparse01(a *gfP6, s0, s1 *gfP2) *gfP6 {
 
 // mulLine sets e = a * (1 + l1 omega + l3 omega^3) and returns e: the
 // shape of every normalized ate line (see pairing.go), an Fp12 element
-// whose c0 is one and whose c1 is l1 + l3 tau. Two sparse gfP6
-// products, 10 Fp2 multiplications, replace the 18 of a general Mul.
+// whose c0 is one and whose c1 is l1 + l3 tau. e may alias a. On amd64
+// CPUs with BMI2 and ADX it runs the assembly kernel gfp12MulLine,
+// elsewhere mulLineGeneric.
 func (e *gfP12) mulLine(a *gfP12, l1, l3 *gfP2) *gfP12 {
+	if useADX {
+		gfp12MulLine(e, a, l1, l3)
+		return e
+	}
+	return e.mulLineGeneric(a, l1, l3)
+}
+
+// mulLineGeneric is mulLine in Go. Two sparse gfP6 products, 10 Fp2
+// multiplications, replace the 18 of a general Mul.
+func (e *gfP12) mulLineGeneric(a *gfP12, l1, l3 *gfP2) *gfP12 {
 	// (c0 + c1 w)(1 + L w) = (c0 + tau c1 L) + (c0 L + c1) w
 	var t0, t1 gfP6
 	t0.mulSparse01(&a.c0, l1, l3)

@@ -190,20 +190,9 @@ func (e *gfP2) squareGeneric(a *gfP2) *gfP2 {
 // MulXi sets e = a * xi for reduced a and returns e; e may alias a.
 // With xi = 9 + i the product is (9 a0 - a1) + (a0 + 9 a1) i, and
 // 9x = 8x + x is three doublings and an addition, so MulXi costs no
-// multiplication. It sits on every tau-reduction in the tower, making it
-// one of the hottest field operations in the pairing. On amd64 CPUs with
-// BMI2 and ADX it runs the assembly kernel gfp2MulXi, elsewhere
-// mulXiGeneric.
+// multiplication. On amd64 CPUs with BMI2 and ADX the tower kernels
+// that were its hot callers scale by xi in assembly themselves.
 func (e *gfP2) MulXi(a *gfP2) *gfP2 {
-	if useADX {
-		gfp2MulXi(e, a)
-		return e
-	}
-	return e.mulXiGeneric(a)
-}
-
-// mulXiGeneric is MulXi in Go.
-func (e *gfP2) mulXiGeneric(a *gfP2) *gfP2 {
 	var n0, n1 gfP
 	n0.Double(&a.a0)
 	n0.Double(&n0)

@@ -69,8 +69,19 @@ func (e *gfP6) Neg(a *gfP6) *gfP6 {
 	return e
 }
 
-// Mul sets e = a*b using interleaved Karatsuba and returns e.
+// Mul sets e = a*b and returns e; e may alias either. On amd64 CPUs
+// with BMI2 and ADX it runs the assembly kernel gfp6Mul, elsewhere
+// mulGeneric.
 func (e *gfP6) Mul(a, b *gfP6) *gfP6 {
+	if useADX {
+		gfp6Mul(e, a, b)
+		return e
+	}
+	return e.mulGeneric(a, b)
+}
+
+// mulGeneric is Mul in Go, by interleaved Karatsuba.
+func (e *gfP6) mulGeneric(a, b *gfP6) *gfP6 {
 	var t0, t1, t2, s0, s1, s2 gfP2
 	t0.Mul(&a.b0, &b.b0)
 	t1.Mul(&a.b1, &b.b1)

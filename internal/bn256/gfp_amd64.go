@@ -30,7 +30,29 @@ func gfp2Mul(c, a, b *gfP2)
 //go:noescape
 func gfp2Square(c, a *gfP2)
 
-// gfp2MulXi sets c = a*xi for reduced a, as gfP2.mulXiGeneric.
+// gfp12MulLine sets e = a*(1 + (l1 + l3 tau) omega) for reduced
+// operands, as gfP12.mulLineGeneric.
 //
 //go:noescape
-func gfp2MulXi(c, a *gfP2)
+func gfp12MulLine(e, a *gfP12, l1, l3 *gfP2)
+
+// gfp6Mul sets e = a*b for reduced operands, as gfP6.mulGeneric.
+//
+//go:noescape
+func gfp6Mul(e, a, b *gfP6)
+
+// gfp12CyclotomicSquare sets e = a^2 for reduced a, as
+// gfP12.cyclotomicSquareGeneric.
+//
+//go:noescape
+func gfp12CyclotomicSquare(e, a *gfP12)
+
+// gfp12Mul sets e = a*b for reduced operands, as gfP12.mulGeneric.
+//
+//go:noescape
+func gfp12Mul(e, a, b *gfP12)
+
+// gfp12Square sets e = a^2 for reduced a, as gfP12.squareGeneric.
+//
+//go:noescape
+func gfp12Square(e, a *gfP12)

@@ -15,4 +15,12 @@ func gfp2Mul(c, a, b *gfP2) { c.mulGeneric(a, b) }
 
 func gfp2Square(c, a *gfP2) { c.squareGeneric(a) }
 
-func gfp2MulXi(c, a *gfP2) { c.mulXiGeneric(a) }
+func gfp12MulLine(e, a *gfP12, l1, l3 *gfP2) { e.mulLineGeneric(a, l1, l3) }
+
+func gfp6Mul(e, a, b *gfP6) { e.mulGeneric(a, b) }
+
+func gfp12CyclotomicSquare(e, a *gfP12) { e.cyclotomicSquareGeneric(a) }
+
+func gfp12Mul(e, a, b *gfP12) { e.mulGeneric(a, b) }
+
+func gfp12Square(e, a *gfP12) { e.squareGeneric(a) }

@@ -286,7 +286,7 @@ func TestGFp12SquareMatchesMul(t *testing.T) {
 
 // easyPart applies the easy part of the final exponentiation, mapping
 // an arbitrary element into the cyclotomic subgroup.
-func easyPart(t *testing.T, a *gfP12) *gfP12 {
+func easyPart(t testing.TB, a *gfP12) *gfP12 {
 	t.Helper()
 	var t0, t1 gfP12
 	t0.Conjugate(a)

@@ -2,6 +2,7 @@ package securejoin
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/bn256"
@@ -15,6 +16,11 @@ import (
 // compressed (x in Fp2 plus the sign of y; see bn256.G2.Marshal).
 
 const elemSize = 64
+
+// ErrBadEncoding is wrapped by every error Token.UnmarshalBinary and
+// RowCiphertext.UnmarshalBinary return: the bytes are not a well-formed
+// encoding.
+var ErrBadEncoding = errors.New("securejoin: malformed encoding")
 
 // oldRowElemSize is the size of a row element written before rows moved
 // from G2 to G1; such rows cannot be read, only re-uploaded.
@@ -43,7 +49,7 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 	for i := range elems {
 		elems[i] = new(bn256.G2)
 		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
-			return fmt.Errorf("securejoin: token element %d: %w", i, err)
+			return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
 		}
 	}
 	t.Tk = &ipe.Token{Elems: elems}
@@ -68,7 +74,7 @@ func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
 	n, err := elemCount("ciphertext", data)
 	if err != nil {
 		if n > 0 && len(data) == 4+n*oldRowElemSize {
-			return fmt.Errorf("securejoin: ciphertext elements are %d bytes, written before rows moved to %d-byte G1 elements; re-upload the table", oldRowElemSize, elemSize)
+			return fmt.Errorf("%w: ciphertext elements are %d bytes, written before rows moved to %d-byte G1 elements; re-upload the table", ErrBadEncoding, oldRowElemSize, elemSize)
 		}
 		return err
 	}
@@ -76,7 +82,7 @@ func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
 	for i := range elems {
 		elems[i] = new(bn256.G1)
 		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
-			return fmt.Errorf("securejoin: ciphertext element %d: %w", i, err)
+			return fmt.Errorf("%w: ciphertext element %d: %w", ErrBadEncoding, i, err)
 		}
 	}
 	ct.C = &ipe.CiphertextM{Elems: elems}
@@ -88,11 +94,11 @@ func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
 // returns the count it read.
 func elemCount(what string, data []byte) (int, error) {
 	if len(data) < 4 {
-		return 0, fmt.Errorf("securejoin: %s encoding too short", what)
+		return 0, fmt.Errorf("%w: %s encoding too short", ErrBadEncoding, what)
 	}
 	n := int(binary.BigEndian.Uint32(data))
 	if len(data)-4 != n*elemSize {
-		return n, fmt.Errorf("securejoin: %s encoding has %d trailing bytes, want %d", what, len(data)-4, n*elemSize)
+		return n, fmt.Errorf("%w: %s encoding has %d trailing bytes, want %d", ErrBadEncoding, what, len(data)-4, n*elemSize)
 	}
 	return n, nil
 }

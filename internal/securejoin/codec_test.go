@@ -2,6 +2,7 @@ package securejoin
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -113,8 +114,9 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // thing the server does with a join request. The corpus under
 // testdata/fuzz/FuzzTokenUnmarshal seeds it with a valid token, count
 // and length mismatches, and elements with bad flag bits, x >= p, x off
-// the twist and the infinity encoding. A failure must be an error,
-// never a panic; an accepted token must re-encode to the same bytes.
+// the twist and the infinity encoding. A failure must be an error
+// wrapping ErrBadEncoding, never a panic; an accepted token must
+// re-encode to the same bytes.
 func FuzzTokenUnmarshal(f *testing.F) {
 	s := newTestScheme(f, 1, 1)
 	q, err := s.NewQuery(Selection{}, Selection{})
@@ -129,6 +131,9 @@ func FuzzTokenUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tk Token
 		if err := tk.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("rejection %v does not wrap ErrBadEncoding", err)
+			}
 			return
 		}
 		again, err := tk.MarshalBinary()
@@ -146,12 +151,16 @@ func FuzzTokenUnmarshal(f *testing.F) {
 // under testdata/fuzz/FuzzRowCiphertextUnmarshal seeds truncations,
 // huge and mismatched counts, a row of old 128-byte elements, elements
 // off the curve, with x = p or at infinity, a trailing byte, an empty
-// row and a valid row. A failure must be an error, never a panic; an
-// accepted row must re-encode to the same bytes.
+// row and a valid row. A failure must be an error wrapping
+// ErrBadEncoding, never a panic; an accepted row must re-encode to the
+// same bytes.
 func FuzzRowCiphertextUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ct RowCiphertext
 		if err := ct.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("rejection %v does not wrap ErrBadEncoding", err)
+			}
 			return
 		}
 		again, err := ct.MarshalBinary()

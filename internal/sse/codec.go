@@ -3,6 +3,7 @@ package sse
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -47,11 +48,15 @@ func (idx *Index) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
+// ErrBadEncoding is wrapped by every error Index.UnmarshalBinary and
+// UnmarshalTokenMap return: the bytes are not a well-formed encoding.
+var ErrBadEncoding = errors.New("sse: malformed encoding")
+
 // UnmarshalBinary decodes an index produced by MarshalBinary.
 func (idx *Index) UnmarshalBinary(data []byte) error {
 	readUint := func() (uint32, error) {
 		if len(data) < 4 {
-			return 0, fmt.Errorf("sse: truncated index encoding")
+			return 0, fmt.Errorf("%w: truncated index encoding", ErrBadEncoding)
 		}
 		v := binary.BigEndian.Uint32(data)
 		data = data[4:]
@@ -59,7 +64,7 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 	}
 	readBytes := func(n uint32) ([]byte, error) {
 		if uint32(len(data)) < n {
-			return nil, fmt.Errorf("sse: truncated index encoding")
+			return nil, fmt.Errorf("%w: truncated index encoding", ErrBadEncoding)
 		}
 		b := data[:n]
 		data = data[n:]
@@ -71,7 +76,7 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if count > uint32(len(data)/minIndexEntryBytes) {
-		return fmt.Errorf("sse: %d index entries cannot fit in %d bytes", count, len(data))
+		return fmt.Errorf("%w: %d index entries cannot fit in %d bytes", ErrBadEncoding, count, len(data))
 	}
 	postings := make(map[string][]byte, count)
 	var prev []byte
@@ -93,13 +98,13 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 			return err
 		}
 		if i > 0 && bytes.Compare(k, prev) <= 0 {
-			return fmt.Errorf("sse: index keys out of order or repeated at entry %d", i)
+			return fmt.Errorf("%w: index keys out of order or repeated at entry %d", ErrBadEncoding, i)
 		}
 		prev = k
 		postings[string(k)] = append([]byte(nil), v...)
 	}
 	if len(data) != 0 {
-		return fmt.Errorf("sse: %d trailing bytes in index encoding", len(data))
+		return fmt.Errorf("%w: %d trailing bytes in index encoding", ErrBadEncoding, len(data))
 	}
 	idx.postings = postings
 	return nil
@@ -145,7 +150,7 @@ func MarshalTokenMap(tokens map[int][]SearchToken) ([]byte, error) {
 func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 	readUint := func() (uint32, error) {
 		if len(data) < 4 {
-			return 0, fmt.Errorf("sse: truncated token map encoding")
+			return 0, fmt.Errorf("%w: truncated token map encoding", ErrBadEncoding)
 		}
 		v := binary.BigEndian.Uint32(data)
 		data = data[4:]
@@ -157,7 +162,7 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 			return nil, err
 		}
 		if uint32(len(data)) < n {
-			return nil, fmt.Errorf("sse: truncated token map encoding")
+			return nil, fmt.Errorf("%w: truncated token map encoding", ErrBadEncoding)
 		}
 		b := append([]byte(nil), data[:n]...)
 		data = data[n:]
@@ -169,7 +174,7 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 		return nil, err
 	}
 	if nattrs > uint32(len(data)/minTokenAttrBytes) {
-		return nil, fmt.Errorf("sse: %d token map attributes cannot fit in %d bytes", nattrs, len(data))
+		return nil, fmt.Errorf("%w: %d token map attributes cannot fit in %d bytes", ErrBadEncoding, nattrs, len(data))
 	}
 	out := make(map[int][]SearchToken, nattrs)
 	var prev uint32
@@ -183,7 +188,7 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 			return nil, err
 		}
 		if i > 0 && attr <= prev {
-			return nil, fmt.Errorf("sse: token map attribute %d out of order or repeated", attr)
+			return nil, fmt.Errorf("%w: token map attribute %d out of order or repeated", ErrBadEncoding, attr)
 		}
 		prev = attr
 		// Each token costs at least 8 encoded bytes, so the remaining
@@ -207,7 +212,7 @@ func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
 		out[int(attr)] = toks
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("sse: %d trailing bytes in token map encoding", len(data))
+		return nil, fmt.Errorf("%w: %d trailing bytes in token map encoding", ErrBadEncoding, len(data))
 	}
 	return out, nil
 }

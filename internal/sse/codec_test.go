@@ -2,6 +2,7 @@ package sse
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -155,12 +156,15 @@ func TestCodecsBoundPeerCounts(t *testing.T) {
 // peer reaches through an upload's Commit chunk. The corpus under
 // testdata/fuzz/FuzzIndexUnmarshal seeds truncations, a huge count, a
 // repeated key, keys out of order, a trailing byte and a valid index.
-// A failure must be an error, never a panic; an accepted index must
-// re-encode to the same bytes.
+// A failure must be an error wrapping ErrBadEncoding, never a panic; an
+// accepted index must re-encode to the same bytes.
 func FuzzIndexUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var idx Index
 		if err := idx.UnmarshalBinary(data); err != nil {
+			if !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("rejection %v does not wrap ErrBadEncoding", err)
+			}
 			return
 		}
 		again, err := idx.MarshalBinary()
@@ -177,11 +181,16 @@ func FuzzIndexUnmarshal(f *testing.F) {
 // which a peer reaches through a join request's PrefilterA/B. The
 // corpus under testdata/fuzz/FuzzUnmarshalTokenMap seeds truncations,
 // huge attribute and token counts, a duplicate attribute, attributes
-// out of order, a trailing byte and a valid map.
+// out of order, a trailing byte and a valid map. A failure must be an
+// error wrapping ErrBadEncoding, never a panic; an accepted map must
+// re-encode to the same bytes.
 func FuzzUnmarshalTokenMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := UnmarshalTokenMap(data)
 		if err != nil {
+			if !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("rejection %v does not wrap ErrBadEncoding", err)
+			}
 			return
 		}
 		again, err := MarshalTokenMap(m)
