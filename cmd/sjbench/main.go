@@ -136,9 +136,12 @@ func comparison(scaleDiv float64, seed int64) error {
 		return err
 	}
 	n := len(w.Dataset.Customers) + len(w.Dataset.Orders)
-	fmt.Printf("secure_join: hash join, O(n): server %.3fs over %d rows (%.1f ms/row decryption), %d matches\n",
-		ours.ServerTime.Seconds(), n,
-		float64(ours.ServerTime.Milliseconds())/float64(n), ours.Matches)
+	perRow := 0.0
+	if ours.RowsDecrypted > 0 {
+		perRow = ms(ours.ServerTime) / float64(ours.RowsDecrypted)
+	}
+	fmt.Printf("secure_join: hash join, O(n): server %.3fs over %d rows, %d through SJ.Dec (%.2f ms/row decryption), %d matches\n",
+		ours.ServerTime.Seconds(), n, ours.RowsDecrypted, perRow, ours.Matches)
 
 	hw, err := bench.BuildHahnWorkload(scale, seed)
 	if err != nil {

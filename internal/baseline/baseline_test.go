@@ -1,51 +1,8 @@
 package baseline
 
 import (
-	"bytes"
 	"testing"
 )
-
-func TestDetTagsDeterministic(t *testing.T) {
-	s, err := NewDetScheme(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.Encrypt([]byte("v"))
-	b := s.Encrypt([]byte("v"))
-	if !bytes.Equal(a, b) {
-		t.Fatal("equal values should yield equal tags")
-	}
-	c := s.Encrypt([]byte("w"))
-	if bytes.Equal(a, c) {
-		t.Fatal("distinct values collided")
-	}
-
-	// Different keys must give different tags for the same value.
-	s2, err := NewDetScheme(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(a, s2.Encrypt([]byte("v"))) {
-		t.Fatal("independent schemes produced identical tags")
-	}
-}
-
-func TestDetJoin(t *testing.T) {
-	s, err := NewDetScheme(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tagsA := s.EncryptColumn([][]byte{[]byte("1"), []byte("2")})
-	tagsB := s.EncryptColumn([][]byte{[]byte("1"), []byte("1"), []byte("2"), []byte("3")})
-	pairs := Join(tagsA, tagsB)
-	if len(pairs) != 3 {
-		t.Fatalf("expected 3 join pairs, got %v", pairs)
-	}
-	within := EqualPairsWithin(tagsB)
-	if len(within) != 1 || within[0] != [2]int{0, 1} {
-		t.Fatalf("within pairs = %v", within)
-	}
-}
 
 func TestHahnUnwrapRespectsSelection(t *testing.T) {
 	s, err := NewHahnScheme(nil)
@@ -71,6 +28,19 @@ func TestHahnUnwrapRespectsSelection(t *testing.T) {
 	if again := st.Unwrap(s.Token([][]byte{[]byte("red")})); len(again) != 0 {
 		t.Fatalf("re-unwrap yielded %v", again)
 	}
+}
+
+// withinPairs is the set of intra-table equality pairs the server can
+// see among a table's unwrapped rows: its self-join, each unordered
+// pair once.
+func withinPairs(st *ServerState) []JoinPair {
+	var out []JoinPair
+	for _, p := range NestedLoopJoin(st, st) {
+		if p.RowA < p.RowB {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestHahnSuperAdditiveLeakage reproduces the core weakness: two
@@ -102,7 +72,7 @@ func TestHahnSuperAdditiveLeakage(t *testing.T) {
 	// Query 1: Name=Web Application AND Role=Tester.
 	stA.Unwrap(s.Token([][]byte{[]byte("Web Application")}))
 	stB.Unwrap(s.Token([][]byte{[]byte("Tester")}))
-	cross1, _, withinB1 := VisiblePairs(stA, stB)
+	cross1, withinB1 := NestedLoopJoin(stA, stB), withinPairs(stB)
 	if len(cross1) != 1 || len(withinB1) != 0 {
 		t.Fatalf("after q1: cross=%v within=%v", cross1, withinB1)
 	}
@@ -110,7 +80,7 @@ func TestHahnSuperAdditiveLeakage(t *testing.T) {
 	// Query 2: Name=Database AND Role=Programmer.
 	stA.Unwrap(s.Token([][]byte{[]byte("Database")}))
 	stB.Unwrap(s.Token([][]byte{[]byte("Programmer")}))
-	cross2, _, withinB2 := VisiblePairs(stA, stB)
+	cross2, withinB2 := NestedLoopJoin(stA, stB), withinPairs(stB)
 
 	// Super-additive: all four employees are now unwrapped, so the
 	// server sees 4 cross pairs and 2 within-Employees pairs = 6 total,

@@ -1,3 +1,15 @@
+// Package baseline implements the comparison join-encryption scheme
+// the paper measures against in Section 6.5: a functional simulation of
+// Hahn et al. (ICDE'19), where each row's deterministic join tag is
+// wrapped per row, removable only for rows that match a query's
+// selection criterion, and joined with a nested loop.
+//
+// It is a leakage and performance baseline, deliberately faithful to
+// the scheme's *observable behaviour* (what becomes comparable when)
+// rather than to its exact primitives. The deterministic-encryption
+// join of Hacigumus et al. (SIGMOD'02), the paper's other Section 2.1
+// comparison, is simulated at the level of revealed pairs in
+// internal/leakage.
 package baseline
 
 import (
@@ -10,6 +22,11 @@ import (
 	"fmt"
 	"io"
 )
+
+// JoinPair is one (rowA, rowB) match.
+type JoinPair struct {
+	RowA, RowB int
+}
 
 // HahnScheme is a functional simulation of the join scheme of Hahn, Loza
 // and Kerschbaum (ICDE'19). In the original, each row's deterministic
@@ -28,8 +45,8 @@ import (
 // GPSW attribute-based encryption itself. It also reproduces the O(n^2)
 // nested-loop join cost, since unwrap attempts are per row-token pair.
 type HahnScheme struct {
-	det    *DetScheme
-	master []byte
+	tagKey []byte // HMAC key of the deterministic join tags
+	master []byte // derives the per-attribute-value wrap keys
 }
 
 // NewHahnScheme samples the scheme keys.
@@ -37,15 +54,15 @@ func NewHahnScheme(rng io.Reader) (*HahnScheme, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	det, err := NewDetScheme(rng)
-	if err != nil {
-		return nil, err
+	tagKey := make([]byte, 32)
+	if _, err := io.ReadFull(rng, tagKey); err != nil {
+		return nil, fmt.Errorf("baseline: sampling Hahn tag key: %w", err)
 	}
 	master := make([]byte, 32)
 	if _, err := io.ReadFull(rng, master); err != nil {
 		return nil, fmt.Errorf("baseline: sampling Hahn master key: %w", err)
 	}
-	return &HahnScheme{det: det, master: master}, nil
+	return &HahnScheme{tagKey: tagKey, master: master}, nil
 }
 
 // HahnRow is one encrypted row as stored on the server: the join tag
@@ -67,11 +84,18 @@ func (s *HahnScheme) attrKey(attrValue []byte) []byte {
 	return mac.Sum(nil)
 }
 
+// tag is the deterministic join tag: equal join values yield equal
+// tags, which is what a nested loop over unwrapped rows compares.
+func (s *HahnScheme) tag(joinValue []byte) []byte {
+	mac := hmac.New(sha256.New, s.tagKey)
+	mac.Write(joinValue)
+	return mac.Sum(nil)
+}
+
 // EncryptRow wraps the row's deterministic join tag under its selection
 // attribute value.
 func (s *HahnScheme) EncryptRow(joinValue, attrValue []byte) (HahnRow, error) {
-	tag := s.det.Encrypt(joinValue)
-	ct, err := sealGCM(s.attrKey(attrValue), tag)
+	ct, err := sealGCM(s.attrKey(attrValue), s.tag(joinValue))
 	if err != nil {
 		return HahnRow{}, err
 	}
@@ -109,12 +133,12 @@ func (s *HahnScheme) Token(attrValues [][]byte) HahnToken {
 // queries is precisely what produces super-additive leakage.
 type ServerState struct {
 	Rows      []HahnRow
-	Unwrapped map[int]DetTag
+	Unwrapped map[int][]byte
 }
 
 // NewServerState initializes server state for an uploaded table.
 func NewServerState(rows []HahnRow) *ServerState {
-	return &ServerState{Rows: rows, Unwrapped: make(map[int]DetTag)}
+	return &ServerState{Rows: rows, Unwrapped: make(map[int][]byte)}
 }
 
 // Unwrap tries every token key against every still-wrapped row, caching
@@ -130,7 +154,7 @@ func (st *ServerState) Unwrap(tok HahnToken) []int {
 			if err != nil {
 				continue
 			}
-			st.Unwrapped[i] = DetTag(pt)
+			st.Unwrapped[i] = pt
 			newly = append(newly, i)
 			break
 		}
@@ -146,37 +170,6 @@ func NestedLoopJoin(a, b *ServerState) []JoinPair {
 		for j, tb := range b.Unwrapped {
 			if hmac.Equal(ta, tb) {
 				out = append(out, JoinPair{RowA: i, RowB: j})
-			}
-		}
-	}
-	return out
-}
-
-// VisiblePairs returns every equality pair currently observable by the
-// server, both across the two tables and within each table. Over a
-// series of queries this grows beyond the per-query union — the
-// super-additive leakage the paper eliminates.
-func VisiblePairs(a, b *ServerState) (cross []JoinPair, withinA, withinB [][2]int) {
-	cross = NestedLoopJoin(a, b)
-	withinA = equalPairsOfState(a)
-	withinB = equalPairsOfState(b)
-	return cross, withinA, withinB
-}
-
-func equalPairsOfState(st *ServerState) [][2]int {
-	idx := make([]int, 0, len(st.Unwrapped))
-	for i := range st.Unwrapped {
-		idx = append(idx, i)
-	}
-	var out [][2]int
-	for x := 0; x < len(idx); x++ {
-		for y := x + 1; y < len(idx); y++ {
-			if hmac.Equal(st.Unwrapped[idx[x]], st.Unwrapped[idx[y]]) {
-				a, b := idx[x], idx[y]
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, [2]int{a, b})
 			}
 		}
 	}

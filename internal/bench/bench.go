@@ -194,6 +194,10 @@ type JoinResult struct {
 	ServerTime    time.Duration
 	Matches       int
 	RevealedPairs int
+	// RowsDecrypted counts the rows RunJoin put through SJ.Dec, both
+	// tables together, from the stream's last progress report. The Hahn
+	// baseline leaves it 0.
+	RowsDecrypted int
 }
 
 // RunJoin measures the server-side cost of one query applying sel to
@@ -206,7 +210,8 @@ type JoinResult struct {
 // leakage-optimal full scan, independent of selectivity. workers is
 // engine.JoinSpec.Workers (0 = every core).
 func (w *Workload) RunJoin(sel securejoin.Selection, prefilter bool, workers int) (JoinResult, error) {
-	spec := engine.JoinSpec{Workers: workers}
+	var last engine.JoinProgress
+	spec := engine.JoinSpec{Workers: workers, Progress: func(p engine.JoinProgress) { last = p }}
 	var err error
 	if prefilter {
 		spec.Prefilter, err = w.keys.NewPrefilterQuery(sel, sel)
@@ -229,6 +234,7 @@ func (w *Workload) RunJoin(sel securejoin.Selection, prefilter bool, workers int
 		ServerTime:    time.Since(start),
 		Matches:       len(rows),
 		RevealedPairs: stream.RevealedPairs(),
+		RowsDecrypted: last.RowsDecrypted,
 	}, nil
 }
 

@@ -103,9 +103,9 @@ func TestWorkloadJoinCounts(t *testing.T) {
 			t.Errorf("%s: prefiltered run revealed %d pairs, full scan %d; sigma(q) must not depend on the pre-filter",
 				class.Label, pre.RevealedPairs, full.RevealedPairs)
 		}
-		if preDec != selected {
-			t.Errorf("%s: prefiltered run decrypted %d rows, want the %d selection-matching rows",
-				class.Label, preDec, selected)
+		if preDec != selected || uint64(pre.RowsDecrypted) != selected {
+			t.Errorf("%s: prefiltered run decrypted %d rows (RowsDecrypted %d), want the %d selection-matching rows",
+				class.Label, preDec, pre.RowsDecrypted, selected)
 		}
 		if fullDec != allRows {
 			t.Errorf("%s: full scan decrypted %d rows, want all %d", class.Label, fullDec, allRows)

@@ -1,9 +1,7 @@
 package bn256
 
 import (
-	"crypto/rand"
 	"errors"
-	"io"
 	"math/big"
 )
 
@@ -21,39 +19,6 @@ type G2 struct {
 // GT is an element of the order-r subgroup of Fp12*.
 type GT struct {
 	p gfP12
-}
-
-// RandomG1 returns k and g1^k where k is uniform in [1, Order-1].
-func RandomG1(r io.Reader) (*big.Int, *G1, error) {
-	k, err := randomK(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, new(G1).ScalarBaseMult(k), nil
-}
-
-// RandomG2 returns k and g2^k where k is uniform in [1, Order-1].
-func RandomG2(r io.Reader) (*big.Int, *G2, error) {
-	k, err := randomK(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return k, new(G2).ScalarBaseMult(k), nil
-}
-
-func randomK(r io.Reader) (*big.Int, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	for {
-		k, err := rand.Int(r, Order)
-		if err != nil {
-			return nil, err
-		}
-		if k.Sign() > 0 {
-			return k, nil
-		}
-	}
 }
 
 // ScalarBaseMult sets e = g1^k where g1 is the generator (1, 2). It is
@@ -301,20 +266,6 @@ func PairBatch(qs []*G2, ps []*G1) *GT {
 // Mul sets e = a * b (the GT group operation) and returns e.
 func (e *GT) Mul(a, b *GT) *GT {
 	e.p.Mul(&a.p, &b.p)
-	return e
-}
-
-// Exp sets e = a^k and returns e.
-func (e *GT) Exp(a *GT, k *big.Int) *GT {
-	e.p.Exp(&a.p, norm(k))
-	return e
-}
-
-// Invert sets e = a^-1 and returns e.
-func (e *GT) Invert(a *GT) *GT {
-	// GT elements lie in the cyclotomic subgroup where inversion is
-	// conjugation, but use the generic inverse for safety.
-	e.p.Invert(&a.p)
 	return e
 }
 

@@ -257,20 +257,6 @@ func (e *gfP12) Invert(a *gfP12) *gfP12 {
 	return e
 }
 
-// Exp sets e = a^k for a non-negative exponent k and returns e.
-func (e *gfP12) Exp(a *gfP12, k *big.Int) *gfP12 {
-	var acc gfP12
-	acc.SetOne()
-	base := *a
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		acc.Square(&acc)
-		if k.Bit(i) == 1 {
-			acc.Mul(&acc, &base)
-		}
-	}
-	return e.Set(&acc)
-}
-
 // Frobenius1 sets e = a^p and returns e. The p-power Frobenius
 // conjugates each Fp2 coefficient and multiplies the w^k basis
 // coefficient by frob1Consts[k].

@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"crypto/rand"
+	"io"
 	"math/big"
 	"testing"
 )
@@ -172,6 +173,60 @@ func TestTwistScalarMultAgainstRepeatedAddition(t *testing.T) {
 		viaMul.Mul(&twistGen, big.NewInt(k))
 		if !acc.Equal(&viaMul) {
 			t.Fatalf("k*G2 != repeated addition at k=%d", k)
+		}
+	}
+}
+
+// Test-local references for code the package does not need: GT and
+// Fp12 exponentiation by square-and-multiply, and random group
+// elements with their discrete logs.
+
+// Exp sets e = a^k and returns e.
+func (e *GT) Exp(a *GT, k *big.Int) *GT {
+	e.p.Exp(&a.p, norm(k))
+	return e
+}
+
+// Exp sets e = a^k for a non-negative exponent k and returns e.
+func (e *gfP12) Exp(a *gfP12, k *big.Int) *gfP12 {
+	var acc gfP12
+	acc.SetOne()
+	base := *a
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		acc.Square(&acc)
+		if k.Bit(i) == 1 {
+			acc.Mul(&acc, &base)
+		}
+	}
+	return e.Set(&acc)
+}
+
+// RandomG1 returns k and g1^k where k is uniform in [1, Order-1].
+func RandomG1(r io.Reader) (*big.Int, *G1, error) {
+	k, err := randomK(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return k, new(G1).ScalarBaseMult(k), nil
+}
+
+// RandomG2 returns k and g2^k where k is uniform in [1, Order-1].
+func RandomG2(r io.Reader) (*big.Int, *G2, error) {
+	k, err := randomK(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return k, new(G2).ScalarBaseMult(k), nil
+}
+
+func randomK(r io.Reader) (*big.Int, error) {
+	for {
+		k, err := rand.Int(r, Order)
+		if err != nil {
+			return nil, err
+		}
+		if k.Sign() > 0 {
+			return k, nil
 		}
 	}
 }

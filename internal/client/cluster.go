@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
-	"repro/internal/securejoin"
 	"repro/internal/sql"
 	"repro/internal/wire"
 )
@@ -76,19 +75,10 @@ type Cluster struct {
 	shardMaps map[string][][]int
 }
 
-// DialCluster connects to every addr and provisions fresh key material
-// for the given scheme parameters. A single address is the degenerate
-// one-shard cluster — same code path, no partitioning benefit.
-func DialCluster(addrs []string, params securejoin.Params) (*Cluster, error) {
-	keys, err := engine.NewClient(params, nil)
-	if err != nil {
-		return nil, err
-	}
-	return DialClusterWithKeys(addrs, keys)
-}
-
 // DialClusterWithKeys connects to every addr reusing existing key
-// material, e.g. keys restored from an earlier session.
+// material, e.g. keys restored from an earlier session. A single
+// address is the degenerate one-shard cluster — same code path, no
+// partitioning benefit.
 func DialClusterWithKeys(addrs []string, keys *engine.Client) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("client: cluster needs at least one server address")

@@ -231,24 +231,22 @@ type QueryTrace struct {
 func (t *QueryTrace) Pairs() leakage.PairSet { return leakage.Expand(t.Classes) }
 
 // TableStore is the optional durability hook of a Server: when set,
-// RegisterTable persists each table version (and DropTable each
-// deletion) through it before the in-memory map changes, so a table is
-// never acknowledged that a restart would lose. internal/store
-// implements it over a snapshot-plus-manifest data directory.
+// RegisterTable persists each table version through it before the
+// in-memory map changes, so a table is never acknowledged that a
+// restart would lose. internal/store implements it over a
+// snapshot-plus-manifest data directory.
 type TableStore interface {
 	// Commit makes one table version durable, atomically replacing any
 	// previous version of the same name.
 	Commit(t *EncryptedTable) error
-	// Delete durably removes a table.
-	Delete(name string) error
 }
 
 // Server stores encrypted tables and executes join queries. It holds no
 // key material and is safe for concurrent use.
 type Server struct {
-	// registerMu serializes persist+install sequences (RegisterTable,
-	// DropTable) so the durable log and the in-memory map apply table
-	// versions in the same order.
+	// registerMu serializes RegisterTable's persist+install sequences so
+	// the durable log and the in-memory map apply table versions in the
+	// same order.
 	registerMu sync.Mutex
 	store      TableStore
 
@@ -315,28 +313,6 @@ func (s *Server) RegisterTable(t *EncryptedTable) error {
 	}
 	s.tablesMu.Lock()
 	s.tables[t.Name] = t
-	s.tablesMu.Unlock()
-	return nil
-}
-
-// DropTable removes a table, persisting the deletion first when a
-// TableStore is attached.
-func (s *Server) DropTable(name string) error {
-	s.registerMu.Lock()
-	defer s.registerMu.Unlock()
-	s.tablesMu.RLock()
-	_, ok := s.tables[name]
-	s.tablesMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("engine: unknown table %q", name)
-	}
-	if s.store != nil {
-		if err := s.store.Delete(name); err != nil {
-			return fmt.Errorf("engine: deleting table %q: %w", name, err)
-		}
-	}
-	s.tablesMu.Lock()
-	delete(s.tables, name)
 	s.tablesMu.Unlock()
 	return nil
 }

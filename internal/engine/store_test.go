@@ -9,14 +9,12 @@ import (
 	"repro/internal/securejoin"
 )
 
-// fakeStore records RegisterTable/DropTable persistence calls and can
-// inject failures, pinning the persist-before-install contract without
+// fakeStore records RegisterTable persistence calls and can inject
+// failures, pinning the persist-before-install contract without
 // touching a disk.
 type fakeStore struct {
 	commits    []string
-	deletes    []string
 	failCommit error
-	failDelete error
 }
 
 func (f *fakeStore) Commit(t *EncryptedTable) error {
@@ -24,14 +22,6 @@ func (f *fakeStore) Commit(t *EncryptedTable) error {
 		return f.failCommit
 	}
 	f.commits = append(f.commits, t.Name)
-	return nil
-}
-
-func (f *fakeStore) Delete(name string) error {
-	if f.failDelete != nil {
-		return f.failDelete
-	}
-	f.deletes = append(f.deletes, name)
 	return nil
 }
 
@@ -103,48 +93,6 @@ func TestRegisterTableWithoutStore(t *testing.T) {
 	}
 	if _, err := server.Table("T"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDropTable: deletion persists first and unknown names fail without
-// touching the store.
-func TestDropTable(t *testing.T) {
-	client := storeTestClient(t)
-	server := NewServer()
-	fs := &fakeStore{}
-	server.SetStore(fs)
-	tab, err := client.EncryptTable("T", []PlainRow{{JoinValue: []byte("1"), Attrs: [][]byte{[]byte("a")}, Payload: []byte("p")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := server.RegisterTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.DropTable("T"); err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.deletes) != 1 || fs.deletes[0] != "T" {
-		t.Fatalf("store deletes = %v, want [T]", fs.deletes)
-	}
-	if _, err := server.Table("T"); err == nil {
-		t.Fatal("dropped table still served")
-	}
-	if err := server.DropTable("T"); err == nil {
-		t.Fatal("dropping unknown table succeeded")
-	}
-	if len(fs.deletes) != 1 {
-		t.Fatalf("unknown-table drop reached the store: %v", fs.deletes)
-	}
-
-	fs.failDelete = errors.New("manifest gone")
-	if err := server.RegisterTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.DropTable("T"); err == nil {
-		t.Fatal("DropTable succeeded despite store failure")
-	}
-	if _, err := server.Table("T"); err != nil {
-		t.Fatal("failed drop removed the in-memory table")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // Master-key serialization. Only B is stored (32 bytes per entry,
-// preceded by the dimension); B* and det(B) are recomputed on load, so
-// a key file cannot hold an inconsistent (B, B*) pair.
+// preceded by the dimension); B* is recomputed on load, so a key file
+// cannot hold an inconsistent (B, B*) pair.
 
 // MarshalBinary encodes the master secret key.
 func (msk *MasterKey) MarshalBinary() ([]byte, error) {
@@ -25,7 +25,7 @@ func (msk *MasterKey) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a master key produced by MarshalBinary,
-// recomputing the dual matrix and determinant and rejecting singular B.
+// recomputing the dual matrix and rejecting singular B.
 func (msk *MasterKey) UnmarshalBinary(data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("ipe: master key encoding too short")
@@ -45,8 +45,7 @@ func (msk *MasterKey) UnmarshalBinary(data []byte) error {
 			b.Set(i, j, zq.FromBytes(data[off:off+32]))
 		}
 	}
-	det := b.Det()
-	if det.IsZero() {
+	if b.Det().IsZero() {
 		return fmt.Errorf("ipe: master key matrix is singular")
 	}
 	bStar, err := b.Dual()
@@ -56,6 +55,5 @@ func (msk *MasterKey) UnmarshalBinary(data []byte) error {
 	msk.N = n
 	msk.B = b
 	msk.BStar = bStar
-	msk.Det = det
 	return nil
 }

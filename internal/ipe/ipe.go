@@ -1,23 +1,18 @@
-// Package ipe implements the function-hiding inner-product encryption
-// (FHIPE) scheme of Kim, Lewi, Mandal, Montgomery, Roy and Wu (SCN'18)
-// over the bn256 pairing groups, exactly as recalled in Section 3.3 of
-// the paper, together with the modified variant of Section 4.2 that the
-// Secure Join scheme is built on.
-//
-// In the full scheme, a secret key for vector v and a ciphertext for
-// vector w decrypt to the inner product <v, w> provided it lies in a
-// polynomially-sized set S. In the modified variant the randomizers
-// alpha and beta are fixed to 1 (randomness is carried inside the
-// vectors instead), only the second component of keys and ciphertexts is
-// kept, and decryption outputs the group element
+// Package ipe implements the modified function-hiding inner-product
+// encryption (FHIPE) of Section 4.2 of the paper over the bn256 pairing
+// groups: the scheme of Kim, Lewi, Mandal, Montgomery, Roy and Wu
+// (SCN'18) with its randomizers alpha and beta fixed to 1 (randomness
+// is carried inside the vectors instead) and only the second component
+// of keys and ciphertexts kept. Decryption outputs the group element
 //
 //	D = e(g2, g1)^(det(B) * <v, w>)
 //
 // without extracting a discrete logarithm: Secure Join only compares D
-// values for equality.
+// values for equality. The unmodified Section 3.3 scheme is derived in
+// DESIGN.md, "Crypto substrate".
 //
-// Keys and tokens live in G2 and ciphertexts in G1, so that the token,
-// which SJ.Dec pairs against every row of a table, is the optimal ate
+// Tokens live in G2 and ciphertexts in G1, so that the token, which
+// SJ.Dec pairs against every row of a table, is the optimal ate
 // pairing's fixed argument (see bn256). The scheme's correctness and
 // its generic-group security argument are symmetric in the two source
 // groups (DESIGN.md, "Crypto substrate").
@@ -27,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/bn256"
 	"repro/internal/matrix"
@@ -35,12 +29,11 @@ import (
 )
 
 // MasterKey is the IPE master secret key: the matrix B sampled from
-// GL_n(Z_q), its dual B* = det(B)(B^-1)^T and det(B).
+// GL_n(Z_q) and its dual B* = det(B)(B^-1)^T.
 type MasterKey struct {
 	N     int
 	B     *matrix.Matrix
 	BStar *matrix.Matrix
-	Det   zq.Scalar
 }
 
 // Setup samples a master secret key for vectors of dimension n.
@@ -57,85 +50,7 @@ func Setup(n int, rng io.Reader) (*MasterKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipe: computing B*: %w", err)
 	}
-	return &MasterKey{N: n, B: b, BStar: bStar, Det: b.Det()}, nil
-}
-
-// SecretKey is a full-scheme functional key (K1, K2) for a vector v.
-type SecretKey struct {
-	K1 *bn256.G2
-	K2 []*bn256.G2
-}
-
-// Ciphertext is a full-scheme ciphertext (C1, C2) for a vector w.
-type Ciphertext struct {
-	C1 *bn256.G1
-	C2 []*bn256.G1
-}
-
-// KeyGen produces the pair sk = (g2^(alpha det B), g2^(alpha v B)) for a
-// fresh uniform alpha.
-func (msk *MasterKey) KeyGen(v zq.Vector, rng io.Reader) (*SecretKey, error) {
-	if len(v) != msk.N {
-		return nil, fmt.Errorf("ipe: key vector has length %d, want %d", len(v), msk.N)
-	}
-	alpha, err := zq.Random(rng)
-	if err != nil {
-		return nil, err
-	}
-	sk := &SecretKey{
-		K1: new(bn256.G2).ScalarBaseMult(alpha.Mul(msk.Det).Big()),
-		K2: make([]*bn256.G2, msk.N),
-	}
-	vb := msk.B.MulVec(v)
-	for i, c := range vb {
-		sk.K2[i] = new(bn256.G2).ScalarBaseMult(alpha.Mul(c).Big())
-	}
-	return sk, nil
-}
-
-// Encrypt produces the pair ct = (g1^beta, g1^(beta w B*)) for a fresh
-// uniform beta.
-func (msk *MasterKey) Encrypt(w zq.Vector, rng io.Reader) (*Ciphertext, error) {
-	if len(w) != msk.N {
-		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
-	}
-	beta, err := zq.Random(rng)
-	if err != nil {
-		return nil, err
-	}
-	ct := &Ciphertext{
-		C1: new(bn256.G1).ScalarBaseMult(beta.Big()),
-		C2: make([]*bn256.G1, msk.N),
-	}
-	wb := msk.BStar.MulVec(w)
-	for i, c := range wb {
-		ct.C2[i] = new(bn256.G1).ScalarBaseMult(beta.Mul(c).Big())
-	}
-	return ct, nil
-}
-
-// Decrypt recovers <v, w> if it lies in the candidate set S (given as a
-// slice of int64), and returns an error otherwise. This mirrors
-// IPE.Decrypt of Section 3.3: compute D1 = e(K1, C1),
-// D2 = e(K2, C2) and search for z in S with D1^z == D2.
-func Decrypt(sk *SecretKey, ct *Ciphertext, s []int64) (int64, error) {
-	d1 := bn256.Pair(sk.K1, ct.C1)
-	d2 := bn256.PairBatch(sk.K2, ct.C2)
-	for _, z := range s {
-		var cand bn256.GT
-		k := big.NewInt(z)
-		if z < 0 {
-			// D1^z with negative z: invert after exponentiation.
-			cand.Exp(d1, new(big.Int).Neg(k))
-			cand.Invert(&cand)
-		} else {
-			cand.Exp(d1, k)
-		}
-		if cand.Equal(d2) {
-			return z, nil
-		}
-	}
-	return 0, errors.New("ipe: inner product outside candidate set")
+	return &MasterKey{N: n, B: b, BStar: bStar}, nil
 }
 
 // Token is a modified-scheme key: the single vector component

@@ -193,11 +193,6 @@ func (u *UnionFind) Union(a, b RowRef) bool {
 // Pairs is the size of the closure of the equalities added so far.
 func (u *UnionFind) Pairs() int { return u.pairs }
 
-// Connected reports whether a and b are in the same class.
-func (u *UnionFind) Connected(a, b RowRef) bool {
-	return u.Find(a) == u.Find(b)
-}
-
 // Classes returns the members of each non-singleton equivalence class.
 func (u *UnionFind) Classes() [][]RowRef {
 	groups := make(map[RowRef][]RowRef)

@@ -43,10 +43,10 @@ func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind()
 	uf.Union(ref("A", 0), ref("B", 0))
 	uf.Union(ref("B", 0), ref("B", 1))
-	if !uf.Connected(ref("A", 0), ref("B", 1)) {
+	if uf.Find(ref("A", 0)) != uf.Find(ref("B", 1)) {
 		t.Fatal("transitivity broken")
 	}
-	if uf.Connected(ref("A", 0), ref("C", 9)) {
+	if uf.Find(ref("A", 0)) == uf.Find(ref("C", 9)) {
 		t.Fatal("disconnected elements reported connected")
 	}
 	classes := uf.Classes()

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/zq"
@@ -103,6 +104,29 @@ func TestDualIdentity(t *testing.T) {
 	}
 }
 
+// innerProduct returns <v, w> mod q. The vectors must have equal length.
+func innerProduct(v, w zq.Vector) zq.Scalar {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("inner product of mismatched lengths %d and %d", len(v), len(w)))
+	}
+	acc := zq.Zero()
+	for i := range v {
+		acc = acc.Add(v[i].Mul(w[i]))
+	}
+	return acc
+}
+
+// TestInnerProduct pins the reference TestIPEInnerProductIdentity
+// rests on.
+func TestInnerProduct(t *testing.T) {
+	v := zq.Vector{zq.FromInt64(1), zq.FromInt64(2), zq.FromInt64(3)}
+	w := zq.Vector{zq.FromInt64(4), zq.FromInt64(5), zq.FromInt64(6)}
+	if got := innerProduct(v, w); !got.Equal(zq.FromInt64(32)) {
+		t.Fatalf("<v,w> = %v, want 32", got)
+	}
+	assertPanics(t, func() { innerProduct(v, w[:2]) })
+}
+
 // TestIPEInnerProductIdentity checks the scalar identity the whole
 // scheme rests on: <vB, wB*> == det(B) <v, w>.
 func TestIPEInnerProductIdentity(t *testing.T) {
@@ -118,8 +142,8 @@ func TestIPEInnerProductIdentity(t *testing.T) {
 		v[i] = zq.MustRandom()
 		w[i] = zq.MustRandom()
 	}
-	lhs := zq.InnerProduct(b.MulVec(v), bStar.MulVec(w))
-	rhs := b.Det().Mul(zq.InnerProduct(v, w))
+	lhs := innerProduct(b.MulVec(v), bStar.MulVec(w))
+	rhs := b.Det().Mul(innerProduct(v, w))
 	if !lhs.Equal(rhs) {
 		t.Fatal("<vB, wB*> != det(B) <v, w>")
 	}

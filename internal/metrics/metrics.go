@@ -129,14 +129,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of all observed values (0 on nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {

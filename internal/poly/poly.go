@@ -10,7 +10,6 @@ package poly
 import (
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/zq"
 )
@@ -27,12 +26,6 @@ type Polynomial struct {
 // i.e. t+1 zero coefficients.
 func Zero(t int) Polynomial {
 	return Polynomial{coeffs: zq.NewVector(t + 1)}
-}
-
-// FromCoeffs returns the polynomial with the given coefficients
-// (coeffs[i] multiplying x^i).
-func FromCoeffs(coeffs zq.Vector) Polynomial {
-	return Polynomial{coeffs: coeffs.Clone()}
 }
 
 // FromRoots returns a polynomial of degree exactly t whose root set
@@ -110,11 +103,6 @@ func (p Polynomial) Eval(x zq.Scalar) zq.Scalar {
 	return acc
 }
 
-// HasRoot reports whether p(x) == 0.
-func (p Polynomial) HasRoot(x zq.Scalar) bool {
-	return p.Eval(x).IsZero()
-}
-
 // String renders p for debugging.
 func (p Polynomial) String() string {
 	if p.IsZero() {
@@ -135,13 +123,6 @@ func (p Polynomial) String() string {
 		}
 	}
 	return s
-}
-
-// SchwartzZippelBound returns the Lemma 3.1 upper bound t/q (as a
-// rational) on the probability that a non-zero polynomial of total
-// degree at most t evaluates to zero at a uniformly random point.
-func SchwartzZippelBound(t int) *big.Rat {
-	return new(big.Rat).SetFrac(big.NewInt(int64(t)), zq.Q)
 }
 
 // PowersOf returns (x^0, x^1, ..., x^t), the per-attribute block the

@@ -76,7 +76,7 @@ func ForEachRow(n, workers int, row func(i int) error) error {
 // workers: a join stream decrypting many probe batches under one token
 // pays the precompute once, not per batch or per worker. The output
 // order matches the input order, and a failure names the lowest failing
-// row, as DecryptTableWith does.
+// row, as a row-at-a-time loop would.
 func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers int) ([]DValue, error) {
 	out := make([]DValue, len(cts))
 	err := ForEachRow(len(cts), workers, func(i int) error {

@@ -349,37 +349,6 @@ func decryptRowError(row int, err error) error {
 	return fmt.Errorf("securejoin: decrypting row %d: %w", row, err)
 }
 
-// DecryptTable runs SJ.Dec over every row of a table with a full
-// Miller loop per row. It is kept as the naive baseline; table-scale
-// callers should use DecryptTableWith or DecryptTableParallelWith,
-// which precompute the token side once.
-func DecryptTable(tk *Token, cts []*RowCiphertext) ([]DValue, error) {
-	out := make([]DValue, len(cts))
-	for i, ct := range cts {
-		d, err := Decrypt(tk, ct)
-		if err != nil {
-			return nil, decryptRowError(i, err)
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
-// DecryptTableWith runs SJ.Dec over every row of a table through a
-// precomputed token, sharing one recorded Miller program across all
-// rows.
-func DecryptTableWith(pc *TokenPrecomp, cts []*RowCiphertext) ([]DValue, error) {
-	out := make([]DValue, len(cts))
-	for i, ct := range cts {
-		d, err := pc.Decrypt(ct)
-		if err != nil {
-			return nil, decryptRowError(i, err)
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
 // Match implements SJ.Match for a single pair of decrypted values.
 func Match(da, db DValue) bool {
 	if len(da) != len(db) {
@@ -412,21 +381,6 @@ func HashJoin(das, dbs []DValue) []MatchPair {
 	for j, d := range dbs {
 		for _, i := range buckets[string(d)] {
 			out = append(out, MatchPair{RowA: i, RowB: j})
-		}
-	}
-	return out
-}
-
-// NestedLoopJoin performs the quadratic-time join used as an ablation
-// baseline for benchmarks: every (rowA, rowB) pair is compared with
-// SJ.Match directly.
-func NestedLoopJoin(das, dbs []DValue) []MatchPair {
-	var out []MatchPair
-	for i, da := range das {
-		for j, db := range dbs {
-			if Match(da, db) {
-				out = append(out, MatchPair{RowA: i, RowB: j})
-			}
 		}
 	}
 	return out

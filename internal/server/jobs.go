@@ -38,9 +38,8 @@ import (
 // restart forgets them and clients see CodeUnknownJob, the signal to
 // resubmit. Finished jobs are reaped after a TTL.
 
-// defaultJobQueueDepth bounds the join task queue when the operator
-// does not choose a depth. Each queued join is minutes of latent CPU,
-// so the default is modest.
+// defaultJobQueueDepth bounds the join task queue. Each queued join is
+// minutes of latent CPU, so the bound is modest.
 const defaultJobQueueDepth = 64
 
 // defaultJobTTL is how long a finished job's result is retained for
@@ -156,18 +155,6 @@ func (s *Server) SetJobWorkers(n int) {
 	s.jobWorkers = n
 }
 
-// SetJobQueueDepth bounds the FIFO queue feeding the worker pool; a
-// join (sync or submitted) arriving at a full queue is shed with
-// wire.CodeOverloaded. n < 0 restores the default; 0 is a valid
-// rendezvous queue (work is accepted only when a worker is free to take
-// it immediately). Call before Serve.
-func (s *Server) SetJobQueueDepth(n int) {
-	if n < 0 {
-		n = defaultJobQueueDepth
-	}
-	s.jobQueueDepth = n
-}
-
 // SetJobTTL bounds how long a finished job's result is retained for
 // attachment; past it the reaper deletes the job from memory and from
 // the store's spool. d == 0 restores the default (one hour); d < 0
@@ -186,9 +173,6 @@ func (s *Server) startJobPool() {
 	s.poolOnce.Do(func() {
 		if s.jobWorkers <= 0 {
 			s.SetJobWorkers(0)
-		}
-		if s.jobQueueDepth < 0 {
-			s.jobQueueDepth = defaultJobQueueDepth
 		}
 		if s.jobTTL == 0 {
 			s.jobTTL = defaultJobTTL

@@ -152,7 +152,7 @@ func TestJobSubmitAttachReapStress(t *testing.T) {
 func TestJobPollContextCancel(t *testing.T) {
 	srv := New(nil)
 	srv.SetJobWorkers(1)
-	srv.SetJobQueueDepth(4)
+	srv.jobQueueDepth = 4
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

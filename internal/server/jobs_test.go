@@ -303,7 +303,7 @@ func TestJobSurvivesRestart(t *testing.T) {
 func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	srv := New(nil)
 	srv.SetJobWorkers(1)
-	srv.SetJobQueueDepth(0)
+	srv.jobQueueDepth = 0
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

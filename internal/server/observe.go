@@ -74,18 +74,6 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 // path; the HTTP /metrics endpoint renders it.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// SetMaxJoinsPerConn bounds the joins in flight on one connection;
-// beyond it the connection's further joins are shed with
-// wire.CodeOverloaded so one client cannot monopolize the join
-// capacity. n <= 0 restores the default (maxInFlight). Call before
-// Listen.
-func (s *Server) SetMaxJoinsPerConn(n int) {
-	if n <= 0 {
-		n = maxInFlight
-	}
-	s.maxJoinsPerConn = n
-}
-
 // SetIdleTimeout closes connections that sit completely idle — no
 // request in flight, none arriving — longer than d, after sending a
 // connection-level wire.CodeIdleTimeout notice so the client fails

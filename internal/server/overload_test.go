@@ -33,7 +33,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestOverloadedServerShedsJoins(t *testing.T) {
 	srv := New(nil)
 	srv.SetJobWorkers(1)
-	srv.SetJobQueueDepth(1)
+	srv.jobQueueDepth = 1
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestQueueDepthGaugeSettlesAtZero(t *testing.T) {
 // sheds its second join while another connection is unaffected.
 func TestPerConnectionJoinCapSheds(t *testing.T) {
 	srv := New(nil)
-	srv.SetMaxJoinsPerConn(1)
+	srv.maxJoinsPerConn = 1
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	srv := New(nil)
 	srv.SetJobWorkers(1)
-	srv.SetJobQueueDepth(0)
+	srv.jobQueueDepth = 0
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/engine"
@@ -262,16 +261,13 @@ func TestAbandonedUploadLeavesNoResidue(t *testing.T) {
 	conn.Close() // the "crash": connection dies before Commit
 
 	// The staged rows were never committed, so the table must not
-	// exist. Poll briefly: the server notices the dead conn async.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := srv.Engine().Table("Ghost"); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned upload became a visible table")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// exist once the server has torn the connection down: its read loop
+	// has exited and dropped the staging with it.
+	waitFor(t, "the abandoned connection to close", func() bool {
+		return srv.met.ActiveConns.Value() == 0
+	})
+	if _, err := srv.Engine().Table("Ghost"); err == nil {
+		t.Fatal("abandoned upload became a visible table")
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -46,7 +46,8 @@ type Server struct {
 
 	// Observability and admission control (see observe.go). The
 	// registry holds the engine's, the store's and the wire layer's
-	// metrics together; limits are configured before Listen.
+	// metrics together. maxJoinsPerConn caps one connection's joins in
+	// flight (maxInFlight; in-package tests lower it before Listen).
 	reg             *metrics.Registry
 	met             serverMetrics
 	started         time.Time
@@ -56,7 +57,8 @@ type Server struct {
 
 	// Async job subsystem (see jobs.go): the job table, the bounded
 	// worker pool executing ALL join work (sync and submitted), and its
-	// FIFO task queue. Pool sizing is configured before Serve.
+	// FIFO task queue of jobQueueDepth slots (defaultJobQueueDepth; 0 is
+	// a rendezvous queue). Pool sizing is configured before Serve.
 	jobMu         sync.Mutex
 	jobs          map[string]*job
 	jobWorkers    int

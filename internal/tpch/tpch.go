@@ -155,12 +155,6 @@ func selectivityColumn(n int, rng *rand.Rand) []string {
 	return col
 }
 
-// SelectivityCount returns the number of rows of the label's class in a
-// table of n rows, matching selectivityColumn's assignment.
-func SelectivityCount(n int, fraction float64) int {
-	return int(fraction * float64(n))
-}
-
 func randAddress(rng *rand.Rand) string {
 	return fmt.Sprintf("%d %s St.", rng.Intn(9000)+100, []string{"Oak", "Pine", "Maple", "Cedar", "Elm"}[rng.Intn(5)])
 }

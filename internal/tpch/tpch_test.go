@@ -52,7 +52,7 @@ func TestSelectivityProportions(t *testing.T) {
 	}
 	n := len(ds.Customers)
 	for _, class := range Selectivities {
-		want := SelectivityCount(n, class.Fraction)
+		want := int(class.Fraction * float64(n)) // floor(s*n), as selectivityColumn assigns
 		if counts[class.Label] != want {
 			t.Errorf("class %s: %d rows, want %d", class.Label, counts[class.Label], want)
 		}

@@ -39,13 +39,6 @@ func FromInt64(x int64) Scalar {
 	return s
 }
 
-// FromBig returns the scalar representing x mod q.
-func FromBig(x *big.Int) Scalar {
-	var s Scalar
-	s.v.Mod(x, Q)
-	return s
-}
-
 // FromBytes interprets b as a big-endian integer and reduces it mod q.
 func FromBytes(b []byte) Scalar {
 	var s Scalar
@@ -100,11 +93,6 @@ func MustRandom() Scalar {
 func Hash(data []byte) Scalar {
 	h := sha256.Sum256(data)
 	return FromBytes(h[:])
-}
-
-// HashString maps a string value into Z_q.
-func HashString(s string) Scalar {
-	return Hash([]byte(s))
 }
 
 // Big returns a copy of the canonical representative of s in [0, q).
@@ -188,20 +176,6 @@ type Vector []Scalar
 
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
-
-// InnerProduct returns <v, w> mod q. The vectors must have equal length.
-func InnerProduct(v, w Vector) Scalar {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("zq: inner product of mismatched lengths %d and %d", len(v), len(w)))
-	}
-	acc := new(big.Int)
-	t := new(big.Int)
-	for i := range v {
-		t.Mul(&v[i].v, &w[i].v)
-		acc.Add(acc, t)
-	}
-	return FromBig(acc)
-}
 
 // Clone returns a deep copy of v.
 func (v Vector) Clone() Vector {

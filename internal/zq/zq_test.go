@@ -91,12 +91,12 @@ func TestFieldAxiomsQuick(t *testing.T) {
 }
 
 func TestHashDeterministicAndSpread(t *testing.T) {
-	a := HashString("alice")
-	b := HashString("alice")
+	a := Hash([]byte("alice"))
+	b := Hash([]byte("alice"))
 	if !a.Equal(b) {
 		t.Fatal("hash is not deterministic")
 	}
-	c := HashString("bob")
+	c := Hash([]byte("bob"))
 	if a.Equal(c) {
 		t.Fatal("hash collision between distinct inputs (astronomically unlikely)")
 	}
@@ -131,20 +131,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	if len(s.Bytes()) != 32 {
 		t.Fatalf("encoding should be 32 bytes, got %d", len(s.Bytes()))
 	}
-}
-
-func TestInnerProduct(t *testing.T) {
-	v := Vector{FromInt64(1), FromInt64(2), FromInt64(3)}
-	w := Vector{FromInt64(4), FromInt64(5), FromInt64(6)}
-	if got := InnerProduct(v, w); !got.Equal(FromInt64(32)) {
-		t.Fatalf("<v,w> = %v, want 32", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths should panic")
-		}
-	}()
-	InnerProduct(v, w[:2])
 }
 
 func TestVectorCloneIsDeep(t *testing.T) {
