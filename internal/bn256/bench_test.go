@@ -145,6 +145,47 @@ func BenchmarkTower(b *testing.B) {
 	})
 }
 
+// BenchmarkComb times the two halves of the comb's loop body (comb.go):
+// the select of a table entry and the mixed addition into the
+// accumulator, in each group, as ScalarBaseMult runs them 43 times. The
+// select reads row 21 at digit -17; the addition adds a table entry to a
+// point with Z != 1. Each repeats one operation on fixed inputs
+// (throughput). Under the purego tag they time the Go code.
+func BenchmarkComb(b *testing.B) {
+	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
+	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
+	var q1 g1Affine
+	var q2 g2Affine
+	b.Run("select/g1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g1Comb[21].selectEntry(&q1, 17, 1)
+		}
+	})
+	b.Run("select/g2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g2Comb[21].selectEntry(&q2, 17, 1)
+		}
+	})
+	var p1, r1 g1Proj
+	var p2, r2 g2Proj
+	p1.y.SetOne()
+	p2.y.SetOne()
+	addMixedG1(&p1, &p1, &g1Comb[3][5])
+	addMixedG1(&p1, &p1, &g1Comb[7][9])
+	addMixedG2(&p2, &p2, &g2Comb[3][5])
+	addMixedG2(&p2, &p2, &g2Comb[7][9])
+	b.Run("addMixed/g1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r1.addMixed(&p1, &g1Comb[21][16])
+		}
+	})
+	b.Run("addMixed/g2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			addMixedG2(&r2, &p2, &g2Comb[21][16])
+		}
+	})
+}
+
 func BenchmarkGFpInvert(b *testing.B) {
 	x, _ := rand.Int(rand.Reader, P)
 	fx := gfPFromBig(x)

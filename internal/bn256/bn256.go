@@ -30,13 +30,6 @@ func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
 	return e
 }
 
-// ScalarMult sets e = a^k with the variable-time wNAF: k must be
-// public. Secret scalars go through ScalarBaseMult.
-func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
-	e.p.Mul(&a.p, norm(k))
-	return e
-}
-
 // Add sets e = a + b (group operation written additively).
 func (e *G1) Add(a, b *G1) *G1 {
 	e.p.Add(&a.p, &b.p)
@@ -127,13 +120,6 @@ func (e *G1) Unmarshal(data []byte) error {
 // with the constant-time fixed-base comb, as G1.ScalarBaseMult.
 func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 	e.p.combBaseMult(norm(k))
-	return e
-}
-
-// ScalarMult sets e = a^k with the variable-time wNAF: k must be
-// public. Secret scalars go through ScalarBaseMult.
-func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
-	e.p.Mul(&a.p, norm(k))
 	return e
 }
 

@@ -19,6 +19,14 @@ import (
 // Batina (EUROCRYPT 2016, Algorithm 8), so no input, k = 0 included,
 // takes another path.
 //
+// On amd64 both halves of the loop body are assembly (gfp_amd64.s):
+// g1SelectAffine and g2SelectAffine are the select, an SSE2 loop in the
+// shape of the standard library's p256SelectAffine, and g1AddMixed is
+// the G1 addition with lazy reduction, 11 plain products and 8
+// reductions. The Go bodies, selectGeneric and addMixedG1, are the
+// oracle and the purego path, and every result is the same, limb for
+// limb.
+//
 // The tables are package-level arrays filled in place on first use:
 // 43·32 affine points are 86 KiB in G1 and 172 KiB in G2, in static
 // storage (BSS) rather than on the heap.
@@ -40,6 +48,13 @@ type (
 	g2CombRow [combEntries]g2Affine
 )
 
+// g1Proj and g2Proj are the comb's accumulator, a point in homogeneous
+// coordinates (X:Y:Z) standing for (X/Z, Y/Z).
+type (
+	g1Proj struct{ x, y, z gfP }
+	g2Proj struct{ x, y, z gfP2 }
+)
+
 var (
 	g1Comb     [combWindows]g1CombRow
 	g2Comb     [combWindows]g2CombRow
@@ -47,15 +62,11 @@ var (
 	g2CombOnce sync.Once
 )
 
-// curveB3 and twistB3 are 3b, the constant of the RCB formulas: 9 on
-// E and 3·(3/xi) on the twist.
-var (
-	curveB3 gfP
-	twistB3 gfP2
-)
+// twistB3 is 3b on the twist, 3·(3/xi), the constant of the RCB
+// formulas. On E, 3b is 9, which mul9 applies with additions.
+var twistB3 gfP2
 
 func initComb() {
-	curveB3 = *newGFp(9)
 	twistB3.Add(&twistB, &twistB)
 	twistB3.Add(&twistB3, &twistB)
 }
@@ -116,30 +127,40 @@ func (e *gfP2) cmov(a *gfP2, mask uint64) {
 	e.a1.cmov(&a.a1, mask)
 }
 
-// selectEntry sets q = row[mag-1] reading every entry, and q = (0, 0)
-// for mag = 0, then negates q if sign is 1.
+// selectEntry sets q = row[mag-1], and q = (0, 0) for mag = 0, reading
+// every entry, then negates q if sign is 1.
 func (row *g1CombRow) selectEntry(q *g1Affine, mag, sign uint64) {
-	*q = g1Affine{}
-	for j := range row {
-		m := ctEqMask(uint64(j+1), mag)
-		q.x.cmov(&row[j].x, m)
-		q.y.cmov(&row[j].y, m)
-	}
+	g1SelectAffine(q, row, mag)
 	var ny gfP
 	ny.Neg(&q.y)
 	q.y.cmov(&ny, -sign)
 }
 
 func (row *g2CombRow) selectEntry(q *g2Affine, mag, sign uint64) {
+	g2SelectAffine(q, row, mag)
+	var ny gfP2
+	ny.Neg(&q.y)
+	q.y.cmov(&ny, -sign)
+}
+
+// selectGeneric sets q = row[mag-1], and q = (0, 0) for mag = 0,
+// reading every entry under a mask: g1SelectAffine in Go.
+func (row *g1CombRow) selectGeneric(q *g1Affine, mag uint64) {
+	*q = g1Affine{}
+	for j := range row {
+		m := ctEqMask(uint64(j+1), mag)
+		q.x.cmov(&row[j].x, m)
+		q.y.cmov(&row[j].y, m)
+	}
+}
+
+func (row *g2CombRow) selectGeneric(q *g2Affine, mag uint64) {
 	*q = g2Affine{}
 	for j := range row {
 		m := ctEqMask(uint64(j+1), mag)
 		q.x.cmov(&row[j].x, m)
 		q.y.cmov(&row[j].y, m)
 	}
-	var ny gfP2
-	ny.Neg(&q.y)
-	q.y.cmov(&ny, -sign)
 }
 
 // combBaseMult sets c = k·g1 for k in [0, Order) with the comb. The
@@ -148,23 +169,23 @@ func (row *g2CombRow) selectEntry(q *g2Affine, mag, sign uint64) {
 func (c *curvePoint) combBaseMult(k *big.Int) *curvePoint {
 	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
 	s := combScalar(k)
-	var x, y, z gfP
-	y.SetOne()
+	var acc, sum g1Proj
+	acc.y.SetOne()
 	var q g1Affine
 	for i := range combWindows {
 		mag, sign := combDigit(&s, i)
 		g1Comb[i].selectEntry(&q, mag, sign)
-		x3, y3, z3 := addMixedG1(&x, &y, &z, &q)
+		sum.addMixed(&acc, &q)
 		keep := ^ctEqMask(mag, 0)
-		x.cmov(&x3, keep)
-		y.cmov(&y3, keep)
-		z.cmov(&z3, keep)
+		acc.x.cmov(&sum.x, keep)
+		acc.y.cmov(&sum.y, keep)
+		acc.z.cmov(&sum.z, keep)
 	}
 	var zz gfP
-	zz.Square(&z)
-	c.x.Mul(&x, &z)
-	c.y.Mul(&y, &zz)
-	c.z = z
+	zz.Square(&acc.z)
+	c.x.Mul(&acc.x, &acc.z)
+	c.y.Mul(&acc.y, &zz)
+	c.z = acc.z
 	return c
 }
 
@@ -172,48 +193,69 @@ func (c *curvePoint) combBaseMult(k *big.Int) *curvePoint {
 func (c *twistPoint) combBaseMult(k *big.Int) *twistPoint {
 	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
 	s := combScalar(k)
-	var x, y, z gfP2
-	y.SetOne()
+	var acc, sum g2Proj
+	acc.y.SetOne()
 	var q g2Affine
 	for i := range combWindows {
 		mag, sign := combDigit(&s, i)
 		g2Comb[i].selectEntry(&q, mag, sign)
-		x3, y3, z3 := addMixedG2(&x, &y, &z, &q)
+		addMixedG2(&sum, &acc, &q)
 		keep := ^ctEqMask(mag, 0)
-		x.cmov(&x3, keep)
-		y.cmov(&y3, keep)
-		z.cmov(&z3, keep)
+		acc.x.cmov(&sum.x, keep)
+		acc.y.cmov(&sum.y, keep)
+		acc.z.cmov(&sum.z, keep)
 	}
 	var zz gfP2
-	zz.Square(&z)
-	c.x.Mul(&x, &z)
-	c.y.Mul(&y, &zz)
-	c.z = z
+	zz.Square(&acc.z)
+	c.x.Mul(&acc.x, &acc.z)
+	c.y.Mul(&acc.y, &zz)
+	c.z = acc.z
 	return c
 }
 
-// addMixedG1 returns (X1:Y1:Z1) + (x2, y2) by RCB Algorithm 8: 11M and
-// two multiplications by 3b, complete for every homogeneous P and every
-// affine Q, P = Q and P = -Q included.
-func addMixedG1(x1, y1, z1 *gfP, q *g1Affine) (x3, y3, z3 gfP) {
-	var t0, t1, t2, t3, t4 gfP
-	t0.Mul(x1, &q.x)
-	t1.Mul(y1, &q.y)
+// addMixed sets r = p + q. On amd64 CPUs with BMI2 and ADX it runs the
+// assembly kernel g1AddMixed, which computes the same limbs; elsewhere,
+// and under the purego build tag, addMixedG1.
+func (r *g1Proj) addMixed(p *g1Proj, q *g1Affine) {
+	if useADX {
+		g1AddMixed(r, p, q)
+		return
+	}
+	addMixedG1(r, p, q)
+}
+
+// mul9 sets e = 9a = 8a + a mod p, three doublings and an addition: the
+// multiplication by 3b of the RCB formulas on E, where b = 3.
+func (e *gfP) mul9(a *gfP) {
+	var t gfP
+	t.Double(a)
+	t.Double(&t)
+	t.Double(&t)
+	e.Add(&t, a)
+}
+
+// addMixedG1 sets r = p + q by RCB Algorithm 8: 11M and two
+// multiplications by 3b, complete for every homogeneous p and every
+// affine q, p = q and p = -q included. r may alias p.
+func addMixedG1(r, p *g1Proj, q *g1Affine) {
+	var t0, t1, t2, t3, t4, x3, y3, z3 gfP
+	t0.Mul(&p.x, &q.x)
+	t1.Mul(&p.y, &q.y)
 	t3.Add(&q.x, &q.y)
-	t4.Add(x1, y1)
+	t4.Add(&p.x, &p.y)
 	t3.Mul(&t3, &t4)
 	t4.Add(&t0, &t1)
 	t3.Sub(&t3, &t4)
-	t4.Mul(&q.y, z1)
-	t4.Add(&t4, y1)
-	y3.Mul(&q.x, z1)
-	y3.Add(&y3, x1)
+	t4.Mul(&q.y, &p.z)
+	t4.Add(&t4, &p.y)
+	y3.Mul(&q.x, &p.z)
+	y3.Add(&y3, &p.x)
 	x3.Double(&t0)
 	t0.Add(&x3, &t0)
-	t2.Mul(&curveB3, z1)
+	t2.mul9(&p.z)
 	z3.Add(&t1, &t2)
 	t1.Sub(&t1, &t2)
-	y3.Mul(&curveB3, &y3)
+	y3.mul9(&y3)
 	x3.Mul(&t4, &y3)
 	t2.Mul(&t3, &t1)
 	x3.Sub(&t2, &x3)
@@ -223,26 +265,27 @@ func addMixedG1(x1, y1, z1 *gfP, q *g1Affine) (x3, y3, z3 gfP) {
 	t0.Mul(&t0, &t3)
 	z3.Mul(&z3, &t4)
 	z3.Add(&z3, &t0)
-	return x3, y3, z3
+	r.x, r.y, r.z = x3, y3, z3
 }
 
-// addMixedG2 is addMixedG1 over Fp2 on the twist.
-func addMixedG2(x1, y1, z1 *gfP2, q *g2Affine) (x3, y3, z3 gfP2) {
-	var t0, t1, t2, t3, t4 gfP2
-	t0.Mul(x1, &q.x)
-	t1.Mul(y1, &q.y)
+// addMixedG2 is addMixedG1 over Fp2 on the twist, where 3b is a full
+// Fp2 multiplication.
+func addMixedG2(r, p *g2Proj, q *g2Affine) {
+	var t0, t1, t2, t3, t4, x3, y3, z3 gfP2
+	t0.Mul(&p.x, &q.x)
+	t1.Mul(&p.y, &q.y)
 	t3.Add(&q.x, &q.y)
-	t4.Add(x1, y1)
+	t4.Add(&p.x, &p.y)
 	t3.Mul(&t3, &t4)
 	t4.Add(&t0, &t1)
 	t3.Sub(&t3, &t4)
-	t4.Mul(&q.y, z1)
-	t4.Add(&t4, y1)
-	y3.Mul(&q.x, z1)
-	y3.Add(&y3, x1)
+	t4.Mul(&q.y, &p.z)
+	t4.Add(&t4, &p.y)
+	y3.Mul(&q.x, &p.z)
+	y3.Add(&y3, &p.x)
 	x3.Double(&t0)
 	t0.Add(&x3, &t0)
-	t2.Mul(&twistB3, z1)
+	t2.Mul(&twistB3, &p.z)
 	z3.Add(&t1, &t2)
 	t1.Sub(&t1, &t2)
 	y3.Mul(&twistB3, &y3)
@@ -255,7 +298,7 @@ func addMixedG2(x1, y1, z1 *gfP2, q *g2Affine) (x3, y3, z3 gfP2) {
 	t0.Mul(&t0, &t3)
 	z3.Mul(&z3, &t4)
 	z3.Add(&z3, &t0)
-	return x3, y3, z3
+	r.x, r.y, r.z = x3, y3, z3
 }
 
 // buildG1Comb fills t[i][j] = (j+1)·2^(6i)·g1 in affine form. The

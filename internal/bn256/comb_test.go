@@ -3,7 +3,9 @@ package bn256
 import (
 	"bytes"
 	"math/big"
+	mrand "math/rand"
 	"testing"
+	"unsafe"
 )
 
 // combScalars returns the differential scalars of the comb: 0 to 64
@@ -110,4 +112,111 @@ func BenchmarkCombTableBuild(b *testing.B) {
 			buildG2Comb(t)
 		}
 	})
+}
+
+// TestCombKernelsMatchGeneric pins the comb's assembly kernels to the Go
+// code they stand in for, limb for limb. The select runs on every row of
+// both tables at every digit magnitude 0..32 and both signs. The G1
+// mixed addition runs on the whole {0, 1, p-1} grid of its five input
+// coordinates, on random reduced ones, and on curve points with P = Q,
+// P = -Q, P = (0:1:0) and Q = (0, 0), the entry a zero digit selects.
+// On a CPU without BMI2 and ADX the addition is the Go code and its part
+// skips.
+func TestCombKernelsMatchGeneric(t *testing.T) {
+	for i := range combWindows {
+		for mag := uint64(0); mag <= combEntries; mag++ {
+			checkCombSelect(t, i, mag)
+		}
+	}
+	if !useADX {
+		t.Skip("no assembly addition kernel")
+	}
+
+	edges := []gfP{{}, rawGFp(big.NewInt(1)), rawGFp(new(big.Int).Sub(P, big.NewInt(1)))}
+	for _, x1 := range edges {
+		for _, y1 := range edges {
+			for _, z1 := range edges {
+				for _, x2 := range edges {
+					for _, y2 := range edges {
+						checkAddMixed(t, g1Proj{x1, y1, z1}, g1Affine{x2, y2})
+					}
+				}
+			}
+		}
+	}
+	r := mrand.New(mrand.NewSource(1))
+	randFp := func() gfP { return rawGFp(new(big.Int).Rand(r, P)) }
+	for range 5000 {
+		checkAddMixed(t, g1Proj{randFp(), randFp(), randFp()}, g1Affine{randFp(), randFp()})
+	}
+	for range 200 {
+		var c curvePoint
+		c.Mul(&curveGen, new(big.Int).Rand(r, Order))
+		c.MakeAffine()
+		q := g1Affine{c.x, c.y}
+		lambda := randFp()
+		var p, np g1Proj
+		p.x.Mul(&q.x, &lambda)
+		p.y.Mul(&q.y, &lambda)
+		p.z = lambda
+		np = p
+		np.y.Neg(&p.y)
+		var inf g1Proj
+		inf.y.SetOne()
+		checkAddMixed(t, p, q)            // P = Q
+		checkAddMixed(t, np, q)           // P = -Q
+		checkAddMixed(t, inf, q)          // P = (0:1:0)
+		checkAddMixed(t, p, g1Affine{})   // Q = (0, 0)
+		checkAddMixed(t, inf, g1Affine{}) // both
+		checkAddMixed(t, p, g1Comb[r.Intn(combWindows)][r.Intn(combEntries)])
+	}
+}
+
+// checkCombSelect runs the select of row i at magnitude mag, with both
+// signs, in both groups, against the Go select, into a result holding
+// garbage beforehand.
+func checkCombSelect(t testing.TB, i int, mag uint64) {
+	t.Helper()
+	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
+	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
+	junk := gfP{^uint64(0), 1, 2, 3}
+	for sign := uint64(0); sign <= 1; sign++ {
+		var want1 g1Affine
+		g1Comb[i].selectGeneric(&want1, mag)
+		if sign == 1 {
+			want1.y.Neg(&want1.y)
+		}
+		got1 := g1Affine{junk, junk}
+		if g1Comb[i].selectEntry(&got1, mag, sign); got1 != want1 {
+			t.Fatalf("G1 row %d, digit (%d, %d): select = %v, want %v", i, mag, sign, got1, want1)
+		}
+		var want2 g2Affine
+		g2Comb[i].selectGeneric(&want2, mag)
+		if sign == 1 {
+			want2.y.Neg(&want2.y)
+		}
+		got2 := g2Affine{gfP2{junk, junk}, gfP2{junk, junk}}
+		if g2Comb[i].selectEntry(&got2, mag, sign); got2 != want2 {
+			t.Fatalf("G2 row %d, digit (%d, %d): select = %v, want %v", i, mag, sign, got2, want2)
+		}
+	}
+}
+
+// checkAddMixed runs g1AddMixed on p and q against addMixedG1, with the
+// output apart from the inputs and aliasing each of them, and requires
+// the same limbs.
+func checkAddMixed(t testing.TB, p g1Proj, q g1Affine) {
+	t.Helper()
+	var want, got g1Proj
+	addMixedG1(&want, &p, &q)
+	g1AddMixed(&got, &p, &q)
+	x := p
+	g1AddMixed(&x, &x, &q)
+	// An affine point is the first two coordinates of a g1Proj, so the
+	// output can overlap q as well.
+	y := g1Proj{q.x, q.y, gfP{1, 2, 3, 4}}
+	g1AddMixed(&y, &p, (*g1Affine)(unsafe.Pointer(&y)))
+	if got != want || x != want || y != want {
+		t.Fatalf("g1AddMixed(%v, %v) = %v, %v (r = p), %v (r = q); want %v", p, q, got, x, y, want)
+	}
 }

@@ -1,7 +1,5 @@
 package bn256
 
-import "math/big"
-
 // curvePoint is a point on E: y^2 = x^3 + 3 over Fp in Jacobian
 // coordinates (X, Y, Z) representing the affine point (X/Z^2, Y/Z^3).
 // The point at infinity has Z = 0.
@@ -214,35 +212,6 @@ func (c *curvePoint) Neg(a *curvePoint) *curvePoint {
 	c.y.Neg(&a.y)
 	c.z.Set(&a.z)
 	return c
-}
-
-// Mul sets c = k*a for k >= 0 and returns c. It walks the width-5
-// wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
-// entry for a negative digit. It is variable-time, so k must be public:
-// ScalarMult and tests. Secret scalars multiply the generator through
-// the constant-time comb of ScalarBaseMult (comb.go).
-func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
-	var table [1 << (scalarWNAFWidth - 2)]curvePoint // table[i] = (2i+1)a
-	var a2 curvePoint
-	a2.Double(a)
-	table[0].Set(a)
-	for i := 1; i < len(table); i++ {
-		table[i].Add(&table[i-1], &a2)
-	}
-	var acc, neg curvePoint
-	acc.SetInfinity()
-	digits := wnaf(k, scalarWNAFWidth)
-	for i := len(digits) - 1; i >= 0; i-- {
-		acc.Double(&acc)
-		switch d := digits[i]; {
-		case d > 0:
-			acc.Add(&acc, &table[d/2])
-		case d < 0:
-			neg.Neg(&table[-d/2])
-			acc.Add(&acc, &neg)
-		}
-	}
-	return c.Set(&acc)
 }
 
 // Equal reports whether c and a represent the same point.

@@ -353,3 +353,46 @@ func TestNormHandlesNegativeScalars(t *testing.T) {
 		t.Fatal("negative scalar not normalized")
 	}
 }
+
+// ScalarMult sets e = a^k with the variable-time wNAF, the reference
+// the group-law tests multiply by. k must be public; production code
+// multiplies secret scalars only through ScalarBaseMult.
+func (e *G1) ScalarMult(a *G1, k *big.Int) *G1 {
+	e.p.Mul(&a.p, norm(k))
+	return e
+}
+
+// ScalarMult sets e = a^k with the variable-time wNAF, as G1.ScalarMult.
+func (e *G2) ScalarMult(a *G2, k *big.Int) *G2 {
+	e.p.Mul(&a.p, norm(k))
+	return e
+}
+
+// Mul sets c = k*a for k >= 0 and returns c. It walks the width-5
+// wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
+// entry for a negative digit. It is variable-time, the reference the
+// tests hold the constant-time comb of ScalarBaseMult (comb.go) to; no
+// production code multiplies a G1 point by a scalar otherwise.
+func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
+	var table [1 << (scalarWNAFWidth - 2)]curvePoint // table[i] = (2i+1)a
+	var a2 curvePoint
+	a2.Double(a)
+	table[0].Set(a)
+	for i := 1; i < len(table); i++ {
+		table[i].Add(&table[i-1], &a2)
+	}
+	var acc, neg curvePoint
+	acc.SetInfinity()
+	digits := wnaf(k, scalarWNAFWidth)
+	for i := len(digits) - 1; i >= 0; i-- {
+		acc.Double(&acc)
+		switch d := digits[i]; {
+		case d > 0:
+			acc.Add(&acc, &table[d/2])
+		case d < 0:
+			neg.Neg(&table[-d/2])
+			acc.Add(&acc, &neg)
+		}
+	}
+	return c.Set(&acc)
+}

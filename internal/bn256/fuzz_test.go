@@ -124,3 +124,35 @@ func FuzzTowerKernels(f *testing.F) {
 		checkTowerKernels(t, o)
 	})
 }
+
+// FuzzCombKernels reads arbitrary bytes as the operands of the comb's
+// assembly kernels: five 32-byte big-endian chunks, each taken mod p as
+// the raw limbs of a reduced coordinate, for P = (X1:Y1:Z1) and
+// Q = (x2, y2), then a byte for the table row (mod 43) and one for the
+// digit magnitude (mod 33); missing bytes are zero. The select must
+// match the Go select in both groups, with both signs, and the G1
+// addition must match addMixedG1 limb for limb, with the output apart
+// and aliasing each input. The corpus under
+// testdata/fuzz/FuzzCombKernels seeds all-zero, every coordinate one,
+// every coordinate p - 1, the generator G added to (0:1:0), to itself
+// and to -G, and random bytes. On a CPU without BMI2 and ADX the
+// addition part skips.
+func FuzzCombKernels(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() gfP {
+			var chunk [32]byte
+			n := copy(chunk[:], data)
+			data = data[n:]
+			return rawGFp(new(big.Int).Mod(new(big.Int).SetBytes(chunk[:]), P))
+		}
+		p := g1Proj{next(), next(), next()}
+		q := g1Affine{next(), next()}
+		var idx [2]byte
+		copy(idx[:], data)
+		checkCombSelect(t, int(idx[0])%combWindows, uint64(idx[1])%(combEntries+1))
+		if !useADX {
+			t.Skip("no assembly addition kernel")
+		}
+		checkAddMixed(t, p, q)
+	})
+}

@@ -21,8 +21,9 @@ var (
 	r2 gfP
 	// rOne is 1 in Montgomery form (2^256 mod p).
 	rOne gfP
-	// pMinus2 is p-2, the Fermat inversion exponent.
-	pMinus2 *big.Int
+	// pMinus2 is p-2, the Fermat inversion exponent, as little-endian
+	// limbs.
+	pMinus2 [4]uint64
 )
 
 func initGFp() {
@@ -52,7 +53,10 @@ func initGFp() {
 	rBig := new(big.Int).Mod(big256, P)
 	rOne = gfPFromRawBig(rBig)
 
-	pMinus2 = new(big.Int).Sub(P, big.NewInt(2))
+	pMinus2 = [4]uint64{}
+	for i, w := range new(big.Int).Sub(P, big.NewInt(2)).Bits() {
+		pMinus2[i] = uint64(w)
+	}
 }
 
 // gfPFromRawBig loads a reduced big.Int into limbs without Montgomery
@@ -416,9 +420,30 @@ func (e *gfP) Exp(a *gfP, k *big.Int) *gfP {
 }
 
 // Invert sets e = a^-1 mod p via Fermat's little theorem and returns e.
-// Inverting zero yields zero.
+// Inverting zero yields zero. It raises a to p-2 with fixed 4-bit
+// windows over the limbs of p-2: a table of a^0..a^15, then per window
+// four squarings and a multiplication by the table entry the window
+// names. The exponent is a public constant, so the sequence of
+// operations and the entries read are the same for every a.
 func (e *gfP) Invert(a *gfP) *gfP {
-	return e.Exp(a, pMinus2)
+	var table [16]gfP
+	table[0] = rOne
+	table[1] = *a
+	for i := 2; i < len(table); i++ {
+		table[i].Mul(&table[i-1], a)
+	}
+	acc := table[pMinus2[3]>>60]
+	for i := 62; i >= 0; i-- {
+		acc.Square(&acc)
+		acc.Square(&acc)
+		acc.Square(&acc)
+		acc.Square(&acc)
+		if w := pMinus2[i/16] >> (4 * (i % 16)) & 15; w != 0 {
+			acc.Mul(&acc, &table[w])
+		}
+	}
+	*e = acc
+	return e
 }
 
 // Marshal appends the 32-byte big-endian canonical encoding of e to out.

@@ -56,3 +56,22 @@ func gfp12Mul(e, a, b *gfP12)
 //
 //go:noescape
 func gfp12Square(e, a *gfP12)
+
+// g1SelectAffine sets res = row[mag-1], and res = (0, 0) for mag = 0,
+// reading every entry, as g1CombRow.selectGeneric. It needs only SSE2,
+// which every amd64 CPU has, so it runs without useADX.
+//
+//go:noescape
+func g1SelectAffine(res *g1Affine, row *g1CombRow, mag uint64)
+
+// g2SelectAffine is g1SelectAffine on the 128-byte entries of a G2 row,
+// as g2CombRow.selectGeneric.
+//
+//go:noescape
+func g2SelectAffine(res *g2Affine, row *g2CombRow, mag uint64)
+
+// g1AddMixed sets r = p + q for reduced coordinates, as addMixedG1; r
+// may alias p.
+//
+//go:noescape
+func g1AddMixed(r, p *g1Proj, q *g1Affine)

@@ -421,21 +421,25 @@ TEXT ·kara<>(SB), NOSPLIT, $0-0
 	ADCQ ·pLimbs+16(SB), R14; \
 	ADCQ ·pLimbs+24(SB), SI
 
-// redc sets R8..R11 to T*2^-256 mod p, fully reduced, for T in R8..R11
-// and BX, CX, R14, SI below 3U: four REDROWs on L with a zero fifth
-// limb give R(L), H is added, and the result, below 4p, loses 2p if it
-// is at least 2p, then p if it is at least p. It clobbers AX, BX, CX,
-// DX, R12 and R13.
-TEXT ·redc<>(SB), NOSPLIT, $0-0
-	XORQ R12, R12
-	REDROW
-	REDROW
-	REDROW
-	REDROW
-	ADDQ BX, R8
-	ADCQ CX, R9
-	ADCQ R14, R10
+// REDCROWS sets R8..R11 to H + R(L) for T = H*2^256 + L in R8..R11 and
+// BX, CX, R14, SI: four REDROWs on L with a zero fifth limb give R(L),
+// at most p, and H is added.
+#define REDCROWS \
+	XORQ R12, R12; \
+	REDROW;        \
+	REDROW;        \
+	REDROW;        \
+	REDROW;        \
+	ADDQ BX, R8;   \
+	ADCQ CX, R9;   \
+	ADCQ R14, R10; \
 	ADCQ SI, R11
+
+// redc sets R8..R11 to T*2^-256 mod p, fully reduced, for T below 3U:
+// the result of REDCROWS, below 4p, loses 2p if it is at least 2p, then
+// p if it is at least p. It clobbers AX, BX, CX, DX, R12 and R13.
+TEXT ·redc<>(SB), NOSPLIT, $0-0
+	REDCROWS
 	MOVQ R8, BX
 	MOVQ R9, CX
 	MOVQ R10, R12
@@ -452,6 +456,16 @@ TEXT ·redc<>(SB), NOSPLIT, $0-0
 	RET
 
 #define REDC CALL ·redc<>(SB)
+
+// redcu is redc for T below U: then H < p, the result of REDCROWS is
+// below 2p, and one subtraction of p reduces it. It clobbers what redc
+// does.
+TEXT ·redcu<>(SB), NOSPLIT, $0-0
+	REDCROWS
+	REDUCE
+	RET
+
+#define REDCU CALL ·redcu<>(SB)
 
 // ADDMODM and SUBMODM are ADDMOD and SUBMOD of the element at o(r).
 #define ADDMODM(o, r) ADDMOD(o+0(r), o+8(r), o+16(r), o+24(r))
@@ -1074,4 +1088,272 @@ TEXT ·cpuid(SB), NOSPLIT, $0-16
 	CPUID
 	MOVL AX, eax+8(FP)
 	MOVL BX, ebx+12(FP)
+	RET
+
+// The comb kernels below are the two halves of the loop body of
+// ScalarBaseMult (comb.go): the table select and the G1 mixed addition.
+//
+// The selects read a whole row, 32 affine entries, in the shape of the
+// Go standard library's p256SelectAffine: a lane-wise counter j runs
+// from 1 to 32 beside mag, PCMPEQL turns j == mag into an all-ones or
+// an all-zero 16-byte mask, and every 16 bytes of every entry are ANDed
+// with the mask and XORed into the result. Exactly one entry survives,
+// none for mag = 0. The loop count is a constant, so neither a branch
+// nor an address depends on mag. They use SSE2 only, which every amd64
+// CPU has.
+//
+// g1AddMixed is RCB Algorithm 8 with lazy reduction, in the terms of the
+// tower kernels above (q = p^2, U = p*2^256): all 11 products are plain
+// (MULP), and each value goes through one reduction. redcu, redc for T
+// below U, ends in one subtraction of p rather than two. Before any
+// product, t2 = 9 Z1 and 9 X1 are taken with additions (3b = 9, and
+// 9x = 8x + x is three doublings and an addition, each reduced). Then,
+// with the range of T at each reduction:
+//
+//   - t3 = (X1 + Y1)(x2 + y2) - X1 x2 - Y1 y2 = X1 y2 + Y1 x2, with
+//     unreduced operand sums below 2p: [0, 2q), by redcu.
+//   - t0 = 3 X1 x2, the product added three times: [0, 3q), by redcu.
+//   - t1 = Y1 y2: [0, q), by redcu. Then, reduced, Z3 = t1 + t2 and
+//     t1 = t1 - t2.
+//   - t4 = y2 Z1 + Y1 and y3 = x2 t2 + 9 X1 = 9 (x2 Z1 + X1), the
+//     reduced addend in the high half: [0, q + U), under 1.19U, by redc.
+//   - X3 = t3 t1 - t4 y3 + U: (U - q, U + q), under 1.19U, by redc.
+//   - Y3 = t1 Z3 + y3 t0 and Z3 = Z3 t4 + t0 t3: [0, 2q), by redcu.
+//
+// 2q < 0.38U and 3q < 0.57U, so every redcu input is below U. That is 8
+// reductions where the Go code takes 11 Montgomery products. Every
+// result is fully reduced, so it equals addMixedG1 limb for limb, and r
+// is written only after p and q are last read, so it may alias either.
+
+// func g1SelectAffine(res *g1Affine, row *g1CombRow, mag uint64)
+//
+// X0..X3 collect the result, X4..X11 hold two entries, X12 is the mask,
+// X13 the counter j, X14 mag and X15 the lane-wise 1 that steps j.
+TEXT ·g1SelectAffine(SB), NOSPLIT, $0-24
+	MOVQ    res+0(FP), DI
+	MOVQ    row+8(FP), SI
+	MOVQ    mag+16(FP), X14
+	PSHUFD  $0, X14, X14
+	PXOR    X15, X15
+	PCMPEQL X13, X13
+	PSUBL   X13, X15
+	MOVOU   X15, X13
+	PXOR    X0, X0
+	PXOR    X1, X1
+	PXOR    X2, X2
+	PXOR    X3, X3
+	MOVQ    $16, CX
+
+g1select:
+	MOVOU   X13, X12
+	PADDL   X15, X13
+	PCMPEQL X14, X12
+	MOVOU   0(SI), X4
+	MOVOU   16(SI), X5
+	MOVOU   32(SI), X6
+	MOVOU   48(SI), X7
+	PAND    X12, X4
+	PAND    X12, X5
+	PAND    X12, X6
+	PAND    X12, X7
+	MOVOU   X13, X12
+	PADDL   X15, X13
+	PCMPEQL X14, X12
+	MOVOU   64(SI), X8
+	MOVOU   80(SI), X9
+	MOVOU   96(SI), X10
+	MOVOU   112(SI), X11
+	PAND    X12, X8
+	PAND    X12, X9
+	PAND    X12, X10
+	PAND    X12, X11
+	PXOR    X4, X0
+	PXOR    X5, X1
+	PXOR    X6, X2
+	PXOR    X7, X3
+	PXOR    X8, X0
+	PXOR    X9, X1
+	PXOR    X10, X2
+	PXOR    X11, X3
+	ADDQ    $128, SI
+	DECQ    CX
+	JNE     g1select
+
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	RET
+
+// func g2SelectAffine(res *g2Affine, row *g2CombRow, mag uint64)
+//
+// As g1SelectAffine on 128-byte entries, one per iteration: X0..X7
+// collect the result and X8..X11 hold a half entry.
+TEXT ·g2SelectAffine(SB), NOSPLIT, $0-24
+	MOVQ    res+0(FP), DI
+	MOVQ    row+8(FP), SI
+	MOVQ    mag+16(FP), X14
+	PSHUFD  $0, X14, X14
+	PXOR    X15, X15
+	PCMPEQL X13, X13
+	PSUBL   X13, X15
+	MOVOU   X15, X13
+	PXOR    X0, X0
+	PXOR    X1, X1
+	PXOR    X2, X2
+	PXOR    X3, X3
+	PXOR    X4, X4
+	PXOR    X5, X5
+	PXOR    X6, X6
+	PXOR    X7, X7
+	MOVQ    $32, CX
+
+g2select:
+	MOVOU   X13, X12
+	PADDL   X15, X13
+	PCMPEQL X14, X12
+	MOVOU   0(SI), X8
+	MOVOU   16(SI), X9
+	MOVOU   32(SI), X10
+	MOVOU   48(SI), X11
+	PAND    X12, X8
+	PAND    X12, X9
+	PAND    X12, X10
+	PAND    X12, X11
+	PXOR    X8, X0
+	PXOR    X9, X1
+	PXOR    X10, X2
+	PXOR    X11, X3
+	MOVOU   64(SI), X8
+	MOVOU   80(SI), X9
+	MOVOU   96(SI), X10
+	MOVOU   112(SI), X11
+	PAND    X12, X8
+	PAND    X12, X9
+	PAND    X12, X10
+	PAND    X12, X11
+	PXOR    X8, X4
+	PXOR    X9, X5
+	PXOR    X10, X6
+	PXOR    X11, X7
+	ADDQ    $128, SI
+	DECQ    CX
+	JNE     g2select
+
+	MOVOU X0, 0(DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	MOVOU X4, 64(DI)
+	MOVOU X5, 80(DI)
+	MOVOU X6, 96(DI)
+	MOVOU X7, 112(DI)
+	RET
+
+// The frame of g1AddMixed: the operand sums X1 + Y1 and x2 + y2, the
+// reduced values t0, t1, t2, t3, t4, y3, Z3 and 9 X1, and six
+// products.
+#define AM_S1 0
+#define AM_S2 32
+#define AM_T0 64
+#define AM_T1 96
+#define AM_T2 128
+#define AM_T3 160
+#define AM_T4 192
+#define AM_Y3 224
+#define AM_Z3 256
+#define AM_X9 288
+#define AM_PA 320
+#define AM_PB 384
+#define AM_PC 448
+#define AM_PD 512
+#define AM_PE 576
+#define AM_PF 640
+
+// MUL9 sets R8..R11 = 9*R8..R11 mod p, for a reduced operand also
+// stored at o(r), as three doublings and an addition.
+#define MUL9(o, r) \
+	DOUBLEMOD; \
+	DOUBLEMOD; \
+	DOUBLEMOD; \
+	ADDMODM(o, r)
+
+// func g1AddMixed(r, p *g1Proj, q *g1Affine)
+//
+// DI holds p, then r: it is the one register that MULP, LOADT and redc
+// all leave alone. SI holds q until the first LOADT. The products of
+// each round are taken before its reductions, whose latency chains are
+// then independent and overlap.
+TEXT ·g1AddMixed(SB), 0, $704-24
+	MOVQ p+8(FP), DI
+	MOVQ q+16(FP), SI
+
+	// t2 = 9 Z1 and 9 X1, which need no product, then the operand sums.
+	LOAD(64, DI)
+	MUL9(64, DI)
+	STORE(AM_T2, SP)
+	LOAD(0, DI)
+	MUL9(0, DI)
+	STORE(AM_X9, SP)
+	ADDNR(0(DI), 8(DI), 16(DI), 24(DI), 32(DI), 40(DI), 48(DI), 56(DI))
+	STORE(AM_S1, SP)
+	ADDNR(0(SI), 8(SI), 16(SI), 24(SI), 32(SI), 40(SI), 48(SI), 56(SI))
+	STORE(AM_S2, SP)
+
+	// t3 = X1 y2 + Y1 x2, t0 = 3 X1 x2, t1 = Y1 y2, t4 = y2 Z1 + Y1 and
+	// y3 = x2 t2 + 9 X1 = 9 (x2 Z1 + X1); then Z3 = t1 + t2 and
+	// t1 = t1 - t2.
+	MULP(0, DI, 0, SI, AM_PA, SP)
+	MULP(32, DI, 32, SI, AM_PB, SP)
+	MULP(AM_S1, SP, AM_S2, SP, AM_PC, SP)
+	MULP(32, SI, 64, DI, AM_PD, SP)
+	MULP(0, SI, AM_T2, SP, AM_PE, SP)
+	LOADT(AM_PC)
+	SUBT(AM_PA)
+	SUBT(AM_PB)
+	REDCU
+	STORE(AM_T3, SP)
+	LOADT(AM_PA)
+	ADDT(AM_PA)
+	ADDT(AM_PA)
+	REDCU
+	STORE(AM_T0, SP)
+	LOADT(AM_PD)
+	ADDH(32, DI)
+	REDC
+	STORE(AM_T4, SP)
+	LOADT(AM_PE)
+	ADDH(AM_X9, SP)
+	REDC
+	STORE(AM_Y3, SP)
+	LOADT(AM_PB)
+	REDCU
+	STORE(AM_T1, SP)
+	ADDMODM(AM_T2, SP)
+	STORE(AM_Z3, SP)
+	LOAD(AM_T1, SP)
+	SUBMODM(AM_T2, SP)
+	STORE(AM_T1, SP)
+
+	// X3 = t3 t1 - t4 y3, Y3 = t1 Z3 + y3 t0, Z3 = Z3 t4 + t0 t3.
+	MULP(AM_T4, SP, AM_Y3, SP, AM_PB, SP)
+	MULP(AM_Y3, SP, AM_T0, SP, AM_PD, SP)
+	MULP(AM_T0, SP, AM_T3, SP, AM_PF, SP)
+	MULP(AM_T3, SP, AM_T1, SP, AM_PA, SP)
+	MULP(AM_T1, SP, AM_Z3, SP, AM_PC, SP)
+	MULP(AM_Z3, SP, AM_T4, SP, AM_PE, SP)
+	MOVQ r+0(FP), DI
+	LOADT(AM_PA)
+	SUBT(AM_PB)
+	ADDHU
+	REDC
+	STORE(0, DI)
+	LOADT(AM_PC)
+	ADDT(AM_PD)
+	REDCU
+	STORE(32, DI)
+	LOADT(AM_PE)
+	ADDT(AM_PF)
+	REDCU
+	STORE(64, DI)
 	RET

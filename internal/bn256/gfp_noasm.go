@@ -6,8 +6,16 @@ package bn256
 // architectures and under the purego build tag.
 const useADX = false
 
-// The kernels below only let the dispatchers compile: with useADX a
-// constant false, no caller reaches them.
+// The kernels below stand in for the assembly. The comb's selects need
+// no useADX, so they are the Go code here; the rest only let the
+// dispatchers compile: with useADX a constant false, no caller reaches
+// them.
+
+func g1SelectAffine(res *g1Affine, row *g1CombRow, mag uint64) { row.selectGeneric(res, mag) }
+
+func g2SelectAffine(res *g2Affine, row *g2CombRow, mag uint64) { row.selectGeneric(res, mag) }
+
+func g1AddMixed(r, p *g1Proj, q *g1Affine) { addMixedG1(r, p, q) }
 
 func gfpMul(c, a, b *gfP) { c.mulGeneric(a, b) }
 

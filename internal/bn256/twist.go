@@ -297,7 +297,7 @@ func (t *twistPoint) inG2() bool {
 // Mul sets t = k*a for k >= 0 and returns t. It walks the width-5
 // wNAF of k over the odd multiples a, 3a, ..., 15a, adding the negated
 // entry for a negative digit. It is variable-time, so k must be public:
-// ScalarMult, cofactor clearing and tests. Secret scalars multiply the
+// cofactor clearing at init and tests. Secret scalars multiply the
 // generator through the constant-time comb of ScalarBaseMult (comb.go).
 func (t *twistPoint) Mul(a *twistPoint, k *big.Int) *twistPoint {
 	return t.mulWNAF(a, wnaf(k, scalarWNAFWidth), scalarWNAFWidth)

@@ -94,15 +94,6 @@ func (p Polynomial) Coeffs(n int) zq.Vector {
 	return out
 }
 
-// Eval returns p(x) by Horner's rule.
-func (p Polynomial) Eval(x zq.Scalar) zq.Scalar {
-	acc := zq.Zero()
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		acc = acc.Mul(x).Add(p.coeffs[i])
-	}
-	return acc
-}
-
 // String renders p for debugging.
 func (p Polynomial) String() string {
 	if p.IsZero() {

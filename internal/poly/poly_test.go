@@ -158,3 +158,13 @@ func TestString(t *testing.T) {
 		t.Fatalf("unexpected rendering %q", s)
 	}
 }
+
+// Eval returns p(x) by Horner's rule, the reference the root tests
+// evaluate against.
+func (p Polynomial) Eval(x zq.Scalar) zq.Scalar {
+	acc := zq.Zero()
+	for i := len(p.coeffs) - 1; i >= 0; i-- {
+		acc = acc.Mul(x).Add(p.coeffs[i])
+	}
+	return acc
+}

@@ -29,3 +29,17 @@ func encryptTable(s *Scheme, rows []Row) ([]*RowCiphertext, error) {
 	}
 	return out, nil
 }
+
+// Match implements SJ.Match for a single pair of decrypted values; the
+// join paths match whole tables by hashing (HashJoin).
+func Match(da, db DValue) bool {
+	if len(da) != len(db) {
+		return false
+	}
+	for i := range da {
+		if da[i] != db[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -349,19 +349,6 @@ func decryptRowError(row int, err error) error {
 	return fmt.Errorf("securejoin: decrypting row %d: %w", row, err)
 }
 
-// Match implements SJ.Match for a single pair of decrypted values.
-func Match(da, db DValue) bool {
-	if len(da) != len(db) {
-		return false
-	}
-	for i := range da {
-		if da[i] != db[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // MatchPair is one joined row pair: indexes into the two decrypted
 // tables.
 type MatchPair struct {

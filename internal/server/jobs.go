@@ -205,10 +205,18 @@ func (s *Server) joinWorker() {
 	}
 }
 
+// testHookRunTask, when not nil, is called by runTask before anything
+// else, on the worker that took the task. Tests set it to hold a worker
+// busy for as long as they need; it is nil in production.
+var testHookRunTask func()
+
 // runTask is the one join executor: it parses the request unless
 // submit already did, opens the engine stream, drains it into the
 // task's sink and reports the outcome to the task's finish.
 func (s *Server) runTask(t joinTask) {
+	if testHookRunTask != nil {
+		testHookRunTask()
+	}
 	t.begin()
 	if t.spec == nil {
 		spec, err := s.joinSpecFrom(t.jr)

@@ -301,6 +301,8 @@ func TestJobSurvivesRestart(t *testing.T) {
 // and retryable, nothing queues, and a retried submit lands once the
 // worker frees up.
 func TestSubmitShedsWhenQueueFull(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
 	srv := New(nil)
 	srv.SetJobWorkers(1)
 	srv.jobQueueDepth = 0
@@ -312,15 +314,12 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	c := dial(t, addr)
 	uploadPair(t, c, 12)
 
-	// Job A occupies the only worker for its ~24 pairings of work.
+	// Job A occupies the only worker, held until the sheds are done.
 	infoA, err := c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "job A to start running", func() bool {
-		st, err := c.JobStatus(infoA.ID)
-		return err == nil && st.State != wire.JobQueued
-	})
+	waitTaken(t, taken, "job A")
 
 	// With the worker busy and nowhere to queue, both kinds of join
 	// work shed immediately.
@@ -333,6 +332,7 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	if srv.met.ShedTotal.Value() < 2 {
 		t.Fatalf("shed counter = %d, want >= 2", srv.met.ShedTotal.Value())
 	}
+	release()
 
 	// A shed submit created no job and is safe to retry verbatim; the
 	// backoff outlasts job A and the resubmission is accepted.

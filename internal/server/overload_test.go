@@ -24,6 +24,38 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// holdJoinWorkers makes every join worker wait, as it takes a task and
+// before the task begins, until release is called; taken receives once
+// per task taken while held. Call it before the server starts, so its
+// workers see the hook, and release (it may be called more than once)
+// before the server closes: a deferred release runs before the
+// test's cleanups, and the cleanup registered here clears the hook
+// after the server's own.
+func holdJoinWorkers(t *testing.T) (taken <-chan struct{}, release func()) {
+	ch := make(chan struct{}, 16)
+	gate := make(chan struct{})
+	testHookRunTask = func() {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
+	t.Cleanup(func() { testHookRunTask = nil })
+	var once sync.Once
+	return ch, func() { once.Do(func() { close(gate) }) }
+}
+
+// waitTaken waits for a held worker to take a task.
+func waitTaken(t *testing.T, taken <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-taken:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for the worker to take %s", what)
+	}
+}
+
 // TestOverloadedServerShedsJoins pins the admission-control contract of
 // the one gate every join passes, the worker pool's bounded queue: with
 // one worker and a queue of one, a sync join occupies the worker, a
@@ -31,6 +63,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // submit are shed alike — same typed retryable code, same counter —
 // until the work drains, the slot frees, and no goroutine leaks.
 func TestOverloadedServerShedsJoins(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
 	srv := New(nil)
 	srv.SetJobWorkers(1)
 	srv.jobQueueDepth = 1
@@ -46,15 +80,13 @@ func TestOverloadedServerShedsJoins(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 
-	// Join 1: admitted and running. The health probe travels the same
-	// connection behind the join request, so once it reports the join in
-	// flight and the queue empty, the only worker holds it — for ~24
-	// pairings of work, far longer than the sheds below take.
+	// Join 1: admitted and taken by the only worker, which holds it
+	// until the sheds below are done.
 	stream1 := openJoin(t, c, "L", "R")
-	waitFor(t, "the worker to take join 1", func() bool {
-		h, err := c.Health()
-		return err == nil && h.InflightJoins == 1 && h.JobsQueued == 0
-	})
+	waitTaken(t, taken, "join 1")
+	if h, err := c.Health(); err != nil || h.InflightJoins != 1 || h.JobsQueued != 0 {
+		t.Fatalf("health with join 1 on the worker = %+v, %v; want 1 in flight, 0 queued", h, err)
+	}
 
 	// Job 2: accepted into the queue's one place, behind join 1.
 	job2, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{})
@@ -78,6 +110,7 @@ func TestOverloadedServerShedsJoins(t *testing.T) {
 	}
 
 	// Everything admitted completes, in arrival order.
+	release()
 	n := 0
 	for {
 		batch, err := stream1.Next()
@@ -179,6 +212,8 @@ func TestQueueDepthGaugeSettlesAtZero(t *testing.T) {
 // TestPerConnectionJoinCapSheds: one connection's in-flight join cap
 // sheds its second join while another connection is unaffected.
 func TestPerConnectionJoinCapSheds(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
 	srv := New(nil)
 	srv.maxJoinsPerConn = 1
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -194,11 +229,12 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 		_, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 		done <- err
 	}()
-	waitFor(t, "join 1 admission", func() bool { return srv.met.InflightJoins.Value() == 1 })
+	waitTaken(t, taken, "join 1")
 
 	if _, _, err := c.JoinWith("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); !errors.Is(err, client.ErrOverloaded) {
 		t.Fatalf("second join on the capped connection: %v, want client.ErrOverloaded", err)
 	}
+	release()
 	// The cap is per connection: a second client joins concurrently
 	// (under its own keys, so it matches nothing — but it executes).
 	c2 := dial(t, addr)
@@ -215,6 +251,8 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 // a rendezvous queue, the first sync join sheds, and a retry after the
 // job finished succeeds.
 func TestWithRetrySucceedsAfterShed(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
 	srv := New(nil)
 	srv.SetJobWorkers(1)
 	srv.jobQueueDepth = 0
@@ -228,16 +266,19 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	uploadPair(t, c, rows)
 	none := securejoin.Selection{}
 
-	// Occupy the only worker for ~24 pairings of work; the first attempt
-	// arrives while it runs and must shed.
+	// Occupy the only worker; the first attempt arrives while it is held
+	// and must shed, and the worker is let go before the second.
 	if _, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the job to hold the worker", func() bool { return srv.met.JobsRunning.Value() == 1 })
+	waitTaken(t, taken, "the job")
 	attempts := 0
 	var results []client.JoinResult
 	err = client.WithRetry(client.RetryConfig{Attempts: 40, Base: 100 * time.Millisecond}, func() error {
 		attempts++
+		if attempts == 2 {
+			release()
+		}
 		var err error
 		results, _, err = c.JoinWith("L", "R", none, none, client.JoinOpts{})
 		return err
