@@ -396,3 +396,14 @@ func (c *curvePoint) Mul(a *curvePoint, k *big.Int) *curvePoint {
 	}
 	return c.Set(&acc)
 }
+
+// TestTwistSearchBound checks that initTwist's bound leaves room: the
+// generator it found has a small n, far below the bound at which init
+// panics, so only broken field arithmetic can reach the bound.
+func TestTwistSearchBound(t *testing.T) {
+	if twistGenN < 1 || twistGenN*16 > twistSearchBound {
+		t.Fatalf("twist generator found at n = %d; the search bound %d is not far above it",
+			twistGenN, twistSearchBound)
+	}
+	t.Logf("twist generator at x = %d + i, search bound %d", twistGenN, twistSearchBound)
+}

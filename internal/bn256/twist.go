@@ -13,7 +13,18 @@ var twistB gfP2
 
 // twistGen is a generator of the order-r subgroup of E'(Fp2), found at
 // init by hashing along x-coordinates and clearing the twist cofactor.
-var twistGen twistPoint
+// twistGenN is the n of its x = n + i.
+var (
+	twistGen  twistPoint
+	twistGenN int64
+)
+
+// twistSearchBound caps the x = n + i candidates initTwist tries. About
+// half of all x give a point, so the search ends within a few
+// candidates; one that runs to the bound means the field arithmetic is
+// wrong (every gfP2.Sqrt failing, say), and init panics rather than
+// hang.
+const twistSearchBound = 256
 
 func initTwist() {
 	var three gfP2
@@ -22,7 +33,7 @@ func initTwist() {
 
 	// Scan small x-coordinates for a point on the twist, then clear the
 	// cofactor to land in the order-r subgroup.
-	for n := int64(1); ; n++ {
+	for n := int64(1); n <= twistSearchBound; n++ {
 		var x, rhs, y gfP2
 		x.a0 = *newGFp(n)
 		x.a1 = *newGFp(1)
@@ -53,9 +64,10 @@ func initTwist() {
 		if !gen.inG2() {
 			panic("bn256: twist generator fails the G2 membership test")
 		}
-		twistGen = gen
+		twistGen, twistGenN = gen, n
 		return
 	}
+	panic("bn256: no twist point with x = n + i for n up to twistSearchBound; the field arithmetic is wrong")
 }
 
 // Set sets t = a and returns t.

@@ -112,28 +112,10 @@ func (m *Matrix) Scale(k zq.Scalar) *Matrix {
 	return s
 }
 
-// Mul returns the matrix product m * o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	p := New(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a.IsZero() {
-				continue
-			}
-			for j := 0; j < o.Cols; j++ {
-				p.Set(i, j, p.At(i, j).Add(a.Mul(o.At(k, j))))
-			}
-		}
-	}
-	return p
-}
-
 // MulVec returns the row-vector product v * m, the operation used to
-// compute v*B and w*B* in the IPE scheme.
+// compute v*B and w*B* in the IPE scheme. v holds secrets (the row's
+// gamma slots, the token's k and delta), so every entry takes the same
+// multiplications whatever its value: there is no skip for zero.
 func (m *Matrix) MulVec(v zq.Vector) zq.Vector {
 	if len(v) != m.Rows {
 		panic(fmt.Sprintf("matrix: cannot multiply vector of length %d by %dx%d", len(v), m.Rows, m.Cols))
@@ -141,9 +123,6 @@ func (m *Matrix) MulVec(v zq.Vector) zq.Vector {
 	out := zq.NewVector(m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		vi := v[i]
-		if vi.IsZero() {
-			continue
-		}
 		for j := 0; j < m.Cols; j++ {
 			out[j] = out[j].Add(vi.Mul(m.At(i, j)))
 		}
@@ -151,8 +130,16 @@ func (m *Matrix) MulVec(v zq.Vector) zq.Vector {
 	return out
 }
 
-// Det returns the determinant of a square matrix via fraction-free
-// Gaussian elimination with partial pivoting over Z_q.
+// Det returns the determinant of a square matrix via Gaussian
+// elimination with partial pivoting over Z_q.
+//
+// Det and Inverse are the one place the secret master key B meets a
+// branch on its value: the pivot search tests entries for zero. They run
+// only at Setup and when a key file loads, and for B uniform in
+// GL_n(Z_q) a diagonal entry met during elimination is zero with
+// probability about 1/q, so for all but a negligible fraction of keys
+// the search takes its first row every time. The field arithmetic they
+// call is zq's and runs in fixed time.
 func (m *Matrix) Det() zq.Scalar {
 	if m.Rows != m.Cols {
 		panic("matrix: determinant of non-square matrix")
@@ -180,9 +167,6 @@ func (m *Matrix) Det() zq.Scalar {
 		pInv := p.Inv()
 		for row := col + 1; row < n; row++ {
 			f := a.At(row, col).Mul(pInv)
-			if f.IsZero() {
-				continue
-			}
 			for j := col; j < n; j++ {
 				a.Set(row, j, a.At(row, j).Sub(f.Mul(a.At(col, j))))
 			}
@@ -225,9 +209,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 				continue
 			}
 			f := a.At(row, col)
-			if f.IsZero() {
-				continue
-			}
 			for j := 0; j < n; j++ {
 				a.Set(row, j, a.At(row, j).Sub(f.Mul(a.At(col, j))))
 				inv.Set(row, j, inv.At(row, j).Sub(f.Mul(inv.At(col, j))))

@@ -7,6 +7,24 @@ import (
 	"repro/internal/zq"
 )
 
+// Mul returns the matrix product m * o, the reference the tests check
+// Inverse, Det and MulVec against.
+func (m *Matrix) Mul(o *Matrix) *Matrix {
+	if m.Cols != o.Rows {
+		panic(fmt.Sprintf("matrix: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
+	}
+	p := New(m.Rows, o.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			for j := 0; j < o.Cols; j++ {
+				p.Set(i, j, p.At(i, j).Add(a.Mul(o.At(k, j))))
+			}
+		}
+	}
+	return p
+}
+
 func randomSquare(t *testing.T, n int) *Matrix {
 	t.Helper()
 	m, err := RandomInvertible(n, nil)
@@ -206,4 +224,38 @@ func assertPanics(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// randomVector returns n uniformly random scalars.
+func randomVector(n int) zq.Vector {
+	v := zq.NewVector(n)
+	for i := range v {
+		v[i] = zq.MustRandom()
+	}
+	return v
+}
+
+// TestMulVecAllocs pins MulVec, SJ.Enc's and TokenGen's vector product,
+// at one allocation: its output.
+func TestMulVecAllocs(t *testing.T) {
+	m := randomSquare(t, 8)
+	v := randomVector(8)
+	var sink zq.Vector
+	if n := testing.AllocsPerRun(100, func() { sink = m.MulVec(v) }); n != 1 {
+		t.Errorf("MulVec allocates %v times per call, want 1", n)
+	}
+	_ = sink
+}
+
+// BenchmarkMulVec times one d = 8 row's w*B*, the vector product of
+// SJ.Enc at the benchmark's M = 1, T = 4.
+func BenchmarkMulVec(b *testing.B) {
+	m, err := RandomInvertible(8, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := randomVector(8)
+	for b.Loop() {
+		v = m.MulVec(v)
+	}
 }
