@@ -21,14 +21,15 @@
 // without running it. Without -query, join reads one statement per line
 // from stdin.
 //
-// Sharded mode: give upload and join the same -servers list and the
-// table is hash-partitioned on the join key across those sjservers at
-// encrypt time; every join step then scatters one request per shard
-// and merges the decrypted streams client-side.
+// -addr takes a comma-separated list of sjservers. Give upload and join
+// the same list, in the same order, and every table is hash-partitioned
+// on the join key across them at encrypt time; every join step then
+// scatters one request per server and merges the decrypted streams
+// client-side. One address is the one-server case of the same path.
 //
-//	sjclient upload -keys client.key -servers 127.0.0.1:7788,127.0.0.1:7789 \
+//	sjclient upload -keys client.key -addr 127.0.0.1:7788,127.0.0.1:7789 \
 //	    -table Customers -csv customers.csv -join custkey -attrs selectivity -index
-//	sjclient join -keys client.key -servers 127.0.0.1:7788,127.0.0.1:7789 \
+//	sjclient join -keys client.key -addr 127.0.0.1:7788,127.0.0.1:7789 \
 //	    -catalog "Customers:custkey:selectivity;Orders:custkey:selectivity" \
 //	    -query "SELECT * FROM Orders JOIN Customers ON Orders.custkey = Customers.custkey"
 package main
@@ -64,7 +65,7 @@ func main() {
 	case "join":
 		err = cmdJoin(os.Args[2:], os.Stdin, os.Stdout)
 	case "job":
-		err = cmdJob(os.Args[2:])
+		err = cmdJob(os.Args[2:], os.Stdout)
 	default:
 		usage()
 		os.Exit(2)
@@ -109,20 +110,27 @@ func cmdKeygen(args []string) error {
 	return nil
 }
 
-func loadKeys(path string) (*engine.Client, error) {
-	f, err := os.Open(path)
+// dial loads the key file and connects to the servers of an -addr list.
+func dial(keysPath, addrs string) (*client.Cluster, error) {
+	f, err := os.Open(keysPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return engine.LoadClientKeys(f)
+	keys, err := engine.LoadClientKeys(f)
+	if err != nil {
+		return nil, err
+	}
+	return client.DialClusterWithKeys(splitCols(addrs), keys)
 }
+
+// addrUsage documents -addr, which every subcommand that dials shares.
+const addrUsage = "server address, or a comma-separated list of them that tables are hash-sharded across on the join key (give upload, join and job the same list)"
 
 func cmdUpload(args []string) error {
 	fs := flag.NewFlagSet("upload", flag.ExitOnError)
 	keys := fs.String("keys", "client.key", "key file")
-	addr := fs.String("addr", "127.0.0.1:7788", "server address")
-	servers := fs.String("servers", "", "comma-separated server addresses; the table is hash-sharded on the join key across them (overrides -addr)")
+	addr := fs.String("addr", "127.0.0.1:7788", addrUsage)
 	table := fs.String("table", "", "table name")
 	csvPath := fs.String("csv", "", "CSV file with a header row")
 	joinCol := fs.String("join", "", "name of the join column")
@@ -135,50 +143,30 @@ func cmdUpload(args []string) error {
 		return fmt.Errorf("upload requires -table, -csv and -join")
 	}
 
-	ek, err := loadKeys(*keys)
-	if err != nil {
-		return err
-	}
 	rows, err := readCSVRows(*csvPath, *joinCol, splitCols(*attrCols))
 	if err != nil {
 		return err
 	}
-	// Sharded upload: hash-partition the rows on the join key and store
-	// shard i on server i. Every table of a later join must be uploaded
-	// with the same -servers list, in the same order.
-	if *servers != "" {
-		clu, err := client.DialClusterWithKeys(splitCols(*servers), ek)
-		if err != nil {
-			return err
-		}
-		defer clu.Close()
-		upload := clu.Upload
-		if *index {
-			upload = clu.UploadIndexed
-		}
-		if err := upload(*table, rows); err != nil {
-			return err
-		}
-		fmt.Printf("uploaded %d encrypted rows as table %s, sharded over %d servers (indexed=%v)\n",
-			len(rows), *table, clu.Shards(), *index)
-		return nil
-	}
-	cli, err := client.DialWithKeys(*addr, ek)
+	clu, err := dial(*keys, *addr)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer clu.Close()
+	upload := clu.Upload
 	if *index {
-		if err := cli.UploadIndexed(*table, rows); err != nil {
-			return err
-		}
-		fmt.Printf("uploaded %d encrypted rows as table %s (with SSE pre-filter index)\n", len(rows), *table)
-		return nil
+		upload = clu.UploadIndexed
 	}
-	if err := cli.Upload(*table, rows); err != nil {
+	if err := upload(*table, rows); err != nil {
 		return err
 	}
-	fmt.Printf("uploaded %d encrypted rows as table %s\n", len(rows), *table)
+	fmt.Printf("uploaded %d encrypted rows as table %s", len(rows), *table)
+	if clu.Shards() > 1 {
+		fmt.Printf(", sharded over %d servers", clu.Shards())
+	}
+	if *index {
+		fmt.Print(" (with SSE pre-filter index)")
+	}
+	fmt.Println()
 	return nil
 }
 
@@ -189,8 +177,7 @@ func cmdUpload(args []string) error {
 func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("join", flag.ExitOnError)
 	keys := fs.String("keys", "client.key", "key file")
-	addr := fs.String("addr", "127.0.0.1:7788", "server address")
-	servers := fs.String("servers", "", "comma-separated server addresses holding the sharded tables; the join scatters to every shard (overrides -addr)")
+	addr := fs.String("addr", "127.0.0.1:7788", addrUsage)
 	catalogSpec := fs.String("catalog", "", "schemas as Name:joincol:attr1,attr2;Name2:...")
 	query := fs.String("query", "", "SQL statement to run (default: one statement per line of stdin)")
 	maxRows := fs.Int("maxrows", 20, "result rows to print per statement")
@@ -210,9 +197,6 @@ func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 	// Fail fast on flag/plan mismatches before any key material is
 	// loaded or server dialed. The step count does not depend on the
 	// statistics the sync below brings in.
-	if *async && *servers != "" {
-		return fmt.Errorf("-async with -servers submits one job per shard and has no single collectible ID")
-	}
 	if *query != "" {
 		plan, err := catalog.Compile(*query)
 		if err != nil {
@@ -222,42 +206,15 @@ func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 			return fmt.Errorf("-async applies only to two-table queries; multi-join plans stitch intermediates client-side")
 		}
 	}
-	ek, err := loadKeys(*keys)
+	clu, err := dial(*keys, *addr)
 	if err != nil {
 		return err
 	}
-
+	defer clu.Close()
 	// Sync row counts and index state from the backend, so the planner
 	// orders joins and chooses prefiltered execution from what is stored.
-	var runner sql.Runner
-	var submit func(*sql.Plan) (*client.JobInfo, error)
-	var retry client.RetryConfig
-	if *servers != "" {
-		// Scatter-gather against sharded tables (see upload -servers).
-		// No whole-plan retry: the cluster retries a shed shard on its
-		// own while the other shards keep streaming.
-		clu, err := client.DialClusterWithKeys(splitCols(*servers), ek)
-		if err != nil {
-			return err
-		}
-		defer clu.Close()
-		if _, err := clu.SyncCatalog(catalog); err != nil {
-			return err
-		}
-		runner, retry = clu.Runner(false), client.RetryConfig{Attempts: 1}
-	} else {
-		cli, err := client.DialWithKeys(*addr, ek)
-		if err != nil {
-			return err
-		}
-		defer cli.Close()
-		if _, err := cli.SyncCatalog(catalog); err != nil {
-			return err
-		}
-		runner = cli.Runner(false)
-		if *async {
-			submit = cli.SubmitPlan
-		}
+	if _, err := clu.SyncCatalog(catalog); err != nil {
+		return err
 	}
 
 	exec := func(stmt string) error {
@@ -271,28 +228,21 @@ func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 		}
 		// A job's result is spooled durably on the server until
 		// collected with sjclient job -id or reaped by the job TTL.
-		if submit != nil {
-			info, err := submit(plan)
+		if *async {
+			info, err := clu.SubmitPlan(plan)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "submitted job %s (%s JOIN %s, state %s)\n", info.ID, info.TableA, info.TableB, info.State)
-			fmt.Fprintf(out, "collect with: sjclient job -id %s\n", info.ID)
+			fmt.Fprintf(out, "collect with: sjclient job -addr %s -id %s\n", *addr, info.ID)
 			return nil
 		}
 		start := time.Now()
 		rows := rowPrinter{out: out, max: *maxRows}
-		var revealed int
-		// A shed step (client.ErrOverloaded) is rejected before it
-		// streams a batch, and only the last step emits, so no row was
-		// printed yet and re-running the whole plan is safe.
-		err = client.WithRetry(retry, func() error {
-			var err error
-			revealed, err = sql.Execute(runner, plan, func(r sql.ResultRow) error {
-				rows.print(r.Payloads...)
-				return nil
-			})
-			return err
+		// A shard that sheds a step is retried by the cluster on its own.
+		revealed, err := clu.ExecutePlan(plan, func(r sql.ResultRow) error {
+			rows.print(r.Payloads...)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -344,10 +294,10 @@ func (p *rowPrinter) more() {
 // attach may come from any connection — a fresh process, after the
 // submitter exited, even after a server restart — because completed
 // results are spooled in the server's data directory.
-func cmdJob(args []string) error {
+func cmdJob(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("job", flag.ExitOnError)
 	keys := fs.String("keys", "client.key", "key file")
-	addr := fs.String("addr", "127.0.0.1:7788", "server address")
+	addr := fs.String("addr", "127.0.0.1:7788", addrUsage)
 	id := fs.String("id", "", "job ID printed by join -async")
 	status := fs.Bool("status", false, "print the job's state and progress instead of waiting for its results")
 	maxRows := fs.Int("maxrows", 20, "result rows to print")
@@ -357,43 +307,39 @@ func cmdJob(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("job requires -id")
 	}
-	ek, err := loadKeys(*keys)
+	clu, err := dial(*keys, *addr)
 	if err != nil {
 		return err
 	}
-	cli, err := client.DialWithKeys(*addr, ek)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
+	defer clu.Close()
 
 	if *status {
-		info, err := cli.JobStatus(*id)
+		info, err := clu.JobStatus(*id)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("job %s: %s (%s JOIN %s)\n", info.ID, info.State, info.TableA, info.TableB)
-		fmt.Printf("  rows decrypted: %d, steps done: %d, pairs revealed: %d\n",
+		fmt.Fprintf(out, "job %s: %s (%s JOIN %s)\n", info.ID, info.State, info.TableA, info.TableB)
+		fmt.Fprintf(out, "  rows decrypted: %d, steps done: %d, pairs revealed: %d\n",
 			info.RowsDecrypted, info.StepsDone, info.RevealedPairs)
 		if info.State == "done" {
-			fmt.Printf("  result rows: %d\n", info.ResultRows)
+			fmt.Fprintf(out, "  result rows: %d\n", info.ResultRows)
 		}
 		if info.Err != "" {
-			fmt.Printf("  error: %s\n", info.Err)
+			fmt.Fprintf(out, "  error: %s\n", info.Err)
 		}
 		return nil
 	}
 
-	results, revealed, err := cli.WaitJob(*id)
+	results, revealed, err := clu.WaitJob(*id)
 	if err != nil {
 		return err
 	}
-	rows := rowPrinter{out: os.Stdout, max: *maxRows}
+	rows := rowPrinter{out: out, max: *maxRows}
 	for _, r := range results {
 		rows.print(r.PayloadA, r.PayloadB)
 	}
 	rows.more()
-	fmt.Printf("%d rows (%d equality pairs observed by server)\n", rows.total, revealed)
+	fmt.Fprintf(out, "%d rows (%d equality pairs observed by server)\n", rows.total, revealed)
 	return nil
 }
 

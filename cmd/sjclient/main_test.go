@@ -6,6 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -116,7 +119,7 @@ func TestJoinFlagPlanMismatchFailsFast(t *testing.T) {
 		want string
 	}{
 		{"async multi-join", append([]string{"-async"}, base...), "-async applies only to two-table queries"},
-		{"async sharded multi-join", append([]string{"-async", "-servers", "127.0.0.1:1,127.0.0.1:2"}, base...), "no single collectible ID"},
+		{"async multi-join over two servers", append([]string{"-async", "-addr", "127.0.0.1:1,127.0.0.1:2"}, base...), "-async applies only to two-table queries"},
 	} {
 		err := cmdJoin(tc.args, strings.NewReader(""), io.Discard)
 		if err == nil {
@@ -160,8 +163,8 @@ func newTPCHFixture(t *testing.T, scale float64) tpchFixture {
 	return f
 }
 
-// startServers runs n in-process sjservers and returns the flags that
-// point sjclient at them: -addr for one, -servers for more.
+// startServers runs n in-process sjservers and returns the -addr flag
+// that points sjclient at them.
 func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	var addrs []string
@@ -174,10 +177,7 @@ func startServers(t *testing.T, n int) []string {
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, addr)
 	}
-	if n == 1 {
-		return []string{"-addr", addrs[0]}
-	}
-	return []string{"-servers", strings.Join(addrs, ",")}
+	return []string{"-addr", strings.Join(addrs, ",")}
 }
 
 // upload stores Customers, Orders and, from customers.csv again, the
@@ -328,4 +328,46 @@ func TestJoinFallsBackUnindexed(t *testing.T) {
 		"-> full scan (no SSE index)",
 		"via full scan plan",
 		"15 rows in")
+}
+
+// sortedRows returns the printed result rows of sjclient output,
+// sorted: shards merge in arrival order.
+func sortedRows(out string) []string {
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  ") {
+			rows = append(rows, line)
+		}
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+// TestJoinAsyncSharded: a two-table join submitted with -async over two
+// servers prints one composite job ID, and job -id with the same -addr
+// list collects the rows the synchronous sharded join prints.
+func TestJoinAsyncSharded(t *testing.T) {
+	f := newTPCHFixture(t, 0.00005)
+	target := startServers(t, 2)
+	f.upload(t, target, true)
+
+	const query = "SELECT * FROM Customers JOIN Orders ON Customers.custkey = Orders.custkey"
+	sync := f.join(t, target, query, "")
+	mustContain(t, sync, "75 rows in")
+
+	submitted := f.join(t, target, query, "", "-async")
+	m := regexp.MustCompile(`(?m)^submitted job ([0-9a-f]+,[0-9a-f]+) `).FindStringSubmatch(submitted)
+	if m == nil {
+		t.Fatalf("no two-part job ID in:\n%s", submitted)
+	}
+	mustContain(t, submitted, "collect with: sjclient job -addr "+target[1]+" -id "+m[1])
+	var out bytes.Buffer
+	args := append([]string{"-keys", f.keys, "-id", m[1], "-maxrows", "100"}, target...)
+	if err := cmdJob(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	mustContain(t, out.String(), "75 rows (")
+	if got, want := sortedRows(out.String()), sortedRows(sync); !reflect.DeepEqual(got, want) {
+		t.Fatalf("job -id printed rows\n%s\nthe sync join printed\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

@@ -2,8 +2,10 @@
 // drives it with the v5 protocol client — the full database-as-a-service
 // deployment of Section 2 in one process. The server sees only
 // ciphertexts and tokens; all keys stay on the client side of the
-// socket. Results stream back in bounded batches, and one connection
-// pipelines concurrent queries issued from separate goroutines.
+// socket. The client is a Cluster of one server, the same client a
+// sharded deployment uses. Results stream back in bounded batches, and
+// one connection pipelines concurrent queries issued from separate
+// goroutines.
 package main
 
 import (
@@ -30,14 +32,16 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("server listening on %s (protocol v%d)\n", addr, wire.Version)
 
-	cli, err := client.Dial(addr, securejoin.Params{M: 1, T: 2})
+	// The client side is a Cluster: a list of servers, here one.
+	keys, err := engine.NewClient(securejoin.Params{M: 1, T: 2}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cli, err := client.DialClusterWithKeys([]string{addr}, keys)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cli.Close()
-	if err := cli.Ping(); err != nil {
-		log.Fatal(err)
-	}
 
 	patients := []engine.PlainRow{
 		{JoinValue: []byte("insurer-A"), Attrs: [][]byte{[]byte("cardiology")}, Payload: []byte("Patient P-17, cardiology")},
@@ -97,7 +101,7 @@ func main() {
 	fmt.Printf("streamed %s join returned %d rows; server observed %d equality pairs\n",
 		plan.Strategy, rows, revealed)
 
-	// The client is safe for concurrent use: these two queries pipeline
+	// The cluster is safe for concurrent use: these two queries pipeline
 	// over the same connection, and the server executes them in
 	// parallel, interleaving their response frames.
 	var wg sync.WaitGroup

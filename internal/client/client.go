@@ -7,9 +7,11 @@
 // A Client speaks the wire v5 protocol and is safe for concurrent use:
 // requests carry unique IDs, responses are demultiplexed by a reader
 // goroutine, and concurrent Join/Upload/Ping calls from multiple
-// goroutines pipeline over the single connection. A join is a compiled
-// sql.Plan run by sql.Execute over Runner: each step's results are
-// consumed through a JoinStream as the server streams batches.
+// goroutines pipeline over the single connection. A Client is one
+// connection's transport; plans run over a Cluster of Clients, one per
+// server (a single server is the one-shard Cluster): sql.Execute over
+// Cluster.Runner, each step's results consumed through a JoinStream
+// per shard as the servers stream batches.
 package client
 
 import (
@@ -257,16 +259,14 @@ func (c *Client) send(req *wire.Request) (*pending, error) {
 	return p, nil
 }
 
-// ack waits for a request's single terminal frame (Ok or Err).
-func (c *Client) ack(p *pending, op string) error {
-	_, err := c.ackFrame(p, op)
-	return err
-}
-
-// ackFrame waits for a request's terminal frame and validates it is an
-// Ok ack, returning the frame so callers can read additive payloads
-// (e.g. Health on a Ping ack).
-func (c *Client) ackFrame(p *pending, op string) (*wire.Frame, error) {
+// roundTrip sends req and waits for its single terminal frame: an
+// error frame becomes a typed client error, and a frame that valid
+// rejects an unexpected-frame error.
+func (c *Client) roundTrip(req *wire.Request, op string, valid func(*wire.Frame) bool) (*wire.Frame, error) {
+	p, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
 	f := p.pop()
 	if f == nil {
 		return nil, c.connErr()
@@ -274,19 +274,19 @@ func (c *Client) ackFrame(p *pending, op string) (*wire.Frame, error) {
 	if f.Err != "" {
 		return nil, frameErr(op, f)
 	}
-	if !f.Ok {
+	if !valid(f) {
 		return nil, fmt.Errorf("client: unexpected %s response frame", op)
 	}
 	return f, nil
 }
 
+// isOk accepts a plain Ok ack.
+func isOk(f *wire.Frame) bool { return f.Ok }
+
 // Ping round-trips an empty request.
 func (c *Client) Ping() error {
-	p, err := c.send(&wire.Request{Ping: true})
-	if err != nil {
-		return err
-	}
-	return c.ack(p, "ping")
+	_, err := c.Health()
+	return err
 }
 
 // Health round-trips a Ping and returns the server's health report:
@@ -294,11 +294,7 @@ func (c *Client) Ping() error {
 // leakage total, uptime). Servers predating the health field ack pings
 // without one; Health then returns nil with no error.
 func (c *Client) Health() (*wire.HealthInfo, error) {
-	p, err := c.send(&wire.Request{Ping: true})
-	if err != nil {
-		return nil, err
-	}
-	f, err := c.ackFrame(p, "ping")
+	f, err := c.roundTrip(&wire.Request{Ping: true}, "ping", isOk)
 	if err != nil {
 		return nil, err
 	}
@@ -327,19 +323,9 @@ type TableInfo struct {
 // (sql.Catalog.SetStats and SetNDV) so the planner picks prefiltered
 // plans against indexed tables automatically.
 func (c *Client) DescribeTables() ([]TableInfo, error) {
-	p, err := c.send(&wire.Request{Describe: true})
+	f, err := c.roundTrip(&wire.Request{Describe: true}, "describe", func(f *wire.Frame) bool { return f.Tables != nil })
 	if err != nil {
 		return nil, err
-	}
-	f := p.pop()
-	if f == nil {
-		return nil, c.connErr()
-	}
-	if f.Err != "" {
-		return nil, fmt.Errorf("client: describe rejected: %s", f.Err)
-	}
-	if f.Tables == nil {
-		return nil, errors.New("client: unexpected describe response frame")
 	}
 	out := make([]TableInfo, len(f.Tables.Tables))
 	for i, t := range f.Tables.Tables {
@@ -462,11 +448,7 @@ func (c *Client) uploadTable(table *engine.EncryptedTable) error {
 			req.ShardCount = table.ShardCount
 			req.NDV = table.NDV
 		}
-		p, err := c.send(&wire.Request{Upload: req})
-		if err != nil {
-			return err
-		}
-		if err := c.ack(p, "upload"); err != nil {
+		if _, err := c.roundTrip(&wire.Request{Upload: req}, "upload", isOk); err != nil {
 			return err
 		}
 	}
@@ -680,51 +662,14 @@ func (c *Client) open(req *wire.JoinRequest, async bool) (*JoinStream, error) {
 	return &JoinStream{c: c, p: p}, nil
 }
 
-// Runner returns the sql.Runner whose transport is this connection:
-// each plan step becomes one JoinRequest — sent as a synchronous join,
-// or, with async, submitted as a job when execution reaches the step
-// (so semi-join candidate lists propagate either way) and attached.
-func (c *Client) Runner(async bool) sql.Runner {
-	return sql.Runner{Keys: c.keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
-		req, err := joinReqFromSpec(tableL, tableR, spec)
-		if err != nil {
-			return nil, err
-		}
-		js, err := c.open(req, async)
-		if err != nil {
-			return nil, err
-		}
-		return wireStepStream{js}, nil
-	}}
-}
-
-// wireStepStream adapts JoinStream (which already decrypts payloads) to
-// sql.StepStream.
-type wireStepStream struct{ js *JoinStream }
-
-func (s wireStepStream) Next() ([]sql.StepRow, error) {
-	rows, err := s.js.Next()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]sql.StepRow, len(rows))
-	for i, r := range rows {
-		out[i] = sql.StepRow{RowL: r.RowA, RowR: r.RowB, PayloadL: r.PayloadA, PayloadR: r.PayloadB}
-	}
-	return out, nil
-}
-
-func (s wireStepStream) Close()             { s.js.Close() }
-func (s wireStepStream) RevealedPairs() int { return s.js.RevealedPairs() }
-
 // ExecutePlan runs a compiled SQL plan of any arity against the live
 // server: each pairwise encrypted join step ships as its own
 // JoinRequest, and the decrypted intermediates are stitched client-side
 // on the shared table's row identity (sql.Execute). emit receives every
 // stitched result row; the returned count sums the revealed pairs over
-// all executed steps.
+// all executed steps. It runs as the one-shard Cluster over c.
 func (c *Client) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(c.Runner(false), p, emit)
+	return newCluster(c.keys, []*Client{c}).ExecutePlan(p, emit)
 }
 
 // JoinWith executes SELECT * FROM tableA JOIN tableB ON joinA = joinB

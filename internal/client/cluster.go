@@ -27,46 +27,22 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/sql"
 	"repro/internal/wire"
 )
 
-// clusterMetrics is the per-backend instrumentation of a Cluster,
-// labeled by shard index: join wall time per shard (the scatter-gather
-// straggler profile), and the degraded-mode counters — how often each
-// shard shed work and how often the cluster retried it while the other
-// shards streamed on.
-type clusterMetrics struct {
-	ShardSeconds *metrics.HistogramVec
-	ShardShed    *metrics.CounterVec
-	ShardRetries *metrics.CounterVec
-}
-
-func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
-	return clusterMetrics{
-		ShardSeconds: metrics.NewHistogramVec(reg, "sj_cluster_shard_seconds", "per-shard join stream wall time", "shard", nil),
-		ShardShed:    metrics.NewCounterVec(reg, "sj_cluster_shard_shed_total", "per-shard requests shed by that backend's admission control", "shard"),
-		ShardRetries: metrics.NewCounterVec(reg, "sj_cluster_shard_retries_total", "per-shard backoff retries after a shed", "shard"),
-	}
-}
-
 // Cluster owns one Client per backend server and executes uploads and
 // joins sharded across all of them. All backends share the caller's
 // key material; the Cluster is safe for concurrent use to the same
-// extent a single Client is.
+// extent a single Client is. One server is the one-shard cluster: its
+// tables are stored whole and its requests go out unchanged, so every
+// plan step reaches the wire through this one path.
 type Cluster struct {
 	keys    *engine.Client
 	clients []*Client
-	addrs   []string
-
-	reg *metrics.Registry
-	met clusterMetrics
 
 	// mu guards shardMaps: per table, per shard, the global row index
 	// of each shard-local row — recorded at upload so merged results
@@ -76,30 +52,27 @@ type Cluster struct {
 }
 
 // DialClusterWithKeys connects to every addr reusing existing key
-// material, e.g. keys restored from an earlier session. A single
-// address is the degenerate one-shard cluster — same code path, no
-// partitioning benefit.
+// material, e.g. keys restored from an earlier session. Shard i is
+// addrs[i]; a single address is the one-shard cluster.
 func DialClusterWithKeys(addrs []string, keys *engine.Client) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("client: cluster needs at least one server address")
 	}
-	reg := metrics.NewRegistry()
-	cl := &Cluster{
-		keys:      keys,
-		addrs:     append([]string(nil), addrs...),
-		reg:       reg,
-		met:       newClusterMetrics(reg),
-		shardMaps: make(map[string][][]int),
-	}
+	clients := make([]*Client, 0, len(addrs))
 	for _, addr := range addrs {
 		c, err := DialWithKeys(addr, keys)
 		if err != nil {
-			cl.Close()
+			newCluster(keys, clients).Close()
 			return nil, fmt.Errorf("client: cluster dial %s: %w", addr, err)
 		}
-		cl.clients = append(cl.clients, c)
+		clients = append(clients, c)
 	}
-	return cl, nil
+	return newCluster(keys, clients), nil
+}
+
+// newCluster wraps connected clients, shard i on clients[i].
+func newCluster(keys *engine.Client, clients []*Client) *Cluster {
+	return &Cluster{keys: keys, clients: clients, shardMaps: make(map[string][][]int)}
 }
 
 // Close terminates every backend connection, returning the first error.
@@ -119,10 +92,6 @@ func (cl *Cluster) Keys() *engine.Client { return cl.keys }
 // Shards returns the number of backend servers (= hash partitions).
 func (cl *Cluster) Shards() int { return len(cl.clients) }
 
-// Registry exposes the cluster's metric registry (per-shard latency
-// and degraded-mode counters) for scraping, e.g. by sjbench.
-func (cl *Cluster) Registry() *metrics.Registry { return cl.reg }
-
 // shardOf routes one join value to its shard: FNV-1a over the value,
 // mod the shard count. Every table uses the same function, which is
 // what aligns all equi-joins shard-locally.
@@ -134,7 +103,8 @@ func shardOf(joinValue []byte, shards int) int {
 
 // Upload hash-partitions a plaintext table on the join-key attribute,
 // encrypts each partition and stores partition i on server i under the
-// table's name (annotated shard i of N). The per-shard global row
+// table's name (annotated shard i of N; one server stores the whole
+// table unannotated, as Client.Upload does). The per-shard global row
 // indices are recorded so join results report single-server row
 // identities. Like Client.Upload, do not upload the same table name
 // concurrently.
@@ -173,7 +143,9 @@ func (cl *Cluster) upload(name string, rows []engine.PlainRow, indexed bool) err
 		if err != nil {
 			return err
 		}
-		t.Shard, t.ShardCount = s, n
+		if n > 1 {
+			t.Shard, t.ShardCount = s, n
+		}
 		tables[s] = t
 	}
 	errs := make([]error, n)
@@ -197,20 +169,30 @@ func (cl *Cluster) upload(name string, rows []engine.PlainRow, indexed bool) err
 	return nil
 }
 
-// globalRow translates a shard-local row number of a table to the row
-// identity reported to callers. With the upload-time shard map (the
-// common case: the uploading process is the joining process) this is
-// the exact row index of the original plaintext table, so results are
-// bit-identical to a single server's. Without one — joining from a
-// process that did not do the upload — a deterministic injection
-// local*shards+shard is used instead: unique per physical row and
-// consistent across the plan's steps, which is all the stitcher needs.
-func (cl *Cluster) globalRow(table string, shard, local int) int {
+// shardMap returns the upload-time map of one table's shard: the
+// global row index of each shard-local row, or nil when this process
+// did not upload the table.
+func (cl *Cluster) shardMap(table string, shard int) []int {
 	cl.mu.Lock()
-	m := cl.shardMaps[table]
-	cl.mu.Unlock()
-	if shard < len(m) && local < len(m[shard]) {
-		return m[shard][local]
+	defer cl.mu.Unlock()
+	if m := cl.shardMaps[table]; shard < len(m) {
+		return m[shard]
+	}
+	return nil
+}
+
+// globalRow translates a shard-local row number to the row identity
+// reported to callers, given the shard's map from shardMap. With the
+// map (the common case: the uploading process is the joining process)
+// this is the exact row index of the original plaintext table, so
+// results are bit-identical to a single server's. Without one —
+// joining from a process that did not do the upload — a deterministic
+// injection local*shards+shard is used instead: unique per physical
+// row and consistent across the plan's steps, which is all the
+// stitcher needs.
+func (cl *Cluster) globalRow(m []int, shard, local int) int {
+	if local < len(m) {
+		return m[local]
 	}
 	return local*len(cl.clients) + shard
 }
@@ -384,41 +366,31 @@ func (cl *Cluster) localCandidates(table string, candidates []int) [][]int {
 	return out
 }
 
-// scatter runs one join on every shard concurrently and returns the
-// merged stream; base is the single-server request, specialized per
-// shard by shardJoinReqs. Each shard's request goes through that
-// backend's Client.open, so async routes it through the shard's job
-// queue exactly as it would on a single server.
-//
-// Degraded mode: a shard that sheds (ErrOverloaded) is retried with
-// jittered exponential backoff on that shard alone — its siblings
-// keep streaming. Admission control rejects before any batch is
-// produced, so the retry re-sends a request that has emitted nothing.
-func (cl *Cluster) scatter(base *wire.JoinRequest, async bool) *clusterStepStream {
+// merge runs opens[s] on shard s concurrently, skipping nil slots, and
+// returns the merged stream of the shards' results of one join of
+// tableA and tableB.
+func (cl *Cluster) merge(tableA, tableB string, opens []func() (*JoinStream, error)) *clusterStepStream {
 	ms := &clusterStepStream{
-		batches: make(chan []sql.StepRow, len(cl.clients)),
+		batches: make(chan []sql.StepRow, len(opens)),
 		quit:    make(chan struct{}),
 	}
-	reqs := cl.shardJoinReqs(base)
 	var wg sync.WaitGroup
-	for s := range cl.clients {
-		if reqs[s] == nil {
+	for s, open := range opens {
+		if open == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(shard int) {
+		go func() {
 			defer wg.Done()
-			started := time.Now()
-			revealed, err := cl.runShard(shard, reqs[shard], async, ms)
-			cl.met.ShardSeconds.With(strconv.Itoa(shard)).Observe(time.Since(started).Seconds())
+			revealed, err := cl.runShard(s, tableA, tableB, open, ms)
 			if err != nil {
-				ms.fail(fmt.Errorf("shard %d (%s): %w", shard, cl.addrs[shard], err))
+				ms.fail(fmt.Errorf("shard %d (%s): %w", s, cl.clients[s].conn.RemoteAddr(), err))
 				return
 			}
 			ms.mu.Lock()
 			ms.revealed += revealed
 			ms.mu.Unlock()
-		}(s)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -427,17 +399,23 @@ func (cl *Cluster) scatter(base *wire.JoinRequest, async bool) *clusterStepStrea
 	return ms
 }
 
-// runShard executes one shard's portion of a scattered join, retrying
-// on shed, and pushes remapped batches into the merged stream. It
-// returns the shard's revealed-pair count.
-func (cl *Cluster) runShard(shard int, req *wire.JoinRequest, async bool, ms *clusterStepStream) (int, error) {
-	label := strconv.Itoa(shard)
+// runShard drains one shard's stream, opened by open, and pushes its
+// batches, remapped to global row identities, into the merged stream.
+// It returns the shard's revealed-pair count.
+//
+// Degraded mode: a shard that sheds (ErrOverloaded) is retried with
+// jittered exponential backoff on that shard alone — its siblings keep
+// streaming. A shed surfaces at submit, or on a sync join's first Next
+// (the terminal Err frame precedes any batch), so retrying the whole
+// open and drain re-sends a request that delivered nothing.
+func (cl *Cluster) runShard(shard int, tableA, tableB string, open func() (*JoinStream, error), ms *clusterStepStream) (int, error) {
 	revealed := 0
-	attempt := func() error {
-		js, err := cl.clients[shard].open(req, async)
+	err := WithRetry(RetryConfig{}, func() error {
+		js, err := open()
 		if err != nil {
 			return err
 		}
+		mapA, mapB := cl.shardMap(tableA, shard), cl.shardMap(tableB, shard)
 		for {
 			batch, err := js.Next()
 			if err == io.EOF {
@@ -453,8 +431,8 @@ func (cl *Cluster) runShard(shard int, req *wire.JoinRequest, async bool, ms *cl
 			rows := make([]sql.StepRow, len(batch))
 			for i, r := range batch {
 				rows[i] = sql.StepRow{
-					RowL:     cl.globalRow(req.TableA, shard, r.RowA),
-					RowR:     cl.globalRow(req.TableB, shard, r.RowB),
+					RowL:     cl.globalRow(mapA, shard, r.RowA),
+					RowR:     cl.globalRow(mapB, shard, r.RowB),
 					PayloadL: r.PayloadA,
 					PayloadR: r.PayloadB,
 				}
@@ -464,36 +442,31 @@ func (cl *Cluster) runShard(shard int, req *wire.JoinRequest, async bool, ms *cl
 				return errors.New("cluster stream closed")
 			}
 		}
-	}
-	cfg := RetryConfig{Sleep: func(d time.Duration) {
-		cl.met.ShardRetries.With(label).Inc()
-		time.Sleep(d)
-	}}
-	err := WithRetry(cfg, func() error {
-		// A shed surfaces at submit, or on a sync join's first Next (the
-		// terminal Err frame precedes any batch), so retrying the whole
-		// open+drain re-sends a request that delivered nothing.
-		err := attempt()
-		if errors.Is(err, ErrOverloaded) {
-			cl.met.ShardShed.With(label).Inc()
-		}
-		return err
 	})
 	return revealed, err
 }
 
 // Runner returns the sql.Runner whose transport is the whole cluster:
 // each plan step compiles to ONE join request — one token set shared by
-// every shard — that is scattered, and the merged stream feeds
-// sql.Execute's stitcher unchanged. Async routes each shard's step
-// through that backend's job queue instead of a synchronous join.
+// every shard — that is scattered, specialized per shard by
+// shardJoinReqs, and the merged stream feeds sql.Execute's stitcher
+// unchanged. Each shard's request goes through that backend's
+// Client.open, so async routes it through the shard's job queue exactly
+// as it would on a single server.
 func (cl *Cluster) Runner(async bool) sql.Runner {
 	return sql.Runner{Keys: cl.keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
 		req, err := joinReqFromSpec(tableL, tableR, spec)
 		if err != nil {
 			return nil, err
 		}
-		return cl.scatter(req, async), nil
+		reqs := cl.shardJoinReqs(req)
+		opens := make([]func() (*JoinStream, error), len(reqs))
+		for s, req := range reqs {
+			if req != nil {
+				opens[s] = func() (*JoinStream, error) { return cl.clients[s].open(req, async) }
+			}
+		}
+		return cl.merge(tableL, tableR, opens), nil
 	}}
 }
 

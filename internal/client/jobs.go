@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/securejoin"
@@ -13,11 +15,13 @@ import (
 )
 
 // This file is the client side of the async job subsystem: a join can
-// be submitted as a job (SubmitPlan), acknowledged immediately
-// with a job ID, and then polled (JobStatus) or streamed
-// (AttachJob) from this or any later connection — the server spools a
-// completed job's result durably, so the submitting client may
-// disconnect, or the server restart, between submit and attach.
+// be submitted as a job (Cluster.SubmitPlan), acknowledged immediately
+// with a job ID, and then polled (JobStatus) or collected (WaitJob)
+// from this or any later connection — the server spools a completed
+// job's result durably, so the submitting client may disconnect, or the
+// server restart, between submit and attach. A cluster job is one job
+// per shard; its ID is theirs joined with ",", in shard order, so a
+// one-shard cluster's job ID is its server's.
 
 // ErrUnknownJob is wrapped by errors of job calls naming an ID the
 // server does not know (wire.CodeUnknownJob). Completed jobs expire
@@ -44,65 +48,26 @@ func (c *Client) SubmitJoinQuery(tableA, tableB string, selA, selB securejoin.Se
 	return c.submit(req)
 }
 
-// SubmitPlan submits a compiled one-step plan as an async job, like
-// SubmitJoinQuery: the request is the plan's step 0 exactly as
-// Runner would send it, so the job decrypts the same rows and reveals
-// the same pairs as ExecutePlan. A multi-step plan is rejected before
-// anything is sent: its steps stitch client-side, so no single job
-// holds its result (run it with sql.Execute over Runner(true)).
-func (c *Client) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
-	if len(p.Steps) != 1 {
-		return nil, fmt.Errorf("client: a job runs one join step, and this plan has %d", len(p.Steps))
-	}
-	spec, err := p.SpecFor(0, c.keys)
-	if err != nil {
-		return nil, err
-	}
-	st := &p.Steps[0]
-	req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.submit(req)
-}
-
 // submit ships one join request as a Submit and decodes the job-info
 // ack.
 func (c *Client) submit(req *wire.JoinRequest) (*JobInfo, error) {
-	p, err := c.send(&wire.Request{Submit: &wire.SubmitRequest{Join: req}})
+	f, err := c.roundTrip(&wire.Request{Submit: &wire.SubmitRequest{Join: req}}, "submit", hasJob)
 	if err != nil {
 		return nil, err
 	}
-	f := p.pop()
-	if f == nil {
-		return nil, c.connErr()
-	}
-	if f.Err != "" {
-		return nil, frameErr("submit", f)
-	}
-	if f.Job == nil {
-		return nil, errors.New("client: submit ack carried no job info")
-	}
 	return f.Job, nil
 }
+
+// hasJob accepts a frame carrying job info.
+func hasJob(f *wire.Frame) bool { return f.Job != nil }
 
 // JobStatus polls one job's current state and progress counters
 // (rows decrypted, pipeline steps completed, revealed pairs so far).
 // An expired or never-known ID fails with ErrUnknownJob.
 func (c *Client) JobStatus(id string) (*JobInfo, error) {
-	p, err := c.send(&wire.Request{JobStatus: id})
+	f, err := c.roundTrip(&wire.Request{JobStatus: id}, "job status", hasJob)
 	if err != nil {
 		return nil, err
-	}
-	f := p.pop()
-	if f == nil {
-		return nil, c.connErr()
-	}
-	if f.Err != "" {
-		return nil, frameErr("job status", f)
-	}
-	if f.Job == nil {
-		return nil, errors.New("client: job status ack carried no job info")
 	}
 	return f.Job, nil
 }
@@ -169,4 +134,150 @@ func (c *Client) PollJobCtx(ctx context.Context, id string, interval time.Durati
 		case <-timer.C:
 		}
 	}
+}
+
+// SubmitPlan submits a compiled one-step plan as an async job on every
+// shard, like SubmitJoinQuery: each shard's request is the plan's step
+// 0 exactly as Runner would send it, so the jobs decrypt the same rows
+// and reveal the same pairs as ExecutePlan. A shard that sheds the
+// submit is retried on its own. A multi-step plan is rejected before
+// anything is sent: its steps stitch client-side, so no job holds its
+// result (run it with sql.Execute over Runner(true)). The returned
+// info is the shards' merged, under the cluster job ID.
+func (cl *Cluster) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
+	if len(p.Steps) != 1 {
+		return nil, fmt.Errorf("client: a job runs one join step, and this plan has %d", len(p.Steps))
+	}
+	spec, err := p.SpecFor(0, cl.keys)
+	if err != nil {
+		return nil, err
+	}
+	st := &p.Steps[0]
+	req, err := joinReqFromSpec(st.Left.Table, st.Right.Table, spec)
+	if err != nil {
+		return nil, err
+	}
+	infos := make([]*JobInfo, len(cl.clients))
+	for s, c := range cl.clients {
+		err := WithRetry(RetryConfig{}, func() (err error) {
+			infos[s], err = c.submit(req)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("client: submitting shard %d: %w", s, err)
+		}
+	}
+	return mergeJobInfos(infos), nil
+}
+
+// JobStatus polls a cluster job: its state is failed if any shard's
+// job failed, done if all are done, running once any has started and
+// queued before; its progress counters are the shards' summed. An ID
+// that is not one hex job ID per shard is refused before anything is
+// sent; one a shard does not know fails with ErrUnknownJob.
+func (cl *Cluster) JobStatus(id string) (*JobInfo, error) {
+	infos, err := cl.jobInfos(id)
+	if err != nil {
+		return nil, err
+	}
+	return mergeJobInfos(infos), nil
+}
+
+// WaitJob attaches to every shard's job and drains the merged stream:
+// the decrypted result rows, with the row identities ExecutePlan
+// reports, and the summed revealed-pair count, blocking until every
+// shard's job finishes.
+func (cl *Cluster) WaitJob(id string) ([]JoinResult, int, error) {
+	infos, err := cl.jobInfos(id)
+	if err != nil {
+		return nil, 0, err
+	}
+	opens := make([]func() (*JoinStream, error), len(infos))
+	for s, info := range infos {
+		if info.TableA != infos[0].TableA || info.TableB != infos[0].TableB {
+			return nil, 0, fmt.Errorf("client: job %q joins %s with %s on shard %d but %s with %s on shard 0",
+				id, info.TableA, info.TableB, s, infos[0].TableA, infos[0].TableB)
+		}
+		opens[s] = func() (*JoinStream, error) { return cl.clients[s].AttachJob(info.ID) }
+	}
+	ms := cl.merge(infos[0].TableA, infos[0].TableB, opens)
+	var out []JoinResult
+	for {
+		rows, err := ms.Next()
+		if err == io.EOF {
+			return out, ms.RevealedPairs(), nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, r := range rows {
+			out = append(out, JoinResult{RowA: r.RowL, RowB: r.RowR, PayloadA: r.PayloadL, PayloadB: r.PayloadR})
+		}
+	}
+}
+
+// jobInfos splits a cluster job ID into its shard job IDs and polls
+// each shard's job. The ID is user input: the wrong number of parts, an
+// empty part or a non-hex one is refused before any request is sent.
+func (cl *Cluster) jobInfos(id string) ([]*JobInfo, error) {
+	parts := strings.Split(id, ",")
+	if len(parts) != len(cl.clients) {
+		return nil, fmt.Errorf("client: job id %q has %d part(s) for %d shard(s)", id, len(parts), len(cl.clients))
+	}
+	for _, part := range parts {
+		if part == "" || strings.Trim(part, "0123456789abcdef") != "" {
+			return nil, fmt.Errorf("client: job id %q: part %q is not a hex job id", id, part)
+		}
+	}
+	infos := make([]*JobInfo, len(parts))
+	for s, part := range parts {
+		var err error
+		if infos[s], err = cl.clients[s].JobStatus(part); err != nil {
+			return nil, err
+		}
+	}
+	return infos, nil
+}
+
+// mergeJobInfos folds the shards' snapshots of one cluster job into
+// one: the shard IDs joined, the merged state, summed counters, the
+// first shard error, the earliest creation and start, and the last
+// finish once every shard finished.
+func mergeJobInfos(infos []*JobInfo) *JobInfo {
+	m := *infos[0]
+	ids := []string{m.ID}
+	for _, info := range infos[1:] {
+		ids = append(ids, info.ID)
+		m.State = mergeJobState(m.State, info.State)
+		m.RowsDecrypted += info.RowsDecrypted
+		m.StepsDone += info.StepsDone
+		m.RevealedPairs += info.RevealedPairs
+		m.ResultRows += info.ResultRows
+		if m.Err == "" {
+			m.Err = info.Err
+		}
+		m.CreatedUnix = min(m.CreatedUnix, info.CreatedUnix)
+		if m.StartedUnix == 0 || (info.StartedUnix != 0 && info.StartedUnix < m.StartedUnix) {
+			m.StartedUnix = info.StartedUnix
+		}
+		if m.FinishedUnix != 0 && info.FinishedUnix != 0 {
+			m.FinishedUnix = max(m.FinishedUnix, info.FinishedUnix)
+		} else {
+			m.FinishedUnix = 0
+		}
+	}
+	m.ID = strings.Join(ids, ",")
+	return &m
+}
+
+// mergeJobState is the state of a job split in two: failed if either
+// part failed, done or queued if both are, and otherwise running.
+func mergeJobState(a, b string) string {
+	switch {
+	case a == wire.JobFailed || b == wire.JobFailed:
+		return wire.JobFailed
+	case a == b:
+		return a
+	}
+	return wire.JobRunning
 }

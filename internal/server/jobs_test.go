@@ -123,13 +123,10 @@ func TestJobLifecycleMatchesSyncJoin(t *testing.T) {
 	}
 }
 
-// TestSubmitPlanMatchesExecutePlan: a one-step plan submitted as a job
-// yields the rows, payload bytes and sigma ExecutePlan does, and a
-// multi-step plan is rejected before any job exists.
-func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
-	addr := startServer(t)
-	c := dial(t, addr)
-	uploadIndexedTestTables(t, c)
+// jobsTestCatalog is the catalog over uploadIndexedTestTables' tables,
+// plus an Offices table for multi-step plans.
+func jobsTestCatalog(t *testing.T) *sql.Catalog {
+	t.Helper()
 	cat, err := sql.NewCatalog(
 		sql.TableSchema{Name: "Teams", JoinColumn: "Key", Attrs: map[string]int{"Name": 0}},
 		sql.TableSchema{Name: "Employees", JoinColumn: "Team", Attrs: map[string]int{"Role": 0}},
@@ -138,7 +135,35 @@ func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SyncCatalog(cat); err != nil {
+	return cat
+}
+
+// executePlan runs plan synchronously on cl and returns its rows as
+// join results, with the summed revealed pairs.
+func executePlan(t *testing.T, cl *client.Cluster, plan *sql.Plan) ([]client.JoinResult, int) {
+	t.Helper()
+	var rows []client.JoinResult
+	revealed, err := cl.ExecutePlan(plan, func(r sql.ResultRow) error {
+		rows = append(rows, client.JoinResult{RowA: r.Rows[0], RowB: r.Rows[1], PayloadA: r.Payloads[0], PayloadB: r.Payloads[1]})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows, revealed
+}
+
+// TestSubmitPlanMatchesExecutePlan: a one-step plan submitted as a job
+// on a one-shard cluster yields the rows, payload bytes and sigma
+// ExecutePlan does, under a job ID the server's own Client collects,
+// and a multi-step plan is rejected before any job exists.
+func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
+	addr := startServer(t)
+	c := dial(t, addr)
+	uploadIndexedTestTables(t, c)
+	cl := dialCluster(t, c, addr)
+	cat := jobsTestCatalog(t)
+	if _, err := cl.SyncCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +172,7 @@ func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SubmitPlan(multi); err == nil {
+	if _, err := cl.SubmitPlan(multi); err == nil {
 		t.Fatal("multi-step plan submitted as one job")
 	}
 	if h, err := c.Health(); err != nil || h.JobsQueued+h.JobsRunning+h.JobsStored != 0 {
@@ -162,18 +187,11 @@ func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
 	if plan.Strategy != sql.Prefiltered {
 		t.Fatalf("plan strategy = %v, want prefiltered (the job must carry SSE tokens)", plan.Strategy)
 	}
-	var want []client.JoinResult
-	wantRevealed, err := c.ExecutePlan(plan, func(r sql.ResultRow) error {
-		want = append(want, client.JoinResult{RowA: r.Rows[0], RowB: r.Rows[1], PayloadA: r.Payloads[0], PayloadB: r.Payloads[1]})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantRevealed := executePlan(t, cl, plan)
 	if len(want) != 2 {
 		t.Fatalf("ExecutePlan returned %d rows, want 2", len(want))
 	}
-	info, err := c.SubmitPlan(plan)
+	info, err := cl.SubmitPlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +200,89 @@ func TestSubmitPlanMatchesExecutePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want, gotRevealed, wantRevealed)
+}
+
+// TestClusterJobIDs: a two-shard job's ID is the shards' job IDs joined
+// with a comma. Polled, it merges the shards' states and counters;
+// collected, it returns the rows and summed sigma of a synchronous
+// ExecutePlan. An ID naming jobs the shards do not know fails typed,
+// and a malformed one is refused before anything is sent.
+func TestClusterJobIDs(t *testing.T) {
+	a1, a2 := startServer(t), startServer(t)
+	c := dial(t, a1)
+	cl := dialCluster(t, c, a1, a2)
+	uploadIndexedTestTables(t, cl)
+	cat := jobsTestCatalog(t)
+	if _, err := cl.SyncCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cat.Compile(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		WHERE Employees.Role = 'Tester'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantRevealed := executePlan(t, cl, plan)
+	if len(want) != 2 {
+		t.Fatalf("ExecutePlan returned %d rows, want 2", len(want))
+	}
+
+	info, err := cl.SubmitPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts := strings.Split(info.ID, ","); len(parts) != 2 || parts[0] == parts[1] {
+		t.Fatalf("cluster job ID %q is not two shard job IDs", info.ID)
+	}
+	var st *client.JobInfo
+	waitFor(t, "the cluster job to finish", func() bool {
+		st, err = cl.JobStatus(info.ID)
+		return err != nil || st.State == wire.JobDone || st.State == wire.JobFailed
+	})
+	if err != nil || st.State != wire.JobDone || st.ID != info.ID {
+		t.Fatalf("status = %+v, %v; want done under ID %q", st, err, info.ID)
+	}
+	if st.ResultRows != len(want) || st.RevealedPairs != wantRevealed {
+		t.Fatalf("status counts %d rows, %d pairs; ExecutePlan %d rows, %d pairs",
+			st.ResultRows, st.RevealedPairs, len(want), wantRevealed)
+	}
+	got, gotRevealed, err := cl.WaitJob(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, got, want, gotRevealed, wantRevealed)
+
+	const unknown = "deadbeefdeadbeef,0123456789abcdef"
+	if _, err := cl.JobStatus(unknown); !errors.Is(err, client.ErrUnknownJob) {
+		t.Fatalf("status of unknown cluster job: %v, want client.ErrUnknownJob", err)
+	}
+	if _, _, err := cl.WaitJob(unknown); !errors.Is(err, client.ErrUnknownJob) {
+		t.Fatalf("wait on unknown cluster job: %v, want client.ErrUnknownJob", err)
+	}
+
+	// On a closed cluster any request fails for the closed connection;
+	// a malformed ID must fail on its own terms, so nothing was sent.
+	cl.Close()
+	closed := func(err error) bool { return errors.Is(err, client.ErrClosed) || errors.Is(err, net.ErrClosed) }
+	if _, err := cl.JobStatus(unknown); !closed(err) {
+		t.Fatalf("status on a closed cluster: %v, want a closed-connection error", err)
+	}
+	for _, bad := range []string{
+		"deadbeefdeadbeef",                   // one part for two shards
+		"deadbeef,deadbeef,deadbeef",         // three parts
+		"deadbeefdeadbeef,",                  // empty part
+		",deadbeefdeadbeef",                  // empty part
+		"deadbeefdeadbeef,not-hex",           // non-hex part
+		"DEADBEEFDEADBEEF,0123456789abcdef",  // server IDs are lower case
+		"deadbeefdeadbeef, 0123456789abcdef", // stray space
+	} {
+		_, err := cl.JobStatus(bad)
+		_, _, werr := cl.WaitJob(bad)
+		for _, err := range []error{err, werr} {
+			if err == nil || closed(err) || !strings.Contains(err.Error(), "job id") {
+				t.Errorf("job ID %q: %v, want a refusal before any request", bad, err)
+			}
+		}
+	}
 }
 
 // TestJobStatusUnknownJob: an ID that was never submitted answers the

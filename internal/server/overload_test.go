@@ -2,14 +2,18 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/securejoin"
+	"repro/internal/sql"
 )
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -82,7 +86,7 @@ func TestOverloadedServerShedsJoins(t *testing.T) {
 
 	// Join 1: admitted and taken by the only worker, which holds it
 	// until the sheds below are done.
-	stream1 := openJoin(t, c, "L", "R")
+	stream1 := openJoin(t, dialCluster(t, c, addr), "L", "R")
 	waitTaken(t, taken, "join 1")
 	if h, err := c.Health(); err != nil || h.InflightJoins != 1 || h.JobsQueued != 0 {
 		t.Fatalf("health with join 1 on the worker = %+v, %v; want 1 in flight, 0 queued", h, err)
@@ -294,6 +298,134 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	}
 	if got := srv.met.ShedTotal.Value(); got != uint64(attempts-1) {
 		t.Fatalf("shed counter = %d, want one per failed attempt (%d)", got, attempts-1)
+	}
+}
+
+// TestClusterRetriesShedShard: every plan step reaches the wire
+// through a Cluster, which retries a shard that sheds it on that shard
+// alone. Each server has one worker and a rendezvous queue, and a job
+// over an empty table pair holds the worker, so every shard's first
+// attempt sheds; once all have shed the workers go free, and the
+// retries return the rows and sigma of an unloaded run. An error other
+// than a shed comes back from the first attempt.
+func TestClusterRetriesShedShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, async := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%d-shard async=%v", shards, async), func(t *testing.T) {
+				testClusterRetriesShedShard(t, shards, async)
+			})
+		}
+	}
+}
+
+func testClusterRetriesShedShard(t *testing.T, shards int, async bool) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
+	var srvs []*Server
+	var addrs []string
+	for i := 0; i < shards; i++ {
+		srv := New(nil)
+		srv.SetJobWorkers(1)
+		srv.jobQueueDepth = 0
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		srvs, addrs = append(srvs, srv), append(addrs, addr)
+	}
+	c := dial(t, addrs[0])
+	cl := dialCluster(t, c, addrs...)
+	const rows = 12
+	uploadPair(t, cl, rows)
+	for _, name := range []string{"E1", "E2"} {
+		if err := cl.Upload(name, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schema := func(name string) sql.TableSchema {
+		return sql.TableSchema{Name: name, JoinColumn: "k", Attrs: map[string]int{"a": 0}}
+	}
+	cat, err := sql.NewCatalog(schema("L"), schema("R"), schema("X"), schema("Y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := cat.Compile("SELECT * FROM L JOIN R ON L.k = R.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(p *sql.Plan) (string, int, error) {
+		var out []string
+		revealed, err := sql.Execute(cl.Runner(async), p, func(r sql.ResultRow) error {
+			out = append(out, fmt.Sprintf("%d|%d|%s|%s", r.Rows[0], r.Rows[1], r.Payloads[0], r.Payloads[1]))
+			return nil
+		})
+		sort.Strings(out)
+		return strings.Join(out, "\n"), revealed, err
+	}
+
+	// Occupy every worker, then run the plan: each shard sheds, and the
+	// workers are let go only once all of them have.
+	for _, addr := range addrs {
+		if _, err := dial(t, addr).SubmitJoinQuery("E1", "E2", nil, nil, client.JoinOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		waitTaken(t, taken, "the occupying job")
+	}
+	type result struct {
+		rows     string
+		revealed int
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		r.rows, r.revealed, r.err = run(plan)
+		done <- r
+	}()
+	for _, srv := range srvs {
+		waitFor(t, "the shard to shed", func() bool { return srv.met.ShedTotal.Value() > 0 })
+	}
+	release()
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("plan over shed shards: %v", got.err)
+	}
+	wantRows, wantRevealed, err := run(plan)
+	if err != nil {
+		t.Fatalf("unloaded run: %v", err)
+	}
+	if strings.Count(wantRows, "\n") != rows-1 {
+		t.Fatalf("unloaded run returned\n%s\nwant %d rows", wantRows, rows)
+	}
+	if got.rows != wantRows || got.revealed != wantRevealed {
+		t.Fatalf("retried run: %d pairs, rows\n%s\nunloaded run: %d pairs, rows\n%s", got.revealed, got.rows, wantRevealed, wantRows)
+	}
+
+	// A join of tables no server holds fails with one attempt's frames
+	// (a join, or a submit and an attach) after the one frame of each
+	// shed attempt: a worker still winding down the run above may shed
+	// the first.
+	perAttempt := uint64(1)
+	if async {
+		perAttempt = 2
+	}
+	frames, sheds := make([]uint64, shards), make([]uint64, shards)
+	for s, srv := range srvs {
+		frames[s], sheds[s] = srv.met.FramesIn.Value(), srv.met.ShedTotal.Value()
+	}
+	unknown, err := cat.Compile("SELECT * FROM X JOIN Y ON X.k = Y.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run(unknown); err == nil || errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("join of unknown tables: %v, want a non-shed error", err)
+	}
+	for s, srv := range srvs {
+		shed := srv.met.ShedTotal.Value() - sheds[s]
+		if got := srv.met.FramesIn.Value() - frames[s]; got != shed+perAttempt {
+			t.Errorf("shard %d received %d request frames for the failed join with %d shed, want %d (no retry)", s, got, shed, shed+perAttempt)
+		}
 	}
 }
 

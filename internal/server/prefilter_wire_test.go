@@ -10,8 +10,8 @@ import (
 )
 
 // uploadIndexedTestTables ships the canonical Teams/Employees pair with
-// SSE indexes over one connection.
-func uploadIndexedTestTables(t testing.TB, c *client.Client) {
+// SSE indexes.
+func uploadIndexedTestTables(t testing.TB, c uploader) {
 	t.Helper()
 	teams := []engine.PlainRow{
 		{JoinValue: []byte("1"), Attrs: [][]byte{[]byte("Web Application")}, Payload: []byte("team-web")},

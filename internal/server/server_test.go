@@ -31,15 +31,33 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-// openJoin starts an unfiltered join of tables a and b over c's
-// synchronous transport and returns its result stream undrained.
-func openJoin(t *testing.T, c *client.Client, a, b string) sql.StepStream {
+// uploader stores test tables: a Client whole, a Cluster sharded.
+type uploader interface {
+	Upload(name string, rows []engine.PlainRow) error
+	UploadIndexed(name string, rows []engine.PlainRow) error
+}
+
+// dialCluster connects a cluster to addrs under c's keys, so it
+// queries the tables c uploaded.
+func dialCluster(t *testing.T, c *client.Client, addrs ...string) *client.Cluster {
 	t.Helper()
-	q, err := c.Keys().NewQuery(nil, nil)
+	cl, err := client.DialClusterWithKeys(addrs, c.Keys())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := c.Runner(false).Open(a, b, engine.JoinSpec{Query: q})
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// openJoin starts an unfiltered join of tables a and b over cl's
+// synchronous transport and returns its result stream undrained.
+func openJoin(t *testing.T, cl *client.Cluster, a, b string) sql.StepStream {
+	t.Helper()
+	q, err := cl.Keys().NewQuery(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cl.Runner(false).Open(a, b, engine.JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

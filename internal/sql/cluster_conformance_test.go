@@ -23,10 +23,9 @@ import (
 // clusterFixture boots one reference server plus a 2-shard cluster,
 // all sharing the reference client's key material so every execution
 // decrypts the same ciphertext world. srvs[0] is the reference server,
-// srvs[1:] are the shards.
-func clusterFixture(t *testing.T) (single *client.Client, cl *client.Cluster, srvs []*server.Server) {
+// srvs[1:] are the shards; addrs[i] is srvs[i]'s address.
+func clusterFixture(t *testing.T) (single *client.Client, cl *client.Cluster, srvs []*server.Server, addrs []string) {
 	t.Helper()
-	var addrs []string
 	for i := 0; i < 3; i++ {
 		srv := server.New(nil)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -46,11 +45,11 @@ func clusterFixture(t *testing.T) (single *client.Client, cl *client.Cluster, sr
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return single, cl, srvs
+	return single, cl, srvs, addrs
 }
 
 func TestSQLConformanceCluster(t *testing.T) {
-	single, cl, _ := clusterFixture(t)
+	single, cl, _, _ := clusterFixture(t)
 
 	teams, employees := conformanceTables()
 	for name, rows := range map[string][]engine.PlainRow{
@@ -158,7 +157,7 @@ func TestSQLConformanceCluster(t *testing.T) {
 }
 
 func TestSQLConformanceClusterMultiJoin(t *testing.T) {
-	single, cl, _ := clusterFixture(t)
+	single, cl, _, _ := clusterFixture(t)
 
 	teams, employees := conformanceTables()
 	offices := conformanceOffices()

@@ -198,6 +198,11 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	one, err := client.DialClusterWithKeys([]string{addr}, c.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { one.Close() })
 
 	teams, employees := conformanceTables()
 	offices := conformanceOffices()
@@ -266,7 +271,7 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 			// Async mode submits each step lazily through the job queue,
 			// carrying the same candidate lists.
 			var asyncRows []string
-			asyncRevealed, err := sql.Execute(c.Runner(true), plan,
+			asyncRevealed, err := sql.Execute(one.Runner(true), plan,
 				func(r sql.ResultRow) error { asyncRows = append(asyncRows, render(r)); return nil })
 			if err != nil {
 				t.Fatal(err)

@@ -209,9 +209,10 @@ func emitOrCollect(emit func(ResultRow) error, next *[]ResultRow, row ResultRow,
 
 // Transport opens one compiled pairwise join wherever the step's tables
 // live and returns its result stream with the payloads already opened:
-// in process (EngineRunner), over one connection or scattered over a
-// cluster's shards (internal/client), synchronously or through a
-// server's job queue.
+// in process (EngineRunner), or over the wire scattered over a
+// cluster's shards (internal/client's Cluster.Runner; one server is the
+// one-shard cluster), synchronously or through each server's job
+// queue.
 type Transport func(tableL, tableR string, spec engine.JoinSpec) (StepStream, error)
 
 // Runner is the one way to run a plan step: compile it with the

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/leakage"
 	"repro/internal/metrics"
@@ -27,7 +28,12 @@ import (
 // two, and the union of the shards' ledgers — their rows renamed to
 // the single server's row numbers — is the single server's ledger.
 func TestSQLConformanceTransports(t *testing.T) {
-	single, cl, srvs := clusterFixture(t)
+	single, cl, srvs, addrs := clusterFixture(t)
+	one, err := client.DialClusterWithKeys(addrs[:1], single.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { one.Close() })
 
 	teams, employees := conformanceTables()
 	// globalRow[table][shard][local row] is the row's number in the
@@ -100,7 +106,7 @@ func TestSQLConformanceTransports(t *testing.T) {
 			return n
 		}
 	}
-	one, shards := decrypted(srvs[:1]), decrypted(srvs[1:])
+	oneDecrypted, shards := decrypted(srvs[:1]), decrypted(srvs[1:])
 
 	type outcome struct {
 		rows     string
@@ -137,7 +143,7 @@ func TestSQLConformanceTransports(t *testing.T) {
 	}
 
 	inProcess := sql.EngineRunner(srvs[0].Engine(), single.Keys())
-	want := run(t, inProcess, one, plan)
+	want := run(t, inProcess, oneDecrypted, plan)
 	if want.rows == "" {
 		t.Fatal("the plan matched no rows; the comparison would be vacuous")
 	}
@@ -146,7 +152,7 @@ func TestSQLConformanceTransports(t *testing.T) {
 	_, wantClosure := srvs[0].Engine().ObservedLeakage()
 	// The plan must be one where losing the candidates shows: without
 	// the reduction its stitch step decrypts more rows.
-	if full := run(t, inProcess, one, fullPlan); len(want.perStep) != 2 || want.perStep[1] >= full.perStep[1] {
+	if full := run(t, inProcess, oneDecrypted, fullPlan); len(want.perStep) != 2 || want.perStep[1] >= full.perStep[1] {
 		t.Fatalf("semi-join decrypted %v rows per step, full execution %v: the stitch step is not reduced", want.perStep, full.perStep)
 	}
 
@@ -156,8 +162,8 @@ func TestSQLConformanceTransports(t *testing.T) {
 		decrypted func() uint64
 		sharded   bool
 	}{
-		{"wire sync", single.Runner(false), one, false},
-		{"wire async", single.Runner(true), one, false},
+		{"1-shard sync", one.Runner(false), oneDecrypted, false},
+		{"1-shard async", one.Runner(true), oneDecrypted, false},
 		{"2-shard sync", cl.Runner(false), shards, true},
 		{"2-shard async", cl.Runner(true), shards, true},
 	} {
