@@ -2,6 +2,7 @@ package bn256
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -145,6 +146,109 @@ func BenchmarkTower(b *testing.B) {
 	})
 }
 
+// BenchmarkLane times the lane kernels (lanes.go) that BenchmarkTower's
+// operations become on AVX-512 IFMA, reporting ns per lane, that is per
+// row: an Fp product, the line product and the Fp12 square of the Miller
+// loop, the cyclotomic square of the final exponentiation, and the whole
+// Miller loop of BenchmarkMillerLoopOnly. The chunkN pairs time one
+// chunk of N rows at d = 5 on the row path and on the lanes, the
+// measurement behind laneMinRows. Each
+// repeats one operation on fixed inputs (throughput). Without IFMA it
+// skips.
+func BenchmarkLane(b *testing.B) {
+	if !useIFMA {
+		b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+	}
+	rnd := func() gfP {
+		n, _ := rand.Int(rand.Reader, P)
+		return *gfPFromBig(n)
+	}
+	var x, y, cyc, out lfp12
+	var l1, l3 lfp2
+	for k := 0; k < laneRows; k++ {
+		var a, c gfP12
+		for _, e := range []*gfP12{&a, &c} {
+			for _, f := range []*gfP2{&e.c0.b0, &e.c0.b1, &e.c0.b2, &e.c1.b0, &e.c1.b1, &e.c1.b2} {
+				*f = gfP2{rnd(), rnd()}
+			}
+		}
+		x.set(k, &a)
+		y.set(k, &c)
+		cyc.set(k, easyPart(b, &a))
+		l1.set(k, &gfP2{rnd(), rnd()})
+		l3.set(k, &gfP2{rnd(), rnd()})
+	}
+	perLane := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/lane")
+	}
+	b.Run("fpMul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfpMul(&out[0][0][0], &x[0][0][0], &y[0][0][0])
+		}
+		perLane(b)
+	})
+	b.Run("mulLine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfp12MulLine(&out, &x, &l1, &l3)
+		}
+		perLane(b)
+	})
+	b.Run("fp12Square", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfp12Square(&out, &x)
+		}
+		perLane(b)
+	})
+	b.Run("cyclotomicSquare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfp12CyclotomicSquare(&out, &cyc)
+		}
+		perLane(b)
+	})
+	// The Miller loop of BenchmarkMillerLoopOnly (one G2 slot) on eight
+	// rows at once.
+	_, q, _ := RandomG2(rand.Reader)
+	pc := PrecomputePairBatch([]*G2{q})
+	rows := make([][]*G1, laneRows)
+	for r := range rows {
+		rows[r] = randomAffineG1s(1)
+	}
+	pts := pc.points(rows)
+	b.Run("miller", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pc.millerLanes(pts, laneRows)
+		}
+		perLane(b)
+	})
+	// The chunk sizes around laneMinRows at d = 5, both ways: a chunk
+	// of n rows on the row path and on the lanes, in ns per chunk.
+	const d = 5
+	qs := make([]*G2, d)
+	for j := range qs {
+		_, qs[j], _ = RandomG2(rand.Reader)
+	}
+	pc5 := PrecomputePairBatch(qs)
+	for n := 1; n <= 3; n++ {
+		rows := make([][]*G1, n)
+		for r := range rows {
+			rows[r] = randomAffineG1s(d)
+		}
+		pts := pc5.points(rows)
+		out := make([]GT, n)
+		pc5.evalLanes(pts, out) // builds the lane coefficients outside the timer
+		b.Run(fmt.Sprintf("chunk%d/rows", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pc5.evalRows(pts, out)
+			}
+		})
+		b.Run(fmt.Sprintf("chunk%d/lanes", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pc5.evalLanes(pts, out)
+			}
+		})
+	}
+}
+
 // BenchmarkComb times the two halves of the comb's loop body (comb.go):
 // the select of a table entry and the mixed addition into the
 // accumulator, in each group, as ScalarBaseMult runs them 43 times. The
@@ -236,20 +340,24 @@ func BenchmarkMillerLoopOnly(b *testing.B) {
 	p := randomAffineG1s(1)[0]
 	_, q, _ := RandomG2(rand.Reader)
 	pc := PrecomputePairBatch([]*G2{q})
-	ps := []*G1{p}
+	pts := pc.points([][]*G1{{p}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pc.miller(ps)
+		pc.miller(pts.xs, pts.ys, pts.skip)
 	}
 }
 
 func BenchmarkFinalExponentiationOnly(b *testing.B) {
 	_, p, _ := RandomG1(rand.Reader)
 	_, q, _ := RandomG2(rand.Reader)
-	f := PrecomputePairBatch([]*G2{q}).miller([]*G1{p})
+	pc := PrecomputePairBatch([]*G2{q})
+	pts := pc.points([][]*G1{{p}})
+	f := pc.miller(pts.xs, pts.ys, pts.skip)
+	fs := make([]gfP12, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		finalExponentiation(&f)
+		fs[0] = f
+		finalExponentiationBatch(fs)
 	}
 }
 
@@ -283,7 +391,9 @@ func BenchmarkPairBatchedVsNaive(b *testing.B) {
 // with the G2 side recorded once, each evaluation pays only the line
 // evaluations at P, the accumulator squarings, and the final
 // exponentiation — the twist-point chain and the line normalization
-// are gone.
+// are gone. "evaluate" is one row; "evaluate8" is one chunk of eight
+// rows through EvalRows, on the lane kernels where the CPU has them,
+// and reports its time per row as ns/row.
 func BenchmarkPairBatchPrecomputed(b *testing.B) {
 	const d = 5 // m=1, t=1
 	ps := randomAffineG1s(d)
@@ -301,6 +411,18 @@ func BenchmarkPairBatchPrecomputed(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			PairBatchPrecomputed(pc, ps)
 		}
+	})
+	rows := make([][]*G1, laneRows)
+	for r := range rows {
+		rows[r] = randomAffineG1s(d)
+	}
+	out := make([]GT, laneRows)
+	pc.EvalRows(rows, out) // builds the lane coefficients outside the timer
+	b.Run("evaluate8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pc.EvalRows(rows, out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/row")
 	})
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -151,6 +151,7 @@ func init() {
 	initGFp()
 	initGFp2()
 	initTower()
+	initLanes()
 	initCurve()
 	initTwist()
 	initComb()

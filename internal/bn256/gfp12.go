@@ -244,17 +244,53 @@ func (e *gfP12) cyclotomicSquareGeneric(a *gfP12) *gfP12 {
 
 // Invert sets e = a^-1 and returns e. Inverting zero yields zero.
 func (e *gfP12) Invert(a *gfP12) *gfP12 {
-	// 1/(c0 + c1 w) = (c0 - c1 w)/(c0^2 - c1^2 tau)
+	var s fp12Inverse
+	n := s.start(a)
+	n.Invert(n)
+	s.finish(e, a)
+	return e
+}
+
+// fp12Inverse is an Fp12 inversion split around its one base-field
+// inversion, so that a batch of them can share it (batchInvert):
+//
+//	1/(c0 + c1 w) = (c0 - c1 w)/d,  d = c0^2 - c1^2 tau,
+//	1/d = (A + B tau + C tau^2)/F,  F in Fp2 (gfP6.Invert),
+//	1/F = conj(F)/n,                n = F0^2 + F1^2 in Fp.
+type fp12Inverse struct {
+	abc gfP6
+	f   gfP2
+	n   gfP
+}
+
+// start computes the cofactors of a and returns n, which the caller
+// replaces by 1/n before finish.
+func (s *fp12Inverse) start(a *gfP12) *gfP {
 	var d, t gfP6
 	d.Square(&a.c0)
 	t.Square(&a.c1)
 	t.MulTau(&t)
 	d.Sub(&d, &t)
-	d.Invert(&d)
+	s.f = d.cofactors(&s.abc)
+	var t0 gfP
+	s.n.Square(&s.f.a0)
+	t0.Square(&s.f.a1)
+	s.n.Add(&s.n, &t0)
+	return &s.n
+}
+
+// finish sets e = a^-1 once s.n holds 1/n; e may alias a.
+func (s *fp12Inverse) finish(e, a *gfP12) {
+	var finv gfP2
+	finv.a0.Mul(&s.f.a0, &s.n)
+	var nn gfP
+	nn.Neg(&s.n)
+	finv.a1.Mul(&s.f.a1, &nn)
+	var d gfP6
+	d.MulScalar(&s.abc, &finv)
 	e.c0.Mul(&a.c0, &d)
 	d.Neg(&d)
 	e.c1.Mul(&a.c1, &d)
-	return e
 }
 
 // Frobenius1 sets e = a^p and returns e. The p-power Frobenius

@@ -148,12 +148,20 @@ func (e *gfP6) Square(a *gfP6) *gfP6 {
 
 // Invert sets e = a^-1 and returns e. Inverting zero yields zero.
 func (e *gfP6) Invert(a *gfP6) *gfP6 {
-	// Using the standard cubic-extension inversion:
-	//   A = b0^2 - xi b1 b2
-	//   B = xi b2^2 - b0 b1
-	//   C = b1^2 - b0 b2
-	//   F = b0 A + xi b2 B + xi b1 C
-	//   a^-1 = (A + B tau + C tau^2)/F
+	var abc gfP6
+	F := a.cofactors(&abc)
+	F.Invert(&F)
+	return e.MulScalar(&abc, &F)
+}
+
+// cofactors sets abc = A + B tau + C tau^2 and returns F in Fp2 with
+// a^-1 = abc/F, by the standard cubic-extension inversion:
+//
+//	A = b0^2 - xi b1 b2
+//	B = xi b2^2 - b0 b1
+//	C = b1^2 - b0 b2
+//	F = b0 A + xi b2 B + xi b1 C
+func (a *gfP6) cofactors(abc *gfP6) gfP2 {
 	var A, B, C, F, t gfP2
 
 	A.Square(&a.b0)
@@ -178,9 +186,6 @@ func (e *gfP6) Invert(a *gfP6) *gfP6 {
 	t.MulXi(&t)
 	F.Add(&F, &t)
 
-	F.Invert(&F)
-	e.b0.Mul(&A, &F)
-	e.b1.Mul(&B, &F)
-	e.b2.Mul(&C, &F)
-	return e
+	abc.b0, abc.b1, abc.b2 = A, B, C
+	return F
 }

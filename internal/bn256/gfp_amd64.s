@@ -1081,13 +1081,23 @@ TEXT ·gfp12CyclotomicSquare(SB), 0, $1056-16
 	CSPLUS(CS_R2B+32, 352)
 	RET
 
-// func cpuid(leaf uint32) (eax, ebx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-16
+// func cpuid(leaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
 	XORL CX, CX
 	CPUID
 	MOVL AX, eax+8(FP)
 	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	MOVL   DX, edx+4(FP)
 	RET
 
 // The comb kernels below are the two halves of the loop body of
@@ -1356,4 +1366,871 @@ TEXT ·g1AddMixed(SB), 0, $704-24
 	ADDT(AM_PF)
 	REDCU
 	STORE(64, DI)
+	RET
+
+// The lane kernels below evaluate eight independent Fp operations at
+// once, one per 64-bit lane of a ZMM register, with AVX-512F and the
+// IFMA multiply-adds VPMADD52LUQ/VPMADD52HUQ (Gueron and Krasnov,
+// "Accelerating Big Integer Arithmetic Using Intel IFMA Extensions",
+// ARITH 2016). Go calls them only when useIFMA is set. An lfp holds
+// eight elements as five 52-bit limbs each, limb-major: limb i of all
+// eight lanes is the 64 bytes at offset 64i, so one ZMM load fetches it.
+// Values are in Montgomery form with R = 2^260 and every stored value is
+// normalised (limbs below 2^52) and lies in [0, 2p); lanes.go proves the
+// bounds. The products are operand-scanning Montgomery: per limb b_i,
+// ten IFMA ops add a*b_i, m = lo52(c_0 * np), ten more add m*p, and c_0's
+// carry moves into c_1. The accumulators hold up to 2^57, so no carry is
+// taken inside the loop; one pass normalises at the end.
+//
+// Register use in every lane kernel: Z0-Z4 one factor, Z10-Z15 the
+// accumulators, Z16 m, Z17 and Z19 scratch, Z18 the current limb b_i,
+// Z20-Z24 the limbs of p, Z25 np, Z26 the 52-bit mask and Z27-Z31 the
+// limbs of 2p. Z5-Z9 carry sums and differences. No general-purpose
+// register beyond AX, BX, CX, DX, SI, DI, R8 and R9 is used (R15 stays
+// untouched for -dynlink builds), and every kernel ends in VZEROUPPER.
+// Scratch elements live in the frame from its first 64-byte boundary
+// (LALIGN). The subroutines lfp2sqr<> and lfp6mul<> take their operands
+// in registers and expect LCONSTS already loaded.
+
+// LCONSTS loads the constants every lane kernel keeps in Z20-Z31.
+#define LCONSTS \
+	VPBROADCASTQ ·laneP+0(SB), Z20;   \
+	VPBROADCASTQ ·laneP+8(SB), Z21;   \
+	VPBROADCASTQ ·laneP+16(SB), Z22;  \
+	VPBROADCASTQ ·laneP+24(SB), Z23;  \
+	VPBROADCASTQ ·laneP+32(SB), Z24;  \
+	VPBROADCASTQ ·laneNP(SB), Z25;    \
+	VPTERNLOGQ   $0xff, Z26, Z26, Z26; \
+	VPSRLQ       $12, Z26, Z26;       \
+	VPBROADCASTQ ·lane2P+0(SB), Z27;  \
+	VPBROADCASTQ ·lane2P+8(SB), Z28;  \
+	VPBROADCASTQ ·lane2P+16(SB), Z29; \
+	VPBROADCASTQ ·lane2P+24(SB), Z30; \
+	VPBROADCASTQ ·lane2P+32(SB), Z31
+
+#define LLOAD(o, r, x0, x1, x2, x3, x4) \
+	VMOVDQU64 o+0(r), x0;   \
+	VMOVDQU64 o+64(r), x1;  \
+	VMOVDQU64 o+128(r), x2; \
+	VMOVDQU64 o+192(r), x3; \
+	VMOVDQU64 o+256(r), x4
+
+#define LSTORE(x0, x1, x2, x3, x4, o, r) \
+	VMOVDQU64 x0, o+0(r);   \
+	VMOVDQU64 x1, o+64(r);  \
+	VMOVDQU64 x2, o+128(r); \
+	VMOVDQU64 x3, o+192(r); \
+	VMOVDQU64 x4, o+256(r)
+
+// LNORM carries limbs x0..x3 into the next one, leaving them below
+// 2^52; x0..x3 must be non-negative.
+#define LNORM(x0, x1, x2, x3, x4) \
+	VPSRLQ $52, x0, Z17; VPANDQ Z26, x0, x0; VPADDQ Z17, x1, x1; \
+	VPSRLQ $52, x1, Z17; VPANDQ Z26, x1, x1; VPADDQ Z17, x2, x2; \
+	VPSRLQ $52, x2, Z17; VPANDQ Z26, x2, x2; VPADDQ Z17, x3, x3; \
+	VPSRLQ $52, x3, Z17; VPANDQ Z26, x3, x3; VPADDQ Z17, x4, x4
+
+// LSNORM is LNORM for signed limbs: the carries are arithmetic shifts,
+// so x0..x3 end in [0, 2^52) and the sign of the value is x4's.
+#define LSNORM(x0, x1, x2, x3, x4) \
+	VPSRAQ $52, x0, Z17; VPANDQ Z26, x0, x0; VPADDQ Z17, x1, x1; \
+	VPSRAQ $52, x1, Z17; VPANDQ Z26, x1, x1; VPADDQ Z17, x2, x2; \
+	VPSRAQ $52, x2, Z17; VPANDQ Z26, x2, x2; VPADDQ Z17, x3, x3; \
+	VPSRAQ $52, x3, Z17; VPANDQ Z26, x3, x3; VPADDQ Z17, x4, x4
+
+// FIXNEG adds 2p to the lanes of a signed-normalised value in (-2p, 2p)
+// that are negative, selected by the sign of x4 and not by a branch,
+// and normalises: the result is in [0, 2p).
+#define FIXNEG(x0, x1, x2, x3, x4) \
+	VPSRAQ $63, x4, Z17;                     \
+	VPANDQ Z27, Z17, Z19; VPADDQ Z19, x0, x0; \
+	VPANDQ Z28, Z17, Z19; VPADDQ Z19, x1, x1; \
+	VPANDQ Z29, Z17, Z19; VPADDQ Z19, x2, x2; \
+	VPANDQ Z30, Z17, Z19; VPADDQ Z19, x3, x3; \
+	VPANDQ Z31, Z17, Z19; VPADDQ Z19, x4, x4; \
+	LNORM(x0, x1, x2, x3, x4)
+
+// LREDROW adds m*p for m = lo52(c0 * np) and moves c0's carry into c1.
+#define LREDROW(c0, c1, c2, c3, c4, c5) \
+	VPXORQ      Z16, Z16, Z16;  \
+	VPMADD52LUQ Z25, c0, Z16;   \
+	VPMADD52LUQ Z20, Z16, c0;   \
+	VPMADD52LUQ Z21, Z16, c1;   \
+	VPMADD52LUQ Z22, Z16, c2;   \
+	VPMADD52LUQ Z23, Z16, c3;   \
+	VPMADD52LUQ Z24, Z16, c4;   \
+	VPMADD52HUQ Z20, Z16, c1;   \
+	VPMADD52HUQ Z21, Z16, c2;   \
+	VPMADD52HUQ Z22, Z16, c3;   \
+	VPMADD52HUQ Z23, Z16, c4;   \
+	VPMADD52HUQ Z24, Z16, c5;   \
+	VPSRLQ      $52, c0, Z17;   \
+	VPADDQ      Z17, c1, c1
+
+// LROUND adds a*b_i (a in Z0-Z4, b_i in Z18) to the accumulator
+// c0..c5, whose c5 it clears first, then reduces by one row (LREDROW):
+// c0 is then zero modulo 2^52 and is dropped.
+#define LROUND(c0, c1, c2, c3, c4, c5) \
+	VPXORQ      c5, c5, c5;     \
+	VPMADD52LUQ Z18, Z0, c0;    \
+	VPMADD52LUQ Z18, Z1, c1;    \
+	VPMADD52LUQ Z18, Z2, c2;    \
+	VPMADD52LUQ Z18, Z3, c3;    \
+	VPMADD52LUQ Z18, Z4, c4;    \
+	VPMADD52HUQ Z18, Z0, c1;    \
+	VPMADD52HUQ Z18, Z1, c2;    \
+	VPMADD52HUQ Z18, Z2, c3;    \
+	VPMADD52HUQ Z18, Z3, c4;    \
+	VPMADD52HUQ Z18, Z4, c5;    \
+	LREDROW(c0, c1, c2, c3, c4, c5)
+
+#define LZEROACC \
+	VPXORQ Z10, Z10, Z10; \
+	VPXORQ Z11, Z11, Z11; \
+	VPXORQ Z12, Z12, Z12; \
+	VPXORQ Z13, Z13, Z13; \
+	VPXORQ Z14, Z14, Z14
+
+// LMULM sets Z15, Z10, Z11, Z12, Z13 to the normalised product
+// a*b/2^260 of Z0-Z4 and the lane element at bo(br); LMULB does the same
+// for the five limbs at bo(br), broadcast to every lane.
+#define LMULM(bo, br) \
+	LZEROACC; \
+	VMOVDQU64 bo+0(br), Z18; LROUND(Z10, Z11, Z12, Z13, Z14, Z15); \
+	VMOVDQU64 bo+64(br), Z18; LROUND(Z11, Z12, Z13, Z14, Z15, Z10); \
+	VMOVDQU64 bo+128(br), Z18; LROUND(Z12, Z13, Z14, Z15, Z10, Z11); \
+	VMOVDQU64 bo+192(br), Z18; LROUND(Z13, Z14, Z15, Z10, Z11, Z12); \
+	VMOVDQU64 bo+256(br), Z18; LROUND(Z14, Z15, Z10, Z11, Z12, Z13); \
+	LNORM(Z15, Z10, Z11, Z12, Z13)
+
+#define LMULB(bo, br) \
+	LZEROACC; \
+	VPBROADCASTQ bo+0(br), Z18; LROUND(Z10, Z11, Z12, Z13, Z14, Z15); \
+	VPBROADCASTQ bo+8(br), Z18; LROUND(Z11, Z12, Z13, Z14, Z15, Z10); \
+	VPBROADCASTQ bo+16(br), Z18; LROUND(Z12, Z13, Z14, Z15, Z10, Z11); \
+	VPBROADCASTQ bo+24(br), Z18; LROUND(Z13, Z14, Z15, Z10, Z11, Z12); \
+	VPBROADCASTQ bo+32(br), Z18; LROUND(Z14, Z15, Z10, Z11, Z12, Z13); \
+	LNORM(Z15, Z10, Z11, Z12, Z13)
+
+// LADDNR sets x = a + b, normalised but not reduced (below 4p).
+#define LADDNR(ao, ar, bo, br, x0, x1, x2, x3, x4) \
+	LLOAD(ao, ar, x0, x1, x2, x3, x4); \
+	VPADDQ bo+0(br), x0, x0;         \
+	VPADDQ bo+64(br), x1, x1;        \
+	VPADDQ bo+128(br), x2, x2;       \
+	VPADDQ bo+192(br), x3, x3;       \
+	VPADDQ bo+256(br), x4, x4;       \
+	LNORM(x0, x1, x2, x3, x4)
+
+// LSUBM subtracts the lane element at bo(br) from x, limb by limb.
+#define LSUBM(bo, br, x0, x1, x2, x3, x4) \
+	VPSUBQ bo+0(br), x0, x0;   \
+	VPSUBQ bo+64(br), x1, x1;  \
+	VPSUBQ bo+128(br), x2, x2; \
+	VPSUBQ bo+192(br), x3, x3; \
+	VPSUBQ bo+256(br), x4, x4
+
+// LSUB2P subtracts 2p from x, limb by limb; LADD2P adds it.
+#define LSUB2P(x0, x1, x2, x3, x4) \
+	VPSUBQ Z27, x0, x0; \
+	VPSUBQ Z28, x1, x1; \
+	VPSUBQ Z29, x2, x2; \
+	VPSUBQ Z30, x3, x3; \
+	VPSUBQ Z31, x4, x4
+
+#define LADD2P(x0, x1, x2, x3, x4) \
+	VPADDQ Z27, x0, x0; \
+	VPADDQ Z28, x1, x1; \
+	VPADDQ Z29, x2, x2; \
+	VPADDQ Z30, x3, x3; \
+	VPADDQ Z31, x4, x4
+
+// LADDR sets Z5-Z9 = a + b mod 2p: a + b - 2p, plus 2p where negative.
+#define LADDR(ao, ar, bo, br) \
+	LLOAD(ao, ar, Z5, Z6, Z7, Z8, Z9);    \
+	VPADDQ bo+0(br), Z5, Z5;   \
+	VPADDQ bo+64(br), Z6, Z6;  \
+	VPADDQ bo+128(br), Z7, Z7; \
+	VPADDQ bo+192(br), Z8, Z8; \
+	VPADDQ bo+256(br), Z9, Z9; \
+	LSUB2P(Z5, Z6, Z7, Z8, Z9);                \
+	LSNORM(Z5, Z6, Z7, Z8, Z9);                \
+	FIXNEG(Z5, Z6, Z7, Z8, Z9)
+
+// LSUBR sets Z5-Z9 = a - b mod 2p.
+#define LSUBR(ao, ar, bo, br) \
+	LLOAD(ao, ar, Z5, Z6, Z7, Z8, Z9);      \
+	LSUBM(bo, br, Z5, Z6, Z7, Z8, Z9);      \
+	LSNORM(Z5, Z6, Z7, Z8, Z9);             \
+	FIXNEG(Z5, Z6, Z7, Z8, Z9)
+
+// LRED reduces a normalised x in [0, 2^260) into [0, 2p) without a
+// branch: q = floor(x4 * laneQC / 2^96) never exceeds floor(x/p) and
+// falls short of it by at most one (lanes.go), so x - q*p is below 2p.
+// t0..t4 are scratch; Z17 holds q and Z19 laneQC.
+#define LRED(x0, x1, x2, x3, x4, t0, t1, t2, t3, t4) \
+	VPBROADCASTQ ·laneQC(SB), Z19; \
+	VPXORQ       Z17, Z17, Z17;    \
+	VPMADD52HUQ  Z19, x4, Z17;     \
+	VPSRLQ       $44, Z17, Z17;    \
+	VPXORQ       t0, t0, t0;       \
+	VPXORQ       t1, t1, t1;       \
+	VPXORQ       t2, t2, t2;       \
+	VPXORQ       t3, t3, t3;       \
+	VPXORQ       t4, t4, t4;       \
+	VPMADD52LUQ  Z20, Z17, t0;     \
+	VPMADD52LUQ  Z21, Z17, t1;     \
+	VPMADD52LUQ  Z22, Z17, t2;     \
+	VPMADD52LUQ  Z23, Z17, t3;     \
+	VPMADD52LUQ  Z24, Z17, t4;     \
+	VPMADD52HUQ  Z20, Z17, t1;     \
+	VPMADD52HUQ  Z21, Z17, t2;     \
+	VPMADD52HUQ  Z22, Z17, t3;     \
+	VPMADD52HUQ  Z23, Z17, t4;     \
+	VPSUBQ       t0, x0, x0;       \
+	VPSUBQ       t1, x1, x1;       \
+	VPSUBQ       t2, x2, x2;       \
+	VPSUBQ       t3, x3, x3;       \
+	VPSUBQ       t4, x4, x4;       \
+	LSNORM(x0, x1, x2, x3, x4)
+
+// LALIGN points BX at the first 64-byte boundary of the frame, so the
+// scratch elements a kernel keeps there never straddle a cache line.
+#define LALIGN \
+	LEAQ 63(SP), BX; \
+	ANDQ $-64, BX
+
+// func lfpMul(c, a, b *lfp)
+TEXT ·lfpMul(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LCONSTS
+	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(0, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, DI)
+	VZEROUPPER
+	RET
+
+// func lfpAdd(c, a, b *lfp)
+TEXT ·lfpAdd(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LCONSTS
+	LADDR(0, SI, 0, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	VZEROUPPER
+	RET
+
+// func lfpSub(c, a, b *lfp)
+TEXT ·lfpSub(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LCONSTS
+	LSUBR(0, SI, 0, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	VZEROUPPER
+	RET
+
+// func lfp2Add(c, a, b *lfp2)
+TEXT ·lfp2Add(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LCONSTS
+	LADDR(0, SI, 0, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	LADDR(320, SI, 320, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	VZEROUPPER
+	RET
+
+// func lfp2Sub(c, a, b *lfp2)
+TEXT ·lfp2Sub(SB), NOSPLIT, $0-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LCONSTS
+	LSUBR(0, SI, 0, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	LSUBR(320, SI, 320, DX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	VZEROUPPER
+	RET
+
+// func lfp2Mul(c, a, b *lfp2)
+//
+// Karatsuba, as gfP2.mulGeneric: v0 = a0 b0 and v1 = a1 b1 go to the
+// frame, then s = (a0 + a1)(b0 + b1) on unreduced sums below 4p, and
+// c1 = s - v0 - v1, c0 = v0 - v1. c is written last, so it may alias a
+// or b.
+TEXT ·lfp2Mul(SB), 0, $1024-24
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LALIGN
+	LCONSTS
+	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(0, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, BX)
+	LLOAD(320, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(320, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 320, BX)
+	LADDNR(0, DX, 320, DX, Z5, Z6, Z7, Z8, Z9)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 640, BX)
+	LADDNR(0, SI, 320, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(640, BX)
+	LSUBM(0, BX, Z15, Z10, Z11, Z12, Z13)
+	LSNORM(Z15, Z10, Z11, Z12, Z13)
+	FIXNEG(Z15, Z10, Z11, Z12, Z13)
+	LSUBM(320, BX, Z15, Z10, Z11, Z12, Z13)
+	LSNORM(Z15, Z10, Z11, Z12, Z13)
+	FIXNEG(Z15, Z10, Z11, Z12, Z13)
+	LSUBR(0, BX, 320, BX)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 320, DI)
+	VZEROUPPER
+	RET
+
+// lfp2sqr<> sets the lane Fp2 element at DI to the square of the one at
+// SI, as gfP2.squareGeneric: c0 = (a0 + a1)(a0 - a1) and c1 = 2 a0 a1,
+// the factors unreduced, below 4p. R9 points at 640 bytes of aligned
+// scratch; Z20-Z31 hold LCONSTS. DI may equal SI.
+TEXT ·lfp2sqr<>(SB), NOSPLIT|NOFRAME, $0-0
+	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(320, SI)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, R9)
+	LLOAD(0, SI, Z5, Z6, Z7, Z8, Z9)
+	LSUBM(320, SI, Z5, Z6, Z7, Z8, Z9)
+	LADD2P(Z5, Z6, Z7, Z8, Z9)
+	LSNORM(Z5, Z6, Z7, Z8, Z9)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, R9)
+	LADDNR(0, SI, 320, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(320, R9)
+	LADDR(0, R9, 0, R9)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, DI)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	RET
+
+// func lfp2Square(c, a *lfp2)
+TEXT ·lfp2Square(SB), 0, $704-16
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	LALIGN
+	MOVQ BX, R9
+	LCONSTS
+	CALL ·lfp2sqr<>(SB)
+	VZEROUPPER
+	RET
+
+// LMULXI sets the lane element at do(dr) to xi times the one at
+// so(sr): (9 a0 - a1) + (a0 + 9 a1) i, each coordinate formed limb by
+// limb, below 20p after 2p is added to the first, and reduced by LRED.
+// It reads all of the source before it writes, so the two may alias.
+#define LMULXI(so, sr, do, dr) \
+	LLOAD(so, sr, Z0, Z1, Z2, Z3, Z4);              \
+	LLOAD(so+320, sr, Z5, Z6, Z7, Z8, Z9);          \
+	VPSLLQ $3, Z0, Z10;                              \
+	VPSLLQ $3, Z1, Z11;                              \
+	VPSLLQ $3, Z2, Z12;                              \
+	VPSLLQ $3, Z3, Z13;                              \
+	VPSLLQ $3, Z4, Z14;                              \
+	VPADDQ Z0, Z10, Z10;                             \
+	VPADDQ Z1, Z11, Z11;                             \
+	VPADDQ Z2, Z12, Z12;                             \
+	VPADDQ Z3, Z13, Z13;                             \
+	VPADDQ Z4, Z14, Z14;                             \
+	LADD2P(Z10, Z11, Z12, Z13, Z14);                 \
+	VPSUBQ Z5, Z10, Z10;                             \
+	VPSUBQ Z6, Z11, Z11;                             \
+	VPSUBQ Z7, Z12, Z12;                             \
+	VPSUBQ Z8, Z13, Z13;                             \
+	VPSUBQ Z9, Z14, Z14;                             \
+	VPSLLQ $3, Z5, Z15; VPADDQ Z15, Z5, Z5; VPADDQ Z0, Z5, Z5; \
+	VPSLLQ $3, Z6, Z15; VPADDQ Z15, Z6, Z6; VPADDQ Z1, Z6, Z6; \
+	VPSLLQ $3, Z7, Z15; VPADDQ Z15, Z7, Z7; VPADDQ Z2, Z7, Z7; \
+	VPSLLQ $3, Z8, Z15; VPADDQ Z15, Z8, Z8; VPADDQ Z3, Z8, Z8; \
+	VPSLLQ $3, Z9, Z15; VPADDQ Z15, Z9, Z9; VPADDQ Z4, Z9, Z9; \
+	LSNORM(Z10, Z11, Z12, Z13, Z14);                 \
+	LRED(Z10, Z11, Z12, Z13, Z14, Z0, Z1, Z2, Z3, Z4); \
+	LNORM(Z5, Z6, Z7, Z8, Z9);                       \
+	LRED(Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4);    \
+	LSTORE(Z10, Z11, Z12, Z13, Z14, do, dr);         \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do+320, dr)
+
+// func lfp2MulXi(c, a *lfp2)
+TEXT ·lfp2MulXi(SB), NOSPLIT, $0-16
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	LCONSTS
+	LMULXI(0, SI, 0, DI)
+	VZEROUPPER
+	RET
+
+// func lfpLine(l *[2]lfp2, co *[4][5]uint64, x, y *lfp)
+//
+// l = (co0 x, co1 x), (co2 y, co3 y): a recorded line's broadcast
+// coefficients b and c instantiated at eight rows' xP/yP and 1/yP.
+TEXT ·lfpLine(SB), NOSPLIT, $0-32
+	MOVQ l+0(FP), DI
+	MOVQ co+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ y+24(FP), R8
+	LCONSTS
+	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULB(0, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, DI)
+	LMULB(40, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 320, DI)
+	LLOAD(0, R8, Z0, Z1, Z2, Z3, Z4)
+	LMULB(80, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 640, DI)
+	LMULB(120, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, 960, DI)
+	VZEROUPPER
+	RET
+
+// The fused line product below adds up to four products of lane
+// elements before one Montgomery reduction: per round, for each pair
+// (a_k, b_k), b_k's limb i goes into Z18 and ten IFMA ops with a_k's
+// limbs as memory operands add a_k*b_k,i; then one m*p row reduces the
+// sum. Four products under one reduction cost 255 IFMA ops where four
+// separate ones cost 404 and three additions. A sum of four products of
+// operands below 2p is below 16p^2, so the result is below
+// 16p^2/R + p < 1.25p, and the accumulator limbs stay below 2^59.
+
+// LPROD1 adds a*b_i to c0..c5 for b_i in Z18 and a at ao(ar).
+#define LPROD1(ao, ar, c0, c1, c2, c3, c4, c5) \
+	VPMADD52LUQ ao+0(ar), Z18, c0;   \
+	VPMADD52LUQ ao+64(ar), Z18, c1;  \
+	VPMADD52LUQ ao+128(ar), Z18, c2; \
+	VPMADD52LUQ ao+192(ar), Z18, c3; \
+	VPMADD52LUQ ao+256(ar), Z18, c4; \
+	VPMADD52HUQ ao+0(ar), Z18, c1;   \
+	VPMADD52HUQ ao+64(ar), Z18, c2;  \
+	VPMADD52HUQ ao+128(ar), Z18, c3; \
+	VPMADD52HUQ ao+192(ar), Z18, c4; \
+	VPMADD52HUQ ao+256(ar), Z18, c5
+
+// LSUM4ROUND is round OFF/64 of LSUM4.
+#define LSUM4ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, c0, c1, c2, c3, c4, c5) \
+	VPXORQ    c5, c5, c5;                                  \
+	VMOVDQU64 b1o+OFF(b1r), Z18; LPROD1(a1o, a1r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b2o+OFF(b2r), Z18; LPROD1(a2o, a2r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b3o+OFF(b3r), Z18; LPROD1(a3o, a3r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b4o+OFF(b4r), Z18; LPROD1(a4o, a4r, c0, c1, c2, c3, c4, c5); \
+	LREDROW(c0, c1, c2, c3, c4, c5)
+
+// LSUM4 sets Z15, Z10, Z11, Z12, Z13 to (a1 b1 + a2 b2 + a3 b3 + a4 b4)/2^260
+// with unnormalised limbs.
+#define LSUM4(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r) \
+	LZEROACC; \
+	LSUM4ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z10, Z11, Z12, Z13, Z14, Z15);   \
+	LSUM4ROUND(64, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z11, Z12, Z13, Z14, Z15, Z10);  \
+	LSUM4ROUND(128, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z12, Z13, Z14, Z15, Z10, Z11); \
+	LSUM4ROUND(192, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z13, Z14, Z15, Z10, Z11, Z12); \
+	LSUM4ROUND(256, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z14, Z15, Z10, Z11, Z12, Z13)
+
+// LADDTO adds the lane element at ao(ar), below 2p, to an LSUM4 result
+// (below 1.25p), brings the sum below 2p and stores it at do(dr).
+#define LADDTO(ao, ar, do, dr) \
+	VPADDQ ao+0(ar), Z15, Z15;   \
+	VPADDQ ao+64(ar), Z10, Z10;  \
+	VPADDQ ao+128(ar), Z11, Z11; \
+	VPADDQ ao+192(ar), Z12, Z12; \
+	VPADDQ ao+256(ar), Z13, Z13; \
+	LSUB2P(Z15, Z10, Z11, Z12, Z13);  \
+	LSNORM(Z15, Z10, Z11, Z12, Z13);  \
+	FIXNEG(Z15, Z10, Z11, Z12, Z13);  \
+	LSTORE(Z15, Z10, Z11, Z12, Z13, do, dr)
+
+// LFP2MAC sets the Fp2 lane element at do(dr) to z + x y + x' y', for
+// x and x' in the f argument (at xo(SI), x2o(SI)) and y, y' given by
+// their real and imaginary parts and the negated imaginary part.
+#define LFP2MAC(xo, yro, yrr, yio, yir, nyio, nyir, x2o, y2ro, y2rr, y2io, y2ir, ny2io, ny2ir, zo, do, dr) \
+	LSUM4(xo, SI, yro, yrr, xo+320, SI, nyio, nyir, x2o, SI, y2ro, y2rr, x2o+320, SI, ny2io, ny2ir); \
+	LADDTO(zo, SI, do, dr);                                                                         \
+	LSUM4(xo, SI, yio, yir, xo+320, SI, yro, yrr, x2o, SI, y2io, y2ir, x2o+320, SI, y2ro, y2rr);     \
+	LADDTO(zo+320, SI, do+320, dr)
+
+// LNEG sets the lane element at do(dr) to minus the one at so(sr).
+#define LNEG(so, sr, do, dr) \
+	VPXORQ Z5, Z5, Z5; \
+	VPXORQ Z6, Z6, Z6; \
+	VPXORQ Z7, Z7, Z7; \
+	VPXORQ Z8, Z8, Z8; \
+	VPXORQ Z9, Z9, Z9; \
+	LSUBM(so, sr, Z5, Z6, Z7, Z8, Z9); \
+	LSNORM(Z5, Z6, Z7, Z8, Z9);        \
+	FIXNEG(Z5, Z6, Z7, Z8, Z9);        \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+
+// Frame of lfp12MulLine, from the aligned base BX: the negated
+// imaginary parts of s0 = l1 and s1 = l3, xi s0 and xi s1 with theirs,
+// and the result, copied to e at the end so that e may alias a.
+#define MLL_N0I 0
+#define MLL_N1I 320
+#define MLL_X0 640
+#define MLL_NX0I 1280
+#define MLL_X1 1600
+#define MLL_NX1I 2240
+#define MLL_E 2560
+
+// func lfp12MulLine(e, a *lfp12, l1, l3 *lfp2)
+//
+// e = a (1 + (l1 + l3 tau) omega), as gfP12.mulLineGeneric, with every
+// coordinate one LFP2MAC. With b the Fp6 halves of a and
+// L = s0 + s1 tau, b L = (b0 s0 + b2 xi s1) + (b0 s1 + b1 s0) tau +
+// (b1 s1 + b2 s0) tau^2, and
+//
+//	e0 = c0 + tau (c1 L) = c0 + (c1_1 xi s1 + c1_2 xi s0, c1_0 s0 + c1_2 xi s1, c1_0 s1 + c1_1 s0)
+//	e1 = c1 + c0 L       = c1 + (c0_0 s0 + c0_2 xi s1, c0_0 s1 + c0_1 s0, c0_1 s1 + c0_2 s0).
+TEXT ·lfp12MulLine(SB), 0, $6464-32
+	MOVQ e+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ l1+16(FP), DX
+	MOVQ l3+24(FP), R8
+	LALIGN
+	LCONSTS
+	LMULXI(0, DX, MLL_X0, BX)
+	LMULXI(0, R8, MLL_X1, BX)
+	LNEG(320, DX, MLL_N0I, BX)
+	LNEG(320, R8, MLL_N1I, BX)
+	LNEG(MLL_X0+320, BX, MLL_NX0I, BX)
+	LNEG(MLL_X1+320, BX, MLL_NX1I, BX)
+	// e0
+	LFP2MAC(1920+640, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 1920+1280, MLL_X0, BX, MLL_X0+320, BX, MLL_NX0I, BX, 0, MLL_E, BX)
+	LFP2MAC(1920, 0, DX, 320, DX, MLL_N0I, BX, 1920+1280, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 640, MLL_E+640, BX)
+	LFP2MAC(1920, 0, R8, 320, R8, MLL_N1I, BX, 1920+640, 0, DX, 320, DX, MLL_N0I, BX, 1280, MLL_E+1280, BX)
+	// e1
+	LFP2MAC(0, 0, DX, 320, DX, MLL_N0I, BX, 1280, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 1920, MLL_E+1920, BX)
+	LFP2MAC(0, 0, R8, 320, R8, MLL_N1I, BX, 640, 0, DX, 320, DX, MLL_N0I, BX, 1920+640, MLL_E+2560, BX)
+	LFP2MAC(640, 0, R8, 320, R8, MLL_N1I, BX, 1280, 0, DX, 320, DX, MLL_N0I, BX, 1920+1280, MLL_E+3200, BX)
+	// e = the result
+	MOVQ $0, AX
+mllcopy:
+	VMOVDQU64 MLL_E(BX)(AX*1), Z0
+	VMOVDQU64 MLL_E+64(BX)(AX*1), Z1
+	VMOVDQU64 MLL_E+128(BX)(AX*1), Z2
+	VMOVDQU64 MLL_E+192(BX)(AX*1), Z3
+	VMOVDQU64 Z0, (DI)(AX*1)
+	VMOVDQU64 Z1, 64(DI)(AX*1)
+	VMOVDQU64 Z2, 128(DI)(AX*1)
+	VMOVDQU64 Z3, 192(DI)(AX*1)
+	ADDQ $256, AX
+	CMPQ AX, $3840
+	JNE  mllcopy
+	VZEROUPPER
+	RET
+
+// LSUM6ROUND is round OFF/64 of LSUM6.
+#define LSUM6ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, c0, c1, c2, c3, c4, c5) \
+	VPXORQ    c5, c5, c5;                                  \
+	VMOVDQU64 b1o+OFF(b1r), Z18; LPROD1(a1o, a1r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b2o+OFF(b2r), Z18; LPROD1(a2o, a2r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b3o+OFF(b3r), Z18; LPROD1(a3o, a3r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b4o+OFF(b4r), Z18; LPROD1(a4o, a4r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b5o+OFF(b5r), Z18; LPROD1(a5o, a5r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b6o+OFF(b6r), Z18; LPROD1(a6o, a6r, c0, c1, c2, c3, c4, c5); \
+	LREDROW(c0, c1, c2, c3, c4, c5)
+
+// LSUM6 is LSUM4 for six products: below 24p^2, so the result is below
+// 24p^2/R + p < 1.4p and the accumulator limbs below 2^59.
+#define LSUM6(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r) \
+	LZEROACC; \
+	LSUM6ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z10, Z11, Z12, Z13, Z14, Z15); \
+	LSUM6ROUND(64, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z11, Z12, Z13, Z14, Z15, Z10); \
+	LSUM6ROUND(128, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z12, Z13, Z14, Z15, Z10, Z11); \
+	LSUM6ROUND(192, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z13, Z14, Z15, Z10, Z11, Z12); \
+	LSUM6ROUND(256, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z14, Z15, Z10, Z11, Z12, Z13)
+
+// L6MAC sets the lane Fp2 element at do(DI) to x1 y1 + x2 y2 + x3 y3 for
+// x1, x2, x3 at x1o(SI), x2o(SI), x3o(SI) and y1, y2, y3 given by the
+// offsets from R9 of their real parts, imaginary parts and negated
+// imaginary parts.
+#define L6MAC(x1o, y1r, y1i, ny1i, x2o, y2r, y2i, ny2i, x3o, y3r, y3i, ny3i, do) \
+	LSUM6(x1o, SI, y1r, R9, x1o+320, SI, ny1i, R9, x2o, SI, y2r, R9, x2o+320, SI, ny2i, R9, x3o, SI, y3r, R9, x3o+320, SI, ny3i, R9); \
+	LNORM(Z15, Z10, Z11, Z12, Z13);                                                                                                \
+	LSTORE(Z15, Z10, Z11, Z12, Z13, do, DI);                                                                                      \
+	LSUM6(x1o, SI, y1i, R9, x1o+320, SI, y1r, R9, x2o, SI, y2i, R9, x2o+320, SI, y2r, R9, x3o, SI, y3i, R9, x3o+320, SI, y3r, R9); \
+	LNORM(Z15, Z10, Z11, Z12, Z13);                                                                                                \
+	LSTORE(Z15, Z10, Z11, Z12, Z13, do+320, DI)
+
+// Scratch of lfp6mul<>, from R9: a copy of b, the negated imaginary
+// parts of b0, b1 and b2, xi b1 and xi b2 with theirs.
+#define L6_B 0
+#define L6_NB0I 1920
+#define L6_NB1I 2240
+#define L6_NB2I 2560
+#define L6_XB1 2880
+#define L6_NXB1I 3520
+#define L6_XB2 3840
+#define L6_NXB2I 4480
+#define L6_SIZE 4800
+
+// lfp6mul<> sets the lane Fp6 element at DI to the product of those at
+// SI and DX, with one reduction per output coordinate (gfp6Mul's lazy
+// reduction, on lanes): with xi folded into b,
+//
+//	e0 = a0 b0 + a1 (xi b2) + a2 (xi b1)
+//	e1 = a0 b1 + a1 b0 + a2 (xi b2)
+//	e2 = a0 b2 + a1 b1 + a2 b0,
+//
+// and each Fp coordinate of an Fp2 sum of three products is one LSUM6.
+// Every output is below 1.4p, so none needs a subtraction. R9 points at
+// L6_SIZE bytes of aligned scratch; DI must not overlap SI, and may
+// overlap DX only if equal. Z20-Z31 hold LCONSTS. It clobbers Z0-Z19.
+TEXT ·lfp6mul<>(SB), NOSPLIT|NOFRAME, $0-0
+	MOVQ $0, AX
+l6copy:
+	VMOVDQU64 (DX)(AX*1), Z5
+	VMOVDQU64 Z5, L6_B(R9)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, $1920
+	JNE  l6copy
+	LMULXI(L6_B+640, R9, L6_XB1, R9)
+	LMULXI(L6_B+1280, R9, L6_XB2, R9)
+	LNEG(L6_B+320, R9, L6_NB0I, R9)
+	LNEG(L6_B+960, R9, L6_NB1I, R9)
+	LNEG(L6_B+1600, R9, L6_NB2I, R9)
+	LNEG(L6_XB1+320, R9, L6_NXB1I, R9)
+	LNEG(L6_XB2+320, R9, L6_NXB2I, R9)
+	L6MAC(0, L6_B, L6_B+320, L6_NB0I, 640, L6_XB2, L6_XB2+320, L6_NXB2I, 1280, L6_XB1, L6_XB1+320, L6_NXB1I, 0)
+	L6MAC(0, L6_B+640, L6_B+960, L6_NB1I, 640, L6_B, L6_B+320, L6_NB0I, 1280, L6_XB2, L6_XB2+320, L6_NXB2I, 640)
+	L6MAC(0, L6_B+1280, L6_B+1600, L6_NB2I, 640, L6_B+640, L6_B+960, L6_NB1I, 1280, L6_B, L6_B+320, L6_NB0I, 1280)
+	RET
+
+// Fp2 lane macros on memory: the sum, the difference and the difference
+// of three, each reduced into [0, 2p).
+#define L2ADD(ao, ar, bo, br, do, dr) \
+	LADDR(ao, ar, bo, br);                   \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr);      \
+	LADDR(ao+320, ar, bo+320, br);           \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do+320, dr)
+
+#define L1SUB3(ao, ar, bo, br, co, cr, do, dr) \
+	LSUBR(ao, ar, bo, br);                   \
+	LSUBM(co, cr, Z5, Z6, Z7, Z8, Z9);       \
+	LSNORM(Z5, Z6, Z7, Z8, Z9);              \
+	FIXNEG(Z5, Z6, Z7, Z8, Z9);              \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+
+#define L2SUB3(ao, ar, bo, br, co, cr, do, dr) \
+	L1SUB3(ao, ar, bo, br, co, cr, do, dr);  \
+	L1SUB3(ao+320, ar, bo+320, br, co+320, cr, do+320, dr)
+
+// Frame of lfp12Square, from BX: v = c0 c1, s = c0 + c1,
+// x = c0 + tau c1, t = s x, xi c1_2 or xi v2, and lfp6mul<>'s scratch.
+#define S12L_V 0
+#define S12L_S 1920
+#define S12L_X 3840
+#define S12L_T 5760
+#define S12L_XI 7680
+#define S12L_M 8320
+
+// func lfp12Square(e, a *lfp12)
+//
+// e = a^2, as gfP12.squareGeneric: with v = c0 c1,
+// (c0 + c1 w)^2 = (c0 + c1)(c0 + tau c1) - v - tau v + 2 v w. e may
+// alias a: a is read only before the first write to e.
+TEXT ·lfp12Square(SB), 0, $13184-16
+	MOVQ e+0(FP), R8
+	MOVQ a+8(FP), SI
+	LALIGN
+	LEAQ S12L_M(BX), R9
+	LCONSTS
+	LEAQ 1920(SI), DX
+	LEAQ S12L_V(BX), DI
+	CALL ·lfp6mul<>(SB)
+	L2ADD(0, SI, 1920, SI, S12L_S, BX)
+	L2ADD(640, SI, 2560, SI, S12L_S+640, BX)
+	L2ADD(1280, SI, 3200, SI, S12L_S+1280, BX)
+	LMULXI(3200, SI, S12L_XI, BX)
+	L2ADD(0, SI, S12L_XI, BX, S12L_X, BX)
+	L2ADD(640, SI, 1920, SI, S12L_X+640, BX)
+	L2ADD(1280, SI, 2560, SI, S12L_X+1280, BX)
+	LEAQ S12L_S(BX), SI
+	LEAQ S12L_X(BX), DX
+	LEAQ S12L_T(BX), DI
+	CALL ·lfp6mul<>(SB)
+	LMULXI(S12L_V+1280, BX, S12L_XI, BX)
+	L2SUB3(S12L_T, BX, S12L_V, BX, S12L_XI, BX, 0, R8)
+	L2SUB3(S12L_T+640, BX, S12L_V+640, BX, S12L_V, BX, 640, R8)
+	L2SUB3(S12L_T+1280, BX, S12L_V+1280, BX, S12L_V+640, BX, 1280, R8)
+	L2ADD(S12L_V, BX, S12L_V, BX, 1920, R8)
+	L2ADD(S12L_V+640, BX, S12L_V+640, BX, 2560, R8)
+	L2ADD(S12L_V+1280, BX, S12L_V+1280, BX, 3200, R8)
+	VZEROUPPER
+	RET
+
+// Frame of lfp12Mul, from BX: v0 = a0 b0, v1 = a1 b1, the sums
+// a0 + a1 and b0 + b1, s = their product, xi v1_2, and lfp6mul<>'s
+// scratch.
+#define M12L_V0 0
+#define M12L_V1 1920
+#define M12L_SA 3840
+#define M12L_SB 5760
+#define M12L_S 7680
+#define M12L_XI 9600
+#define M12L_M 10240
+
+// func lfp12Mul(e, a, b *lfp12)
+//
+// e = a b, as gfP12.mulGeneric: Karatsuba over Fp6,
+// e0 = v0 + tau v1, e1 = (a0 + a1)(b0 + b1) - v0 - v1. e may alias a
+// or b: they are read only before the first write to e.
+TEXT ·lfp12Mul(SB), 0, $15104-24
+	MOVQ e+0(FP), R8
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), CX
+	LALIGN
+	LEAQ M12L_M(BX), R9
+	LCONSTS
+	MOVQ CX, DX
+	LEAQ M12L_V0(BX), DI
+	CALL ·lfp6mul<>(SB)
+	LEAQ 1920(SI), SI
+	LEAQ 1920(CX), DX
+	LEAQ M12L_V1(BX), DI
+	CALL ·lfp6mul<>(SB)
+	LEAQ -1920(SI), SI
+	L2ADD(0, SI, 1920, SI, M12L_SA, BX)
+	L2ADD(640, SI, 2560, SI, M12L_SA+640, BX)
+	L2ADD(1280, SI, 3200, SI, M12L_SA+1280, BX)
+	L2ADD(0, CX, 1920, CX, M12L_SB, BX)
+	L2ADD(640, CX, 2560, CX, M12L_SB+640, BX)
+	L2ADD(1280, CX, 3200, CX, M12L_SB+1280, BX)
+	LEAQ M12L_SA(BX), SI
+	LEAQ M12L_SB(BX), DX
+	LEAQ M12L_S(BX), DI
+	CALL ·lfp6mul<>(SB)
+	L2SUB3(M12L_S, BX, M12L_V0, BX, M12L_V1, BX, 1920, R8)
+	L2SUB3(M12L_S+640, BX, M12L_V0+640, BX, M12L_V1+640, BX, 2560, R8)
+	L2SUB3(M12L_S+1280, BX, M12L_V0+1280, BX, M12L_V1+1280, BX, 3200, R8)
+	LMULXI(M12L_V1+1280, BX, M12L_XI, BX)
+	L2ADD(M12L_V0, BX, M12L_XI, BX, 0, R8)
+	L2ADD(M12L_V0+640, BX, M12L_V1, BX, 640, R8)
+	L2ADD(M12L_V0+1280, BX, M12L_V1+640, BX, 1280, R8)
+	VZEROUPPER
+	RET
+
+// L3T2X sets the lane element at do(dr) to 3t - 2x (op VPSUBQ, with 4p
+// added) or 3t + 2x (op VPADDQ), t at to(tr) and x at xo(xr): below 10p
+// either way, reduced by LRED.
+#define L3T2X(op, to, tr, xo, xr, do, dr) \
+	LLOAD(to, tr, Z5, Z6, Z7, Z8, Z9);              \
+	LLOAD(xo, xr, Z10, Z11, Z12, Z13, Z14);         \
+	VPSLLQ $1, Z5, Z15; VPADDQ Z15, Z5, Z5;         \
+	VPSLLQ $1, Z6, Z15; VPADDQ Z15, Z6, Z6;         \
+	VPSLLQ $1, Z7, Z15; VPADDQ Z15, Z7, Z7;         \
+	VPSLLQ $1, Z8, Z15; VPADDQ Z15, Z8, Z8;         \
+	VPSLLQ $1, Z9, Z15; VPADDQ Z15, Z9, Z9;         \
+	VPSLLQ $1, Z10, Z10;                            \
+	VPSLLQ $1, Z11, Z11;                            \
+	VPSLLQ $1, Z12, Z12;                            \
+	VPSLLQ $1, Z13, Z13;                            \
+	VPSLLQ $1, Z14, Z14;                            \
+	op     Z10, Z5, Z5;                             \
+	op     Z11, Z6, Z6;                             \
+	op     Z12, Z7, Z7;                             \
+	op     Z13, Z8, Z8;                             \
+	op     Z14, Z9, Z9;                             \
+	LADD2P(Z5, Z6, Z7, Z8, Z9);                     \
+	LADD2P(Z5, Z6, Z7, Z8, Z9);                     \
+	LSNORM(Z5, Z6, Z7, Z8, Z9);                     \
+	LRED(Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4);   \
+	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+
+// Frame of lfp12CyclotomicSquare, from BX: t0..t8 and lfp2sqr<>'s
+// scratch.
+#define CSL_T0 0
+#define CSL_T1 640
+#define CSL_T2 1280
+#define CSL_T3 1920
+#define CSL_T4 2560
+#define CSL_T5 3200
+#define CSL_T6 3840
+#define CSL_T7 4480
+#define CSL_T8 5120
+#define CSL_Q 5760
+
+// LCSQ sets t at to(BX) to the square of the lane Fp2 element at so(sr).
+#define LCSQ(so, sr, to) \
+	LEAQ so(sr), SI; \
+	LEAQ to(BX), DI; \
+	CALL ·lfp2sqr<>(SB)
+
+// LCSQSUM sets t at to(BX) to (x + y)^2 - u - v, for x, y in the
+// argument (at xo(R8), yo(R8)) and u, v at uo(BX), vo(BX).
+#define LCSQSUM(xo, yo, uo, vo, to) \
+	L2ADD(xo, R8, yo, R8, to, BX);                  \
+	LCSQ(to, BX, to);                               \
+	L2SUB3(to, BX, uo, BX, vo, BX, to, BX)
+
+// func lfp12CyclotomicSquare(e, a *lfp12)
+//
+// e = a^2 for a in the cyclotomic subgroup, as
+// gfP12.cyclotomicSquareGeneric (Granger-Scott): x0..x5, the
+// coefficients of w^0..w^5, are at 0, 1920, 640, 2560, 1280 and 3200.
+// Each output coefficient reads only its own input coefficient after
+// the squares, so e may alias a.
+TEXT ·lfp12CyclotomicSquare(SB), 0, $6464-16
+	MOVQ e+0(FP), DX
+	MOVQ a+8(FP), R8
+	LALIGN
+	LEAQ CSL_Q(BX), R9
+	LCONSTS
+	LCSQ(2560, R8, CSL_T0)
+	LCSQ(0, R8, CSL_T1)
+	LCSQSUM(2560, 0, CSL_T0, CSL_T1, CSL_T6)
+	LCSQ(1280, R8, CSL_T2)
+	LCSQ(1920, R8, CSL_T3)
+	LCSQSUM(1280, 1920, CSL_T2, CSL_T3, CSL_T7)
+	LCSQ(3200, R8, CSL_T4)
+	LCSQ(640, R8, CSL_T5)
+	LCSQSUM(3200, 640, CSL_T4, CSL_T5, CSL_T8)
+	LMULXI(CSL_T8, BX, CSL_T8, BX)
+	LMULXI(CSL_T0, BX, CSL_T0, BX)
+	L2ADD(CSL_T0, BX, CSL_T1, BX, CSL_T0, BX)
+	LMULXI(CSL_T2, BX, CSL_T2, BX)
+	L2ADD(CSL_T2, BX, CSL_T3, BX, CSL_T2, BX)
+	LMULXI(CSL_T4, BX, CSL_T4, BX)
+	L2ADD(CSL_T4, BX, CSL_T5, BX, CSL_T4, BX)
+	L3T2X(VPSUBQ, CSL_T0, BX, 0, R8, 0, DX)
+	L3T2X(VPSUBQ, CSL_T0+320, BX, 320, R8, 320, DX)
+	L3T2X(VPSUBQ, CSL_T2, BX, 640, R8, 640, DX)
+	L3T2X(VPSUBQ, CSL_T2+320, BX, 960, R8, 960, DX)
+	L3T2X(VPSUBQ, CSL_T4, BX, 1280, R8, 1280, DX)
+	L3T2X(VPSUBQ, CSL_T4+320, BX, 1600, R8, 1600, DX)
+	L3T2X(VPADDQ, CSL_T8, BX, 1920, R8, 1920, DX)
+	L3T2X(VPADDQ, CSL_T8+320, BX, 2240, R8, 2240, DX)
+	L3T2X(VPADDQ, CSL_T6, BX, 2560, R8, 2560, DX)
+	L3T2X(VPADDQ, CSL_T6+320, BX, 2880, R8, 2880, DX)
+	L3T2X(VPADDQ, CSL_T7, BX, 3200, R8, 3200, DX)
+	L3T2X(VPADDQ, CSL_T7+320, BX, 3520, R8, 3520, DX)
+	VZEROUPPER
+	RET
+
+// func lfp6Mul(c, a, b *lfp6)
+//
+// c = a b by lfp6mul<>, through the frame, so that c may alias a or b.
+TEXT ·lfp6Mul(SB), 0, $6784-24
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LALIGN
+	LEAQ 1920(BX), R9
+	MOVQ BX, DI
+	LCONSTS
+	CALL ·lfp6mul<>(SB)
+	MOVQ c+0(FP), DI
+	MOVQ $0, AX
+l6mcopy:
+	VMOVDQU64 (BX)(AX*1), Z5
+	VMOVDQU64 Z5, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, $1920
+	JNE  l6mcopy
+	VZEROUPPER
 	RET

@@ -1,5 +1,7 @@
 package bn256
 
+import "sync"
+
 // The optimal ate pairing (Vercauteren, "Optimal Pairings", IEEE TIT
 // 2010) on this BN curve is
 //
@@ -25,6 +27,13 @@ package bn256
 // program stores b = B/A and c = C/A, and a row evaluates each line as
 // 1 + (b xP/yP) omega + (c/yP) omega^3: four base-field multiplications
 // to instantiate, ten Fp2 multiplications to multiply in (mulLine).
+//
+// Every row runs the same program, so EvalRows takes rows in chunks of
+// up to eight: a chunk shares one base-field inversion for all its 1/yP
+// and one for all its final exponentiations' Fp12 inverses, and on CPUs
+// with AVX-512 IFMA a chunk of laneMinRows or more rows runs as the
+// eight lanes of the lane kernels (lanes.go). PairBatchPrecomputed is a
+// one-row chunk, so there is one evaluator.
 
 // ppOp is one step of a recorded Miller program: an accumulator
 // squaring (slot < 0), or the normalized line of slot.
@@ -39,6 +48,11 @@ type ppOp struct {
 type PairingPrecomp struct {
 	n   int
 	ops []ppOp
+
+	// laneCo is the lane form of the ops' coefficients, built by
+	// laneCoeffs on the first lane evaluation.
+	laneOnce sync.Once
+	laneCo   [][4][5]uint64
 }
 
 // Size returns the number of G2 slots the program was built for.
@@ -217,33 +231,51 @@ func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 	return pc
 }
 
-// miller evaluates the recorded program at one batch of G1 points.
-// Slots whose P is infinite contribute the identity. Accumulator
-// squarings are elided while the accumulator is still one.
-func (pc *PairingPrecomp) miller(ps []*G1) gfP12 {
-	// Per slot, xs = xP/yP and ys = 1/yP. yP is never zero: E(Fp) has
-	// prime order, so it has no point of order two.
-	xs := make([]gfP, pc.n)
-	ys := make([]gfP, pc.n)
-	skip := make([]bool, pc.n)
-	invs := make([]*gfP, 0, pc.n)
-	for j, g := range ps {
-		if g.p.IsInfinity() {
-			skip[j] = true
-			continue
+// rowPoints holds a chunk's G1 points in the form the Miller program
+// reads: for slot j of row r, at index r*n + j, xs = xP/yP and
+// ys = 1/yP, or skip for a point at infinity, which contributes the
+// identity.
+type rowPoints struct {
+	xs, ys []gfP
+	skip   []bool
+}
+
+// points prepares the rows of a chunk with one base-field inversion for
+// all their yP. yP is never zero: E(Fp) has prime order, so it has no
+// point of order two.
+func (pc *PairingPrecomp) points(rows [][]*G1) *rowPoints {
+	m := len(rows) * pc.n
+	pts := &rowPoints{xs: make([]gfP, m), ys: make([]gfP, m), skip: make([]bool, m)}
+	invs := make([]*gfP, 0, m)
+	for r, ps := range rows {
+		if len(ps) != pc.n {
+			panic("bn256: mismatched pairing batch")
 		}
-		var a curvePoint
-		a.Set(&g.p)
-		a.MakeAffine()
-		xs[j] = a.x
-		ys[j] = a.y
-		invs = append(invs, &ys[j])
+		for j, g := range ps {
+			i := r*pc.n + j
+			if g.p.IsInfinity() {
+				pts.skip[i] = true
+				continue
+			}
+			var a curvePoint
+			a.Set(&g.p)
+			a.MakeAffine()
+			pts.xs[i] = a.x
+			pts.ys[i] = a.y
+			invs = append(invs, &pts.ys[i])
+		}
 	}
 	batchInvert(invs)
-	for j := range xs {
-		xs[j].Mul(&xs[j], &ys[j])
+	for i := range pts.xs {
+		pts.xs[i].Mul(&pts.xs[i], &pts.ys[i])
 	}
+	return pts
+}
 
+// miller evaluates the recorded program at one row's points, xs, ys and
+// skip from rowPoints. Accumulator squarings are elided while the
+// accumulator is still one.
+func (pc *PairingPrecomp) miller(xs, ys []gfP, skip []bool) gfP12 {
 	var f gfP12
 	f.SetOne()
 	one := true
@@ -274,36 +306,85 @@ func (pc *PairingPrecomp) miller(ps []*G1) gfP12 {
 	return f
 }
 
-// PairBatchPrecomputed computes prod_i e(Q_i, P_i) for the fixed G2
-// batch recorded in pc, equal to PairBatch of the original points with
-// ps. It panics if len(ps) differs from the precomputed batch size.
-func PairBatchPrecomputed(pc *PairingPrecomp, ps []*G1) *GT {
-	if len(ps) != pc.n {
-		panic("bn256: mismatched pairing batch")
+// EvalRows sets out[i] to prod_j e(Q_j, rows[i][j]) for the fixed G2
+// batch Q recorded in pc: PairBatchPrecomputed of every row, evaluated
+// in chunks of up to eight rows. It panics if a row's length differs
+// from the precomputed batch size or len(out) from len(rows).
+func (pc *PairingPrecomp) EvalRows(rows [][]*G1, out []GT) {
+	if len(out) != len(rows) {
+		panic("bn256: mismatched output length")
 	}
-	f := pc.miller(ps)
-	return &GT{p: finalExponentiation(&f)}
+	for start := 0; start < len(rows); start += laneRows {
+		end := min(start+laneRows, len(rows))
+		pc.evalChunk(rows[start:end], out[start:end])
+	}
 }
 
-// finalExponentiation raises f to (p^12-1)/r, mapping Miller-loop output
-// into the order-r subgroup of Fp12 (GT). The easy part uses conjugation
-// and the p^2 Frobenius; after it the element lies in the cyclotomic
-// subgroup, so the hard part (p^4-p^2+1)/r runs as the Devegili et al.
-// Frobenius decomposition in the BN parameter u — three exponentiations
-// by the 63-bit u (expByU, signed digits on cyclotomic squarings)
-// instead of one by a 1000-bit exponent. The tower tests pin it against
-// the plain finalExpHard exponentiation.
-func finalExponentiation(f *gfP12) gfP12 {
-	var t0, t1 gfP12
-	// f^(p^6-1) = conj(f) * f^-1
-	t0.Conjugate(f)
-	t1.Invert(f)
-	t0.Mul(&t0, &t1)
-	// ^(p^2+1)
-	t1.Frobenius2(&t0)
-	t0.Mul(&t0, &t1)
-	// ^((p^4-p^2+1)/r)
-	return hardExponentiation(&t0)
+// evalChunk evaluates up to laneRows rows: on the lane kernels when the
+// CPU has them and the chunk is large enough to pay for eight lanes,
+// else row by row.
+func (pc *PairingPrecomp) evalChunk(rows [][]*G1, out []GT) {
+	pts := pc.points(rows)
+	if useIFMA && len(rows) >= laneMinRows {
+		pc.evalLanes(pts, out)
+	} else {
+		pc.evalRows(pts, out)
+	}
+}
+
+// evalRows is evalChunk one row at a time on the scalar kernels, with
+// the final exponentiations' inversions shared.
+func (pc *PairingPrecomp) evalRows(pts *rowPoints, out []GT) {
+	fs := make([]gfP12, len(out))
+	for r := range fs {
+		lo, hi := r*pc.n, (r+1)*pc.n
+		fs[r] = pc.miller(pts.xs[lo:hi], pts.ys[lo:hi], pts.skip[lo:hi])
+	}
+	finalExponentiationBatch(fs)
+	for r := range fs {
+		out[r].p = fs[r]
+	}
+}
+
+// PairBatchPrecomputed computes prod_i e(Q_i, P_i) for the fixed G2
+// batch recorded in pc, equal to PairBatch of the original points with
+// ps: EvalRows of one row. It panics if len(ps) differs from the
+// precomputed batch size.
+func PairBatchPrecomputed(pc *PairingPrecomp, ps []*G1) *GT {
+	out := make([]GT, 1)
+	pc.EvalRows([][]*G1{ps}, out)
+	return &out[0]
+}
+
+// finalExponentiationBatch raises every f in fs to (p^12-1)/r, mapping
+// Miller-loop output into the order-r subgroup of Fp12 (GT). The easy
+// part uses conjugation, one inversion and the p^2 Frobenius; the
+// inversions of the whole batch share one base-field inversion
+// (fp12Inverse). After it the element lies in the cyclotomic subgroup,
+// so the hard part (p^4-p^2+1)/r runs as the Devegili et al. Frobenius
+// decomposition in the BN parameter u — three exponentiations by the
+// 63-bit u (expByU, signed digits on cyclotomic squarings) instead of
+// one by a 1000-bit exponent. The tower tests pin it against the plain
+// finalExpHard exponentiation.
+func finalExponentiationBatch(fs []gfP12) {
+	invs := make([]fp12Inverse, len(fs))
+	ns := make([]*gfP, len(fs))
+	for i := range fs {
+		ns[i] = invs[i].start(&fs[i])
+	}
+	batchInvert(ns)
+	for i := range fs {
+		var t0, t1 gfP12
+		// f^(p^6-1) = conj(f) * f^-1
+		invs[i].finish(&t1, &fs[i])
+		t0.Conjugate(&fs[i])
+		t0.Mul(&t0, &t1)
+		// ^(p^2+1)
+		t1.Frobenius2(&t0)
+		t0.Mul(&t0, &t1)
+		// ^((p^4-p^2+1)/r)
+		fs[i] = hardExponentiation(&t0)
+	}
 }
 
 // expByU sets e = a^u for a in the cyclotomic subgroup. It walks the

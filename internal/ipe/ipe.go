@@ -131,11 +131,29 @@ func (tp *TokenPrecomp) Dim() int { return tp.n }
 
 // Decrypt computes the same D value DecryptModified would for the
 // precomputed token, evaluating the recorded Miller program at the
-// ciphertext's G1 elements.
+// ciphertext's G1 elements: DecryptRows of one ciphertext.
 func (tp *TokenPrecomp) Decrypt(ct *CiphertextM) (*bn256.GT, error) {
-	if tp.n != len(ct.Elems) {
-		return nil, fmt.Errorf("ipe: token dimension %d does not match ciphertext dimension %d",
-			tp.n, len(ct.Elems))
+	out := make([]bn256.GT, 1)
+	if _, err := tp.DecryptRows([]*CiphertextM{ct}, out); err != nil {
+		return nil, err
 	}
-	return bn256.PairBatchPrecomputed(tp.pc, ct.Elems), nil
+	return &out[0], nil
+}
+
+// DecryptRows sets out[i] to Decrypt(cts[i]) for every ciphertext,
+// evaluating them together in chunks of up to eight
+// (bn256.(*PairingPrecomp).EvalRows). If a ciphertext's dimension does
+// not match the token's, it returns that ciphertext's index and an
+// error, and out is unspecified. It panics if len(out) != len(cts).
+func (tp *TokenPrecomp) DecryptRows(cts []*CiphertextM, out []bn256.GT) (int, error) {
+	rows := make([][]*bn256.G1, len(cts))
+	for i, ct := range cts {
+		if tp.n != len(ct.Elems) {
+			return i, fmt.Errorf("ipe: token dimension %d does not match ciphertext dimension %d",
+				tp.n, len(ct.Elems))
+		}
+		rows[i] = ct.Elems
+	}
+	tp.pc.EvalRows(rows, out)
+	return 0, nil
 }

@@ -74,17 +74,22 @@ func ForEachRow(n, workers int, row func(i int) error) error {
 // with up to workers goroutines (0 means GOMAXPROCS), through a token
 // whose Miller program is recorded once and shared read-only by all
 // workers: a join stream decrypting many probe batches under one token
-// pays the precompute once, not per batch or per worker. The output
-// order matches the input order, and a failure names the lowest failing
-// row, as a row-at-a-time loop would.
+// pays the precompute once, not per batch or per worker. The pool deals
+// out chunks of decChunkRows rows, not single rows, because the pairing
+// evaluates a chunk together (bn256.(*PairingPrecomp).EvalRows): a table
+// of decChunkRows rows or fewer is one chunk on the calling goroutine.
+// The output order matches the input order, and a failure names the
+// lowest failing row, as a row-at-a-time loop would: chunks are dealt in
+// order and the rows of a chunk are checked in order.
 func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers int) ([]DValue, error) {
 	out := make([]DValue, len(cts))
-	err := ForEachRow(len(cts), workers, func(i int) error {
-		d, err := pc.Decrypt(cts[i])
-		if err != nil {
-			return decryptRowError(i, err)
+	chunks := (len(cts) + decChunkRows - 1) / decChunkRows
+	err := ForEachRow(chunks, workers, func(c int) error {
+		lo := c * decChunkRows
+		hi := min(lo+decChunkRows, len(cts))
+		if i, err := pc.decryptRows(cts[lo:hi], out[lo:hi]); err != nil {
+			return decryptRowError(lo+i, err)
 		}
-		out[i] = d
 		return nil
 	})
 	if err != nil {
@@ -92,3 +97,7 @@ func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers in
 	}
 	return out, nil
 }
+
+// decChunkRows is the number of rows SJ.Dec hands the pairing at once:
+// the eight lanes of one lane evaluation.
+const decChunkRows = 8

@@ -89,7 +89,10 @@ func shortCiphertext(ct *RowCiphertext) *RowCiphertext {
 // the pool reports the lower one, as the plain loop does, at every
 // worker count. The corrupt rows fail at once while good rows take a
 // pairing each, so a pool that reported whichever failure came first,
-// or whichever worker failed, would name row 4 on some schedules.
+// or whichever worker failed, would name the higher row on some
+// schedules. The pool deals out chunks of decChunkRows rows, so the
+// second table puts the first corrupt row in the middle of a later
+// chunk, and the second one in the chunk after it.
 func TestDecryptTableParallelErrorNamesLowestRow(t *testing.T) {
 	s := newTestScheme(t, 1, 1)
 	ct, err := s.Encrypt(Row{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}})
@@ -102,16 +105,24 @@ func TestDecryptTableParallelErrorNamesLowestRow(t *testing.T) {
 	}
 	pc := q.TokenA.Precompute()
 	bad := shortCiphertext(ct)
-	cts := []*RowCiphertext{ct, ct, ct, bad, bad, ct, ct, ct}
-	_, want := DecryptTableWith(pc, cts)
-	if want == nil || !strings.Contains(want.Error(), "row 3:") {
-		t.Fatalf("serial error = %v, want one naming row 3", want)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		for rep := 0; rep < 5; rep++ {
-			_, err := DecryptTableParallelWith(pc, cts, workers)
-			if err == nil || err.Error() != want.Error() {
-				t.Fatalf("workers=%d: error %v, want %v", workers, err, want)
+	for _, c := range []struct {
+		rows, bad1, bad2 int
+	}{{8, 3, 4}, {3 * decChunkRows, decChunkRows + decChunkRows/2, 2*decChunkRows + 1}} {
+		cts := make([]*RowCiphertext, c.rows)
+		for i := range cts {
+			cts[i] = ct
+		}
+		cts[c.bad1], cts[c.bad2] = bad, bad
+		_, want := DecryptTableWith(pc, cts)
+		if want == nil || !strings.Contains(want.Error(), fmt.Sprintf("row %d:", c.bad1)) {
+			t.Fatalf("serial error = %v, want one naming row %d", want, c.bad1)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for rep := 0; rep < 5; rep++ {
+				_, err := DecryptTableParallelWith(pc, cts, workers)
+				if err == nil || err.Error() != want.Error() {
+					t.Fatalf("%d rows, workers=%d: error %v, want %v", c.rows, workers, err, want)
+				}
 			}
 		}
 	}

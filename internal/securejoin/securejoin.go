@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/bn256"
 	"repro/internal/ipe"
 	"repro/internal/poly"
 	"repro/internal/zq"
@@ -336,11 +337,30 @@ func (t *Token) Precompute() *TokenPrecomp {
 // Decrypt runs SJ.Dec on one row through the precomputed token,
 // producing byte-identical DValues to the naive Decrypt.
 func (pc *TokenPrecomp) Decrypt(ct *RowCiphertext) (DValue, error) {
-	gt, err := pc.tp.Decrypt(ct.C)
-	if err != nil {
+	out := make([]DValue, 1)
+	if _, err := pc.decryptRows([]*RowCiphertext{ct}, out); err != nil {
 		return nil, err
 	}
-	return DValue(gt.Marshal()), nil
+	return out[0], nil
+}
+
+// decryptRows runs SJ.Dec on a chunk of rows through the precomputed
+// token, evaluated together (ipe.(*TokenPrecomp).DecryptRows), and
+// writes row i's DValue to out[i]. On failure it returns the index of
+// the first row that failed, with its error.
+func (pc *TokenPrecomp) decryptRows(cts []*RowCiphertext, out []DValue) (int, error) {
+	cs := make([]*ipe.CiphertextM, len(cts))
+	for i, ct := range cts {
+		cs[i] = ct.C
+	}
+	gts := make([]bn256.GT, len(cts))
+	if i, err := pc.tp.DecryptRows(cs, gts); err != nil {
+		return i, err
+	}
+	for i := range gts {
+		out[i] = DValue(gts[i].Marshal())
+	}
+	return 0, nil
 }
 
 // decryptRowError wraps a per-row decryption failure with its row

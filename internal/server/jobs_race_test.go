@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,8 +150,12 @@ func TestJobSubmitAttachReapStress(t *testing.T) {
 
 // TestJobPollContextCancel is the PollJobCtx regression: a cancelled
 // context interrupts the poll during its (long) wait between status
-// requests, instead of the old bare time.Sleep spinning on.
+// requests, instead of the old bare time.Sleep spinning on. The cancel
+// comes once the server has answered the poll's first status request,
+// so the poll is in its wait however long a join takes.
 func TestJobPollContextCancel(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
 	srv := New(nil)
 	srv.SetJobWorkers(1)
 	srv.jobQueueDepth = 4
@@ -159,30 +165,52 @@ func TestJobPollContextCancel(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	c := dial(t, addr)
-	uploadPair(t, c, 16)
+	uploadPair(t, c, 2)
 
-	// Job A occupies the only worker; job B stays queued behind it, so
-	// the poll below cannot terminate on its own quickly.
-
+	// Job A is held on the only worker; job B stays queued behind it, so
+	// the poll below cannot terminate on its own.
 	if _, err := c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{}); err != nil {
 		t.Fatal(err)
 	}
+	waitTaken(t, taken, "job A")
 	infoB, err := c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	polled := make(chan error, 1)
 	start := time.Now()
-	// A 10s interval means only the cancellation can end the first wait.
-	if _, err := c.PollJobCtx(ctx, infoB.ID, 10*time.Second); !errors.Is(err, context.Canceled) {
+	go func() {
+		// A 10s interval means only the cancellation can end the first wait.
+		_, err := c.PollJobCtx(ctx, infoB.ID, 10*time.Second)
+		polled <- err
+	}()
+	waitFor(t, "the poll's first status request", func() bool {
+		return requestsServed(srv, "jobstatus") >= 1
+	})
+	cancel()
+	if err := <-polled; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled poll: %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("cancel took %v to interrupt the poll wait", elapsed)
 	}
+}
+
+// requestsServed returns how many requests of the given type the server
+// has answered: the count of its sj_server_request_seconds histogram,
+// zero before the first.
+func requestsServed(srv *Server, kind string) float64 {
+	var b strings.Builder
+	srv.Registry().WritePrometheus(&b)
+	series := `sj_server_request_seconds_count{type="` + kind + `"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series); ok {
+			v, _ := strconv.ParseFloat(rest, 64)
+			return v
+		}
+	}
+	return 0
 }
