@@ -152,9 +152,11 @@ func BenchmarkTower(b *testing.B) {
 // loop, the cyclotomic square of the final exponentiation, and the whole
 // Miller loop of BenchmarkMillerLoopOnly. The chunkN pairs time one
 // chunk of N rows at d = 5 on the row path and on the lanes, the
-// measurement behind laneMinRows. Each
-// repeats one operation on fixed inputs (throughput). Without IFMA it
-// skips.
+// measurement behind laneMinRows; the recordN pairs time a token of N
+// slots on the scalar and the lane recorder (laneMinSlots), and the
+// inG2xN pairs N subgroup checks one by one and on the lanes
+// (laneMinPoints). Each repeats one operation on fixed inputs
+// (throughput). Without IFMA it skips.
 func BenchmarkLane(b *testing.B) {
 	if !useIFMA {
 		b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
@@ -247,6 +249,46 @@ func BenchmarkLane(b *testing.B) {
 			}
 		})
 	}
+	// The slot counts around laneMinSlots: a token of n affine slots
+	// recorded by the scalar recorder (lane coefficients encoded from its
+	// ops, as PrecomputePairBatch does) and by the lane recorder.
+	for n := 1; n <= 3; n++ {
+		slots, qa := tokenSlots(randomAffineG2s(n))
+		b.Run(fmt.Sprintf("record%d/scalar", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pc := &PairingPrecomp{n: n}
+				pc.record(slots, qa)
+				pc.encodeLanes()
+			}
+		})
+		b.Run(fmt.Sprintf("record%d/lanes", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pc := &PairingPrecomp{n: n}
+				pc.recordLanes(slots, qa)
+			}
+		})
+	}
+	// The group sizes around laneMinPoints, and eight: n G2 points'
+	// subgroup checks one by one and on the lanes.
+	var ok [laneRows]bool
+	for _, n := range []int{1, 2, 3, 8} {
+		ts := make([]*twistPoint, n)
+		for i, q := range randomAffineG2s(n) {
+			ts[i] = &q.p
+		}
+		b.Run(fmt.Sprintf("inG2x%d/scalar", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, t := range ts {
+					t.inG2()
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("inG2x%d/lanes", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				inG2Lanes(ts, ok[:])
+			}
+		})
+	}
 }
 
 // BenchmarkComb times the two halves of the comb's loop body (comb.go):
@@ -309,6 +351,17 @@ func randomAffineG1s(n int) []*G1 {
 	}
 	NormalizeG1(ps)
 	return ps
+}
+
+// randomAffineG2s returns n random G2 points in affine form, as a
+// decoded token's elements are (KeyGenModified normalizes them too).
+func randomAffineG2s(n int) []*G2 {
+	qs := make([]*G2, n)
+	for i := range qs {
+		_, qs[i], _ = RandomG2(rand.Reader)
+	}
+	NormalizeG2(qs)
+	return qs
 }
 
 func BenchmarkG1ScalarBaseMult(b *testing.B) {
@@ -391,21 +444,24 @@ func BenchmarkPairBatchedVsNaive(b *testing.B) {
 // with the G2 side recorded once, each evaluation pays only the line
 // evaluations at P, the accumulator squarings, and the final
 // exponentiation — the twist-point chain and the line normalization
-// are gone. "evaluate" is one row; "evaluate8" is one chunk of eight
-// rows through EvalRows, on the lane kernels where the CPU has them,
-// and reports its time per row as ns/row.
+// are gone. "precompute/d=N" records a token of N affine slots, as a
+// decoded token is, lane coefficients included (on the lanes from
+// laneMinSlots slots on where the CPU has them); "evaluate" is one row;
+// "evaluate8" is one chunk of eight rows through EvalRows, on the lane
+// kernels where the CPU has them, and reports its time per row as
+// ns/row.
 func BenchmarkPairBatchPrecomputed(b *testing.B) {
+	for _, d := range []int{5, 8} {
+		qs := randomAffineG2s(d)
+		b.Run(fmt.Sprintf("precompute/d=%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				PrecomputePairBatch(qs)
+			}
+		})
+	}
 	const d = 5 // m=1, t=1
 	ps := randomAffineG1s(d)
-	qs := make([]*G2, d)
-	for i := range qs {
-		_, qs[i], _ = RandomG2(rand.Reader)
-	}
-	b.Run("precompute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			PrecomputePairBatch(qs)
-		}
-	})
+	qs := randomAffineG2s(d)
 	pc := PrecomputePairBatch(qs)
 	b.Run("evaluate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -417,7 +473,6 @@ func BenchmarkPairBatchPrecomputed(b *testing.B) {
 		rows[r] = randomAffineG1s(d)
 	}
 	out := make([]GT, laneRows)
-	pc.EvalRows(rows, out) // builds the lane coefficients outside the timer
 	b.Run("evaluate8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pc.EvalRows(rows, out)
@@ -442,6 +497,29 @@ func BenchmarkG2Unmarshal(b *testing.B) {
 		if err := e.Unmarshal(data); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTokenDecode decodes a whole token of d = 5 and d = 8 G2
+// elements in one UnmarshalG2s call, as securejoin's
+// Token.UnmarshalBinary does: d square roots, and the subgroup checks
+// on the lanes where the CPU has them.
+func BenchmarkTokenDecode(b *testing.B) {
+	for _, d := range []int{5, 8} {
+		var data []byte
+		out := make([]*G2, d)
+		for i := range out {
+			_, q, _ := RandomG2(rand.Reader)
+			data = append(data, q.Marshal()...)
+			out[i] = new(G2)
+		}
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := UnmarshalG2s(data, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -195,44 +195,108 @@ func (e *G2) Marshal() []byte {
 
 // Unmarshal decodes a point produced by Marshal: it recovers y from the
 // twist equation and verifies membership in the order-r subgroup. Each
-// point has exactly one accepted encoding.
+// point has exactly one accepted encoding. It is UnmarshalG2s of one
+// element.
 func (e *G2) Unmarshal(data []byte) error {
-	if len(data) != 64 {
-		return errors.New("bn256: invalid G2 encoding length")
+	_, err := UnmarshalG2s(data, []*G2{e})
+	return err
+}
+
+// UnmarshalG2s decodes len(out) consecutive 64-byte encodings produced by
+// Marshal, each as Unmarshal describes, and returns how many decoded
+// from the start: len(out) and nil, or the index of the lowest failing
+// element and its error. out's elements before that index are set, the
+// others are left alone. The square roots run one per element; the
+// subgroup checks of each group of eight elements run together, on the
+// lanes (inG2Lanes) where the CPU has them and the group has
+// laneMinPoints or more points not at infinity.
+func UnmarshalG2s(data []byte, out []*G2) (int, error) {
+	if len(data) != 64*len(out) {
+		return 0, errors.New("bn256: invalid G2 encoding length")
 	}
+	var pts [laneRows]twistPoint
+	var finite [laneRows]*twistPoint // the points to check, in index order
+	var at [laneRows]int             // their indexes in the group
+	for start := 0; start < len(out); start += laneRows {
+		group := out[start:min(start+laneRows, len(out))]
+		bad, badErr := len(group), error(nil)
+		nf := 0
+		for i := range group {
+			if err := pts[i].decompress(data[64*(start+i) : 64*(start+i+1)]); err != nil {
+				bad, badErr = i, err
+				break
+			}
+			if !pts[i].IsInfinity() {
+				finite[nf], at[nf] = &pts[i], i
+				nf++
+			}
+		}
+		if f := firstNotInG2(finite[:nf]); f < nf {
+			bad, badErr = at[f], errors.New("bn256: G2 point not in the order-r subgroup")
+		}
+		for i := range bad {
+			group[i].p = pts[i]
+		}
+		if badErr != nil {
+			return start + bad, badErr
+		}
+	}
+	return len(out), nil
+}
+
+// firstNotInG2 returns the index of the first of up to eight points
+// that fails inG2, or len(ts).
+func firstNotInG2(ts []*twistPoint) int {
+	if useIFMA && len(ts) >= laneMinPoints {
+		var ok [laneRows]bool
+		inG2Lanes(ts, ok[:])
+		for k := range ts {
+			if !ok[k] {
+				return k
+			}
+		}
+		return len(ts)
+	}
+	for k, t := range ts {
+		if !t.inG2() {
+			return k
+		}
+	}
+	return len(ts)
+}
+
+// decompress sets t to the point a 64-byte encoding of Marshal names,
+// with every check of Unmarshal but the subgroup membership: the flag
+// bits, x below p, x on the twist.
+func (t *twistPoint) decompress(data []byte) error {
 	flags := data[0] & (g2Infinity | g2YSign)
 	if flags&g2Infinity != 0 {
 		if data[0] != g2Infinity || !allZero(data[1:]) {
 			return errors.New("bn256: malformed G2 infinity encoding")
 		}
-		e.p.SetInfinity()
+		t.SetInfinity()
 		return nil
 	}
 	var x0 [32]byte
 	copy(x0[:], data[:32])
 	x0[0] &^= flags
-	var a twistPoint
-	if err := a.x.a0.Unmarshal(x0[:]); err != nil {
+	if err := t.x.a0.Unmarshal(x0[:]); err != nil {
 		return err
 	}
-	if err := a.x.a1.Unmarshal(data[32:64]); err != nil {
+	if err := t.x.a1.Unmarshal(data[32:64]); err != nil {
 		return err
 	}
 	var rhs gfP2
-	rhs.Square(&a.x)
-	rhs.Mul(&rhs, &a.x)
+	rhs.Square(&t.x)
+	rhs.Mul(&rhs, &t.x)
 	rhs.Add(&rhs, &twistB)
-	if !a.y.Sqrt(&rhs) {
+	if !t.y.Sqrt(&rhs) {
 		return errors.New("bn256: G2 x-coordinate not on the twist")
 	}
-	if a.y.sgn0() != (flags&g2YSign != 0) {
-		a.y.Neg(&a.y)
+	if t.y.sgn0() != (flags&g2YSign != 0) {
+		t.y.Neg(&t.y)
 	}
-	a.z.SetOne()
-	if !a.inG2() {
-		return errors.New("bn256: G2 point not in the order-r subgroup")
-	}
-	e.p.Set(&a)
+	t.z.SetOne()
 	return nil
 }
 

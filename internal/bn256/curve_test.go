@@ -1,7 +1,9 @@
 package bn256
 
 import (
+	"bytes"
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -225,6 +227,31 @@ func TestSubgroupCheckMatchesOrder(t *testing.T) {
 	if sum.Mod(sum, Order).Sign() != 0 {
 		t.Fatal("(u+1) + u*lambda + u*lambda^2 - 2u*lambda^3 != 0 mod r")
 	}
+	pts, g2s := subgroupTestPoints(t)
+	inG2 := 0
+	for i := range pts {
+		var rq, pi, m twistPoint
+		rq.Mul(&pts[i], Order)
+		pi.Frobenius(&pts[i])
+		m.Mul(&pts[i], sixUSquared)
+		got, want, old := pts[i].inG2(), rq.IsInfinity(), pi.Equal(&m)
+		if got != want || old != want {
+			t.Fatalf("point %d: membership test says %v, psi(Q) == [6u^2]Q says %v, [r]Q == 0 says %v", i, got, old, want)
+		}
+		if got {
+			inG2++
+		}
+	}
+	if inG2 != g2s+1 {
+		t.Fatalf("%d of %d points in G2, want the %d random G2 points and infinity", inG2, len(pts), g2s)
+	}
+}
+
+// subgroupTestPoints returns the point families of
+// TestSubgroupCheckMatchesOrder: g2s random points of G2 first, then
+// random twist points with their cofactor parts ([r]Q), points of order
+// 10069 with G2 points plus such a component, and infinity last.
+func subgroupTestPoints(t *testing.T) (pts []twistPoint, g2s int) {
 	const small = 10069
 	smallCof, rem := new(big.Int).DivMod(twistCofactor, big.NewInt(small), new(big.Int))
 	if rem.Sign() != 0 {
@@ -246,15 +273,15 @@ func TestSubgroupCheckMatchesOrder(t *testing.T) {
 			}
 		}
 	}
-	var pts, g2s []twistPoint
+	var g2 []twistPoint
 	for i := 0; i < 6; i++ {
 		_, q, err := RandomG2(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2s = append(g2s, q.p)
+		g2 = append(g2, q.p)
 	}
-	pts = append(pts, g2s...)
+	pts = append(pts, g2...)
 	for i := 0; i < 6; i++ {
 		pt := randTwist()
 		var cof twistPoint
@@ -268,30 +295,97 @@ func TestSubgroupCheckMatchesOrder(t *testing.T) {
 			continue
 		}
 		var mixed twistPoint
-		mixed.Add(&g2s[i], &s)
+		mixed.Add(&g2[i], &s)
 		pts = append(pts, s, mixed)
 		i++
 	}
 	var inf twistPoint
 	inf.SetInfinity()
 	pts = append(pts, inf)
+	return pts, len(g2)
+}
 
-	inG2 := 0
-	for i := range pts {
-		var rq, pi, m twistPoint
-		rq.Mul(&pts[i], Order)
-		pi.Frobenius(&pts[i])
-		m.Mul(&pts[i], sixUSquared)
-		got, want, old := pts[i].inG2(), rq.IsInfinity(), pi.Equal(&m)
-		if got != want || old != want {
-			t.Fatalf("point %d: membership test says %v, psi(Q) == [6u^2]Q says %v, [r]Q == 0 says %v", i, got, old, want)
-		}
-		if got {
-			inG2++
+// TestUnmarshalG2sMatchesElementwise checks the batch decoder against
+// Unmarshal one element at a time on nine-element encodings with one bad
+// element (off the twist, outside G2, a bad infinity encoding) or two
+// (outside G2 and off the twist, in either order) at every position:
+// the same count, the same error text and the same decoded points.
+func TestUnmarshalG2sMatchesElementwise(t *testing.T) {
+	pts, g2s := subgroupTestPoints(t)
+	var offG2 []byte
+	for i := g2s; offG2 == nil; i++ {
+		if p := pts[i]; !p.IsInfinity() && !p.inG2() {
+			offG2 = (&G2{p}).Marshal()
 		}
 	}
-	if inG2 != len(g2s)+1 {
-		t.Fatalf("%d of %d points in G2, want the %d random G2 points and infinity", inG2, len(pts), len(g2s))
+	var offTwist []byte
+	for n := int64(1); offTwist == nil; n++ {
+		var x, rhs, y gfP2
+		x.a0 = *newGFp(n)
+		rhs.Square(&x)
+		rhs.Mul(&rhs, &x)
+		rhs.Add(&rhs, &twistB)
+		if !y.Sqrt(&rhs) {
+			offTwist = make([]byte, 64)
+			x.a0.Marshal(offTwist[:32])
+			x.a1.Marshal(offTwist[32:])
+		}
+	}
+	badInf := make([]byte, 64)
+	badInf[0], badInf[63] = g2Infinity, 1
+	const n = 9
+	var good [n][]byte
+	for i := range good {
+		if i == 4 {
+			good[i] = new(G2).SetInfinity().Marshal()
+			continue
+		}
+		_, q, err := RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good[i] = q.Marshal()
+	}
+	check := func(name string, enc [n][]byte) {
+		t.Helper()
+		data := bytes.Join(enc[:], nil)
+		out := make([]*G2, n)
+		for i := range out {
+			out[i] = new(G2)
+		}
+		got, err := UnmarshalG2s(data, out)
+		want, wantErr := n, error(nil)
+		for i := range enc {
+			var e G2
+			if wantErr = e.Unmarshal(enc[i]); wantErr != nil {
+				want = i
+				break
+			}
+			if i < got && !out[i].Equal(&e) {
+				t.Fatalf("%s: element %d decodes differently", name, i)
+			}
+		}
+		if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: UnmarshalG2s = %d, %v; element by element %d, %v", name, got, err, want, wantErr)
+		}
+	}
+	check("all valid", good)
+	for i := 0; i < n; i++ {
+		for name, bad := range map[string][]byte{"off G2": offG2, "off the twist": offTwist, "bad infinity": badInf} {
+			enc := good
+			enc[i] = bad
+			check(fmt.Sprintf("%s at %d", name, i), enc)
+		}
+		for j := i + 1; j < n; j++ {
+			enc := good
+			enc[i], enc[j] = offG2, offTwist
+			check(fmt.Sprintf("off G2 at %d, off the twist at %d", i, j), enc)
+			enc[i], enc[j] = offTwist, offG2
+			check(fmt.Sprintf("off the twist at %d, off G2 at %d", i, j), enc)
+		}
+	}
+	if got, err := UnmarshalG2s(good[0][:63], []*G2{new(G2)}); got != 0 || err == nil {
+		t.Fatalf("short encoding: got %d, %v", got, err)
 	}
 }
 

@@ -73,8 +73,11 @@ var (
 	laneP, lane2P  [5]uint64
 	laneNP, laneQC uint64
 	// laneInv16 is 2^252 mod p as raw limbs: a Montgomery product by it
-	// divides by 16, taking R = 2^260 back to R = 2^256.
+	// divides by 16, taking R = 2^260 back to R = 2^256. laneR256 is
+	// 2^256 mod p in 52-bit limbs in every lane: a lane product by it
+	// does the same for eight values at once (lfp.gfps).
 	laneInv16 gfP
+	laneR256  lfp
 	// laneOne, laneFrob1 and laneFrob2 are one and the Frobenius
 	// constants of gfp12.go in every lane.
 	laneOne              lfp
@@ -89,7 +92,11 @@ func initLanes() {
 	laneNP = np & (1<<52 - 1)
 	laneQC = new(big.Int).Div(new(big.Int).Lsh(big.NewInt(1), 304), P).Uint64()
 	laneInv16 = gfPFromRawBig(new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 252), P))
+	r256 := radix52((*[4]uint64)(&rOne))
 	for k := 0; k < laneRows; k++ {
+		for i := range r256 {
+			laneR256[i][k] = r256[i]
+		}
 		laneOne.set(k, &rOne)
 		for i := range laneFrob1 {
 			laneFrob1[i].set(k, &frob1Consts[i])
@@ -120,8 +127,9 @@ func laneEncode(a *gfP) [5]uint64 {
 	return radix52((*[4]uint64)(&t))
 }
 
-// laneDecode returns the fully reduced gfP of a lane value below 2p.
-func laneDecode(l *[5]uint64) gfP {
+// join52 joins the five 52-bit limbs of a value below 2p and reduces it
+// once, below p, keeping its Montgomery factor.
+func join52(l *[5]uint64) gfP {
 	t := gfP{
 		l[0] | l[1]<<52,
 		l[1]>>12 | l[2]<<40,
@@ -129,8 +137,32 @@ func laneDecode(l *[5]uint64) gfP {
 		l[3]>>36 | l[4]<<16,
 	}
 	t.reduceOnce()
+	return t
+}
+
+// laneDecode returns the fully reduced gfP of a lane value below 2p.
+func laneDecode(l *[5]uint64) gfP {
+	t := join52(l)
 	t.Mul(&t, &laneInv16)
 	return t
+}
+
+// gfps sets out[k] to the fully reduced gfP of lane k of e, for all
+// eight lanes: one lane product by laneR256 takes R = 2^260 to R = 2^256
+// and leaves each lane below 2p, then join52 joins and reduces each
+// lane. It is laneDecode on eight lanes.
+func (e *lfp) gfps(out *[laneRows]gfP) {
+	var t lfp
+	lfpMul(&t, e, &laneR256)
+	for k := range out {
+		l := t.col(k)
+		out[k] = join52(&l)
+	}
+}
+
+// col returns lane k of e as five limbs.
+func (e *lfp) col(k int) [5]uint64 {
+	return [5]uint64{e[0][k], e[1][k], e[2][k], e[3][k], e[4][k]}
 }
 
 // set sets lane k of e to a.
@@ -143,10 +175,7 @@ func (e *lfp) set(k int, a *gfP) {
 
 // get returns lane k of e.
 func (e *lfp) get(k int) gfP {
-	var l [5]uint64
-	for i := range l {
-		l[i] = e[i][k]
-	}
+	l := e.col(k)
 	return laneDecode(&l)
 }
 
@@ -372,25 +401,6 @@ func (e *lfp12) finalExponentiation(f *lfp12) {
 	lfp12Mul(e, &t0, &t1)
 }
 
-// laneCoeffs returns the lane form of every recorded line's b and c,
-// indexed like pc.ops, building it on first use.
-func (pc *PairingPrecomp) laneCoeffs() [][4][5]uint64 {
-	pc.laneOnce.Do(func() {
-		pc.laneCo = make([][4][5]uint64, len(pc.ops))
-		for i := range pc.ops {
-			op := &pc.ops[i]
-			if op.slot < 0 {
-				continue
-			}
-			pc.laneCo[i] = [4][5]uint64{
-				laneEncode(&op.b.a0), laneEncode(&op.b.a1),
-				laneEncode(&op.c.a0), laneEncode(&op.c.a1),
-			}
-		}
-	})
-	return pc.laneCo
-}
-
 // evalLanes is evalChunk on the lane kernels: row k of pts is lane k.
 func (pc *PairingPrecomp) evalLanes(pts *rowPoints, out []GT) {
 	f := pc.millerLanes(pts, len(out))
@@ -404,7 +414,7 @@ func (pc *PairingPrecomp) evalLanes(pts *rowPoints, out []GT) {
 // pts, one per lane. Lanes past the last row, like slots at infinity,
 // hold xs = ys = 0, whose lines are one.
 func (pc *PairingPrecomp) millerLanes(pts *rowPoints, rows int) *lfp12 {
-	co := pc.laneCoeffs()
+	co := pc.laneCo
 	xs := make([]lfp, pc.n)
 	ys := make([]lfp, pc.n)
 	for r := 0; r < rows; r++ {

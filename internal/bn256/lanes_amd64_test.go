@@ -17,16 +17,22 @@ import (
 // /proc/cpuinfo: useADX must equal adx && bmi2, and useIFMA must equal
 // avx512f && avx512ifma (the kernel lists AVX-512 flags only when it
 // saves the ZMM state, which is what XGETBV checks). Where /proc/cpuinfo
-// cannot be read it skips. It logs the SJ.Dec path this CPU takes.
+// cannot be read it skips. It logs the paths this CPU takes for SJ.Dec,
+// the token precompute and the token's G2 decode, on one line.
 func TestCPUFeatures(t *testing.T) {
-	path := fmt.Sprintf("lanes (AVX-512 IFMA) for chunks of %d or more rows, ADX rows below", laneMinRows)
-	switch {
-	case !useIFMA && useADX:
-		path = "ADX rows"
-	case !useIFMA:
-		path = "generic Go rows"
+	scalar := "generic Go"
+	if useADX {
+		scalar = "ADX"
 	}
-	t.Logf("SJ.Dec path: %s (useADX=%v useIFMA=%v)", path, useADX, useIFMA)
+	dec := scalar + " rows"
+	pre := "scalar recorder (" + scalar + ")"
+	g2 := "scalar subgroup checks (" + scalar + ")"
+	if useIFMA {
+		dec = fmt.Sprintf("lanes (AVX-512 IFMA) for chunks of %d or more rows, %s rows below", laneMinRows, scalar)
+		pre = fmt.Sprintf("lane recorder for %d or more live slots, scalar recorder below", laneMinSlots)
+		g2 = fmt.Sprintf("lane subgroup checks for groups of %d or more points, scalar below", laneMinPoints)
+	}
+	t.Logf("SJ.Dec path: %s; token precompute: %s; token decode: %s (useADX=%v useIFMA=%v)", dec, pre, g2, useADX, useIFMA)
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("cannot read /proc/cpuinfo to check the detection against: %v", err)
@@ -389,6 +395,149 @@ func TestLaneEvalMatchesRows(t *testing.T) {
 					if !got.Equal(want) {
 						t.Fatalf("infinite slots %v, %d rows: row %d by %s differs from PairBatchPrecomputed", inf, n, r, name)
 					}
+				}
+			}
+		}
+	}
+}
+
+// precomputeBoth records qs with the scalar recorder (its lane
+// coefficients encoded from its ops) and with the lane recorder,
+// whatever the slot count.
+func precomputeBoth(qs []*G2) (scalar, lanes *PairingPrecomp) {
+	slots, qa := tokenSlots(qs)
+	scalar = &PairingPrecomp{n: len(qs)}
+	scalar.record(slots, qa)
+	scalar.encodeLanes()
+	lanes = &PairingPrecomp{n: len(qs)}
+	lanes.recordLanes(slots, qa)
+	return scalar, lanes
+}
+
+// TestLanePrecomputeMatchesRecorder checks the lane recorder against the
+// scalar one on tokens of 1 to 17 slots, with an infinity slot in every
+// position of a 17-slot token (every lane of all three chains) and of
+// the smaller ones, a token of Jacobian points and an all-infinity
+// token: the ops must be identical, slot and coefficients limb for limb,
+// the lane coefficients must decode (laneDecode) to the ops'
+// coefficients, and an 8-row EvalRows chunk must give equal GT values
+// from both programs.
+func TestLanePrecomputeMatchesRecorder(t *testing.T) {
+	skipWithoutLanes(t)
+	type tc struct {
+		d   int
+		inf []int
+	}
+	var cases []tc
+	for d := 1; d <= 17; d++ {
+		cases = append(cases, tc{d, nil})
+		if d > 1 {
+			cases = append(cases, tc{d, []int{d / 2, d - 1}})
+		}
+	}
+	for j := 0; j < 17; j++ {
+		cases = append(cases, tc{17, []int{j}})
+	}
+	cases = append(cases, tc{3, []int{0, 1, 2}})
+	g2s := make([]*G2, 17)
+	for j := range g2s {
+		_, q, err := RandomG2(crand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g2s[j] = q
+	}
+	affine := make([]*G2, len(g2s))
+	for j := range affine {
+		affine[j] = new(G2).Set(g2s[j])
+	}
+	NormalizeG2(affine)
+	for ci, c := range cases {
+		src := affine
+		if ci%2 == 1 {
+			src = g2s // RandomG2's Jacobian points
+		}
+		qs := append([]*G2(nil), src[:c.d]...)
+		for _, j := range c.inf {
+			qs[j] = new(G2).SetInfinity()
+		}
+		name := fmt.Sprintf("d = %d, infinite slots %v", c.d, c.inf)
+		scalar, lanes := precomputeBoth(qs)
+		if len(lanes.ops) != len(scalar.ops) || len(lanes.laneCo) != len(lanes.ops) {
+			t.Fatalf("%s: lanes record %d ops and %d lane coefficients, scalar %d ops", name, len(lanes.ops), len(lanes.laneCo), len(scalar.ops))
+		}
+		for i := range scalar.ops {
+			s, l := &scalar.ops[i], &lanes.ops[i]
+			if *s != *l {
+				t.Fatalf("%s: op %d is %+v on the lanes, %+v scalar", name, i, *l, *s)
+			}
+			if s.slot < 0 {
+				continue
+			}
+			for k, want := range []*gfP{&s.b.a0, &s.b.a1, &s.c.a0, &s.c.a1} {
+				if got := laneDecode(&lanes.laneCo[i][k]); got != *want {
+					t.Fatalf("%s: op %d lane coefficient %d decodes to %v, want %v", name, i, k, &got, want)
+				}
+			}
+		}
+		rows := make([][]*G1, laneRows)
+		for r := range rows {
+			rows[r] = randomAffineG1s(c.d)
+			if r%3 == 1 {
+				rows[r][r%c.d] = new(G1).SetInfinity()
+			}
+		}
+		want := make([]GT, laneRows)
+		got := make([]GT, laneRows)
+		scalar.EvalRows(rows, want)
+		lanes.EvalRows(rows, got)
+		for r := range got {
+			if !got[r].Equal(&want[r]) {
+				t.Fatalf("%s: row %d pairs differently under the lane program", name, r)
+			}
+		}
+	}
+}
+
+// TestLaneSubgroupCheck runs the point families of
+// TestSubgroupCheckMatchesOrder (G2 points, raw twist points, their
+// cofactor parts, points of order 10069, G2 points plus such a
+// component, infinity) through inG2Lanes in every lane position, in
+// full groups of eight and in groups of 1 to 7, and checks every answer
+// against the scalar inG2. A G2 point must be decided on the lanes;
+// infinity has Z = 0 in every lane value, so it must fall back to the
+// scalar check, whose answer (true) must come back.
+func TestLaneSubgroupCheck(t *testing.T) {
+	skipWithoutLanes(t)
+	pts, g2s := subgroupTestPoints(t)
+	want := make([]bool, len(pts))
+	for i := range pts {
+		want[i] = pts[i].inG2()
+	}
+	inf := len(pts) - 1
+	if !pts[inf].IsInfinity() || !want[inf] {
+		t.Fatal("the last test point must be infinity, which inG2 accepts")
+	}
+	var ok [laneRows]bool
+	for start := range pts {
+		for size := 1; size <= laneRows; size++ {
+			group := make([]*twistPoint, size)
+			idx := make([]int, size)
+			for k := range group {
+				idx[k] = (start + k*5) % len(pts)
+				group[k] = &pts[idx[k]]
+			}
+			fallback := inG2Lanes(group, ok[:])
+			for k, i := range idx {
+				if ok[k] != want[i] {
+					t.Fatalf("point %d in lane %d of %d: lanes say %v, inG2 says %v", i, k, size, ok[k], want[i])
+				}
+				fell := fallback>>k&1 == 1
+				switch {
+				case i == inf && !fell:
+					t.Fatalf("infinity in lane %d of %d was decided on the lanes", k, size)
+				case i < g2s && fell:
+					t.Fatalf("G2 point %d in lane %d of %d fell back to the scalar check", i, k, size)
 				}
 			}
 		}

@@ -1,7 +1,5 @@
 package bn256
 
-import "sync"
-
 // The optimal ate pairing (Vercauteren, "Optimal Pairings", IEEE TIT
 // 2010) on this BN curve is
 //
@@ -48,11 +46,10 @@ type ppOp struct {
 type PairingPrecomp struct {
 	n   int
 	ops []ppOp
-
-	// laneCo is the lane form of the ops' coefficients, built by
-	// laneCoeffs on the first lane evaluation.
-	laneOnce sync.Once
-	laneCo   [][4][5]uint64
+	// laneCo holds, on CPUs with the lane kernels, the lane form of each
+	// line op's b and c (indexed like ops; zero for squarings): the
+	// broadcast coefficients of lfpLine.
+	laneCo [][4][5]uint64
 }
 
 // Size returns the number of G2 slots the program was built for.
@@ -172,25 +169,75 @@ func (r *millerRecorder) normalize() {
 // PrecomputePairBatch records the optimal ate Miller program of a fixed
 // batch of G2 points, to be evaluated against many G1 batches with
 // PairBatchPrecomputed. Points at infinity record no lines: they pair
-// to the identity. The returned handle is immutable and safe for
-// concurrent use.
+// to the identity. On CPUs with AVX-512 IFMA a batch of laneMinSlots or
+// more live slots is recorded on the lane kernels, up to eight slots per
+// chain (recordLanes); the program is the same either way. The returned
+// handle is immutable and safe for concurrent use.
 func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 	pc := &PairingPrecomp{n: len(qs)}
+	slots, qa := tokenSlots(qs)
+	if useIFMA && len(slots) >= laneMinSlots {
+		pc.recordLanes(slots, qa)
+		return pc
+	}
+	pc.record(slots, qa)
+	if useIFMA {
+		pc.encodeLanes()
+	}
+	return pc
+}
+
+// tokenSlots returns the indexes of the points of qs that are not at
+// infinity, the live slots, and those points in affine form: points not
+// yet affine share one field inversion (batchMakeAffineTwist).
+func tokenSlots(qs []*G2) ([]int32, []twistPoint) {
+	var slots []int32
+	var qa []twistPoint
+	for j, g := range qs {
+		if !g.p.IsInfinity() {
+			slots = append(slots, int32(j))
+			qa = append(qa, g.p)
+		}
+	}
+	var proj []*twistPoint
+	for i := range qa {
+		if !qa[i].z.IsOne() {
+			proj = append(proj, &qa[i])
+		}
+	}
+	batchMakeAffineTwist(proj)
+	return slots, qa
+}
+
+// millerSteps is the number of lines the Miller loop records per slot:
+// one doubling per NAF digit below the top one, one addition per
+// non-zero digit below it, and the two end lines.
+func millerSteps() int {
+	n := len(sixUPlus2NAF) - 1
+	for _, d := range sixUPlus2NAF[:len(sixUPlus2NAF)-1] {
+		if d != 0 {
+			n++
+		}
+	}
+	return n + 2
+}
+
+// record is the scalar recorder: it walks the live slots, with affine
+// points qa, one at a time on the twist-point arithmetic. It is the path
+// below laneMinSlots and on CPUs without the lane kernels, and the
+// oracle of recordLanes.
+func (pc *PairingPrecomp) record(slots []int32, qa []twistPoint) {
 	type slot struct {
 		j        int32
 		q, nq, t twistPoint // q and -q affine, t the running multiple
 	}
-	var slots []slot
-	for j, g := range qs {
-		if g.p.IsInfinity() {
-			continue
-		}
-		s := slot{j: int32(j)}
-		s.q.Set(&g.p)
-		s.q.MakeAffine()
+	ss := make([]slot, len(slots))
+	for k := range ss {
+		s := &ss[k]
+		s.j = slots[k]
+		s.q = qa[k]
 		s.nq.Neg(&s.q)
 		s.t.Set(&s.q)
-		slots = append(slots, s)
 	}
 	// The loop walks the NAF of 6u+2 (66 digits, 22 non-zero) from the
 	// top: 65 squarings, and per slot 65 doubling lines, 21 addition
@@ -199,27 +246,27 @@ func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 	// vertical-line factors, which lie in Fp6 and vanish in the final
 	// exponentiation, so GT is unchanged (TestKnownAnswerVectors).
 	n := len(sixUPlus2NAF)
-	pc.ops = make([]ppOp, 0, n*(1+2*len(slots)))
+	pc.ops = make([]ppOp, 0, n-1+millerSteps()*len(ss))
 	r := &millerRecorder{pc: pc, as: make([]gfP2, 0, cap(pc.ops))}
 
 	for i := n - 2; i >= 0; i-- {
 		r.square()
-		for k := range slots {
-			r.double(slots[k].j, &slots[k].t)
+		for k := range ss {
+			r.double(ss[k].j, &ss[k].t)
 		}
 		switch sixUPlus2NAF[i] {
 		case 1:
-			for k := range slots {
-				r.add(slots[k].j, &slots[k].t, &slots[k].q)
+			for k := range ss {
+				r.add(ss[k].j, &ss[k].t, &ss[k].q)
 			}
 		case -1:
-			for k := range slots {
-				r.add(slots[k].j, &slots[k].t, &slots[k].nq)
+			for k := range ss {
+				r.add(ss[k].j, &ss[k].t, &ss[k].nq)
 			}
 		}
 	}
-	for k := range slots {
-		s := &slots[k]
+	for k := range ss {
+		s := &ss[k]
 		var q1, q2 twistPoint
 		q1.Frobenius(&s.q)
 		q2.Frobenius(&q1)
@@ -228,7 +275,21 @@ func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 		r.add(s.j, &s.t, &q2)
 	}
 	r.normalize()
-	return pc
+}
+
+// encodeLanes fills laneCo from the ops' coefficients.
+func (pc *PairingPrecomp) encodeLanes() {
+	pc.laneCo = make([][4][5]uint64, len(pc.ops))
+	for i := range pc.ops {
+		op := &pc.ops[i]
+		if op.slot < 0 {
+			continue
+		}
+		pc.laneCo[i] = [4][5]uint64{
+			laneEncode(&op.b.a0), laneEncode(&op.b.a1),
+			laneEncode(&op.c.a0), laneEncode(&op.c.a1),
+		}
+	}
 }
 
 // rowPoints holds a chunk's G1 points in the form the Miller program

@@ -39,7 +39,8 @@ func (t *Token) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a token produced by MarshalBinary, validating
 // every group element (G2 subgroup membership included, so a malicious
-// encoder cannot smuggle points of small order).
+// encoder cannot smuggle points of small order) in one
+// bn256.UnmarshalG2s call. An error names the lowest failing element.
 func (t *Token) UnmarshalBinary(data []byte) error {
 	n, err := elemCount("token", data)
 	if err != nil {
@@ -48,9 +49,9 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 	elems := make([]*bn256.G2, n)
 	for i := range elems {
 		elems[i] = new(bn256.G2)
-		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
-			return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
-		}
+	}
+	if i, err := bn256.UnmarshalG2s(data[4:], elems); err != nil {
+		return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
 	}
 	t.Tk = &ipe.Token{Elems: elems}
 	return nil

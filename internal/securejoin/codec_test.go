@@ -3,6 +3,7 @@ package securejoin
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -113,10 +114,14 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // FuzzTokenUnmarshal feeds hostile bytes to the token codec, the first
 // thing the server does with a join request. The corpus under
 // testdata/fuzz/FuzzTokenUnmarshal seeds it with a valid token, count
-// and length mismatches, and elements with bad flag bits, x >= p, x off
-// the twist and the infinity encoding. A failure must be an error
-// wrapping ErrBadEncoding, never a panic; an accepted token must
-// re-encode to the same bytes.
+// and length mismatches, elements with bad flag bits, x >= p, x off the
+// twist and the infinity encoding, and eight-element tokens with an
+// element outside G2 at each position 0-7 (one lane position each of
+// the batch subgroup check). A failure must be an error wrapping
+// ErrBadEncoding, never a panic, and must be the error, element index
+// included, of decoding the elements one at a time with
+// (*bn256.G2).Unmarshal; so an accepted token's elements each pass that
+// decode singly. An accepted token must re-encode to the same bytes.
 func FuzzTokenUnmarshal(f *testing.F) {
 	s := newTestScheme(f, 1, 1)
 	q, err := s.NewQuery(Selection{}, Selection{})
@@ -130,7 +135,11 @@ func FuzzTokenUnmarshal(f *testing.F) {
 	f.Add(valid)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tk Token
-		if err := tk.UnmarshalBinary(data); err != nil {
+		err := tk.UnmarshalBinary(data)
+		if want := tokenErrorElementwise(data); fmt.Sprint(err) != fmt.Sprint(want) {
+			t.Fatalf("UnmarshalBinary says %v; element by element: %v", err, want)
+		}
+		if err != nil {
 			if !errors.Is(err, ErrBadEncoding) {
 				t.Fatalf("rejection %v does not wrap ErrBadEncoding", err)
 			}
@@ -144,6 +153,23 @@ func FuzzTokenUnmarshal(f *testing.F) {
 			t.Fatal("accepted a non-canonical token encoding")
 		}
 	})
+}
+
+// tokenErrorElementwise is the error Token.UnmarshalBinary returns for
+// data, reached the element-wise way: the count check, then each element
+// through (*bn256.G2).Unmarshal in order, the first failure named.
+func tokenErrorElementwise(data []byte) error {
+	n, err := elemCount("token", data)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		var e bn256.G2
+		if err := e.Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
+			return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
+		}
+	}
+	return nil
 }
 
 // FuzzRowCiphertextUnmarshal feeds hostile bytes to the row ciphertext
