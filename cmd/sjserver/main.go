@@ -20,7 +20,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7788", "address to listen on")
 	quiet := flag.Bool("quiet", false, "disable request logging")
-	batch := flag.Int("batch", 0, "joined rows per response frame (0 = protocol default)")
 	data := flag.String("data", "", "directory for the durable table store (empty = in-memory only)")
 	metricsAddr := flag.String("metrics", "", "address for the HTTP /metrics + /healthz endpoint (empty = disabled)")
 	idleTimeout := flag.Duration("idletimeout", 0, "close connections idle longer than this, e.g. 5m (0 = never)")
@@ -37,7 +36,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sjserver:", err)
 		os.Exit(1)
 	}
-	srv.SetBatchSize(*batch)
 	srv.SetIdleTimeout(*idleTimeout)
 	srv.SetJobWorkers(*jobWorkers)
 	srv.SetJobTTL(*jobTTL)

@@ -24,7 +24,6 @@ import (
 
 func main() {
 	srv := server.New(log.New(os.Stderr, "[server] ", 0))
-	srv.SetBatchSize(2) // tiny batches so the streaming is visible
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

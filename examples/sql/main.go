@@ -1,7 +1,14 @@
 // SQL example: drives the encrypted join engine through the SQL front
-// end — the paper's Example 2.1 queries written as actual SQL strings,
-// compiled against a catalog and executed over ciphertexts through the
-// operator-tree executor, including a 3-way join stitched client-side.
+// end. It first replays the paper's Example 2.1 (Section 2, Tables 1-4):
+// the queries at t1 and t2 return Tables 3 and 4, each reveals one
+// equality pair (sigma(q)), and after t2 the server holds their
+// transitive closure, 2 pairs. Over the same series deterministic
+// encryption reveals all 6 pairs at t0, CryptDB all 6 at t1, and Hahn
+// et al. 1 at t1 and all 6 at t2 (internal/leakage's
+// TestSection21Timeline). Further queries then show an IN list, an
+// unfiltered join and a 3-way join stitched client-side, each compiled
+// against a catalog and executed over ciphertexts through the
+// operator-tree executor.
 package main
 
 import (
@@ -60,20 +67,8 @@ func main() {
 		}
 	}
 
-	queries := []string{
-		`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
-		 WHERE Teams.Name = 'Web Application' AND Employees.Role = 'Tester'`,
-		`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
-		 WHERE Employees.Role IN ('Programmer', 'Tester') AND Teams.Name = 'Database'`,
-		`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team`,
-		// The 3-way form: Offices stitches onto the Teams hub
-		// client-side after a second pairwise encrypted join.
-		`SELECT * FROM Teams, Employees, Offices
-		 WHERE Teams.Key = Employees.Team AND Offices.TeamKey = Teams.Key
-		 AND Employees.Role = 'Programmer'`,
-	}
 	runner := sql.EngineRunner(server, client)
-	for _, qs := range queries {
+	run := func(qs string) {
 		fmt.Println(qs)
 		plan, err := catalog.Compile(qs)
 		if err != nil {
@@ -100,4 +95,27 @@ func main() {
 		}
 		fmt.Println()
 	}
+
+	// Example 2.1: t1 returns Table 3 (Kaily), t2 returns Table 4 (John).
+	fmt.Println("t1, Table 3:")
+	run(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		 WHERE Teams.Name = 'Web Application' AND Employees.Role = 'Tester'`)
+	fmt.Println("t2, Table 4:")
+	run(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		 WHERE Teams.Name = 'Database' AND Employees.Role = 'Programmer'`)
+	_, closure := server.ObservedLeakage()
+	fmt.Printf("closure after t2: %d pairs\n", closure.Len())
+	for _, p := range closure.Sorted() {
+		fmt.Printf("  %v == %v\n", p.A, p.B)
+	}
+	fmt.Println()
+
+	run(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team
+		 WHERE Employees.Role IN ('Programmer', 'Tester') AND Teams.Name = 'Database'`)
+	run(`SELECT * FROM Teams JOIN Employees ON Teams.Key = Employees.Team`)
+	// The 3-way form: Offices stitches onto the Teams hub client-side
+	// after a second pairwise encrypted join.
+	run(`SELECT * FROM Teams, Employees, Offices
+		 WHERE Teams.Key = Employees.Team AND Offices.TeamKey = Teams.Key
+		 AND Employees.Role = 'Programmer'`)
 }

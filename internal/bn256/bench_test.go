@@ -210,7 +210,9 @@ func BenchmarkLane(b *testing.B) {
 	// The Miller loop of BenchmarkMillerLoopOnly (one G2 slot) on eight
 	// rows at once.
 	_, q, _ := RandomG2(rand.Reader)
-	pc := PrecomputePairBatch([]*G2{q})
+	slots, qa := tokenSlots([]*G2{q})
+	pc := &PairingPrecomp{n: 1}
+	pc.recordLanes(slots, qa)
 	rows := make([][]*G1, laneRows)
 	for r := range rows {
 		rows[r] = randomAffineG1s(1)
@@ -237,7 +239,6 @@ func BenchmarkLane(b *testing.B) {
 		}
 		pts := pc5.points(rows)
 		out := make([]GT, n)
-		pc5.evalLanes(pts, out) // builds the lane coefficients outside the timer
 		b.Run(fmt.Sprintf("chunk%d/rows", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pc5.evalRows(pts, out)
@@ -250,15 +251,13 @@ func BenchmarkLane(b *testing.B) {
 		})
 	}
 	// The slot counts around laneMinSlots: a token of n affine slots
-	// recorded by the scalar recorder (lane coefficients encoded from its
-	// ops, as PrecomputePairBatch does) and by the lane recorder.
+	// recorded by the scalar recorder and by the lane recorder.
 	for n := 1; n <= 3; n++ {
 		slots, qa := tokenSlots(randomAffineG2s(n))
 		b.Run(fmt.Sprintf("record%d/scalar", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pc := &PairingPrecomp{n: n}
 				pc.record(slots, qa)
-				pc.encodeLanes()
 			}
 		})
 		b.Run(fmt.Sprintf("record%d/lanes", n), func(b *testing.B) {

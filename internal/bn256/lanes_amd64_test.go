@@ -331,9 +331,10 @@ func FuzzLaneKernels(f *testing.F) {
 }
 
 // laneTestBatch returns a token of d slots whose slots listed in inf
-// are at infinity, and n rows of d G1 points where row r has an
-// infinity at slot r mod d unless r = 2 mod 3, and row 5 is all
-// infinity: in 17 rows every lane position meets an infinity element.
+// are at infinity, recorded on the lanes whatever its live slot count,
+// and n rows of d G1 points where row r has an infinity at slot r mod d
+// unless r = 2 mod 3, and row 5 is all infinity: in 17 rows every lane
+// position meets an infinity element.
 func laneTestBatch(t *testing.T, d, n int, inf ...int) (*PairingPrecomp, [][]*G1) {
 	t.Helper()
 	qs := make([]*G2, d)
@@ -359,7 +360,7 @@ func laneTestBatch(t *testing.T, d, n int, inf ...int) (*PairingPrecomp, [][]*G1
 			}
 		}
 	}
-	return PrecomputePairBatch(qs), rows
+	return recordedOnLanes(qs), rows
 }
 
 // TestLaneEvalMatchesRows compares the three SJ.Dec paths on chunks of
@@ -401,17 +402,23 @@ func TestLaneEvalMatchesRows(t *testing.T) {
 	}
 }
 
-// precomputeBoth records qs with the scalar recorder (its lane
-// coefficients encoded from its ops) and with the lane recorder,
-// whatever the slot count.
+// precomputeBoth records qs with the scalar recorder and with the lane
+// recorder, whatever the slot count.
 func precomputeBoth(qs []*G2) (scalar, lanes *PairingPrecomp) {
 	slots, qa := tokenSlots(qs)
 	scalar = &PairingPrecomp{n: len(qs)}
 	scalar.record(slots, qa)
-	scalar.encodeLanes()
-	lanes = &PairingPrecomp{n: len(qs)}
-	lanes.recordLanes(slots, qa)
-	return scalar, lanes
+	return scalar, recordedOnLanes(qs)
+}
+
+// recordedOnLanes records qs with the lane recorder, whatever the slot
+// count: below laneMinSlots PrecomputePairBatch would take the scalar
+// recorder, whose programs carry no lane coefficients.
+func recordedOnLanes(qs []*G2) *PairingPrecomp {
+	slots, qa := tokenSlots(qs)
+	pc := &PairingPrecomp{n: len(qs)}
+	pc.recordLanes(slots, qa)
+	return pc
 }
 
 // TestLanePrecomputeMatchesRecorder checks the lane recorder against the
@@ -421,7 +428,8 @@ func precomputeBoth(qs []*G2) (scalar, lanes *PairingPrecomp) {
 // token: the ops must be identical, slot and coefficients limb for limb,
 // the lane coefficients must decode (laneDecode) to the ops'
 // coefficients, and an 8-row EvalRows chunk must give equal GT values
-// from both programs.
+// from both programs (the scalar one on the row path, the lane one on
+// the lanes).
 func TestLanePrecomputeMatchesRecorder(t *testing.T) {
 	skipWithoutLanes(t)
 	type tc struct {

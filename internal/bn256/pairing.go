@@ -28,10 +28,10 @@ package bn256
 //
 // Every row runs the same program, so EvalRows takes rows in chunks of
 // up to eight: a chunk shares one base-field inversion for all its 1/yP
-// and one for all its final exponentiations' Fp12 inverses, and on CPUs
-// with AVX-512 IFMA a chunk of laneMinRows or more rows runs as the
-// eight lanes of the lane kernels (lanes.go). PairBatchPrecomputed is a
-// one-row chunk, so there is one evaluator.
+// and one for all its final exponentiations' Fp12 inverses, and when the
+// program was recorded on the AVX-512 IFMA lane kernels a chunk of
+// laneMinRows or more rows runs as their eight lanes (lanes.go).
+// PairBatchPrecomputed is a one-row chunk, so there is one evaluator.
 
 // ppOp is one step of a recorded Miller program: an accumulator
 // squaring (slot < 0), or the normalized line of slot.
@@ -46,9 +46,11 @@ type ppOp struct {
 type PairingPrecomp struct {
 	n   int
 	ops []ppOp
-	// laneCo holds, on CPUs with the lane kernels, the lane form of each
-	// line op's b and c (indexed like ops; zero for squarings): the
-	// broadcast coefficients of lfpLine.
+	// laneCo holds, for a program recorded on the lane kernels
+	// (recordLanes), the lane form of each line op's b and c (indexed
+	// like ops; zero for squarings): the broadcast coefficients of
+	// lfpLine. It is nil for the scalar recorder's programs, which
+	// evaluate on the row path only.
 	laneCo [][4][5]uint64
 }
 
@@ -181,9 +183,6 @@ func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 		return pc
 	}
 	pc.record(slots, qa)
-	if useIFMA {
-		pc.encodeLanes()
-	}
 	return pc
 }
 
@@ -277,21 +276,6 @@ func (pc *PairingPrecomp) record(slots []int32, qa []twistPoint) {
 	r.normalize()
 }
 
-// encodeLanes fills laneCo from the ops' coefficients.
-func (pc *PairingPrecomp) encodeLanes() {
-	pc.laneCo = make([][4][5]uint64, len(pc.ops))
-	for i := range pc.ops {
-		op := &pc.ops[i]
-		if op.slot < 0 {
-			continue
-		}
-		pc.laneCo[i] = [4][5]uint64{
-			laneEncode(&op.b.a0), laneEncode(&op.b.a1),
-			laneEncode(&op.c.a0), laneEncode(&op.c.a1),
-		}
-	}
-}
-
 // rowPoints holds a chunk's G1 points in the form the Miller program
 // reads: for slot j of row r, at index r*n + j, xs = xP/yP and
 // ys = 1/yP, or skip for a point at infinity, which contributes the
@@ -382,11 +366,11 @@ func (pc *PairingPrecomp) EvalRows(rows [][]*G1, out []GT) {
 }
 
 // evalChunk evaluates up to laneRows rows: on the lane kernels when the
-// CPU has them and the chunk is large enough to pay for eight lanes,
-// else row by row.
+// program carries lane coefficients (recordLanes) and the chunk is large
+// enough to pay for eight lanes, else row by row.
 func (pc *PairingPrecomp) evalChunk(rows [][]*G1, out []GT) {
 	pts := pc.points(rows)
-	if useIFMA && len(rows) >= laneMinRows {
+	if pc.laneCo != nil && len(rows) >= laneMinRows {
 		pc.evalLanes(pts, out)
 	} else {
 		pc.evalRows(pts, out)

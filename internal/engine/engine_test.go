@@ -80,7 +80,8 @@ func TestEndToEndJoin(t *testing.T) {
 // TestSeriesLeakageIsClosureOnly replays the two queries of the paper's
 // timeline and verifies that what the server holds after the series equals
 // exactly the transitive closure of the per-query traces (Corollary
-// 5.2.2) — 2 pairs, not Hahn's 6.
+// 5.2.2) — 2 pairs, not Hahn's 6 — and what the leakage package's
+// Secure Join simulator predicts for the same series.
 func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	client, server := setup(t)
 
@@ -124,6 +125,25 @@ func TestSeriesLeakageIsClosureOnly(t *testing.T) {
 	)
 	if !closure.Equal(want) {
 		t.Fatalf("closure = %v", closure.Sorted())
+	}
+
+	// The Secure Join leakage simulator, run on a plaintext view of the
+	// same tables and selections, must predict exactly this closure.
+	view := func(name string, rows []PlainRow) *leakage.Table {
+		tbl := &leakage.Table{Name: name}
+		for _, r := range rows {
+			tbl.Joins = append(tbl.Joins, string(r.JoinValue))
+			tbl.Attrs = append(tbl.Attrs, []string{string(r.Attrs[0])})
+		}
+		return tbl
+	}
+	teams, employees := exampleTables()
+	sim := leakage.SecureJoinLeakage(view("Teams", teams), view("Employees", employees), []leakage.Query{
+		{SelA: map[int][]string{0: {"Web Application"}}, SelB: map[int][]string{0: {"Tester"}}},
+		{SelA: map[int][]string{0: {"Database"}}, SelB: map[int][]string{0: {"Programmer"}}},
+	})
+	if predicted := sim[len(sim)-1]; !closure.Equal(predicted) {
+		t.Fatalf("engine closure %v, simulator predicts %v", closure.Sorted(), predicted.Sorted())
 	}
 }
 

@@ -41,7 +41,7 @@ var closeGrace = 30 * time.Second
 type Server struct {
 	eng    *engine.Server
 	logger *log.Logger
-	batch  int
+	batch  int // joined rows per response frame (in-package tests lower it before Listen)
 	store  *store.Store
 
 	// Observability and admission control (see observe.go). The
@@ -123,15 +123,6 @@ func NewWithStore(logger *log.Logger, st *store.Store) *Server {
 		s.logf("store %s: %d tables recovered, %d damaged", st.Dir(), len(tables), len(st.Damaged()))
 	}
 	return s
-}
-
-// SetBatchSize bounds the number of joined rows per response frame.
-// Call before Listen; n <= 0 restores the default.
-func (s *Server) SetBatchSize(n int) {
-	if n <= 0 {
-		n = engine.DefaultBatchSize
-	}
-	s.batch = n
 }
 
 // SetDecryptCache does nothing. The server keeps no decrypt results:
