@@ -14,9 +14,12 @@ import "sync"
 
 // laneMinSlots is the fewest live slots PrecomputePairBatch records on
 // the lanes. A lane chain costs the same for one slot as for eight; with
-// one slot the scalar recorder is cheaper, from two on the lanes win
-// (BenchmarkPairBatchPrecomputed/precompute, DESIGN.md has the numbers).
-// So Pair, a one-slot batch, keeps the scalar recorder.
+// one slot the scalar recorder is cheaper, so Pair, a one-slot batch,
+// keeps it. For recording alone the scalar recorder also wins at two
+// slots (BenchmarkLane/record2: 0.37 against 0.47 ms; the lanes win
+// from three), but a program it records evaluates multi-row chunks on
+// the row path rather than the lanes, so two slots stay on the lanes.
+// No SJ.Dec token has fewer than five slots (DESIGN.md, "Thresholds").
 const laneMinSlots = 2
 
 // laneMinPoints is the fewest G2 points UnmarshalG2s checks for subgroup

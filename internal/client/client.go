@@ -301,22 +301,10 @@ func (c *Client) Health() (*wire.HealthInfo, error) {
 	return f.Health, nil
 }
 
-// TableInfo summarizes one server-side table: its name, row count and
-// whether it was uploaded with an SSE pre-filter index. Shard and
-// ShardCount echo the annotations of a sharded upload (zero for whole
-// tables): this server holds hash-partition Shard of ShardCount — see
-// Cluster.
-type TableInfo struct {
-	Name       string
-	Rows       int
-	Indexed    bool
-	Shard      int
-	ShardCount int
-	// NDV is the table's distinct-join-value count, counted client-side
-	// at encrypt time and echoed back by the server (0 = unknown, e.g.
-	// a table uploaded by an older client).
-	NDV int
-}
+// TableInfo summarizes one server-side table: its name, row count,
+// SSE-index presence, shard annotations and distinct-join-value count,
+// as the server's Describe answer carries them (see wire.TableInfo).
+type TableInfo = wire.TableInfo
 
 // DescribeTables lists the tables the server currently stores, sorted
 // by name. SyncCatalog feeds it to a catalog's statistics
@@ -327,14 +315,7 @@ func (c *Client) DescribeTables() ([]TableInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]TableInfo, len(f.Tables.Tables))
-	for i, t := range f.Tables.Tables {
-		out[i] = TableInfo{
-			Name: t.Name, Rows: t.Rows, Indexed: t.Indexed,
-			Shard: t.Shard, ShardCount: t.ShardCount, NDV: t.NDV,
-		}
-	}
-	return out, nil
+	return f.Tables.Tables, nil
 }
 
 // SyncCatalog refreshes a catalog's execution statistics — row counts
@@ -373,13 +354,9 @@ func syncCatalog(cat *sql.Catalog, describe func() ([]TableInfo, error)) ([]Tabl
 // budget are sent as a staged chunk sequence the server installs
 // atomically on the final (Commit) chunk, so upload size is unbounded
 // and joins never see a partial table; do not upload the same table
-// name concurrently.
+// name concurrently. It runs as the one-shard Cluster over c.
 func (c *Client) Upload(name string, rows []engine.PlainRow) error {
-	table, err := c.keys.EncryptTable(name, rows)
-	if err != nil {
-		return err
-	}
-	return c.uploadTable(table)
+	return newCluster(c.keys, []*Client{c}).Upload(name, rows)
 }
 
 // UploadIndexed encrypts a table like Upload and additionally builds
@@ -389,66 +366,18 @@ func (c *Client) Upload(name string, rows []engine.PlainRow) error {
 // individual attribute predicate — see the Section 4.3 trade-off in
 // internal/engine/prefilter.go.
 func (c *Client) UploadIndexed(name string, rows []engine.PlainRow) error {
-	table, err := c.keys.EncryptTableIndexed(name, rows)
+	return newCluster(c.keys, []*Client{c}).UploadIndexed(name, rows)
+}
+
+// uploadTable ships an encrypted table as its staged chunk sequence
+// (engine.UploadChunks), one acked request per chunk.
+func (c *Client) uploadTable(table *engine.EncryptedTable) error {
+	chunks, err := engine.UploadChunks(table)
 	if err != nil {
 		return err
 	}
-	return c.uploadTable(table)
-}
-
-// uploadTable ships an encrypted table as a staged chunk sequence; the
-// index (if any) rides on the Commit chunk.
-func (c *Client) uploadTable(table *engine.EncryptedTable) error {
-	var chunks [][]wire.UploadRow
-	var chunk []wire.UploadRow
-	bytes := 0
-	for _, r := range table.Rows {
-		jc, err := r.Join.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		rowBytes := len(jc) + len(r.Payload) + 64
-		if len(chunk) > 0 && bytes+rowBytes > wire.FrameByteBudget {
-			chunks = append(chunks, chunk)
-			chunk, bytes = nil, 0
-		}
-		chunk = append(chunk, wire.UploadRow{JoinCiphertext: jc, Payload: r.Payload})
-		bytes += rowBytes
-	}
-	chunks = append(chunks, chunk) // final chunk; sole (empty) one for an empty table
-	var index []byte
-	if table.Index != nil {
-		var err error
-		if index, err = table.Index.MarshalBinary(); err != nil {
-			return err
-		}
-		// The index must respect the same frame budget as the rows it
-		// rides with: if it would not fit alongside the final row chunk,
-		// ship it on its own empty Commit chunk instead of overflowing
-		// the frame (an index larger than a whole frame still fails,
-		// loudly, at Send).
-		if len(index) > 0 && bytes+len(index) > wire.FrameByteBudget {
-			chunks = append(chunks, nil)
-		}
-	}
-	for i, rows := range chunks {
-		commit := i == len(chunks)-1
-		req := &wire.UploadRequest{
-			Table:  table.Name,
-			Rows:   rows,
-			Append: i > 0,
-			Commit: commit,
-		}
-		if commit {
-			// The index, the shard annotations and the distinct-value
-			// count ride the Commit chunk only — that is the request
-			// that installs the table.
-			req.Index = index
-			req.Shard = table.Shard
-			req.ShardCount = table.ShardCount
-			req.NDV = table.NDV
-		}
-		if _, err := c.roundTrip(&wire.Request{Upload: req}, "upload", isOk); err != nil {
+	for _, up := range chunks {
+		if _, err := c.roundTrip(&wire.Request{Upload: up}, "upload", isOk); err != nil {
 			return err
 		}
 	}

@@ -104,7 +104,7 @@ func shardOf(joinValue []byte, shards int) int {
 // Upload hash-partitions a plaintext table on the join-key attribute,
 // encrypts each partition and stores partition i on server i under the
 // table's name (annotated shard i of N; one server stores the whole
-// table unannotated, as Client.Upload does). The per-shard global row
+// table unannotated). The per-shard global row
 // indices are recorded so join results report single-server row
 // identities. Like Client.Upload, do not upload the same table name
 // concurrently.

@@ -36,6 +36,7 @@ import (
 	"repro/internal/leakage"
 	"repro/internal/securejoin"
 	"repro/internal/sse"
+	"repro/internal/wire"
 )
 
 // ErrPayloadAuth is returned by OpenPayload when a sealed payload fails
@@ -317,21 +318,11 @@ func (s *Server) RegisterTable(t *EncryptedTable) error {
 	return nil
 }
 
-// TableStat summarizes one stored table for catalog discovery: its
-// name, row count and whether it carries an SSE pre-filter index. This
-// is what a SQL planner needs to choose prefiltered execution — served
-// in-process here and over the wire by the server's Describe request.
-// Shard/ShardCount echo the table's shard annotations (zero for whole
-// tables). NDV echoes the client-computed distinct-join-value count
-// (0 = unknown), which the planner turns into per-value selectivity.
-type TableStat struct {
-	Name       string
-	Rows       int
-	Indexed    bool
-	Shard      int
-	ShardCount int
-	NDV        int
-}
+// TableStat summarizes one stored table for catalog discovery — name,
+// row count, SSE-index presence, shard annotations and the
+// client-computed distinct-join-value count — as the server's Describe
+// answer carries it over the wire.
+type TableStat = wire.TableInfo
 
 // TableStats lists the stored tables, sorted by name.
 func (s *Server) TableStats() []TableStat {

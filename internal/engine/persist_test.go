@@ -2,9 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/securejoin"
+	"repro/internal/wire"
 )
 
 func TestSaveLoadTable(t *testing.T) {
@@ -91,28 +94,209 @@ func TestSaveLoadTable(t *testing.T) {
 	}
 }
 
-func TestLoadTableRejectsCorruption(t *testing.T) {
+// snapshotFrames frames requests the way SaveTable does, without the
+// rules UploadChunks follows, to build snapshots that break them.
+func snapshotFrames(t testing.TB, reqs ...*wire.Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := wire.NewConn(&buf)
+	for _, r := range reqs {
+		if err := c.Send(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// snapshotCase is one snapshot image and the error LoadTable must give
+// on it ("" when it must load).
+type snapshotCase struct {
+	name string
+	data []byte
+	want string
+}
+
+// snapshotCases returns two valid snapshots, an indexed two-row table
+// with shard annotations and an empty table, and one snapshot breaking
+// each rule LoadTable holds a snapshot to. They seed FuzzLoadTable's
+// corpus.
+func snapshotCases(t testing.TB) []snapshotCase {
+	t.Helper()
 	client, err := NewClient(securejoin.Params{M: 1, T: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := client.EncryptTable("T", []PlainRow{
+	enc, err := client.EncryptTableIndexed("T", []PlainRow{
 		{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}, Payload: []byte("p")},
+		{JoinValue: []byte("y"), Attrs: [][]byte{[]byte("b")}, Payload: []byte("q")},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveTable(&buf, enc); err != nil {
+	enc.Shard, enc.ShardCount = 1, 3
+	empty, err := client.EncryptTable("E", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Corrupt a byte near the middle (inside a ciphertext element).
-	data[len(data)/2] ^= 0xff
-	if _, err := LoadTable(bytes.NewReader(data)); err == nil {
-		t.Fatal("corrupted table accepted")
+	var valid, validEmpty bytes.Buffer
+	if err := SaveTable(&valid, enc); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadTable(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
+	if err := SaveTable(&validEmpty, empty); err != nil {
+		t.Fatal(err)
 	}
+	chunks, err := UploadChunks(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := *chunks[0]
+	first := &wire.UploadRequest{Table: "T", Rows: commit.Rows[:1]}
+	second := commit
+	second.Rows, second.Append = commit.Rows[1:], true
+	otherTable, notAppend, indexFirst := second, second, *first
+	otherTable.Table = "U"
+	notAppend.Append = false
+	indexFirst.Index = commit.Index
+
+	type gobRow struct{ Join, Payload []byte }
+	var gobEra bytes.Buffer
+	if err := gob.NewEncoder(&gobEra).Encode(&struct {
+		Name string
+		Rows []gobRow
+	}{Name: "T", Rows: []gobRow{{Join: commit.Rows[0].JoinCiphertext, Payload: []byte("p")}}}); err != nil {
+		t.Fatal(err)
+	}
+	// The first element of the first row's ciphertext, after its
+	// 4-byte element count, with its top byte set: x >= p.
+	flipped := bytes.Clone(valid.Bytes())
+	flipped[bytes.Index(flipped, commit.Rows[0].JoinCiphertext)+4] = 0xff
+
+	return []snapshotCase{
+		{"valid_indexed", valid.Bytes(), ""},
+		{"valid_empty", validEmpty.Bytes(), ""},
+		// The same two rows split into two chunks obey every staging
+		// rule, but UploadChunks puts both in one.
+		{"two_chunks", snapshotFrames(t, &wire.Request{Upload: first}, &wire.Request{Upload: &second}), "not the [2] UploadChunks writes"},
+		{"gob_era", gobEra.Bytes(), "not an upload snapshot, re-upload the table"},
+		{"truncated_mid_frame", valid.Bytes()[:valid.Len()/2], "truncated frame"},
+		{"frame_after_commit", append(bytes.Clone(valid.Bytes()), snapshotFrames(t, &wire.Request{Upload: first})...), "data after the Commit chunk"},
+		{"other_table", snapshotFrames(t, &wire.Request{Upload: first}, &wire.Request{Upload: &otherTable}), `names table "U", not "T"`},
+		{"second_not_append", snapshotFrames(t, &wire.Request{Upload: first}, &wire.Request{Upload: &notAppend}), "Append is false"},
+		{"carries_join", snapshotFrames(t, &wire.Request{Upload: &commit, Join: &wire.JoinRequest{TableA: "T", TableB: "T"}}), "not a bare upload request"},
+		{"request_id", snapshotFrames(t, &wire.Request{ID: 1, Upload: &commit}), "not a bare upload request"},
+		{"index_before_commit", snapshotFrames(t, &wire.Request{Upload: &indexFirst}, &wire.Request{Upload: &second}), "Commit fields before the Commit chunk"},
+		{"no_commit", snapshotFrames(t, &wire.Request{Upload: first}), "ends before its Commit chunk"},
+		{"bit_flip", flipped, "row 0"},
+		{"empty_file", nil, "ends before its Commit chunk"},
+	}
+}
+
+func TestLoadTableRejectsCorruption(t *testing.T) {
+	for _, c := range snapshotCases(t) {
+		tab, err := LoadTable(bytes.NewReader(c.data))
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want == "":
+			var buf bytes.Buffer
+			if err := SaveTable(&buf, tab); err != nil || !bytes.Equal(buf.Bytes(), c.data) {
+				t.Errorf("%s: does not save back to the same bytes (%v)", c.name, err)
+			}
+		case err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q, want it to say %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSnapshotIsTheUploadSequence: a snapshot is exactly the frames of
+// the table's UploadChunks, for an empty table, one row, 16 rows, rows
+// that overflow one chunk and an index that needs its own Commit chunk
+// (the last two built from rows with frame-sized payloads), and each
+// loads back to the same table.
+func TestSnapshotIsTheUploadSequence(t *testing.T) {
+	client, err := NewClient(securejoin.Params{M: 1, T: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := func(name string, n int) *EncryptedTable {
+		rows := make([]PlainRow, n)
+		for i := range rows {
+			rows[i] = PlainRow{JoinValue: []byte{byte(i % 3)}, Attrs: [][]byte{{byte(i % 2)}}, Payload: []byte{byte(i)}}
+		}
+		enc, err := client.EncryptTableIndexed(name, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	// Two rows whose payloads fill more than half a frame each.
+	split := table("split", 2)
+	for _, r := range split.Rows {
+		r.Payload = make([]byte, wire.FrameByteBudget/2)
+	}
+	// One row that leaves less room in its chunk than the index needs.
+	alone := table("alone", 1)
+	idx, err := alone.Index.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc, err := alone.Rows[0].Join.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone.Rows[0].Payload = make([]byte, wire.FrameByteBudget-rowOverhead-len(jc)-len(idx)+1)
+
+	for _, tc := range []struct {
+		t      *EncryptedTable
+		chunks int
+	}{{table("zero", 0), 1}, {table("one", 1), 1}, {table("sixteen", 16), 1}, {split, 2}, {alone, 2}} {
+		chunks, err := UploadChunks(tc.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != tc.chunks {
+			t.Fatalf("%s: %d chunks, want %d", tc.t.Name, len(chunks), tc.chunks)
+		}
+		reqs := make([]*wire.Request, len(chunks))
+		for i, up := range chunks {
+			reqs[i] = &wire.Request{Upload: up}
+		}
+		want := snapshotFrames(t, reqs...)
+		var buf bytes.Buffer
+		if err := SaveTable(&buf, tc.t); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: snapshot is not the upload frames", tc.t.Name)
+		}
+		loaded, err := LoadTable(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.t.Name, err)
+		}
+		buf.Reset()
+		if err := SaveTable(&buf, loaded); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: reloaded table saves different bytes (%v)", tc.t.Name, err)
+		}
+	}
+}
+
+// FuzzLoadTable: no snapshot makes LoadTable panic, and one it accepts
+// saves back to the same bytes. The corpus under
+// testdata/fuzz/FuzzLoadTable holds snapshotCases' images.
+func FuzzLoadTable(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := LoadTable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := SaveTable(&buf, tab); err != nil {
+			t.Fatalf("accepted snapshot does not save: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted snapshot saves back to different bytes")
+		}
+	})
 }

@@ -118,10 +118,11 @@ func candidates(t *EncryptedTable, tokens map[int][]sse.SearchToken) ([]int, err
 
 // mergeCandidates intersects the pre-filter's candidate rows with an
 // explicit candidate list from a JoinSpec (the semi-join reduction).
-// An empty explicit list means "no explicit restriction" — over the
-// wire the field is gob-additive, so absent and empty are
-// indistinguishable, and a multi-join executor never ships an empty
-// list anyway (an empty intermediate short-circuits the whole plan).
+// An empty explicit list means "no explicit restriction" — the wire
+// codec encodes a list as its count and parses an empty one back as
+// nil, so absent and empty are indistinguishable, and a multi-join
+// executor never ships an empty list anyway (an empty intermediate
+// short-circuits the whole plan).
 // Out-of-range ids are dropped defensively rather than crashing the
 // decrypt pipeline on a confused (or malicious) client.
 func mergeCandidates(cand, explicit []int, tableRows int) []int {

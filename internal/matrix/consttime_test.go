@@ -15,12 +15,14 @@ import (
 // A dudect-style timing check after Reparaz, Balasch and Verbauwhede,
 // "Dude, is my code constant time?" (DATE 2017). Each target is timed on
 // two classes of secret input, one fixed value (class 0) and fresh
-// random values (class 1), with the class of every measurement drawn at
-// random so that drift on the machine lands on both alike. Welch's
-// t-test then asks whether the two classes' timings have the same mean.
-// A constant-time implementation gives |t| near 0; a data-dependent one
-// grows |t| with the number of measurements. The race detector's
-// instrumentation would swamp what is measured, hence the build tag.
+// random values (class 1). Every measurement is a pair: both classes
+// timed back to back, in random order, so that a burst of load from
+// another process lands on both halves of the pairs it covers rather
+// than on one class's samples. A one-sample t-test then asks whether
+// the paired differences have mean zero. A constant-time implementation
+// gives |t| near 0; a data-dependent one grows |t| with the number of
+// pairs. The race detector's instrumentation would swamp what is
+// measured, hence the build tag.
 
 const (
 	// ctBudget is the measuring time each target gets.
@@ -41,62 +43,61 @@ type ctTarget struct {
 	run  func()
 }
 
-// welch accumulates per-class running means and variances (Welford).
-type welch struct {
-	n, mean, m2 [2]float64
+// meanT accumulates a running mean and variance (Welford).
+type meanT struct {
+	n, mean, m2 float64
 }
 
-func (w *welch) add(class int, x float64) {
-	w.n[class]++
-	d := x - w.mean[class]
-	w.mean[class] += d / w.n[class]
-	w.m2[class] += d * (x - w.mean[class])
+func (w *meanT) add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / w.n
+	w.m2 += d * (x - w.mean)
 }
 
-// t returns Welch's t statistic of the two classes.
-func (w *welch) t() float64 {
-	v0 := w.m2[0] / (w.n[0] - 1)
-	v1 := w.m2[1] / (w.n[1] - 1)
-	return (w.mean[0] - w.mean[1]) / math.Sqrt(v0/w.n[0]+v1/w.n[1])
+// t returns the one-sample t statistic of a zero mean.
+func (w *meanT) t() float64 {
+	return w.mean / math.Sqrt(w.m2/(w.n-1)/w.n)
 }
 
-// measureCT times tg for ctBudget and returns the largest |t| over the
-// uncropped measurements and the ones at or below their 50th and 90th
+// measureCT times tg for ctBudget and returns the largest |t| of the
+// paired differences (class 0 minus class 1) over all pairs and over
+// the pairs whose slower half is at or below the 50th and 90th
 // percentiles, since interrupts and GC add a long tail to both classes.
 func measureCT(tg ctTarget, rng *rand.Rand) (maxT float64, n int) {
-	type sample struct {
-		class int
-		ns    float64
-	}
-	var samples []sample
+	var pairs [][2]float64
 	for deadline := time.Now().Add(ctBudget); time.Now().Before(deadline); {
-		class := rng.Intn(2)
-		tg.fill(class)
-		start := time.Now()
-		tg.run()
-		samples = append(samples, sample{class, float64(time.Since(start))})
+		var ns [2]float64
+		first := rng.Intn(2)
+		for _, class := range [2]int{first, 1 - first} {
+			tg.fill(class)
+			start := time.Now()
+			tg.run()
+			ns[class] = float64(time.Since(start))
+		}
+		pairs = append(pairs, ns)
 	}
 	// The first measurements warm caches and the branch predictor.
-	samples = samples[len(samples)/10:]
-	sorted := make([]float64, len(samples))
-	for i, s := range samples {
-		sorted[i] = s.ns
+	pairs = pairs[len(pairs)/10:]
+	sorted := make([]float64, len(pairs))
+	for i, p := range pairs {
+		sorted[i] = max(p[0], p[1])
 	}
 	slices.Sort(sorted)
 	for _, crop := range []float64{1, 0.9, 0.5} {
 		limit := sorted[int(crop*float64(len(sorted)-1))]
-		var w welch
-		for _, s := range samples {
-			if s.ns <= limit {
-				w.add(s.class, s.ns)
+		var w meanT
+		for _, p := range pairs {
+			if max(p[0], p[1]) <= limit {
+				w.add(p[0] - p[1])
 			}
 		}
-		if w.n[0] < 2 || w.n[1] < 2 {
-			continue // the crop left one class empty: t is undefined
+		if w.n < 2 {
+			continue // the crop left no spread: t is undefined
 		}
 		maxT = max(maxT, math.Abs(w.t()))
 	}
-	return maxT, len(samples)
+	return maxT, len(pairs)
 }
 
 // TestConstantTime runs the check on the field product and inverse and
@@ -155,7 +156,7 @@ func TestConstantTime(t *testing.T) {
 	}
 	for _, tg := range targets {
 		tval, n := measureCT(tg, rng)
-		t.Logf("%s: |t| = %.2f over %d measurements (threshold %.1f)", tg.name, tval, n, ctThreshold)
+		t.Logf("%s: |t| = %.2f over %d pairs (threshold %.1f)", tg.name, tval, n, ctThreshold)
 		if tval > ctThreshold {
 			t.Errorf("%s: timing depends on the secret input, |t| = %.2f > %.1f", tg.name, tval, ctThreshold)
 		}

@@ -518,15 +518,7 @@ func (ss *session) sendErr(id uint64, err error) error {
 // names, row counts and SSE-index presence — the metadata a client-side
 // SQL planner needs to pick prefiltered plans automatically.
 func (ss *session) handleDescribe(id uint64) error {
-	stats := ss.srv.eng.TableStats()
-	list := &wire.TableList{Tables: make([]wire.TableInfo, len(stats))}
-	for i, st := range stats {
-		list.Tables[i] = wire.TableInfo{
-			Name: st.Name, Rows: st.Rows, Indexed: st.Indexed,
-			Shard: st.Shard, ShardCount: st.ShardCount, NDV: st.NDV,
-		}
-	}
-	return ss.send(&wire.Frame{ID: id, Tables: list})
+	return ss.send(&wire.Frame{ID: id, Tables: &wire.TableList{Tables: ss.srv.eng.TableStats()}})
 }
 
 // clampWorkers bounds a client's SJ.Dec worker hint: the hint cannot
@@ -547,30 +539,12 @@ func clampWorkers(hint int) int {
 // the table atomically on the Commit chunk, so a sequence that fails
 // or is abandoned mid-way never leaves a truncated table visible.
 func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
-	// The rows' byte strings alias the request frame. The table keeps
-	// only the payloads, copied into one block so it does not pin the
-	// frame's ciphertext bytes.
-	size := 0
-	for _, r := range up.Rows {
-		size += len(r.Payload)
-	}
-	payloads := make([]byte, 0, size)
-	rows := make([]*engine.EncryptedRow, len(up.Rows))
-	for i, r := range up.Rows {
-		var ct securejoin.RowCiphertext
-		if err := ct.UnmarshalBinary(r.JoinCiphertext); err != nil {
-			// A failed chunk aborts the sequence; free whatever it
-			// staged instead of pinning it for the connection's life.
-			delete(ss.staging, up.Table)
-			return ss.sendErr(id, fmt.Errorf("row %d: %w", i, err))
-		}
-		var payload []byte
-		if len(r.Payload) > 0 {
-			start := len(payloads)
-			payloads = append(payloads, r.Payload...)
-			payload = payloads[start:len(payloads):len(payloads)]
-		}
-		rows[i] = &engine.EncryptedRow{Join: &ct, Payload: payload}
+	rows, err := engine.DecodeUploadRows(up.Rows)
+	if err != nil {
+		// A failed chunk aborts the sequence; free whatever it staged
+		// instead of pinning it for the connection's life.
+		delete(ss.staging, up.Table)
+		return ss.sendErr(id, err)
 	}
 	if !up.Append {
 		// First chunk of a sequence discards any stale staging left by
@@ -578,38 +552,31 @@ func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
 		delete(ss.staging, up.Table)
 	}
 	staged := append(ss.staging[up.Table], rows...)
-	if up.Commit {
-		delete(ss.staging, up.Table)
-	} else {
+	if !up.Commit {
 		ss.staging[up.Table] = staged
-	}
-	if up.Commit {
-		// The shard annotations of a cluster upload ride the Commit
-		// chunk's metadata into the engine (and, via SaveTable, the
-		// store): the server stores and joins a shard exactly like a
-		// whole table, but Describe echoes the annotations so clients
-		// can verify which partition this backend holds.
-		table := &engine.EncryptedTable{Name: up.Table, Rows: staged, Shard: up.Shard, ShardCount: up.ShardCount, NDV: up.NDV}
-		if len(up.Index) > 0 {
-			idx := &sse.Index{}
-			if err := idx.UnmarshalBinary(up.Index); err != nil {
-				return ss.sendErr(id, fmt.Errorf("index: %w", err))
-			}
-			table.Index = idx
-		}
-		// Persist (when a store is attached) before the ack below: a
-		// client that saw Ok on its Commit chunk must find the table
-		// after a server restart.
-		if err := ss.srv.eng.RegisterTable(table); err != nil {
-			return ss.sendErr(id, err)
-		}
-		if up.ShardCount > 0 {
-			ss.srv.logf("uploaded table %q shard %d/%d (%d rows, indexed=%v)", up.Table, up.Shard, up.ShardCount, len(staged), table.Index != nil)
-		} else {
-			ss.srv.logf("uploaded table %q (%d rows, indexed=%v)", up.Table, len(staged), table.Index != nil)
-		}
-	} else {
 		ss.srv.logf("staged %d rows for table %q", len(rows), up.Table)
+		return ss.send(&wire.Frame{ID: id, Ok: true})
+	}
+	delete(ss.staging, up.Table)
+	// The shard annotations of a cluster upload ride the Commit chunk's
+	// metadata into the engine (and, via SaveTable, the store): the
+	// server stores and joins a shard exactly like a whole table, but
+	// Describe echoes the annotations so clients can verify which
+	// partition this backend holds.
+	table, err := engine.CommitUpload(up, staged)
+	if err != nil {
+		return ss.sendErr(id, err)
+	}
+	// Persist (when a store is attached) before the ack below: a client
+	// that saw Ok on its Commit chunk must find the table after a
+	// server restart.
+	if err := ss.srv.eng.RegisterTable(table); err != nil {
+		return ss.sendErr(id, err)
+	}
+	if up.ShardCount > 0 {
+		ss.srv.logf("uploaded table %q shard %d/%d (%d rows, indexed=%v)", up.Table, up.Shard, up.ShardCount, len(staged), table.Index != nil)
+	} else {
+		ss.srv.logf("uploaded table %q (%d rows, indexed=%v)", up.Table, len(staged), table.Index != nil)
 	}
 	return ss.send(&wire.Frame{ID: id, Ok: true})
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // Crash-injection suite: each test damages the on-disk state the way a
@@ -182,39 +183,65 @@ func TestRecommitHealsDamage(t *testing.T) {
 	sameTable(t, tableByName(t, s2, "T2"), healed)
 }
 
-// TestPreSwapSnapshotIsDamage: a snapshot written when row elements
-// were 128-byte G2 points (before rows moved to G1) is reported as
-// damage that names the element size and asks for a re-upload. It is
-// never served, and a fresh Commit of the same name heals it.
+// TestPreSwapSnapshotIsDamage: a snapshot whose rows were written when
+// row elements were 128-byte G2 points (before rows moved to G1) is
+// reported as damage that names the element size and asks for a
+// re-upload. It is never served, and a fresh Commit of the same name
+// heals it.
 func TestPreSwapSnapshotIsDamage(t *testing.T) {
-	dir := t.TempDir()
-	c := newTestClient(t)
-	s := mustOpen(t, dir)
-	keep := encTable(t, c, "Keep", false, "k")
-	mustCommit(t, s, keep)
-
-	// engine.SaveTable's image of that version: each row's join
-	// ciphertext is a 4-byte element count and 128-byte elements. Only
-	// the shape matters; the element bytes are never reached.
-	type oldRow struct{ Join, Payload []byte }
-	dim := c.Params().Dim()
+	// The upload frame of that version: the row's join ciphertext is a
+	// 4-byte element count and 128-byte elements. Only the shape
+	// matters; the element bytes are never reached.
+	dim := newTestClient(t).Params().Dim()
 	join := make([]byte, 4+dim*128)
 	binary.BigEndian.PutUint32(join, uint32(dim))
 	for i := 4; i < len(join); i++ {
 		join[i] = byte(i)
 	}
 	var snap bytes.Buffer
+	if err := wire.NewConn(&snap).Send(&wire.Request{Upload: &wire.UploadRequest{
+		Table:  "T",
+		Rows:   []wire.UploadRow{{JoinCiphertext: join, Payload: []byte("sealed")}},
+		Commit: true,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	checkUnreadableSnapshot(t, snap.Bytes(), "elements are 128 bytes", "re-upload the table")
+}
+
+// TestGobSnapshotIsDamage: a snapshot in the gob image tables were
+// stored in before snapshots became upload frames is reported as damage
+// asking for a re-upload, kept on disk, never served, and healed by a
+// fresh Commit.
+func TestGobSnapshotIsDamage(t *testing.T) {
+	type gobRow struct{ Join, Payload []byte }
+	var snap bytes.Buffer
 	if err := gob.NewEncoder(&snap).Encode(&struct {
 		Name string
-		Rows []oldRow
-	}{Name: "T", Rows: []oldRow{{Join: join, Payload: []byte("sealed")}}}); err != nil {
+		Rows []gobRow
+	}{Name: "T", Rows: []gobRow{{Join: []byte("ciphertext"), Payload: []byte("sealed")}}}); err != nil {
 		t.Fatal(err)
 	}
+	checkUnreadableSnapshot(t, snap.Bytes(), "not an upload snapshot", "re-upload the table")
+}
+
+// checkUnreadableSnapshot commits table T as the snapshot image beside
+// a good table Keep, reopens the store, and requires T to be reported
+// damaged with every reason, its file to survive the sweep, Keep to be
+// served, and a fresh Commit of T to heal the directory.
+func checkUnreadableSnapshot(t *testing.T, image []byte, reasons ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	c := newTestClient(t)
+	s := mustOpen(t, dir)
+	keep := encTable(t, c, "Keep", false, "k")
+	mustCommit(t, s, keep)
 	name := fmt.Sprintf("%016x.snap", s.seq+1)
-	if err := os.WriteFile(filepath.Join(dir, tablesDir, name), snap.Bytes(), 0o644); err != nil {
+	path := filepath.Join(dir, tablesDir, name)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	digest := sha256.Sum256(snap.Bytes())
+	digest := sha256.Sum256(image)
 	if err := s.append(&record{Seq: s.seq + 1, Op: opCommit, Table: "T", Snapshot: name, Digest: digest[:], Rows: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +250,14 @@ func TestPreSwapSnapshotIsDamage(t *testing.T) {
 	}
 
 	s2 := mustOpen(t, dir)
-	assertDamagedTable(t, s2, "T", "elements are 128 bytes")
-	assertDamagedTable(t, s2, "T", "re-upload the table")
+	for _, reason := range reasons {
+		assertDamagedTable(t, s2, "T", reason)
+	}
 	if tables := s2.Tables(); len(tables) != 1 || tables[0].Name != "Keep" {
 		t.Fatalf("recovered %d tables, want just Keep", len(tables))
+	}
+	if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, image) {
+		t.Fatalf("damaged snapshot not kept as written: %v", err)
 	}
 	healed := encTable(t, c, "T", false, "fresh")
 	mustCommit(t, s2, healed)

@@ -99,19 +99,8 @@ func (s *Store) CommitJob(meta JobMeta, rows []JobRow) error {
 	je := jobEntry{meta: meta}
 	if meta.Err == "" {
 		spool := fmt.Sprintf("%016x.spool", seq)
-		tmp := filepath.Join(s.dir, jobsDir, tmpPrefix+spool)
-		final := filepath.Join(s.dir, jobsDir, spool)
-		digest, n, err := writeJobSpool(tmp, rows)
+		digest, err := s.install(jobsDir, spool, "job spool", wire.AppendRows(nil, rows))
 		if err != nil {
-			return err
-		}
-		s.snapshotBytes.Add(uint64(n))
-		if err := os.Rename(tmp, final); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("store: installing job spool: %w", err)
-		}
-		if err := syncDir(filepath.Join(s.dir, jobsDir)); err != nil {
-			os.Remove(final)
 			return err
 		}
 		je.snapshot = spool
@@ -198,31 +187,4 @@ func (s *Store) DeleteJob(id string) error {
 	}
 	delete(s.jobs, id)
 	return nil
-}
-
-// writeJobSpool writes result rows to path as one packed row record,
-// fsyncs, and returns the SHA-256 and byte count of the record — the
-// job-spool twin of writeSnapshot.
-func writeJobSpool(path string, rows []JobRow) ([]byte, int64, error) {
-	data := wire.AppendRows(nil, rows)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: creating job spool: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: writing job spool: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: syncing job spool: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: closing job spool: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	return sum[:], int64(len(data)), nil
 }

@@ -7,11 +7,14 @@
 //
 //	<dir>/MANIFEST          append-only record log (the WAL)
 //	<dir>/tables/<seq>.snap one snapshot per committed table version
-//	                        (engine.SaveTable encoding)
+//	                        (the table's upload frames, engine.SaveTable)
 //
-// Snapshots carry only public values — ciphertexts, sealed payloads and
-// the SSE index — so the data directory has the same security posture
-// as the running server's memory: safe on untrusted storage.
+// A snapshot is the chunk sequence a client uploads, written as
+// protocol v5 upload frames, and engine.LoadTable parses it as hostile
+// input. Snapshots carry only public values — ciphertexts, sealed
+// payloads and the SSE index — so the data directory has the same
+// security posture as the running server's memory: safe on untrusted
+// storage.
 //
 // Commit protocol. A table version is written to a temporary file,
 // fsynced, atomically renamed to its final seq-numbered name, and only
@@ -34,10 +37,13 @@
 // digest and decodes it. A snapshot that is missing, fails its digest,
 // or fails to decode makes its table *damaged*: the table is skipped —
 // never served — and reported through Damaged; the broken file is kept
-// on disk for forensics. Stray temp files and orphan snapshots are
-// removed. A record naming a file the store does not write itself
-// (anything but <16 hex digits>.snap, or .spool for a job) is damage
-// too, and the file it names is never opened or removed.
+// on disk for forensics. A snapshot written before snapshots were
+// upload frames (a gob image) is such damage, with a reason asking for
+// a re-upload; a fresh Commit of the table heals it. Stray temp files
+// and orphan snapshots are removed. A record naming a file the store
+// does not write itself (anything but <16 hex digits>.snap, or .spool
+// for a job) is damage too, and the file it names is never opened or
+// removed.
 package store
 
 import (
@@ -517,19 +523,12 @@ func (s *Store) Commit(t *engine.EncryptedTable) error {
 	}
 	seq := s.seq + 1
 	snap := fmt.Sprintf("%016x.snap", seq)
-	tmp := filepath.Join(s.dir, tablesDir, tmpPrefix+snap)
-	final := filepath.Join(s.dir, tablesDir, snap)
-	digest, snapBytes, err := writeSnapshot(tmp, t)
+	var image bytes.Buffer
+	if err := engine.SaveTable(&image, t); err != nil {
+		return fmt.Errorf("store: encoding snapshot: %w", err)
+	}
+	digest, err := s.install(tablesDir, snap, "snapshot", image.Bytes())
 	if err != nil {
-		return err
-	}
-	s.snapshotBytes.Add(uint64(snapBytes))
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	if err := syncDir(filepath.Join(s.dir, tablesDir)); err != nil {
-		os.Remove(final)
 		return err
 	}
 	rec := &record{
@@ -770,42 +769,39 @@ func (s *Store) Compact() error {
 	return err
 }
 
-// countingWriter counts bytes passing through, for the snapshot-bytes
-// metric (hashed and counted during the write, never read back).
-type countingWriter struct {
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// writeSnapshot serializes a table to path, fsyncs it, and returns the
-// SHA-256 of the written bytes along with their count — both computed
-// during the write, so the snapshot is never read back.
-func writeSnapshot(path string, t *engine.EncryptedTable) ([]byte, int64, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// install makes data durable as dir/name: written to a temp file,
+// fsynced, renamed into place, and the directory fsynced. It returns
+// the data's SHA-256 and leaves nothing behind on failure; what names
+// the file in errors.
+func (s *Store) install(dir, name, what string, data []byte) ([]byte, error) {
+	tmp := filepath.Join(s.dir, dir, tmpPrefix+name)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: creating snapshot: %w", err)
+		return nil, fmt.Errorf("store: creating %s: %w", what, err)
 	}
-	h := sha256.New()
-	var cw countingWriter
-	if err := engine.SaveTable(io.MultiWriter(f, h, &cw), t); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: writing snapshot: %w", err)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: syncing snapshot: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return nil, 0, fmt.Errorf("store: closing snapshot: %w", err)
+	if err != nil {
+		os.Remove(tmp)
+		return nil, fmt.Errorf("store: writing %s: %w", what, err)
 	}
-	return h.Sum(nil), cw.n, nil
+	s.snapshotBytes.Add(uint64(len(data)))
+	final := filepath.Join(s.dir, dir, name)
+	if err := os.Rename(tmp, final); err != nil {
+		os.Remove(tmp)
+		return nil, fmt.Errorf("store: installing %s: %w", what, err)
+	}
+	if err := syncDir(filepath.Join(s.dir, dir)); err != nil {
+		os.Remove(final)
+		return nil, err
+	}
+	sum := sha256.Sum256(data)
+	return sum[:], nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry is durable.

@@ -106,6 +106,11 @@ func sameTable(t testing.TB, got, want *engine.EncryptedTable) {
 	if (got.Index != nil) != (want.Index != nil) {
 		t.Fatalf("table %q: index presence %v, want %v", got.Name, got.Index != nil, want.Index != nil)
 	}
+	// Ciphertexts, index and annotations too: the snapshot image of a
+	// table is a function of all of it.
+	if !bytes.Equal(snapshotBytes(t, got), snapshotBytes(t, want)) {
+		t.Fatalf("table %q: snapshot image differs", got.Name)
+	}
 }
 
 func snapshotFiles(t testing.TB, dir string) []string {
