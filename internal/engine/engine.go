@@ -85,6 +85,15 @@ type EncryptedTable struct {
 	NDV        int
 }
 
+// TokenDim is the element count a join token against t must have: its
+// rows' one dimension M(T+1)+3, or, t having no rows, other.
+func (t *EncryptedTable) TokenDim(other int) int {
+	if len(t.Rows) == 0 {
+		return other
+	}
+	return len(t.Rows[0].Join.C.Elems)
+}
+
 // Client holds all secret material: the Secure Join master key, the
 // payload encryption key and the SSE index keys.
 type Client struct {
@@ -350,8 +359,8 @@ func (s *Server) Table(name string) (*EncryptedTable, error) {
 	return t, nil
 }
 
-// snapshot resolves both join operands under one read-lock acquisition.
-func (s *Server) snapshot(tableA, tableB string) (ta, tb *EncryptedTable, err error) {
+// Tables resolves both join operands under one read-lock acquisition.
+func (s *Server) Tables(tableA, tableB string) (ta, tb *EncryptedTable, err error) {
 	s.tablesMu.RLock()
 	ta, okA := s.tables[tableA]
 	tb, okB := s.tables[tableB]
@@ -451,13 +460,14 @@ type JoinProgress struct {
 	RevealedPairs int
 }
 
-// query resolves the join tokens of a spec.
-func (spec *JoinSpec) query() (*securejoin.Query, error) {
+// query resolves the join tokens of a spec. A table without rows needs
+// no token: the side's token may be nil.
+func (spec *JoinSpec) query(ta, tb *EncryptedTable) (*securejoin.Query, error) {
 	q := spec.Query
 	if q == nil && spec.Prefilter != nil {
 		q = spec.Prefilter.Join
 	}
-	if q == nil || q.TokenA == nil || q.TokenB == nil {
+	if q == nil || (q.TokenA == nil && len(ta.Rows) > 0) || (q.TokenB == nil && len(tb.Rows) > 0) {
 		return nil, errors.New("engine: join spec carries no query tokens")
 	}
 	return q, nil
@@ -516,11 +526,11 @@ func (st *JoinStream) reportProgress() {
 // SJ.Dec + SJ.Match run over table B's candidates incrementally as the
 // stream is drained.
 func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, error) {
-	q, err := spec.query()
+	ta, tb, err := s.Tables(tableA, tableB)
 	if err != nil {
 		return nil, err
 	}
-	ta, tb, err := s.snapshot(tableA, tableB)
+	q, err := spec.query(ta, tb)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +558,7 @@ func (s *Server) OpenJoin(tableA, tableB string, spec JoinSpec) (*JoinStream, er
 
 	// Each token's Miller program is recorded once, both at the same
 	// time — the build side replays A's per row, the probe side B's per
-	// batch.
+	// batch. An empty table's token may be nil, and then records none.
 	var tokenB *securejoin.TokenPrecomp
 	done := make(chan struct{})
 	go func() {

@@ -116,9 +116,14 @@ func DecodeUploadRows(up []wire.UploadRow) ([]*EncryptedRow, error) {
 
 // CommitUpload assembles the table a Commit chunk installs: the rows
 // staged by the whole sequence, and the Commit chunk's index, shard
-// annotations and distinct-value count.
+// annotations and distinct-value count; the rows share one dimension.
 func CommitUpload(up *wire.UploadRequest, rows []*EncryptedRow) (*EncryptedTable, error) {
 	t := &EncryptedTable{Name: up.Table, Rows: rows, Shard: up.Shard, ShardCount: up.ShardCount, NDV: up.NDV}
+	for i, r := range rows {
+		if d := len(r.Join.C.Elems); d != t.TokenDim(0) {
+			return nil, fmt.Errorf("row %d has dimension %d, row 0 has %d", i, d, t.TokenDim(0))
+		}
+	}
 	if len(up.Index) > 0 {
 		idx := &sse.Index{}
 		if err := idx.UnmarshalBinary(up.Index); err != nil {

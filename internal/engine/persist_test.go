@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"strings"
 	"testing"
@@ -166,6 +167,12 @@ func snapshotCases(t testing.TB) []snapshotCase {
 	}{Name: "T", Rows: []gobRow{{Join: commit.Rows[0].JoinCiphertext, Payload: []byte("p")}}}); err != nil {
 		t.Fatal(err)
 	}
+	// The second row cut to one element fewer: every element is a valid
+	// G1 point, but the rows no longer share one dimension.
+	mixed := commit
+	short := bytes.Clone(commit.Rows[1].JoinCiphertext[:len(commit.Rows[1].JoinCiphertext)-64])
+	binary.BigEndian.PutUint32(short, binary.BigEndian.Uint32(short)-1)
+	mixed.Rows = []wire.UploadRow{commit.Rows[0], {JoinCiphertext: short, Payload: commit.Rows[1].Payload}}
 	// The first element of the first row's ciphertext, after its
 	// 4-byte element count, with its top byte set: x >= p.
 	flipped := bytes.Clone(valid.Bytes())
@@ -187,6 +194,7 @@ func snapshotCases(t testing.TB) []snapshotCase {
 		{"index_before_commit", snapshotFrames(t, &wire.Request{Upload: &indexFirst}, &wire.Request{Upload: &second}), "Commit fields before the Commit chunk"},
 		{"no_commit", snapshotFrames(t, &wire.Request{Upload: first}), "ends before its Commit chunk"},
 		{"bit_flip", flipped, "row 0"},
+		{"mixed_dimension", snapshotFrames(t, &wire.Request{Upload: &mixed}), "row 1 has dimension 4, row 0 has 5"},
 		{"empty_file", nil, "ends before its Commit chunk"},
 	}
 }
@@ -207,6 +215,36 @@ func TestLoadTableRejectsCorruption(t *testing.T) {
 		case !strings.Contains(err.Error(), c.want):
 			t.Errorf("%s: error %q, want it to say %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestCommitUploadRefusesMixedDimensions: a table's rows must share one
+// dimension, the element count of its join tokens. CommitUpload, which
+// installs every wire upload and every loaded snapshot, refuses rows of
+// two parameter sets and accepts rows of one.
+func TestCommitUploadRefusesMixedDimensions(t *testing.T) {
+	rows := func(params securejoin.Params) []*EncryptedRow {
+		client, err := NewClient(params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := client.EncryptTable("T", []PlainRow{{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc.Rows
+	}
+	d5, d6 := rows(securejoin.Params{M: 1, T: 1}), rows(securejoin.Params{M: 1, T: 2})
+	up := &wire.UploadRequest{Table: "T", Commit: true}
+	if _, err := CommitUpload(up, append(d5, d6...)); err == nil || err.Error() != "row 1 has dimension 6, row 0 has 5" {
+		t.Fatalf("rows of dimensions 5 and 6: %v", err)
+	}
+	tab, err := CommitUpload(up, append(d6, d6...))
+	if err != nil || tab.TokenDim(0) != 6 {
+		t.Fatalf("two rows of dimension 6: table %+v, %v", tab, err)
+	}
+	if tab, err := CommitUpload(up, nil); err != nil || tab.TokenDim(7) != 7 {
+		t.Fatalf("empty table: %+v, %v; want it to take the other token's count", tab, err)
 	}
 }
 

@@ -22,10 +22,6 @@ const elemSize = 64
 // encoding.
 var ErrBadEncoding = errors.New("securejoin: malformed encoding")
 
-// oldRowElemSize is the size of a row element written before rows moved
-// from G2 to G1; such rows cannot be read, only re-uploaded.
-const oldRowElemSize = 128
-
 // MarshalBinary encodes the token.
 func (t *Token) MarshalBinary() ([]byte, error) {
 	n := len(t.Tk.Elems)
@@ -36,6 +32,12 @@ func (t *Token) MarshalBinary() ([]byte, error) {
 	}
 	return out, nil
 }
+
+// TokenDim reads the element count of a token encoding and checks the
+// encoding's length, decoding no element: a server compares the count
+// with the row dimension of the token's table before it pays for
+// UnmarshalBinary.
+func TokenDim(data []byte) (int, error) { return elemCount("token", data) }
 
 // UnmarshalBinary decodes a token produced by MarshalBinary, validating
 // every group element (G2 subgroup membership included, so a malicious
@@ -74,9 +76,6 @@ func (ct *RowCiphertext) MarshalBinary() ([]byte, error) {
 func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
 	n, err := elemCount("ciphertext", data)
 	if err != nil {
-		if n > 0 && len(data) == 4+n*oldRowElemSize {
-			return fmt.Errorf("%w: ciphertext elements are %d bytes, written before rows moved to %d-byte G1 elements; re-upload the table", ErrBadEncoding, oldRowElemSize, elemSize)
-		}
 		return err
 	}
 	elems := make([]*bn256.G1, n)
@@ -91,15 +90,14 @@ func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
 }
 
 // elemCount reads the element count of an encoding and checks that the
-// body holds exactly that many elements. On a length mismatch it still
-// returns the count it read.
+// body holds exactly that many elements.
 func elemCount(what string, data []byte) (int, error) {
 	if len(data) < 4 {
 		return 0, fmt.Errorf("%w: %s encoding too short", ErrBadEncoding, what)
 	}
 	n := int(binary.BigEndian.Uint32(data))
 	if len(data)-4 != n*elemSize {
-		return n, fmt.Errorf("%w: %s encoding has %d trailing bytes, want %d", ErrBadEncoding, what, len(data)-4, n*elemSize)
+		return 0, fmt.Errorf("%w: %s encoding has %d trailing bytes, want %d", ErrBadEncoding, what, len(data)-4, n*elemSize)
 	}
 	return n, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/bn256"
@@ -103,12 +102,6 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if err := ct.UnmarshalBinary(junk); err == nil {
 		t.Fatal("non-curve ciphertext element accepted")
 	}
-	// A row written when row elements were 128-byte G2 points.
-	old := make([]byte, 4+128)
-	old[3] = 1
-	if err := ct.UnmarshalBinary(old); err == nil || !strings.Contains(err.Error(), "re-upload") {
-		t.Fatalf("old-format ciphertext: got %v, want an error saying to re-upload", err)
-	}
 }
 
 // FuzzTokenUnmarshal feeds hostile bytes to the token codec, the first
@@ -175,9 +168,9 @@ func tokenErrorElementwise(data []byte) error {
 // FuzzRowCiphertextUnmarshal feeds hostile bytes to the row ciphertext
 // codec, which a peer reaches through every upload row. The corpus
 // under testdata/fuzz/FuzzRowCiphertextUnmarshal seeds truncations,
-// huge and mismatched counts, a row of old 128-byte elements, elements
-// off the curve, with x = p or at infinity, a trailing byte, an empty
-// row and a valid row. A failure must be an error wrapping
+// huge and mismatched counts (a row of 128-byte elements among them),
+// elements off the curve, with x = p or at infinity, a trailing byte,
+// an empty row and a valid row. A failure must be an error wrapping
 // ErrBadEncoding, never a panic; an accepted row must re-encode to the
 // same bytes.
 func FuzzRowCiphertextUnmarshal(f *testing.F) {

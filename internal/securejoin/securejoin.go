@@ -329,8 +329,12 @@ type TokenPrecomp struct {
 }
 
 // Precompute records the token's fixed-argument pairing program. The
-// cost is comparable to decrypting a single row.
+// cost is comparable to decrypting a single row. A nil token, which an
+// empty table may have, records nothing.
 func (t *Token) Precompute() *TokenPrecomp {
+	if t == nil {
+		return nil
+	}
 	return &TokenPrecomp{tp: ipe.PrecomputeToken(t.Tk)}
 }
 

@@ -29,7 +29,8 @@ import (
 // admission gate: a join of either kind arriving at a full queue is
 // shed with wire.CodeOverloaded — bounded latency, typed retry, no
 // unbounded backlog of latent pairing work. Sync joins additionally
-// pass their connection's in-flight cap first (see observe.go).
+// pass their connection's in-flight cap first (see admitJoin). A bad
+// token fails its job: only the worker running a task decodes it.
 //
 // Job lifecycle: queued → running → done|failed. A completed job's
 // result (or failure) is spooled through internal/store before the job
@@ -52,10 +53,6 @@ const defaultJobTTL = time.Hour
 // collects them for the spool (Server.jobTask).
 type joinTask struct {
 	jr *wire.JoinRequest
-	// spec is jr already parsed: an async job's, which submit parsed to
-	// fail a malformed request early. nil on the sync path, which parses
-	// after admission so a shed request costs no decode.
-	spec *engine.JoinSpec
 	// begin runs on the worker that picked the task up, before any join
 	// work.
 	begin func()
@@ -210,24 +207,21 @@ func (s *Server) joinWorker() {
 // busy for as long as they need; it is nil in production.
 var testHookRunTask func()
 
-// runTask is the one join executor: it parses the request unless
-// submit already did, opens the engine stream, drains it into the
-// task's sink and reports the outcome to the task's finish.
+// runTask is the one join executor: it parses the request, opens the
+// engine stream, drains it into the task's sink and reports the outcome
+// to the task's finish.
 func (s *Server) runTask(t joinTask) {
 	if testHookRunTask != nil {
 		testHookRunTask()
 	}
 	t.begin()
-	if t.spec == nil {
-		spec, err := s.joinSpecFrom(t.jr)
-		if err != nil {
-			t.finish(0, err)
-			return
-		}
-		t.spec = &spec
+	spec, err := s.joinSpecFrom(t.jr)
+	if err != nil {
+		t.finish(0, err)
+		return
 	}
-	t.spec.Progress = t.progress
-	stream, err := s.eng.OpenJoin(t.jr.TableA, t.jr.TableB, *t.spec)
+	spec.Progress = t.progress
+	stream, err := s.eng.OpenJoin(t.jr.TableA, t.jr.TableB, spec)
 	if err != nil {
 		t.finish(0, err)
 		return
@@ -367,21 +361,15 @@ func (s *Server) unpinJob(j *job) {
 	s.jobMu.Unlock()
 }
 
-// handleSubmit validates and enqueues an async join, answering with the
-// queued job's JobInfo. A full queue sheds the submit with
-// wire.CodeOverloaded — retry-safe: nothing was enqueued and no job ID
-// exists.
+// handleSubmit registers and enqueues an async join, answering with the
+// queued job's JobInfo. Nothing is decoded: the worker running the job
+// parses it, and a malformed request fails the job. A full queue sheds
+// the submit with wire.CodeOverloaded — retry-safe: nothing was
+// enqueued and no job ID exists.
 func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	s := ss.srv
 	if sub.Join == nil {
 		return ss.sendErr(id, errors.New("server: submit carries no join"))
-	}
-	// Parse the tokens and prefilters now so a malformed submission
-	// fails at submit time, not minutes later inside the queue; the task
-	// carries the parsed spec, so nothing decodes twice.
-	spec, err := s.joinSpecFrom(sub.Join)
-	if err != nil {
-		return ss.sendErr(id, err)
 	}
 	jobID, err := newJobID()
 	if err != nil {
@@ -398,7 +386,7 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	s.jobMu.Lock()
 	s.jobs[jobID] = j
 	s.jobMu.Unlock()
-	if !s.enqueueJoin(s.jobTask(j, sub.Join, &spec)) {
+	if !s.enqueueJoin(s.jobTask(j, sub.Join)) {
 		s.jobMu.Lock()
 		delete(s.jobs, jobID)
 		s.jobMu.Unlock()
@@ -407,15 +395,6 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	}
 	s.met.JobsSubmitted.Inc()
 	s.logf("job %s submitted: %q x %q", jobID, j.tableA, j.tableB)
-	return ss.send(&wire.Frame{ID: id, Job: j.snapshot()})
-}
-
-// handleJobStatus answers a poll for one job's state and progress.
-func (ss *session) handleJobStatus(id uint64, jobID string) error {
-	j := ss.srv.lookupJob(jobID)
-	if j == nil {
-		return ss.sendUnknownJob(id, jobID)
-	}
 	return ss.send(&wire.Frame{ID: id, Job: j.snapshot()})
 }
 
@@ -477,12 +456,11 @@ func (ss *session) sendUnknownJob(id uint64, jobID string) error {
 // the job terminal — so a client that observes "done" can rely on the
 // result surviving a restart. The progress hook publishes the engine's
 // counters so JobStatus polls see them live.
-func (s *Server) jobTask(j *job, jr *wire.JoinRequest, spec *engine.JoinSpec) joinTask {
+func (s *Server) jobTask(j *job, jr *wire.JoinRequest) joinTask {
 	var rows []wire.JoinedRow
 	running := false
 	return joinTask{
-		jr:   jr,
-		spec: spec,
+		jr: jr,
 		begin: func() {
 			j.mu.Lock()
 			j.state = wire.JobRunning

@@ -14,11 +14,13 @@ import (
 //
 // Admission is shed-first because join work is extreme: a single join
 // costs thousands of bn256 pairings, so every queued join is minutes of
-// latent CPU. A sync join passes its connection's in-flight cap, then —
-// like a submitted job — the worker pool's bounded FIFO queue (jobs.go);
-// whatever does not fit is rejected with a typed retryable error
-// (wire.CodeOverloaded), which keeps latency bounded and lets clients
-// back off — see client.WithRetry.
+// latent CPU. All join work passes one gate, admitJoin, on the read
+// loop: a sync join or an attach takes a slot under its connection's
+// in-flight cap, and a sync join — like a submitted job — then a place
+// in the worker pool's bounded FIFO queue (jobs.go); whatever does not
+// fit is rejected with a typed retryable error (wire.CodeOverloaded),
+// which keeps latency bounded and lets clients back off — see
+// client.WithRetry.
 
 // serverMetrics is the wire-layer metric set, registered next to the
 // engine's in one registry. All fields are nil-safe no-ops when the
@@ -89,32 +91,48 @@ func (s *Server) SetIdleTimeout(d time.Duration) {
 	s.idleTimeout.Store(int64(d))
 }
 
-// admitJoin applies admission control to one synchronous join, without
-// blocking: the connection's in-flight join cap first, then the worker
-// pool's bounded queue. A join that does not fit is shed with a typed
-// frame; an admitted one holds a connection slot until its task's
-// finish returns it through endJoin.
-func (ss *session) admitJoin(id uint64, jr *wire.JoinRequest) {
+// admitJoin admits, without blocking, the join work of one request: a
+// submit's job goes to the worker pool's queue; a sync join or an
+// attach first takes a slot under the connection's cap, then a sync
+// join goes to the queue and an attach waits for its job on its own
+// goroutine. What does not fit is shed. Nothing is decoded here. It
+// returns the request kind whose latency it observed, if any.
+func (ss *session) admitJoin(req *wire.Request) (string, error) {
 	s := ss.srv
+	if req.Join == nil && req.Submit != nil {
+		return "submit", ss.handleSubmit(req.ID, req.Submit)
+	}
 	if int(ss.joins.Load()) >= s.maxJoinsPerConn {
-		s.shed(ss, id, "connection join cap reached")
-		return
+		s.shed(ss, req.ID, "connection join cap reached")
+		return "", nil
 	}
 	ss.joins.Add(1)
-	s.met.InflightJoins.Inc()
-	ss.registerCancel(id)
 	ss.reqs.Add(1)
-	if !s.enqueueJoin(ss.joinTask(id, jr)) {
-		ss.endJoin(id)
-		s.shed(ss, id, "join queue full")
+	if req.Join == nil {
+		go func() {
+			defer func() { ss.joins.Add(-1); ss.reqs.Done() }()
+			started := time.Now()
+			if err := ss.handleAttach(req.ID, req.Attach); err != nil {
+				s.logf("request %d: writing response: %v", req.ID, err)
+			}
+			s.met.ReqSeconds.With("attach").Observe(time.Since(started).Seconds())
+		}()
+		return "", nil
 	}
+	s.met.InflightJoins.Inc()
+	ss.registerCancel(req.ID)
+	if !s.enqueueJoin(ss.joinTask(req.ID, req.Join)) {
+		ss.endJoin(req.ID)
+		s.shed(ss, req.ID, "join queue full")
+	}
+	return "", nil
 }
 
-// endJoin returns an admitted join's connection slot.
+// endJoin returns an admitted sync join's connection slot.
 func (ss *session) endJoin(id uint64) {
 	ss.clearCancel(id)
-	ss.joins.Add(-1)
 	ss.srv.met.InflightJoins.Dec()
+	ss.joins.Add(-1)
 	ss.reqs.Done()
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/securejoin"
 	"repro/internal/sql"
+	"repro/internal/wire"
 )
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -247,6 +248,58 @@ func TestPerConnectionJoinCapSheds(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("admitted join: %v", err)
+	}
+}
+
+// TestAttachShedsAtConnectionCap: an attach holds one of its
+// connection's join slots while it waits for its job, so with a cap of
+// one a second attach on that connection is shed, typed, while the
+// first, not a join, leaves sj_server_joins_inflight at 0 and streams
+// the job's result once the job runs.
+func TestAttachShedsAtConnectionCap(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
+	srv := New(nil)
+	srv.maxJoinsPerConn = 1
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c := dial(t, addr)
+	const rows = 4
+	uploadPair(t, c, rows)
+	job, err := c.SubmitJoinQuery("L", "R", nil, nil, client.JoinOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTaken(t, taken, "the job")
+
+	wc := wireConn(t, srv)
+	if err := wc.Send(&wire.Request{ID: 1, Attach: job.ID}); err != nil {
+		t.Fatal(err)
+	}
+	if f, _ := answer(t, wc, &wire.Request{ID: 2, Attach: job.ID}); f.ID != 2 || f.Code != wire.CodeOverloaded {
+		t.Fatalf("second attach on the capped connection: %+v, want a shed", f)
+	}
+	if got := srv.met.InflightJoins.Value(); got != 0 {
+		t.Fatalf("sj_server_joins_inflight = %d with only an attach waiting, want 0", got)
+	}
+	release()
+	n := 0
+	for {
+		var f wire.Frame
+		if err := wc.Recv(&f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Batch != nil {
+			n += len(f.Batch.Rows)
+			continue
+		}
+		if f.ID != 1 || f.Summary == nil || n != rows {
+			t.Fatalf("first attach: terminal frame %+v after %d rows, want a summary after %d", f, n, rows)
+		}
+		return
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package server implements the DBMS-provider side of the
 // database-as-a-service model over TCP, speaking the wire v5 protocol:
-// a version handshake followed by length-prefixed frames. Every
-// request on a connection is dispatched on its own goroutine keyed by
-// the client-chosen request ID, so clients can pipeline uploads and
-// joins; join results are streamed back as bounded JoinBatch frames —
-// interleaved with the frames of other in-flight requests — and
-// terminated by a summary frame. The server never sees key material:
-// it executes SJ.Dec and the hash-based SJ.Match over opaque
-// ciphertexts and returns sealed payloads.
+// a version handshake followed by length-prefixed frames. A
+// connection's read loop answers cheap requests and admits join work,
+// keyed by the client-chosen request ID, so clients can pipeline
+// uploads and joins; join results are streamed back as bounded
+// JoinBatch frames — interleaved with the frames of other in-flight
+// requests — and terminated by a summary frame. The server never sees
+// key material: it executes SJ.Dec and the hash-based SJ.Match over
+// opaque ciphertexts and returns sealed payloads.
 package server
 
 import (
@@ -288,24 +288,22 @@ func (s *Server) track(conn net.Conn) bool {
 	return true
 }
 
-// maxInFlight caps the concurrently executing requests per connection;
-// joins cost thousands of pairings each, so an unbounded pipeline
-// would let one client occupy arbitrary CPU and memory. When the cap
-// is reached the connection's request reader blocks, backpressuring
-// the client through TCP.
+// maxInFlight caps one connection's join work in flight — sync joins
+// and attaches; joins cost thousands of pairings each, so an unbounded
+// pipeline would let one client occupy arbitrary CPU and memory. Past
+// the cap, join work is shed (see observe.go).
 const maxInFlight = 32
 
 // session is the per-connection state: the framed conn, a write lock
 // serializing frames of concurrently executing requests, a wait group
-// and semaphore tracking those requests, the staging area of chunked
-// uploads, and the cancellation channels of in-flight joins.
+// tracking those requests, the staging area of chunked uploads, and the
+// cancellation channels of in-flight joins.
 type session struct {
 	srv     *Server
 	conn    *wire.Conn
 	writeMu sync.Mutex
 	reqs    sync.WaitGroup
-	sem     chan struct{}
-	joins   atomic.Int64 // in-flight sync joins, for the per-connection cap (see observe.go)
+	joins   atomic.Int64 // sync joins and attaches in flight, for the per-connection cap (see observe.go)
 
 	// closed is closed when the connection's read loop exits — the
 	// client is gone — so blocking handlers (AttachJob waiting on a
@@ -387,7 +385,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	ss := &session{
 		srv:     s,
 		conn:    wc,
-		sem:     make(chan struct{}, maxInFlight),
 		closed:  make(chan struct{}),
 		staging: make(map[string][]*engine.EncryptedRow),
 		cancels: make(map[uint64]chan struct{}),
@@ -404,10 +401,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		var req wire.Request
 		if err := wc.Recv(&req); err != nil {
 			if idle > 0 && errors.Is(err, os.ErrDeadlineExceeded) {
-				// In-flight work lives either in a request slot or — for
-				// joins, which execute on the worker pool — in the
-				// connection's join count; either one means not idle.
-				if len(ss.sem) > 0 || ss.joins.Load() > 0 {
+				// Every request but a sync join or an attach is answered
+				// on this loop, so those two are all the work in flight.
+				if ss.joins.Load() > 0 {
 					continue
 				}
 				// Typed close notice (ID 0 = connection-level, see wire)
@@ -423,43 +419,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 		s.met.FramesIn.Inc()
-		// Cancels are handled on the read loop itself — they must not
-		// queue behind the heavy requests they are trying to cancel —
-		// and so is their ack, keeping a cancel flood bounded by the
-		// same TCP backpressure as everything else.
-		if req.Cancel != 0 {
-			started := time.Now()
-			ss.cancel(req.Cancel)
-			ss.send(&wire.Frame{ID: req.ID, Ok: true})
-			s.met.ReqSeconds.With("cancel").Observe(time.Since(started).Seconds())
-			continue
-		}
-		// Uploads run inline too: chunks of one staged upload sequence
-		// are order-dependent, and read-loop execution is the ordering
-		// guarantee (they are cheap — no pairings — unlike joins).
-		if req.Upload != nil {
-			started := time.Now()
-			if err := ss.handleUpload(req.ID, req.Upload); err != nil {
-				s.logf("request %d: writing response: %v", req.ID, err)
-			}
-			s.met.ReqSeconds.With("upload").Observe(time.Since(started).Seconds())
-			continue
-		}
-		if req.Join != nil {
-			// Admission control runs on the read loop, so a shed response
-			// never queues behind the very load it is reporting.
-			ss.admitJoin(req.ID, req.Join)
-			continue
-		}
-		ss.sem <- struct{}{}
-		ss.reqs.Add(1)
-		go func(req wire.Request) {
-			defer func() {
-				<-ss.sem
-				ss.reqs.Done()
-			}()
-			ss.handle(&req)
-		}(req)
+		ss.handle(&req)
 	}
 	// Unblock handlers waiting on behalf of this client (job attaches):
 	// the peer is gone, so there is no one left to stream to.
@@ -474,26 +434,36 @@ func (s *Server) serveConn(conn net.Conn) {
 	ss.reqs.Wait()
 }
 
-// handle dispatches the request kinds that run on their own goroutine
-// (uploads and cancels are handled on the read loop, and joins on the
-// worker pool — see serveConn).
+// handle answers one request on the read loop, which orders an
+// upload's chunks and bounds any flood by TCP backpressure. Answers are
+// cheap (a cancel must not queue behind the joins it cancels); join
+// work is only admitted here.
 func (ss *session) handle(req *wire.Request) {
 	var err error
 	started := time.Now()
 	kind := ""
 	switch {
-	case req.Submit != nil:
-		kind = "submit"
-		err = ss.handleSubmit(req.ID, req.Submit)
+	case req.Cancel != 0:
+		kind = "cancel"
+		ss.cancel(req.Cancel)
+		err = ss.send(&wire.Frame{ID: req.ID, Ok: true})
+	case req.Upload != nil:
+		kind = "upload"
+		err = ss.handleUpload(req.ID, req.Upload)
+	case req.Join != nil || req.Submit != nil || req.Attach != "":
+		kind, err = ss.admitJoin(req)
 	case req.JobStatus != "":
 		kind = "jobstatus"
-		err = ss.handleJobStatus(req.ID, req.JobStatus)
-	case req.Attach != "":
-		kind = "attach"
-		err = ss.handleAttach(req.ID, req.Attach)
+		if j := ss.srv.lookupJob(req.JobStatus); j != nil {
+			err = ss.send(&wire.Frame{ID: req.ID, Job: j.snapshot()})
+		} else {
+			err = ss.sendUnknownJob(req.ID, req.JobStatus)
+		}
 	case req.Describe:
+		// The catalog a client-side SQL planner syncs: the stored
+		// tables' names, row counts and SSE-index presence.
 		kind = "describe"
-		err = ss.handleDescribe(req.ID)
+		err = ss.send(&wire.Frame{ID: req.ID, Tables: &wire.TableList{Tables: ss.srv.eng.TableStats()}})
 	case req.Ping:
 		// The ack doubles as the protocol's health probe: readiness and
 		// key gauges ride the Ok frame.
@@ -512,13 +482,6 @@ func (ss *session) handle(req *wire.Request) {
 
 func (ss *session) sendErr(id uint64, err error) error {
 	return ss.send(&wire.Frame{ID: id, Err: err.Error()})
-}
-
-// handleDescribe answers a catalog-sync request with the stored tables'
-// names, row counts and SSE-index presence — the metadata a client-side
-// SQL planner needs to pick prefiltered plans automatically.
-func (ss *session) handleDescribe(id uint64) error {
-	return ss.send(&wire.Frame{ID: id, Tables: &wire.TableList{Tables: ss.srv.eng.TableStats()}})
 }
 
 // clampWorkers bounds a client's SJ.Dec worker hint: the hint cannot
@@ -582,24 +545,32 @@ func (ss *session) handleUpload(id uint64, up *wire.UploadRequest) error {
 }
 
 // joinSpecFrom parses a wire join request — tokens and optional SSE
-// prefilters — into the engine spec it describes. handleSubmit calls it
-// for an async job, so malformed tokens fail at submit time; the join
-// executor calls it for a sync join once the join is admitted.
+// prefilters — into the engine spec it describes. Only runTask calls
+// it, on the worker running an admitted task, so a shed request costs
+// no decode.
 func (s *Server) joinSpecFrom(jr *wire.JoinRequest) (engine.JoinSpec, error) {
-	// The two tokens decode at once: each is Dim square roots and G2
-	// membership tests. A's error wins when both are bad.
-	var ta, tb securejoin.Token
-	decodedB := make(chan error, 1)
-	go func() { decodedB <- tb.UnmarshalBinary(jr.TokenB) }()
-	errA := ta.UnmarshalBinary(jr.TokenA)
-	errB := <-decodedB
+	ta, tb, err := s.eng.Tables(jr.TableA, jr.TableB)
+	if err != nil {
+		return engine.JoinSpec{}, err
+	}
+	// The two tokens decode at once, once both element counts are read:
+	// each is Dim square roots and G2 membership tests. A's error wins
+	// when both are bad.
+	q := &securejoin.Query{}
+	na, errA := securejoin.TokenDim(jr.TokenA)
+	nb, errB := securejoin.TokenDim(jr.TokenB)
+	if errA == nil && errB == nil {
+		decodedB := make(chan error, 1)
+		go func() { decodedB <- parseToken(&q.TokenB, jr.TokenB, nb, tb, na) }()
+		errA = parseToken(&q.TokenA, jr.TokenA, na, ta, nb)
+		errB = <-decodedB
+	}
 	if errA != nil {
 		return engine.JoinSpec{}, fmt.Errorf("token A: %w", errA)
 	}
 	if errB != nil {
 		return engine.JoinSpec{}, fmt.Errorf("token B: %w", errB)
 	}
-	q := &securejoin.Query{TokenA: &ta, TokenB: &tb}
 
 	spec := engine.JoinSpec{
 		Query: q, Batch: s.batch, Workers: clampWorkers(jr.Workers),
@@ -628,6 +599,20 @@ func (s *Server) joinSpecFrom(jr *wire.JoinRequest) (engine.JoinSpec, error) {
 		spec.Prefilter = pf
 	}
 	return spec, nil
+}
+
+// parseToken decodes the n-element token for table t into *tk once n
+// is the count t takes (other is the other token's count), and only if
+// t has rows: an empty table's token is counted, never decoded.
+func parseToken(tk **securejoin.Token, data []byte, n int, t *engine.EncryptedTable, other int) error {
+	if d := t.TokenDim(other); n != d {
+		return fmt.Errorf("%d elements, table %q takes %d", n, t.Name, d)
+	}
+	if len(t.Rows) == 0 {
+		return nil
+	}
+	*tk = new(securejoin.Token)
+	return (*tk).UnmarshalBinary(data)
 }
 
 // sendRowBatches streams joined rows to the client re-split into frames

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -15,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/wire"
 )
 
 // Crash-injection suite: each test damages the on-disk state the way a
@@ -181,32 +179,6 @@ func TestRecommitHealsDamage(t *testing.T) {
 		t.Fatalf("recovered %d tables, want 2", len(s2.Tables()))
 	}
 	sameTable(t, tableByName(t, s2, "T2"), healed)
-}
-
-// TestPreSwapSnapshotIsDamage: a snapshot whose rows were written when
-// row elements were 128-byte G2 points (before rows moved to G1) is
-// reported as damage that names the element size and asks for a
-// re-upload. It is never served, and a fresh Commit of the same name
-// heals it.
-func TestPreSwapSnapshotIsDamage(t *testing.T) {
-	// The upload frame of that version: the row's join ciphertext is a
-	// 4-byte element count and 128-byte elements. Only the shape
-	// matters; the element bytes are never reached.
-	dim := newTestClient(t).Params().Dim()
-	join := make([]byte, 4+dim*128)
-	binary.BigEndian.PutUint32(join, uint32(dim))
-	for i := 4; i < len(join); i++ {
-		join[i] = byte(i)
-	}
-	var snap bytes.Buffer
-	if err := wire.NewConn(&snap).Send(&wire.Request{Upload: &wire.UploadRequest{
-		Table:  "T",
-		Rows:   []wire.UploadRow{{JoinCiphertext: join, Payload: []byte("sealed")}},
-		Commit: true,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	checkUnreadableSnapshot(t, snap.Bytes(), "elements are 128 bytes", "re-upload the table")
 }
 
 // TestGobSnapshotIsDamage: a snapshot in the gob image tables were

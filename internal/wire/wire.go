@@ -95,8 +95,9 @@ type Request struct {
 
 // SubmitRequest enqueues a join for asynchronous execution. The
 // embedded JoinRequest is exactly what a synchronous Join would carry;
-// the server validates it at submit time, runs it on the job worker
-// pool, and spools the completed result durably when it has a store.
+// the server runs it on the job worker pool, which validates it (a bad
+// token fails the job), and spools the completed result durably when
+// it has a store.
 type SubmitRequest struct {
 	Join *JoinRequest
 }
