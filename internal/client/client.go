@@ -572,18 +572,9 @@ func joinReqFromSpec(tableA, tableB string, spec engine.JoinSpec) (*wire.JoinReq
 	return req, nil
 }
 
-// open ships one join request and returns its result stream. Sync sends
-// a Join and the server streams on this request; async routes the same
-// request through the server's job queue — Submit, then Attach to the
-// job — so the work (and its spooled result) outlives the connection.
-func (c *Client) open(req *wire.JoinRequest, async bool) (*JoinStream, error) {
-	if async {
-		info, err := c.submit(req)
-		if err != nil {
-			return nil, err
-		}
-		return c.AttachJob(info.ID)
-	}
+// open ships one join request as a Join and returns the stream the
+// server answers it with.
+func (c *Client) open(req *wire.JoinRequest) (*JoinStream, error) {
 	p, err := c.send(&wire.Request{Join: req})
 	if err != nil {
 		return nil, err
@@ -609,7 +600,7 @@ func (c *Client) JoinWith(tableA, tableB string, selA, selB securejoin.Selection
 	if err != nil {
 		return nil, 0, err
 	}
-	stream, err := c.open(req, false)
+	stream, err := c.open(req)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -451,9 +451,8 @@ func (cl *Cluster) runShard(shard int, tableA, tableB string, open func() (*Join
 // every shard — that is scattered, specialized per shard by
 // shardJoinReqs, and the merged stream feeds sql.Execute's stitcher
 // unchanged. Each shard's request goes through that backend's
-// Client.open, so async routes it through the shard's job queue exactly
-// as it would on a single server.
-func (cl *Cluster) Runner(async bool) sql.Runner {
+// Client.open, exactly as it would on a single server.
+func (cl *Cluster) Runner() sql.Runner {
 	return sql.Runner{Keys: cl.keys, Open: func(tableL, tableR string, spec engine.JoinSpec) (sql.StepStream, error) {
 		req, err := joinReqFromSpec(tableL, tableR, spec)
 		if err != nil {
@@ -463,7 +462,7 @@ func (cl *Cluster) Runner(async bool) sql.Runner {
 		opens := make([]func() (*JoinStream, error), len(reqs))
 		for s, req := range reqs {
 			if req != nil {
-				opens[s] = func() (*JoinStream, error) { return cl.clients[s].open(req, async) }
+				opens[s] = func() (*JoinStream, error) { return cl.clients[s].open(req) }
 			}
 		}
 		return cl.merge(tableL, tableR, opens), nil
@@ -476,5 +475,5 @@ func (cl *Cluster) Runner(async bool) sql.Runner {
 // revealed pairs over all steps and shards — by the alignment argument
 // above, equal to what one server executing the same plan would report.
 func (cl *Cluster) ExecutePlan(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-	return sql.Execute(cl.Runner(false), p, emit)
+	return sql.Execute(cl.Runner(), p, emit)
 }

@@ -142,7 +142,7 @@ func (c *Client) PollJobCtx(ctx context.Context, id string, interval time.Durati
 // and reveal the same pairs as ExecutePlan. A shard that sheds the
 // submit is retried on its own. A multi-step plan is rejected before
 // anything is sent: its steps stitch client-side, so no job holds its
-// result (run it with sql.Execute over Runner(true)). The returned
+// result (run it with ExecutePlan). The returned
 // info is the shards' merged, under the cluster job ID.
 func (cl *Cluster) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
 	if len(p.Steps) != 1 {

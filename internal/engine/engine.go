@@ -221,12 +221,9 @@ func (c *Client) sealPayload(nonce, pt []byte) []byte {
 	return c.payloadAEAD.Seal(nonce, nonce, pt, nil)
 }
 
-// JoinedRow is one element of a join result: the sealed payloads of the
-// matching rows.
-type JoinedRow struct {
-	RowA, RowB         int
-	PayloadA, PayloadB []byte
-}
+// JoinedRow is one element of a join result: the matching rows and
+// their sealed payloads, the row a JoinBatch frame and a job spool carry.
+type JoinedRow = wire.JoinedRow
 
 // QueryTrace is the server-observable leakage of one query, sigma(q) of
 // Section 5.2: the classes of rows (of either table) whose D values came

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -16,13 +18,16 @@ import (
 // Join master key, payload AEAD key, SSE index keys) so a client can be
 // reconstructed in a later session with LoadClientKeys and keep
 // querying previously uploaded tables. The output must be stored like
-// any other long-term secret key.
+// any other long-term secret key. Its layout:
+//
+//	keyFileMagic
+//	uvarint  len(scheme), then Scheme.MarshalBinary's bytes
+//	32 bytes payload AEAD key
+//	the SSE keys (sse.Client.MarshalKeys) to the end of the file
 
-type keyFile struct {
-	Scheme  []byte
-	Payload []byte
-	SSE     []byte
-}
+// keyFileMagic opens every key file this format writes; earlier builds
+// wrote a gob image, which LoadClientKeys refuses.
+const keyFileMagic = "SJ KEYS 2\n"
 
 // ExportKeys serializes all client secrets to w.
 func (c *Client) ExportKeys(w io.Writer) error {
@@ -34,27 +39,33 @@ func (c *Client) ExportKeys(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("engine: encoding SSE keys: %w", err)
 	}
-	return gob.NewEncoder(w).Encode(&keyFile{
-		Scheme:  schemeBytes,
-		Payload: c.payloadKey,
-		SSE:     sseBytes,
-	})
+	b := binary.AppendUvarint([]byte(keyFileMagic), uint64(len(schemeBytes)))
+	b = append(append(append(b, schemeBytes...), c.payloadKey...), sseBytes...)
+	_, err = w.Write(b)
+	return err
 }
 
 // LoadClientKeys reconstructs a client from ExportKeys output.
 func LoadClientKeys(r io.Reader) (*Client, error) {
-	var f keyFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("engine: decoding key file: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("engine: reading key file: %w", err)
 	}
-	scheme, err := securejoin.LoadScheme(f.Scheme, nil)
+	rest, ok := bytes.CutPrefix(data, []byte(keyFileMagic))
+	if !ok {
+		return nil, errors.New("engine: not a key file of this build (no format header): earlier builds wrote gob key files, which this build does not read; run sjclient keygen again and re-upload the tables")
+	}
+	n, k := binary.Uvarint(rest)
+	if k <= 0 || n+32 > uint64(len(rest)-k) {
+		return nil, errors.New("engine: key file truncated")
+	}
+	rest = rest[k:]
+	schemeBytes, payloadKey, sseBytes := rest[:n], rest[n:n+32], rest[n+32:]
+	scheme, err := securejoin.LoadScheme(schemeBytes, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(f.Payload) != 32 {
-		return nil, fmt.Errorf("engine: payload key has %d bytes, want 32", len(f.Payload))
-	}
-	block, err := aes.NewCipher(f.Payload)
+	block, err := aes.NewCipher(payloadKey)
 	if err != nil {
 		return nil, err
 	}
@@ -62,14 +73,14 @@ func LoadClientKeys(r io.Reader) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	sseClient, err := sse.LoadClientKeys(f.SSE)
+	sseClient, err := sse.LoadClientKeys(sseBytes)
 	if err != nil {
 		return nil, err
 	}
 	return &Client{
 		scheme:      scheme,
 		payloadAEAD: aead,
-		payloadKey:  f.Payload,
+		payloadKey:  payloadKey,
 		sse:         sseClient,
 		rng:         rand.Reader,
 	}, nil

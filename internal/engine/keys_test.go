@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/securejoin"
@@ -105,5 +107,44 @@ func TestLoadClientKeysRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadClientKeys(bytes.NewReader([]byte("not gob"))); err == nil {
 		t.Fatal("garbage key file accepted")
+	}
+}
+
+// TestGobKeyFileRefused: a key file an earlier build wrote (gob; the
+// one under testdata was written by that build's sjclient keygen) is
+// refused with an error asking for a new keygen.
+func TestGobKeyFileRefused(t *testing.T) {
+	old, err := os.ReadFile("testdata/gob-era.key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadClientKeys(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "sjclient keygen") {
+		t.Fatalf("gob key file: %v, want a refusal asking for sjclient keygen", err)
+	}
+}
+
+// TestTruncatedKeyFileRefused: every strict prefix of a key file, and
+// the file with a byte appended, is refused without a panic.
+func TestTruncatedKeyFileRefused(t *testing.T) {
+	c, err := NewClient(securejoin.Params{M: 1, T: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := c.ExportKeys(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if _, err := LoadClientKeys(bytes.NewReader(full)); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(full); n++ {
+		if _, err := LoadClientKeys(bytes.NewReader(full[:n])); err == nil {
+			t.Fatalf("key file cut to %d of %d bytes accepted", n, len(full))
+		}
+	}
+	if _, err := LoadClientKeys(bytes.NewReader(append(full, 0))); err == nil {
+		t.Fatal("key file with a trailing byte accepted")
 	}
 }

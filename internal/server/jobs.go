@@ -73,23 +73,25 @@ var (
 	errShuttingDown  = errors.New("server shutting down")
 )
 
-// job is the server-side state of one submitted join. Mutable fields
-// are guarded by mu; done is closed exactly once, when the job reaches
-// a terminal state, and is what AttachJob waiters block on.
+// job is the server-side state of one submitted join: its one record,
+// the JobInfo that JobStatus answers with and the store keeps, plus
+// what only this process needs. Mutable fields are guarded by mu; done
+// is closed exactly once, when the job reaches a terminal state, and is
+// what AttachJob waiters block on.
 //
 // Lock order: Server.jobMu strictly before job.mu. reapJobs is the
 // only path holding both — it iterates the table under jobMu and
 // briefly takes each job's mu to read its terminal state. Every other
 // path takes exactly one of the two: handleSubmit, lookupJob, pinJob,
-// unpinJob and jobGauges take only jobMu; snapshot, completeJob, failJob
-// and jobTask's hooks take only the job's mu. Since no
-// path acquires jobMu while holding any job's mu, the pair cannot
-// deadlock; new code must preserve that — never call a jobMu-taking
-// helper with a job's mu held.
+// unpinJob and jobGauges take only jobMu; snapshot, finishJob and
+// jobTask's hooks take only the job's mu. Since no path acquires jobMu
+// while holding any job's mu, the pair cannot deadlock; new code must
+// preserve that — never call a jobMu-taking helper with a job's mu
+// held.
 type job struct {
-	id             string
-	tableA, tableB string
-	created        time.Time
+	// created is the submit time at full precision, for the job-duration
+	// histogram; zero for a job recovered from the store.
+	created time.Time
 
 	// attachers counts in-flight handleAttach streams of this job. It
 	// is guarded by Server.jobMu — NOT mu — because the reaper decides
@@ -98,44 +100,23 @@ type job struct {
 	// store spool) survives reaping until the last attach unpins it.
 	attachers int
 
-	mu            sync.Mutex
-	state         string
-	started       time.Time
-	finished      time.Time
-	rowsDecrypted int
-	stepsDone     int
-	revealedPairs int
-	resultRows    int
-	rows          []wire.JoinedRow // in-memory result; nil once spooled
-	spooled       bool             // result lives in the store's job spool
-	errMsg        string
+	mu   sync.Mutex
+	info wire.JobInfo
+	rows []wire.JoinedRow // in-memory result of a done job the store does not hold
+	// durable reports that the store holds the job's record (and, for a
+	// done job, its spool), so attaches read the spool and the reaper
+	// deletes the record.
+	durable bool
 
 	done chan struct{}
 }
 
-// snapshot renders the job's current state as the wire JobInfo.
+// snapshot returns a copy of the job's record.
 func (j *job) snapshot() *wire.JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := &wire.JobInfo{
-		ID:            j.id,
-		State:         j.state,
-		TableA:        j.tableA,
-		TableB:        j.tableB,
-		RowsDecrypted: j.rowsDecrypted,
-		StepsDone:     j.stepsDone,
-		RevealedPairs: j.revealedPairs,
-		ResultRows:    j.resultRows,
-		Err:           j.errMsg,
-		CreatedUnix:   j.created.Unix(),
-	}
-	if !j.started.IsZero() {
-		info.StartedUnix = j.started.Unix()
-	}
-	if !j.finished.IsZero() {
-		info.FinishedUnix = j.finished.Unix()
-	}
-	return info
+	info := j.info
+	return &info
 }
 
 // SetJobWorkers bounds the join worker pool: the goroutines executing
@@ -242,7 +223,7 @@ func (s *Server) runTask(t joinTask) {
 }
 
 // drainJoin pulls the stream to exhaustion, handing each batch to the
-// task's sink in wire form, unless the task is cancelled first.
+// task's sink, unless the task is cancelled first.
 func drainJoin(stream *engine.JoinStream, t joinTask) error {
 	for {
 		select {
@@ -257,14 +238,7 @@ func drainJoin(stream *engine.JoinStream, t joinTask) error {
 		if err != nil {
 			return err
 		}
-		out := make([]wire.JoinedRow, len(rows))
-		for i, r := range rows {
-			out[i] = wire.JoinedRow{
-				RowA: r.RowA, RowB: r.RowB,
-				PayloadA: r.PayloadA, PayloadB: r.PayloadB,
-			}
-		}
-		if err := t.sink(out); err != nil {
+		if err := t.sink(rows); err != nil {
 			return err
 		}
 	}
@@ -301,15 +275,25 @@ func (s *Server) enqueueJoin(t joinTask) bool {
 // connections and workers to finish: sync joins get their terminal
 // error frame — without it a session blocked in reqs.Wait on a queued
 // sync join (whose worker already exited) would deadlock the shutdown —
-// and queued jobs fail so attached waiters unblock. It runs until stop
-// is closed.
-func (s *Server) drainTasks(stop chan struct{}) {
+// and queued jobs fail so attached waiters unblock. Once stop is closed
+// it fails what is still queued (only detached jobs can remain: a
+// queued sync join implies a live session, and those have all
+// finished) and closes drained.
+func (s *Server) drainTasks(stop, drained chan struct{}) {
+	defer close(drained)
 	for {
 		select {
 		case t := <-s.taskQueue:
 			s.failQueued(t)
 		case <-stop:
-			return
+			for {
+				select {
+				case t := <-s.taskQueue:
+					s.failQueued(t)
+				default:
+					return
+				}
+			}
 		}
 	}
 }
@@ -375,13 +359,15 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 	if err != nil {
 		return ss.sendErr(id, err)
 	}
+	now := time.Now()
 	j := &job{
-		id:      jobID,
-		tableA:  sub.Join.TableA,
-		tableB:  sub.Join.TableB,
-		created: time.Now(),
-		state:   wire.JobQueued,
-		done:    make(chan struct{}),
+		created: now,
+		info: wire.JobInfo{
+			ID: jobID, State: wire.JobQueued,
+			TableA: sub.Join.TableA, TableB: sub.Join.TableB,
+			CreatedUnix: now.Unix(),
+		},
+		done: make(chan struct{}),
 	}
 	s.jobMu.Lock()
 	s.jobs[jobID] = j
@@ -394,7 +380,7 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 		return nil
 	}
 	s.met.JobsSubmitted.Inc()
-	s.logf("job %s submitted: %q x %q", jobID, j.tableA, j.tableB)
+	s.logf("job %s submitted: %q x %q", jobID, sub.Join.TableA, sub.Join.TableB)
 	return ss.send(&wire.Frame{ID: id, Job: j.snapshot()})
 }
 
@@ -422,13 +408,13 @@ func (ss *session) handleAttach(id uint64, jobID string) error {
 		return nil // client hung up while waiting; nothing to stream to
 	}
 	j.mu.Lock()
-	errMsg, spooled := j.errMsg, j.spooled
-	rows, revealed := j.rows, j.revealedPairs
+	errMsg, durable := j.info.Err, j.durable
+	rows, revealed := j.rows, j.info.RevealedPairs
 	j.mu.Unlock()
 	if errMsg != "" {
 		return ss.sendErr(id, fmt.Errorf("job %s failed: %s", jobID, errMsg))
 	}
-	if rows == nil && spooled {
+	if rows == nil && durable {
 		var err error
 		if rows, err = s.store.ReadJobRows(jobID); err != nil {
 			return ss.sendErr(id, err)
@@ -463,17 +449,17 @@ func (s *Server) jobTask(j *job, jr *wire.JoinRequest) joinTask {
 		jr: jr,
 		begin: func() {
 			j.mu.Lock()
-			j.state = wire.JobRunning
-			j.started = time.Now()
+			j.info.State = wire.JobRunning
+			j.info.StartedUnix = time.Now().Unix()
 			j.mu.Unlock()
 			s.met.JobsRunning.Inc()
 			running = true
 		},
 		progress: func(p engine.JoinProgress) {
 			j.mu.Lock()
-			j.rowsDecrypted = p.RowsDecrypted
-			j.stepsDone = p.StepsDone
-			j.revealedPairs = p.RevealedPairs
+			j.info.RowsDecrypted = p.RowsDecrypted
+			j.info.StepsDone = p.StepsDone
+			j.info.RevealedPairs = p.RevealedPairs
 			j.mu.Unlock()
 		},
 		sink: func(batch []wire.JoinedRow) error {
@@ -484,112 +470,67 @@ func (s *Server) jobTask(j *job, jr *wire.JoinRequest) joinTask {
 			if running {
 				s.met.JobsRunning.Dec()
 			}
-			if err != nil {
-				s.failJob(j, err)
-				return
-			}
-			s.completeJob(j, rows, revealed)
+			s.finishJob(j, rows, revealed, err)
 		},
 	}
 }
 
-// completeJob spools a drained job's result and marks it done.
-func (s *Server) completeJob(j *job, rows []wire.JoinedRow, revealed int) {
-	spooled := false
-	if s.store != nil {
-		meta := store.JobMeta{
-			ID:            j.id,
-			TableA:        j.tableA,
-			TableB:        j.tableB,
-			RevealedPairs: revealed,
-			FinishedUnix:  time.Now().Unix(),
-		}
-		if err := s.store.CommitJob(meta, rows); err != nil {
-			// Non-fatal: the job is still served from memory for this
-			// process's life; only restart durability is lost.
-			s.logf("job %s: spooling result: %v", j.id, err)
-		} else {
-			spooled = true
-		}
-	}
-
+// finishJob makes a job terminal: done with its result rows, or failed
+// with err. The terminal record is committed to the store first (a
+// failed job's too, so even the error outcome survives a restart), and
+// only then published and attached waiters woken.
+func (s *Server) finishJob(j *job, rows []wire.JoinedRow, revealed int, err error) {
 	j.mu.Lock()
-	j.state = wire.JobDone
-	j.finished = time.Now()
-	j.resultRows = len(rows)
-	j.revealedPairs = revealed
-	j.spooled = spooled
-	if spooled {
-		j.rows = nil // attaches re-read the spool; no double-buffering
+	info := j.info
+	j.mu.Unlock()
+	info.FinishedUnix = time.Now().Unix()
+	if err != nil {
+		info.State, info.Err, rows = wire.JobFailed, err.Error(), nil
 	} else {
-		j.rows = rows
+		info.State, info.ResultRows, info.RevealedPairs = wire.JobDone, len(rows), revealed
 	}
-	j.mu.Unlock()
-	close(j.done)
-	s.met.JobsCompleted.Inc()
-	s.met.JobSeconds.Observe(time.Since(j.created).Seconds())
-	s.logf("job %s done: %d result rows, %d revealed pairs", j.id, len(rows), revealed)
-}
-
-// failJob marks a job failed (spooling the failure when a store is
-// attached, so even the error outcome survives a restart) and wakes
-// attached waiters.
-func (s *Server) failJob(j *job, err error) {
-	now := time.Now()
+	durable := false
 	if s.store != nil {
-		meta := store.JobMeta{
-			ID: j.id, TableA: j.tableA, TableB: j.tableB,
-			Err: err.Error(), FinishedUnix: now.Unix(),
-		}
-		if serr := s.store.CommitJob(meta, nil); serr != nil {
-			s.logf("job %s: spooling failure: %v", j.id, serr)
+		// Non-fatal: the job is still served from memory for this
+		// process's life; only restart durability is lost.
+		if serr := s.store.CommitJob(info, rows); serr != nil {
+			s.logf("job %s: spooling %s result: %v", info.ID, info.State, serr)
+		} else {
+			durable = true
 		}
 	}
 	j.mu.Lock()
-	j.state = wire.JobFailed
-	j.finished = now
-	j.errMsg = err.Error()
+	j.info, j.durable = info, durable
+	if !durable {
+		j.rows = rows // attaches of a durable job re-read the spool; no double-buffering
+	}
 	j.mu.Unlock()
 	close(j.done)
-	s.met.JobsFailed.Inc()
-	s.met.JobSeconds.Observe(now.Sub(j.created).Seconds())
-	s.logf("job %s failed: %v", j.id, err)
+	s.met.JobSeconds.Observe(time.Since(j.created).Seconds())
+	if err != nil {
+		s.met.JobsFailed.Inc()
+		s.logf("job %s failed: %v", info.ID, err)
+		return
+	}
+	s.met.JobsCompleted.Inc()
+	s.logf("job %s done: %d result rows, %d revealed pairs", info.ID, len(rows), revealed)
 }
 
 // recoverJobs re-registers the store's spooled jobs at startup so
-// completed (and failed) jobs survive a server restart and any later
-// connection can still attach. Queued/running jobs of the previous
-// process were never spooled and are simply gone — their IDs answer
-// CodeUnknownJob, the client's signal to resubmit.
+// completed (and failed) jobs survive a server restart, each with the
+// record it had, and any later connection can still attach.
+// Queued/running jobs of the previous process were never spooled and
+// are simply gone — their IDs answer CodeUnknownJob, the client's
+// signal to resubmit.
 func (s *Server) recoverJobs(st *store.Store) {
-	metas := st.Jobs()
-	for _, jm := range metas {
-		state := wire.JobDone
-		if jm.Err != "" {
-			state = wire.JobFailed
-		}
-		finished := time.Unix(jm.FinishedUnix, 0)
-		j := &job{
-			id:     jm.ID,
-			tableA: jm.TableA,
-			tableB: jm.TableB,
-			// The original submit time did not survive; the completion
-			// time is the honest lower bound, and what the TTL reaper
-			// keys on anyway.
-			created:       finished,
-			state:         state,
-			finished:      finished,
-			revealedPairs: jm.RevealedPairs,
-			resultRows:    jm.Rows,
-			spooled:       jm.Err == "",
-			errMsg:        jm.Err,
-			done:          make(chan struct{}),
-		}
+	infos := st.Jobs()
+	for _, info := range infos {
+		j := &job{info: info, durable: true, done: make(chan struct{})}
 		close(j.done)
-		s.jobs[jm.ID] = j
+		s.jobs[info.ID] = j
 	}
-	if len(metas) > 0 {
-		s.logf("store %s: %d spooled job(s) recovered", st.Dir(), len(metas))
+	if len(infos) > 0 {
+		s.logf("store %s: %d spooled job(s) recovered", st.Dir(), len(infos))
 	}
 }
 
@@ -625,7 +566,7 @@ func (s *Server) jobReaper() {
 func (s *Server) reapJobs(cutoff time.Time) {
 	type reaped struct {
 		id      string
-		spooled bool
+		durable bool
 	}
 	var expired []reaped
 	s.jobMu.Lock()
@@ -634,17 +575,16 @@ func (s *Server) reapJobs(cutoff time.Time) {
 			continue // pinned by an in-flight attach; defer to a later tick
 		}
 		j.mu.Lock()
-		gone := !j.finished.IsZero() && j.finished.Before(cutoff)
-		spooled := j.spooled
+		finished, durable := j.info.FinishedUnix, j.durable
 		j.mu.Unlock()
-		if gone {
-			expired = append(expired, reaped{id: id, spooled: spooled})
+		if finished != 0 && time.Unix(finished, 0).Before(cutoff) {
+			expired = append(expired, reaped{id: id, durable: durable})
 			delete(s.jobs, id)
 		}
 	}
 	s.jobMu.Unlock()
 	for _, j := range expired {
-		if j.spooled && s.store != nil {
+		if j.durable && s.store != nil {
 			if err := s.store.DeleteJob(j.id); err != nil {
 				s.logf("reaping job %s: %v", j.id, err)
 			}

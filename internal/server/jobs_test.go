@@ -2,14 +2,8 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -18,7 +12,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/securejoin"
 	"repro/internal/sql"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -339,7 +332,8 @@ func TestJobAttachAfterDisconnect(t *testing.T) {
 // TestJobSurvivesRestart is the durability proof: a completed job's
 // spooled result is recovered by a brand-new server process on the same
 // data dir, and a fresh connection attaches and receives the identical
-// rows, payload bytes and sigma.
+// rows, payload bytes and sigma. JobStatus of it and of a failed job
+// answers the pre-restart JobInfo field for field.
 func TestJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv1, addr1 := startDurableServer(t, dir)
@@ -362,6 +356,23 @@ func TestJobSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A failed job's record survives too.
+	failed, err := c1.SubmitJoinQuery("Teams", "Nowhere", selA, selB, client.JoinOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c1.WaitJob(failed.ID); err == nil {
+		t.Fatal("a join with an unknown table did not fail")
+	}
+	before := map[string]*wire.JobInfo{}
+	for _, id := range []string{info.ID, failed.ID} {
+		if before[id], err = c1.JobStatus(id); err != nil {
+			t.Fatal(err)
+		}
+		if before[id].CreatedUnix == 0 || before[id].StartedUnix == 0 || before[id].FinishedUnix == 0 {
+			t.Fatalf("job %s before restart: %+v, want every timestamp set", id, before[id])
+		}
+	}
 	c1.Close()
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
@@ -375,12 +386,18 @@ func TestJobSurvivesRestart(t *testing.T) {
 	}
 	t.Cleanup(func() { c2.Close() })
 
-	st, err := c2.JobStatus(info.ID)
-	if err != nil {
-		t.Fatalf("status after restart: %v", err)
+	// JobStatus answers the record each job had, field for field.
+	for id, want := range before {
+		st, err := c2.JobStatus(id)
+		if err != nil {
+			t.Fatalf("status after restart: %v", err)
+		}
+		if *st != *want {
+			t.Fatalf("job %s after restart: %+v, want %+v", id, st, want)
+		}
 	}
-	if st.State != wire.JobDone {
-		t.Fatalf("recovered job state = %q, want done", st.State)
+	if before[info.ID].State != wire.JobDone || before[failed.ID].State != wire.JobFailed {
+		t.Fatalf("states %q and %q, want done and failed", before[info.ID].State, before[failed.ID].State)
 	}
 	got, gotRevealed, err := c2.WaitJob(info.ID)
 	if err != nil {
@@ -458,6 +475,77 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
+// TestReapDeletesDurableRecords: reaping a finished job deletes its
+// record from the store, a failed job's as well as a done one's, so a
+// reaped job does not come back at the next restart.
+func TestReapDeletesDurableRecords(t *testing.T) {
+	dir := t.TempDir()
+	srv, addr := startDurableServer(t, dir)
+	c := dial(t, addr)
+	uploadPair(t, c, 2)
+	none := securejoin.Selection{}
+	for _, b := range []string{"R", "Nowhere"} {
+		info, err := c.SubmitJoinQuery("L", b, none, none, client.JoinOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.WaitJob(info.ID)
+	}
+	if n := len(srv.store.Jobs()); n != 2 {
+		t.Fatalf("store holds %d jobs, want the done and the failed one", n)
+	}
+	// An attach pins its job until its handler returns, a moment after
+	// the client has the answer.
+	waitFor(t, "both records to be reaped", func() bool {
+		srv.reapJobs(time.Now().Add(time.Hour))
+		return len(srv.store.Jobs()) == 0
+	})
+}
+
+// TestCloseFailsQueuedJobsDurably: a job still queued when the server
+// closes fails with "server shutting down", and the failure is in the
+// store before Close returns: a restart on the same directory answers
+// it as failed, beside the job that was running and finished.
+func TestCloseFailsQueuedJobsDurably(t *testing.T) {
+	taken, release := holdJoinWorkers(t)
+	defer release()
+	dir := t.TempDir()
+	srv, addr := startDurableServer(t, dir, func(s *Server) { s.SetJobWorkers(1) })
+	c := dial(t, addr)
+	uploadPair(t, c, 2)
+	none := securejoin.Selection{}
+	running, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTaken(t, taken, "the running job")
+	queued, err := c.SubmitJoinQuery("L", "R", none, none, client.JoinOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	waitFor(t, "the queued job to fail", func() bool {
+		return srv.lookupJob(queued.ID).snapshot().State == wire.JobFailed
+	})
+	release()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+
+	_, addr2 := startDurableServer(t, dir)
+	c2 := dial(t, addr2)
+	for id, want := range map[string]string{running.ID: wire.JobDone, queued.ID: wire.JobFailed} {
+		st, err := c2.JobStatus(id)
+		if err != nil {
+			t.Fatalf("job %s after restart: %v", id, err)
+		}
+		if st.State != want || want == wire.JobFailed && !strings.Contains(st.Err, "shutting down") {
+			t.Fatalf("job %s after restart: %+v, want %s", id, st, want)
+		}
+	}
+}
+
 // TestJobReaperExpires: a finished job past its TTL disappears — the
 // poll answers unknown-job and the memory entry is gone.
 func TestJobReaperExpires(t *testing.T) {
@@ -484,81 +572,5 @@ func TestJobReaperExpires(t *testing.T) {
 	})
 	if got := srv.met.JobsReaped.Value(); got == 0 {
 		t.Fatalf("reaped counter = %d, want > 0", got)
-	}
-}
-
-// TestAttachToGobSpooledJobIsUnknown: a data dir holding a job a v3
-// server spooled (an opJob record, a gob spool) starts with the job
-// forgotten and reported as damage, and an attach to it answers the
-// typed unknown-job, the signal to resubmit.
-func TestAttachToGobSpooledJobIsUnknown(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var spool bytes.Buffer
-	if err := gob.NewEncoder(&spool).Encode(&struct{ Rows []wire.JoinedRow }{
-		Rows: []wire.JoinedRow{{RowA: 1, RowB: 2, PayloadA: []byte("sealed")}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	const spoolName = "0000000000000001.spool"
-	if err := os.WriteFile(filepath.Join(dir, "jobs", spoolName), spool.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The manifest record as the store frames it: length, gob payload,
-	// CRC-32C. Gob matches the store's record fields by name.
-	digest := sha256.Sum256(spool.Bytes())
-	var rec bytes.Buffer
-	if err := gob.NewEncoder(&rec).Encode(&struct {
-		Seq             uint64
-		Op              uint8
-		Snapshot        string
-		Digest          []byte
-		Rows            int
-		Job, JobA, JobB string
-		Finished        int64
-	}{1, 4, spoolName, digest[:], 1, "0123456789abcdef", "A", "B", time.Now().Unix()}); err != nil {
-		t.Fatal(err)
-	}
-	frame := binary.BigEndian.AppendUint32(nil, uint32(rec.Len()))
-	frame = append(frame, rec.Bytes()...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(rec.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := st.Damaged(); len(d) != 1 || !strings.Contains(d[0].String(), "0123456789abcdef") {
-		t.Fatalf("damage %v, want one report naming the v3 job", d)
-	}
-	srv := NewWithStore(nil, st)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	conn := wire.NewConn(raw)
-	if err := wire.ClientHandshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.Send(&wire.Request{ID: 1, Attach: "0123456789abcdef"}); err != nil {
-		t.Fatal(err)
-	}
-	var f wire.Frame
-	if err := conn.Recv(&f); err != nil {
-		t.Fatal(err)
-	}
-	if f.ID != 1 || f.Code != wire.CodeUnknownJob {
-		t.Fatalf("attach to a v3-spooled job: %+v, want code %q", f, wire.CodeUnknownJob)
 	}
 }

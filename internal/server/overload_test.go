@@ -356,7 +356,7 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 
 // TestClusterRetriesShedShard: every plan step reaches the wire
 // through a Cluster, which retries a shard that sheds it on that shard
-// alone. Each server has one worker and a rendezvous queue, and a job
+// alone — a join step, or with async a job's submit (SubmitPlan). Each server has one worker and a rendezvous queue, and a job
 // over an empty table pair holds the worker, so every shard's first
 // attempt sheds; once all have shed the workers go free, and the
 // retries return the rows and sigma of an unloaded run. An error other
@@ -407,12 +407,30 @@ func testClusterRetriesShedShard(t *testing.T, shards int, async bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// run executes p as a join, or with async as a submitted job that
+	// WaitJob collects.
 	run := func(p *sql.Plan) (string, int, error) {
 		var out []string
-		revealed, err := sql.Execute(cl.Runner(async), p, func(r sql.ResultRow) error {
-			out = append(out, fmt.Sprintf("%d|%d|%s|%s", r.Rows[0], r.Rows[1], r.Payloads[0], r.Payloads[1]))
-			return nil
-		})
+		emit := func(a, b int, pa, pb []byte) {
+			out = append(out, fmt.Sprintf("%d|%d|%s|%s", a, b, pa, pb))
+		}
+		var revealed int
+		var err error
+		if async {
+			var info *client.JobInfo
+			if info, err = cl.SubmitPlan(p); err == nil {
+				var results []client.JoinResult
+				results, revealed, err = cl.WaitJob(info.ID)
+				for _, r := range results {
+					emit(r.RowA, r.RowB, r.PayloadA, r.PayloadB)
+				}
+			}
+		} else {
+			revealed, err = cl.ExecutePlan(p, func(r sql.ResultRow) error {
+				emit(r.Rows[0], r.Rows[1], r.Payloads[0], r.Payloads[1])
+				return nil
+			})
+		}
 		sort.Strings(out)
 		return strings.Join(out, "\n"), revealed, err
 	}
@@ -436,7 +454,14 @@ func testClusterRetriesShedShard(t *testing.T, shards int, async bool) {
 		r.rows, r.revealed, r.err = run(plan)
 		done <- r
 	}()
-	for _, srv := range srvs {
+	shedding := srvs
+	if async {
+		// SubmitPlan submits shard by shard, retrying each until it is
+		// accepted, so only the first shard sheds while the workers are
+		// held.
+		shedding = srvs[:1]
+	}
+	for _, srv := range shedding {
 		waitFor(t, "the shard to shed", func() bool { return srv.met.ShedTotal.Value() > 0 })
 	}
 	release()
@@ -456,12 +481,12 @@ func testClusterRetriesShedShard(t *testing.T, shards int, async bool) {
 	}
 
 	// A join of tables no server holds fails with one attempt's frames
-	// (a join, or a submit and an attach) after the one frame of each
-	// shed attempt: a worker still winding down the run above may shed
-	// the first.
+	// (a join, or a submit, a status poll and an attach) after the one
+	// frame of each shed attempt: a worker still winding down the run
+	// above may shed the first.
 	perAttempt := uint64(1)
 	if async {
-		perAttempt = 2
+		perAttempt = 3
 	}
 	frames, sheds := make([]uint64, shards), make([]uint64, shards)
 	for s, srv := range srvs {

@@ -23,6 +23,11 @@ func manifestRecords(t *testing.T, srv *Server) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Records follow the one-line format header.
+	_, b, ok := bytes.Cut(b, []byte("\n"))
+	if !ok {
+		t.Fatal("manifest has no format header")
+	}
 	n := 0
 	for len(b) >= 4 {
 		size := 4 + int(binary.BigEndian.Uint32(b)) + 4

@@ -197,28 +197,17 @@ func (s *Server) Close() error {
 		// The workers exit on done without draining the queue, but a
 		// session may be blocked in reqs.Wait on a queued sync join (and
 		// job waiters on queued jobs) — drain and fail those tasks until
-		// every connection and worker has finished.
-		var drainStop chan struct{}
+		// every connection and worker has finished, then whatever is
+		// left, and only then close the store their failures reach.
+		var drainStop, drained chan struct{}
 		if s.taskQueue != nil {
-			drainStop = make(chan struct{})
-			go s.drainTasks(drainStop)
+			drainStop, drained = make(chan struct{}), make(chan struct{})
+			go s.drainTasks(drainStop, drained)
 		}
 		s.wg.Wait()
 		if drainStop != nil {
 			close(drainStop)
-			// Fail whatever is still queued (only detached jobs can
-			// remain: a queued sync join implies a live session, and those
-			// all finished above) so their waiters' channels close and
-			// their failure reaches the store before it does.
-		drain:
-			for {
-				select {
-				case t := <-s.taskQueue:
-					s.failQueued(t)
-				default:
-					break drain
-				}
-			}
+			<-drained
 		}
 		force.Stop()
 		// With no request left in flight the manifest is quiescent;

@@ -57,7 +57,7 @@ func openJoin(t *testing.T, cl *client.Cluster, a, b string) sql.StepStream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := cl.Runner(false).Open(a, b, engine.JoinSpec{Query: q})
+	s, err := cl.Runner().Open(a, b, engine.JoinSpec{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

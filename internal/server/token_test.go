@@ -218,7 +218,7 @@ func TestTokenDimensionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.TokenA = bigToken()
-	s, err := cl.Runner(false).Open("L", "R", engine.JoinSpec{Query: q})
+	s, err := cl.Runner().Open("L", "R", engine.JoinSpec{Query: q})
 	for err == nil {
 		_, err = s.Next()
 	}

@@ -138,19 +138,25 @@ func TestSQLConformanceCluster(t *testing.T) {
 				t.Errorf("cluster summed sigma = %d pairs, single server revealed %d", clRevealed, singleRevealed)
 			}
 
-			// The same plan with every shard's step routed through that
-			// backend's job queue.
-			var asyncRows []string
-			asyncRevealed, err := sql.Execute(cl.Runner(true), plan,
-				func(r sql.ResultRow) error { asyncRows = append(asyncRows, render(r)); return nil })
+			// The same plan submitted as a job on every shard and
+			// collected once all are done.
+			info, err := cl.SubmitPlan(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if asyncCanon := canonical(t, asyncRows); asyncCanon != singleCanon {
-				t.Errorf("cluster async rows differ from single server:\n%s\nvs\n%s", asyncCanon, singleCanon)
+			results, jobRevealed, err := cl.WaitJob(info.ID)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if asyncRevealed != singleRevealed {
-				t.Errorf("cluster async sigma = %d pairs, single server revealed %d", asyncRevealed, singleRevealed)
+			var jobRows []string
+			for _, r := range results {
+				jobRows = append(jobRows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, r.PayloadA, r.PayloadB))
+			}
+			if jobCanon := canonical(t, jobRows); jobCanon != singleCanon {
+				t.Errorf("cluster job rows differ from single server:\n%s\nvs\n%s", jobCanon, singleCanon)
+			}
+			if jobRevealed != singleRevealed {
+				t.Errorf("cluster job sigma = %d pairs, single server revealed %d", jobRevealed, singleRevealed)
 			}
 		})
 	}
@@ -195,14 +201,6 @@ func TestSQLConformanceClusterMultiJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Both cluster modes: synchronous scatter and every shard-step
-			// routed through that backend's job queue.
-			execute := map[string]func(*sql.Plan, func(sql.ResultRow) error) (int, error){
-				"cluster-sync": cl.ExecutePlan,
-				"cluster-async": func(p *sql.Plan, emit func(sql.ResultRow) error) (int, error) {
-					return sql.Execute(cl.Runner(true), p, emit)
-				},
-			}
 
 			var want []string
 			for _, tr := range cq.rows {
@@ -215,19 +213,17 @@ func TestSQLConformanceClusterMultiJoin(t *testing.T) {
 			if singleCanon != wantCanon {
 				t.Fatalf("single-server rows =\n%s\nwant\n%s", singleCanon, wantCanon)
 			}
-			for mode, exec := range execute {
-				var rows []string
-				revealed, err := exec(plan,
-					func(r sql.ResultRow) error { rows = append(rows, render(r)); return nil })
-				if err != nil {
-					t.Fatalf("%s: %v", mode, err)
-				}
-				if got := canonical(t, rows); got != singleCanon {
-					t.Errorf("%s rows differ from single server:\n%s\nvs\n%s", mode, got, singleCanon)
-				}
-				if revealed != singleRevealed {
-					t.Errorf("%s summed sigma = %d pairs, single server revealed %d", mode, revealed, singleRevealed)
-				}
+			var rows []string
+			revealed, err := cl.ExecutePlan(plan,
+				func(r sql.ResultRow) error { rows = append(rows, render(r)); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonical(t, rows); got != singleCanon {
+				t.Errorf("cluster rows differ from single server:\n%s\nvs\n%s", got, singleCanon)
+			}
+			if revealed != singleRevealed {
+				t.Errorf("cluster summed sigma = %d pairs, single server revealed %d", revealed, singleRevealed)
 			}
 
 			// Full execution (semi-join off) through the cluster: same

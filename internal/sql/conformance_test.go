@@ -14,16 +14,17 @@ import (
 )
 
 // The end-to-end SQL conformance suite: every query is compiled once
-// and then executed six ways —
+// and then executed seven ways —
 //
 //  1. in-process full scan        (engine.OpenJoin, JoinSpec.Query)
 //  2. in-process prefiltered      (engine.OpenJoin, JoinSpec.Prefilter)
 //  3. wire full scan              (client.JoinWith)
 //  4. wire prefiltered            (client.JoinWith{Prefilter})
 //  5. wire, planner-chosen        (client.ExecutePlan: the one runner)
-//  6. in-process repeat           (mode 1 re-run under the same token)
+//  6. wire job                    (Cluster.SubmitPlan, then WaitJob)
+//  7. in-process repeat           (mode 1 re-run under the same token)
 //
-// — and all six must produce identical row sets, identical decrypted
+// — and all seven must produce identical row sets, identical decrypted
 // payloads, and identical sigma(q) revealed-pair counts. This is the
 // regression net that pins plan equivalence for all future planner
 // work: a planner that picks the wrong strategy still has to produce
@@ -198,11 +199,6 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	one, err := client.DialClusterWithKeys([]string{addr}, c.Keys())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { one.Close() })
 
 	teams, employees := conformanceTables()
 	offices := conformanceOffices()
@@ -268,14 +264,6 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Async mode submits each step lazily through the job queue,
-			// carrying the same candidate lists.
-			var asyncRows []string
-			asyncRevealed, err := sql.Execute(one.Runner(true), plan,
-				func(r sql.ResultRow) error { asyncRows = append(asyncRows, render(r)); return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Full execution (semi-join disabled) is the reference the
 			// reduction must match row for row. Revealed pairs may only
 			// shrink: a hub row that matched nothing in the previous step
@@ -313,12 +301,6 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 			}
 			if libRevealed != wireRevealed {
 				t.Errorf("lib revealed %d pairs, wire revealed %d", libRevealed, wireRevealed)
-			}
-			if asyncCanon := canonical(t, asyncRows); asyncCanon != libCanon {
-				t.Errorf("async rows differ from lib:\n%s\nvs\n%s", asyncCanon, libCanon)
-			}
-			if asyncRevealed != libRevealed {
-				t.Errorf("lib revealed %d pairs, async revealed %d", libRevealed, asyncRevealed)
 			}
 			if fullCanon := canonical(t, fullRows); fullCanon != libCanon {
 				t.Errorf("full execution rows differ from semi-join:\n%s\nvs\n%s", fullCanon, libCanon)
@@ -380,6 +362,11 @@ func TestSQLConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	one, err := client.DialClusterWithKeys([]string{addr}, c.Keys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { one.Close() })
 
 	teams, employees := conformanceTables()
 	if err := c.UploadIndexed("Teams", teams); err != nil {
@@ -499,7 +486,23 @@ func TestSQLConformance(t *testing.T) {
 			}
 			execs = append(execs, e)
 
-			// 6. Same-token re-execution: the full scan's tokens again,
+			// 6. The same plan submitted as a job on the server's worker
+			// pool and collected once it is done.
+			info, err := one.SubmitPlan(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, revealed, err := one.WaitJob(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e = execution{mode: "wire-job", revealed: revealed}
+			for _, r := range results {
+				e.rows = append(e.rows, fmt.Sprintf("%d|%d|%s|%s", r.RowA, r.RowB, r.PayloadA, r.PayloadB))
+			}
+			execs = append(execs, e)
+
+			// 7. Same-token re-execution: the full scan's tokens again,
 			// against the same tables, with identical rows and sigma.
 			libJoin("lib-repeat", engine.JoinSpec{Query: q})
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -15,10 +16,12 @@ import (
 )
 
 // TestSQLConformanceTransports: every transport is the same query. One
-// 3-way semi-join plan runs through the one runner over each transport
-// and must come out identical to the in-process run — rows and opened
-// payloads, summed revealed pairs, and the rows each step put through
-// SJ.Dec (summed over shards). The last is what catches a transport
+// 3-way semi-join plan runs through the one runner over the one- and
+// two-shard clusters, and a one-step plan is submitted to each as a job
+// and collected (the async transport); each must come out identical to
+// the in-process run of its plan — rows and opened payloads, summed
+// revealed pairs, and the rows each step put through SJ.Dec (summed
+// over shards). The last is what catches a transport
 // that loses the semi-join candidates on the way: the results would
 // still be right (the stitch discards the extra matches), but the step
 // would decrypt — and so reveal pairs over — the whole hub table.
@@ -95,6 +98,10 @@ func TestSQLConformanceTransports(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat.SetSemiJoin(true)
+	jobPlan, err := cat.Compile(`SELECT * FROM Teams JOIN Offices ON Offices.TeamKey = Teams.Key WHERE Offices.Site IN ('Kitchener', 'Remote')`)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// decrypted sums sj_rows_decrypted_total over the given servers.
 	decrypted := func(srvs []*server.Server) func() uint64 {
@@ -113,6 +120,16 @@ func TestSQLConformanceTransports(t *testing.T) {
 		revealed int
 		perStep  []uint64 // rows through SJ.Dec, per executed step
 	}
+	render := func(rows []int, payloads [][]byte) string {
+		var b strings.Builder
+		for _, r := range rows {
+			fmt.Fprintf(&b, "%d|", r)
+		}
+		for _, p := range payloads {
+			fmt.Fprintf(&b, "%s|", p)
+		}
+		return b.String()
+	}
 	// run executes p through r with the transport wrapped to read the
 	// counter at every step boundary: Execute drains step i completely
 	// before it opens step i+1, so the deltas attribute each decrypted
@@ -127,8 +144,7 @@ func TestSQLConformanceTransports(t *testing.T) {
 		}
 		var rows []string
 		revealed, err := sql.Execute(r, p, func(row sql.ResultRow) error {
-			rows = append(rows, fmt.Sprintf("%d|%d|%d|%s|%s|%s",
-				row.Rows[0], row.Rows[1], row.Rows[2], row.Payloads[0], row.Payloads[1], row.Payloads[2]))
+			rows = append(rows, render(row.Rows, row.Payloads))
 			return nil
 		})
 		if err != nil {
@@ -140,6 +156,24 @@ func TestSQLConformanceTransports(t *testing.T) {
 			out.perStep = append(out.perStep, marks[i]-marks[i-1])
 		}
 		return out
+	}
+	// runJob submits the one-step plan p as a job and collects it.
+	runJob := func(t *testing.T, cl *client.Cluster, decrypted func() uint64, p *sql.Plan) outcome {
+		t.Helper()
+		mark := decrypted()
+		info, err := cl.SubmitPlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, revealed, err := cl.WaitJob(info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range results {
+			rows = append(rows, render([]int{r.RowA, r.RowB}, [][]byte{r.PayloadA, r.PayloadB}))
+		}
+		return outcome{rows: canonical(t, rows), revealed: revealed, perStep: []uint64{decrypted() - mark}}
 	}
 
 	inProcess := sql.EngineRunner(srvs[0].Engine(), single.Keys())
@@ -155,20 +189,33 @@ func TestSQLConformanceTransports(t *testing.T) {
 	if full := run(t, inProcess, oneDecrypted, fullPlan); len(want.perStep) != 2 || want.perStep[1] >= full.perStep[1] {
 		t.Fatalf("semi-join decrypted %v rows per step, full execution %v: the stitch step is not reduced", want.perStep, full.perStep)
 	}
+	wantJob := run(t, inProcess, oneDecrypted, jobPlan)
+	if wantJob.rows == "" {
+		t.Fatal("the job's plan matched no rows; the comparison would be vacuous")
+	}
 
+	// The sync runs come first: a sharded one compares the shards'
+	// closures with the single server's, which the job's plan would grow.
 	for _, tr := range []struct {
 		name      string
-		runner    sql.Runner
+		cluster   *client.Cluster
+		async     bool
 		decrypted func() uint64
 		sharded   bool
 	}{
-		{"1-shard sync", one.Runner(false), oneDecrypted, false},
-		{"1-shard async", one.Runner(true), oneDecrypted, false},
-		{"2-shard sync", cl.Runner(false), shards, true},
-		{"2-shard async", cl.Runner(true), shards, true},
+		{"1-shard sync", one, false, oneDecrypted, false},
+		{"1-shard async", one, true, oneDecrypted, false},
+		{"2-shard sync", cl, false, shards, true},
+		{"2-shard async", cl, true, shards, false},
 	} {
 		t.Run(tr.name, func(t *testing.T) {
-			got := run(t, tr.runner, tr.decrypted, plan)
+			var got outcome
+			want := want
+			if tr.async {
+				got, want = runJob(t, tr.cluster, tr.decrypted, jobPlan), wantJob
+			} else {
+				got = run(t, tr.cluster.Runner(), tr.decrypted, plan)
+			}
 			if got.rows != want.rows {
 				t.Errorf("rows differ from in-process:\n%s\nvs\n%s", got.rows, want.rows)
 			}

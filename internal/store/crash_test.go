@@ -214,7 +214,7 @@ func checkUnreadableSnapshot(t *testing.T, image []byte, reasons ...string) {
 		t.Fatal(err)
 	}
 	digest := sha256.Sum256(image)
-	if err := s.append(&record{Seq: s.seq + 1, Op: opCommit, Table: "T", Snapshot: name, Digest: digest[:], Rows: 1}); err != nil {
+	if err := s.append(&record{Op: opCommit, Seq: s.seq + 1, Table: "T", Snapshot: name, Digest: digest[:]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -290,14 +290,15 @@ func TestEmptyManifestTolerated(t *testing.T) {
 	}
 }
 
-// TestGarbageManifestTolerated: a manifest that is pure garbage from
-// byte zero recovers as empty-with-damage, and stays usable.
+// TestGarbageManifestTolerated: a manifest that is pure garbage right
+// after its format header recovers as empty-with-damage, and stays
+// usable.
 func TestGarbageManifestTolerated(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, tablesDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("this is not a manifest"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(manifestMagic+"this is not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := mustOpen(t, dir)
@@ -332,8 +333,8 @@ func TestManifestNamesOnlyStoreFiles(t *testing.T) {
 	mustCommit(t, s, encTable(t, c, "Keep", false, "k"))
 	digest := sha256.Sum256(nil)
 	for _, rec := range []*record{
-		{Seq: s.seq + 1, Op: opCommit, Table: "Evil", Snapshot: evil, Digest: digest[:], Rows: 1},
-		{Seq: s.seq + 2, Op: opJobRows, Job: "evil", JobA: "Keep", JobB: "Keep", Snapshot: evil, Digest: digest[:], Rows: 1},
+		{Op: opCommit, Seq: s.seq + 1, Table: "Evil", Snapshot: evil, Digest: digest[:]},
+		{Op: opJob, Seq: s.seq + 2, Job: JobMeta{ID: "evil", TableA: "Keep", TableB: "Keep", ResultRows: 1}, Snapshot: evil, Digest: digest[:]},
 	} {
 		if err := s.append(rec); err != nil {
 			t.Fatal(err)

@@ -18,18 +18,13 @@ import (
 // Layout and protocol mirror table snapshots exactly: the result rows
 // are written to <dir>/jobs/<seq>.spool as one packed row record
 // (wire.AppendRows, the encoding a JoinBatch frame carries) with a temp
-// write, fsync, atomic rename and directory sync; then an opJobRows
-// manifest record referencing the spool by name and SHA-256 digest is
-// appended and fsynced. A job is durable exactly when its record is; a
-// crash in between leaves an orphan spool the next Open sweeps. Failed
-// jobs carry no spool — only the record with its error message — so a
-// resubmit decision survives restarts too. Reaping (TTL expiry) appends
-// opJobDelete and unlinks the spool.
-//
-// Jobs spooled by protocol v3 servers (opJob records, gob spools) are
-// not read: Open forgets each one, reports it in Damaged, retires its
-// record with an opJobDelete and lets the sweep remove its spool. An
-// attach to it answers unknown-job, the signal to resubmit.
+// write, fsync, atomic rename and directory sync; then an opJob manifest
+// record referencing the spool by name and SHA-256 digest, and carrying
+// the job's wire.JobInfo, is appended and fsynced. A job is durable
+// exactly when its record is; a crash in between leaves an orphan spool
+// the next Open sweeps. Failed jobs carry no spool — only the record with
+// its error message — so a resubmit decision survives restarts too.
+// Reaping (TTL expiry) appends opJobDelete and unlinks the spool.
 //
 // Spooled rows hold only what the server already stores: row indices
 // and sealed payload blobs. Nothing about the plaintext result leaks
@@ -41,63 +36,42 @@ import (
 // layer streams to an attached client.
 type JobRow = wire.JoinedRow
 
-// JobMeta describes one completed job: identity, operands, result
-// cardinality, leakage, and — for failed jobs — the error message.
-type JobMeta struct {
-	ID             string
-	TableA, TableB string
-	// Rows is the number of spooled result rows (0 for failed jobs).
-	Rows int
-	// RevealedPairs is the job's sigma(q), reported on attach summaries.
-	RevealedPairs int
-	// Err is non-empty when the job failed; a failed job has no spool.
-	Err string
-	// FinishedUnix is the completion time (Unix seconds), the clock the
-	// TTL reaper runs against.
-	FinishedUnix int64
-}
+// JobMeta is the record of one finished job, the JobInfo its JobStatus
+// answers with: identity, operands, result cardinality, leakage, times
+// and — for a failed job — the error message.
+type JobMeta = wire.JobInfo
 
 // jobEntry is the live manifest state of one job.
 type jobEntry struct {
 	snapshot string // spool file under jobs/, empty for failed jobs
 	digest   []byte
-	meta     JobMeta
+	info     JobMeta
 }
 
-// jobRecord builds the manifest record image of a job entry, shared by
+// jobRecord builds the manifest record of a job entry, shared by
 // CommitJob and Compact.
 func jobRecord(seq uint64, je jobEntry) *record {
-	return &record{
-		Seq: seq, Op: opJobRows,
-		Job:      je.meta.ID,
-		JobA:     je.meta.TableA,
-		JobB:     je.meta.TableB,
-		Snapshot: je.snapshot,
-		Digest:   je.digest,
-		Rows:     je.meta.Rows,
-		Pairs:    je.meta.RevealedPairs,
-		JobErr:   je.meta.Err,
-		Finished: je.meta.FinishedUnix,
-	}
+	return &record{Op: opJob, Seq: seq, Snapshot: je.snapshot, Digest: je.digest, Job: je.info}
 }
 
-// CommitJob makes one completed job durable: the result rows are
-// spooled (failed jobs, meta.Err non-empty, spool nothing) and the job
-// record is appended, all before returning. Committing an ID again
-// replaces the previous result, like a table re-commit.
-func (s *Store) CommitJob(meta JobMeta, rows []JobRow) error {
+// CommitJob makes one finished job durable: the result rows are spooled
+// (a failed job, info.Err non-empty, spools nothing) and the job record
+// is appended, all before returning. The record is info with ResultRows
+// set to len(rows). Committing an ID again replaces the previous
+// result, like a table re-commit.
+func (s *Store) CommitJob(info JobMeta, rows []JobRow) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usable(); err != nil {
 		return err
 	}
-	if meta.ID == "" {
+	if info.ID == "" {
 		return fmt.Errorf("store: job commit without an ID")
 	}
-	meta.Rows = len(rows)
+	info.ResultRows = len(rows)
 	seq := s.seq + 1
-	je := jobEntry{meta: meta}
-	if meta.Err == "" {
+	je := jobEntry{info: info}
+	if info.Err == "" {
 		spool := fmt.Sprintf("%016x.spool", seq)
 		digest, err := s.install(jobsDir, spool, "job spool", wire.AppendRows(nil, rows))
 		if err != nil {
@@ -114,20 +88,20 @@ func (s *Store) CommitJob(meta JobMeta, rows []JobRow) error {
 		return err
 	}
 	s.seq = seq
-	if old, ok := s.jobs[meta.ID]; ok && old.snapshot != "" && old.snapshot != je.snapshot {
+	if old, ok := s.jobs[info.ID]; ok && old.snapshot != "" && old.snapshot != je.snapshot {
 		os.Remove(filepath.Join(s.dir, jobsDir, old.snapshot))
 	}
-	s.jobs[meta.ID] = je
+	s.jobs[info.ID] = je
 	return nil
 }
 
-// Jobs returns the metadata of every durable job, sorted by ID.
+// Jobs returns the record of every durable job, sorted by ID.
 func (s *Store) Jobs() []JobMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]JobMeta, 0, len(s.jobs))
 	for _, id := range sortedKeys(s.jobs) {
-		out = append(out, s.jobs[id].meta)
+		out = append(out, s.jobs[id].info)
 	}
 	return out
 }
@@ -144,8 +118,8 @@ func (s *Store) ReadJobRows(id string) ([]JobRow, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: unknown job %q", id)
 	}
-	if je.meta.Err != "" {
-		return nil, fmt.Errorf("store: job %q failed: %s", id, je.meta.Err)
+	if je.info.Err != "" {
+		return nil, fmt.Errorf("store: job %q failed: %s", id, je.info.Err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, jobsDir, je.snapshot))
 	if err != nil {
@@ -158,8 +132,8 @@ func (s *Store) ReadJobRows(id string) ([]JobRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding job spool: %w", err)
 	}
-	if len(rows) != je.meta.Rows {
-		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(rows), je.meta.Rows)
+	if len(rows) != je.info.ResultRows {
+		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(rows), je.info.ResultRows)
 	}
 	return rows, nil
 }
@@ -178,7 +152,7 @@ func (s *Store) DeleteJob(id string) error {
 		return fmt.Errorf("store: unknown job %q", id)
 	}
 	seq := s.seq + 1
-	if err := s.append(&record{Seq: seq, Op: opJobDelete, Job: id}); err != nil {
+	if err := s.append(&record{Op: opJobDelete, Seq: seq, Job: JobMeta{ID: id}}); err != nil {
 		return err
 	}
 	s.seq = seq

@@ -25,36 +25,36 @@
 // all of which Open detects and discards. A table is durable exactly
 // when its manifest record is.
 //
-// Manifest framing. Each record is a self-contained gob payload wrapped
-// as: 4-byte big-endian payload length | payload | 4-byte big-endian
-// CRC-32C of the payload. Replay stops at the first record that is
-// truncated or fails its CRC; the tail from that point is reported as
-// damage and truncated away so future appends start from a clean
-// prefix.
+// Manifest framing. The manifest opens with a format header; then each
+// record is a hand-written payload (an op byte, a uvarint seq, the op's
+// fields; record.go has the layout) wrapped as: 4-byte big-endian
+// payload length | payload | 4-byte big-endian CRC-32C of the payload.
+// Replay stops at the first record that is truncated or fails its CRC;
+// the tail from that point is reported as damage and truncated away so
+// future appends start from a clean prefix. An intact record whose
+// payload does not parse is reported and skipped.
 //
-// Recovery rules. Open replays the manifest (last record wins per
-// table), then verifies every live snapshot against its recorded
-// digest and decodes it. A snapshot that is missing, fails its digest,
-// or fails to decode makes its table *damaged*: the table is skipped —
-// never served — and reported through Damaged; the broken file is kept
-// on disk for forensics. A snapshot written before snapshots were
-// upload frames (a gob image) is such damage, with a reason asking for
-// a re-upload; a fresh Commit of the table heals it. Stray temp files
-// and orphan snapshots are removed. A record naming a file the store
-// does not write itself (anything but <16 hex digits>.snap, or .spool
-// for a job) is damage too, and the file it names is never opened or
-// removed.
+// Recovery rules. Open refuses a non-empty manifest without the format
+// header — one an earlier build wrote in gob — before it truncates,
+// sweeps or renames anything, asking for the directory to be moved
+// aside and the tables re-uploaded. Otherwise it replays the manifest
+// (last record wins per table), then verifies every live snapshot
+// against its recorded digest and decodes it. A snapshot that is
+// missing, fails its digest, or fails to decode makes its table
+// *damaged*: the table is skipped — never served — and reported through
+// Damaged; the broken file is kept on disk for forensics, and a fresh
+// Commit of the table heals it. Stray temp files and orphan snapshots
+// are removed. A record naming a file the store does not write itself
+// (anything but <16 hex digits>.snap, or .spool for a job) is damage
+// too, and the file it names is never opened or removed.
 package store
 
 import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -93,46 +93,6 @@ const (
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
-
-// errTorn marks a manifest tail that ends mid-record or fails its CRC.
-var errTorn = errors.New("torn record")
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Record operations. Values are part of the on-disk format.
-const (
-	opCommit    uint8 = 1 // table version committed
-	opDelete    uint8 = 2 // table deleted
-	opCounters  uint8 = 3 // written before the ledger existed; replay ignores it
-	opJob       uint8 = 4 // job result spooled in the retired gob format; replay forgets it
-	opJobDelete uint8 = 5 // job result reaped
-	opLedger    uint8 = 6 // leakage-ledger delta: the merges one join added
-	opJobRows   uint8 = 7 // completed async job result committed, spooled as a packed row record
-)
-
-// record is the gob image of one manifest entry. Every record is
-// encoded with a fresh encoder so each is self-contained and replay can
-// stop at any boundary.
-// The Job* fields (gob-additive: absent in manifests written by older
-// versions) describe one completed async job: Snapshot/Digest/Rows are
-// reused for the job's spool file under jobs/ (Snapshot empty for a
-// failed job, which has no result rows to spool).
-type record struct {
-	Seq      uint64
-	Op       uint8
-	Table    string // opCommit, opDelete
-	Snapshot string // opCommit: file name under tables/; opJobRows: under jobs/
-	Digest   []byte // opCommit, opJobRows: SHA-256 of the snapshot/spool file
-	Rows     int    // opCommit, opJobRows
-	Indexed  bool   // opCommit
-	Ledger   []byte // opLedger: the merges, a [][]leakage.RowRef, as a gob image of their own so no other record carries their type descriptor
-	Job      string // opJobRows, opJob, opJobDelete: job ID
-	JobA     string // opJobRows: join operand tables
-	JobB     string // opJobRows
-	JobErr   string // opJobRows: failure message of a failed job
-	Pairs    int    // opJobRows: sigma(q) of the completed join
-	Finished int64  // opJobRows: completion time, Unix seconds
-}
 
 // Damage describes one table (or manifest region) Open found broken and
 // skipped. Recovery never panics on damage and never serves a damaged
@@ -202,12 +162,10 @@ func (s *Store) Instrument(reg *metrics.Registry) {
 // Open creates or recovers a store in dir, re-registering every durable
 // table. It never fails on damaged tables or a torn manifest tail —
 // those are skipped and reported by Damaged — only on environmental
-// errors (unusable directory, unreadable manifest).
+// errors (unusable directory, unreadable manifest) and on a manifest an
+// earlier build wrote, which it leaves untouched.
 func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, tablesDir), 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating layout: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, jobsDir), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating layout: %w", err)
 	}
 	mf, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_RDWR|os.O_CREATE, 0o644)
@@ -223,12 +181,26 @@ func Open(dir string) (*Store, error) {
 		mf.Close()
 		return nil, fmt.Errorf("store: data dir %s is locked by another process: %w", dir, err)
 	}
+	torn, err := checkMagic(mf)
+	if err != nil {
+		mf.Close()
+		return nil, err
+	}
+	for _, sub := range []string{tablesDir, jobsDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			mf.Close()
+			return nil, fmt.Errorf("store: creating layout: %w", err)
+		}
+	}
 	s := &Store{
 		dir:      dir,
 		manifest: mf,
 		entries:  make(map[string]entry),
 		tables:   make(map[string]*engine.EncryptedTable),
 		jobs:     make(map[string]jobEntry),
+	}
+	if torn {
+		s.damaged = append(s.damaged, Damage{Reason: "manifest: torn format header; rewritten"})
 	}
 	// A leftover compaction staging file means a compaction crashed
 	// before its atomic rename: the old MANIFEST (locked above) is
@@ -251,20 +223,26 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// replay reads the manifest, applying records in order (last wins per
-// table). A torn tail is truncated away so the next append starts at a
-// clean record boundary.
+// replay reads the records after the format header, applying them in
+// order (last wins per table and job). A torn tail is truncated away so
+// the next append starts at a clean record boundary.
 func (s *Store) replay() error {
+	good := int64(len(manifestMagic)) // offset just past the last intact record
+	if _, err := s.manifest.Seek(good, io.SeekStart); err != nil {
+		return fmt.Errorf("store: seeking manifest: %w", err)
+	}
 	br := bufio.NewReader(s.manifest)
-	var good int64 // offset just past the last intact record
-	// forgotten maps each job replay drops to the reason it reports: a
-	// live opJob record, or a job record naming a spool the store never
-	// writes.
-	forgotten := make(map[string]string)
 	for {
 		rec, n, err := readRecord(br)
 		if err == io.EOF {
 			break
+		}
+		if errors.Is(err, errBadRecord) {
+			s.damaged = append(s.damaged, Damage{
+				Reason: fmt.Sprintf("manifest: %v at offset %d; record skipped", err, good),
+			})
+			good += n
+			continue
 		}
 		if err != nil {
 			s.damaged = append(s.damaged, Damage{
@@ -277,103 +255,31 @@ func (s *Store) replay() error {
 		}
 		good += n
 		s.records++
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
-		}
+		s.seq = max(s.seq, rec.Seq)
 		switch rec.Op {
 		case opCommit:
 			s.entries[rec.Table] = entry{snapshot: rec.Snapshot, digest: rec.Digest}
 		case opDelete:
 			delete(s.entries, rec.Table)
-		case opCounters:
 		case opLedger:
-			var merges [][]leakage.RowRef
-			if err := gob.NewDecoder(bytes.NewReader(rec.Ledger)).Decode(&merges); err != nil {
-				s.damaged = append(s.damaged, Damage{Reason: fmt.Sprintf("manifest: ledger record (seq %d) skipped: %v", rec.Seq, err)})
-			}
-			s.merges = append(s.merges, merges...)
+			s.merges = append(s.merges, rec.Merges...)
 		case opJob:
-			delete(s.jobs, rec.Job)
-			forgotten[rec.Job] = fmt.Sprintf("(%s): spooled in the v3 gob format; forgotten, resubmit it", rec.Snapshot)
-		case opJobRows:
-			// A failed job has no spool.
-			if rec.Snapshot != "" && !generatedName(rec.Snapshot, ".spool") {
-				delete(s.jobs, rec.Job)
-				forgotten[rec.Job] = fmt.Sprintf("(record seq %d): names spool %q, not a file the store writes; forgotten, resubmit it", rec.Seq, rec.Snapshot)
-				break
-			}
-			delete(forgotten, rec.Job)
-			s.jobs[rec.Job] = jobEntry{
-				snapshot: rec.Snapshot,
-				digest:   rec.Digest,
-				meta: JobMeta{
-					ID:            rec.Job,
-					TableA:        rec.JobA,
-					TableB:        rec.JobB,
-					Rows:          rec.Rows,
-					RevealedPairs: rec.Pairs,
-					Err:           rec.JobErr,
-					FinishedUnix:  rec.Finished,
-				},
-			}
+			s.jobs[rec.Job.ID] = jobEntry{snapshot: rec.Snapshot, digest: rec.Digest, info: rec.Job}
 		case opJobDelete:
-			delete(s.jobs, rec.Job)
-			delete(forgotten, rec.Job)
-		default:
-			// A record from a future format version: skip it rather than
-			// refusing to recover the tables this version understands.
-			s.damaged = append(s.damaged, Damage{
-				Reason: fmt.Sprintf("manifest: unknown record op %d (seq %d) skipped", rec.Op, rec.Seq),
-			})
+			delete(s.jobs, rec.Job.ID)
 		}
 	}
 	if _, err := s.manifest.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seeking manifest end: %w", err)
 	}
-	// Forget the dropped jobs (the sweep removes a gob spool; a name the
-	// store never wrote is never opened or removed): report each once and
-	// retire its record. Without the retirement every Open would report
-	// it again, and Compact, which refuses while damage is reported,
-	// would never run. A failed append is sticky like any other; the
-	// report then comes back next Open.
-	for _, id := range sortedKeys(forgotten) {
-		s.damaged = append(s.damaged, Damage{
-			Reason: fmt.Sprintf("job %q %s", id, forgotten[id]),
-		})
-		if s.append(&record{Seq: s.seq + 1, Op: opJobDelete, Job: id}) == nil {
-			s.seq++
+	for _, id := range sortedKeys(s.jobs) {
+		// A failed job has no spool.
+		if je := s.jobs[id]; je.snapshot != "" && !generatedName(je.snapshot, ".spool") {
+			s.damaged = append(s.damaged, Damage{Reason: fmt.Sprintf("job %q: names spool %q, not a file the store writes; ignored", id, je.snapshot)})
+			delete(s.jobs, id)
 		}
 	}
 	return nil
-}
-
-// readRecord decodes one framed manifest record, returning the bytes it
-// consumed. Any mid-record end of stream or CRC failure yields errTorn.
-func readRecord(br *bufio.Reader) (*record, int64, error) {
-	var hdr [4]byte
-	if n, err := io.ReadFull(br, hdr[:]); err != nil {
-		if n == 0 && err == io.EOF {
-			return nil, 0, io.EOF // clean record boundary
-		}
-		return nil, 0, fmt.Errorf("%w: truncated length header", errTorn)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxRecordSize {
-		return nil, 0, fmt.Errorf("%w: implausible record length %d", errTorn, n)
-	}
-	body := make([]byte, n+4) // payload + CRC trailer
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, 0, fmt.Errorf("%w: truncated record body", errTorn)
-	}
-	payload, trailer := body[:n], body[n:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(trailer) {
-		return nil, 0, fmt.Errorf("%w: record checksum mismatch", errTorn)
-	}
-	var rec record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, 0, fmt.Errorf("%w: undecodable record: %v", errTorn, err)
-	}
-	return &rec, int64(len(hdr)) + int64(len(body)), nil
 }
 
 // loadTables verifies and decodes every live snapshot; failures demote
@@ -531,11 +437,7 @@ func (s *Store) Commit(t *engine.EncryptedTable) error {
 	if err != nil {
 		return err
 	}
-	rec := &record{
-		Seq: seq, Op: opCommit,
-		Table: t.Name, Snapshot: snap, Digest: digest,
-		Rows: len(t.Rows), Indexed: t.Index != nil,
-	}
+	rec := &record{Op: opCommit, Seq: seq, Table: t.Name, Snapshot: snap, Digest: digest}
 	if err := s.append(rec); err != nil {
 		// Leave the snapshot in place: a failed append (in particular a
 		// failed Sync) does not prove the record missed the disk, and if
@@ -569,7 +471,7 @@ func (s *Store) Delete(name string) error {
 		return fmt.Errorf("store: unknown table %q", name)
 	}
 	seq := s.seq + 1
-	if err := s.append(&record{Seq: seq, Op: opDelete, Table: name}); err != nil {
+	if err := s.append(&record{Op: opDelete, Seq: seq, Table: name}); err != nil {
 		return err
 	}
 	s.seq = seq
@@ -588,11 +490,7 @@ func (s *Store) RecordLedger(merges [][]leakage.RowRef) error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	recs, err := ledgerRecords(merges)
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
+	for _, rec := range ledgerRecords(merges) {
 		rec.Seq = s.seq + 1
 		if err := s.append(rec); err != nil {
 			return err
@@ -601,24 +499,6 @@ func (s *Store) RecordLedger(merges [][]leakage.RowRef) error {
 	}
 	s.merges = append(s.merges, merges...)
 	return nil
-}
-
-// ledgerRecords encodes merges as opLedger records, halving the list
-// until each half's gob image fits one manifest record.
-func ledgerRecords(merges [][]leakage.RowRef) ([]*record, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(merges); err != nil || len(merges) == 0 {
-		return nil, err
-	}
-	if buf.Len() <= maxRecordSize/2 || len(merges) == 1 {
-		return []*record{{Op: opLedger, Ledger: buf.Bytes()}}, nil
-	}
-	head, err := ledgerRecords(merges[:len(merges)/2])
-	if err != nil {
-		return nil, err
-	}
-	tail, err := ledgerRecords(merges[len(merges)/2:])
-	return append(head, tail...), err
 }
 
 // Close releases the manifest. Further mutating calls fail with
@@ -666,26 +546,6 @@ func (s *Store) append(rec *record) error {
 	return nil
 }
 
-// encodeRecord frames one record the way append writes it: length
-// prefix, gob payload, CRC-32C trailer (rec is a *record; tests also
-// frame an earlier version's shape).
-func encodeRecord(rec any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("store: encoding manifest record: %w", err)
-	}
-	b := buf.Bytes()
-	payload := b[4:]
-	if len(payload) > maxRecordSize {
-		return nil, fmt.Errorf("store: manifest record of %d bytes exceeds limit", len(payload))
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(len(payload)))
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], crc32.Checksum(payload, crcTable))
-	return append(b, trailer[:]...), nil
-}
-
 // Compact rewrites the manifest to its live state — one commit record
 // per live table and job plus the ledger's merges, re-chunked —
 // discarding the history of overwrites, deletions and reaped jobs. The
@@ -726,19 +586,16 @@ func (s *Store) Compact() error {
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		return abort(fmt.Errorf("store: locking compacted manifest: %w", err))
 	}
-	live, err := ledgerRecords(s.merges)
-	if err != nil {
-		return abort(err)
+	if _, err := f.WriteString(manifestMagic); err != nil {
+		return abort(fmt.Errorf("store: writing compacted manifest: %w", err))
 	}
+	live := ledgerRecords(s.merges)
 	for _, id := range sortedKeys(s.jobs) {
 		live = append(live, jobRecord(0, s.jobs[id]))
 	}
 	for _, name := range sortedKeys(s.entries) {
 		e := s.entries[name]
-		live = append(live, &record{
-			Op: opCommit, Table: name, Snapshot: e.snapshot, Digest: e.digest,
-			Rows: len(s.tables[name].Rows), Indexed: s.tables[name].Index != nil,
-		})
+		live = append(live, &record{Op: opCommit, Table: name, Snapshot: e.snapshot, Digest: e.digest})
 	}
 	for i, rec := range live {
 		rec.Seq = s.seq + uint64(i) + 1

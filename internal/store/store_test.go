@@ -218,82 +218,41 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLedgerIgnoresOldCounterRecords: a data dir written before the
-// ledger existed holds opCounters checkpoints. They replay silently —
-// not as damage, which would make Compact refuse — and the next
-// compaction drops them.
-func TestLedgerIgnoresOldCounterRecords(t *testing.T) {
-	dir := t.TempDir()
-	c := newTestClient(t)
-	s := mustOpen(t, dir)
-	tab := encTable(t, c, "T", false, "x")
-	mustCommit(t, s, tab)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The record shape of that version, framed as it framed it.
-	old, err := encodeRecord(&struct {
-		Seq      uint64
-		Op       uint8
-		Counters map[string]uint64
-	}{Seq: 2, Op: opCounters, Counters: map[string]uint64{"T": 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mf.Write(old); err != nil {
-		t.Fatal(err)
-	}
-	if err := mf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := mustOpen(t, dir)
-	assertNoDamage(t, s2)
-	sameTable(t, tableByName(t, s2, "T"), tab)
-	if got := recordCount(s2); got != 2 {
-		t.Fatalf("records = %d, want the commit and the old checkpoint", got)
-	}
-	if len(s2.Ledger()) != 0 {
-		t.Fatalf("old counters became ledger merges: %v", s2.Ledger())
-	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := recordCount(s2); got != 1 {
-		t.Fatalf("records after Compact = %d, want 1", got)
-	}
-}
-
 // TestLedgerUndecodableRecordIsDamage: a ledger record that passes its
-// CRC but does not decode is reported and skipped; the deltas around it
-// still replay.
+// CRC but does not parse — here a class count with no classes behind
+// it — is reported and skipped; the deltas around it still replay.
 func TestLedgerUndecodableRecordIsDamage(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	good := [][]leakage.RowRef{merge("A", "B", 0)}
-	if err := s.RecordLedger(good); err != nil {
+	first := [][]leakage.RowRef{merge("A", "B", 0)}
+	if err := s.RecordLedger(first); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.append(&record{Seq: s.seq + 1, Op: opLedger, Ledger: []byte("not gob")}); err != nil {
+	bad, err := frameRecord([]byte{opLedger, byte(s.seq + 1), 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.manifest.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	s.seq++
+	second := [][]leakage.RowRef{merge("A", "B", 1)}
+	if err := s.RecordLedger(second); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, dir)
-	if d := s2.Damaged(); len(d) != 1 || !strings.Contains(d[0].Reason, "ledger record") {
+	if d := s2.Damaged(); len(d) != 1 || !strings.Contains(d[0].Reason, "record skipped") {
 		t.Fatalf("damage = %v, want the one ledger record", d)
 	}
-	if !reflect.DeepEqual(s2.Ledger(), good) {
-		t.Fatalf("recovered ledger %v, want %v", s2.Ledger(), good)
+	if want := append(first, second...); !reflect.DeepEqual(s2.Ledger(), want) {
+		t.Fatalf("recovered ledger %v, want %v", s2.Ledger(), want)
 	}
 }
 
-// TestLedgerSplitsOversizedDelta: a merge list whose gob image exceeds
+// TestLedgerSplitsOversizedDelta: a merge list whose image exceeds
 // maxRecordSize is split across records, by RecordLedger and again by
 // Compact, instead of being rejected.
 func TestLedgerSplitsOversizedDelta(t *testing.T) {

@@ -206,20 +206,46 @@ func (e *encoder) frame(f *Frame) {
 		e.int(h.JobsRunning)
 		e.int(h.JobsStored)
 	}
-	if j := f.Job; e.present(j != nil) {
-		e.string(j.ID)
-		e.string(j.State)
-		e.string(j.TableA)
-		e.string(j.TableB)
-		e.int(j.RowsDecrypted)
-		e.int(j.StepsDone)
-		e.int(j.RevealedPairs)
-		e.int(j.ResultRows)
-		e.string(j.Err)
-		e.int64(j.CreatedUnix)
-		e.int64(j.StartedUnix)
-		e.int64(j.FinishedUnix)
+	if e.present(f.Job != nil) {
+		e.job(f.Job)
 	}
+}
+
+func (e *encoder) job(j *JobInfo) {
+	e.string(j.ID)
+	e.string(j.State)
+	e.string(j.TableA)
+	e.string(j.TableB)
+	e.int(j.RowsDecrypted)
+	e.int(j.StepsDone)
+	e.int(j.RevealedPairs)
+	e.int(j.ResultRows)
+	e.string(j.Err)
+	e.int64(j.CreatedUnix)
+	e.int64(j.StartedUnix)
+	e.int64(j.FinishedUnix)
+}
+
+// AppendJobInfo appends the image of j a Frame's Job field carries (its
+// fields in declared order, as the frame codec writes them) to dst. The
+// store's job records hold the same image, so a job's record on disk
+// and its JobStatus answer are one encoding.
+func AppendJobInfo(dst []byte, j *JobInfo) []byte {
+	e := encoder{b: dst}
+	e.job(j)
+	return e.b
+}
+
+// ParseJobInfo parses an AppendJobInfo image, treating b as hostile:
+// trailing bytes are an error. The strings are copies, so b may be
+// reused.
+func ParseJobInfo(b []byte) (JobInfo, error) {
+	d := decoder{b: b}
+	j := d.jobFields()
+	if d.err == nil && len(d.b) != 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	return j, d.err
 }
 
 func (e *encoder) uvarint(x uint64) {
@@ -491,7 +517,12 @@ func (d *decoder) job() *JobInfo {
 	if !d.present() {
 		return nil
 	}
-	return &JobInfo{
+	j := d.jobFields()
+	return &j
+}
+
+func (d *decoder) jobFields() JobInfo {
+	return JobInfo{
 		ID:            d.string(),
 		State:         d.string(),
 		TableA:        d.string(),
