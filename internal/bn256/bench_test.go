@@ -329,6 +329,36 @@ func BenchmarkComb(b *testing.B) {
 			addMixedG2(&r2, &p2, &g2Comb[21][16])
 		}
 	})
+	g1LaneOnce.Do(func() { buildG1LaneComb(&g1LaneComb) })
+	var mag, sign [laneRows]uint64
+	for k := range mag {
+		mag[k], sign[k] = uint64(k*4+1), uint64(k%2)
+	}
+	var ql g1LaneAffine
+	b.Run("select/g1lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		for i := 0; i < b.N; i++ {
+			g1SelectLanes(&ql, &g1LaneComb[21], &mag, &sign)
+		}
+	})
+	var pl, rl g1LaneProj
+	for k := range laneRows {
+		pl[0].set(k, &p1.x)
+		pl[1].set(k, &p1.y)
+		pl[2].set(k, &p1.z)
+		ql[0].set(k, &g1Comb[21][16].x)
+		ql[1].set(k, &g1Comb[21][16].y)
+	}
+	b.Run("addMixed/g1lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		for i := 0; i < b.N; i++ {
+			g1AddMixedLanes(&rl, &pl, &ql, &mag)
+		}
+	})
 }
 
 func BenchmarkGFpInvert(b *testing.B) {
@@ -363,12 +393,55 @@ func randomAffineG2s(n int) []*G2 {
 	return qs
 }
 
+// BenchmarkG1ScalarBaseMult times G1 base multiplications by random
+// scalars. one is a single ScalarBaseMult. scalar8 and batch8 report ns
+// per multiplication on eight scalars: scalar8 is eight ScalarBaseMult
+// calls and one NormalizeG1, what SJ.Enc ran per row at d = 8 before
+// BaseMultG1s, and batch8 is one BaseMultG1s call. lanes is one lane
+// chunk (g1CombLanes, which costs the same for one scalar as for eight)
+// and sets the lane crossover, combLaneMin, with one: the lanes win from
+// ceil(lanes/one) scalars on. lanes skips without IFMA.
 func BenchmarkG1ScalarBaseMult(b *testing.B) {
-	k, _ := rand.Int(rand.Reader, Order)
-	var e G1
-	for i := 0; i < b.N; i++ {
-		e.ScalarBaseMult(k)
+	var ks [laneRows][32]byte
+	var bks [laneRows]*big.Int
+	for i := range ks {
+		bks[i], _ = rand.Int(rand.Reader, Order)
+		bks[i].FillBytes(ks[i][:])
 	}
+	var e G1
+	b.Run("one", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.ScalarBaseMult(bks[0])
+		}
+	})
+	out := make([]*G1, laneRows)
+	for i := range out {
+		out[i] = new(G1)
+	}
+	b.Run("scalar8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, k := range bks {
+				out[j].ScalarBaseMult(k)
+			}
+			NormalizeG1(out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/mult")
+	})
+	b.Run("batch8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BaseMultG1s(out, ks[:])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/mult")
+	})
+	b.Run("lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		var acc [laneRows]g1Proj
+		for i := 0; i < b.N; i++ {
+			g1CombLanes(acc[:], ks[:])
+		}
+	})
 }
 
 func BenchmarkG2ScalarBaseMult(b *testing.B) {

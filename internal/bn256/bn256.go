@@ -21,13 +21,42 @@ type GT struct {
 	p gfP12
 }
 
-// ScalarBaseMult sets e = g1^k where g1 is the generator (1, 2). It is
-// the constant-time fixed-base comb (comb.go) and the way to multiply
-// by a secret scalar; only reading k out of its big.Int (norm,
-// FillBytes) is variable-time.
+// ScalarBaseMult sets e = g1^k where g1 is the generator (1, 2), with
+// the constant-time fixed-base comb (comb.go). Reading k out of its
+// big.Int (norm, FillBytes) is variable-time, so secret scalars go
+// through BaseMultG1s, which takes bytes.
 func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
-	e.p.combBaseMult(norm(k))
+	s := combScalar(norm(k))
+	e.p.combBaseMult(&s)
 	return e
+}
+
+// BaseMultG1s sets out[i] = g1^ks[i] for the big-endian scalars ks,
+// each any 32 bytes (the result depends on ks[i] mod Order), in affine
+// form: ScalarBaseMult on a batch, made affine with one inversion per
+// chunk, with the scalars read as bytes rather than through a big.Int,
+// and constant time throughout, the point at infinity included. On
+// CPUs with AVX-512 IFMA, chunks of combLaneMin to eight scalars run as
+// the eight lanes of one comb (g1CombLanes); the rest run the scalar
+// comb. It panics unless len(out) == len(ks).
+func BaseMultG1s(out []*G1, ks [][32]byte) {
+	if len(out) != len(ks) {
+		panic("bn256: BaseMultG1s needs one output per scalar")
+	}
+	for len(ks) > 0 {
+		n := min(len(ks), laneRows)
+		var acc [laneRows]g1Proj
+		if useIFMA && n >= combLaneMin {
+			g1CombLanes(acc[:n], ks[:n])
+		} else {
+			for k := range n {
+				s := combLimbs(&ks[k])
+				acc[k] = g1CombProj(&s)
+			}
+		}
+		g1AffineBatch(out[:n], acc[:n])
+		out, ks = out[n:], ks[n:]
+	}
 }
 
 // Add sets e = a + b (group operation written additively).
@@ -62,17 +91,6 @@ func (e *G1) IsInfinity() bool {
 // Equal reports whether e == a.
 func (e *G1) Equal(a *G1) bool {
 	return e.p.Equal(&a.p)
-}
-
-// NormalizeG1 puts every point of ps in affine form with one field
-// inversion for the whole batch, so that their Marshal calls skip the
-// inversion each would pay. The points' values do not change.
-func NormalizeG1(ps []*G1) {
-	cs := make([]*curvePoint, len(ps))
-	for i, e := range ps {
-		cs[i] = &e.p
-	}
-	batchMakeAffine(cs)
 }
 
 // Marshal encodes e as 64 bytes: the affine x and y coordinates, big
@@ -119,8 +137,23 @@ func (e *G1) Unmarshal(data []byte) error {
 // ScalarBaseMult sets e = g2^k where g2 is the fixed twist generator,
 // with the constant-time fixed-base comb, as G1.ScalarBaseMult.
 func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
-	e.p.combBaseMult(norm(k))
+	s := combScalar(norm(k))
+	e.p.combBaseMult(&s)
 	return e
+}
+
+// BaseMultG2s sets out[i] = g2^ks[i] for the big-endian scalars ks, as
+// BaseMultG1s: the scalar comb per element, then NormalizeG2 once. It
+// panics unless len(out) == len(ks).
+func BaseMultG2s(out []*G2, ks [][32]byte) {
+	if len(out) != len(ks) {
+		panic("bn256: BaseMultG2s needs one output per scalar")
+	}
+	for i := range ks {
+		s := combLimbs(&ks[i])
+		out[i].p.combBaseMult(&s)
+	}
+	NormalizeG2(out)
 }
 
 // Add sets e = a + b.
@@ -157,7 +190,9 @@ func (e *G2) Equal(a *G2) bool {
 	return e.p.Equal(&a.p)
 }
 
-// NormalizeG2 is NormalizeG1 for G2 points.
+// NormalizeG2 puts every point of ps in affine form with one field
+// inversion for the whole batch, so that their Marshal calls skip the
+// inversion each would pay. The points' values do not change.
 func NormalizeG2(ps []*G2) {
 	ts := make([]*twistPoint, len(ps))
 	for i, e := range ps {

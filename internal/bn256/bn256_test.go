@@ -226,3 +226,14 @@ func TestNormalizeKeepsEncodings(t *testing.T) {
 		}
 	}
 }
+
+// NormalizeG1 puts every point of ps in affine form with one field
+// inversion for the whole batch, as SJ.Enc did per row before
+// BaseMultG1s: the benchmarks' affine rows and the scalar8 baseline.
+func NormalizeG1(ps []*G1) {
+	cs := make([]*curvePoint, len(ps))
+	for i, e := range ps {
+		cs[i] = &e.p
+	}
+	batchMakeAffine(cs)
+}

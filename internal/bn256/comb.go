@@ -27,9 +27,24 @@ import (
 // oracle and the purego path, and every result is the same, limb for
 // limb.
 //
+// SJ.Enc's d base multiplications per row go through BaseMultG1s, which
+// on CPUs with AVX-512 IFMA runs up to eight scalars as the eight lanes
+// of one comb (g1CombLanes). The lane table, g1LaneComb, is g1Comb in
+// the lane form of lanes.go: per entry the five 52-bit limbs of x and
+// then of y, below p. Per window, g1SelectLanes broadcasts each of the
+// 32 entries and blends it into the lanes whose digit magnitude matches
+// (a VPCMPEQQ mask), then negates y under the sign mask, so every lane
+// reads every entry; g1AddMixedLanes is the RCB addition with the keep
+// under the mask of non-zero digits. Digits are recoded branch-free
+// before the loop, and the chunk's points are made affine with one
+// inversion in which a zero Z is replaced by one under a mask
+// (g1AffineBatch), so neither the lanes nor the normalisation branch on
+// a scalar, the point at infinity included. The scalar comb is the
+// oracle, and every lane, converted back, equals it.
+//
 // The tables are package-level arrays filled in place on first use:
-// 43·32 affine points are 86 KiB in G1 and 172 KiB in G2, in static
-// storage (BSS) rather than on the heap.
+// 43·32 affine points are 86 KiB in G1 and 172 KiB in G2, and the G1
+// lane table 110 KiB, in static storage (BSS) rather than on the heap.
 
 const (
 	// combWindows is the number of Booth windows: window i covers bits
@@ -71,14 +86,22 @@ func initComb() {
 	twistB3.Add(&twistB3, &twistB)
 }
 
-// combScalar returns k, which must lie in [0, Order), as little-endian
-// limbs with a zero fifth limb, so every window reads two limbs.
+// combScalar returns k, which must lie in [0, Order), as combLimbs
+// does its big-endian bytes.
 func combScalar(k *big.Int) [5]uint64 {
 	var buf [32]byte
 	k.FillBytes(buf[:])
+	return combLimbs(&buf)
+}
+
+// combLimbs returns the big-endian k as little-endian limbs with a zero
+// fifth limb, so every window reads two limbs. Any 256-bit k has 43
+// Booth digits with a non-negative top one (window 42 reads bits 251 to
+// 257), so the comb takes k unreduced and returns (k mod Order)·g.
+func combLimbs(k *[32]byte) [5]uint64 {
 	var s [5]uint64
 	for i := range 4 {
-		s[i] = binary.BigEndian.Uint64(buf[24-8*i:])
+		s[i] = binary.BigEndian.Uint64(k[24-8*i:])
 	}
 	return s
 }
@@ -163,24 +186,10 @@ func (row *g2CombRow) selectGeneric(q *g2Affine, mag uint64) {
 	}
 }
 
-// combBaseMult sets c = k·g1 for k in [0, Order) with the comb. The
-// accumulator is homogeneous (X:Y:Z), starting at (0:1:0); the result is
-// handed back in Jacobian form as (XZ, YZ^2, Z).
-func (c *curvePoint) combBaseMult(k *big.Int) *curvePoint {
-	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
-	s := combScalar(k)
-	var acc, sum g1Proj
-	acc.y.SetOne()
-	var q g1Affine
-	for i := range combWindows {
-		mag, sign := combDigit(&s, i)
-		g1Comb[i].selectEntry(&q, mag, sign)
-		sum.addMixed(&acc, &q)
-		keep := ^ctEqMask(mag, 0)
-		acc.x.cmov(&sum.x, keep)
-		acc.y.cmov(&sum.y, keep)
-		acc.z.cmov(&sum.z, keep)
-	}
+// combBaseMult sets c = s·g1 for the limbs s of combLimbs, in Jacobian
+// form: g1Comb's (X:Y:Z) handed back as (XZ, YZ^2, Z).
+func (c *curvePoint) combBaseMult(s *[5]uint64) *curvePoint {
+	acc := g1CombProj(s)
 	var zz gfP
 	zz.Square(&acc.z)
 	c.x.Mul(&acc.x, &acc.z)
@@ -189,15 +198,33 @@ func (c *curvePoint) combBaseMult(k *big.Int) *curvePoint {
 	return c
 }
 
-// combBaseMult sets c = k·g2 for k in [0, Order), as the G1 comb.
-func (c *twistPoint) combBaseMult(k *big.Int) *twistPoint {
+// g1CombProj returns s·g1 for the limbs s of combLimbs with the comb.
+// The accumulator is homogeneous (X:Y:Z), starting at (0:1:0).
+func g1CombProj(s *[5]uint64) g1Proj {
+	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
+	var acc, sum g1Proj
+	acc.y.SetOne()
+	var q g1Affine
+	for i := range combWindows {
+		mag, sign := combDigit(s, i)
+		g1Comb[i].selectEntry(&q, mag, sign)
+		sum.addMixed(&acc, &q)
+		keep := ^ctEqMask(mag, 0)
+		acc.x.cmov(&sum.x, keep)
+		acc.y.cmov(&sum.y, keep)
+		acc.z.cmov(&sum.z, keep)
+	}
+	return acc
+}
+
+// combBaseMult sets c = s·g2, as the G1 comb.
+func (c *twistPoint) combBaseMult(s *[5]uint64) *twistPoint {
 	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
-	s := combScalar(k)
 	var acc, sum g2Proj
 	acc.y.SetOne()
 	var q g2Affine
 	for i := range combWindows {
-		mag, sign := combDigit(&s, i)
+		mag, sign := combDigit(s, i)
 		g2Comb[i].selectEntry(&q, mag, sign)
 		addMixedG2(&sum, &acc, &q)
 		keep := ^ctEqMask(mag, 0)
@@ -350,5 +377,106 @@ func buildG2Comb(t *[combWindows]g2CombRow) {
 	batchMakeAffineTwist(ptrs)
 	for n, p := range pts {
 		t[n/combEntries][n%combEntries] = g2Affine{p.x, p.y}
+	}
+}
+
+// combLaneMin is the smallest chunk of scalars BaseMultG1s runs on the
+// lane comb. A lane chunk costs the same for one scalar as for eight,
+// about 1.5 scalar combs, so one scalar keeps the scalar comb and from
+// two on the lanes win. It was measured with BenchmarkG1ScalarBaseMult's
+// lanes and one cases (DESIGN.md, "The G1 comb on the lanes").
+const combLaneMin = 2
+
+// g1LaneAffine and g1LaneProj are eight G1 points in lane form, one per
+// lane: (x, y) and (X:Y:Z), coordinate by coordinate.
+type (
+	g1LaneAffine [2]lfp
+	g1LaneProj   [3]lfp
+)
+
+// g1LaneRow is a row of g1Comb in lane form for g1SelectLanes: entry j
+// is the five limbs of x and then of y, each the lane form of the
+// reduced gfP, so below p.
+type g1LaneRow [combEntries][10]uint64
+
+var (
+	g1LaneComb [combWindows]g1LaneRow
+	g1LaneOnce sync.Once
+)
+
+// buildG1LaneComb fills t with the lane form of g1Comb, building that
+// first: 43·32·10 words, 110 KiB, in static storage like g1Comb.
+func buildG1LaneComb(t *[combWindows]g1LaneRow) {
+	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
+	for i := range g1Comb {
+		for j := range g1Comb[i] {
+			x := laneEncode(&g1Comb[i][j].x)
+			y := laneEncode(&g1Comb[i][j].y)
+			copy(t[i][j][:5], x[:])
+			copy(t[i][j][5:], y[:])
+		}
+	}
+}
+
+// g1CombLanes sets acc[k] = ks[k]·g1 as (X:Y:Z), fully reduced, for up
+// to eight scalars: the comb of g1CombProj with scalar k in lane k. The
+// digits of all windows are recoded first; each window is then one
+// g1SelectLanes and one g1AddMixedLanes, whose keep leaves the lanes
+// with a zero digit, and the lanes past the last scalar, as they were.
+func g1CombLanes(acc []g1Proj, ks [][32]byte) {
+	g1LaneOnce.Do(func() { buildG1LaneComb(&g1LaneComb) })
+	var mag, sign [combWindows][laneRows]uint64
+	for k := range ks {
+		s := combLimbs(&ks[k])
+		for i := range combWindows {
+			mag[i][k], sign[i][k] = combDigit(&s, i)
+		}
+	}
+	var p g1LaneProj
+	p[1] = laneOne
+	var q g1LaneAffine
+	for i := range combWindows {
+		g1SelectLanes(&q, &g1LaneComb[i], &mag[i], &sign[i])
+		g1AddMixedLanes(&p, &p, &q, &mag[i])
+	}
+	var xs, ys, zs [laneRows]gfP
+	p[0].gfps(&xs)
+	p[1].gfps(&ys)
+	p[2].gfps(&zs)
+	for k := range acc {
+		acc[k] = g1Proj{xs[k], ys[k], zs[k]}
+	}
+}
+
+// zeroMask returns all ones if e is zero and zero otherwise; e must be
+// fully reduced.
+func (e *gfP) zeroMask() uint64 {
+	x := e[0] | e[1] | e[2] | e[3]
+	return (x|-x)>>63 - 1
+}
+
+// g1AffineBatch sets out[k] to the affine form of the fully reduced
+// (X:Y:Z) ps[k], for up to eight points, with one batchInvert for all
+// of them and no branch on a point at infinity: a zero Z is inverted as
+// one, and the result is then set to infinity, (1, 1, 0), under a mask.
+func g1AffineBatch(out []*G1, ps []g1Proj) {
+	var zs [laneRows]gfP
+	var zps [laneRows]*gfP
+	var inf [laneRows]uint64
+	for k := range ps {
+		inf[k] = ps[k].z.zeroMask()
+		zs[k] = ps[k].z
+		zs[k].cmov(&rOne, inf[k])
+		zps[k] = &zs[k]
+	}
+	batchInvert(zps[:len(ps)])
+	for k, c := range out {
+		p := &c.p
+		p.x.Mul(&ps[k].x, &zs[k])
+		p.y.Mul(&ps[k].y, &zs[k])
+		p.z = rOne
+		p.x.cmov(&rOne, inf[k])
+		p.y.cmov(&rOne, inf[k])
+		p.z.cmov(&gfP{}, inf[k])
 	}
 }

@@ -82,7 +82,9 @@ func TestBoothW6Recoding(t *testing.T) {
 }
 
 // TestScalarBaseMultAllocs checks that, once the tables exist, a base
-// multiplication by a reduced scalar allocates nothing.
+// multiplication by a reduced scalar allocates nothing, and neither does
+// BaseMultG1s on a batch of 11: a lane chunk, where the CPU has one,
+// and a scalar tail.
 func TestScalarBaseMultAllocs(t *testing.T) {
 	k := randScalar(t)
 	var g1 G1
@@ -94,6 +96,16 @@ func TestScalarBaseMultAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { g2.ScalarBaseMult(k) }); n != 0 {
 		t.Errorf("G2.ScalarBaseMult allocates %v times per call", n)
+	}
+	ks := make([][32]byte, laneRows+3)
+	out := make([]*G1, len(ks))
+	for i := range ks {
+		randScalar(t).FillBytes(ks[i][:])
+		out[i] = new(G1)
+	}
+	BaseMultG1s(out, ks)
+	if n := testing.AllocsPerRun(20, func() { BaseMultG1s(out, ks) }); n != 0 {
+		t.Errorf("BaseMultG1s allocates %v times per call", n)
 	}
 }
 
@@ -127,6 +139,9 @@ func TestCombKernelsMatchGeneric(t *testing.T) {
 		for mag := uint64(0); mag <= combEntries; mag++ {
 			checkCombSelect(t, i, mag)
 		}
+	}
+	if useIFMA {
+		checkCombLanesGrid(t)
 	}
 	if !useADX {
 		t.Skip("no assembly addition kernel")
@@ -169,6 +184,61 @@ func TestCombKernelsMatchGeneric(t *testing.T) {
 		checkAddMixed(t, p, g1Affine{})   // Q = (0, 0)
 		checkAddMixed(t, inf, g1Affine{}) // both
 		checkAddMixed(t, p, g1Comb[r.Intn(combWindows)][r.Intn(combEntries)])
+	}
+}
+
+// checkCombLanesGrid runs checkCombLanes on every row of the table,
+// nine times, with the 72 lanes of a row taking every digit magnitude
+// 0..32 with both signs. The lanes' coordinates run through the
+// {0, 1, p-1} grid of all five, then random ones; every third call's
+// lanes are curve points instead, with P = Q, P = -Q, P = (0:1:0) and Q
+// a table entry. Representatives are high or low at random.
+func checkCombLanesGrid(t *testing.T) {
+	r := mrand.New(mrand.NewSource(4))
+	randFp := func() gfP { return rawGFp(new(big.Int).Rand(r, P)) }
+	edges := []gfP{{}, rawGFp(big.NewInt(1)), rawGFp(new(big.Int).Sub(P, big.NewInt(1)))}
+	var ps [laneRows]g1Proj
+	var qs [laneRows]g1Affine
+	var high [laneRows]bool
+	var mag, sign [laneRows]uint64
+	n := 0
+	for i := range combWindows {
+		for c := range 9 {
+			for k := range laneRows {
+				d := (c*laneRows + k) % (2 * (combEntries + 1))
+				mag[k], sign[k] = uint64(d/2), uint64(d%2)
+				high[k] = r.Intn(2) == 1
+				if c%3 == 2 {
+					q := g1Comb[r.Intn(combWindows)][r.Intn(combEntries)]
+					lambda := randFp()
+					var p g1Proj
+					p.x.Mul(&q.x, &lambda)
+					p.y.Mul(&q.y, &lambda)
+					p.z = lambda
+					switch k % 4 {
+					case 1:
+						p.y.Neg(&p.y)
+					case 2:
+						p = g1Proj{y: *new(gfP).SetOne()}
+					case 3:
+						p = g1Proj{randFp(), randFp(), randFp()}
+					}
+					ps[k], qs[k] = p, q
+					continue
+				}
+				var cs [5]gfP
+				for j := range cs {
+					if n < 243 {
+						cs[j] = edges[n/[5]int{1, 3, 9, 27, 81}[j]%3]
+					} else {
+						cs[j] = randFp()
+					}
+				}
+				n++
+				ps[k], qs[k] = g1Proj{cs[0], cs[1], cs[2]}, g1Affine{cs[3], cs[4]}
+			}
+			checkCombLanes(t, i, &mag, &sign, &ps, &qs, &high)
+		}
 	}
 }
 
@@ -218,5 +288,139 @@ func checkAddMixed(t testing.TB, p g1Proj, q g1Affine) {
 	g1AddMixed(&y, &p, (*g1Affine)(unsafe.Pointer(&y)))
 	if got != want || x != want || y != want {
 		t.Fatalf("g1AddMixed(%v, %v) = %v, %v (r = p), %v (r = q); want %v", p, q, got, x, y, want)
+	}
+}
+
+// TestBaseMultG1sMatchesScalar runs BaseMultG1s on batches of 0 to 17
+// scalars (d = 5, 8 and 14 among them, and every tail a chunk of eight
+// leaves) drawn from 0, 1, Order - 1, 2^256 - 1 and random scalars, and
+// requires every output to encode as ScalarBaseMult's. On a CPU with
+// AVX-512 IFMA the chunks of combLaneMin or more run on the lanes and
+// the rest on the scalar comb; elsewhere all run on the scalar comb.
+// BaseMultG2s is held to G2.ScalarBaseMult the same way.
+func TestBaseMultG1sMatchesScalar(t *testing.T) {
+	one := big.NewInt(1)
+	special := []*big.Int{new(big.Int), one, new(big.Int).Sub(Order, one),
+		new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)}
+	r := mrand.New(mrand.NewSource(2))
+	for n := 0; n <= 17; n++ {
+		ks := make([][32]byte, n)
+		want := make([]*big.Int, n)
+		for i := range ks {
+			k := new(big.Int).Rand(r, Order)
+			if r.Intn(3) == 0 {
+				k = special[r.Intn(len(special))]
+			}
+			k.FillBytes(ks[i][:])
+			want[i] = k
+		}
+		g1s := make([]*G1, n)
+		g2s := make([]*G2, n)
+		for i := range g1s {
+			g1s[i], g2s[i] = new(G1), new(G2)
+		}
+		BaseMultG1s(g1s, ks)
+		BaseMultG2s(g2s, ks)
+		for i, k := range want {
+			if !bytes.Equal(g1s[i].Marshal(), new(G1).ScalarBaseMult(k).Marshal()) {
+				t.Fatalf("batch of %d, scalar %d: BaseMultG1s differs from ScalarBaseMult for k = %v", n, i, k)
+			}
+			if !bytes.Equal(g2s[i].Marshal(), new(G2).ScalarBaseMult(k).Marshal()) {
+				t.Fatalf("batch of %d, scalar %d: BaseMultG2s differs from ScalarBaseMult for k = %v", n, i, k)
+			}
+			if !g1s[i].IsInfinity() && !g1s[i].p.z.Equal(&rOne) {
+				t.Fatalf("batch of %d, scalar %d: BaseMultG1s left Z != 1", n, i)
+			}
+		}
+	}
+}
+
+// setLaneRep sets lane k of e to the lane form of a, plus p when high:
+// the lane kernels take any representative in [0, 2p).
+func setLaneRep(e *lfp, k int, a *gfP, high bool) {
+	e.set(k, a)
+	if !high {
+		return
+	}
+	var l [5]uint64
+	for i := range l {
+		l[i] = e[i][k] + laneP[i]
+	}
+	for i := 0; i < 4; i++ {
+		l[i+1] += l[i] >> 52
+		l[i] &= 1<<52 - 1
+	}
+	for i := range l {
+		e[i][k] = l[i]
+	}
+}
+
+// laneValueOK reports whether lane k of e holds the lane kernels'
+// invariant: every limb below 2^52 and the value below 2p.
+func laneValueOK(e *lfp, k int) bool {
+	v := new(big.Int)
+	for i := 4; i >= 0; i-- {
+		if e[i][k] >= 1<<52 {
+			return false
+		}
+		v.Lsh(v, 52).Or(v, new(big.Int).SetUint64(e[i][k]))
+	}
+	return v.Cmp(new(big.Int).Lsh(P, 1)) < 0
+}
+
+// checkCombLanes runs the lane comb kernels on eight lanes and checks
+// each lane, converted back, against the scalar comb: g1SelectLanes on
+// row i at the digits (mag[k], sign[k]) against selectEntry, into a
+// result holding garbage, and g1AddMixedLanes on ps[k] and qs[k] (the
+// representative in [p, 2p) where high[k]) against addMixedG1 where
+// mag[k] is not zero and against ps[k] where it is, with the output
+// apart from p and aliasing it. Every output lane must be normalised
+// and below 2p.
+func checkCombLanes(t testing.TB, i int, mag, sign *[laneRows]uint64, ps *[laneRows]g1Proj, qs *[laneRows]g1Affine, high *[laneRows]bool) {
+	t.Helper()
+	g1LaneOnce.Do(func() { buildG1LaneComb(&g1LaneComb) })
+	var q g1LaneAffine
+	for c := range q {
+		for j := range q[c] {
+			for k := range q[c][j] {
+				q[c][j][k] = ^uint64(0)
+			}
+		}
+	}
+	g1SelectLanes(&q, &g1LaneComb[i], mag, sign)
+	for k := range laneRows {
+		var want g1Affine
+		g1Comb[i].selectEntry(&want, mag[k], sign[k])
+		got := g1Affine{q[0].get(k), q[1].get(k)}
+		if got != want || !laneValueOK(&q[0], k) || !laneValueOK(&q[1], k) {
+			t.Fatalf("g1SelectLanes row %d lane %d, digit (%d, %d): %v, want %v", i, k, mag[k], sign[k], got, want)
+		}
+	}
+
+	var p g1LaneProj
+	var qa g1LaneAffine
+	for k := range laneRows {
+		setLaneRep(&p[0], k, &ps[k].x, high[k])
+		setLaneRep(&p[1], k, &ps[k].y, !high[k])
+		setLaneRep(&p[2], k, &ps[k].z, high[k])
+		setLaneRep(&qa[0], k, &qs[k].x, !high[k])
+		setLaneRep(&qa[1], k, &qs[k].y, high[k])
+	}
+	var apart g1LaneProj
+	g1AddMixedLanes(&apart, &p, &qa, mag)
+	alias := p
+	g1AddMixedLanes(&alias, &alias, &qa, mag)
+	for k := range laneRows {
+		want := ps[k]
+		if mag[k] != 0 {
+			addMixedG1(&want, &ps[k], &qs[k])
+		}
+		for _, r := range []*g1LaneProj{&apart, &alias} {
+			got := g1Proj{r[0].get(k), r[1].get(k), r[2].get(k)}
+			if got != want || !laneValueOK(&r[0], k) || !laneValueOK(&r[1], k) || !laneValueOK(&r[2], k) {
+				t.Fatalf("g1AddMixedLanes lane %d (digit %d, high %v, aliased %v): %v + %v = %v, want %v",
+					k, mag[k], high[k], r == &alias, ps[k], qs[k], got, want)
+			}
+		}
 	}
 }

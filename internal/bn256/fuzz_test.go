@@ -30,11 +30,14 @@ func FuzzG2Unmarshal(f *testing.F) {
 
 // FuzzScalarBaseMult reads arbitrary bytes as a big-endian scalar and
 // checks the constant-time comb against the variable-time wNAF Mul, by
-// encoding, in both groups. The corpus under
+// encoding, in both groups. Its batch leg runs BaseMultG1s on the nine
+// scalars k + i mod 2^256, i = 0 .. 8, one lane chunk and a one-scalar
+// tail, and each must encode as ScalarBaseMult's. The corpus under
 // testdata/fuzz/FuzzScalarBaseMult seeds 0, 1, Order - 1, Order,
 // 2^254 - 1 and 2^256 - 1.
 func FuzzScalarBaseMult(f *testing.F) {
 	f.Add([]byte{1})
+	mod := new(big.Int).Lsh(big.NewInt(1), 256)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k := new(big.Int).SetBytes(data)
 		var g1 G1
@@ -46,6 +49,20 @@ func FuzzScalarBaseMult(f *testing.F) {
 		g2.p.Mul(&twistGen, k)
 		if !bytes.Equal(new(G2).ScalarBaseMult(k).Marshal(), g2.Marshal()) {
 			t.Fatalf("G2 comb differs from the wNAF for k = %v", k)
+		}
+		ks := make([][32]byte, laneRows+1)
+		kis := make([]*big.Int, len(ks))
+		out := make([]*G1, len(ks))
+		for i := range ks {
+			kis[i] = new(big.Int).Add(k, big.NewInt(int64(i)))
+			kis[i].Mod(kis[i], mod).FillBytes(ks[i][:])
+			out[i] = new(G1)
+		}
+		BaseMultG1s(out, ks)
+		for i, ki := range kis {
+			if !bytes.Equal(out[i].Marshal(), new(G1).ScalarBaseMult(ki).Marshal()) {
+				t.Fatalf("BaseMultG1s scalar %d differs from ScalarBaseMult for k = %v", i, ki)
+			}
 		}
 	})
 }
@@ -132,11 +149,17 @@ func FuzzTowerKernels(f *testing.F) {
 // digit magnitude (mod 33); missing bytes are zero. The select must
 // match the Go select in both groups, with both signs, and the G1
 // addition must match addMixedG1 limb for limb, with the output apart
-// and aliasing each input. The corpus under
+// and aliasing each input. Eight more bytes are the lane comb's digits,
+// one per lane (magnitude the low six bits mod 33, sign the top bit),
+// and one more byte the lanes' representatives (bit k high in lane k):
+// lane k takes the five coordinates rotated by k places, and the lane
+// select and lane addition must match selectEntry and addMixedG1 lane
+// by lane after conversion (checkCombLanes). The corpus under
 // testdata/fuzz/FuzzCombKernels seeds all-zero, every coordinate one,
 // every coordinate p - 1, the generator G added to (0:1:0), to itself
-// and to -G, and random bytes. On a CPU without BMI2 and ADX the
-// addition part skips.
+// and to -G, random bytes (all with lane digits 0), and lane digits
+// 0, +-32 and mixed signs across lanes. On a CPU without BMI2 and ADX
+// the addition part skips, and without AVX-512 IFMA the lane part.
 func FuzzCombKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() gfP {
@@ -145,11 +168,27 @@ func FuzzCombKernels(f *testing.F) {
 			data = data[n:]
 			return rawGFp(new(big.Int).Mod(new(big.Int).SetBytes(chunk[:]), P))
 		}
-		p := g1Proj{next(), next(), next()}
-		q := g1Affine{next(), next()}
-		var idx [2]byte
+		cs := [5]gfP{next(), next(), next(), next(), next()}
+		p := g1Proj{cs[0], cs[1], cs[2]}
+		q := g1Affine{cs[3], cs[4]}
+		var idx [2 + laneRows + 1]byte
 		copy(idx[:], data)
-		checkCombSelect(t, int(idx[0])%combWindows, uint64(idx[1])%(combEntries+1))
+		row := int(idx[0]) % combWindows
+		checkCombSelect(t, row, uint64(idx[1])%(combEntries+1))
+		if useIFMA {
+			var ps [laneRows]g1Proj
+			var qs [laneRows]g1Affine
+			var high [laneRows]bool
+			var mag, sign [laneRows]uint64
+			for k := range laneRows {
+				c := func(j int) gfP { return cs[(j+k)%len(cs)] }
+				ps[k], qs[k] = g1Proj{c(0), c(1), c(2)}, g1Affine{c(3), c(4)}
+				d := idx[2+k]
+				mag[k], sign[k] = uint64(d&0x3f)%(combEntries+1), uint64(d>>7)
+				high[k] = idx[2+laneRows]>>k&1 == 1
+			}
+			checkCombLanes(t, row, &mag, &sign, &ps, &qs, &high)
+		}
 		if !useADX {
 			t.Skip("no assembly addition kernel")
 		}

@@ -177,3 +177,16 @@ func lfp12Mul(e, a, b *lfp12)
 //
 //go:noescape
 func lfp12CyclotomicSquare(e, a *lfp12)
+
+// g1SelectLanes sets lane k of q to row[mag[k]-1], and to (0, 0) for
+// mag[k] = 0, negated where sign[k] is 1: g1CombRow.selectEntry on eight
+// lanes, reading every entry in every lane.
+//
+//go:noescape
+func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[laneRows]uint64)
+
+// g1AddMixedLanes sets lane k of r to p + q, as addMixedG1, where mag[k]
+// is not zero, and to p where it is; r may alias p.
+//
+//go:noescape
+func g1AddMixedLanes(r, p *g1LaneProj, q *g1LaneAffine, mag *[laneRows]uint64)

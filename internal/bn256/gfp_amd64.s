@@ -2234,3 +2234,246 @@ l6mcopy:
 	JNE  l6mcopy
 	VZEROUPPER
 	RET
+
+// The lane comb kernels below run the loop body of the G1 comb
+// (comb.go) for eight scalars at once, scalar k in lane k: the select of
+// each lane's table entry and the mixed addition into each lane's
+// accumulator. A row of the lane table holds the 32 affine entries of
+// one window, each as the x limbs and then the y limbs in lane form
+// (radix 2^52, R = 2^260), 80 bytes, fully reduced below p.
+
+// func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[8]uint64)
+//
+// For j = 1 .. 32, every word of entry j-1 is broadcast to all lanes and
+// kept, under a VPCMPEQQ mask, in the lanes whose digit magnitude is j;
+// lanes with magnitude 0 keep (0, 0). Then y becomes p - y, below 2p,
+// in the lanes whose sign is 1. The loop count is a constant and every
+// lane reads every entry, so neither a branch nor an address depends on
+// a digit. Z0-Z4 collect x, Z5-Z9 y, Z10-Z14 hold broadcast words, Z18
+// the magnitudes, Z19 the counter j and Z16 the lane-wise 1 that steps
+// it.
+TEXT ·g1SelectLanes(SB), NOSPLIT, $0-32
+	MOVQ q+0(FP), DI
+	MOVQ row+8(FP), SI
+	MOVQ mag+16(FP), DX
+	MOVQ sign+24(FP), R8
+	VMOVDQU64 (DX), Z18
+	VPXORQ    Z0, Z0, Z0
+	VPXORQ    Z1, Z1, Z1
+	VPXORQ    Z2, Z2, Z2
+	VPXORQ    Z3, Z3, Z3
+	VPXORQ    Z4, Z4, Z4
+	VPXORQ    Z5, Z5, Z5
+	VPXORQ    Z6, Z6, Z6
+	VPXORQ    Z7, Z7, Z7
+	VPXORQ    Z8, Z8, Z8
+	VPXORQ    Z9, Z9, Z9
+	VPXORQ    Z19, Z19, Z19
+	MOVQ      $1, AX
+	VPBROADCASTQ AX, Z16
+	MOVQ      $32, CX
+
+selLanes:
+	VPADDQ       Z16, Z19, Z19
+	VPCMPEQQ     Z18, Z19, K1
+	VPBROADCASTQ 0(SI), Z10
+	VPBROADCASTQ 8(SI), Z11
+	VPBROADCASTQ 16(SI), Z12
+	VPBROADCASTQ 24(SI), Z13
+	VPBROADCASTQ 32(SI), Z14
+	VMOVDQA64    Z10, K1, Z0
+	VMOVDQA64    Z11, K1, Z1
+	VMOVDQA64    Z12, K1, Z2
+	VMOVDQA64    Z13, K1, Z3
+	VMOVDQA64    Z14, K1, Z4
+	VPBROADCASTQ 40(SI), Z10
+	VPBROADCASTQ 48(SI), Z11
+	VPBROADCASTQ 56(SI), Z12
+	VPBROADCASTQ 64(SI), Z13
+	VPBROADCASTQ 72(SI), Z14
+	VMOVDQA64    Z10, K1, Z5
+	VMOVDQA64    Z11, K1, Z6
+	VMOVDQA64    Z12, K1, Z7
+	VMOVDQA64    Z13, K1, Z8
+	VMOVDQA64    Z14, K1, Z9
+	ADDQ         $80, SI
+	DECQ         CX
+	JNZ          selLanes
+
+	// Z10-Z14 = p - y, in (0, p] for y below p, in the lanes of K2.
+	VMOVDQU64    (R8), Z17
+	VPTESTMQ     Z17, Z17, K2
+	VPTERNLOGQ   $0xff, Z26, Z26, Z26
+	VPSRLQ       $12, Z26, Z26
+	VPBROADCASTQ ·laneP+0(SB), Z10
+	VPBROADCASTQ ·laneP+8(SB), Z11
+	VPBROADCASTQ ·laneP+16(SB), Z12
+	VPBROADCASTQ ·laneP+24(SB), Z13
+	VPBROADCASTQ ·laneP+32(SB), Z14
+	VPSUBQ       Z5, Z10, Z10
+	VPSUBQ       Z6, Z11, Z11
+	VPSUBQ       Z7, Z12, Z12
+	VPSUBQ       Z8, Z13, Z13
+	VPSUBQ       Z9, Z14, Z14
+	LSNORM(Z10, Z11, Z12, Z13, Z14)
+	VMOVDQA64    Z10, K2, Z5
+	VMOVDQA64    Z11, K2, Z6
+	VMOVDQA64    Z12, K2, Z7
+	VMOVDQA64    Z13, K2, Z8
+	VMOVDQA64    Z14, K2, Z9
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 0, DI)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	VZEROUPPER
+	RET
+
+// LSUM2ROUND is round OFF/64 of LSUM2.
+#define LSUM2ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, c0, c1, c2, c3, c4, c5) \
+	VPXORQ    c5, c5, c5;                                                   \
+	VMOVDQU64 b1o+OFF(b1r), Z18; LPROD1(a1o, a1r, c0, c1, c2, c3, c4, c5); \
+	VMOVDQU64 b2o+OFF(b2r), Z18; LPROD1(a2o, a2r, c0, c1, c2, c3, c4, c5); \
+	LREDROW(c0, c1, c2, c3, c4, c5)
+
+// LSUM2 sets Z15, Z10, Z11, Z12, Z13 to the normalised
+// (a1 b1 + a2 b2)/2^260: LSUM4 for two products.
+#define LSUM2(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r) \
+	LZEROACC; \
+	LSUM2ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z10, Z11, Z12, Z13, Z14, Z15);   \
+	LSUM2ROUND(64, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z11, Z12, Z13, Z14, Z15, Z10);  \
+	LSUM2ROUND(128, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z12, Z13, Z14, Z15, Z10, Z11); \
+	LSUM2ROUND(192, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z13, Z14, Z15, Z10, Z11, Z12); \
+	LSUM2ROUND(256, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z14, Z15, Z10, Z11, Z12, Z13); \
+	LNORM(Z15, Z10, Z11, Z12, Z13)
+
+// LTIMES9 sets y = 9x limb by limb, unnormalised.
+#define LTIMES9(x0, x1, x2, x3, x4, y0, y1, y2, y3, y4) \
+	VPSLLQ $3, x0, y0; VPADDQ x0, y0, y0; \
+	VPSLLQ $3, x1, y1; VPADDQ x1, y1, y1; \
+	VPSLLQ $3, x2, y2; VPADDQ x2, y2, y2; \
+	VPSLLQ $3, x3, y3; VPADDQ x3, y3, y3; \
+	VPSLLQ $3, x4, y4; VPADDQ x4, y4, y4
+
+// LADDM adds the lane element at ao(ar) to x, limb by limb.
+#define LADDM(ao, ar, x0, x1, x2, x3, x4) \
+	VPADDQ ao+0(ar), x0, x0;   \
+	VPADDQ ao+64(ar), x1, x1;  \
+	VPADDQ ao+128(ar), x2, x2; \
+	VPADDQ ao+192(ar), x3, x3; \
+	VPADDQ ao+256(ar), x4, x4
+
+// LKEEP stores at o(DI) the lane element x in the lanes of K1 and the
+// one at o(SI) in the others.
+#define LKEEP(x0, x1, x2, x3, x4, o) \
+	VMOVDQU64 o+0(SI), Z16;   VMOVDQA64 x0, K1, Z16; VMOVDQU64 Z16, o+0(DI);   \
+	VMOVDQU64 o+64(SI), Z16;  VMOVDQA64 x1, K1, Z16; VMOVDQU64 Z16, o+64(DI);  \
+	VMOVDQU64 o+128(SI), Z16; VMOVDQA64 x2, K1, Z16; VMOVDQU64 Z16, o+128(DI); \
+	VMOVDQU64 o+192(SI), Z16; VMOVDQA64 x3, K1, Z16; VMOVDQU64 Z16, o+192(DI); \
+	VMOVDQU64 o+256(SI), Z16; VMOVDQA64 x4, K1, Z16; VMOVDQU64 Z16, o+256(DI)
+
+// The frame of g1AddMixedLanes, from the aligned base BX.
+#define LA_T0 0
+#define LA_T1 320
+#define LA_T3 640
+#define LA_T4 960
+#define LA_Y3 1280
+#define LA_NY3 1600
+#define LA_Z3 1920
+
+// func g1AddMixedLanes(r, p *g1LaneProj, q *g1LaneAffine, mag *[8]uint64)
+//
+// RCB Algorithm 8, as addMixedG1, on lanes: r = p + q in the lanes
+// whose digit magnitude is not zero, r = p in the others (the comb's
+// keep, taken under a VPTESTMQ mask). Sums feed products unreduced
+// where the bound allows, and each output is a sum of two products
+// under one reduction (LSUM2); lanes.go gives the bounds. r is written
+// only after p and q are last read, so it may alias p.
+TEXT ·g1AddMixedLanes(SB), 0, $2304-32
+	MOVQ r+0(FP), DI
+	MOVQ p+8(FP), SI
+	MOVQ q+16(FP), DX
+	MOVQ mag+24(FP), R8
+	LALIGN
+	LCONSTS
+	// t0 = 3 X1 x2
+	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(0, DX)
+	VPADDQ Z15, Z15, Z5
+	VPADDQ Z10, Z10, Z6
+	VPADDQ Z11, Z11, Z7
+	VPADDQ Z12, Z12, Z8
+	VPADDQ Z13, Z13, Z9
+	VPADDQ Z15, Z5, Z5
+	VPADDQ Z10, Z6, Z6
+	VPADDQ Z11, Z7, Z7
+	VPADDQ Z12, Z8, Z8
+	VPADDQ Z13, Z9, Z9
+	LNORM(Z5, Z6, Z7, Z8, Z9)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, LA_T0, BX)
+	// t4 = y2 Z1 + Y1
+	LLOAD(640, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(320, DX)
+	LADDM(320, SI, Z15, Z10, Z11, Z12, Z13)
+	LNORM(Z15, Z10, Z11, Z12, Z13)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, LA_T4, BX)
+	// y3 = 9 (x2 Z1 + X1), and 2p - y3
+	LMULM(0, DX)
+	LADDM(0, SI, Z15, Z10, Z11, Z12, Z13)
+	LTIMES9(Z15, Z10, Z11, Z12, Z13, Z5, Z6, Z7, Z8, Z9)
+	LNORM(Z5, Z6, Z7, Z8, Z9)
+	LRED(Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, LA_Y3, BX)
+	VPSUBQ Z5, Z27, Z10
+	VPSUBQ Z6, Z28, Z11
+	VPSUBQ Z7, Z29, Z12
+	VPSUBQ Z8, Z30, Z13
+	VPSUBQ Z9, Z31, Z14
+	LSNORM(Z10, Z11, Z12, Z13, Z14)
+	LSTORE(Z10, Z11, Z12, Z13, Z14, LA_NY3, BX)
+	// t2 = 9 Z1
+	LTIMES9(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9)
+	LNORM(Z5, Z6, Z7, Z8, Z9)
+	LRED(Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14)
+	// t1 = Y1 y2; z3 = t1 + t2 and t1 - t2 + 2p
+	LLOAD(320, SI, Z0, Z1, Z2, Z3, Z4)
+	LMULM(320, DX)
+	VPADDQ Z5, Z15, Z0
+	VPADDQ Z6, Z10, Z1
+	VPADDQ Z7, Z11, Z2
+	VPADDQ Z8, Z12, Z3
+	VPADDQ Z9, Z13, Z4
+	LNORM(Z0, Z1, Z2, Z3, Z4)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, LA_Z3, BX)
+	VPSUBQ Z5, Z15, Z15
+	VPSUBQ Z6, Z10, Z10
+	VPSUBQ Z7, Z11, Z11
+	VPSUBQ Z8, Z12, Z12
+	VPSUBQ Z9, Z13, Z13
+	LADD2P(Z15, Z10, Z11, Z12, Z13)
+	LSNORM(Z15, Z10, Z11, Z12, Z13)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, LA_T1, BX)
+	// t3 = X1 y2 + Y1 x2
+	LSUM2(0, SI, 320, DX, 320, SI, 0, DX)
+	LSTORE(Z15, Z10, Z11, Z12, Z13, LA_T3, BX)
+	// X3 = t3 t1 - t4 y3, into Z0-Z4
+	LSUM2(LA_T3, BX, LA_T1, BX, LA_T4, BX, LA_NY3, BX)
+	VMOVDQA64 Z15, Z0
+	VMOVDQA64 Z10, Z1
+	VMOVDQA64 Z11, Z2
+	VMOVDQA64 Z12, Z3
+	VMOVDQA64 Z13, Z4
+	// Y3 = t1 z3 + y3 t0, into Z5-Z9
+	LSUM2(LA_T1, BX, LA_Z3, BX, LA_Y3, BX, LA_T0, BX)
+	VMOVDQA64 Z15, Z5
+	VMOVDQA64 Z10, Z6
+	VMOVDQA64 Z11, Z7
+	VMOVDQA64 Z12, Z8
+	VMOVDQA64 Z13, Z9
+	// Z3 = z3 t4 + t0 t3
+	LSUM2(LA_Z3, BX, LA_T4, BX, LA_T0, BX, LA_T3, BX)
+	// r = the sum where the digit is not zero, p where it is
+	VMOVDQU64 (R8), Z16
+	VPTESTMQ  Z16, Z16, K1
+	LKEEP(Z0, Z1, Z2, Z3, Z4, 0)
+	LKEEP(Z5, Z6, Z7, Z8, Z9, 320)
+	LKEEP(Z15, Z10, Z11, Z12, Z13, 640)
+	VZEROUPPER
+	RET

@@ -53,5 +53,9 @@ func lfp6Mul(c, a, b *lfp6)                           { panic(errNoLanes) }
 func lfp12Square(e, a *lfp12)                         { panic(errNoLanes) }
 func lfp12Mul(e, a, b *lfp12)                         { panic(errNoLanes) }
 func lfp12CyclotomicSquare(e, a *lfp12)               { panic(errNoLanes) }
+func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[laneRows]uint64) {
+	panic(errNoLanes)
+}
+func g1AddMixedLanes(r, p *g1LaneProj, q *g1LaneAffine, mag *[laneRows]uint64) { panic(errNoLanes) }
 
 const errNoLanes = "bn256: lane kernels called without useIFMA"

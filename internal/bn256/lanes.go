@@ -37,6 +37,20 @@ import "math/big"
 // without its low 208 bits and laneQC/2^96 is 2^208/p to within 2^-96;
 // so x - q*p is in [0, 2p).
 //
+// The G1 comb's lane addition (g1AddMixedLanes, comb.go) keeps sums
+// unreduced where a product can take them. A product's result is below
+// ab/R + p, so below 2p while ab < pR, and pR > 64p^2. With X1, Y1,
+// Z1 < 2p and the table's x2, y2 <= p (below 2p in the kernel's tests):
+// t0' = 3 X1 x2 < 6p, t1' = Y1 y2 - 9 Z1 + 2p in (0, 4p) and
+// z3 = Y1 y2 + 9 Z1 < 4p, with 9 Z1 < 18p brought below 2p by LRED;
+// t4 = y2 Z1 + Y1 < 4p; y3 = 9 (x2 Z1 + X1) < 36p < 2^260, brought below
+// 2p by LRED, and 2p - y3 in (0, 2p]; t3 = X1 y2 + Y1 x2, two products
+// under one reduction, below 8p^2/R + p < 1.13p. Each output is two
+// products under one reduction: X3 = t3 t1' + t4 (2p - y3) below
+// 12.5p^2, Y3 = t1' z3 + y3 t0' below 28p^2 and Z3 = z3 t4 + t0' t3
+// below 22.8p^2, so each is below 28p^2/R + p < 1.44p, in [0, 2p)
+// with no subtraction, and every limb of every stored sum below 2^52.
+//
 // Conversions. A gfP holds x*2^256 mod p; its lane form x*2^260 mod p is
 // four modular doublings away, split into 52-bit limbs. Back, a lane
 // value is joined into 64-bit limbs, reduced once below p and multiplied

@@ -18,7 +18,8 @@ import (
 // avx512f && avx512ifma (the kernel lists AVX-512 flags only when it
 // saves the ZMM state, which is what XGETBV checks). Where /proc/cpuinfo
 // cannot be read it skips. It logs the paths this CPU takes for SJ.Dec,
-// the token precompute and the token's G2 decode, on one line.
+// the token precompute, the token's G2 decode and SJ.Enc's G1 comb, on
+// one line.
 func TestCPUFeatures(t *testing.T) {
 	scalar := "generic Go"
 	if useADX {
@@ -27,12 +28,15 @@ func TestCPUFeatures(t *testing.T) {
 	dec := scalar + " rows"
 	pre := "scalar recorder (" + scalar + ")"
 	g2 := "scalar subgroup checks (" + scalar + ")"
+	enc := "scalar comb (" + scalar + ")"
 	if useIFMA {
 		dec = fmt.Sprintf("lanes (AVX-512 IFMA) for chunks of %d or more rows, %s rows below", laneMinRows, scalar)
 		pre = fmt.Sprintf("lane recorder for %d or more live slots, scalar recorder below", laneMinSlots)
 		g2 = fmt.Sprintf("lane subgroup checks for groups of %d or more points, scalar below", laneMinPoints)
+		enc = fmt.Sprintf("lane comb for chunks of %d or more scalars, %s below", combLaneMin, enc)
 	}
-	t.Logf("SJ.Dec path: %s; token precompute: %s; token decode: %s (useADX=%v useIFMA=%v)", dec, pre, g2, useADX, useIFMA)
+	t.Logf("SJ.Dec path: %s; token precompute: %s; token decode: %s; SJ.Enc G1 comb: %s (useADX=%v useIFMA=%v)",
+		dec, pre, g2, enc, useADX, useIFMA)
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("cannot read /proc/cpuinfo to check the detection against: %v", err)
@@ -63,26 +67,6 @@ func skipWithoutLanes(t testing.TB) {
 	t.Helper()
 	if !useIFMA {
 		t.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks: lane tests skipped")
-	}
-}
-
-// setLaneRep sets lane k of e to the lane form of a, plus p when high:
-// the lane kernels take any representative in [0, 2p).
-func setLaneRep(e *lfp, k int, a *gfP, high bool) {
-	e.set(k, a)
-	if !high {
-		return
-	}
-	var l [5]uint64
-	for i := range l {
-		l[i] = e[i][k] + laneP[i]
-	}
-	for i := 0; i < 4; i++ {
-		l[i+1] += l[i] >> 52
-		l[i] &= 1<<52 - 1
-	}
-	for i := range l {
-		e[i][k] = l[i]
 	}
 }
 

@@ -59,13 +59,18 @@ func (pc *PairingPrecomp) Size() int { return pc.n }
 
 // batchInvert replaces each element of xs with its inverse using
 // Montgomery's trick: one field inversion plus 3(n-1) multiplications.
-// All inputs must be non-zero.
+// All inputs must be non-zero. Up to eight elements, a lane chunk's,
+// it allocates nothing.
 func batchInvert(xs []*gfP) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	prefix := make([]gfP, n)
+	var small [laneRows]gfP
+	prefix := small[:]
+	if n > len(small) {
+		prefix = make([]gfP, n)
+	}
 	prefix[0] = *xs[0]
 	for i := 1; i < n; i++ {
 		prefix[i].Mul(&prefix[i-1], xs[i])

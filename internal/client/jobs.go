@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/securejoin"
@@ -139,8 +140,10 @@ func (c *Client) PollJobCtx(ctx context.Context, id string, interval time.Durati
 // SubmitPlan submits a compiled one-step plan as an async job on every
 // shard, like SubmitJoinQuery: each shard's request is the plan's step
 // 0 exactly as Runner would send it, so the jobs decrypt the same rows
-// and reveal the same pairs as ExecutePlan. A shard that sheds the
-// submit is retried on its own. A multi-step plan is rejected before
+// and reveal the same pairs as ExecutePlan. The shards are submitted to
+// at once, as uploads are, and a shard that sheds the submit is retried
+// on its own, so a submit waits for the longest shard's backoff rather
+// than for their sum. A multi-step plan is rejected before
 // anything is sent: its steps stitch client-side, so no job holds its
 // result (run it with ExecutePlan). The returned
 // info is the shards' merged, under the cluster job ID.
@@ -158,11 +161,20 @@ func (cl *Cluster) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
 		return nil, err
 	}
 	infos := make([]*JobInfo, len(cl.clients))
+	errs := make([]error, len(cl.clients))
+	var wg sync.WaitGroup
 	for s, c := range cl.clients {
-		err := WithRetry(RetryConfig{}, func() (err error) {
-			infos[s], err = c.submit(req)
-			return err
-		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = WithRetry(RetryConfig{}, func() (err error) {
+				infos[s], err = c.submit(req)
+				return err
+			})
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("client: submitting shard %d: %w", s, err)
 		}

@@ -67,36 +67,52 @@ type CiphertextM struct {
 
 // KeyGenModified computes Tk = g2^(v B) with alpha = 1; per Section 4.2
 // the randomness that alpha provided lives inside v itself (the delta
-// slot appended by the Secure Join token builder). The elements come
-// back affine, normalised with one batched inversion, so encoding and
-// precomputing them pays no inversion per element.
+// slot appended by the Secure Join token builder). The entries of v B
+// reach the comb as bytes (bn256.BaseMultG2s), never as a big.Int, and
+// the elements come back affine, normalised with one batched
+// inversion, so encoding and precomputing them pays no inversion per
+// element.
 func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 	if len(v) != msk.N {
 		return nil, fmt.Errorf("ipe: token vector has length %d, want %d", len(v), msk.N)
 	}
-	vb := msk.B.MulVec(v)
-	tk := &Token{Elems: make([]*bn256.G2, msk.N)}
-	for i, c := range vb {
-		tk.Elems[i] = new(bn256.G2).ScalarBaseMult(c.Big())
+	ks := scalarBytes(msk.B.MulVec(v))
+	elems := make([]bn256.G2, len(ks))
+	tk := &Token{Elems: make([]*bn256.G2, len(ks))}
+	for i := range elems {
+		tk.Elems[i] = &elems[i]
 	}
-	bn256.NormalizeG2(tk.Elems)
+	bn256.BaseMultG2s(tk.Elems, ks)
 	return tk, nil
 }
 
 // EncryptModified computes C = g1^(w B*) with beta = 1; the gamma slots
-// inside w carry the randomness. The elements come back affine, as in
+// inside w carry the randomness. The d base multiplications are one
+// bn256.BaseMultG1s call, which runs them as the lanes of one comb
+// where the CPU has them, and the elements come back affine, as in
 // KeyGenModified.
 func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
 	if len(w) != msk.N {
 		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
 	}
-	wb := msk.BStar.MulVec(w)
-	ct := &CiphertextM{Elems: make([]*bn256.G1, msk.N)}
-	for i, c := range wb {
-		ct.Elems[i] = new(bn256.G1).ScalarBaseMult(c.Big())
+	ks := scalarBytes(msk.BStar.MulVec(w))
+	elems := make([]bn256.G1, len(ks))
+	ct := &CiphertextM{Elems: make([]*bn256.G1, len(ks))}
+	for i := range elems {
+		ct.Elems[i] = &elems[i]
 	}
-	bn256.NormalizeG1(ct.Elems)
+	bn256.BaseMultG1s(ct.Elems, ks)
 	return ct, nil
+}
+
+// scalarBytes returns the big-endian encodings of v's entries, the
+// exponents the bn256 batch base mults take.
+func scalarBytes(v zq.Vector) [][32]byte {
+	ks := make([][32]byte, len(v))
+	for i, c := range v {
+		c.Put(&ks[i])
+	}
+	return ks
 }
 
 // DecryptModified computes D = e(Tk, C) = e(g2,g1)^(det(B) <v, w>) using

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bn256"
 	"repro/internal/zq"
 )
 
@@ -100,10 +101,14 @@ func measureCT(tg ctTarget, rng *rand.Rand) (maxT float64, n int) {
 	return maxT, len(pairs)
 }
 
-// TestConstantTime runs the check on the field product and inverse and
-// on one row's vector product w*B*, the secret-dependent Z_q work of
-// SJ.Enc. Class 0 is the zero secret (a zero vector for MulVec), the
-// input on which variable-time arithmetic is fastest.
+// TestConstantTime runs the check on the field product and inverse, on
+// one row's vector product w*B*, the secret-dependent Z_q work of
+// SJ.Enc, and on the base multiplications that follow it,
+// bn256.BaseMultG1s on eight scalars (on a CPU with AVX-512 IFMA, one
+// lane comb). Class 0 is the zero secret (a zero vector for MulVec, eight
+// zero scalars for BaseMultG1s, where every comb digit is zero, no keep
+// mask is set and every result is the point at infinity), the input on
+// which variable-time arithmetic is fastest.
 func TestConstantTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement; skipped under -short")
@@ -140,6 +145,15 @@ func TestConstantTime(t *testing.T) {
 	}
 	w := zq.NewVector(8)
 	var vsink zq.Vector
+	var ks, fixedKs [8][32]byte
+	kPool := make([][32]byte, 1024)
+	for i := range kPool {
+		pool[i].Put(&kPool[i])
+	}
+	g1s := make([]*bn256.G1, len(ks))
+	for i := range g1s {
+		g1s[i] = new(bn256.G1)
+	}
 	targets := []ctTarget{
 		{"Scalar.Mul", func(class int) { fill(xs, class) }, func() {
 			for _, x := range xs {
@@ -153,6 +167,13 @@ func TestConstantTime(t *testing.T) {
 			fixed[0] = zq.Zero()
 		}, func() { sink = xs[0].Inv() }},
 		{"MulVec (d = 8)", func(class int) { fill(w, class) }, func() { vsink = bStar.MulVec(w) }},
+		{"BaseMultG1s (8 scalars)", func(class int) {
+			src := fixedKs[:]
+			if class == 1 {
+				src = kPool[rng.Intn(len(kPool)-len(ks)):]
+			}
+			copy(ks[:], src)
+		}, func() { bn256.BaseMultG1s(g1s, ks[:]) }},
 	}
 	for _, tg := range targets {
 		tval, n := measureCT(tg, rng)

@@ -356,7 +356,8 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 
 // TestClusterRetriesShedShard: every plan step reaches the wire
 // through a Cluster, which retries a shard that sheds it on that shard
-// alone — a join step, or with async a job's submit (SubmitPlan). Each server has one worker and a rendezvous queue, and a job
+// alone — a join step, or with async a job's submit (SubmitPlan). Each
+// server has one worker and a rendezvous queue, and a job
 // over an empty table pair holds the worker, so every shard's first
 // attempt sheds; once all have shed the workers go free, and the
 // retries return the rows and sigma of an unloaded run. An error other
@@ -454,20 +455,25 @@ func testClusterRetriesShedShard(t *testing.T, shards int, async bool) {
 		r.rows, r.revealed, r.err = run(plan)
 		done <- r
 	}()
-	shedding := srvs
-	if async {
-		// SubmitPlan submits shard by shard, retrying each until it is
-		// accepted, so only the first shard sheds while the workers are
-		// held.
-		shedding = srvs[:1]
-	}
-	for _, srv := range shedding {
+	// Every shard sheds while the workers are held: a join step, and
+	// SubmitPlan's submits, reach the shards at once.
+	for _, srv := range srvs {
 		waitFor(t, "the shard to shed", func() bool { return srv.met.ShedTotal.Value() > 0 })
 	}
 	release()
 	got := <-done
 	if got.err != nil {
 		t.Fatalf("plan over shed shards: %v", got.err)
+	}
+	if async {
+		// Each shard's submit was retried on its own, after its first
+		// backoff (25-75 ms), by which time the workers were free: one
+		// shed per shard.
+		for s, srv := range srvs {
+			if n := srv.met.ShedTotal.Value(); n != 1 {
+				t.Errorf("shard %d shed the submit %d times, want 1", s, n)
+			}
+		}
 	}
 	wantRows, wantRevealed, err := run(plan)
 	if err != nil {

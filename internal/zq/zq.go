@@ -151,19 +151,20 @@ func Hash(data []byte) Scalar {
 // constant-time; the comb reads the value into fixed limbs at once.
 func (s Scalar) Big() *big.Int {
 	var b [32]byte
-	s.put(&b)
+	s.Put(&b)
 	return new(big.Int).SetBytes(b[:])
 }
 
 // Bytes returns the 32-byte big-endian encoding of s.
 func (s Scalar) Bytes() []byte {
 	var b [32]byte
-	s.put(&b)
+	s.Put(&b)
 	return b[:]
 }
 
-// put writes the canonical big-endian encoding of s to b.
-func (s Scalar) put(b *[32]byte) {
+// Put writes the canonical 32-byte big-endian encoding of s to b, the
+// form the bn256 batch base mults take, without an allocation.
+func (s Scalar) Put(b *[32]byte) {
 	var d [4]uint64
 	montMul(&d, &s.l, &[4]uint64{1})
 	for i := range 4 {
