@@ -148,9 +148,10 @@ func BenchmarkTower(b *testing.B) {
 
 // BenchmarkLane times the lane kernels (lanes.go) that BenchmarkTower's
 // operations become on AVX-512 IFMA, reporting ns per lane, that is per
-// row: an Fp product, the line product and the Fp12 square of the Miller
-// loop, the cyclotomic square of the final exponentiation, and the whole
-// Miller loop of BenchmarkMillerLoopOnly. The chunkN pairs time one
+// row: an Fp product, the line product, the Fp6 and Fp12 products and
+// the Fp12 square of the Miller loop and the final exponentiation, the
+// cyclotomic square, and the whole Miller loop of
+// BenchmarkMillerLoopOnly. The chunkN pairs time one
 // chunk of N rows at d = 5 on the row path and on the lanes, the
 // measurement behind laneMinRows; the recordN pairs time a token of N
 // slots on the scalar and the lane recorder (laneMinSlots), and the
@@ -192,6 +193,18 @@ func BenchmarkLane(b *testing.B) {
 	b.Run("mulLine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			lfp12MulLine(&out, &x, &l1, &l3)
+		}
+		perLane(b)
+	})
+	b.Run("fp6Mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfp6Mul(&out[0], &x[0], &y[0])
+		}
+		perLane(b)
+	})
+	b.Run("fp12Mul", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lfp12Mul(&out, &x, &y)
 		}
 		perLane(b)
 	})

@@ -1385,12 +1385,15 @@ TEXT ·g1AddMixed(SB), 0, $704-24
 // Register use in every lane kernel: Z0-Z4 one factor, Z10-Z15 the
 // accumulators, Z16 m, Z17 and Z19 scratch, Z18 the current limb b_i,
 // Z20-Z24 the limbs of p, Z25 np, Z26 the 52-bit mask and Z27-Z31 the
-// limbs of 2p. Z5-Z9 carry sums and differences. No general-purpose
-// register beyond AX, BX, CX, DX, SI, DI, R8 and R9 is used (R15 stays
-// untouched for -dynlink builds), and every kernel ends in VZEROUPPER.
-// Scratch elements live in the frame from its first 64-byte boundary
-// (LALIGN). The subroutines lfp2sqr<> and lfp6mul<> take their operands
-// in registers and expect LCONSTS already loaded.
+// limbs of 2p. Z5-Z9 carry sums and differences; the tower kernels keep
+// a wide value's ten columns in Z5-Z14. No general-purpose register
+// beyond AX, BX, CX, DX, SI, DI and R8-R11 is used (R15 stays untouched
+// for -dynlink builds), and every kernel ends in VZEROUPPER. Scratch
+// elements live in the frame from its first 64-byte boundary (LALIGN).
+// The subroutines (lfp2sqr<>, lmulxi<>, the wide products lkara<>,
+// lkraw<>, lkacc<>, lksub<> and lksq<>, the reductions lredc<> and
+// lredcl<>, and lfp6w<>) take their operands in registers and expect
+// LCONSTS already loaded.
 
 // LCONSTS loads the constants every lane kernel keeps in Z20-Z31.
 #define LCONSTS \
@@ -1467,11 +1470,8 @@ TEXT ·g1AddMixed(SB), 0, $704-24
 	VPSRLQ      $52, c0, Z17;   \
 	VPADDQ      Z17, c1, c1
 
-// LROUND adds a*b_i (a in Z0-Z4, b_i in Z18) to the accumulator
-// c0..c5, whose c5 it clears first, then reduces by one row (LREDROW):
-// c0 is then zero modulo 2^52 and is dropped.
-#define LROUND(c0, c1, c2, c3, c4, c5) \
-	VPXORQ      c5, c5, c5;     \
+// LPRODR adds a*b_i (a in Z0-Z4, b_i in Z18) to c0..c5.
+#define LPRODR(c0, c1, c2, c3, c4, c5) \
 	VPMADD52LUQ Z18, Z0, c0;    \
 	VPMADD52LUQ Z18, Z1, c1;    \
 	VPMADD52LUQ Z18, Z2, c2;    \
@@ -1481,7 +1481,14 @@ TEXT ·g1AddMixed(SB), 0, $704-24
 	VPMADD52HUQ Z18, Z1, c2;    \
 	VPMADD52HUQ Z18, Z2, c3;    \
 	VPMADD52HUQ Z18, Z3, c4;    \
-	VPMADD52HUQ Z18, Z4, c5;    \
+	VPMADD52HUQ Z18, Z4, c5
+
+// LROUND adds a*b_i (a in Z0-Z4, b_i in Z18) to the accumulator
+// c0..c5, whose c5 it clears first, then reduces by one row (LREDROW):
+// c0 is then zero modulo 2^52 and is dropped.
+#define LROUND(c0, c1, c2, c3, c4, c5) \
+	VPXORQ c5, c5, c5;              \
+	LPRODR(c0, c1, c2, c3, c4, c5); \
 	LREDROW(c0, c1, c2, c3, c4, c5)
 
 #define LZEROACC \
@@ -1792,250 +1799,775 @@ TEXT ·lfpLine(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// The fused line product below adds up to four products of lane
-// elements before one Montgomery reduction: per round, for each pair
-// (a_k, b_k), b_k's limb i goes into Z18 and ten IFMA ops with a_k's
-// limbs as memory operands add a_k*b_k,i; then one m*p row reduces the
-// sum. Four products under one reduction cost 255 IFMA ops where four
-// separate ones cost 404 and three additions. A sum of four products of
-// operands below 2p is below 16p^2, so the result is below
-// 16p^2/R + p < 1.25p, and the accumulator limbs stay below 2^59.
+// lmulxi<> sets the lane Fp2 element at (R10) to xi times the one at
+// (CX); it reads both coordinates before it writes, so the two may
+// alias. Z20-Z31 hold LCONSTS; it clobbers Z0-Z19.
+TEXT ·lmulxi<>(SB), NOSPLIT|NOFRAME, $0-0
+	LMULXI(0, CX, 0, R10)
+	RET
 
-// LPROD1 adds a*b_i to c0..c5 for b_i in Z18 and a at ao(ar).
-#define LPROD1(ao, ar, c0, c1, c2, c3, c4, c5) \
-	VPMADD52LUQ ao+0(ar), Z18, c0;   \
-	VPMADD52LUQ ao+64(ar), Z18, c1;  \
-	VPMADD52LUQ ao+128(ar), Z18, c2; \
-	VPMADD52LUQ ao+192(ar), Z18, c3; \
-	VPMADD52LUQ ao+256(ar), Z18, c4; \
-	VPMADD52HUQ ao+0(ar), Z18, c1;   \
-	VPMADD52HUQ ao+64(ar), Z18, c2;  \
-	VPMADD52HUQ ao+128(ar), Z18, c3; \
-	VPMADD52HUQ ao+192(ar), Z18, c4; \
-	VPMADD52HUQ ao+256(ar), Z18, c5
+#define LMULXIC(so, sr, do, dr) \
+	LEAQ so(sr), CX;  \
+	LEAQ do(dr), R10; \
+	CALL ·lmulxi<>(SB)
 
-// LSUM4ROUND is round OFF/64 of LSUM4.
-#define LSUM4ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, c0, c1, c2, c3, c4, c5) \
-	VPXORQ    c5, c5, c5;                                  \
-	VMOVDQU64 b1o+OFF(b1r), Z18; LPROD1(a1o, a1r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b2o+OFF(b2r), Z18; LPROD1(a2o, a2r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b3o+OFF(b3r), Z18; LPROD1(a3o, a3r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b4o+OFF(b4r), Z18; LPROD1(a4o, a4r, c0, c1, c2, c3, c4, c5); \
-	LREDROW(c0, c1, c2, c3, c4, c5)
+// The tower kernels below multiply by Karatsuba with lazy reduction
+// (Aranha, Karabina, Longa, Gebotys and López, EUROCRYPT 2011), as the
+// ADX kernels above do. A wide value is a product left unreduced: its
+// ten 52-bit columns, column k of all eight lanes the 64 bytes at 64k
+// (640 bytes). lkara<> and its siblings take the three wide products of
+// an Fp2 Karatsuba product, and lksq<> the two of a square; the wide
+// products of one output coordinate are added and subtracted column by
+// column, and one Montgomery reduction (lredc<>) per output Fp
+// coordinate finishes the sum. Wide products, reductions and the Fp6
+// product lfp6w<> are subroutines, reached by CALL, so that the Miller
+// loop's kernels fit the L1 instruction cache.
+//
+// Bounds, with R = 2^260 and pR/p^2 = 2^260/p > 84.7. A reduction of
+// T >= 0 gives r = (T + mp)/R < T/R + p, so r < 2p while T < pR.
+// Operands' coordinates are below 2p, or below 4p for the unreduced
+// sums the Fp12 kernels and Karatsuba form; a coordinate of an Fp2
+// product of coordinates below 2p has a real part x0 y0 - x1 y1 in
+// (-4p^2, 4p^2) and an imaginary part x0 y1 + x1 y0 in [0, 8p^2), as
+// integers, whatever the Karatsuba sums, and four times that for
+// coordinates below 4p. A sum that can be negative gets an offset that
+// is a multiple of p, each sized by the sum's lower bound: laneOff32 =
+// 32p^2 where the result must stay below 2p, or 2^k pR (2^k p in
+// columns 5-9) where LRED follows. xi = 9 + i and the cyclotomic
+// square's 3 scale wide values column by column. Each kernel lists the
+// ranges of its sums; those bounds add independent worst cases, so an
+// offset may exceed what its sum reaches. Sums whose result can leave
+// [0, 2p) go through lredcl<>, which follows the reduction with LRED:
+// every line product output (an addend below 2p times R rides on it),
+// the Fp6 product's c0 and c1 (up to 168p^2 wide with xi), and the
+// Fp12 kernels' sums, up to 1338p^2, whose results reach 17p. A column
+// of a wide product is a sum of at most nine 52-bit halves, below
+// 9 * 2^52; the largest column a kernel forms, e0_0 of lfp12Square, stays
+// below 1440 * 2^52 < 2^63 with the offset and the reduction's own
+// additions, so no 64-bit column overflows. The reduction's carries are
+// arithmetic shifts, since a column may be negative where the sum is
+// not.
 
-// LSUM4 sets Z15, Z10, Z11, Z12, Z13 to (a1 b1 + a2 b2 + a3 b3 + a4 b4)/2^260
-// with unnormalised limbs.
-#define LSUM4(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r) \
-	LZEROACC; \
-	LSUM4ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z10, Z11, Z12, Z13, Z14, Z15);   \
-	LSUM4ROUND(64, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z11, Z12, Z13, Z14, Z15, Z10);  \
-	LSUM4ROUND(128, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z12, Z13, Z14, Z15, Z10, Z11); \
-	LSUM4ROUND(192, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z13, Z14, Z15, Z10, Z11, Z12); \
-	LSUM4ROUND(256, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, Z14, Z15, Z10, Z11, Z12, Z13)
+// A wide value in registers is in Z5-Z14, column k in Z(5+k).
+#define LWZERO \
+	VPXORQ Z5, Z5, Z5;    \
+	VPXORQ Z6, Z6, Z6;    \
+	VPXORQ Z7, Z7, Z7;    \
+	VPXORQ Z8, Z8, Z8;    \
+	VPXORQ Z9, Z9, Z9;    \
+	VPXORQ Z10, Z10, Z10; \
+	VPXORQ Z11, Z11, Z11; \
+	VPXORQ Z12, Z12, Z12; \
+	VPXORQ Z13, Z13, Z13; \
+	VPXORQ Z14, Z14, Z14
 
-// LADDTO adds the lane element at ao(ar), below 2p, to an LSUM4 result
-// (below 1.25p), brings the sum below 2p and stores it at do(dr).
-#define LADDTO(ao, ar, do, dr) \
-	VPADDQ ao+0(ar), Z15, Z15;   \
-	VPADDQ ao+64(ar), Z10, Z10;  \
-	VPADDQ ao+128(ar), Z11, Z11; \
-	VPADDQ ao+192(ar), Z12, Z12; \
-	VPADDQ ao+256(ar), Z13, Z13; \
-	LSUB2P(Z15, Z10, Z11, Z12, Z13);  \
-	LSNORM(Z15, Z10, Z11, Z12, Z13);  \
-	FIXNEG(Z15, Z10, Z11, Z12, Z13);  \
-	LSTORE(Z15, Z10, Z11, Z12, Z13, do, dr)
+// LWMUL adds the wide product of the lane elements at ao(ar) and bo(br)
+// to Z5-Z14: a goes to Z0-Z4, and one LPRODR per limb of b, 50 IFMA
+// ops with register operands, where memory operands would take two
+// 512-bit loads per cycle at the IFMA rate.
+#define LWMUL(ao, ar, bo, br) \
+	LLOAD(ao, ar, Z0, Z1, Z2, Z3, Z4);                          \
+	VMOVDQU64 bo+0(br), Z18;   LPRODR(Z5, Z6, Z7, Z8, Z9, Z10);   \
+	VMOVDQU64 bo+64(br), Z18;  LPRODR(Z6, Z7, Z8, Z9, Z10, Z11);  \
+	VMOVDQU64 bo+128(br), Z18; LPRODR(Z7, Z8, Z9, Z10, Z11, Z12); \
+	VMOVDQU64 bo+192(br), Z18; LPRODR(Z8, Z9, Z10, Z11, Z12, Z13); \
+	VMOVDQU64 bo+256(br), Z18; LPRODR(Z9, Z10, Z11, Z12, Z13, Z14)
 
-// LFP2MAC sets the Fp2 lane element at do(dr) to z + x y + x' y', for
-// x and x' in the f argument (at xo(SI), x2o(SI)) and y, y' given by
-// their real and imaginary parts and the negated imaginary part.
-#define LFP2MAC(xo, yro, yrr, yio, yir, nyio, nyir, x2o, y2ro, y2rr, y2io, y2ir, ny2io, ny2ir, zo, do, dr) \
-	LSUM4(xo, SI, yro, yrr, xo+320, SI, nyio, nyir, x2o, SI, y2ro, y2rr, x2o+320, SI, ny2io, ny2ir); \
-	LADDTO(zo, SI, do, dr);                                                                         \
-	LSUM4(xo, SI, yio, yir, xo+320, SI, yro, yrr, x2o, SI, y2io, y2ir, x2o+320, SI, y2ro, y2rr);     \
-	LADDTO(zo+320, SI, do+320, dr)
+// LWLOAD, LWSTORE, LWADD and LWSUB set Z5-Z14 to the wide value at
+// o(r), store them there, add it and subtract it.
+#define LWLOAD(o, r) \
+	VMOVDQU64 o+0(r), Z5;    \
+	VMOVDQU64 o+64(r), Z6;   \
+	VMOVDQU64 o+128(r), Z7;  \
+	VMOVDQU64 o+192(r), Z8;  \
+	VMOVDQU64 o+256(r), Z9;  \
+	VMOVDQU64 o+320(r), Z10; \
+	VMOVDQU64 o+384(r), Z11; \
+	VMOVDQU64 o+448(r), Z12; \
+	VMOVDQU64 o+512(r), Z13; \
+	VMOVDQU64 o+576(r), Z14
 
-// LNEG sets the lane element at do(dr) to minus the one at so(sr).
-#define LNEG(so, sr, do, dr) \
-	VPXORQ Z5, Z5, Z5; \
-	VPXORQ Z6, Z6, Z6; \
-	VPXORQ Z7, Z7, Z7; \
-	VPXORQ Z8, Z8, Z8; \
-	VPXORQ Z9, Z9, Z9; \
-	LSUBM(so, sr, Z5, Z6, Z7, Z8, Z9); \
-	LSNORM(Z5, Z6, Z7, Z8, Z9);        \
-	FIXNEG(Z5, Z6, Z7, Z8, Z9);        \
-	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+#define LWSTORE(o, r) \
+	VMOVDQU64 Z5, o+0(r);    \
+	VMOVDQU64 Z6, o+64(r);   \
+	VMOVDQU64 Z7, o+128(r);  \
+	VMOVDQU64 Z8, o+192(r);  \
+	VMOVDQU64 Z9, o+256(r);  \
+	VMOVDQU64 Z10, o+320(r); \
+	VMOVDQU64 Z11, o+384(r); \
+	VMOVDQU64 Z12, o+448(r); \
+	VMOVDQU64 Z13, o+512(r); \
+	VMOVDQU64 Z14, o+576(r)
 
-// Frame of lfp12MulLine, from the aligned base BX: the negated
-// imaginary parts of s0 = l1 and s1 = l3, xi s0 and xi s1 with theirs,
-// and the result, copied to e at the end so that e may alias a.
-#define MLL_N0I 0
-#define MLL_N1I 320
-#define MLL_X0 640
-#define MLL_NX0I 1280
-#define MLL_X1 1600
-#define MLL_NX1I 2240
-#define MLL_E 2560
+#define LWADD(o, r) \
+	VPADDQ o+0(r), Z5, Z5;    \
+	VPADDQ o+64(r), Z6, Z6;   \
+	VPADDQ o+128(r), Z7, Z7;  \
+	VPADDQ o+192(r), Z8, Z8;  \
+	VPADDQ o+256(r), Z9, Z9;  \
+	VPADDQ o+320(r), Z10, Z10; \
+	VPADDQ o+384(r), Z11, Z11; \
+	VPADDQ o+448(r), Z12, Z12; \
+	VPADDQ o+512(r), Z13, Z13; \
+	VPADDQ o+576(r), Z14, Z14
+
+#define LWSUB(o, r) \
+	VPSUBQ o+0(r), Z5, Z5;    \
+	VPSUBQ o+64(r), Z6, Z6;   \
+	VPSUBQ o+128(r), Z7, Z7;  \
+	VPSUBQ o+192(r), Z8, Z8;  \
+	VPSUBQ o+256(r), Z9, Z9;  \
+	VPSUBQ o+320(r), Z10, Z10; \
+	VPSUBQ o+384(r), Z11, Z11; \
+	VPSUBQ o+448(r), Z12, Z12; \
+	VPSUBQ o+512(r), Z13, Z13; \
+	VPSUBQ o+576(r), Z14, Z14
+
+// LWADDR and LWSUBR add and subtract x R for the lane element x at o(r):
+// its limbs go to columns 5-9. LWADDPR adds pR, LWADD2PR 2pR and
+// LWADDSPR(s) 2^(s+1) pR, from the limbs of 2p shifted left by s; LWOFF32
+// adds laneOff32 = 32p^2. Each is 0 mod p.
+#define LWADDR(o, r) \
+	VPADDQ o+0(r), Z10, Z10;   \
+	VPADDQ o+64(r), Z11, Z11;  \
+	VPADDQ o+128(r), Z12, Z12; \
+	VPADDQ o+192(r), Z13, Z13; \
+	VPADDQ o+256(r), Z14, Z14
+
+#define LWSUBR(o, r) \
+	VPSUBQ o+0(r), Z10, Z10;   \
+	VPSUBQ o+64(r), Z11, Z11;  \
+	VPSUBQ o+128(r), Z12, Z12; \
+	VPSUBQ o+192(r), Z13, Z13; \
+	VPSUBQ o+256(r), Z14, Z14
+
+#define LWADDPR \
+	VPADDQ Z20, Z10, Z10; \
+	VPADDQ Z21, Z11, Z11; \
+	VPADDQ Z22, Z12, Z12; \
+	VPADDQ Z23, Z13, Z13; \
+	VPADDQ Z24, Z14, Z14
+
+#define LWADD2PR \
+	VPADDQ Z27, Z10, Z10; \
+	VPADDQ Z28, Z11, Z11; \
+	VPADDQ Z29, Z12, Z12; \
+	VPADDQ Z30, Z13, Z13; \
+	VPADDQ Z31, Z14, Z14
+
+#define LWADDSPR(s) \
+	VPSLLQ $s, Z27, Z15; VPADDQ Z15, Z10, Z10; \
+	VPSLLQ $s, Z28, Z15; VPADDQ Z15, Z11, Z11; \
+	VPSLLQ $s, Z29, Z15; VPADDQ Z15, Z12, Z12; \
+	VPSLLQ $s, Z30, Z15; VPADDQ Z15, Z13, Z13; \
+	VPSLLQ $s, Z31, Z15; VPADDQ Z15, Z14, Z14
+
+#define LWOFF32 \
+	VPADDQ ·laneOff32+0(SB), Z5, Z5;     \
+	VPADDQ ·laneOff32+64(SB), Z6, Z6;    \
+	VPADDQ ·laneOff32+128(SB), Z7, Z7;   \
+	VPADDQ ·laneOff32+192(SB), Z8, Z8;   \
+	VPADDQ ·laneOff32+256(SB), Z9, Z9;   \
+	VPADDQ ·laneOff32+320(SB), Z10, Z10; \
+	VPADDQ ·laneOff32+384(SB), Z11, Z11; \
+	VPADDQ ·laneOff32+448(SB), Z12, Z12; \
+	VPADDQ ·laneOff32+512(SB), Z13, Z13; \
+	VPADDQ ·laneOff32+576(SB), Z14, Z14
+
+// LKSPLIT takes column c of v1 = x1 y1, in c, and column o of
+// v0 = x0 y0, at o(R10): it stores v0 - v1 there and leaves
+// -(v0 + v1) in c, for v2 to be added to. Z19 is zero.
+#define LKSPLIT(o, c) \
+	VMOVDQU64 o(R10), Z15; \
+	VPSUBQ    c, Z15, Z16;  \
+	VMOVDQU64 Z16, o(R10); \
+	VPADDQ    Z15, c, c;    \
+	VPSUBQ    c, Z19, c
+
+// LKSPLITS runs LKSPLIT for the ten columns, Z19 zeroed first.
+#define LKSPLITS \
+	VPXORQ Z19, Z19, Z19; \
+	LKSPLIT(0, Z5);       \
+	LKSPLIT(64, Z6);      \
+	LKSPLIT(128, Z7);     \
+	LKSPLIT(192, Z8);     \
+	LKSPLIT(256, Z9);     \
+	LKSPLIT(320, Z10);    \
+	LKSPLIT(384, Z11);    \
+	LKSPLIT(448, Z12);    \
+	LKSPLIT(512, Z13);    \
+	LKSPLIT(576, Z14)
+
+// lkara<> stores at (R10) the wide Fp2 product of the lane Fp2
+// elements x at (CX) and y at (AX): the real part x0 y0 - x1 y1 at 0
+// and the imaginary part (x0 + x1)(y0 + y1) - x0 y0 - x1 y1 at 640, 1280
+// bytes in all, three wide products. The coordinates of x and y may be
+// up to 8p, with normalised limbs: their sums, normalised here, are
+// below 16p < 2^258. R10 must not overlap x or y. Z20-Z31 hold LCONSTS;
+// it clobbers Z0-Z19.
+TEXT ·lkara<>(SB), NOSPLIT|NOFRAME, $0-0
+	LWZERO
+	LWMUL(0, CX, 0, AX)
+	LWSTORE(0, R10)
+	LWZERO
+	LWMUL(320, CX, 320, AX)
+	LKSPLITS
+	// y0 + y1 waits at 640(R10), where the imaginary part goes last;
+	// x0 + x1 is in Z0-Z4.
+	LADDNR(0, AX, 320, AX, Z0, Z1, Z2, Z3, Z4)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 640, R10)
+	LADDNR(0, CX, 320, CX, Z0, Z1, Z2, Z3, Z4)
+	VMOVDQU64 640(R10), Z18; LPRODR(Z5, Z6, Z7, Z8, Z9, Z10)
+	VMOVDQU64 704(R10), Z18; LPRODR(Z6, Z7, Z8, Z9, Z10, Z11)
+	VMOVDQU64 768(R10), Z18; LPRODR(Z7, Z8, Z9, Z10, Z11, Z12)
+	VMOVDQU64 832(R10), Z18; LPRODR(Z8, Z9, Z10, Z11, Z12, Z13)
+	VMOVDQU64 896(R10), Z18; LPRODR(Z9, Z10, Z11, Z12, Z13, Z14)
+	LWSTORE(640, R10)
+	RET
+
+// LKARA runs lkara<> on x at xo(xr) and y at yo(yr) into po(pr).
+#define LKARA(xo, xr, yo, yr, po, pr) \
+	LEAQ xo(xr), CX; \
+	LEAQ yo(yr), AX; \
+	LEAQ po(pr), R10; \
+	CALL ·lkara<>(SB)
+
+// LWREDROW is LREDROW for the wide sums of lredc<>, whose columns may be
+// negative where the sum is not: m reads only c0's low 52 bits, so
+// c0 + lo52(m p0) is the next multiple of 2^52 whatever c0's sign, and
+// its carry into c1 is ceil(c0 / 2^52), an arithmetic shift taken from
+// c0 alone while m is computed (c0, dropped, is left as it was).
+// hi52(m p0) goes to Z19, so that it and lo52(m p1) reach c1 side by
+// side: the chain from one row's m to the next is shorter than
+// LREDROW's, which lredc<>'s twelve reductions per line product feel.
+#define LWREDROW(c0, c1, c2, c3, c4, c5) \
+	VPXORQ      Z16, Z16, Z16;  \
+	VPMADD52LUQ Z25, c0, Z16;   \
+	VPADDQ      Z26, c0, Z17;   \
+	VPSRAQ      $52, Z17, Z17;  \
+	VPADDQ      Z17, c1, c1;    \
+	VPXORQ      Z19, Z19, Z19;  \
+	VPMADD52HUQ Z20, Z16, Z19;  \
+	VPMADD52LUQ Z21, Z16, c1;   \
+	VPMADD52LUQ Z22, Z16, c2;   \
+	VPMADD52LUQ Z23, Z16, c3;   \
+	VPMADD52LUQ Z24, Z16, c4;   \
+	VPMADD52HUQ Z21, Z16, c2;   \
+	VPMADD52HUQ Z22, Z16, c3;   \
+	VPMADD52HUQ Z23, Z16, c4;   \
+	VPMADD52HUQ Z24, Z16, c5;   \
+	VPADDQ      Z19, c1, c1
+
+// lredc<> sets Z10-Z14 to T/R mod p, normalised and below T/R + p, for
+// the wide value T >= 0 in Z5-Z14: five LWREDROWs and a signed
+// normalisation. lredcl<> follows it with LRED, for a result in
+// [0, 2p) from any T below (2^260 - p) R, whose reduction is below
+// 2^260. Z20-Z31 hold LCONSTS; they clobber Z5-Z9, Z16, Z17 and Z19.
+TEXT ·lredc<>(SB), NOSPLIT|NOFRAME, $0-0
+	LWREDROW(Z5, Z6, Z7, Z8, Z9, Z10)
+	LWREDROW(Z6, Z7, Z8, Z9, Z10, Z11)
+	LWREDROW(Z7, Z8, Z9, Z10, Z11, Z12)
+	LWREDROW(Z8, Z9, Z10, Z11, Z12, Z13)
+	LWREDROW(Z9, Z10, Z11, Z12, Z13, Z14)
+	LSNORM(Z10, Z11, Z12, Z13, Z14)
+	RET
+
+TEXT ·lredcl<>(SB), NOSPLIT|NOFRAME, $0-0
+	CALL ·lredc<>(SB)
+	LRED(Z10, Z11, Z12, Z13, Z14, Z5, Z6, Z7, Z8, Z9)
+	RET
+
+#define LRDC CALL ·lredc<>(SB)
+#define LRDCL CALL ·lredcl<>(SB)
+
+// LCOLS runs the column macro M for the ten columns of Z5-Z14.
+#define LCOLS(M) \
+	M(0, Z5);    \
+	M(64, Z6);   \
+	M(128, Z7);  \
+	M(192, Z8);  \
+	M(256, Z9);  \
+	M(320, Z10); \
+	M(384, Z11); \
+	M(448, Z12); \
+	M(512, Z13); \
+	M(576, Z14)
+
+// LWOUT reduces Z5-Z14 by LRDCL and stores the result at o(r).
+#define LWOUT(o, r) \
+	LRDCL; \
+	LSTORE(Z10, Z11, Z12, Z13, Z14, o, r)
+
+// L2SUMNR sets the lane Fp2 element at do(dr) to a + b, for a at
+// ao(ar) and b at bo(br), normalised but not reduced: each coordinate
+// below 4p, an operand of lkara<>.
+#define L2SUMNR(ao, ar, bo, br, do, dr) \
+	LADDNR(ao, ar, bo, br, Z0, Z1, Z2, Z3, Z4);         \
+	LSTORE(Z0, Z1, Z2, Z3, Z4, do, dr);                 \
+	LADDNR(ao+320, ar, bo+320, br, Z0, Z1, Z2, Z3, Z4); \
+	LSTORE(Z0, Z1, Z2, Z3, Z4, do+320, dr)
+
+// The line product's operands are Karatsuba blocks, 960 bytes: a lane
+// Fp2 element's two coordinates at 0 and 320 and their sum, normalised,
+// at 640, formed once where an operand serves several products.
+// lkblk<> stores at (R10) the block of the lane Fp2 element at (CX),
+// which it may overlap, and lkblks<> the block of x + y for x at (CX)
+// and y at (AX), coordinates below 4p. They clobber Z0-Z9 and Z17.
+TEXT ·lkblk<>(SB), NOSPLIT|NOFRAME, $0-0
+	LLOAD(0, CX, Z0, Z1, Z2, Z3, Z4)
+	LLOAD(320, CX, Z5, Z6, Z7, Z8, Z9)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 0, R10)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, R10)
+	VPADDQ Z5, Z0, Z0
+	VPADDQ Z6, Z1, Z1
+	VPADDQ Z7, Z2, Z2
+	VPADDQ Z8, Z3, Z3
+	VPADDQ Z9, Z4, Z4
+	LNORM(Z0, Z1, Z2, Z3, Z4)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 640, R10)
+	RET
+
+TEXT ·lkblks<>(SB), NOSPLIT|NOFRAME, $0-0
+	LADDNR(0, CX, 0, AX, Z0, Z1, Z2, Z3, Z4)
+	LADDNR(320, CX, 320, AX, Z5, Z6, Z7, Z8, Z9)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 0, R10)
+	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, R10)
+	VPADDQ Z5, Z0, Z0
+	VPADDQ Z6, Z1, Z1
+	VPADDQ Z7, Z2, Z2
+	VPADDQ Z8, Z3, Z3
+	VPADDQ Z9, Z4, Z4
+	LNORM(Z0, Z1, Z2, Z3, Z4)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 640, R10)
+	RET
+
+#define LKBLK(xo, xr, bo, br) \
+	LEAQ xo(xr), CX;  \
+	LEAQ bo(br), R10; \
+	CALL ·lkblk<>(SB)
+
+#define LKBLKS(xo, xr, yo, yr, bo, br) \
+	LEAQ xo(xr), CX;  \
+	LEAQ yo(yr), AX;  \
+	LEAQ bo(br), R10; \
+	CALL ·lkblks<>(SB)
+
+// The three wide products of an Fp2 Karatsuba product of the blocks x
+// at (CX) and y at (AX) are v0 = x0 y0, v1 = x1 y1 and
+// v2 = (x0 + x1)(y0 + y1). lkraw<> stores them at (R10), 1920 bytes.
+// lkacc<> adds them to those of a raw product Q at (R11), and lksub<>
+// subtracts from them those of Q and of Q' at 1920(R11); both store the
+// real and the imaginary part of the result at (R10), 1280 bytes, as
+// lkara<> does: so (R10) gets Q + x y or x y - Q - Q', with the sums
+// taken on the wide products, before the split into parts. R10 must not
+// overlap the operands. They clobber Z0-Z19.
+TEXT ·lkraw<>(SB), NOSPLIT|NOFRAME, $0-0
+	LWZERO
+	LWMUL(0, CX, 0, AX)
+	LWSTORE(0, R10)
+	LWZERO
+	LWMUL(320, CX, 320, AX)
+	LWSTORE(640, R10)
+	LWZERO
+	LWMUL(640, CX, 640, AX)
+	LWSTORE(1280, R10)
+	RET
+
+TEXT ·lkacc<>(SB), NOSPLIT|NOFRAME, $0-0
+	LWLOAD(0, R11)
+	LWMUL(0, CX, 0, AX)
+	LWSTORE(0, R10)
+	LWLOAD(640, R11)
+	LWMUL(320, CX, 320, AX)
+	LKSPLITS
+	LWADD(1280, R11)
+	LWMUL(640, CX, 640, AX)
+	LWSTORE(640, R10)
+	RET
+
+TEXT ·lksub<>(SB), NOSPLIT|NOFRAME, $0-0
+	LWZERO
+	LWSUB(0, R11)
+	LWSUB(1920, R11)
+	LWMUL(0, CX, 0, AX)
+	LWSTORE(0, R10)
+	LWZERO
+	LWSUB(640, R11)
+	LWSUB(2560, R11)
+	LWMUL(320, CX, 320, AX)
+	LKSPLITS
+	LWSUB(1280, R11)
+	LWSUB(3200, R11)
+	LWMUL(640, CX, 640, AX)
+	LWSTORE(640, R10)
+	RET
+
+// LKRAW, LKACC and LKSUB run lkraw<>, lkacc<> and lksub<> on the blocks
+// at xo(BX) and yo(BX), with Q at qo(BX), into po(BX).
+#define LKRAW(xo, yo, po) \
+	LEAQ xo(BX), CX;  \
+	LEAQ yo(BX), AX;  \
+	LEAQ po(BX), R10; \
+	CALL ·lkraw<>(SB)
+
+#define LKACC(xo, yo, qo, po) \
+	LEAQ xo(BX), CX;  \
+	LEAQ yo(BX), AX;  \
+	LEAQ qo(BX), R11; \
+	LEAQ po(BX), R10; \
+	CALL ·lkacc<>(SB)
+
+#define LKSUB(xo, yo, qo, po) \
+	LEAQ xo(BX), CX;  \
+	LEAQ yo(BX), AX;  \
+	LEAQ qo(BX), R11; \
+	LEAQ po(BX), R10; \
+	CALL ·lksub<>(SB)
+
+// Frame of lfp12MulLine, from the aligned base BX: the blocks of s0,
+// s1, s0 + s1 and xi s1; those of b0, b1, b2 and b0 + b1 for the Fp6
+// half b in hand; P1 = b0 s0 and P2 = b1 s1, raw and adjacent; the split
+// sums O0 = P1 + P4, O1 = PK - P1 - P2 and O2 = P2 + P5; and e0, staged
+// so that e may alias a.
+#define MLL_Y0 0
+#define MLL_Y1 960
+#define MLL_YS 1920
+#define MLL_YX 2880
+#define MLL_X0 3840
+#define MLL_X1 4800
+#define MLL_X2 5760
+#define MLL_X01 6720
+#define MLL_Q1 7680
+#define MLL_Q2 9600
+#define MLL_O0 11520
+#define MLL_O1 12800
+#define MLL_O2 14080
+#define MLL_E0 15360
+
+// MLLHALF stores O0, O1 and O2 for the Fp6 half b at bo(SI) and
+// L = s0 + s1 tau, from the five Fp2 products P1 = b0 s0, P2 = b1 s1,
+// PK = (b0 + b1)(s0 + s1), P4 = b2 (xi s1) and P5 = b2 s0, so that
+// b L = O0 + O1 tau + O2 tau^2.
+#define MLLHALF(bo) \
+	LKBLK(bo, SI, MLL_X0, BX);                  \
+	LKBLK(bo+640, SI, MLL_X1, BX);              \
+	LKBLK(bo+1280, SI, MLL_X2, BX);             \
+	LKBLKS(bo, SI, bo+640, SI, MLL_X01, BX);    \
+	LKRAW(MLL_X0, MLL_Y0, MLL_Q1);              \
+	LKRAW(MLL_X1, MLL_Y1, MLL_Q2);              \
+	LKACC(MLL_X2, MLL_YX, MLL_Q1, MLL_O0);      \
+	LKACC(MLL_X2, MLL_Y0, MLL_Q2, MLL_O2);      \
+	LKSUB(MLL_X01, MLL_YS, MLL_Q1, MLL_O1)
+
+// MLLOUT stores z + O at do(dr), for the lane Fp2 element z at zo(SI)
+// and the split sum O at oo(BX). O0, O1 and O2 have their real parts in
+// (-8p^2, 8p^2), which get 2pR, and their imaginary parts in
+// [0, 16p^2); with z R each is below (16p^2 + 2pR)/R + 3p < 5.2p, and
+// LRED reduces it.
+#define MLLOUT(oo, zo, do, dr) \
+	LWLOAD(oo, BX);       \
+	LWADDR(zo, SI);       \
+	LWADD2PR;             \
+	LWOUT(do, dr);        \
+	LWLOAD(oo+640, BX);   \
+	LWADDR(zo+320, SI);   \
+	LWOUT(do+320, dr)
+
+// MLLXRE and MLLXIM set column c of the real and the imaginary part of
+// xi O2 from column o of O2: 9u - v and u + 9v, for u and v its parts.
+#define MLLXRE(o, c) \
+	VMOVDQU64 MLL_O2+o(BX), Z15;      \
+	VPSLLQ    $3, Z15, c;             \
+	VPADDQ    Z15, c, c;              \
+	VPSUBQ    MLL_O2+640+o(BX), c, c
+
+#define MLLXIM(o, c) \
+	VMOVDQU64 MLL_O2+640+o(BX), Z15;  \
+	VPSLLQ    $3, Z15, c;             \
+	VPADDQ    Z15, c, c;              \
+	VPADDQ    MLL_O2+o(BX), c, c
+
+// MLLXOUT stores z + xi O2 at do(dr), for z at zo(SI): xi's real part
+// 9u - v is in (-88p^2, 72p^2) and its imaginary part u + 9v in
+// (-8p^2, 152p^2); with 2pR and z R each is below 7p, and LRED reduces
+// it.
+#define MLLXOUT(zo, do, dr) \
+	LCOLS(MLLXRE);        \
+	LWADDR(zo, SI);       \
+	LWADD2PR;             \
+	LWOUT(do, dr);        \
+	LCOLS(MLLXIM);        \
+	LWADDR(zo+320, SI);   \
+	LWADD2PR;             \
+	LWOUT(do+320, dr)
 
 // func lfp12MulLine(e, a *lfp12, l1, l3 *lfp2)
 //
-// e = a (1 + (l1 + l3 tau) omega), as gfP12.mulLineGeneric, with every
-// coordinate one LFP2MAC. With b the Fp6 halves of a and
-// L = s0 + s1 tau, b L = (b0 s0 + b2 xi s1) + (b0 s1 + b1 s0) tau +
-// (b1 s1 + b2 s0) tau^2, and
-//
-//	e0 = c0 + tau (c1 L) = c0 + (c1_1 xi s1 + c1_2 xi s0, c1_0 s0 + c1_2 xi s1, c1_0 s1 + c1_1 s0)
-//	e1 = c1 + c0 L       = c1 + (c0_0 s0 + c0_2 xi s1, c0_0 s1 + c0_1 s0, c0_1 s1 + c0_2 s0).
-TEXT ·lfp12MulLine(SB), 0, $6464-32
+// e = a (1 + (l1 + l3 tau) omega), as gfP12.mulLineGeneric. With c0 and
+// c1 the Fp6 halves of a and L = s0 + s1 tau for s0 = l1, s1 = l3,
+// e0 = c0 + tau (c1 L) and e1 = c1 + c0 L, and each half's b L takes the
+// five Fp2 products of MLLHALF: 30 Fp products and 12 reductions, one
+// per output coordinate. The c1 half
+// comes first and e0 is staged; the c0 half's e1 is written in place,
+// each coordinate reading its addend from c1 before writing it, so e may
+// alias a.
+TEXT ·lfp12MulLine(SB), 0, $17344-32
 	MOVQ e+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ l1+16(FP), DX
 	MOVQ l3+24(FP), R8
 	LALIGN
 	LCONSTS
-	LMULXI(0, DX, MLL_X0, BX)
-	LMULXI(0, R8, MLL_X1, BX)
-	LNEG(320, DX, MLL_N0I, BX)
-	LNEG(320, R8, MLL_N1I, BX)
-	LNEG(MLL_X0+320, BX, MLL_NX0I, BX)
-	LNEG(MLL_X1+320, BX, MLL_NX1I, BX)
-	// e0
-	LFP2MAC(1920+640, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 1920+1280, MLL_X0, BX, MLL_X0+320, BX, MLL_NX0I, BX, 0, MLL_E, BX)
-	LFP2MAC(1920, 0, DX, 320, DX, MLL_N0I, BX, 1920+1280, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 640, MLL_E+640, BX)
-	LFP2MAC(1920, 0, R8, 320, R8, MLL_N1I, BX, 1920+640, 0, DX, 320, DX, MLL_N0I, BX, 1280, MLL_E+1280, BX)
-	// e1
-	LFP2MAC(0, 0, DX, 320, DX, MLL_N0I, BX, 1280, MLL_X1, BX, MLL_X1+320, BX, MLL_NX1I, BX, 1920, MLL_E+1920, BX)
-	LFP2MAC(0, 0, R8, 320, R8, MLL_N1I, BX, 640, 0, DX, 320, DX, MLL_N0I, BX, 1920+640, MLL_E+2560, BX)
-	LFP2MAC(640, 0, R8, 320, R8, MLL_N1I, BX, 1280, 0, DX, 320, DX, MLL_N0I, BX, 1920+1280, MLL_E+3200, BX)
-	// e = the result
+	LKBLK(0, DX, MLL_Y0, BX)
+	LKBLK(0, R8, MLL_Y1, BX)
+	LKBLKS(0, DX, 0, R8, MLL_YS, BX)
+	LMULXIC(0, R8, MLL_YX, BX)
+	LKBLK(MLL_YX, BX, MLL_YX, BX)
+	// e0 = c0 + (xi (c1 L)_2, (c1 L)_0, (c1 L)_1), staged.
+	MLLHALF(1920)
+	MLLXOUT(0, MLL_E0, BX)
+	MLLOUT(MLL_O0, 640, MLL_E0+640, BX)
+	MLLOUT(MLL_O1, 1280, MLL_E0+1280, BX)
+	// e1 = c1 + c0 L.
+	MLLHALF(0)
+	MLLOUT(MLL_O0, 1920, 1920, DI)
+	MLLOUT(MLL_O1, 2560, 2560, DI)
+	MLLOUT(MLL_O2, 3200, 3200, DI)
+	// e0 from the frame.
 	MOVQ $0, AX
 mllcopy:
-	VMOVDQU64 MLL_E(BX)(AX*1), Z0
-	VMOVDQU64 MLL_E+64(BX)(AX*1), Z1
-	VMOVDQU64 MLL_E+128(BX)(AX*1), Z2
-	VMOVDQU64 MLL_E+192(BX)(AX*1), Z3
+	VMOVDQU64 MLL_E0(BX)(AX*1), Z0
+	VMOVDQU64 MLL_E0+64(BX)(AX*1), Z1
+	VMOVDQU64 MLL_E0+128(BX)(AX*1), Z2
+	VMOVDQU64 MLL_E0+192(BX)(AX*1), Z3
+	VMOVDQU64 MLL_E0+256(BX)(AX*1), Z4
+	VMOVDQU64 MLL_E0+320(BX)(AX*1), Z5
 	VMOVDQU64 Z0, (DI)(AX*1)
 	VMOVDQU64 Z1, 64(DI)(AX*1)
 	VMOVDQU64 Z2, 128(DI)(AX*1)
 	VMOVDQU64 Z3, 192(DI)(AX*1)
-	ADDQ $256, AX
-	CMPQ AX, $3840
+	VMOVDQU64 Z4, 256(DI)(AX*1)
+	VMOVDQU64 Z5, 320(DI)(AX*1)
+	ADDQ $384, AX
+	CMPQ AX, $1920
 	JNE  mllcopy
 	VZEROUPPER
 	RET
 
-// LSUM6ROUND is round OFF/64 of LSUM6.
-#define LSUM6ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, c0, c1, c2, c3, c4, c5) \
-	VPXORQ    c5, c5, c5;                                  \
-	VMOVDQU64 b1o+OFF(b1r), Z18; LPROD1(a1o, a1r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b2o+OFF(b2r), Z18; LPROD1(a2o, a2r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b3o+OFF(b3r), Z18; LPROD1(a3o, a3r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b4o+OFF(b4r), Z18; LPROD1(a4o, a4r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b5o+OFF(b5r), Z18; LPROD1(a5o, a5r, c0, c1, c2, c3, c4, c5); \
-	VMOVDQU64 b6o+OFF(b6r), Z18; LPROD1(a6o, a6r, c0, c1, c2, c3, c4, c5); \
-	LREDROW(c0, c1, c2, c3, c4, c5)
+// Scratch of lfp6w<>, from R9: the wide Fp2 products t0, t1, t2, S01,
+// S02 and S12, and the operand sums a_i + a_j and b_i + b_j in hand.
+#define L6_T0 0
+#define L6_T1 1280
+#define L6_T2 2560
+#define L6_S01 3840
+#define L6_S02 5120
+#define L6_S12 6400
+#define L6_SA 7680
+#define L6_SB 8320
+#define L6_SIZE 8960
 
-// LSUM6 is LSUM4 for six products: below 24p^2, so the result is below
-// 24p^2/R + p < 1.4p and the accumulator limbs below 2^59.
-#define LSUM6(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r) \
-	LZEROACC; \
-	LSUM6ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z10, Z11, Z12, Z13, Z14, Z15); \
-	LSUM6ROUND(64, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z11, Z12, Z13, Z14, Z15, Z10); \
-	LSUM6ROUND(128, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z12, Z13, Z14, Z15, Z10, Z11); \
-	LSUM6ROUND(192, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z13, Z14, Z15, Z10, Z11, Z12); \
-	LSUM6ROUND(256, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, a3o, a3r, b3o, b3r, a4o, a4r, b4o, b4r, a5o, a5r, b5o, b5r, a6o, a6r, b6o, b6r, Z14, Z15, Z10, Z11, Z12, Z13)
+// L6SUM stores the wide product S_ij = (a_i + a_j)(b_i + b_j) at P(R9).
+#define L6SUM(i, j, P) \
+	L2SUMNR(i, SI, j, SI, L6_SA, R9); \
+	L2SUMNR(i, DX, j, DX, L6_SB, R9); \
+	LKARA(L6_SA, R9, L6_SB, R9, P, R9)
 
-// L6MAC sets the lane Fp2 element at do(DI) to x1 y1 + x2 y2 + x3 y3 for
-// x1, x2, x3 at x1o(SI), x2o(SI), x3o(SI) and y1, y2, y3 given by the
-// offsets from R9 of their real parts, imaginary parts and negated
-// imaginary parts.
-#define L6MAC(x1o, y1r, y1i, ny1i, x2o, y2r, y2i, ny2i, x3o, y3r, y3i, ny3i, do) \
-	LSUM6(x1o, SI, y1r, R9, x1o+320, SI, ny1i, R9, x2o, SI, y2r, R9, x2o+320, SI, ny2i, R9, x3o, SI, y3r, R9, x3o+320, SI, ny3i, R9); \
-	LNORM(Z15, Z10, Z11, Z12, Z13);                                                                                                \
-	LSTORE(Z15, Z10, Z11, Z12, Z13, do, DI);                                                                                      \
-	LSUM6(x1o, SI, y1i, R9, x1o+320, SI, y1r, R9, x2o, SI, y2i, R9, x2o+320, SI, y2r, R9, x3o, SI, y3i, R9, x3o+320, SI, y3r, R9); \
-	LNORM(Z15, Z10, Z11, Z12, Z13);                                                                                                \
-	LSTORE(Z15, Z10, Z11, Z12, Z13, do+320, DI)
+// L6C1RE and L6C1IM set column c of the real and the imaginary part of
+// c1 = S01 - t0 - t1 + xi t2 from column o of the products; L6C0RE and
+// L6C0IM those of c0 = t0 + xi (S12 - t1 - t2).
+#define L6C1RE(o, c) \
+	VMOVDQU64 L6_T2+o(R9), c;         \
+	VPSLLQ    $3, c, Z15;             \
+	VPADDQ    Z15, c, c;              \
+	VPSUBQ    L6_T2+640+o(R9), c, c;  \
+	VPADDQ    L6_S01+o(R9), c, c;     \
+	VPSUBQ    L6_T0+o(R9), c, c;      \
+	VPSUBQ    L6_T1+o(R9), c, c
 
-// Scratch of lfp6mul<>, from R9: a copy of b, the negated imaginary
-// parts of b0, b1 and b2, xi b1 and xi b2 with theirs.
-#define L6_B 0
-#define L6_NB0I 1920
-#define L6_NB1I 2240
-#define L6_NB2I 2560
-#define L6_XB1 2880
-#define L6_NXB1I 3520
-#define L6_XB2 3840
-#define L6_NXB2I 4480
-#define L6_SIZE 4800
+#define L6C1IM(o, c) \
+	VMOVDQU64 L6_T2+640+o(R9), c;      \
+	VPSLLQ    $3, c, Z15;              \
+	VPADDQ    Z15, c, c;               \
+	VPADDQ    L6_T2+o(R9), c, c;       \
+	VPADDQ    L6_S01+640+o(R9), c, c;  \
+	VPSUBQ    L6_T0+640+o(R9), c, c;   \
+	VPSUBQ    L6_T1+640+o(R9), c, c
 
-// lfp6mul<> sets the lane Fp6 element at DI to the product of those at
-// SI and DX, with one reduction per output coordinate (gfp6Mul's lazy
-// reduction, on lanes): with xi folded into b,
+#define L6C0RE(o, c) \
+	VMOVDQU64 L6_S12+o(R9), Z15;          \
+	VPSUBQ    L6_T1+o(R9), Z15, Z15;      \
+	VPSUBQ    L6_T2+o(R9), Z15, Z15;      \
+	VPSLLQ    $3, Z15, c;                 \
+	VPADDQ    Z15, c, c;                  \
+	VPADDQ    L6_T0+o(R9), c, c;          \
+	VPSUBQ    L6_S12+640+o(R9), c, c;     \
+	VPADDQ    L6_T1+640+o(R9), c, c;      \
+	VPADDQ    L6_T2+640+o(R9), c, c
+
+#define L6C0IM(o, c) \
+	VMOVDQU64 L6_S12+640+o(R9), Z15;      \
+	VPSUBQ    L6_T1+640+o(R9), Z15, Z15;  \
+	VPSUBQ    L6_T2+640+o(R9), Z15, Z15;  \
+	VPSLLQ    $3, Z15, c;                 \
+	VPADDQ    Z15, c, c;                  \
+	VPADDQ    L6_T0+640+o(R9), c, c;      \
+	VPADDQ    L6_S12+o(R9), c, c;         \
+	VPSUBQ    L6_T1+o(R9), c, c;          \
+	VPSUBQ    L6_T2+o(R9), c, c
+
+// lfp6w<> stores at DI the lane Fp6 product of the elements at SI and
+// DX as six wide values, unreduced: c0, c1 and c2, real part and then
+// imaginary part, 3840 bytes. As gfP6.mulGeneric, with t_i = a_i b_i and
+// S_ij = (a_i + a_j)(b_i + b_j), six wide Fp2 products (18 Fp
+// products) give
 //
-//	e0 = a0 b0 + a1 (xi b2) + a2 (xi b1)
-//	e1 = a0 b1 + a1 b0 + a2 (xi b2)
-//	e2 = a0 b2 + a1 b1 + a2 b0,
+//	c0 = t0 + xi (S12 - t1 - t2)
+//	c1 = S01 - t0 - t1 + xi t2
+//	c2 = S02 - t0 - t2 + t1,
 //
-// and each Fp coordinate of an Fp2 sum of three products is one LSUM6.
-// Every output is below 1.4p, so none needs a subtraction. R9 points at
-// L6_SIZE bytes of aligned scratch; DI must not overlap SI, and may
-// overlap DX only if equal. Z20-Z31 hold LCONSTS. It clobbers Z0-Z19.
-TEXT ·lfp6mul<>(SB), NOSPLIT|NOFRAME, $0-0
-	MOVQ $0, AX
-l6copy:
-	VMOVDQU64 (DX)(AX*1), Z5
-	VMOVDQU64 Z5, L6_B(R9)(AX*1)
-	ADDQ $64, AX
-	CMPQ AX, $1920
-	JNE  l6copy
-	LMULXI(L6_B+640, R9, L6_XB1, R9)
-	LMULXI(L6_B+1280, R9, L6_XB2, R9)
-	LNEG(L6_B+320, R9, L6_NB0I, R9)
-	LNEG(L6_B+960, R9, L6_NB1I, R9)
-	LNEG(L6_B+1600, R9, L6_NB2I, R9)
-	LNEG(L6_XB1+320, R9, L6_NXB1I, R9)
-	LNEG(L6_XB2+320, R9, L6_NXB2I, R9)
-	L6MAC(0, L6_B, L6_B+320, L6_NB0I, 640, L6_XB2, L6_XB2+320, L6_NXB2I, 1280, L6_XB1, L6_XB1+320, L6_NXB1I, 0)
-	L6MAC(0, L6_B+640, L6_B+960, L6_NB1I, 640, L6_B, L6_B+320, L6_NB0I, 1280, L6_XB2, L6_XB2+320, L6_NXB2I, 640)
-	L6MAC(0, L6_B+1280, L6_B+1600, L6_NB2I, 640, L6_B+640, L6_B+960, L6_NB1I, 1280, L6_B, L6_B+320, L6_NB0I, 1280)
+// with xi scaling the wide sums, so that its callers reduce each output
+// coordinate once, after their own sums: 6 reductions for an Fp6
+// product, where the ADX fp6mul, whose xi scales only reduced values,
+// needs 10. The outputs are exact
+// integer bilinear forms of the operands' coordinates. For coordinates
+// below 2p, c0's parts lie in (-92p^2, 76p^2) and (-8p^2, 160p^2), c1's
+// in (-52p^2, 44p^2) and (-4p^2, 92p^2), and c2's in (-12p^2, 12p^2)
+// and [0, 24p^2); coordinates below 4p, the sums of the Fp12 kernels,
+// multiply each range by 4. A column is below 450 * 2^52 in absolute
+// value. Every product is taken before DI is written, so DI may overlap
+// SI and DX, but not the scratch: R9 points at L6_SIZE bytes of aligned
+// scratch. Z20-Z31 hold LCONSTS; it clobbers AX, CX, R10 and Z0-Z19.
+TEXT ·lfp6w<>(SB), NOSPLIT|NOFRAME, $0-0
+	LKARA(0, SI, 0, DX, L6_T0, R9)
+	LKARA(640, SI, 640, DX, L6_T1, R9)
+	LKARA(1280, SI, 1280, DX, L6_T2, R9)
+	L6SUM(0, 640, L6_S01)
+	L6SUM(0, 1280, L6_S02)
+	L6SUM(640, 1280, L6_S12)
+	// c2 = S02 - t0 - t2 + t1
+	LWLOAD(L6_S02, R9)
+	LWSUB(L6_T0, R9)
+	LWSUB(L6_T2, R9)
+	LWADD(L6_T1, R9)
+	LWSTORE(2560, DI)
+	LWLOAD(L6_S02+640, R9)
+	LWSUB(L6_T0+640, R9)
+	LWSUB(L6_T2+640, R9)
+	LWADD(L6_T1+640, R9)
+	LWSTORE(3200, DI)
+	// c1 = S01 - t0 - t1 + xi t2
+	LCOLS(L6C1RE)
+	LWSTORE(1280, DI)
+	LCOLS(L6C1IM)
+	LWSTORE(1920, DI)
+	// c0 = t0 + xi (S12 - t1 - t2)
+	LCOLS(L6C0RE)
+	LWSTORE(0, DI)
+	LCOLS(L6C0IM)
+	LWSTORE(640, DI)
 	RET
 
-// Fp2 lane macros on memory: the sum, the difference and the difference
-// of three, each reduced into [0, 2p).
-#define L2ADD(ao, ar, bo, br, do, dr) \
-	LADDR(ao, ar, bo, br);                   \
-	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr);      \
-	LADDR(ao+320, ar, bo+320, br);           \
-	LSTORE(Z5, Z6, Z7, Z8, Z9, do+320, dr)
+// LWXRE and LWXIM set column c of x - y - xi z from column o of the
+// Fp2 wide values x at xo(BX), y at yo(BX) and z at zo(BX), real part
+// (x - y - 9 z_re + z_im) and imaginary part (x - y - z_re - 9 z_im).
+#define LWXRE(xo, yo, zo, o, c) \
+	VMOVDQU64 zo+o(BX), Z15;       \
+	VPSLLQ    $3, Z15, Z16;        \
+	VPADDQ    Z16, Z15, Z15;       \
+	VMOVDQU64 xo+o(BX), c;         \
+	VPSUBQ    yo+o(BX), c, c;      \
+	VPSUBQ    Z15, c, c;           \
+	VPADDQ    zo+640+o(BX), c, c
 
-#define L1SUB3(ao, ar, bo, br, co, cr, do, dr) \
-	LSUBR(ao, ar, bo, br);                   \
-	LSUBM(co, cr, Z5, Z6, Z7, Z8, Z9);       \
-	LSNORM(Z5, Z6, Z7, Z8, Z9);              \
-	FIXNEG(Z5, Z6, Z7, Z8, Z9);              \
-	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+#define LWXIM(xo, yo, zo, o, c) \
+	VMOVDQU64 zo+640+o(BX), Z15;   \
+	VPSLLQ    $3, Z15, Z16;        \
+	VPADDQ    Z16, Z15, Z15;       \
+	VMOVDQU64 xo+640+o(BX), c;     \
+	VPSUBQ    yo+640+o(BX), c, c;  \
+	VPSUBQ    Z15, c, c;           \
+	VPSUBQ    zo+o(BX), c, c
 
-#define L2SUB3(ao, ar, bo, br, co, cr, do, dr) \
-	L1SUB3(ao, ar, bo, br, co, cr, do, dr);  \
-	L1SUB3(ao+320, ar, bo+320, br, co+320, cr, do+320, dr)
+// LWXADDRE and LWXADDIM set column c of x + xi z: x + 9 z_re - z_im
+// and x + z_re + 9 z_im.
+#define LWXADDRE(xo, zo, o, c) \
+	VMOVDQU64 zo+o(BX), Z15;       \
+	VPSLLQ    $3, Z15, c;          \
+	VPADDQ    Z15, c, c;           \
+	VPADDQ    xo+o(BX), c, c;      \
+	VPSUBQ    zo+640+o(BX), c, c
 
-// Frame of lfp12Square, from BX: v = c0 c1, s = c0 + c1,
-// x = c0 + tau c1, t = s x, xi c1_2 or xi v2, and lfp6mul<>'s scratch.
+#define LWXADDIM(xo, zo, o, c) \
+	VMOVDQU64 zo+640+o(BX), Z15;   \
+	VPSLLQ    $3, Z15, c;          \
+	VPADDQ    Z15, c, c;           \
+	VPADDQ    xo+640+o(BX), c, c;  \
+	VPADDQ    zo+o(BX), c, c
+
+// LWXADDCOLS runs LWXADDRE or LWXADDIM (M) for the ten columns.
+#define LWXADDCOLS(M, xo, zo) \
+	M(xo, zo, 0, Z5);    \
+	M(xo, zo, 64, Z6);   \
+	M(xo, zo, 128, Z7);  \
+	M(xo, zo, 192, Z8);  \
+	M(xo, zo, 256, Z9);  \
+	M(xo, zo, 320, Z10); \
+	M(xo, zo, 384, Z11); \
+	M(xo, zo, 448, Z12); \
+	M(xo, zo, 512, Z13); \
+	M(xo, zo, 576, Z14)
+
+// LWXCOLS runs LWXRE or LWXIM (M) for the ten columns of Z5-Z14.
+#define LWXCOLS(M, xo, yo, zo) \
+	M(xo, yo, zo, 0, Z5);    \
+	M(xo, yo, zo, 64, Z6);   \
+	M(xo, yo, zo, 128, Z7);  \
+	M(xo, yo, zo, 192, Z8);  \
+	M(xo, yo, zo, 256, Z9);  \
+	M(xo, yo, zo, 320, Z10); \
+	M(xo, yo, zo, 384, Z11); \
+	M(xo, yo, zo, 448, Z12); \
+	M(xo, yo, zo, 512, Z13); \
+	M(xo, yo, zo, 576, Z14)
+
+// LWDOUBLE doubles Z5-Z14.
+#define LWDOUBLE \
+	VPADDQ Z5, Z5, Z5;    \
+	VPADDQ Z6, Z6, Z6;    \
+	VPADDQ Z7, Z7, Z7;    \
+	VPADDQ Z8, Z8, Z8;    \
+	VPADDQ Z9, Z9, Z9;    \
+	VPADDQ Z10, Z10, Z10; \
+	VPADDQ Z11, Z11, Z11; \
+	VPADDQ Z12, Z12, Z12; \
+	VPADDQ Z13, Z13, Z13; \
+	VPADDQ Z14, Z14, Z14
+
+// Frame of lfp12Square, from BX: v = c0 c1 and t = s x, wide; the sums
+// s = c0 + c1 and x = c0 + tau c1, which t overwrites; xi c1_2; and
+// lfp6w<>'s scratch.
 #define S12L_V 0
-#define S12L_S 1920
-#define S12L_X 3840
-#define S12L_T 5760
+#define S12L_T 3840
+#define S12L_S 3840
+#define S12L_X 5760
 #define S12L_XI 7680
 #define S12L_M 8320
 
 // func lfp12Square(e, a *lfp12)
 //
 // e = a^2, as gfP12.squareGeneric: with v = c0 c1,
-// (c0 + c1 w)^2 = (c0 + c1)(c0 + tau c1) - v - tau v + 2 v w. e may
+// (c0 + c1 w)^2 = (c0 + c1)(c0 + tau c1) - v - tau v + 2 v w. v and
+// t = (c0 + c1)(c0 + tau c1) stay wide, and each output coordinate is
+// reduced once from its wide sum: e0 = t - v - tau v and e1 = 2v. With
+// v's ranges from operands below 2p and t's from sums below 4p (four
+// times as wide), e0's parts lie in (-552p^2, 528p^2) and
+// (-420p^2, 660p^2) for e0_0, (-328p^2, 320p^2) and (-268p^2, 380p^2)
+// for e0_1, (-104p^2, 112p^2) and (-116p^2, 100p^2) for e0_2, and e1's
+// are twice v's; each gets the multiple of pR its lower end needs, and
+// LRED reduces it, but for e1_2 (laneOff32 on its real part), whose
+// reduction stays below 2p. Columns stay below 1440 * 2^52. e may
 // alias a: a is read only before the first write to e.
-TEXT ·lfp12Square(SB), 0, $13184-16
+TEXT ·lfp12Square(SB), 0, $17344-16
 	MOVQ e+0(FP), R8
 	MOVQ a+8(FP), SI
 	LALIGN
@@ -2043,195 +2575,432 @@ TEXT ·lfp12Square(SB), 0, $13184-16
 	LCONSTS
 	LEAQ 1920(SI), DX
 	LEAQ S12L_V(BX), DI
-	CALL ·lfp6mul<>(SB)
-	L2ADD(0, SI, 1920, SI, S12L_S, BX)
-	L2ADD(640, SI, 2560, SI, S12L_S+640, BX)
-	L2ADD(1280, SI, 3200, SI, S12L_S+1280, BX)
-	LMULXI(3200, SI, S12L_XI, BX)
-	L2ADD(0, SI, S12L_XI, BX, S12L_X, BX)
-	L2ADD(640, SI, 1920, SI, S12L_X+640, BX)
-	L2ADD(1280, SI, 2560, SI, S12L_X+1280, BX)
+	CALL ·lfp6w<>(SB)
+	L2SUMNR(0, SI, 1920, SI, S12L_S, BX)
+	L2SUMNR(640, SI, 2560, SI, S12L_S+640, BX)
+	L2SUMNR(1280, SI, 3200, SI, S12L_S+1280, BX)
+	LMULXIC(3200, SI, S12L_XI, BX)
+	L2SUMNR(0, SI, S12L_XI, BX, S12L_X, BX)
+	L2SUMNR(640, SI, 1920, SI, S12L_X+640, BX)
+	L2SUMNR(1280, SI, 2560, SI, S12L_X+1280, BX)
 	LEAQ S12L_S(BX), SI
 	LEAQ S12L_X(BX), DX
 	LEAQ S12L_T(BX), DI
-	CALL ·lfp6mul<>(SB)
-	LMULXI(S12L_V+1280, BX, S12L_XI, BX)
-	L2SUB3(S12L_T, BX, S12L_V, BX, S12L_XI, BX, 0, R8)
-	L2SUB3(S12L_T+640, BX, S12L_V+640, BX, S12L_V, BX, 640, R8)
-	L2SUB3(S12L_T+1280, BX, S12L_V+1280, BX, S12L_V+640, BX, 1280, R8)
-	L2ADD(S12L_V, BX, S12L_V, BX, 1920, R8)
-	L2ADD(S12L_V+640, BX, S12L_V+640, BX, 2560, R8)
-	L2ADD(S12L_V+1280, BX, S12L_V+1280, BX, 3200, R8)
+	CALL ·lfp6w<>(SB)
+	// e0_0 = t0 - v0 - xi v2
+	LWXCOLS(LWXRE, S12L_T, S12L_V, S12L_V+2560)
+	LWADDSPR(2)
+	LWOUT(0, R8)
+	LWXCOLS(LWXIM, S12L_T, S12L_V, S12L_V+2560)
+	LWADDSPR(2)
+	LWOUT(320, R8)
+	// e0_1 = t1 - v1 - v0
+	LWLOAD(S12L_T+1280, BX)
+	LWSUB(S12L_V+1280, BX)
+	LWSUB(S12L_V, BX)
+	LWADDSPR(1)
+	LWOUT(640, R8)
+	LWLOAD(S12L_T+1920, BX)
+	LWSUB(S12L_V+1920, BX)
+	LWSUB(S12L_V+640, BX)
+	LWADDSPR(1)
+	LWOUT(960, R8)
+	// e0_2 = t2 - v2 - v1
+	LWLOAD(S12L_T+2560, BX)
+	LWSUB(S12L_V+2560, BX)
+	LWSUB(S12L_V+1280, BX)
+	LWADD2PR
+	LWOUT(1280, R8)
+	LWLOAD(S12L_T+3200, BX)
+	LWSUB(S12L_V+3200, BX)
+	LWSUB(S12L_V+1920, BX)
+	LWADD2PR
+	LWOUT(1600, R8)
+	// e1 = 2v
+	LWLOAD(S12L_V, BX)
+	LWDOUBLE
+	LWADDSPR(1)
+	LWOUT(1920, R8)
+	LWLOAD(S12L_V+640, BX)
+	LWDOUBLE
+	LWADDPR
+	LWOUT(2240, R8)
+	LWLOAD(S12L_V+1280, BX)
+	LWDOUBLE
+	LWADD2PR
+	LWOUT(2560, R8)
+	LWLOAD(S12L_V+1920, BX)
+	LWDOUBLE
+	LWADDPR
+	LWOUT(2880, R8)
+	LWLOAD(S12L_V+2560, BX)
+	LWDOUBLE
+	LWOFF32
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 3200, R8)
+	LWLOAD(S12L_V+3200, BX)
+	LWDOUBLE
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 3520, R8)
 	VZEROUPPER
 	RET
 
-// Frame of lfp12Mul, from BX: v0 = a0 b0, v1 = a1 b1, the sums
-// a0 + a1 and b0 + b1, s = their product, xi v1_2, and lfp6mul<>'s
-// scratch.
+// Frame of lfp12Mul, from BX: v0 = a0 b0, v1 = a1 b1 and
+// s = (a0 + a1)(b0 + b1), wide; the sums a0 + a1 and b0 + b1, which s
+// overwrites; and lfp6w<>'s scratch.
 #define M12L_V0 0
-#define M12L_V1 1920
-#define M12L_SA 3840
-#define M12L_SB 5760
+#define M12L_V1 3840
 #define M12L_S 7680
-#define M12L_XI 9600
-#define M12L_M 10240
+#define M12L_SA 7680
+#define M12L_SB 9600
+#define M12L_M 11520
 
 // func lfp12Mul(e, a, b *lfp12)
 //
-// e = a b, as gfP12.mulGeneric: Karatsuba over Fp6,
-// e0 = v0 + tau v1, e1 = (a0 + a1)(b0 + b1) - v0 - v1. e may alias a
-// or b: they are read only before the first write to e.
-TEXT ·lfp12Mul(SB), 0, $15104-24
+// e = a b, as gfP12.mulGeneric: Karatsuba over Fp6, e0 = v0 + tau v1
+// and e1 = s - v0 - v1, with v0, v1 and s wide and each output
+// coordinate reduced once from its wide sum. e1 is exactly twice as wide
+// as one product of operands below 2p, (a0 b1 + a1 b0); e0's parts lie
+// in (-224p^2, 184p^2) and (-20p^2, 388p^2) for e0_0, (-144p^2, 120p^2)
+// and (-12p^2, 252p^2) for e0_1, and (-64p^2, 56p^2) and (-4p^2, 116p^2)
+// for e0_2. Each gets the multiple of pR its lower end needs and LRED,
+// but for e1_2, as in lfp12Square. e may alias a or b: they are read
+// only before the first write to e.
+TEXT ·lfp12Mul(SB), 0, $20544-24
 	MOVQ e+0(FP), R8
 	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), CX
+	MOVQ b+16(FP), DX
 	LALIGN
 	LEAQ M12L_M(BX), R9
 	LCONSTS
-	MOVQ CX, DX
 	LEAQ M12L_V0(BX), DI
-	CALL ·lfp6mul<>(SB)
+	CALL ·lfp6w<>(SB)
 	LEAQ 1920(SI), SI
-	LEAQ 1920(CX), DX
+	LEAQ 1920(DX), DX
 	LEAQ M12L_V1(BX), DI
-	CALL ·lfp6mul<>(SB)
-	LEAQ -1920(SI), SI
-	L2ADD(0, SI, 1920, SI, M12L_SA, BX)
-	L2ADD(640, SI, 2560, SI, M12L_SA+640, BX)
-	L2ADD(1280, SI, 3200, SI, M12L_SA+1280, BX)
-	L2ADD(0, CX, 1920, CX, M12L_SB, BX)
-	L2ADD(640, CX, 2560, CX, M12L_SB+640, BX)
-	L2ADD(1280, CX, 3200, CX, M12L_SB+1280, BX)
+	CALL ·lfp6w<>(SB)
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	L2SUMNR(0, SI, 1920, SI, M12L_SA, BX)
+	L2SUMNR(640, SI, 2560, SI, M12L_SA+640, BX)
+	L2SUMNR(1280, SI, 3200, SI, M12L_SA+1280, BX)
+	L2SUMNR(0, DX, 1920, DX, M12L_SB, BX)
+	L2SUMNR(640, DX, 2560, DX, M12L_SB+640, BX)
+	L2SUMNR(1280, DX, 3200, DX, M12L_SB+1280, BX)
 	LEAQ M12L_SA(BX), SI
 	LEAQ M12L_SB(BX), DX
 	LEAQ M12L_S(BX), DI
-	CALL ·lfp6mul<>(SB)
-	L2SUB3(M12L_S, BX, M12L_V0, BX, M12L_V1, BX, 1920, R8)
-	L2SUB3(M12L_S+640, BX, M12L_V0+640, BX, M12L_V1+640, BX, 2560, R8)
-	L2SUB3(M12L_S+1280, BX, M12L_V0+1280, BX, M12L_V1+1280, BX, 3200, R8)
-	LMULXI(M12L_V1+1280, BX, M12L_XI, BX)
-	L2ADD(M12L_V0, BX, M12L_XI, BX, 0, R8)
-	L2ADD(M12L_V0+640, BX, M12L_V1, BX, 640, R8)
-	L2ADD(M12L_V0+1280, BX, M12L_V1+640, BX, 1280, R8)
+	CALL ·lfp6w<>(SB)
+	// e0_0 = v0_0 + xi v1_2
+	LWXADDCOLS(LWXADDRE, M12L_V0, M12L_V1+2560)
+	LWADDSPR(1)
+	LWOUT(0, R8)
+	LWXADDCOLS(LWXADDIM, M12L_V0, M12L_V1+2560)
+	LWADDPR
+	LWOUT(320, R8)
+	// e0_1 = v0_1 + v1_0
+	LWLOAD(M12L_V0+1280, BX)
+	LWADD(M12L_V1, BX)
+	LWADD2PR
+	LWOUT(640, R8)
+	LWLOAD(M12L_V0+1920, BX)
+	LWADD(M12L_V1+640, BX)
+	LWADDPR
+	LWOUT(960, R8)
+	// e0_2 = v0_2 + v1_1
+	LWLOAD(M12L_V0+2560, BX)
+	LWADD(M12L_V1+1280, BX)
+	LWADDPR
+	LWOUT(1280, R8)
+	LWLOAD(M12L_V0+3200, BX)
+	LWADD(M12L_V1+1920, BX)
+	LWADDPR
+	LWOUT(1600, R8)
+	// e1 = s - v0 - v1
+	LWLOAD(M12L_S, BX)
+	LWSUB(M12L_V0, BX)
+	LWSUB(M12L_V1, BX)
+	LWADDSPR(1)
+	LWOUT(1920, R8)
+	LWLOAD(M12L_S+640, BX)
+	LWSUB(M12L_V0+640, BX)
+	LWSUB(M12L_V1+640, BX)
+	LWADDPR
+	LWOUT(2240, R8)
+	LWLOAD(M12L_S+1280, BX)
+	LWSUB(M12L_V0+1280, BX)
+	LWSUB(M12L_V1+1280, BX)
+	LWADD2PR
+	LWOUT(2560, R8)
+	LWLOAD(M12L_S+1920, BX)
+	LWSUB(M12L_V0+1920, BX)
+	LWSUB(M12L_V1+1920, BX)
+	LWADDPR
+	LWOUT(2880, R8)
+	LWLOAD(M12L_S+2560, BX)
+	LWSUB(M12L_V0+2560, BX)
+	LWSUB(M12L_V1+2560, BX)
+	LWOFF32
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 3200, R8)
+	LWLOAD(M12L_S+3200, BX)
+	LWSUB(M12L_V0+3200, BX)
+	LWSUB(M12L_V1+3200, BX)
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 3520, R8)
 	VZEROUPPER
 	RET
 
-// L3T2X sets the lane element at do(dr) to 3t - 2x (op VPSUBQ, with 4p
-// added) or 3t + 2x (op VPADDQ), t at to(tr) and x at xo(xr): below 10p
-// either way, reduced by LRED.
-#define L3T2X(op, to, tr, xo, xr, do, dr) \
-	LLOAD(to, tr, Z5, Z6, Z7, Z8, Z9);              \
-	LLOAD(xo, xr, Z10, Z11, Z12, Z13, Z14);         \
-	VPSLLQ $1, Z5, Z15; VPADDQ Z15, Z5, Z5;         \
-	VPSLLQ $1, Z6, Z15; VPADDQ Z15, Z6, Z6;         \
-	VPSLLQ $1, Z7, Z15; VPADDQ Z15, Z7, Z7;         \
-	VPSLLQ $1, Z8, Z15; VPADDQ Z15, Z8, Z8;         \
-	VPSLLQ $1, Z9, Z15; VPADDQ Z15, Z9, Z9;         \
-	VPSLLQ $1, Z10, Z10;                            \
-	VPSLLQ $1, Z11, Z11;                            \
-	VPSLLQ $1, Z12, Z12;                            \
-	VPSLLQ $1, Z13, Z13;                            \
-	VPSLLQ $1, Z14, Z14;                            \
-	op     Z10, Z5, Z5;                             \
-	op     Z11, Z6, Z6;                             \
-	op     Z12, Z7, Z7;                             \
-	op     Z13, Z8, Z8;                             \
-	op     Z14, Z9, Z9;                             \
-	LADD2P(Z5, Z6, Z7, Z8, Z9);                     \
-	LADD2P(Z5, Z6, Z7, Z8, Z9);                     \
-	LSNORM(Z5, Z6, Z7, Z8, Z9);                     \
-	LRED(Z5, Z6, Z7, Z8, Z9, Z0, Z1, Z2, Z3, Z4);   \
-	LSTORE(Z5, Z6, Z7, Z8, Z9, do, dr)
+// lksq<> stores at (R10) the wide products of the square of the lane
+// Fp2 element x at (CX), as gfP2.squareGeneric: R = (x0 + x1)(x0 - x1 +
+// 4p) at 0 and M = x0 x1 at 640, so that x^2 = R + 2M i. Its
+// coordinates may be up to 4p: x0 - x1 + 4p is then positive, and both
+// factors of R are below 8p. R10 must not overlap x. Z20-Z31 hold
+// LCONSTS; it clobbers Z0-Z19.
+TEXT ·lksq<>(SB), NOSPLIT|NOFRAME, $0-0
+	LLOAD(0, CX, Z0, Z1, Z2, Z3, Z4)
+	LADD2P(Z0, Z1, Z2, Z3, Z4)
+	LADD2P(Z0, Z1, Z2, Z3, Z4)
+	LSUBM(320, CX, Z0, Z1, Z2, Z3, Z4)
+	LSNORM(Z0, Z1, Z2, Z3, Z4)
+	LSTORE(Z0, Z1, Z2, Z3, Z4, 640, R10)
+	LADDNR(0, CX, 320, CX, Z0, Z1, Z2, Z3, Z4)
+	LWZERO
+	VMOVDQU64 640(R10), Z18; LPRODR(Z5, Z6, Z7, Z8, Z9, Z10)
+	VMOVDQU64 704(R10), Z18; LPRODR(Z6, Z7, Z8, Z9, Z10, Z11)
+	VMOVDQU64 768(R10), Z18; LPRODR(Z7, Z8, Z9, Z10, Z11, Z12)
+	VMOVDQU64 832(R10), Z18; LPRODR(Z8, Z9, Z10, Z11, Z12, Z13)
+	VMOVDQU64 896(R10), Z18; LPRODR(Z9, Z10, Z11, Z12, Z13, Z14)
+	LWSTORE(0, R10)
+	LWZERO
+	LWMUL(0, CX, 320, CX)
+	LWSTORE(640, R10)
+	RET
 
-// Frame of lfp12CyclotomicSquare, from BX: t0..t8 and lfp2sqr<>'s
-// scratch.
-#define CSL_T0 0
-#define CSL_T1 640
-#define CSL_T2 1280
-#define CSL_T3 1920
-#define CSL_T4 2560
-#define CSL_T5 3200
-#define CSL_T6 3840
-#define CSL_T7 4480
-#define CSL_T8 5120
-#define CSL_Q 5760
+// LKSQ runs lksq<> on x at xo(xr) into po(pr).
+#define LKSQ(xo, xr, po, pr) \
+	LEAQ xo(xr), CX;  \
+	LEAQ po(pr), R10; \
+	CALL ·lksq<>(SB)
 
-// LCSQ sets t at to(BX) to the square of the lane Fp2 element at so(sr).
-#define LCSQ(so, sr, to) \
-	LEAQ so(sr), SI; \
-	LEAQ to(BX), DI; \
-	CALL ·lfp2sqr<>(SB)
+// LWTIMES3 triples Z5-Z14.
+#define LWTIMES3 \
+	VPADDQ Z5, Z5, Z15;   VPADDQ Z15, Z5, Z5;   \
+	VPADDQ Z6, Z6, Z15;   VPADDQ Z15, Z6, Z6;   \
+	VPADDQ Z7, Z7, Z15;   VPADDQ Z15, Z7, Z7;   \
+	VPADDQ Z8, Z8, Z15;   VPADDQ Z15, Z8, Z8;   \
+	VPADDQ Z9, Z9, Z15;   VPADDQ Z15, Z9, Z9;   \
+	VPADDQ Z10, Z10, Z15; VPADDQ Z15, Z10, Z10; \
+	VPADDQ Z11, Z11, Z15; VPADDQ Z15, Z11, Z11; \
+	VPADDQ Z12, Z12, Z15; VPADDQ Z15, Z12, Z12; \
+	VPADDQ Z13, Z13, Z15; VPADDQ Z15, Z13, Z13; \
+	VPADDQ Z14, Z14, Z15; VPADDQ Z15, Z14, Z14
 
-// LCSQSUM sets t at to(BX) to (x + y)^2 - u - v, for x, y in the
-// argument (at xo(R8), yo(R8)) and u, v at uo(BX), vo(BX).
-#define LCSQSUM(xo, yo, uo, vo, to) \
-	L2ADD(xo, R8, yo, R8, to, BX);                  \
-	LCSQ(to, BX, to);                               \
-	L2SUB3(to, BX, uo, BX, vo, BX, to, BX)
+// Frame of lfp12CyclotomicSquare, from BX: per pair (u, v), the lksq<>
+// blocks of u, v and w = u + v at P, P+1280 and P+2560, and w itself.
+#define CSL_A 0
+#define CSL_B 3840
+#define CSL_C 7680
+#define CSL_W 11520
+
+// CSQ3 stores the blocks of the pair u at uo(R8), v at vo(R8) at P(BX).
+#define CSQ3(uo, vo, P) \
+	LKSQ(uo, R8, P, BX);                         \
+	LKSQ(vo, R8, P+1280, BX);                    \
+	L2SUMNR(uo, R8, vo, R8, CSL_W, BX);          \
+	LKSQ(CSL_W, BX, P+2560, BX)
+
+// With U, V, W the blocks of the pair at P, column o of
+// M1 = xi v^2 + u^2 and of M2 = 2uv = w^2 - u^2 - v^2, to column c:
+// CSM1RE 9 V.R - 2 V.M + U.R, CSM1IM V.R + 18 V.M + 2 U.M, CSM2RE
+// W.R - U.R - V.R, CSM2IM 2 (W.M - U.M - V.M), and for xi M2, CSXM2RE
+// 9 M2re - M2im and CSXM2IM M2re + 9 M2im.
+#define CSM1RE(P, o, c) \
+	VMOVDQU64 P+1280+o(BX), c;   \
+	VPSLLQ    $3, c, Z15;        \
+	VPADDQ    Z15, c, c;         \
+	VMOVDQU64 P+1920+o(BX), Z15; \
+	VPADDQ    Z15, Z15, Z15;     \
+	VPSUBQ    Z15, c, c;         \
+	VPADDQ    P+o(BX), c, c
+
+#define CSM1IM(P, o, c) \
+	VMOVDQU64 P+1920+o(BX), Z15;  \
+	VPSLLQ    $4, Z15, c;         \
+	VPADDQ    Z15, c, c;          \
+	VPADDQ    Z15, c, c;          \
+	VPADDQ    P+640+o(BX), c, c;  \
+	VPADDQ    P+640+o(BX), c, c;  \
+	VPADDQ    P+1280+o(BX), c, c
+
+#define CSM2RE(P, o, c) \
+	VMOVDQU64 P+2560+o(BX), c;    \
+	VPSUBQ    P+o(BX), c, c;      \
+	VPSUBQ    P+1280+o(BX), c, c
+
+#define CSM2IM(P, o, c) \
+	VMOVDQU64 P+3200+o(BX), c;    \
+	VPSUBQ    P+640+o(BX), c, c;  \
+	VPSUBQ    P+1920+o(BX), c, c; \
+	VPADDQ    c, c, c
+
+#define CSXM2RE(P, o, c) \
+	VMOVDQU64 P+2560+o(BX), c;          \
+	VPSUBQ    P+o(BX), c, c;            \
+	VPSUBQ    P+1280+o(BX), c, c;       \
+	VPSLLQ    $3, c, Z15;               \
+	VPADDQ    Z15, c, c;                \
+	VMOVDQU64 P+3200+o(BX), Z15;        \
+	VPSUBQ    P+640+o(BX), Z15, Z15;    \
+	VPSUBQ    P+1920+o(BX), Z15, Z15;   \
+	VPADDQ    Z15, Z15, Z15;            \
+	VPSUBQ    Z15, c, c
+
+#define CSXM2IM(P, o, c) \
+	VMOVDQU64 P+3200+o(BX), Z15;        \
+	VPSUBQ    P+640+o(BX), Z15, Z15;    \
+	VPSUBQ    P+1920+o(BX), Z15, Z15;   \
+	VPSLLQ    $4, Z15, c;               \
+	VPADDQ    Z15, c, c;                \
+	VPADDQ    Z15, c, c;                \
+	VPADDQ    P+2560+o(BX), c, c;       \
+	VPSUBQ    P+o(BX), c, c;            \
+	VPSUBQ    P+1280+o(BX), c, c
+
+// CSCOLS runs the column macro M of the pair at P for Z5-Z14.
+#define CSCOLS(M, P) \
+	M(P, 0, Z5);    \
+	M(P, 64, Z6);   \
+	M(P, 128, Z7);  \
+	M(P, 192, Z8);  \
+	M(P, 256, Z9);  \
+	M(P, 320, Z10); \
+	M(P, 384, Z11); \
+	M(P, 448, Z12); \
+	M(P, 512, Z13); \
+	M(P, 576, Z14)
+
+// CSOUT stores the reduced sum in Z5-Z14 at o(DX), from o(R8) read
+// before: through LRDCL, after the addend x R for the input coefficient
+// x at o(R8) is subtracted twice (op LWSUBR) or added twice (LWADDR).
+#define CSOUT(op, o) \
+	op(o, R8);                                 \
+	op(o, R8);                                 \
+	LRDCL;                                     \
+	LSTORE(Z10, Z11, Z12, Z13, Z14, o, DX)
 
 // func lfp12CyclotomicSquare(e, a *lfp12)
 //
 // e = a^2 for a in the cyclotomic subgroup, as
 // gfP12.cyclotomicSquareGeneric (Granger-Scott): x0..x5, the
 // coefficients of w^0..w^5, are at 0, 1920, 640, 2560, 1280 and 3200.
-// Each output coefficient reads only its own input coefficient after
-// the squares, so e may alias a.
-TEXT ·lfp12CyclotomicSquare(SB), 0, $6464-16
+// Each pair (u, v) of them, (x0, x3), (x1, x4) and (x2, x5), takes
+// the three wide squares of lksq<> (18 Fp products in all), and each
+// output coordinate one reduction: 3 M1 - 2x = 3 (M1 + 2pR) - 2xR, 3
+// M2 + 2x = 3 (M2 + pR) + 2xR and 3 xi M2 + 2x, with xi, the factor 3
+// and x folded into the wide sum: 12 reductions. With u and v below
+// 2p and w below 4p, R lies in [0, 24p^2) for u and v and [0, 64p^2)
+// for w, M in [0, 4p^2) and [0, 16p^2); M1's parts lie in (-8p^2,
+// 240p^2) and [0, 104p^2), M2's, as integers 2(u0 v0 - u1 v1) and
+// 2(u0 v1 + u1 v0), in (-8p^2, 8p^2) and [0, 16p^2), xi M2's in
+// (-88p^2, 72p^2) and (-8p^2, 152p^2). Every sum reduced is thus
+// positive and below 1228p^2, so LRED brings each result, below 16p,
+// into [0, 2p); its columns stay below 1069 * 2^52 < 2^63. All
+// squares are taken before the first output is written, and each
+// output reads only its own input coefficient, so e may alias a.
+TEXT ·lfp12CyclotomicSquare(SB), 0, $12224-16
 	MOVQ e+0(FP), DX
 	MOVQ a+8(FP), R8
 	LALIGN
-	LEAQ CSL_Q(BX), R9
 	LCONSTS
-	LCSQ(2560, R8, CSL_T0)
-	LCSQ(0, R8, CSL_T1)
-	LCSQSUM(2560, 0, CSL_T0, CSL_T1, CSL_T6)
-	LCSQ(1280, R8, CSL_T2)
-	LCSQ(1920, R8, CSL_T3)
-	LCSQSUM(1280, 1920, CSL_T2, CSL_T3, CSL_T7)
-	LCSQ(3200, R8, CSL_T4)
-	LCSQ(640, R8, CSL_T5)
-	LCSQSUM(3200, 640, CSL_T4, CSL_T5, CSL_T8)
-	LMULXI(CSL_T8, BX, CSL_T8, BX)
-	LMULXI(CSL_T0, BX, CSL_T0, BX)
-	L2ADD(CSL_T0, BX, CSL_T1, BX, CSL_T0, BX)
-	LMULXI(CSL_T2, BX, CSL_T2, BX)
-	L2ADD(CSL_T2, BX, CSL_T3, BX, CSL_T2, BX)
-	LMULXI(CSL_T4, BX, CSL_T4, BX)
-	L2ADD(CSL_T4, BX, CSL_T5, BX, CSL_T4, BX)
-	L3T2X(VPSUBQ, CSL_T0, BX, 0, R8, 0, DX)
-	L3T2X(VPSUBQ, CSL_T0+320, BX, 320, R8, 320, DX)
-	L3T2X(VPSUBQ, CSL_T2, BX, 640, R8, 640, DX)
-	L3T2X(VPSUBQ, CSL_T2+320, BX, 960, R8, 960, DX)
-	L3T2X(VPSUBQ, CSL_T4, BX, 1280, R8, 1280, DX)
-	L3T2X(VPSUBQ, CSL_T4+320, BX, 1600, R8, 1600, DX)
-	L3T2X(VPADDQ, CSL_T8, BX, 1920, R8, 1920, DX)
-	L3T2X(VPADDQ, CSL_T8+320, BX, 2240, R8, 2240, DX)
-	L3T2X(VPADDQ, CSL_T6, BX, 2560, R8, 2560, DX)
-	L3T2X(VPADDQ, CSL_T6+320, BX, 2880, R8, 2880, DX)
-	L3T2X(VPADDQ, CSL_T7, BX, 3200, R8, 3200, DX)
-	L3T2X(VPADDQ, CSL_T7+320, BX, 3520, R8, 3520, DX)
+	CSQ3(0, 2560, CSL_A)
+	CSQ3(1920, 1280, CSL_B)
+	CSQ3(640, 3200, CSL_C)
+	// e.c0 = 3 M1 - 2 c0, pair by pair.
+	CSCOLS(CSM1RE, CSL_A)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 0)
+	CSCOLS(CSM1IM, CSL_A)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 320)
+	CSCOLS(CSM1RE, CSL_B)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 640)
+	CSCOLS(CSM1IM, CSL_B)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 960)
+	CSCOLS(CSM1RE, CSL_C)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 1280)
+	CSCOLS(CSM1IM, CSL_C)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWSUBR, 1600)
+	// e.c1 = 3 (xi M2_C, M2_A, M2_B) + 2 c1.
+	CSCOLS(CSXM2RE, CSL_C)
+	LWADD2PR
+	LWTIMES3
+	CSOUT(LWADDR, 1920)
+	CSCOLS(CSXM2IM, CSL_C)
+	LWADDPR
+	LWTIMES3
+	CSOUT(LWADDR, 2240)
+	CSCOLS(CSM2RE, CSL_A)
+	LWADDPR
+	LWTIMES3
+	CSOUT(LWADDR, 2560)
+	CSCOLS(CSM2IM, CSL_A)
+	LWTIMES3
+	CSOUT(LWADDR, 2880)
+	CSCOLS(CSM2RE, CSL_B)
+	LWADDPR
+	LWTIMES3
+	CSOUT(LWADDR, 3200)
+	CSCOLS(CSM2IM, CSL_B)
+	LWTIMES3
+	CSOUT(LWADDR, 3520)
 	VZEROUPPER
 	RET
 
 // func lfp6Mul(c, a, b *lfp6)
 //
-// c = a b by lfp6mul<>, through the frame, so that c may alias a or b.
-TEXT ·lfp6Mul(SB), 0, $6784-24
+// c = a b: lfp6w<> into the frame, then one reduction per coordinate,
+// with the offsets its ranges need (see lfp6w<>): c0 and c1 through
+// LRED, c2, within (-12p^2, 24p^2) and with laneOff32 on its real part,
+// below 28p^2 + 32p^2 < pR and so below 2p. c may alias a or b.
+TEXT ·lfp6Mul(SB), 0, $12864-24
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	LALIGN
-	LEAQ 1920(BX), R9
+	LEAQ 3840(BX), R9
 	MOVQ BX, DI
 	LCONSTS
-	CALL ·lfp6mul<>(SB)
+	CALL ·lfp6w<>(SB)
 	MOVQ c+0(FP), DI
-	MOVQ $0, AX
-l6mcopy:
-	VMOVDQU64 (BX)(AX*1), Z5
-	VMOVDQU64 Z5, (DI)(AX*1)
-	ADDQ $64, AX
-	CMPQ AX, $1920
-	JNE  l6mcopy
+	LWLOAD(0, BX)
+	LWADD2PR
+	LWOUT(0, DI)
+	LWLOAD(640, BX)
+	LWADDPR
+	LWOUT(320, DI)
+	LWLOAD(1280, BX)
+	LWADDPR
+	LWOUT(640, DI)
+	LWLOAD(1920, BX)
+	LWADDPR
+	LWOUT(960, DI)
+	LWLOAD(2560, BX)
+	LWOFF32
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 1280, DI)
+	LWLOAD(3200, BX)
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 1600, DI)
 	VZEROUPPER
 	RET
 
@@ -2326,6 +3095,19 @@ selLanes:
 	VZEROUPPER
 	RET
 
+// LPROD1 adds a*b_i to c0..c5 for b_i in Z18 and a at ao(ar).
+#define LPROD1(ao, ar, c0, c1, c2, c3, c4, c5) \
+	VPMADD52LUQ ao+0(ar), Z18, c0;   \
+	VPMADD52LUQ ao+64(ar), Z18, c1;  \
+	VPMADD52LUQ ao+128(ar), Z18, c2; \
+	VPMADD52LUQ ao+192(ar), Z18, c3; \
+	VPMADD52LUQ ao+256(ar), Z18, c4; \
+	VPMADD52HUQ ao+0(ar), Z18, c1;   \
+	VPMADD52HUQ ao+64(ar), Z18, c2;  \
+	VPMADD52HUQ ao+128(ar), Z18, c3; \
+	VPMADD52HUQ ao+192(ar), Z18, c4; \
+	VPMADD52HUQ ao+256(ar), Z18, c5
+
 // LSUM2ROUND is round OFF/64 of LSUM2.
 #define LSUM2ROUND(OFF, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, c0, c1, c2, c3, c4, c5) \
 	VPXORQ    c5, c5, c5;                                                   \
@@ -2334,7 +3116,8 @@ selLanes:
 	LREDROW(c0, c1, c2, c3, c4, c5)
 
 // LSUM2 sets Z15, Z10, Z11, Z12, Z13 to the normalised
-// (a1 b1 + a2 b2)/2^260: LSUM4 for two products.
+// (a1 b1 + a2 b2)/2^260: two products, each of its rounds adding a1 b1_i
+// and a2 b2_i before one reduction row.
 #define LSUM2(a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r) \
 	LZEROACC; \
 	LSUM2ROUND(0, a1o, a1r, b1o, b1r, a2o, a2r, b2o, b2r, Z10, Z11, Z12, Z13, Z14, Z15);   \

@@ -10,10 +10,11 @@ import "math/big"
 // Arithmetic Using Intel IFMA Extensions", ARITH 2016; Drucker and
 // Gueron, "Fast modular squaring with AVX512IFMA", 2019). The line
 // product, the Fp6 and Fp12 products, the Fp12 square and the
-// cyclotomic square are single kernels in gfp_amd64.s, with the
-// formulas of gfp6.go and gfp12.go; the rest of the tower (inversion,
-// Frobenius maps, expByU and the hard part of the final exponentiation)
-// is written here on lane elements, over the Fp and Fp2 lane kernels.
+// cyclotomic square are kernels in gfp_amd64.s, with the formulas of
+// gfp6.go and gfp12.go and their wide products and reductions in
+// subroutines; the rest of the tower (inversion, Frobenius maps, expByU
+// and the hard part of the final exponentiation) is written here on
+// lane elements, over the Fp and Fp2 lane kernels.
 //
 // A lane element is in Montgomery form with R = 2^260 and radix 2^52:
 // five limbs, limb-major, so that limb i of all eight lanes is one ZMM
@@ -22,20 +23,31 @@ import "math/big"
 // are normalised before they are multiplied) and the value lies in
 // [0, 2p), not necessarily reduced.
 //
-// Bounds. The product of a and b is t = (ab + mp)/R with m < R, so
-// t < ab/R + p. For a, b < 2p, ab/R < 4p^2/R < p because 4p < 2^260, so
-// t < 2p and no final subtraction is needed. Karatsuba's unreduced sums
-// are below 4p, and 16p^2/R < 0.3p keeps those products below 2p too;
-// so does a sum of up to six products under one reduction, below
-// 24p^2/R + p < 1.4p. Sums and differences are formed limb by limb,
-// normalised with signed carries, and brought back into [0, 2p) by
-// adding 2p under a mask taken from the sign of the top limb (FIXNEG).
-// MulXi's coordinates reach 20p, and 3t +- 2x in the cyclotomic square
-// 10p; they are reduced by a quotient estimate (LRED):
+// Bounds. A Montgomery reduction of T >= 0 gives t = (T + mp)/R with
+// m < R, so t < T/R + p, below 2p while T < pR; pR/p^2 = 2^260/p > 84.7.
+// A product of a, b < 2p is below 4p^2, so lfpMul needs no final
+// subtraction. The tower kernels (line, Fp6 and Fp12 products, Fp12
+// square, cyclotomic square) are Karatsuba with lazy reduction, as the
+// ADX kernels are: each Fp product is left wide, its ten 52-bit columns
+// unreduced; the wide products of one output coordinate are added and
+// subtracted column by column, xi = 9 + i and small factors scale them
+// there, and one reduction per output coordinate finishes the sum. A
+// sum that can be negative first gets an offset that is a multiple of
+// p (32p^2, or a multiple of pR, whose limbs go to columns 5-9), so that
+// T >= 0. Where T stays below pR, as for the Fp6 product's c2, the
+// reduction alone lands in [0, 2p); elsewhere T reaches up to 1400p^2,
+// the result up to 17p, and a quotient estimate (LRED) brings it back:
 // q = floor(x4 * laneQC / 2^96) with laneQC = floor(2^304/p) is at most
 // floor(x/p), and short of it by at most one, since x4 * 2^208 is x
 // without its low 208 bits and laneQC/2^96 is 2^208/p to within 2^-96;
-// so x - q*p is in [0, 2p).
+// so x - q*p is in [0, 2p) for any normalised x below 2^260. A column
+// of a wide product is below 9 * 2^52, and the largest column a kernel
+// forms stays below 1440 * 2^52 < 2^63, so no 64-bit column overflows;
+// gfp_amd64.s gives each kernel's ranges. Sums and differences of
+// stored elements are formed limb by limb, normalised with signed
+// carries, and brought back into [0, 2p) by adding 2p under a mask
+// taken from the sign of the top limb (FIXNEG), or by LRED where they
+// reach further (MulXi's coordinates, 20p).
 //
 // The G1 comb's lane addition (g1AddMixedLanes, comb.go) keeps sums
 // unreduced where a product can take them. A product's result is below
@@ -98,6 +110,10 @@ var (
 	laneFrob1, laneFrob2 [6]lfp2
 	// laneZero2 is zero, the minuend of lane negations.
 	laneZero2 lfp2
+	// laneOff32 is 32p^2 as a wide value, ten 52-bit columns in every
+	// lane: a multiple of p that makes a signed sum of wide products
+	// non-negative where its reduction must stay below 2p.
+	laneOff32 [10][laneRows]uint64
 )
 
 func initLanes() {
@@ -106,6 +122,14 @@ func initLanes() {
 	laneNP = np & (1<<52 - 1)
 	laneQC = new(big.Int).Div(new(big.Int).Lsh(big.NewInt(1), 304), P).Uint64()
 	laneInv16 = gfPFromRawBig(new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(1), 252), P))
+	off := new(big.Int).Lsh(new(big.Int).Mul(P, P), 5)
+	for i := range laneOff32 {
+		limb := new(big.Int).Rsh(off, uint(52*i))
+		limb.And(limb, big.NewInt(1<<52-1))
+		for k := range laneOff32[i] {
+			laneOff32[i][k] = limb.Uint64()
+		}
+	}
 	r256 := radix52((*[4]uint64)(&rOne))
 	for k := 0; k < laneRows; k++ {
 		for i := range r256 {

@@ -70,39 +70,82 @@ func skipWithoutLanes(t testing.TB) {
 	}
 }
 
-func setLaneRep2(e *lfp2, k int, a *gfP2, high bool) {
-	setLaneRep(&e[0], k, &a.a0, high)
-	setLaneRep(&e[1], k, &a.a1, !high)
+// laneRep is how a lane test picks each coordinate's representative in
+// [0, 2p): repMixed alternates between [0, p) and [p, 2p) from one
+// coordinate to the next, starting from the lane's flag (and from its
+// opposite for b and l3); repAllHigh puts every coordinate of every
+// operand in [p, 2p), driving every Karatsuba operand sum and every wide
+// sum toward its upper bound (a lane whose coordinates are all laneTop's
+// is at 2p - 1 throughout); repApart puts a coordinate whose lane value
+// is below p/2 in [0, p) and any other in [p, 2p), so that values near
+// 0 and near p - 1 become the extremes 0 and 2p - 1, toward the signed
+// sums' lower bounds as well.
+type laneRep int
+
+const (
+	repMixed laneRep = iota
+	repAllHigh
+	repApart
+)
+
+func (r laneRep) String() string { return [...]string{"mixed", "all high", "apart"}[r] }
+
+// setLaneRep2 and setLaneRep12 set lane k of e to a with the
+// representatives of rep, high the lane's flag.
+func setLaneRep2(e *lfp2, k int, a *gfP2, high bool, rep laneRep) {
+	hi0, hi1 := high, !high
+	switch rep {
+	case repAllHigh:
+		hi0, hi1 = true, true
+	case repApart:
+		half := new(big.Int).Rsh(P, 1)
+		hi0, hi1 = laneValue(&a.a0).Cmp(half) >= 0, laneValue(&a.a1).Cmp(half) >= 0
+	}
+	setLaneRep(&e[0], k, &a.a0, hi0)
+	setLaneRep(&e[1], k, &a.a1, hi1)
 }
 
-func setLaneRep12(e *lfp12, k int, a *gfP12, high bool) {
+func setLaneRep12(e *lfp12, k int, a *gfP12, high bool, rep laneRep) {
 	for j, b := range [6]*gfP2{&a.c0.b0, &a.c0.b1, &a.c0.b2, &a.c1.b0, &a.c1.b1, &a.c1.b2} {
-		setLaneRep2(&e[j/3][j%3], k, b, high != (j%2 == 0))
+		setLaneRep2(&e[j/3][j%3], k, b, high != (j%2 == 0), rep)
 	}
 }
 
 // checkLaneKernels runs the lane kernels and the lane tower on ops[k] in
-// lane k, with the representative in [p, 2p) where high[k], and checks
-// every lane, converted back, against the scalar kernels: the assembly
-// ones where the CPU has them and the Go ones (the *Generic methods),
-// limb for limb. The kernels that may alias run apart and aliased.
-func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRows]bool) {
+// lane k, with the representatives of rep (high[k] the lane's flag), and
+// checks every lane, converted back, against the scalar kernels: the
+// assembly ones where the CPU has them and the Go ones (the *Generic
+// methods), limb for limb, and every output coordinate against the lane
+// invariant. The kernels that may alias run apart and aliased.
+func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRows]bool, rep laneRep) {
 	t.Helper()
 	var a, b, cyc lfp12
 	var l1, l3 lfp2
 	cycs := make([]gfP12, laneRows)
 	for k := range ops {
 		o := &ops[k]
-		setLaneRep12(&a, k, &o.a, high[k])
-		setLaneRep12(&b, k, &o.b, !high[k])
-		setLaneRep2(&l1, k, &o.l1, high[k])
-		setLaneRep2(&l3, k, &o.l3, !high[k])
+		setLaneRep12(&a, k, &o.a, high[k], rep)
+		setLaneRep12(&b, k, &o.b, !high[k], rep)
+		setLaneRep2(&l1, k, &o.l1, high[k], rep)
+		setLaneRep2(&l3, k, &o.l3, !high[k], rep)
 		cycs[k] = *easyPart(t, &o.a)
-		setLaneRep12(&cyc, k, &cycs[k], high[k])
+		setLaneRep12(&cyc, k, &cycs[k], high[k], rep)
 	}
 	fail := func(name string, k int, got, want any) {
 		t.Helper()
-		t.Fatalf("%s lane %d (high %v): got %v, want %v", name, k, high[k], got, want)
+		t.Fatalf("%s lane %d (high %v, %v): got %v, want %v", name, k, high[k], rep, got, want)
+	}
+	// stored checks that every coordinate of lane k of an output keeps
+	// the lane invariant, normalised limbs and a value below 2p: the
+	// conversion back reduces, so a value check alone would pass an
+	// output that skipped its last reduction.
+	stored := func(name string, k int, es ...*lfp) {
+		t.Helper()
+		for i, e := range es {
+			if !laneValueOK(e, k) {
+				t.Fatalf("%s lane %d (high %v, %v): coordinate %d is not normalised below 2p", name, k, high[k], rep, i)
+			}
+		}
 	}
 
 	var c lfp
@@ -115,6 +158,7 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 		if got := c.get(k); got != want || got != gen {
 			fail("lfpMul", k, &got, &want)
 		}
+		stored("lfpMul", k, &c)
 	}
 	lfpAdd(&c, &a[0][0][0], &b[0][0][0])
 	for k := range ops {
@@ -123,6 +167,7 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 		if got := c.get(k); got != want {
 			fail("lfpAdd", k, &got, &want)
 		}
+		stored("lfpAdd", k, &c)
 	}
 	lfpSub(&c, &a[0][0][0], &b[0][0][0])
 	for k := range ops {
@@ -131,6 +176,7 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 		if got := c.get(k); got != want {
 			fail("lfpSub", k, &got, &want)
 		}
+		stored("lfpSub", k, &c)
 	}
 
 	type fp2Case struct {
@@ -165,12 +211,33 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 						fail(fc.name, k, &got, &want)
 					}
 				}
+				stored(fc.name, k, &apart[0], &apart[1], &aliasX[0], &aliasX[1])
 				if fc.name != "lfp2Square" && fc.name != "lfp2MulXi" {
 					if got := aliasY.get(k); got != want {
 						fail(fc.name+" (c = b)", k, &got, &want)
 					}
 				}
 			}
+		}
+	}
+
+	// The Fp6 product, apart and aliasing each operand.
+	x6, y6 := &a[1], &b[0]
+	var apart6 lfp6
+	lfp6Mul(&apart6, x6, y6)
+	aliasX6, aliasY6 := *x6, *y6
+	lfp6Mul(&aliasX6, &aliasX6, y6)
+	lfp6Mul(&aliasY6, x6, &aliasY6)
+	for k := range ops {
+		var want, gen gfP6
+		want.Mul(&ops[k].a.c1, &ops[k].b.c0)
+		gen.mulGeneric(&ops[k].a.c1, &ops[k].b.c0)
+		for name, l := range map[string]*lfp6{"lfp6Mul": &apart6, "lfp6Mul (c = a)": &aliasX6, "lfp6Mul (c = b)": &aliasY6} {
+			got := gfP6{l[0].get(k), l[1].get(k), l[2].get(k)}
+			if !got.Equal(&want) || !got.Equal(&gen) {
+				fail(name, k, &got, &want)
+			}
+			stored(name, k, &l[0][0], &l[0][1], &l[1][0], &l[1][1], &l[2][0], &l[2][1])
 		}
 	}
 
@@ -192,6 +259,7 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 		if got := l[1].get(k); got != w3 {
 			fail("lfpLine l3", k, &got, &w3)
 		}
+		stored("lfpLine", k, &l[0][0], &l[0][1], &l[1][0], &l[1][1])
 	}
 
 	type fp12Case struct {
@@ -240,6 +308,13 @@ func checkLaneKernels(t testing.TB, ops *[laneRows]towerOperands, high *[laneRow
 					fail(fc.name+" (aliased)", k, &got, &want)
 				}
 			}
+			for _, e := range []*lfp12{&apart, &alias} {
+				for h := range e {
+					for j := range e[h] {
+						stored(fc.name, k, &e[h][j][0], &e[h][j][1])
+					}
+				}
+			}
 		}
 	}
 }
@@ -250,31 +325,92 @@ func laneGrid() []gfP {
 	return []gfP{{}, rOne, rawGFp(new(big.Int).Sub(P, big.NewInt(1)))}
 }
 
+// laneRaw is the raw Montgomery limbs whose lane form is v: a lane value
+// is 16 times the raw one mod p. laneValue is the lane form of a.
+func laneRaw(v *big.Int) gfP {
+	inv16 := new(big.Int).ModInverse(big.NewInt(16), P)
+	return rawGFp(new(big.Int).Mod(new(big.Int).Mul(v, inv16), P))
+}
+
+func laneValue(a *gfP) *big.Int {
+	v := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(a[i]))
+	}
+	return v.Mod(v.Lsh(v, 4), P)
+}
+
+// laneTop is the raw limbs whose lane form is p - 1; its representative
+// in [p, 2p) is 2p - 1, the largest a lane element takes.
+func laneTop() gfP { return laneRaw(new(big.Int).Sub(P, big.NewInt(1))) }
+
 // TestLaneKernelsMatchScalar checks every lane kernel and lane tower
 // operation against the scalar kernels: on the grid of {0, 1, p - 1}
 // for every coefficient (each lane one combination, both
-// representatives of each value), and on random operands.
+// representatives of each value) and on random operands; then all high,
+// on the grid of {0, 1, laneTop} (so one lane is at 2p - 1 throughout)
+// and on random operands; and apart, every coordinate near 0 or near
+// 2p - 1 (repApart), in patterns that drive the signed sums toward their
+// lower bounds. A kernel that skipped a reduction or LRED, or an offset
+// its sum needs, fails it.
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	skipWithoutLanes(t)
-	grid := laneGrid()
 	var ops [laneRows]towerOperands
 	var high [laneRows]bool
-	for round := 0; round < 4; round++ {
-		for k := range ops {
-			i := round*laneRows + k
-			x, y, z := grid[i%3], grid[i/3%3], grid[i/9%3]
-			ops[k] = randTowerOperands(func() gfP { x, y, z = y, z, x; return x })
-			high[k] = (i/27)%2 == 1
+	for _, rep := range []laneRep{repMixed, repAllHigh} {
+		grid := laneGrid()
+		if rep == repAllHigh {
+			grid[2] = laneTop()
 		}
-		checkLaneKernels(t, &ops, &high)
+		for round := 0; round < 4; round++ {
+			for k := range ops {
+				i := round*laneRows + k
+				x, y, z := grid[i%3], grid[i/3%3], grid[i/9%3]
+				ops[k] = randTowerOperands(func() gfP { x, y, z = y, z, x; return x })
+				high[k] = (i/27)%2 == 1
+			}
+			checkLaneKernels(t, &ops, &high, rep)
+		}
+		r := rand.New(rand.NewSource(3))
+		for round := 0; round < 8; round++ {
+			for k := range ops {
+				ops[k] = randTowerOperands(func() gfP { return rawGFp(new(big.Int).Rand(r, P)) })
+				high[k] = r.Intn(2) == 1
+			}
+			checkLaneKernels(t, &ops, &high, rep)
+		}
 	}
-	r := rand.New(rand.NewSource(3))
-	for round := 0; round < 8; round++ {
-		for k := range ops {
-			ops[k] = randTowerOperands(func() gfP { return rawGFp(new(big.Int).Rand(r, P)) })
-			high[k] = r.Intn(2) == 1
+	// Apart: each coordinate within p/16 of 0 or of 2p - 1, first in
+	// every combination of three patterns for a and for b, l1 and l3
+	// (real parts low and imaginary parts high, the reverse, all high),
+	// two rounds each, then low or high at random; a sum's sign depends
+	// on these patterns, and where its offset falls short, on the
+	// reduction's quotient, which the random magnitudes vary.
+	r := rand.New(rand.NewSource(5))
+	near := func(high bool) gfP {
+		v := new(big.Int).Rand(r, new(big.Int).Rsh(P, 4))
+		if high {
+			v.Sub(P, v.Add(v, big.NewInt(1)))
 		}
-		checkLaneKernels(t, &ops, &high)
+		return laneRaw(v)
+	}
+	patterns := [3][2]bool{{false, true}, {true, false}, {true, true}}
+	for round := 0; round < 18+16; round++ {
+		for k := range ops {
+			c, n := round/2, 0
+			ops[k] = randTowerOperands(func() gfP {
+				n++
+				if round >= 18 {
+					return near(r.Intn(2) == 1)
+				}
+				pat := patterns[c/3]
+				if n > 24 {
+					pat = patterns[c%3]
+				}
+				return near(pat[(n-1)%2])
+			})
+		}
+		checkLaneKernels(t, &ops, &high, repApart)
 	}
 }
 
@@ -282,15 +418,17 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 // kernels: the 28 coefficients of a towerOperands, as FuzzTowerKernels
 // reads them (32-byte big-endian chunks, each taken mod p as raw limbs,
 // missing bytes zero), with lane k taking them rotated by 5k places and
-// its representative in [0, 2p) from bit k of the first byte. Every
-// lane kernel must match the scalar kernels as in
-// TestLaneKernelsMatchScalar. The input stays as small as
-// FuzzTowerKernels', so the fuzzer's minimisation of a new input is
-// quick. The corpus under testdata/fuzz/FuzzLaneKernels seeds all-zero,
-// every coefficient p - 1, every coefficient one, and random bytes. On
-// a CPU without AVX-512 IFMA it skips.
+// its representative in [0, 2p) from bit k of the first byte, or every
+// coordinate in [p, 2p) where allHigh. Every lane kernel must match the
+// scalar kernels as in TestLaneKernelsMatchScalar. The input stays as
+// small as FuzzTowerKernels', so the fuzzer's minimisation of a new
+// input is quick. The corpus under testdata/fuzz/FuzzLaneKernels seeds
+// all-zero, every coefficient p - 1, every coefficient one, random
+// bytes, and every coefficient laneTop with allHigh
+// (all-top-representative: 2p - 1 in every coordinate of every lane).
+// On a CPU without AVX-512 IFMA it skips.
 func FuzzLaneKernels(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, allHigh bool) {
 		skipWithoutLanes(t)
 		var flags byte
 		if len(data) > 0 {
@@ -310,7 +448,11 @@ func FuzzLaneKernels(f *testing.F) {
 			ops[k] = randTowerOperands(func() gfP { j++; return cs[j%len(cs)] })
 			high[k] = flags>>k&1 == 1
 		}
-		checkLaneKernels(t, &ops, &high)
+		rep := repMixed
+		if allHigh {
+			rep = repAllHigh
+		}
+		checkLaneKernels(t, &ops, &high, rep)
 	})
 }
 
