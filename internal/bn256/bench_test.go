@@ -152,10 +152,11 @@ func BenchmarkTower(b *testing.B) {
 // the Fp12 square of the Miller loop and the final exponentiation, the
 // cyclotomic square, and the whole Miller loop of
 // BenchmarkMillerLoopOnly. The chunkN pairs time one
-// chunk of N rows at d = 5 on the row path and on the lanes, the
-// measurement behind laneMinRows; the recordN pairs time a token of N
-// slots on the scalar and the lane recorder (laneMinSlots), and the
-// inG2xN pairs N subgroup checks one by one and on the lanes
+// chunk of N rows at d = 5 on the row path and on the lanes (what a
+// short chunk costs on each); the recordN pairs time a token of N
+// slots on the scalar and the lane recorder (laneMinSlots), the sqrt8
+// pair a group of eight square roots one by one and on the lanes, and
+// the inG2xN pairs N subgroup checks one by one and on the lanes
 // (laneMinPoints). Each repeats one operation on fixed inputs
 // (throughput). Without IFMA it skips.
 func BenchmarkLane(b *testing.B) {
@@ -237,13 +238,17 @@ func BenchmarkLane(b *testing.B) {
 		}
 		perLane(b)
 	})
-	// The chunk sizes around laneMinRows at d = 5, both ways: a chunk
-	// of n rows on the row path and on the lanes, in ns per chunk.
+	// The small chunks at d = 5, both ways: a chunk of n rows on the row
+	// path (the scalar recorder's program) and on the lanes (the lane
+	// recorder's), in ns per chunk.
 	const d = 5
 	qs := make([]*G2, d)
 	for j := range qs {
 		_, qs[j], _ = RandomG2(rand.Reader)
 	}
+	slots5, qa5 := tokenSlots(qs)
+	rows5 := &PairingPrecomp{n: d}
+	rows5.record(slots5, qa5)
 	pc5 := PrecomputePairBatch(qs)
 	for n := 1; n <= 3; n++ {
 		rows := make([][]*G1, n)
@@ -254,7 +259,7 @@ func BenchmarkLane(b *testing.B) {
 		out := make([]GT, n)
 		b.Run(fmt.Sprintf("chunk%d/rows", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pc5.evalRows(pts, out)
+				rows5.evalRows(pts, out)
 			}
 		})
 		b.Run(fmt.Sprintf("chunk%d/lanes", n), func(b *testing.B) {
@@ -280,6 +285,28 @@ func BenchmarkLane(b *testing.B) {
 			}
 		})
 	}
+	// A group of eight decoded elements' square roots, one by one and
+	// on the lanes: the right-hand sides x^3 + b of random G2 points.
+	var rhs [laneRows]gfP2
+	var rhsp [laneRows]*gfP2
+	for i, q := range randomAffineG2s(laneRows) {
+		rhs[i].Square(&q.p.y)
+		rhsp[i] = &rhs[i]
+	}
+	var roots [laneRows]gfP2
+	var rootOK [laneRows]bool
+	b.Run("sqrt8/scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range rhs {
+				roots[k].Sqrt(&rhs[k])
+			}
+		}
+	})
+	b.Run("sqrt8/lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sqrtLanes(roots[:], rhsp[:], rootOK[:])
+		}
+	})
 	// The group sizes around laneMinPoints, and eight: n G2 points'
 	// subgroup checks one by one and on the lanes.
 	var ok [laneRows]bool
@@ -305,10 +332,12 @@ func BenchmarkLane(b *testing.B) {
 
 // BenchmarkComb times the two halves of the comb's loop body (comb.go):
 // the select of a table entry and the mixed addition into the
-// accumulator, in each group, as ScalarBaseMult runs them 43 times. The
-// select reads row 21 at digit -17; the addition adds a table entry to a
-// point with Z != 1. Each repeats one operation on fixed inputs
-// (throughput). Under the purego tag they time the Go code.
+// accumulator, in each group, as ScalarBaseMult runs them 43 times, and
+// the same for eight lanes (g1lanes, g2lanes) as the lane combs run
+// them. The select reads row 21 at digit -17 (the lanes at digits 1,
+// -5, 9, ...); the addition adds a table entry to a point with Z != 1.
+// Each repeats one operation on fixed inputs (throughput). Under the
+// purego tag they time the Go code, and the lane cases skip.
 func BenchmarkComb(b *testing.B) {
 	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
 	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
@@ -353,7 +382,7 @@ func BenchmarkComb(b *testing.B) {
 			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
 		}
 		for i := 0; i < b.N; i++ {
-			g1SelectLanes(&ql, &g1LaneComb[21], &mag, &sign)
+			g1LaneComb[21].selectLanes(&ql, &mag, &sign)
 		}
 	})
 	var pl, rl g1LaneProj
@@ -370,6 +399,36 @@ func BenchmarkComb(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			g1AddMixedLanes(&rl, &pl, &ql, &mag)
+		}
+	})
+	g2LaneOnce.Do(func() { buildG2LaneComb(&g2LaneComb) })
+	var q2l g2LaneAffine
+	b.Run("select/g2lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		for i := 0; i < b.N; i++ {
+			g2LaneComb[21].selectLanes(&q2l, &mag, &sign)
+		}
+	})
+	var p2l ltwist
+	for k := range laneRows {
+		p2l.x.set(k, &p2.x)
+		p2l.y.set(k, &p2.y)
+		p2l.z.set(k, &p2.z)
+		q2l[0].set(k, &g2Comb[21][16].x)
+		q2l[1].set(k, &g2Comb[21][16].y)
+	}
+	// The addition with its keep, as g2CombLanes runs it per window; the
+	// accumulator is reset each time so that every call adds to the same
+	// point.
+	b.Run("addMixed/g2lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		for i := 0; i < b.N; i++ {
+			r2l := p2l
+			r2l.addMixedKeep(&q2l, &mag)
 		}
 	})
 }
@@ -457,12 +516,51 @@ func BenchmarkG1ScalarBaseMult(b *testing.B) {
 	})
 }
 
+// BenchmarkG2ScalarBaseMult is BenchmarkG1ScalarBaseMult on the twist:
+// scalar8 is what TokenGen ran per eight slots before the lane comb,
+// batch8 one BaseMultG2s call, and lanes one g2CombLanes chunk, which
+// with one sets combLaneMin for G2 as well.
 func BenchmarkG2ScalarBaseMult(b *testing.B) {
-	k, _ := rand.Int(rand.Reader, Order)
-	var e G2
-	for i := 0; i < b.N; i++ {
-		e.ScalarBaseMult(k)
+	var ks [laneRows][32]byte
+	var bks [laneRows]*big.Int
+	for i := range ks {
+		bks[i], _ = rand.Int(rand.Reader, Order)
+		bks[i].FillBytes(ks[i][:])
 	}
+	var e G2
+	b.Run("one", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			e.ScalarBaseMult(bks[0])
+		}
+	})
+	out := make([]*G2, laneRows)
+	for i := range out {
+		out[i] = new(G2)
+	}
+	b.Run("scalar8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, k := range bks {
+				out[j].ScalarBaseMult(k)
+			}
+			NormalizeG2(out)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/mult")
+	})
+	b.Run("batch8", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			BaseMultG2s(out, ks[:])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/mult")
+	})
+	b.Run("lanes", func(b *testing.B) {
+		if !useIFMA {
+			b.Skip("lane kernels need AVX-512 IFMA, which this CPU lacks")
+		}
+		var acc [laneRows]g2Proj
+		for i := 0; i < b.N; i++ {
+			g2CombLanes(acc[:], ks[:])
+		}
+	})
 }
 
 func BenchmarkPairing(b *testing.B) {
@@ -530,11 +628,11 @@ func BenchmarkPairBatchedVsNaive(b *testing.B) {
 // evaluations at P, the accumulator squarings, and the final
 // exponentiation — the twist-point chain and the line normalization
 // are gone. "precompute/d=N" records a token of N affine slots, as a
-// decoded token is, lane coefficients included (on the lanes from
-// laneMinSlots slots on where the CPU has them); "evaluate" is one row;
-// "evaluate8" is one chunk of eight rows through EvalRows, on the lane
-// kernels where the CPU has them, and reports its time per row as
-// ns/row.
+// decoded token is (on the lanes from laneMinSlots slots on where the
+// CPU has them, the program then in lane form only); "evaluate" is one
+// row, on the lanes too for such a program; "evaluate8" is one chunk of
+// eight rows through EvalRows, on the lane kernels where the CPU has
+// them, and reports its time per row as ns/row.
 func BenchmarkPairBatchPrecomputed(b *testing.B) {
 	for _, d := range []int{5, 8} {
 		qs := randomAffineG2s(d)
@@ -587,8 +685,8 @@ func BenchmarkG2Unmarshal(b *testing.B) {
 
 // BenchmarkTokenDecode decodes a whole token of d = 5 and d = 8 G2
 // elements in one UnmarshalG2s call, as securejoin's
-// Token.UnmarshalBinary does: d square roots, and the subgroup checks
-// on the lanes where the CPU has them.
+// Token.UnmarshalBinary does: d square roots and d subgroup checks, on
+// the lanes where the CPU has them.
 func BenchmarkTokenDecode(b *testing.B) {
 	for _, d := range []int{5, 8} {
 		var data []byte

@@ -143,17 +143,28 @@ func (e *G2) ScalarBaseMult(k *big.Int) *G2 {
 }
 
 // BaseMultG2s sets out[i] = g2^ks[i] for the big-endian scalars ks, as
-// BaseMultG1s: the scalar comb per element, then NormalizeG2 once. It
-// panics unless len(out) == len(ks).
+// BaseMultG1s does in G1: in affine form, constant time, and on CPUs
+// with AVX-512 IFMA chunks of combLaneMin to eight scalars as the eight
+// lanes of one comb (g2CombLanes), each chunk made affine with one
+// inversion (g2AffineBatch). It panics unless len(out) == len(ks).
 func BaseMultG2s(out []*G2, ks [][32]byte) {
 	if len(out) != len(ks) {
 		panic("bn256: BaseMultG2s needs one output per scalar")
 	}
-	for i := range ks {
-		s := combLimbs(&ks[i])
-		out[i].p.combBaseMult(&s)
+	for len(ks) > 0 {
+		n := min(len(ks), laneRows)
+		var acc [laneRows]g2Proj
+		if useIFMA && n >= combLaneMin {
+			g2CombLanes(acc[:n], ks[:n])
+		} else {
+			for k := range n {
+				s := combLimbs(&ks[k])
+				acc[k] = g2CombProj(&s)
+			}
+		}
+		g2AffineBatch(out[:n], acc[:n])
+		out, ks = out[n:], ks[n:]
 	}
-	NormalizeG2(out)
 }
 
 // Add sets e = a + b.
@@ -241,30 +252,40 @@ func (e *G2) Unmarshal(data []byte) error {
 // Marshal, each as Unmarshal describes, and returns how many decoded
 // from the start: len(out) and nil, or the index of the lowest failing
 // element and its error. out's elements before that index are set, the
-// others are left alone. The square roots run one per element; the
-// subgroup checks of each group of eight elements run together, on the
-// lanes (inG2Lanes) where the CPU has them and the group has
+// others are left alone. Elements go in groups of eight: a group's
+// square roots run together (sqrtLanes), and so do its subgroup checks
+// (inG2Lanes), on the lanes where the CPU has them and there are
 // laneMinPoints or more points not at infinity.
 func UnmarshalG2s(data []byte, out []*G2) (int, error) {
 	if len(data) != 64*len(out) {
 		return 0, errors.New("bn256: invalid G2 encoding length")
 	}
 	var pts [laneRows]twistPoint
-	var finite [laneRows]*twistPoint // the points to check, in index order
+	var neg [laneRows]bool
+	var rhs [laneRows]gfP2
+	var roots [laneRows]gfP2
+	var finite [laneRows]*twistPoint // the points not at infinity, in index order
 	var at [laneRows]int             // their indexes in the group
 	for start := 0; start < len(out); start += laneRows {
 		group := out[start:min(start+laneRows, len(out))]
 		bad, badErr := len(group), error(nil)
 		nf := 0
 		for i := range group {
-			if err := pts[i].decompress(data[64*(start+i) : 64*(start+i+1)]); err != nil {
+			inf, err := pts[i].decodeX(data[64*(start+i):64*(start+i+1)], &rhs[nf], &neg[i])
+			if err != nil {
 				bad, badErr = i, err
 				break
 			}
-			if !pts[i].IsInfinity() {
+			if !inf {
 				finite[nf], at[nf] = &pts[i], i
 				nf++
 			}
+		}
+		if f := sqrts(roots[:nf], rhs[:nf]); f < nf {
+			bad, badErr, nf = at[f], errors.New("bn256: G2 x-coordinate not on the twist"), f
+		}
+		for j, t := range finite[:nf] {
+			t.setY(&roots[j], neg[at[j]])
 		}
 		if f := firstNotInG2(finite[:nf]); f < nf {
 			bad, badErr = at[f], errors.New("bn256: G2 point not in the order-r subgroup")
@@ -277,6 +298,33 @@ func UnmarshalG2s(data []byte, out []*G2) (int, error) {
 		}
 	}
 	return len(out), nil
+}
+
+// sqrts sets ys[j] to a square root of as[j] for up to eight elements and
+// returns the index of the first without one, or len(as): on the lanes
+// (sqrtLanes) where the CPU has them and there are laneMinPoints or
+// more, else gfP2.Sqrt one by one.
+func sqrts(ys, as []gfP2) int {
+	if useIFMA && len(as) >= laneMinPoints {
+		var ps [laneRows]*gfP2
+		for j := range as {
+			ps[j] = &as[j]
+		}
+		var ok [laneRows]bool
+		sqrtLanes(ys, ps[:len(as)], ok[:])
+		for j := range as {
+			if !ok[j] {
+				return j
+			}
+		}
+		return len(as)
+	}
+	for j := range as {
+		if !ys[j].Sqrt(&as[j]) {
+			return j
+		}
+	}
+	return len(as)
 }
 
 // firstNotInG2 returns the index of the first of up to eight points
@@ -300,39 +348,44 @@ func firstNotInG2(ts []*twistPoint) int {
 	return len(ts)
 }
 
-// decompress sets t to the point a 64-byte encoding of Marshal names,
-// with every check of Unmarshal but the subgroup membership: the flag
-// bits, x below p, x on the twist.
-func (t *twistPoint) decompress(data []byte) error {
+// decodeX reads a 64-byte encoding of Marshal up to its square root,
+// with every check of Unmarshal before it: the flag bits and x below p.
+// For the infinity encoding it sets t to infinity and reports inf.
+// Otherwise it sets t.x, rhs to x^3 + b, the square y must have on the
+// twist, and neg to whether y takes the sign bit.
+func (t *twistPoint) decodeX(data []byte, rhs *gfP2, neg *bool) (inf bool, err error) {
 	flags := data[0] & (g2Infinity | g2YSign)
 	if flags&g2Infinity != 0 {
 		if data[0] != g2Infinity || !allZero(data[1:]) {
-			return errors.New("bn256: malformed G2 infinity encoding")
+			return false, errors.New("bn256: malformed G2 infinity encoding")
 		}
 		t.SetInfinity()
-		return nil
+		return true, nil
 	}
 	var x0 [32]byte
 	copy(x0[:], data[:32])
 	x0[0] &^= flags
 	if err := t.x.a0.Unmarshal(x0[:]); err != nil {
-		return err
+		return false, err
 	}
 	if err := t.x.a1.Unmarshal(data[32:64]); err != nil {
-		return err
+		return false, err
 	}
-	var rhs gfP2
 	rhs.Square(&t.x)
-	rhs.Mul(&rhs, &t.x)
-	rhs.Add(&rhs, &twistB)
-	if !t.y.Sqrt(&rhs) {
-		return errors.New("bn256: G2 x-coordinate not on the twist")
-	}
-	if t.y.sgn0() != (flags&g2YSign != 0) {
+	rhs.Mul(rhs, &t.x)
+	rhs.Add(rhs, &twistB)
+	*neg = flags&g2YSign != 0
+	return false, nil
+}
+
+// setY completes decodeX with a square root y of rhs: t.y is y or -y,
+// whichever has the sign bit neg, and t.z is one.
+func (t *twistPoint) setY(y *gfP2, neg bool) {
+	t.y = *y
+	if t.y.sgn0() != neg {
 		t.y.Neg(&t.y)
 	}
 	t.z.SetOne()
-	return nil
 }
 
 // Pair computes the optimal ate pairing e(q, p).

@@ -27,24 +27,29 @@ import (
 // oracle and the purego path, and every result is the same, limb for
 // limb.
 //
-// SJ.Enc's d base multiplications per row go through BaseMultG1s, which
-// on CPUs with AVX-512 IFMA runs up to eight scalars as the eight lanes
-// of one comb (g1CombLanes). The lane table, g1LaneComb, is g1Comb in
-// the lane form of lanes.go: per entry the five 52-bit limbs of x and
-// then of y, below p. Per window, g1SelectLanes broadcasts each of the
-// 32 entries and blends it into the lanes whose digit magnitude matches
-// (a VPCMPEQQ mask), then negates y under the sign mask, so every lane
-// reads every entry; g1AddMixedLanes is the RCB addition with the keep
-// under the mask of non-zero digits. Digits are recoded branch-free
-// before the loop, and the chunk's points are made affine with one
-// inversion in which a zero Z is replaced by one under a mask
-// (g1AffineBatch), so neither the lanes nor the normalisation branch on
-// a scalar, the point at infinity included. The scalar comb is the
-// oracle, and every lane, converted back, equals it.
+// SJ.Enc's d base multiplications per row go through BaseMultG1s, and
+// TokenGen's d per token through BaseMultG2s, which on CPUs with
+// AVX-512 IFMA run up to eight scalars as the eight lanes of one comb
+// (g1CombLanes, g2CombLanes). The lane tables, g1LaneComb and
+// g2LaneComb, are g1Comb and g2Comb in the lane form of lanes.go: per
+// entry the five 52-bit limbs of each Fp coordinate, x then y, below p.
+// Per window, laneSelect broadcasts each of the 32 entries and blends it
+// into the lanes whose digit magnitude matches (a VPCMPEQQ mask), then
+// negates y under the sign mask, so every lane reads every entry. The
+// RCB addition with the keep under the mask of non-zero digits is
+// g1AddMixedLanes in G1, an assembly kernel, and ltwist.addMixedKeep on
+// the twist, Go over the Fp2 lane kernels. Digits are recoded
+// branch-free before the loop, and the chunk's points are made affine
+// with one inversion in which a zero Z (a zero norm on the twist) is
+// replaced by one under a mask (g1AffineBatch, g2AffineBatch), so
+// neither the lanes nor the normalisation branch on a scalar, the point
+// at infinity included. The scalar comb is the oracle, and every lane,
+// converted back, equals it.
 //
 // The tables are package-level arrays filled in place on first use:
-// 43·32 affine points are 86 KiB in G1 and 172 KiB in G2, and the G1
-// lane table 110 KiB, in static storage (BSS) rather than on the heap.
+// 43·32 affine points are 86 KiB in G1 and 172 KiB in G2, and the lane
+// tables 110 KiB and 220 KiB, in static storage (BSS) rather than on
+// the heap.
 
 const (
 	// combWindows is the number of Booth windows: window i covers bits
@@ -78,12 +83,19 @@ var (
 )
 
 // twistB3 is 3b on the twist, 3·(3/xi), the constant of the RCB
-// formulas. On E, 3b is 9, which mul9 applies with additions.
-var twistB3 gfP2
+// formulas, and laneTwistB3 the same in every lane. On E, 3b is 9,
+// which mul9 applies with additions.
+var (
+	twistB3     gfP2
+	laneTwistB3 lfp2
+)
 
 func initComb() {
 	twistB3.Add(&twistB, &twistB)
 	twistB3.Add(&twistB3, &twistB)
+	for k := range laneRows {
+		laneTwistB3.set(k, &twistB3)
+	}
 }
 
 // combScalar returns k, which must lie in [0, Order), as combLimbs
@@ -219,6 +231,17 @@ func g1CombProj(s *[5]uint64) g1Proj {
 
 // combBaseMult sets c = s·g2, as the G1 comb.
 func (c *twistPoint) combBaseMult(s *[5]uint64) *twistPoint {
+	acc := g2CombProj(s)
+	var zz gfP2
+	zz.Square(&acc.z)
+	c.x.Mul(&acc.x, &acc.z)
+	c.y.Mul(&acc.y, &zz)
+	c.z = acc.z
+	return c
+}
+
+// g2CombProj is g1CombProj on the twist.
+func g2CombProj(s *[5]uint64) g2Proj {
 	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
 	var acc, sum g2Proj
 	acc.y.SetOne()
@@ -232,12 +255,7 @@ func (c *twistPoint) combBaseMult(s *[5]uint64) *twistPoint {
 		acc.y.cmov(&sum.y, keep)
 		acc.z.cmov(&sum.z, keep)
 	}
-	var zz gfP2
-	zz.Square(&acc.z)
-	c.x.Mul(&acc.x, &acc.z)
-	c.y.Mul(&acc.y, &zz)
-	c.z = acc.z
-	return c
+	return acc
 }
 
 // addMixed sets r = p + q. On amd64 CPUs with BMI2 and ADX it runs the
@@ -380,29 +398,57 @@ func buildG2Comb(t *[combWindows]g2CombRow) {
 	}
 }
 
-// combLaneMin is the smallest chunk of scalars BaseMultG1s runs on the
-// lane comb. A lane chunk costs the same for one scalar as for eight,
-// about 1.5 scalar combs, so one scalar keeps the scalar comb and from
-// two on the lanes win. It was measured with BenchmarkG1ScalarBaseMult's
-// lanes and one cases (DESIGN.md, "The G1 comb on the lanes").
+// combLaneMin is the smallest chunk of scalars BaseMultG1s and
+// BaseMultG2s run on the lane comb. A lane chunk costs the same for one
+// scalar as for eight, under two scalar combs, so one scalar keeps the
+// scalar comb and from two on the lanes win. It was measured with the
+// lanes and one cases of BenchmarkG1ScalarBaseMult and
+// BenchmarkG2ScalarBaseMult (DESIGN.md, "The comb on the lanes").
 const combLaneMin = 2
 
 // g1LaneAffine and g1LaneProj are eight G1 points in lane form, one per
-// lane: (x, y) and (X:Y:Z), coordinate by coordinate.
+// lane: (x, y) and (X:Y:Z), coordinate by coordinate. g2LaneAffine is
+// eight affine twist points; their (X:Y:Z) is an ltwist (lanetoken.go).
 type (
 	g1LaneAffine [2]lfp
 	g1LaneProj   [3]lfp
+	g2LaneAffine [2]lfp2
 )
 
-// g1LaneRow is a row of g1Comb in lane form for g1SelectLanes: entry j
-// is the five limbs of x and then of y, each the lane form of the
+// g1LaneRow and g2LaneRow are rows of g1Comb and g2Comb in lane form for
+// laneSelect: entry j is the five limbs of each Fp coordinate, x then y
+// (x.a0, x.a1, y.a0, y.a1 on the twist), each the lane form of the
 // reduced gfP, so below p.
-type g1LaneRow [combEntries][10]uint64
+type (
+	g1LaneRow [combEntries][10]uint64
+	g2LaneRow [combEntries][20]uint64
+)
 
 var (
 	g1LaneComb [combWindows]g1LaneRow
+	g2LaneComb [combWindows]g2LaneRow
 	g1LaneOnce sync.Once
+	g2LaneOnce sync.Once
 )
+
+// selectLanes sets lane k of q to the entry of digit (mag[k], sign[k]),
+// as selectEntry does for one digit: the magnitude's entry, (0, 0) for
+// magnitude 0, y negated for sign 1.
+func (row *g1LaneRow) selectLanes(q *g1LaneAffine, mag, sign *[laneRows]uint64) {
+	laneSelect(&q[0], &row[0][0], 2, mag, sign)
+}
+
+func (row *g2LaneRow) selectLanes(q *g2LaneAffine, mag, sign *[laneRows]uint64) {
+	laneSelect(&q[0][0], &row[0][0], 4, mag, sign)
+}
+
+// laneEntry writes the lane forms of cs to w, five limbs each.
+func laneEntry(w []uint64, cs ...*gfP) {
+	for c, v := range cs {
+		l := laneEncode(v)
+		copy(w[5*c:], l[:])
+	}
+}
 
 // buildG1LaneComb fills t with the lane form of g1Comb, building that
 // first: 43·32·10 words, 110 KiB, in static storage like g1Comb.
@@ -410,10 +456,31 @@ func buildG1LaneComb(t *[combWindows]g1LaneRow) {
 	g1CombOnce.Do(func() { buildG1Comb(&g1Comb) })
 	for i := range g1Comb {
 		for j := range g1Comb[i] {
-			x := laneEncode(&g1Comb[i][j].x)
-			y := laneEncode(&g1Comb[i][j].y)
-			copy(t[i][j][:5], x[:])
-			copy(t[i][j][5:], y[:])
+			e := &g1Comb[i][j]
+			laneEntry(t[i][j][:], &e.x, &e.y)
+		}
+	}
+}
+
+// buildG2LaneComb is buildG1LaneComb on the twist: 43·32·20 words,
+// 220 KiB.
+func buildG2LaneComb(t *[combWindows]g2LaneRow) {
+	g2CombOnce.Do(func() { buildG2Comb(&g2Comb) })
+	for i := range g2Comb {
+		for j := range g2Comb[i] {
+			e := &g2Comb[i][j]
+			laneEntry(t[i][j][:], &e.x.a0, &e.x.a1, &e.y.a0, &e.y.a1)
+		}
+	}
+}
+
+// laneDigits recodes up to eight scalars into the Booth digits of every
+// window, scalar k in lane k. Lanes past the last scalar keep digit 0.
+func laneDigits(mag, sign *[combWindows][laneRows]uint64, ks [][32]byte) {
+	for k := range ks {
+		s := combLimbs(&ks[k])
+		for i := range combWindows {
+			mag[i][k], sign[i][k] = combDigit(&s, i)
 		}
 	}
 }
@@ -421,22 +488,17 @@ func buildG1LaneComb(t *[combWindows]g1LaneRow) {
 // g1CombLanes sets acc[k] = ks[k]·g1 as (X:Y:Z), fully reduced, for up
 // to eight scalars: the comb of g1CombProj with scalar k in lane k. The
 // digits of all windows are recoded first; each window is then one
-// g1SelectLanes and one g1AddMixedLanes, whose keep leaves the lanes
-// with a zero digit, and the lanes past the last scalar, as they were.
+// select and one g1AddMixedLanes, whose keep leaves the lanes with a
+// zero digit, and the lanes past the last scalar, as they were.
 func g1CombLanes(acc []g1Proj, ks [][32]byte) {
 	g1LaneOnce.Do(func() { buildG1LaneComb(&g1LaneComb) })
 	var mag, sign [combWindows][laneRows]uint64
-	for k := range ks {
-		s := combLimbs(&ks[k])
-		for i := range combWindows {
-			mag[i][k], sign[i][k] = combDigit(&s, i)
-		}
-	}
+	laneDigits(&mag, &sign, ks)
 	var p g1LaneProj
 	p[1] = laneOne
 	var q g1LaneAffine
 	for i := range combWindows {
-		g1SelectLanes(&q, &g1LaneComb[i], &mag[i], &sign[i])
+		g1LaneComb[i].selectLanes(&q, &mag[i], &sign[i])
 		g1AddMixedLanes(&p, &p, &q, &mag[i])
 	}
 	var xs, ys, zs [laneRows]gfP
@@ -445,6 +507,29 @@ func g1CombLanes(acc []g1Proj, ks [][32]byte) {
 	p[2].gfps(&zs)
 	for k := range acc {
 		acc[k] = g1Proj{xs[k], ys[k], zs[k]}
+	}
+}
+
+// g2CombLanes is g1CombLanes on the twist: each window is one select
+// and one ltwist.addMixedKeep, the RCB addition in Go over the Fp2 lane
+// kernels with the keep a masked copy.
+func g2CombLanes(acc []g2Proj, ks [][32]byte) {
+	g2LaneOnce.Do(func() { buildG2LaneComb(&g2LaneComb) })
+	var mag, sign [combWindows][laneRows]uint64
+	laneDigits(&mag, &sign, ks)
+	var p ltwist
+	p.y[0] = laneOne
+	var q g2LaneAffine
+	for i := range combWindows {
+		g2LaneComb[i].selectLanes(&q, &mag[i], &sign[i])
+		p.addMixedKeep(&q, &mag[i])
+	}
+	var cs [6][laneRows]gfP
+	for c, e := range [6]*lfp{&p.x[0], &p.x[1], &p.y[0], &p.y[1], &p.z[0], &p.z[1]} {
+		e.gfps(&cs[c])
+	}
+	for k := range acc {
+		acc[k] = g2Proj{gfP2{cs[0][k], cs[1][k]}, gfP2{cs[2][k], cs[3][k]}, gfP2{cs[4][k], cs[5][k]}}
 	}
 }
 
@@ -478,5 +563,40 @@ func g1AffineBatch(out []*G1, ps []g1Proj) {
 		p.x.cmov(&rOne, inf[k])
 		p.y.cmov(&rOne, inf[k])
 		p.z.cmov(&gfP{}, inf[k])
+	}
+}
+
+// g2AffineBatch is g1AffineBatch on the twist: 1/Z = conj(Z)/N(Z), with
+// the norms of all the points in one batchInvert, a zero Z's norm
+// inverted as one and the point then set to infinity, (1, 1, 0), under
+// a mask.
+func g2AffineBatch(out []*G2, ps []g2Proj) {
+	var ns [laneRows]gfP
+	var nps [laneRows]*gfP
+	var inf [laneRows]uint64
+	for k := range ps {
+		z := &ps[k].z
+		inf[k] = z.a0.zeroMask() & z.a1.zeroMask()
+		var t gfP
+		ns[k].Square(&z.a0)
+		t.Square(&z.a1)
+		ns[k].Add(&ns[k], &t)
+		ns[k].cmov(&rOne, inf[k])
+		nps[k] = &ns[k]
+	}
+	batchInvert(nps[:len(ps)])
+	var one gfP2
+	one.SetOne()
+	for k, c := range out {
+		var zinv gfP2
+		zinv.Conjugate(&ps[k].z)
+		zinv.MulScalar(&zinv, &ns[k])
+		p := &c.p
+		p.x.Mul(&ps[k].x, &zinv)
+		p.y.Mul(&ps[k].y, &zinv)
+		p.z = one
+		p.x.cmov(&one, inf[k])
+		p.y.cmov(&one, inf[k])
+		p.z.cmov(&gfP2{}, inf[k])
 	}
 }

@@ -142,6 +142,7 @@ func TestCombKernelsMatchGeneric(t *testing.T) {
 	}
 	if useIFMA {
 		checkCombLanesGrid(t)
+		checkG2CombLanesGrid(t)
 	}
 	if !useADX {
 		t.Skip("no assembly addition kernel")
@@ -369,7 +370,7 @@ func laneValueOK(e *lfp, k int) bool {
 }
 
 // checkCombLanes runs the lane comb kernels on eight lanes and checks
-// each lane, converted back, against the scalar comb: g1SelectLanes on
+// each lane, converted back, against the scalar comb: the lane select on
 // row i at the digits (mag[k], sign[k]) against selectEntry, into a
 // result holding garbage, and g1AddMixedLanes on ps[k] and qs[k] (the
 // representative in [p, 2p) where high[k]) against addMixedG1 where
@@ -387,13 +388,13 @@ func checkCombLanes(t testing.TB, i int, mag, sign *[laneRows]uint64, ps *[laneR
 			}
 		}
 	}
-	g1SelectLanes(&q, &g1LaneComb[i], mag, sign)
+	g1LaneComb[i].selectLanes(&q, mag, sign)
 	for k := range laneRows {
 		var want g1Affine
 		g1Comb[i].selectEntry(&want, mag[k], sign[k])
 		got := g1Affine{q[0].get(k), q[1].get(k)}
 		if got != want || !laneValueOK(&q[0], k) || !laneValueOK(&q[1], k) {
-			t.Fatalf("g1SelectLanes row %d lane %d, digit (%d, %d): %v, want %v", i, k, mag[k], sign[k], got, want)
+			t.Fatalf("G1 lane select row %d lane %d, digit (%d, %d): %v, want %v", i, k, mag[k], sign[k], got, want)
 		}
 	}
 
@@ -424,3 +425,121 @@ func checkCombLanes(t testing.TB, i int, mag, sign *[laneRows]uint64, ps *[laneR
 		}
 	}
 }
+
+// setLaneRepFp2 sets lane k of e to a, each coordinate in the
+// representative setLaneRep picks: a0 high where high is set, a1 the
+// other way.
+func setLaneRepFp2(e *lfp2, k int, a *gfP2, high bool) {
+	setLaneRep(&e[0], k, &a.a0, high)
+	setLaneRep(&e[1], k, &a.a1, !high)
+}
+
+// checkG2CombLanesGrid is checkCombLanesGrid on the twist: every row,
+// nine times, the 72 lanes of a row taking every digit magnitude 0..32
+// with both signs. The lanes' ten coordinates come from the {0, 1,
+// p-1} grid, then random ones; every third call's lanes are twist
+// points with P = Q, P = -Q, P = (0:1:0) and random P, Q a table
+// entry.
+func checkG2CombLanesGrid(t *testing.T) {
+	r := mrand.New(mrand.NewSource(5))
+	randFp := func() gfP { return rawGFp(new(big.Int).Rand(r, P)) }
+	randFp2 := func() gfP2 { return gfP2{randFp(), randFp()} }
+	edges := []gfP{{}, rawGFp(big.NewInt(1)), rawGFp(new(big.Int).Sub(P, big.NewInt(1)))}
+	var ps [laneRows]g2Proj
+	var qs [laneRows]g2Affine
+	var high [laneRows]bool
+	var mag, sign [laneRows]uint64
+	n := 0
+	for i := range combWindows {
+		for c := range 9 {
+			for k := range laneRows {
+				d := (c*laneRows + k) % (2 * (combEntries + 1))
+				mag[k], sign[k] = uint64(d/2), uint64(d%2)
+				high[k] = r.Intn(2) == 1
+				if c%3 == 2 {
+					q := g2Comb[r.Intn(combWindows)][r.Intn(combEntries)]
+					lambda := randFp2()
+					var p g2Proj
+					p.x.Mul(&q.x, &lambda)
+					p.y.Mul(&q.y, &lambda)
+					p.z = lambda
+					switch k % 4 {
+					case 1:
+						p.y.Neg(&p.y)
+					case 2:
+						p = g2Proj{y: *new(gfP2).SetOne()}
+					case 3:
+						p = g2Proj{randFp2(), randFp2(), randFp2()}
+					}
+					ps[k], qs[k] = p, q
+					continue
+				}
+				var cs [10]gfP
+				for j := range cs {
+					if n < 3*3*3*3*3 {
+						cs[j] = edges[(n/[5]int{1, 3, 9, 27, 81}[j%5]+j/5)%3]
+					} else {
+						cs[j] = randFp()
+					}
+				}
+				n++
+				ps[k] = g2Proj{gfP2{cs[0], cs[1]}, gfP2{cs[2], cs[3]}, gfP2{cs[4], cs[5]}}
+				qs[k] = g2Affine{gfP2{cs[6], cs[7]}, gfP2{cs[8], cs[9]}}
+			}
+			checkG2CombLanes(t, i, &mag, &sign, &ps, &qs, &high)
+		}
+	}
+}
+
+// checkG2CombLanes is checkCombLanes on the twist: the select of row i
+// against selectEntry, into a result holding garbage, and
+// ltwist.addMixedKeep on ps[k] and qs[k] against addMixedG2 where mag[k]
+// is not zero and against ps[k] where it is, each coordinate in either
+// representative of [0, 2p) as high[k] picks. Every output lane must be
+// normalised and below 2p.
+func checkG2CombLanes(t testing.TB, i int, mag, sign *[laneRows]uint64, ps *[laneRows]g2Proj, qs *[laneRows]g2Affine, high *[laneRows]bool) {
+	t.Helper()
+	g2LaneOnce.Do(func() { buildG2LaneComb(&g2LaneComb) })
+	var q g2LaneAffine
+	for c := range q {
+		for j := range q[c] {
+			for l := range q[c][j] {
+				for k := range q[c][j][l] {
+					q[c][j][l][k] = ^uint64(0)
+				}
+			}
+		}
+	}
+	g2LaneComb[i].selectLanes(&q, mag, sign)
+	for k := range laneRows {
+		var want g2Affine
+		g2Comb[i].selectEntry(&want, mag[k], sign[k])
+		got := g2Affine{q[0].get(k), q[1].get(k)}
+		if got != want || !lane2ValueOK(&q[0], k) || !lane2ValueOK(&q[1], k) {
+			t.Fatalf("G2 lane select row %d lane %d, digit (%d, %d): %v, want %v", i, k, mag[k], sign[k], got, want)
+		}
+	}
+
+	var p ltwist
+	var qa g2LaneAffine
+	for k := range laneRows {
+		setLaneRepFp2(&p.x, k, &ps[k].x, high[k])
+		setLaneRepFp2(&p.y, k, &ps[k].y, !high[k])
+		setLaneRepFp2(&p.z, k, &ps[k].z, high[k])
+		setLaneRepFp2(&qa[0], k, &qs[k].x, !high[k])
+		setLaneRepFp2(&qa[1], k, &qs[k].y, high[k])
+	}
+	p.addMixedKeep(&qa, mag)
+	for k := range laneRows {
+		want := ps[k]
+		if mag[k] != 0 {
+			addMixedG2(&want, &ps[k], &qs[k])
+		}
+		got := g2Proj{p.x.get(k), p.y.get(k), p.z.get(k)}
+		if got != want || !lane2ValueOK(&p.x, k) || !lane2ValueOK(&p.y, k) || !lane2ValueOK(&p.z, k) {
+			t.Fatalf("G2 lane addition lane %d (digit %d, high %v): %v + %v = %v, want %v", k, mag[k], high[k], ps[k], qs[k], got, want)
+		}
+	}
+}
+
+func lane2ValueOK(e *lfp2, k int) bool { return laneValueOK(&e[0], k) && laneValueOK(&e[1], k) }

@@ -305,11 +305,96 @@ func subgroupTestPoints(t *testing.T) (pts []twistPoint, g2s int) {
 	return pts, len(g2)
 }
 
+// firstSqrtAttempt reports whether gfP2.Sqrt's first attempt, with
+// delta = (a0 + lambda)/2, finds the root of a, a square with a1 != 0.
+// For the other squares it takes the -lambda retry.
+func firstSqrtAttempt(a *gfP2) bool {
+	var norm, t, lambda, delta, x0, sq gfP
+	norm.Square(&a.a0)
+	t.Square(&a.a1)
+	norm.Add(&norm, &t)
+	lambda.Exp(&norm, pPlus1Over4)
+	delta.Add(&a.a0, &lambda)
+	delta.Mul(&delta, &inv2)
+	x0.Exp(&delta, pPlus1Over4)
+	return sq.Square(&x0).Equal(&delta)
+}
+
+// g2ByFirstAttempt returns the encodings of n G2 points whose square
+// roots gfP2.Sqrt finds at its first attempt (first) and n it finds at
+// the retry (retry), drawn at random.
+func g2ByFirstAttempt(t *testing.T, n int) (first, retry [][]byte) {
+	t.Helper()
+	for len(first) < n || len(retry) < n {
+		_, q, err := RandomG2(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.p.MakeAffine()
+		var y2 gfP2
+		y2.Square(&q.p.y)
+		if firstSqrtAttempt(&y2) {
+			if len(first) < n {
+				first = append(first, q.Marshal())
+			}
+		} else if len(retry) < n {
+			retry = append(retry, q.Marshal())
+		}
+	}
+	return first, retry
+}
+
+// realRHSEncoding returns the encoding of an x = (x0, x1) whose x^3 + b
+// lies in Fp, so that its square root takes Sqrt's a1 = 0 path: the
+// imaginary part 3 x0^2 x1 - x1^3 + b.a1 is zero for x0^2 =
+// (x1^3 - b.a1)/(3 x1), taken at the first x1 = 1, 2, ... where that
+// is a square. Every element of Fp is a square in Fp2, so x is on the
+// twist; the sign bit picks y.
+func realRHSEncoding(t *testing.T, neg bool) []byte {
+	t.Helper()
+	for n := int64(1); ; n++ {
+		x1 := *newGFp(n)
+		var num, den, v, x0, sq gfP
+		num.Square(&x1)
+		num.Mul(&num, &x1)
+		num.Sub(&num, &twistB.a1)
+		den.Add(&x1, &x1)
+		den.Add(&den, &x1)
+		den.Invert(&den)
+		v.Mul(&num, &den)
+		if x0.Exp(&v, pPlus1Over4); !sq.Square(&x0).Equal(&v) {
+			continue
+		}
+		x := gfP2{x0, x1}
+		var rhs gfP2
+		rhs.Square(&x)
+		rhs.Mul(&rhs, &x)
+		rhs.Add(&rhs, &twistB)
+		if !rhs.a1.IsZero() || rhs.a0.IsZero() {
+			t.Fatalf("x = %v: x^3 + b = %v, want a non-zero element of Fp", &x, &rhs)
+		}
+		enc := make([]byte, 64)
+		x.a0.Marshal(enc[:32])
+		x.a1.Marshal(enc[32:])
+		if neg {
+			enc[0] |= g2YSign
+		}
+		return enc
+	}
+}
+
 // TestUnmarshalG2sMatchesElementwise checks the batch decoder against
-// Unmarshal one element at a time on nine-element encodings with one bad
-// element (off the twist, outside G2, a bad infinity encoding) or two
-// (outside G2 and off the twist, in either order) at every position:
-// the same count, the same error text and the same decoded points.
+// Unmarshal one element at a time on nine-element encodings (a group
+// of eight, whose square roots and subgroup checks run on the lanes
+// where the CPU has them, and a one-element tail). The valid elements
+// alternate between points whose square root Sqrt finds at its first
+// attempt and at its retry, in both orders, so each kind sits in every
+// lane beside the other. Then one element is bad at every position:
+// off the twist, outside G2, a bad infinity encoding, or an x whose
+// x^3 + b has a1 = 0 (a lane special case; such a point is on the
+// twist but not in G2), or two are (outside G2 and off the twist, in
+// either order). The count, the error text and the decoded points must
+// be the same.
 func TestUnmarshalG2sMatchesElementwise(t *testing.T) {
 	pts, g2s := subgroupTestPoints(t)
 	var offG2 []byte
@@ -333,18 +418,21 @@ func TestUnmarshalG2sMatchesElementwise(t *testing.T) {
 	}
 	badInf := make([]byte, 64)
 	badInf[0], badInf[63] = g2Infinity, 1
+	realRHS := realRHSEncoding(t, false)
 	const n = 9
-	var good [n][]byte
-	for i := range good {
-		if i == 4 {
-			good[i] = new(G2).SetInfinity().Marshal()
-			continue
+	first, retry := g2ByFirstAttempt(t, n)
+	var goods [2][n][]byte
+	for v := range goods {
+		for i := range goods[v] {
+			switch {
+			case i == 4:
+				goods[v][i] = new(G2).SetInfinity().Marshal()
+			case (i+v)%2 == 0:
+				goods[v][i] = first[i]
+			default:
+				goods[v][i] = retry[i]
+			}
 		}
-		_, q, err := RandomG2(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		good[i] = q.Marshal()
 	}
 	check := func(name string, enc [n][]byte) {
 		t.Helper()
@@ -369,22 +457,24 @@ func TestUnmarshalG2sMatchesElementwise(t *testing.T) {
 			t.Fatalf("%s: UnmarshalG2s = %d, %v; element by element %d, %v", name, got, err, want, wantErr)
 		}
 	}
-	check("all valid", good)
-	for i := 0; i < n; i++ {
-		for name, bad := range map[string][]byte{"off G2": offG2, "off the twist": offTwist, "bad infinity": badInf} {
-			enc := good
-			enc[i] = bad
-			check(fmt.Sprintf("%s at %d", name, i), enc)
-		}
-		for j := i + 1; j < n; j++ {
-			enc := good
-			enc[i], enc[j] = offG2, offTwist
-			check(fmt.Sprintf("off G2 at %d, off the twist at %d", i, j), enc)
-			enc[i], enc[j] = offTwist, offG2
-			check(fmt.Sprintf("off the twist at %d, off G2 at %d", i, j), enc)
+	for v, good := range goods {
+		check(fmt.Sprintf("all valid, order %d", v), good)
+		for i := 0; i < n; i++ {
+			for name, bad := range map[string][]byte{"off G2": offG2, "off the twist": offTwist, "bad infinity": badInf, "a1 = 0": realRHS} {
+				enc := good
+				enc[i] = bad
+				check(fmt.Sprintf("order %d, %s at %d", v, name, i), enc)
+			}
+			for j := i + 1; j < n; j++ {
+				enc := good
+				enc[i], enc[j] = offG2, offTwist
+				check(fmt.Sprintf("order %d, off G2 at %d, off the twist at %d", v, i, j), enc)
+				enc[i], enc[j] = offTwist, offG2
+				check(fmt.Sprintf("order %d, off the twist at %d, off G2 at %d", v, i, j), enc)
+			}
 		}
 	}
-	if got, err := UnmarshalG2s(good[0][:63], []*G2{new(G2)}); got != 0 || err == nil {
+	if got, err := UnmarshalG2s(goods[0][0][:63], []*G2{new(G2)}); got != 0 || err == nil {
 		t.Fatalf("short encoding: got %d, %v", got, err)
 	}
 }

@@ -30,9 +30,10 @@ func FuzzG2Unmarshal(f *testing.F) {
 
 // FuzzScalarBaseMult reads arbitrary bytes as a big-endian scalar and
 // checks the constant-time comb against the variable-time wNAF Mul, by
-// encoding, in both groups. Its batch leg runs BaseMultG1s on the nine
-// scalars k + i mod 2^256, i = 0 .. 8, one lane chunk and a one-scalar
-// tail, and each must encode as ScalarBaseMult's. The corpus under
+// encoding, in both groups. Its batch leg runs BaseMultG1s and
+// BaseMultG2s on the nine scalars k + i mod 2^256, i = 0 .. 8, one lane
+// chunk and a one-scalar tail, and each must encode as
+// ScalarBaseMult's. The corpus under
 // testdata/fuzz/FuzzScalarBaseMult seeds 0, 1, Order - 1, Order,
 // 2^254 - 1 and 2^256 - 1.
 func FuzzScalarBaseMult(f *testing.F) {
@@ -53,15 +54,20 @@ func FuzzScalarBaseMult(f *testing.F) {
 		ks := make([][32]byte, laneRows+1)
 		kis := make([]*big.Int, len(ks))
 		out := make([]*G1, len(ks))
+		out2 := make([]*G2, len(ks))
 		for i := range ks {
 			kis[i] = new(big.Int).Add(k, big.NewInt(int64(i)))
 			kis[i].Mod(kis[i], mod).FillBytes(ks[i][:])
-			out[i] = new(G1)
+			out[i], out2[i] = new(G1), new(G2)
 		}
 		BaseMultG1s(out, ks)
+		BaseMultG2s(out2, ks)
 		for i, ki := range kis {
 			if !bytes.Equal(out[i].Marshal(), new(G1).ScalarBaseMult(ki).Marshal()) {
 				t.Fatalf("BaseMultG1s scalar %d differs from ScalarBaseMult for k = %v", i, ki)
+			}
+			if !bytes.Equal(out2[i].Marshal(), new(G2).ScalarBaseMult(ki).Marshal()) {
+				t.Fatalf("BaseMultG2s scalar %d differs from ScalarBaseMult for k = %v", i, ki)
 			}
 		}
 	})
@@ -154,12 +160,16 @@ func FuzzTowerKernels(f *testing.F) {
 // and one more byte the lanes' representatives (bit k high in lane k):
 // lane k takes the five coordinates rotated by k places, and the lane
 // select and lane addition must match selectEntry and addMixedG1 lane
-// by lane after conversion (checkCombLanes). The corpus under
-// testdata/fuzz/FuzzCombKernels seeds all-zero, every coordinate one,
-// every coordinate p - 1, the generator G added to (0:1:0), to itself
-// and to -G, random bytes (all with lane digits 0), and lane digits
-// 0, +-32 and mixed signs across lanes. On a CPU without BMI2 and ADX
-// the addition part skips, and without AVX-512 IFMA the lane part.
+// by lane after conversion (checkCombLanes). The G2 lane select and
+// addition are held to the G2 scalar comb's the same way
+// (checkG2CombLanes), on the same digits, with lane k's Fp2
+// coordinates the pairs (c_j, c_j+3) of the rotated five. The corpus
+// under testdata/fuzz/FuzzCombKernels seeds all-zero, every coordinate
+// one, every coordinate p - 1, the generator G added to (0:1:0), to
+// itself and to -G, random bytes (all with lane digits 0), lane digits
+// 0, +-32 and mixed signs across lanes, and on the top window's row the
+// digits of k = 0 (all 0) and +-32. On a CPU without BMI2 and ADX the
+// addition part skips, and without AVX-512 IFMA the lane part.
 func FuzzCombKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() gfP {
@@ -188,6 +198,13 @@ func FuzzCombKernels(f *testing.F) {
 				high[k] = idx[2+laneRows]>>k&1 == 1
 			}
 			checkCombLanes(t, row, &mag, &sign, &ps, &qs, &high)
+			var ps2 [laneRows]g2Proj
+			var qs2 [laneRows]g2Affine
+			for k := range laneRows {
+				c := func(j int) gfP2 { return gfP2{cs[(j+k)%len(cs)], cs[(j+k+3)%len(cs)]} }
+				ps2[k], qs2[k] = g2Proj{c(0), c(1), c(2)}, g2Affine{c(3), c(4)}
+			}
+			checkG2CombLanes(t, row, &mag, &sign, &ps2, &qs2, &high)
 		}
 		if !useADX {
 			t.Skip("no assembly addition kernel")

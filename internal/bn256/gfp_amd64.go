@@ -178,12 +178,15 @@ func lfp12Mul(e, a, b *lfp12)
 //go:noescape
 func lfp12CyclotomicSquare(e, a *lfp12)
 
-// g1SelectLanes sets lane k of q to row[mag[k]-1], and to (0, 0) for
-// mag[k] = 0, negated where sign[k] is 1: g1CombRow.selectEntry on eight
-// lanes, reading every entry in every lane.
+// laneSelect is the comb's select on eight lanes: row points at the 32
+// entries of a lane table row, each coords lane-form Fp coordinates
+// whose second half is y, and it sets lane k of the coords lfp at q to
+// entry mag[k]-1, and to zero for mag[k] = 0, with y negated where
+// sign[k] is 1. Every lane reads every entry. g1LaneRow.selectLanes and
+// g2LaneRow.selectLanes call it.
 //
 //go:noescape
-func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[laneRows]uint64)
+func laneSelect(q *lfp, row *uint64, coords int, mag, sign *[laneRows]uint64)
 
 // g1AddMixedLanes sets lane k of r to p + q, as addMixedG1, where mag[k]
 // is not zero, and to p where it is; r may alias p.

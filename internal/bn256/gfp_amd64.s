@@ -1667,40 +1667,6 @@ TEXT ·lfp2Sub(SB), NOSPLIT, $0-24
 	VZEROUPPER
 	RET
 
-// func lfp2Mul(c, a, b *lfp2)
-//
-// Karatsuba, as gfP2.mulGeneric: v0 = a0 b0 and v1 = a1 b1 go to the
-// frame, then s = (a0 + a1)(b0 + b1) on unreduced sums below 4p, and
-// c1 = s - v0 - v1, c0 = v0 - v1. c is written last, so it may alias a
-// or b.
-TEXT ·lfp2Mul(SB), 0, $1024-24
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	LALIGN
-	LCONSTS
-	LLOAD(0, SI, Z0, Z1, Z2, Z3, Z4)
-	LMULM(0, DX)
-	LSTORE(Z15, Z10, Z11, Z12, Z13, 0, BX)
-	LLOAD(320, SI, Z0, Z1, Z2, Z3, Z4)
-	LMULM(320, DX)
-	LSTORE(Z15, Z10, Z11, Z12, Z13, 320, BX)
-	LADDNR(0, DX, 320, DX, Z5, Z6, Z7, Z8, Z9)
-	LSTORE(Z5, Z6, Z7, Z8, Z9, 640, BX)
-	LADDNR(0, SI, 320, SI, Z0, Z1, Z2, Z3, Z4)
-	LMULM(640, BX)
-	LSUBM(0, BX, Z15, Z10, Z11, Z12, Z13)
-	LSNORM(Z15, Z10, Z11, Z12, Z13)
-	FIXNEG(Z15, Z10, Z11, Z12, Z13)
-	LSUBM(320, BX, Z15, Z10, Z11, Z12, Z13)
-	LSNORM(Z15, Z10, Z11, Z12, Z13)
-	FIXNEG(Z15, Z10, Z11, Z12, Z13)
-	LSUBR(0, BX, 320, BX)
-	LSTORE(Z5, Z6, Z7, Z8, Z9, 0, DI)
-	LSTORE(Z15, Z10, Z11, Z12, Z13, 320, DI)
-	VZEROUPPER
-	RET
-
 // lfp2sqr<> sets the lane Fp2 element at DI to the square of the one at
 // SI, as gfP2.squareGeneric: c0 = (a0 + a1)(a0 - a1) and c1 = 2 a0 a1,
 // the factors unreduced, below 4p. R9 points at 640 bytes of aligned
@@ -2079,6 +2045,30 @@ TEXT ·lredcl<>(SB), NOSPLIT|NOFRAME, $0-0
 
 #define LRDC CALL ·lredc<>(SB)
 #define LRDCL CALL ·lredcl<>(SB)
+
+// func lfp2Mul(c, a, b *lfp2)
+//
+// Karatsuba with lazy reduction, as gfP2.mulGeneric: lkara<>'s three
+// wide products, then the real part a0 b0 - a1 b1 + 32p^2, in
+// (28p^2, 36p^2), and the imaginary part a0 b1 + a1 b0, in [0, 8p^2),
+// each reduced once: both are below pR, so both land in [0, 2p). c is
+// written after a and b are last read, so it may alias either.
+TEXT ·lfp2Mul(SB), 0, $1344-24
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	LALIGN
+	LCONSTS
+	LKARA(0, SI, 0, DX, 0, BX)
+	MOVQ c+0(FP), DI
+	LWLOAD(0, BX)
+	LWOFF32
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 0, DI)
+	LWLOAD(640, BX)
+	LRDC
+	LSTORE(Z10, Z11, Z12, Z13, Z14, 320, DI)
+	VZEROUPPER
+	RET
 
 // LCOLS runs the column macro M for the ten columns of Z5-Z14.
 #define LCOLS(M) \
@@ -3004,94 +2994,101 @@ TEXT ·lfp6Mul(SB), 0, $12864-24
 	VZEROUPPER
 	RET
 
-// The lane comb kernels below run the loop body of the G1 comb
-// (comb.go) for eight scalars at once, scalar k in lane k: the select of
-// each lane's table entry and the mixed addition into each lane's
-// accumulator. A row of the lane table holds the 32 affine entries of
-// one window, each as the x limbs and then the y limbs in lane form
-// (radix 2^52, R = 2^260), 80 bytes, fully reduced below p.
+// The lane comb kernels below run the loop body of the comb (comb.go)
+// for eight scalars at once, scalar k in lane k: the select of each
+// lane's table entry and, in G1, the mixed addition into each lane's
+// accumulator (G2's is Go over the Fp2 lane kernels, lanetoken.go). A
+// row of a lane table holds the 32 affine entries of one window, each
+// as its Fp coordinates in lane form (radix 2^52, R = 2^260), five
+// words each, fully reduced below p: x then y in G1, 80 bytes, and
+// x.a0, x.a1, y.a0, y.a1 in G2, 160 bytes.
 
-// func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[8]uint64)
+// func laneSelect(q *lfp, row *uint64, coords int, mag, sign *[8]uint64)
 //
-// For j = 1 .. 32, every word of entry j-1 is broadcast to all lanes and
-// kept, under a VPCMPEQQ mask, in the lanes whose digit magnitude is j;
-// lanes with magnitude 0 keep (0, 0). Then y becomes p - y, below 2p,
-// in the lanes whose sign is 1. The loop count is a constant and every
-// lane reads every entry, so neither a branch nor an address depends on
-// a digit. Z0-Z4 collect x, Z5-Z9 y, Z10-Z14 hold broadcast words, Z18
-// the magnitudes, Z19 the counter j and Z16 the lane-wise 1 that steps
-// it.
-TEXT ·g1SelectLanes(SB), NOSPLIT, $0-32
+// Entries have coords Fp coordinates, the second half of them y. For
+// each coordinate, for j = 1 .. 32, every word of it in entry j-1 is
+// broadcast to all lanes and kept, under a VPCMPEQQ mask, in the lanes
+// whose digit magnitude is j; lanes with magnitude 0 keep 0. A y
+// coordinate then becomes p - y, below 2p, in the lanes whose sign is
+// 1. The loop counts are public and every lane reads every entry, so
+// neither a branch nor an address depends on a digit. Z0-Z4 collect the
+// coordinate, Z10-Z14 hold broadcast words, Z18 the magnitudes, Z19 the
+// counter j, Z16 the lane-wise 1 that steps it and K2 the sign mask.
+// SI walks the coordinates of entry 0, R12 one coordinate down the
+// entries, R9 is the entry stride, R11 the coordinate and R10 the first
+// y coordinate.
+TEXT ·laneSelect(SB), NOSPLIT, $0-40
 	MOVQ q+0(FP), DI
 	MOVQ row+8(FP), SI
-	MOVQ mag+16(FP), DX
-	MOVQ sign+24(FP), R8
-	VMOVDQU64 (DX), Z18
-	VPXORQ    Z0, Z0, Z0
-	VPXORQ    Z1, Z1, Z1
-	VPXORQ    Z2, Z2, Z2
-	VPXORQ    Z3, Z3, Z3
-	VPXORQ    Z4, Z4, Z4
-	VPXORQ    Z5, Z5, Z5
-	VPXORQ    Z6, Z6, Z6
-	VPXORQ    Z7, Z7, Z7
-	VPXORQ    Z8, Z8, Z8
-	VPXORQ    Z9, Z9, Z9
-	VPXORQ    Z19, Z19, Z19
-	MOVQ      $1, AX
+	MOVQ coords+16(FP), BX
+	MOVQ mag+24(FP), DX
+	MOVQ sign+32(FP), R8
+	VMOVDQU64    (DX), Z18
+	VMOVDQU64    (R8), Z17
+	VPTESTMQ     Z17, Z17, K2
+	VPTERNLOGQ   $0xff, Z26, Z26, Z26
+	VPSRLQ       $12, Z26, Z26
+	MOVQ         $1, AX
 	VPBROADCASTQ AX, Z16
-	MOVQ      $32, CX
+	IMUL3Q       $40, BX, R9
+	MOVQ         BX, R10
+	SHRQ         $1, R10
+	XORQ         R11, R11
 
-selLanes:
+selCoord:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z19, Z19, Z19
+	MOVQ   SI, R12
+	MOVQ   $32, CX
+
+selEntry:
 	VPADDQ       Z16, Z19, Z19
 	VPCMPEQQ     Z18, Z19, K1
-	VPBROADCASTQ 0(SI), Z10
-	VPBROADCASTQ 8(SI), Z11
-	VPBROADCASTQ 16(SI), Z12
-	VPBROADCASTQ 24(SI), Z13
-	VPBROADCASTQ 32(SI), Z14
+	VPBROADCASTQ 0(R12), Z10
+	VPBROADCASTQ 8(R12), Z11
+	VPBROADCASTQ 16(R12), Z12
+	VPBROADCASTQ 24(R12), Z13
+	VPBROADCASTQ 32(R12), Z14
 	VMOVDQA64    Z10, K1, Z0
 	VMOVDQA64    Z11, K1, Z1
 	VMOVDQA64    Z12, K1, Z2
 	VMOVDQA64    Z13, K1, Z3
 	VMOVDQA64    Z14, K1, Z4
-	VPBROADCASTQ 40(SI), Z10
-	VPBROADCASTQ 48(SI), Z11
-	VPBROADCASTQ 56(SI), Z12
-	VPBROADCASTQ 64(SI), Z13
-	VPBROADCASTQ 72(SI), Z14
-	VMOVDQA64    Z10, K1, Z5
-	VMOVDQA64    Z11, K1, Z6
-	VMOVDQA64    Z12, K1, Z7
-	VMOVDQA64    Z13, K1, Z8
-	VMOVDQA64    Z14, K1, Z9
-	ADDQ         $80, SI
+	ADDQ         R9, R12
 	DECQ         CX
-	JNZ          selLanes
+	JNZ          selEntry
 
 	// Z10-Z14 = p - y, in (0, p] for y below p, in the lanes of K2.
-	VMOVDQU64    (R8), Z17
-	VPTESTMQ     Z17, Z17, K2
-	VPTERNLOGQ   $0xff, Z26, Z26, Z26
-	VPSRLQ       $12, Z26, Z26
+	CMPQ         R11, R10
+	JLT          selStore
 	VPBROADCASTQ ·laneP+0(SB), Z10
 	VPBROADCASTQ ·laneP+8(SB), Z11
 	VPBROADCASTQ ·laneP+16(SB), Z12
 	VPBROADCASTQ ·laneP+24(SB), Z13
 	VPBROADCASTQ ·laneP+32(SB), Z14
-	VPSUBQ       Z5, Z10, Z10
-	VPSUBQ       Z6, Z11, Z11
-	VPSUBQ       Z7, Z12, Z12
-	VPSUBQ       Z8, Z13, Z13
-	VPSUBQ       Z9, Z14, Z14
+	VPSUBQ       Z0, Z10, Z10
+	VPSUBQ       Z1, Z11, Z11
+	VPSUBQ       Z2, Z12, Z12
+	VPSUBQ       Z3, Z13, Z13
+	VPSUBQ       Z4, Z14, Z14
 	LSNORM(Z10, Z11, Z12, Z13, Z14)
-	VMOVDQA64    Z10, K2, Z5
-	VMOVDQA64    Z11, K2, Z6
-	VMOVDQA64    Z12, K2, Z7
-	VMOVDQA64    Z13, K2, Z8
-	VMOVDQA64    Z14, K2, Z9
+	VMOVDQA64    Z10, K2, Z0
+	VMOVDQA64    Z11, K2, Z1
+	VMOVDQA64    Z12, K2, Z2
+	VMOVDQA64    Z13, K2, Z3
+	VMOVDQA64    Z14, K2, Z4
+
+selStore:
 	LSTORE(Z0, Z1, Z2, Z3, Z4, 0, DI)
-	LSTORE(Z5, Z6, Z7, Z8, Z9, 320, DI)
+	ADDQ $320, DI
+	ADDQ $40, SI
+	INCQ R11
+	CMPQ R11, BX
+	JLT  selCoord
 	VZEROUPPER
 	RET
 

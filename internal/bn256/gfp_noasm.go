@@ -53,7 +53,7 @@ func lfp6Mul(c, a, b *lfp6)                           { panic(errNoLanes) }
 func lfp12Square(e, a *lfp12)                         { panic(errNoLanes) }
 func lfp12Mul(e, a, b *lfp12)                         { panic(errNoLanes) }
 func lfp12CyclotomicSquare(e, a *lfp12)               { panic(errNoLanes) }
-func g1SelectLanes(q *g1LaneAffine, row *g1LaneRow, mag, sign *[laneRows]uint64) {
+func laneSelect(q *lfp, row *uint64, coords int, mag, sign *[laneRows]uint64) {
 	panic(errNoLanes)
 }
 func g1AddMixedLanes(r, p *g1LaneProj, q *g1LaneAffine, mag *[laneRows]uint64) { panic(errNoLanes) }

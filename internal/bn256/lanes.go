@@ -26,12 +26,13 @@ import "math/big"
 // Bounds. A Montgomery reduction of T >= 0 gives t = (T + mp)/R with
 // m < R, so t < T/R + p, below 2p while T < pR; pR/p^2 = 2^260/p > 84.7.
 // A product of a, b < 2p is below 4p^2, so lfpMul needs no final
-// subtraction. The tower kernels (line, Fp6 and Fp12 products, Fp12
-// square, cyclotomic square) are Karatsuba with lazy reduction, as the
-// ADX kernels are: each Fp product is left wide, its ten 52-bit columns
-// unreduced; the wide products of one output coordinate are added and
-// subtracted column by column, xi = 9 + i and small factors scale them
-// there, and one reduction per output coordinate finishes the sum. A
+// subtraction. The Fp2 product and the tower kernels (line, Fp6 and
+// Fp12 products, Fp12 square, cyclotomic square) are Karatsuba with
+// lazy reduction, as the ADX kernels are: each Fp product is left
+// wide, its ten 52-bit columns unreduced; the wide products of one
+// output coordinate are added and subtracted column by column, xi =
+// 9 + i and small factors scale them there, and one reduction per
+// output coordinate finishes the sum. A
 // sum that can be negative first gets an offset that is a multiple of
 // p (32p^2, or a multiple of pR, whose limbs go to columns 5-9), so that
 // T >= 0. Where T stays below pR, as for the Fp6 product's c2, the
@@ -72,13 +73,6 @@ import "math/big"
 // laneRows is the number of rows one lane evaluation takes: one per
 // 64-bit lane of a ZMM register.
 const laneRows = 8
-
-// laneMinRows is the smallest chunk the lane evaluator takes. A lane
-// evaluation costs the same for one row as for eight, and on one row
-// the row path is cheaper; from two rows on the lanes win. It was
-// measured with BenchmarkLane's chunkN pairs at d = 5 (DESIGN.md has the
-// numbers).
-const laneMinRows = 2
 
 // lfp is eight Fp elements in lane form: lfp[i][k] is limb i of lane k.
 type lfp [5][laneRows]uint64
@@ -130,6 +124,7 @@ func initLanes() {
 			laneOff32[i][k] = limb.Uint64()
 		}
 	}
+	initLaneSqrt()
 	r256 := radix52((*[4]uint64)(&rOne))
 	for k := 0; k < laneRows; k++ {
 		for i := range r256 {
@@ -452,7 +447,6 @@ func (pc *PairingPrecomp) evalLanes(pts *rowPoints, out []GT) {
 // pts, one per lane. Lanes past the last row, like slots at infinity,
 // hold xs = ys = 0, whose lines are one.
 func (pc *PairingPrecomp) millerLanes(pts *rowPoints, rows int) *lfp12 {
-	co := pc.laneCo
 	xs := make([]lfp, pc.n)
 	ys := make([]lfp, pc.n)
 	for r := 0; r < rows; r++ {
@@ -468,15 +462,15 @@ func (pc *PairingPrecomp) millerLanes(pts *rowPoints, rows int) *lfp12 {
 	f[0][0][0] = laneOne
 	one := true
 	var l [2]lfp2
-	for i := range pc.ops {
-		op := &pc.ops[i]
+	for i := range pc.lane {
+		op := &pc.lane[i]
 		if op.slot < 0 {
 			if !one {
 				lfp12Square(f, f)
 			}
 			continue
 		}
-		lfpLine(&l, &co[i], &xs[op.slot], &ys[op.slot])
+		lfpLine(&l, &op.co, &xs[op.slot], &ys[op.slot])
 		if one {
 			f[1][0], f[1][1] = l[0], l[1]
 			one = false

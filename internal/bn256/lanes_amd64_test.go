@@ -30,12 +30,12 @@ func TestCPUFeatures(t *testing.T) {
 	g2 := "scalar subgroup checks (" + scalar + ")"
 	enc := "scalar comb (" + scalar + ")"
 	if useIFMA {
-		dec = fmt.Sprintf("lanes (AVX-512 IFMA) for chunks of %d or more rows, %s rows below", laneMinRows, scalar)
+		dec = fmt.Sprintf("lanes (AVX-512 IFMA) for programs recorded there, %s rows for the others", scalar)
 		pre = fmt.Sprintf("lane recorder for %d or more live slots, scalar recorder below", laneMinSlots)
-		g2 = fmt.Sprintf("lane subgroup checks for groups of %d or more points, scalar below", laneMinPoints)
+		g2 = fmt.Sprintf("lane square roots and subgroup checks for groups of %d or more points, scalar below", laneMinPoints)
 		enc = fmt.Sprintf("lane comb for chunks of %d or more scalars, %s below", combLaneMin, enc)
 	}
-	t.Logf("SJ.Dec path: %s; token precompute: %s; token decode: %s; SJ.Enc G1 comb: %s (useADX=%v useIFMA=%v)",
+	t.Logf("SJ.Dec path: %s; token precompute: %s; token decode: %s; SJ.Enc and TokenGen combs: %s (useADX=%v useIFMA=%v)",
 		dec, pre, g2, enc, useADX, useIFMA)
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -457,11 +457,11 @@ func FuzzLaneKernels(f *testing.F) {
 }
 
 // laneTestBatch returns a token of d slots whose slots listed in inf
-// are at infinity, recorded on the lanes whatever its live slot count,
-// and n rows of d G1 points where row r has an infinity at slot r mod d
+// are at infinity, recorded by the scalar recorder and on the lanes
+// whatever its live slot count (precomputeBoth), and n rows of d G1 points where row r has an infinity at slot r mod d
 // unless r = 2 mod 3, and row 5 is all infinity: in 17 rows every lane
 // position meets an infinity element.
-func laneTestBatch(t *testing.T, d, n int, inf ...int) (*PairingPrecomp, [][]*G1) {
+func laneTestBatch(t *testing.T, d, n int, inf ...int) (scalar, lanes *PairingPrecomp, rows [][]*G1) {
 	t.Helper()
 	qs := make([]*G2, d)
 	for j := range qs {
@@ -474,7 +474,7 @@ func laneTestBatch(t *testing.T, d, n int, inf ...int) (*PairingPrecomp, [][]*G1
 	for _, j := range inf {
 		qs[j] = new(G2).SetInfinity()
 	}
-	rows := make([][]*G1, n)
+	rows = make([][]*G1, n)
 	for r := range rows {
 		rows[r] = randomAffineG1s(d)
 		if r%3 != 2 {
@@ -486,19 +486,20 @@ func laneTestBatch(t *testing.T, d, n int, inf ...int) (*PairingPrecomp, [][]*G1
 			}
 		}
 	}
-	return recordedOnLanes(qs), rows
+	scalar, lanes = precomputeBoth(qs)
+	return scalar, lanes, rows
 }
 
 // TestLaneEvalMatchesRows compares the three SJ.Dec paths on chunks of
 // 1 to 17 rows, with tokens without and with slots at infinity: the
 // lane evaluator (evalLanes on every chunk of up to eight rows, and
-// EvalRows, which dispatches by chunk size), the ADX row path and the
-// generic row path (evalRows with useADX cleared). The GT values must
-// be equal.
+// EvalRows of the lane program), the ADX row path and the generic row
+// path (evalRows of the scalar program, with useADX cleared for the
+// latter). The GT values must be equal.
 func TestLaneEvalMatchesRows(t *testing.T) {
 	skipWithoutLanes(t)
 	for _, inf := range [][]int{nil, {1}, {0, 2}, {0, 1, 2}} {
-		pc, all := laneTestBatch(t, 3, 17, inf...)
+		spc, pc, all := laneTestBatch(t, 3, 17, inf...)
 		for n := 1; n <= len(all); n++ {
 			rows := all[:n]
 			adx := make([]GT, n)
@@ -508,16 +509,16 @@ func TestLaneEvalMatchesRows(t *testing.T) {
 			for start := 0; start < n; start += laneRows {
 				end := min(start+laneRows, n)
 				pts := pc.points(rows[start:end])
-				pc.evalRows(pts, adx[start:end])
+				spc.evalRows(pts, adx[start:end])
 				pc.evalLanes(pts, lanes[start:end])
 				saved := useADX
 				useADX = false
-				pc.evalRows(pts, gen[start:end])
+				spc.evalRows(pts, gen[start:end])
 				useADX = saved
 			}
 			pc.EvalRows(rows, dispatched)
 			for r := range rows {
-				want := PairBatchPrecomputed(pc, rows[r])
+				want := PairBatchPrecomputed(spc, rows[r])
 				for name, got := range map[string]*GT{"ADX rows": &adx[r], "generic rows": &gen[r], "lanes": &lanes[r], "EvalRows": &dispatched[r]} {
 					if !got.Equal(want) {
 						t.Fatalf("infinite slots %v, %d rows: row %d by %s differs from PairBatchPrecomputed", inf, n, r, name)
@@ -551,11 +552,11 @@ func recordedOnLanes(qs []*G2) *PairingPrecomp {
 // scalar one on tokens of 1 to 17 slots, with an infinity slot in every
 // position of a 17-slot token (every lane of all three chains) and of
 // the smaller ones, a token of Jacobian points and an all-infinity
-// token: the ops must be identical, slot and coefficients limb for limb,
-// the lane coefficients must decode (laneDecode) to the ops'
-// coefficients, and an 8-row EvalRows chunk must give equal GT values
-// from both programs (the scalar one on the row path, the lane one on
-// the lanes).
+// token: the ops must be identical, slot for slot, and the lane
+// coefficients must decode (laneDecode) to the scalar ops' coefficients
+// limb for limb; an 8-row EvalRows chunk must give equal GT values from
+// both programs (the scalar one on the row path, the lane one on the
+// lanes).
 func TestLanePrecomputeMatchesRecorder(t *testing.T) {
 	skipWithoutLanes(t)
 	type tc struct {
@@ -597,19 +598,23 @@ func TestLanePrecomputeMatchesRecorder(t *testing.T) {
 		}
 		name := fmt.Sprintf("d = %d, infinite slots %v", c.d, c.inf)
 		scalar, lanes := precomputeBoth(qs)
-		if len(lanes.ops) != len(scalar.ops) || len(lanes.laneCo) != len(lanes.ops) {
-			t.Fatalf("%s: lanes record %d ops and %d lane coefficients, scalar %d ops", name, len(lanes.ops), len(lanes.laneCo), len(scalar.ops))
+		if len(lanes.lane) != len(scalar.ops) || lanes.ops != nil || scalar.lane != nil {
+			t.Fatalf("%s: lanes record %d lane ops and %d row ops, scalar %d row ops and %d lane ops",
+				name, len(lanes.lane), len(lanes.ops), len(scalar.ops), len(scalar.lane))
 		}
 		for i := range scalar.ops {
-			s, l := &scalar.ops[i], &lanes.ops[i]
-			if *s != *l {
-				t.Fatalf("%s: op %d is %+v on the lanes, %+v scalar", name, i, *l, *s)
+			s, l := &scalar.ops[i], &lanes.lane[i]
+			if s.slot != l.slot {
+				t.Fatalf("%s: op %d is for slot %d on the lanes, %d scalar", name, i, l.slot, s.slot)
 			}
 			if s.slot < 0 {
+				if l.co != ([4][5]uint64{}) {
+					t.Fatalf("%s: squaring op %d carries lane coefficients", name, i)
+				}
 				continue
 			}
 			for k, want := range []*gfP{&s.b.a0, &s.b.a1, &s.c.a0, &s.c.a1} {
-				if got := laneDecode(&lanes.laneCo[i][k]); got != *want {
+				if got := laneDecode(&l.co[k]); got != *want {
 					t.Fatalf("%s: op %d lane coefficient %d decodes to %v, want %v", name, i, k, &got, want)
 				}
 			}
@@ -672,6 +677,85 @@ func TestLaneSubgroupCheck(t *testing.T) {
 					t.Fatalf("infinity in lane %d of %d was decided on the lanes", k, size)
 				case i < g2s && fell:
 					t.Fatalf("G2 point %d in lane %d of %d fell back to the scalar check", i, k, size)
+				}
+			}
+		}
+	}
+}
+
+// TestSqrtLanes holds sqrtLanes to gfP2.Sqrt in groups of 1 to 8
+// elements. The regular elements are squares with a1 != 0 whose root
+// Sqrt finds at its first attempt and at its retry, alternating, in
+// both orders; each special case then sits in every lane position: 0,
+// a square and a non-square a0 with a1 = 0, and a non-square with
+// a1 != 0. Every lane must answer as Sqrt does, with a root that
+// squares to its element, and exactly the special lanes may fall back
+// to the scalar Sqrt.
+func TestSqrtLanes(t *testing.T) {
+	skipWithoutLanes(t)
+	var first, retry, nonSquare []gfP2
+	for len(first) < laneRows || len(retry) < laneRows || len(nonSquare) == 0 {
+		a := *randGFp2(t)
+		var y gfP2
+		switch {
+		case !y.Sqrt(&a):
+			nonSquare = append(nonSquare, a)
+		case firstSqrtAttempt(&a):
+			first = append(first, a)
+		default:
+			retry = append(retry, a)
+		}
+	}
+	var qr, nqr gfP
+	for n := int64(2); nqr.IsZero() || qr.IsZero(); n++ {
+		var r, sq gfP
+		v := *newGFp(n)
+		if r.Exp(&v, pPlus1Over4); sq.Square(&r).Equal(&v) {
+			qr = v
+		} else {
+			nqr = v
+		}
+	}
+	specials := map[string]gfP2{"zero": {}, "a1 = 0, a0 a square": {a0: qr}, "a1 = 0, a0 not a square": {a0: nqr}, "not a square": nonSquare[0]}
+	check := func(name string, as []gfP2, special int) {
+		t.Helper()
+		ps := make([]*gfP2, len(as))
+		for k := range as {
+			ps[k] = &as[k]
+		}
+		ys := make([]gfP2, len(as))
+		ok := make([]bool, len(as))
+		fallback := sqrtLanes(ys, ps, ok)
+		for k := range as {
+			var want gfP2
+			wantOK := want.Sqrt(&as[k])
+			var sq gfP2
+			switch fell := fallback>>k&1 == 1; {
+			case ok[k] != wantOK:
+				t.Fatalf("%s, lane %d of %d: ok = %v, Sqrt says %v", name, k, len(as), ok[k], wantOK)
+			case ok[k] && *sq.Square(&ys[k]) != as[k]:
+				t.Fatalf("%s, lane %d of %d: root %v squares to %v, want %v", name, k, len(as), &ys[k], &sq, &as[k])
+			case fell != (k == special):
+				t.Fatalf("%s, lane %d of %d: fell back %v, special lane %d", name, k, len(as), fell, special)
+			}
+		}
+	}
+	for size := 1; size <= laneRows; size++ {
+		for v := range 2 {
+			as := make([]gfP2, size)
+			for k := range as {
+				if (k+v)%2 == 0 {
+					as[k] = first[k]
+				} else {
+					as[k] = retry[k]
+				}
+			}
+			check(fmt.Sprintf("order %d", v), as, -1)
+			for name, sp := range specials {
+				for k := range as {
+					bad := append([]gfP2(nil), as...)
+					bad[k] = sp
+					check(fmt.Sprintf("order %d, %s", v, name), bad, k)
 				}
 			}
 		}

@@ -1,34 +1,45 @@
 package bn256
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Token work on the lane kernels. Each live slot of a token walks the
-// same Miller chain over the NAF of 6u+2, and each G2 point's membership
-// test walks the same chain over the wNAF of u; only the inputs differ.
-// So up to eight slots, or eight points, run as the lanes of one
-// Jacobian twist chain on the Fp2 lane kernels (lanes.go), the way eight
-// rows run as the lanes of one Miller evaluation. Both chains are
-// straight-line: the Jacobian formulas have no branch, and a lane where
-// one would have been taken (a point at infinity, H = 0 in an addition)
-// ends with Z = 0, which the callers check.
+// same Miller chain over the NAF of 6u+2, each G2 point's membership
+// test the same chain over the wNAF of u, each element's square root
+// the same two exponentiations, and each of TokenGen's base
+// multiplications the same comb; only the inputs differ. So up to
+// eight slots, points, elements or scalars run as the lanes of one
+// chain on the Fp and Fp2 lane kernels (lanes.go), the way eight rows
+// run as the lanes of one Miller evaluation. The twist chains share one
+// lane point type, ltwist: Jacobian doubling and addition for the
+// Miller and membership chains, which are straight-line (a lane where
+// the scalar code would branch, a point at infinity or H = 0 in an
+// addition, ends with Z = 0, which the callers check), and the complete
+// RCB mixed addition for the comb (comb.go), which needs no check.
+//
+// A program recorded on the lanes keeps each line's coefficients in
+// the lanes' own form only (laneOp): it is evaluated on the lanes, so
+// no coefficient goes back to a gfP.
 
 // laneMinSlots is the fewest live slots PrecomputePairBatch records on
-// the lanes. A lane chain costs the same for one slot as for eight; with
-// one slot the scalar recorder is cheaper, so Pair, a one-slot batch,
-// keeps it. For recording alone the scalar recorder also wins at two
-// slots (BenchmarkLane/record2: 0.37 against 0.47 ms; the lanes win
-// from three), but a program it records evaluates multi-row chunks on
-// the row path rather than the lanes, so two slots stay on the lanes.
-// No SJ.Dec token has fewer than five slots (DESIGN.md, "Thresholds").
+// the lanes. A lane chain costs the same for one slot as for eight;
+// BenchmarkLane/recordN (medians of five at -cpu 1) put one slot at
+// 0.16 ms on the scalar recorder against 0.21 ms on the lanes, and two
+// at 0.31 against 0.22 ms, so Pair, a one-slot batch, keeps the scalar
+// recorder and two slots go to the lanes. No SJ.Dec token has fewer
+// than five slots (DESIGN.md, "Thresholds").
 const laneMinSlots = 2
 
-// laneMinPoints is the fewest G2 points UnmarshalG2s checks for subgroup
-// membership on the lanes at once; a smaller group runs the scalar inG2
-// per point. Measured like laneMinSlots (BenchmarkTokenDecode and
-// BenchmarkG2Unmarshal, DESIGN.md).
+// laneMinPoints is the fewest G2 points UnmarshalG2s takes square
+// roots of and checks for subgroup membership on the lanes at once; a
+// smaller group runs the scalar Sqrt and inG2 per point. Measured with
+// BenchmarkLane/inG2xN and BenchmarkTokenDecode (DESIGN.md).
 const laneMinPoints = 2
 
-// ltwist is eight twist points in Jacobian coordinates, one per lane.
+// ltwist is eight twist points, one per lane: in Jacobian coordinates
+// for the Miller and membership chains, homogeneous for the comb.
 type ltwist struct{ x, y, z lfp2 }
 
 func (t *ltwist) set(k int, a *twistPoint) {
@@ -110,6 +121,75 @@ func (t *ltwist) add(a, b *ltwist) {
 	lfp2Sub(&z3, &z3, &z2z2)
 	lfp2Mul(&z3, &z3, &h)
 	t.x, t.y, t.z = x3, y3, z3
+}
+
+// addMixed sets t = p + q by RCB Algorithm 8, as addMixedG2: here t
+// and p are homogeneous (X:Y:Z), the comb's accumulator, and q is
+// affine. The formula is complete, so no lane needs a branch, p at
+// infinity and the (0, 0) of a zero digit included. t must not alias p.
+func (t *ltwist) addMixed(p *ltwist, q *g2LaneAffine) {
+	var t0, t1, t2, t3, t4 lfp2
+	x3, y3, z3 := &t.x, &t.y, &t.z
+	lfp2Mul(&t0, &p.x, &q[0])
+	lfp2Mul(&t1, &p.y, &q[1])
+	lfp2Add(&t3, &q[0], &q[1])
+	lfp2Add(&t4, &p.x, &p.y)
+	lfp2Mul(&t3, &t3, &t4)
+	lfp2Add(&t4, &t0, &t1)
+	lfp2Sub(&t3, &t3, &t4)
+	lfp2Mul(&t4, &q[1], &p.z)
+	lfp2Add(&t4, &t4, &p.y)
+	lfp2Mul(y3, &q[0], &p.z)
+	lfp2Add(y3, y3, &p.x)
+	lfp2Add(x3, &t0, &t0)
+	lfp2Add(&t0, x3, &t0)
+	lfp2Mul(&t2, &laneTwistB3, &p.z)
+	lfp2Add(z3, &t1, &t2)
+	lfp2Sub(&t1, &t1, &t2)
+	lfp2Mul(y3, &laneTwistB3, y3)
+	lfp2Mul(x3, &t4, y3)
+	lfp2Mul(&t2, &t3, &t1)
+	lfp2Sub(x3, &t2, x3)
+	lfp2Mul(y3, y3, &t0)
+	lfp2Mul(&t1, &t1, z3)
+	lfp2Add(y3, &t1, y3)
+	lfp2Mul(&t0, &t0, &t3)
+	lfp2Mul(z3, z3, &t4)
+	lfp2Add(z3, z3, &t0)
+}
+
+// addMixedKeep sets lane k of t to t + q where mag[k] is not zero and
+// leaves it where it is, as g1AddMixedLanes with r = p: the comb's
+// addition and keep, with neither a branch nor an address depending on
+// mag.
+func (t *ltwist) addMixedKeep(q *g2LaneAffine, mag *[laneRows]uint64) {
+	var sum ltwist
+	sum.addMixed(t, q)
+	var keep [laneRows]uint64
+	for k, m := range mag {
+		keep[k] = ^ctEqMask(m, 0)
+	}
+	t.cmov(&sum, &keep)
+}
+
+// cmov sets lane k of t to lane k of a where mask[k] is all ones and
+// leaves it where mask[k] is zero, with no branch: limb by limb, the 30
+// limb rows of the three coordinates.
+func (t *ltwist) cmov(a *ltwist, mask *[laneRows]uint64) {
+	e := (*[30][laneRows]uint64)(unsafe.Pointer(t))
+	s := (*[30][laneRows]uint64)(unsafe.Pointer(a))
+	m0, m1, m2, m3, m4, m5, m6, m7 := mask[0], mask[1], mask[2], mask[3], mask[4], mask[5], mask[6], mask[7]
+	for i := range e {
+		r, b := &e[i], &s[i]
+		r[0] ^= (r[0] ^ b[0]) & m0
+		r[1] ^= (r[1] ^ b[1]) & m1
+		r[2] ^= (r[2] ^ b[2]) & m2
+		r[3] ^= (r[3] ^ b[3]) & m3
+		r[4] ^= (r[4] ^ b[4]) & m4
+		r[5] ^= (r[5] ^ b[5]) & m5
+		r[6] ^= (r[6] ^ b[6]) & m6
+		r[7] ^= (r[7] ^ b[7]) & m7
+	}
 }
 
 // neg sets t = -a.
@@ -207,6 +287,109 @@ func inG2Lanes(ts []*twistPoint, ok []bool) (fallback uint8) {
 			continue
 		}
 		ok[k] = dx.isZero(k) && dy.isZero(k)
+	}
+	return fallback
+}
+
+// Square-root constants of the lanes: 1/2 in every lane, and the
+// exponents (p+1)/4 and (p-3)/4 of gfP2.Sqrt as four 64-bit limbs.
+var (
+	laneInv2                 lfp
+	sqrtExpRoot, sqrtExpInvR [4]uint64
+)
+
+func initLaneSqrt() {
+	for k := range laneRows {
+		laneInv2.set(k, &inv2)
+	}
+	root, invR := combScalar(pPlus1Over4), combScalar(pMinus3Over4)
+	copy(sqrtExpRoot[:], root[:4])
+	copy(sqrtExpInvR[:], invR[:4])
+}
+
+// exp sets e = a^k lane by lane for a public exponent k, in fixed 4-bit
+// windows from the top: a table of a^1 .. a^15, then per window four
+// squarings and one product, which a zero window skips.
+func (e *lfp) exp(a *lfp, k *[4]uint64) {
+	var table [16]lfp
+	table[1] = *a
+	for i := 2; i < len(table); i++ {
+		lfpMul(&table[i], &table[i-1], a)
+	}
+	acc := laneOne
+	for w := 63; w >= 0; w-- {
+		for range 4 {
+			lfpMul(&acc, &acc, &acc)
+		}
+		if d := k[w/16] >> (4 * (w % 16)) & 15; d != 0 {
+			lfpMul(&acc, &acc, &table[d])
+		}
+	}
+	*e = acc
+}
+
+// eq reports whether lane k of e equals lane k of b mod p.
+func (e *lfp) eq(k int, b *lfp) bool {
+	var d lfp
+	lfpSub(&d, e, b)
+	return d.isZero(k)
+}
+
+// sqrtLanes sets ys[k] to a square root of as[k] and ok[k] to whether
+// there is one, as gfP2.Sqrt, for up to eight elements: Sqrt's chains
+// run on the lanes, element k in lane k, and unused lanes repeat the
+// last element. lambda = N(a)^((p+1)/4) must square to the norm
+// N(a) = a0^2 + a1^2; then with delta = (a0 + lambda)/2 and s =
+// delta^((p-3)/4), c = (s delta, a1 s/2) squares to a where delta is a
+// square. Where it is not, s^2 delta = delta^((p-1)/2) = -1 and c
+// squares to -a: the root is ic = (-a1 s/2, s delta), the one Sqrt's
+// second attempt with -lambda finds up to sign, and no second chain is
+// needed. Token bytes are public, so a lane may branch on these checks.
+// A lane with a1 = 0, which Sqrt takes on a path of its own (the only
+// one where delta can be 0), and a lane whose norm or root check fails
+// re-run the scalar Sqrt; fallback has bit k set for each. A lane
+// decided on the lanes has a verified root, and Sqrt finds one for
+// every square, so ok is Sqrt's answer. The root may be the other of
+// the two; decoding fixes its sign.
+func sqrtLanes(ys []gfP2, as []*gfP2, ok []bool) (fallback uint8) {
+	var a lfp2
+	for k := range laneRows {
+		a.set(k, as[min(k, len(as)-1)])
+	}
+	var norm, t, lambda, delta, s lfp
+	lfpMul(&norm, &a[0], &a[0])
+	lfpMul(&t, &a[1], &a[1])
+	lfpAdd(&norm, &norm, &t)
+	lambda.exp(&norm, &sqrtExpRoot)
+	lfpMul(&t, &lambda, &lambda)
+	lfpAdd(&delta, &a[0], &lambda)
+	lfpMul(&delta, &delta, &laneInv2)
+	s.exp(&delta, &sqrtExpInvR)
+	var c, ic, sq, na lfp2
+	lfpMul(&c[0], &s, &delta)
+	lfpMul(&c[1], &a[1], &s)
+	lfpMul(&c[1], &c[1], &laneInv2)
+	lfpSub(&ic[0], &laneZero2[0], &c[1])
+	ic[1] = c[0]
+	lfp2Square(&sq, &c)
+	lfp2Sub(&na, &laneZero2, &a)
+	for k := range as {
+		ok[k] = false
+		if as[k].a1.IsZero() || !t.eq(k, &norm) {
+			continue
+		}
+		switch {
+		case sq[0].eq(k, &a[0]) && sq[1].eq(k, &a[1]):
+			ys[k], ok[k] = c.get(k), true
+		case sq[0].eq(k, &na[0]) && sq[1].eq(k, &na[1]):
+			ys[k], ok[k] = ic.get(k), true
+		}
+	}
+	for k := range as {
+		if !ok[k] {
+			ok[k] = ys[k].Sqrt(as[k])
+			fallback |= 1 << k
+		}
 	}
 	return fallback
 }
@@ -361,32 +544,20 @@ func (c *laneChain) normalize() {
 	}
 }
 
-// decoded is one lineStep's b and c, fully reduced, lane by lane.
-type decoded [4][laneRows]gfP
-
-func (g *decoded) set(st *lineStep) {
-	st.b[0].gfps(&g[0])
-	st.b[1].gfps(&g[1])
-	st.c[0].gfps(&g[2])
-	st.c[1].gfps(&g[3])
-}
-
-// appendLine appends lane k of st as slot j's line: the op with the
-// coefficients the scalar recorder writes, fully reduced (g), and laneCo
-// the lane values themselves.
-func (pc *PairingPrecomp) appendLine(j int32, st *lineStep, g *decoded, k int) {
-	pc.ops = append(pc.ops, ppOp{slot: j, b: gfP2{g[0][k], g[1][k]}, c: gfP2{g[2][k], g[3][k]}})
-	pc.laneCo = append(pc.laneCo, [4][5]uint64{st.b[0].col(k), st.b[1].col(k), st.c[0].col(k), st.c[1].col(k)})
+// col returns lane k of st's b and c: a laneOp's coefficients.
+func (st *lineStep) col(k int) [4][5]uint64 {
+	return [4][5]uint64{st.b[0].col(k), st.b[1].col(k), st.c[0].col(k), st.c[1].col(k)}
 }
 
 // recordLanes is record on the lane kernels: the live slots, with affine
 // points qa, run in chains of up to eight, one slot per lane, and the
-// program it writes is record's, op for op (TestLanePrecomputeMatchesRecorder):
-// the normalized coefficients B/A and C/A do not depend on the Jacobian
-// representative of the running point, so the lanes' formulas may differ
-// from twistPoint's. The ops come in the scalar order, a step's lines
-// slot by slot across the chains, and the two end lines of each slot
-// together.
+// program it writes is record's, op for op, with each line's b and c
+// kept in the lanes' own form (pc.lane; TestLanePrecomputeMatchesRecorder
+// decodes them): the normalized coefficients B/A and C/A do not depend
+// on the Jacobian representative of the running point, so the lanes'
+// formulas may differ from twistPoint's. The ops come in the scalar
+// order, a step's lines slot by slot across the chains, and the two end
+// lines of each slot together.
 func (pc *PairingPrecomp) recordLanes(slots []int32, qa []twistPoint) {
 	steps := millerSteps()
 	chains := make([]laneChain, (len(slots)+laneRows-1)/laneRows)
@@ -445,25 +616,20 @@ func (pc *PairingPrecomp) recordLanes(slots []int32, qa []twistPoint) {
 		c.normalize()
 	}
 
-	total := n - 1 + steps*len(slots)
-	pc.ops = make([]ppOp, 0, total)
-	pc.laneCo = make([][4][5]uint64, 0, total)
-	var g, g2 decoded
+	pc.lane = make([]laneOp, 0, n-1+steps*len(slots))
 	s := 0
 	emitStep := func() {
 		for ci := range chains {
 			c := &chains[ci]
 			st := &c.steps[s]
-			g.set(st)
 			for k, j := range c.slots {
-				pc.appendLine(j, st, &g, k)
+				pc.lane = append(pc.lane, laneOp{slot: j, co: st.col(k)})
 			}
 		}
 		s++
 	}
 	for i := n - 2; i >= 0; i-- {
-		pc.ops = append(pc.ops, ppOp{slot: -1})
-		pc.laneCo = append(pc.laneCo, [4][5]uint64{})
+		pc.lane = append(pc.lane, laneOp{slot: -1})
 		emitStep()
 		if sixUPlus2NAF[i] != 0 {
 			emitStep()
@@ -473,11 +639,8 @@ func (pc *PairingPrecomp) recordLanes(slots []int32, qa []twistPoint) {
 	for ci := range chains {
 		c := &chains[ci]
 		st1, st2 := &c.steps[s], &c.steps[s+1]
-		g.set(st1)
-		g2.set(st2)
 		for k, j := range c.slots {
-			pc.appendLine(j, st1, &g, k)
-			pc.appendLine(j, st2, &g2, k)
+			pc.lane = append(pc.lane, laneOp{slot: j, co: st1.col(k)}, laneOp{slot: j, co: st2.col(k)})
 		}
 	}
 }

@@ -27,10 +27,10 @@ package bn256
 // to instantiate, ten Fp2 multiplications to multiply in (mulLine).
 //
 // Every row runs the same program, so EvalRows takes rows in chunks of
-// up to eight: a chunk shares one base-field inversion for all its 1/yP
-// and one for all its final exponentiations' Fp12 inverses, and when the
-// program was recorded on the AVX-512 IFMA lane kernels a chunk of
-// laneMinRows or more rows runs as their eight lanes (lanes.go).
+// up to eight (RowChunk): a chunk shares one base-field inversion for
+// all its 1/yP and one for all its final exponentiations' Fp12
+// inverses, and when the program was recorded on the AVX-512 IFMA lane
+// kernels the chunk runs as their eight lanes (lanes.go).
 // PairBatchPrecomputed is a one-row chunk, so there is one evaluator.
 
 // ppOp is one step of a recorded Miller program: an accumulator
@@ -40,18 +40,23 @@ type ppOp struct {
 	b, c gfP2
 }
 
+// laneOp is a ppOp of a program recorded on the lane kernels: b and c
+// are held in lane form, b.a0, b.a1, c.a0 and c.a1 as five 52-bit limbs
+// each in [0, 2p), the broadcast coefficients of lfpLine.
+type laneOp struct {
+	slot int32
+	co   [4][5]uint64
+}
+
 // PairingPrecomp is the recorded Miller program of a fixed batch of G2
 // points. It is immutable after construction and safe for concurrent
-// use by multiple goroutines.
+// use by multiple goroutines. It holds one of two forms: ops, the
+// scalar recorder's, which evaluates on the row path, or lane, the lane
+// recorder's (recordLanes), which evaluates on the lanes.
 type PairingPrecomp struct {
-	n   int
-	ops []ppOp
-	// laneCo holds, for a program recorded on the lane kernels
-	// (recordLanes), the lane form of each line op's b and c (indexed
-	// like ops; zero for squarings): the broadcast coefficients of
-	// lfpLine. It is nil for the scalar recorder's programs, which
-	// evaluate on the row path only.
-	laneCo [][4][5]uint64
+	n    int
+	ops  []ppOp
+	lane []laneOp
 }
 
 // Size returns the number of G2 slots the program was built for.
@@ -178,8 +183,9 @@ func (r *millerRecorder) normalize() {
 // PairBatchPrecomputed. Points at infinity record no lines: they pair
 // to the identity. On CPUs with AVX-512 IFMA a batch of laneMinSlots or
 // more live slots is recorded on the lane kernels, up to eight slots per
-// chain (recordLanes); the program is the same either way. The returned
-// handle is immutable and safe for concurrent use.
+// chain (recordLanes), and then evaluates there; the program is the
+// same either way, its coefficients in lane form or as gfP. The
+// returned handle is immutable and safe for concurrent use.
 func PrecomputePairBatch(qs []*G2) *PairingPrecomp {
 	pc := &PairingPrecomp{n: len(qs)}
 	slots, qa := tokenSlots(qs)
@@ -358,24 +364,39 @@ func (pc *PairingPrecomp) miller(xs, ys []gfP, skip []bool) gfP12 {
 
 // EvalRows sets out[i] to prod_j e(Q_j, rows[i][j]) for the fixed G2
 // batch Q recorded in pc: PairBatchPrecomputed of every row, evaluated
-// in chunks of up to eight rows. It panics if a row's length differs
-// from the precomputed batch size or len(out) from len(rows).
+// in the chunks of RowChunk. It panics if a row's length differs from
+// the precomputed batch size or len(out) from len(rows).
 func (pc *PairingPrecomp) EvalRows(rows [][]*G1, out []GT) {
 	if len(out) != len(rows) {
 		panic("bn256: mismatched output length")
 	}
-	for start := 0; start < len(rows); start += laneRows {
-		end := min(start+laneRows, len(rows))
-		pc.evalChunk(rows[start:end], out[start:end])
+	for c := range RowChunks(len(rows)) {
+		lo, hi := RowChunk(len(rows), c)
+		pc.evalChunk(rows[lo:hi], out[lo:hi])
 	}
 }
 
-// evalChunk evaluates up to laneRows rows: on the lane kernels when the
-// program carries lane coefficients (recordLanes) and the chunk is large
-// enough to pay for eight lanes, else row by row.
+// RowChunks returns the number of chunks EvalRows evaluates n rows in,
+// ceil(n/8), and RowChunk chunk c's rows [lo, hi): the chunks are
+// contiguous, in order and of near-equal size, so none has more than
+// eight rows (the eight lanes of one lane evaluation) and, from two rows
+// on, none has only one, which would cost a whole lane evaluation: nine
+// rows are chunks of five and four, not eight and one. Callers that
+// hand EvalRows a chunk at a time, as SJ.Dec's row pool does, cut with
+// the same rule.
+func RowChunks(n int) int { return (n + laneRows - 1) / laneRows }
+
+// RowChunk returns chunk c of n rows, as RowChunks describes.
+func RowChunk(n, c int) (lo, hi int) {
+	k := RowChunks(n)
+	return (c*n + k - 1) / k, ((c+1)*n + k - 1) / k
+}
+
+// evalChunk evaluates up to laneRows rows: on the lane kernels for a
+// program recorded there, else row by row.
 func (pc *PairingPrecomp) evalChunk(rows [][]*G1, out []GT) {
 	pts := pc.points(rows)
-	if pc.laneCo != nil && len(rows) >= laneMinRows {
+	if pc.lane != nil {
 		pc.evalLanes(pts, out)
 	} else {
 		pc.evalRows(pts, out)

@@ -199,3 +199,32 @@ func TestPrecomputeBilinearity(t *testing.T) {
 		t.Fatal("precomputed pairing is not bilinear")
 	}
 }
+
+// TestRowChunks holds the chunking rule of EvalRows and SJ.Dec's row
+// pool for n = 0 .. 40 rows: ceil(n/8) contiguous chunks in order that
+// cover the rows, none over eight rows, sizes differing by at most one,
+// and no one-row chunk once there are two rows or more.
+func TestRowChunks(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		k := RowChunks(n)
+		if want := (n + 7) / 8; k != want {
+			t.Fatalf("n = %d: %d chunks, want %d", n, k, want)
+		}
+		next, smallest, largest := 0, n, 0
+		for c := range k {
+			lo, hi := RowChunk(n, c)
+			if lo != next || hi <= lo {
+				t.Fatalf("n = %d: chunk %d is [%d, %d), want it to start at %d and be non-empty", n, c, lo, hi, next)
+			}
+			smallest, largest, next = min(smallest, hi-lo), max(largest, hi-lo), hi
+		}
+		switch {
+		case next != n:
+			t.Fatalf("n = %d: the chunks end at row %d", n, next)
+		case largest > laneRows || largest-smallest > 1:
+			t.Fatalf("n = %d: chunk sizes %d to %d", n, smallest, largest)
+		case n >= 2 && smallest == 1:
+			t.Fatalf("n = %d: a one-row chunk", n)
+		}
+	}
+}

@@ -104,11 +104,12 @@ func measureCT(tg ctTarget, rng *rand.Rand) (maxT float64, n int) {
 // TestConstantTime runs the check on the field product and inverse, on
 // one row's vector product w*B*, the secret-dependent Z_q work of
 // SJ.Enc, and on the base multiplications that follow it,
-// bn256.BaseMultG1s on eight scalars (on a CPU with AVX-512 IFMA, one
-// lane comb). Class 0 is the zero secret (a zero vector for MulVec, eight
-// zero scalars for BaseMultG1s, where every comb digit is zero, no keep
-// mask is set and every result is the point at infinity), the input on
-// which variable-time arithmetic is fastest.
+// bn256.BaseMultG1s on eight scalars, and TokenGen's, bn256.BaseMultG2s
+// on eight (on a CPU with AVX-512 IFMA, one lane comb each). Class 0 is
+// the zero secret (a zero vector for MulVec, eight zero scalars for the
+// base multiplications, where every comb digit is zero, no keep mask is
+// set and every result is the point at infinity), the input on which
+// variable-time arithmetic is fastest.
 func TestConstantTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement; skipped under -short")
@@ -151,8 +152,16 @@ func TestConstantTime(t *testing.T) {
 		pool[i].Put(&kPool[i])
 	}
 	g1s := make([]*bn256.G1, len(ks))
+	g2s := make([]*bn256.G2, len(ks))
 	for i := range g1s {
-		g1s[i] = new(bn256.G1)
+		g1s[i], g2s[i] = new(bn256.G1), new(bn256.G2)
+	}
+	fillKs := func(class int) {
+		src := fixedKs[:]
+		if class == 1 {
+			src = kPool[rng.Intn(len(kPool)-len(ks)):]
+		}
+		copy(ks[:], src)
 	}
 	targets := []ctTarget{
 		{"Scalar.Mul", func(class int) { fill(xs, class) }, func() {
@@ -167,13 +176,8 @@ func TestConstantTime(t *testing.T) {
 			fixed[0] = zq.Zero()
 		}, func() { sink = xs[0].Inv() }},
 		{"MulVec (d = 8)", func(class int) { fill(w, class) }, func() { vsink = bStar.MulVec(w) }},
-		{"BaseMultG1s (8 scalars)", func(class int) {
-			src := fixedKs[:]
-			if class == 1 {
-				src = kPool[rng.Intn(len(kPool)-len(ks)):]
-			}
-			copy(ks[:], src)
-		}, func() { bn256.BaseMultG1s(g1s, ks[:]) }},
+		{"BaseMultG1s (8 scalars)", fillKs, func() { bn256.BaseMultG1s(g1s, ks[:]) }},
+		{"BaseMultG2s (8 scalars)", fillKs, func() { bn256.BaseMultG2s(g2s, ks[:]) }},
 	}
 	for _, tg := range targets {
 		tval, n := measureCT(tg, rng)

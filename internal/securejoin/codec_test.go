@@ -108,9 +108,13 @@ func TestCodecRejectsGarbage(t *testing.T) {
 // thing the server does with a join request. The corpus under
 // testdata/fuzz/FuzzTokenUnmarshal seeds it with a valid token, count
 // and length mismatches, elements with bad flag bits, x >= p, x off the
-// twist and the infinity encoding, and eight-element tokens with an
+// twist and the infinity encoding, eight-element tokens with an
 // element outside G2 at each position 0-7 (one lane position each of
-// the batch subgroup check). A failure must be an error wrapping
+// the batch subgroup check), and eight-element tokens for the batch
+// square roots: valid elements whose roots gfP2.Sqrt finds at its first
+// attempt and at its retry side by side, one element whose x^3 + b has
+// a1 = 0 (a lane that falls back to the scalar Sqrt), and one x off
+// the twist. A failure must be an error wrapping
 // ErrBadEncoding, never a panic, and must be the error, element index
 // included, of decoding the elements one at a time with
 // (*bn256.G2).Unmarshal; so an accepted token's elements each pass that

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/bn256"
 )
 
 // ForEachRow is the row pool behind SJ.Dec and SJ.Enc of a table
@@ -75,18 +77,17 @@ func ForEachRow(n, workers int, row func(i int) error) error {
 // whose Miller program is recorded once and shared read-only by all
 // workers: a join stream decrypting many probe batches under one token
 // pays the precompute once, not per batch or per worker. The pool deals
-// out chunks of decChunkRows rows, not single rows, because the pairing
-// evaluates a chunk together (bn256.(*PairingPrecomp).EvalRows): a table
-// of decChunkRows rows or fewer is one chunk on the calling goroutine.
-// The output order matches the input order, and a failure names the
-// lowest failing row, as a row-at-a-time loop would: chunks are dealt in
-// order and the rows of a chunk are checked in order.
+// out the chunks EvalRows would cut (bn256.RowChunk: ceil(n/8) chunks of
+// near-equal size, so no one-row chunk from two rows on), not single
+// rows, because the pairing evaluates a chunk together: a table of
+// eight rows or fewer is one chunk on the calling goroutine. The output
+// order matches the input order, and a failure names the lowest failing
+// row, as a row-at-a-time loop would: chunks are dealt in order and the
+// rows of a chunk are checked in order.
 func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers int) ([]DValue, error) {
 	out := make([]DValue, len(cts))
-	chunks := (len(cts) + decChunkRows - 1) / decChunkRows
-	err := ForEachRow(chunks, workers, func(c int) error {
-		lo := c * decChunkRows
-		hi := min(lo+decChunkRows, len(cts))
+	err := ForEachRow(bn256.RowChunks(len(cts)), workers, func(c int) error {
+		lo, hi := bn256.RowChunk(len(cts), c)
 		if i, err := pc.decryptRows(cts[lo:hi], out[lo:hi]); err != nil {
 			return decryptRowError(lo+i, err)
 		}
@@ -97,7 +98,3 @@ func DecryptTableParallelWith(pc *TokenPrecomp, cts []*RowCiphertext, workers in
 	}
 	return out, nil
 }
-
-// decChunkRows is the number of rows SJ.Dec hands the pairing at once:
-// the eight lanes of one lane evaluation.
-const decChunkRows = 8

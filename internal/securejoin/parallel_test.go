@@ -90,9 +90,9 @@ func shortCiphertext(ct *RowCiphertext) *RowCiphertext {
 // worker count. The corrupt rows fail at once while good rows take a
 // pairing each, so a pool that reported whichever failure came first,
 // or whichever worker failed, would name the higher row on some
-// schedules. The pool deals out chunks of decChunkRows rows, so the
-// second table puts the first corrupt row in the middle of a later
-// chunk, and the second one in the chunk after it.
+// schedules. The pool deals out chunks of eight rows for 24 (RowChunk),
+// so the second table puts the first corrupt row in the middle of a
+// later chunk, and the second one in the chunk after it.
 func TestDecryptTableParallelErrorNamesLowestRow(t *testing.T) {
 	s := newTestScheme(t, 1, 1)
 	ct, err := s.Encrypt(Row{JoinValue: []byte("x"), Attrs: [][]byte{[]byte("a")}})
@@ -107,7 +107,7 @@ func TestDecryptTableParallelErrorNamesLowestRow(t *testing.T) {
 	bad := shortCiphertext(ct)
 	for _, c := range []struct {
 		rows, bad1, bad2 int
-	}{{8, 3, 4}, {3 * decChunkRows, decChunkRows + decChunkRows/2, 2*decChunkRows + 1}} {
+	}{{8, 3, 4}, {24, 12, 17}} {
 		cts := make([]*RowCiphertext, c.rows)
 		for i := range cts {
 			cts[i] = ct
