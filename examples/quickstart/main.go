@@ -65,12 +65,8 @@ func main() {
 
 	// 5. The client decrypts the matched payloads.
 	fmt.Printf("%d joined rows (server observed %d equality pairs):\n", len(rows), stream.RevealedPairs())
-	for _, r := range rows {
-		pa, err := client.OpenPayload(r.PayloadA)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pb, err := client.OpenPayload(r.PayloadB)
+	for i := range rows {
+		pa, pb, err := client.OpenRow(&rows[i])
 		if err != nil {
 			log.Fatal(err)
 		}

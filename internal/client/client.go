@@ -428,25 +428,13 @@ func (s *JoinStream) Next() ([]JoinResult, error) {
 		return nil, io.EOF
 	case f.Batch != nil:
 		out := make([]JoinResult, len(f.Batch.Rows))
-		for i, r := range f.Batch.Rows {
-			// A key-only side ships no payload (SkipPayloadA/B): sealed
-			// payloads are never legitimately empty (nonce+tag minimum),
-			// so an empty one means the server skipped it — leave nil.
-			var pa, pb []byte
-			var err error
-			if len(r.PayloadA) > 0 {
-				if pa, err = s.c.keys.OpenPayload(r.PayloadA); err != nil {
-					s.err = fmt.Errorf("client: opening payload A of result %d: %w", i, err)
-					s.abort()
-					return nil, s.err
-				}
-			}
-			if len(r.PayloadB) > 0 {
-				if pb, err = s.c.keys.OpenPayload(r.PayloadB); err != nil {
-					s.err = fmt.Errorf("client: opening payload B of result %d: %w", i, err)
-					s.abort()
-					return nil, s.err
-				}
+		for i := range f.Batch.Rows {
+			r := &f.Batch.Rows[i]
+			pa, pb, err := s.c.keys.OpenRow(r)
+			if err != nil {
+				s.err = fmt.Errorf("client: opening result %d: %w", i, err)
+				s.abort()
+				return nil, s.err
 			}
 			out[i] = JoinResult{RowA: r.RowA, RowB: r.RowB, PayloadA: pa, PayloadB: pb}
 		}

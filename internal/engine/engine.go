@@ -206,6 +206,24 @@ func (c *Client) OpenPayload(sealed []byte) ([]byte, error) {
 	return pt, nil
 }
 
+// OpenRow opens both sealed payloads of a join result row. A sealed
+// payload is never empty (it holds at least a nonce and a tag), so an
+// empty one is a side whose payload the server skipped (a key-only
+// projection): it stays nil.
+func (c *Client) OpenRow(r *JoinedRow) (pa, pb []byte, err error) {
+	if len(r.PayloadA) > 0 {
+		if pa, err = c.OpenPayload(r.PayloadA); err != nil {
+			return nil, nil, fmt.Errorf("payload A of row %d: %w", r.RowA, err)
+		}
+	}
+	if len(r.PayloadB) > 0 {
+		if pb, err = c.OpenPayload(r.PayloadB); err != nil {
+			return nil, nil, fmt.Errorf("payload B of row %d: %w", r.RowB, err)
+		}
+	}
+	return pa, pb, nil
+}
+
 // payloadNonce draws one AES-GCM nonce from the client's rng.
 func (c *Client) payloadNonce() ([]byte, error) {
 	nonce := make([]byte, c.payloadAEAD.NonceSize())

@@ -5,13 +5,13 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/securejoin"
 	"repro/internal/sse"
+	"repro/internal/wire"
 )
 
 // Client key persistence: ExportKeys writes every client secret (Secure
@@ -29,6 +29,10 @@ import (
 // wrote a gob image, which LoadClientKeys refuses.
 const keyFileMagic = "SJ KEYS 2\n"
 
+// ErrBadKeyFile is returned (wrapped) by LoadClientKeys for a file that
+// has the format header but not the layout behind it.
+var ErrBadKeyFile = errors.New("engine: malformed key file")
+
 // ExportKeys serializes all client secrets to w.
 func (c *Client) ExportKeys(w io.Writer) error {
 	schemeBytes, err := c.scheme.MarshalBinary()
@@ -39,8 +43,8 @@ func (c *Client) ExportKeys(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("engine: encoding SSE keys: %w", err)
 	}
-	b := binary.AppendUvarint([]byte(keyFileMagic), uint64(len(schemeBytes)))
-	b = append(append(append(b, schemeBytes...), c.payloadKey...), sseBytes...)
+	b := wire.AppendBytes([]byte(keyFileMagic), schemeBytes)
+	b = append(append(b, c.payloadKey...), sseBytes...)
 	_, err = w.Write(b)
 	return err
 }
@@ -55,25 +59,24 @@ func LoadClientKeys(r io.Reader) (*Client, error) {
 	if !ok {
 		return nil, errors.New("engine: not a key file of this build (no format header): earlier builds wrote gob key files, which this build does not read; run sjclient keygen again and re-upload the tables")
 	}
-	n, k := binary.Uvarint(rest)
-	if k <= 0 || n+32 > uint64(len(rest)-k) {
-		return nil, errors.New("engine: key file truncated")
+	kr := wire.NewReader(rest, ErrBadKeyFile)
+	schemeBytes, payloadKey, sseBytes := kr.Bytes(), kr.Next(32), kr.Rest()
+	if err := kr.Done(); err != nil {
+		return nil, err
 	}
-	rest = rest[k:]
-	schemeBytes, payloadKey, sseBytes := rest[:n], rest[n:n+32], rest[n+32:]
 	scheme, err := securejoin.LoadScheme(schemeBytes, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: scheme: %w", ErrBadKeyFile, err)
+	}
+	sseClient, err := sse.LoadClientKeys(sseBytes)
+	if err != nil {
+		return nil, fmt.Errorf("%w: SSE keys: %w", ErrBadKeyFile, err)
 	}
 	block, err := aes.NewCipher(payloadKey)
 	if err != nil {
 		return nil, err
 	}
 	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	sseClient, err := sse.LoadClientKeys(sseBytes)
 	if err != nil {
 		return nil, err
 	}

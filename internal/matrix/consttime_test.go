@@ -115,30 +115,30 @@ func TestConstantTime(t *testing.T) {
 		t.Skip("timing measurement; skipped under -short")
 	}
 	rng := rand.New(rand.NewSource(1))
-	// Both classes' fills do the same work, a copy out of a prepared
-	// pool, so that nothing run just before the timed calls depends on
-	// the class: class 0 copies from a pool of fixed values, class 1
-	// from a random window of a pool of random ones.
-	const batch = 32
-	fixed := make([]zq.Scalar, batch)
-	pool := make([]zq.Scalar, 1024)
-	for i := range pool {
+	// Both classes' fills do the same memory work, so that nothing run
+	// just before the timed calls depends on the class but the values:
+	// each draws a window offset from rng and copies that window out of
+	// a pool of poolSize elements, class 0 out of a pool of fixed values,
+	// class 1 out of a pool of random ones. Every pool is written element
+	// by element, so no pool sits on pages the kernel has not yet backed.
+	const batch, poolSize = 32, 1024
+	zeros, ones, random := make([]zq.Scalar, poolSize), make([]zq.Scalar, poolSize), make([]zq.Scalar, poolSize)
+	kZeros, kRandom := make([][32]byte, poolSize), make([][32]byte, poolSize)
+	for i := range random {
 		s, err := zq.Random(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool[i] = s
+		zeros[i], ones[i], random[i] = zq.Zero(), zq.One(), s
+		kZeros[i] = [32]byte{}
+		s.Put(&kRandom[i])
 	}
-	fill := func(dst []zq.Scalar, class int) {
-		src := fixed
-		if class == 1 {
-			off := rng.Intn(len(pool) - len(dst))
-			src = pool[off:]
-		}
-		copy(dst, src[:len(dst)])
+	fill := func(dst, fixed []zq.Scalar, class int) {
+		off := rng.Intn(poolSize - len(dst))
+		copy(dst, [2][]zq.Scalar{fixed, random}[class][off:])
 	}
 	xs := make([]zq.Scalar, batch)
-	y := pool[0]
+	y := random[0]
 	var sink zq.Scalar
 	bStar, err := RandomInvertible(8, rng)
 	if err != nil {
@@ -146,36 +146,25 @@ func TestConstantTime(t *testing.T) {
 	}
 	w := zq.NewVector(8)
 	var vsink zq.Vector
-	var ks, fixedKs [8][32]byte
-	kPool := make([][32]byte, 1024)
-	for i := range kPool {
-		pool[i].Put(&kPool[i])
-	}
+	var ks [8][32]byte
 	g1s := make([]*bn256.G1, len(ks))
 	g2s := make([]*bn256.G2, len(ks))
 	for i := range g1s {
 		g1s[i], g2s[i] = new(bn256.G1), new(bn256.G2)
 	}
 	fillKs := func(class int) {
-		src := fixedKs[:]
-		if class == 1 {
-			src = kPool[rng.Intn(len(kPool)-len(ks)):]
-		}
-		copy(ks[:], src)
+		off := rng.Intn(poolSize - len(ks))
+		copy(ks[:], [2][][32]byte{kZeros, kRandom}[class][off:])
 	}
 	targets := []ctTarget{
-		{"Scalar.Mul", func(class int) { fill(xs, class) }, func() {
+		{"Scalar.Mul", func(class int) { fill(xs, zeros, class) }, func() {
 			for _, x := range xs {
 				sink = x.Mul(y)
 			}
 		}},
 		// Inverting zero panics, so Inv's fixed class is 1.
-		{"Scalar.Inv", func(class int) {
-			fixed[0] = zq.One()
-			fill(xs[:1], class)
-			fixed[0] = zq.Zero()
-		}, func() { sink = xs[0].Inv() }},
-		{"MulVec (d = 8)", func(class int) { fill(w, class) }, func() { vsink = bStar.MulVec(w) }},
+		{"Scalar.Inv", func(class int) { fill(xs[:1], ones, class) }, func() { sink = xs[0].Inv() }},
+		{"MulVec (d = 8)", func(class int) { fill(w, zeros, class) }, func() { vsink = bStar.MulVec(w) }},
 		{"BaseMultG1s (8 scalars)", fillKs, func() { bn256.BaseMultG1s(g1s, ks[:]) }},
 		{"BaseMultG2s (8 scalars)", fillKs, func() { bn256.BaseMultG2s(g2s, ks[:]) }},
 	}

@@ -261,19 +261,11 @@ func (s *engineStepStream) Next() ([]StepRow, error) {
 		return nil, err
 	}
 	out := make([]StepRow, len(rows))
-	for i, r := range rows {
-		// A side executed key-only has no payload to open (nil from the
-		// engine's SkipPayload flags); its result column stays nil.
-		var pl, pr []byte
-		if len(r.PayloadA) > 0 {
-			if pl, err = s.keys.OpenPayload(r.PayloadA); err != nil {
-				return nil, fmt.Errorf("sql: opening payload of %d: %w", r.RowA, err)
-			}
-		}
-		if len(r.PayloadB) > 0 {
-			if pr, err = s.keys.OpenPayload(r.PayloadB); err != nil {
-				return nil, fmt.Errorf("sql: opening payload of %d: %w", r.RowB, err)
-			}
+	for i := range rows {
+		r := &rows[i]
+		pl, pr, err := s.keys.OpenRow(r)
+		if err != nil {
+			return nil, fmt.Errorf("sql: opening result: %w", err)
 		}
 		out[i] = StepRow{RowL: r.RowA, RowR: r.RowB, PayloadL: pl, PayloadR: pr}
 	}

@@ -51,7 +51,7 @@ func assertSameState(t *testing.T, s *Store, wantTables map[string][]byte, wantL
 }
 
 // TestCompactFoldsManifest: an explicit Compact folds a manifest full
-// of overwrites, deletions and ledger deltas down to one record per
+// of overwrites, a reaped job and ledger deltas down to one record per
 // live table plus the ledger in one, preserving every byte of live
 // state across the rewrite and a subsequent recovery.
 func TestCompactFoldsManifest(t *testing.T) {
@@ -60,14 +60,16 @@ func TestCompactFoldsManifest(t *testing.T) {
 	s := mustOpen(t, dir)
 
 	mustCommit(t, s, encTable(t, c, "keep", true, "r1", "r2"))
-	mustCommit(t, s, encTable(t, c, "gone", false, "x"))
+	if err := s.CommitJob(JobMeta{ID: "gone", State: "done"}, []JobRow{{RowA: 0, RowB: 0}}); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 5; i++ {
 		mustCommit(t, s, encTable(t, c, "churn", false, "v", "v", "v"))
 		if err := s.RecordLedger([][]leakage.RowRef{merge("keep", "churn", i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Delete("gone"); err != nil {
+	if err := s.DeleteJob("gone"); err != nil {
 		t.Fatal(err)
 	}
 	wantTables, wantLedger := tableState(t, s)

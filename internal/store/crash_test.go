@@ -320,8 +320,8 @@ func TestGarbageManifestTolerated(t *testing.T) {
 // or spool the store never writes — "../../victim.txt", which resolves
 // outside the data directory — is reported as damage. The file it names
 // is never opened: it is a FIFO here, so opening it for reading would
-// let the writer below through. Neither Delete nor a replacing Commit
-// removes it.
+// let the writer below through. Neither DeleteJob nor a replacing
+// Commit removes it.
 func TestManifestNamesOnlyStoreFiles(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "srv", "data")
@@ -379,9 +379,6 @@ func TestManifestNamesOnlyStoreFiles(t *testing.T) {
 	if _, err := s2.ReadJobRows("evil"); err == nil {
 		t.Fatal("a job naming a foreign spool was served")
 	}
-	if err := s2.Delete("Evil"); err == nil {
-		t.Fatal("Delete found a table whose record names a foreign snapshot")
-	}
 	if err := s2.DeleteJob("evil"); err == nil {
 		t.Fatal("DeleteJob found a job whose record names a foreign spool")
 	}
@@ -393,7 +390,7 @@ func TestManifestNamesOnlyStoreFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fi, err := os.Lstat(victim); err != nil || fi.Mode()&os.ModeNamedPipe == 0 {
-		t.Fatalf("victim file after the deletes and replacing commits: %v, %v", fi, err)
+		t.Fatalf("victim file after the job delete and replacing commits: %v, %v", fi, err)
 	}
 	if opened.Load() {
 		t.Fatal("the store opened the file a manifest record names outside the data directory")

@@ -136,7 +136,7 @@ func stateOf(t testing.TB, s *Store) storeState {
 }
 
 // TestManifestTruncatedAtEveryOffset: a real manifest — two commits, a
-// ledger delta, a done job, a failed job and a delete — cut at every
+// ledger delta, a done job and a failed job — cut at every
 // byte offset, beside the files the directory held when that record was
 // being appended, opens to the state of its longest intact prefix,
 // with one Damage for the torn tail and none when the cut falls on a
@@ -172,7 +172,6 @@ func TestManifestTruncatedAtEveryOffset(t *testing.T) {
 	step(s.CommitJob(JobMeta{ID: "done", State: "done", TableA: "T1", TableB: "T2", RevealedPairs: 1, CreatedUnix: 5, StartedUnix: 6, FinishedUnix: 7},
 		[]JobRow{{RowA: 0, RowB: 0, PayloadA: []byte("pa"), PayloadB: []byte("pb")}}))
 	step(s.CommitJob(JobMeta{ID: "failed", State: "failed", TableA: "T1", TableB: "X", Err: "unknown table", CreatedUnix: 8, FinishedUnix: 9}, nil))
-	step(s.Delete("T1"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,23 +233,23 @@ func fuzzSeedRecords() []*record {
 	digest := bytes.Repeat([]byte{0xab}, 32)
 	return []*record{
 		{Op: opCommit, Seq: 1, Table: "T", Snapshot: "0000000000000001.snap", Digest: digest},
-		{Op: opDelete, Seq: 2, Table: "T"},
-		{Op: opJob, Seq: 3, Snapshot: "0000000000000003.spool", Digest: digest, Job: JobMeta{
+		{Op: opJob, Seq: 2, Snapshot: "0000000000000002.spool", Digest: digest, Job: JobMeta{
 			ID: "0123456789abcdef", State: "done", TableA: "A", TableB: "B",
 			RowsDecrypted: 4, StepsDone: 2, RevealedPairs: 1, ResultRows: 1,
 			CreatedUnix: 1700000000, StartedUnix: 1700000001, FinishedUnix: 1700000002,
 		}},
-		{Op: opJob, Seq: 4, Job: JobMeta{ID: "failed", State: "failed", Err: "unknown table"}},
-		{Op: opJobDelete, Seq: 5, Job: JobMeta{ID: "0123456789abcdef"}},
-		{Op: opLedger, Seq: 6, Merges: [][]leakage.RowRef{merge("A", "B", 0), {{Table: "A", Row: 1}, {Table: "B", Row: 7}, {Table: "C", Row: 70000}}}},
+		{Op: opJob, Seq: 3, Job: JobMeta{ID: "failed", State: "failed", Err: "unknown table"}},
+		{Op: opJobDelete, Seq: 4, Job: JobMeta{ID: "0123456789abcdef"}},
+		{Op: opLedger, Seq: 5, Merges: [][]leakage.RowRef{merge("A", "B", 0), {{Table: "A", Row: 1}, {Table: "B", Row: 7}, {Table: "C", Row: 70000}}}},
 	}
 }
 
 // FuzzReadRecord: reading framed records off arbitrary bytes never
 // panics, and a record it accepts re-encodes to exactly the bytes it
 // consumed. The corpus under testdata/fuzz/FuzzReadRecord seeds one
-// record of each op, a gob-era record, an oversized length, a bad CRC
-// and a payload with trailing bytes.
+// record of each op, a record of the retired op 2 (delete, now
+// malformed), a gob-era record, an oversized length, a bad CRC and a
+// payload with trailing bytes.
 func FuzzReadRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))

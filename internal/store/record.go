@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/leakage"
@@ -22,12 +21,11 @@ import (
 //	payload
 //	4 bytes  big-endian CRC-32C of the payload
 //
-// and each payload is an op byte, a uvarint seq and that op's fields,
+// and each payload is a uvarint op, a uvarint seq and that op's fields,
 // written as the wire codec writes them (minimal uvarints, strings and
 // byte strings behind a uvarint length):
 //
 //	opCommit     table, snapshot name, snapshot SHA-256
-//	opDelete     table
 //	opJob        spool name (empty for a failed job), spool SHA-256,
 //	             then the job's wire.JobInfo image (wire.AppendJobInfo)
 //	             to the end of the payload
@@ -35,22 +33,24 @@ import (
 //	opLedger     uvarint class count; per class a uvarint row count,
 //	             then per row its table name and uvarint row index
 //
-// Every value has one encoding, so a payload parseRecord accepts
-// re-encodes to the same bytes. DESIGN.md has the same tables.
+// parseRecord reads a payload with wire.Reader, the reader of every
+// frame and row record, and treats it as hostile. Every value has one
+// encoding, so a payload it accepts re-encodes to the same bytes.
+// DESIGN.md has the same tables.
 
 // manifestMagic opens every manifest this format writes. A manifest
 // without it is one of the gob-record format earlier builds wrote, and
 // Open refuses it before touching the directory.
 const manifestMagic = "SJ MANIFEST 2\n"
 
-// Record operations, the first byte of a payload. Values are part of
-// the on-disk format.
+// Record operations, the first uvarint of a payload; each is one byte.
+// Values are part of the on-disk format. 2 was a table deletion, which
+// no build writes any more; it stays reserved and parses as malformed.
 const (
-	opCommit    uint8 = 1 // table version committed
-	opDelete    uint8 = 2 // table deleted
-	opJob       uint8 = 3 // finished job committed: its spool and JobInfo
-	opJobDelete uint8 = 4 // job reaped
-	opLedger    uint8 = 5 // leakage-ledger delta: the merges one join added
+	opCommit    = 1 // table version committed
+	opJob       = 3 // finished job committed: its spool and JobInfo
+	opJobDelete = 4 // job reaped
+	opLedger    = 5 // leakage-ledger delta: the merges one join added
 )
 
 // record is one manifest entry; the layout above says which fields each
@@ -58,7 +58,7 @@ const (
 type record struct {
 	Op       uint8
 	Seq      uint64
-	Table    string             // opCommit, opDelete
+	Table    string             // opCommit
 	Snapshot string             // opCommit: file under tables/; opJob: spool under jobs/
 	Digest   []byte             // opCommit, opJob: SHA-256 of that file
 	Job      JobMeta            // opJob; opJobDelete carries only Job.ID
@@ -78,40 +78,30 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // appendRecord appends rec's payload to dst.
 func appendRecord(dst []byte, rec *record) []byte {
-	dst = append(dst, rec.Op)
+	dst = binary.AppendUvarint(dst, uint64(rec.Op))
 	dst = binary.AppendUvarint(dst, rec.Seq)
 	switch rec.Op {
 	case opCommit:
-		dst = appendString(dst, rec.Table)
-		dst = appendString(dst, rec.Snapshot)
-		dst = appendBytes(dst, rec.Digest)
-	case opDelete:
-		dst = appendString(dst, rec.Table)
+		dst = wire.AppendBytes(dst, rec.Table)
+		dst = wire.AppendBytes(dst, rec.Snapshot)
+		dst = wire.AppendBytes(dst, rec.Digest)
 	case opJob:
-		dst = appendString(dst, rec.Snapshot)
-		dst = appendBytes(dst, rec.Digest)
+		dst = wire.AppendBytes(dst, rec.Snapshot)
+		dst = wire.AppendBytes(dst, rec.Digest)
 		dst = wire.AppendJobInfo(dst, &rec.Job)
 	case opJobDelete:
-		dst = appendString(dst, rec.Job.ID)
+		dst = wire.AppendBytes(dst, rec.Job.ID)
 	case opLedger:
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Merges)))
 		for _, class := range rec.Merges {
 			dst = binary.AppendUvarint(dst, uint64(len(class)))
 			for _, ref := range class {
-				dst = appendString(dst, ref.Table)
+				dst = wire.AppendBytes(dst, ref.Table)
 				dst = binary.AppendUvarint(dst, uint64(ref.Row))
 			}
 		}
 	}
 	return dst
-}
-
-func appendString(dst []byte, s string) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
-}
-
-func appendBytes(dst, p []byte) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(p))), p...)
 }
 
 // encodeRecord frames one record the way append writes it.
@@ -162,123 +152,33 @@ func readRecord(br *bufio.Reader) (*record, int64, error) {
 // and count is checked against the bytes left before anything is
 // allocated, and trailing bytes are an error. Digests alias payload.
 func parseRecord(payload []byte) (*record, error) {
-	r := recordReader{b: payload}
-	rec := &record{Op: r.byte(), Seq: r.uvarint()}
-	switch rec.Op {
+	r := wire.NewReader(payload, errBadRecord)
+	op, seq := r.Uvarint(), r.Uvarint()
+	rec := &record{Op: uint8(op), Seq: seq}
+	switch op {
 	case opCommit:
-		rec.Table, rec.Snapshot, rec.Digest = r.string(), r.string(), r.bytes()
-	case opDelete:
-		rec.Table = r.string()
+		rec.Table, rec.Snapshot, rec.Digest = r.String(), r.String(), r.Bytes()
 	case opJob:
-		rec.Snapshot, rec.Digest = r.string(), r.bytes()
-		if r.err == nil {
-			var err error
-			if rec.Job, err = wire.ParseJobInfo(r.b); err != nil {
-				r.fail("job: %v", err)
-			}
-			r.b = nil
-		}
+		rec.Snapshot, rec.Digest, rec.Job = r.String(), r.Bytes(), r.JobInfo()
 	case opJobDelete:
-		rec.Job.ID = r.string()
+		rec.Job.ID = r.String()
 	case opLedger:
 		// A class takes at least its count byte, a row at least two.
-		if n := r.count(1); n > 0 {
-			rec.Merges = make([][]leakage.RowRef, n)
-			for i := range rec.Merges {
-				if m := r.count(2); m > 0 {
-					class := make([]leakage.RowRef, m)
-					for j := range class {
-						class[j] = leakage.RowRef{Table: r.string(), Row: r.row()}
-					}
-					rec.Merges[i] = class
-				}
+		rec.Merges = make([][]leakage.RowRef, r.Count("classes", 1))
+		for i := range rec.Merges {
+			class := make([]leakage.RowRef, r.Count("rows", 2))
+			for j := range class {
+				class[j] = leakage.RowRef{Table: r.String(), Row: r.Row()}
 			}
+			rec.Merges[i] = class
 		}
 	default:
-		r.fail("unknown op %d", rec.Op)
+		r.Fail("unknown op %d", op)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return rec, nil
-}
-
-// recordReader reads one payload. The first malformed field sets err and
-// empties b, so every later read returns a zero value and loops over
-// counts read after it end at once.
-type recordReader struct {
-	b   []byte
-	err error
-}
-
-func (r *recordReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", errBadRecord, fmt.Sprintf(format, args...))
-	}
-	r.b = nil
-}
-
-func (r *recordReader) byte() uint8 {
-	if len(r.b) == 0 {
-		r.fail("empty payload")
-		return 0
-	}
-	x := r.b[0]
-	r.b = r.b[1:]
-	return x
-}
-
-// uvarint reads a minimally encoded uvarint.
-func (r *recordReader) uvarint() uint64 {
-	x, n := binary.Uvarint(r.b)
-	if n <= 0 || n > 1 && r.b[n-1] == 0 {
-		r.fail("truncated, overlong or non-minimal uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
-}
-
-// bytes reads a byte string in place, capped at its own length; an empty
-// one is nil.
-func (r *recordReader) bytes() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail("field of %d bytes past the end (%d left)", n, len(r.b))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	p := r.b[:n:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *recordReader) string() string { return string(r.bytes()) }
-
-// count reads a list length and checks it against the bytes left at min
-// bytes per element.
-func (r *recordReader) count(min int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.b)/min) {
-		r.fail("%d elements cannot fit in %d bytes", n, len(r.b))
-		return 0
-	}
-	return int(n)
-}
-
-// row reads a row index, bounded like the wire's row ids.
-func (r *recordReader) row() int {
-	x := r.uvarint()
-	if x > math.MaxInt32 {
-		r.fail("row %d out of range", x)
-		return 0
-	}
-	return int(x)
 }
 
 // ledgerRecords packs merges into opLedger records of at most

@@ -85,7 +85,7 @@ const (
 	maxRecordSize = 1 << 20
 
 	// compactThreshold is the replayed-record count past which Open
-	// rewrites the manifest: overwrites, deletions and reaped jobs leave
+	// rewrites the manifest: overwrites and reaped jobs leave
 	// dead records behind until a compaction folds the log to one record
 	// per live table and job plus the ledger.
 	compactThreshold = 64
@@ -259,8 +259,6 @@ func (s *Store) replay() error {
 		switch rec.Op {
 		case opCommit:
 			s.entries[rec.Table] = entry{snapshot: rec.Snapshot, digest: rec.Digest}
-		case opDelete:
-			delete(s.entries, rec.Table)
 		case opLedger:
 			s.merges = append(s.merges, rec.Merges...)
 		case opJob:
@@ -348,8 +346,8 @@ func (s *Store) damage(name, snapshot, reason string) {
 
 // sweep removes crash litter from tables/ and jobs/: temp files of
 // interrupted writes and orphan snapshots/spools whose commit record
-// never became durable (or whose table/job was since overwritten,
-// deleted or reaped).
+// never became durable (or whose table/job was since overwritten or
+// reaped).
 func (s *Store) sweep() {
 	referenced := make(map[string]bool, len(s.entries)+len(s.damaged))
 	for _, e := range s.entries {
@@ -457,30 +455,6 @@ func (s *Store) Commit(t *engine.EncryptedTable) error {
 	return nil
 }
 
-// Delete durably removes a table: the deletion record is fsynced before
-// the snapshot is unlinked, so a crash in between leaves only an orphan
-// file for the next Open's sweep.
-func (s *Store) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
-	e, ok := s.entries[name]
-	if !ok {
-		return fmt.Errorf("store: unknown table %q", name)
-	}
-	seq := s.seq + 1
-	if err := s.append(&record{Op: opDelete, Seq: seq, Table: name}); err != nil {
-		return err
-	}
-	s.seq = seq
-	os.Remove(filepath.Join(s.dir, tablesDir, e.snapshot))
-	delete(s.entries, name)
-	delete(s.tables, name)
-	return nil
-}
-
 // RecordLedger appends the merges one join added to the leakage ledger
 // (engine.QueryTrace.Merges), so the closure a series has revealed
 // survives restarts. A delta: replay concatenates the records.
@@ -548,7 +522,7 @@ func (s *Store) append(rec *record) error {
 
 // Compact rewrites the manifest to its live state — one commit record
 // per live table and job plus the ledger's merges, re-chunked —
-// discarding the history of overwrites, deletions and reaped jobs. The
+// discarding the history of overwrites and reaped jobs. The
 // rewrite is crash-safe: the new manifest is staged under
 // MANIFEST.compact, fsynced, and atomically renamed over MANIFEST; a
 // crash at any point leaves either the old manifest intact (plus

@@ -317,34 +317,6 @@ func TestOverwriteReplacesSnapshot(t *testing.T) {
 	sameTable(t, tableByName(t, s2, "O"), other)
 }
 
-// TestDelete: a deletion is durable and removes the snapshot.
-func TestDelete(t *testing.T) {
-	dir := t.TempDir()
-	c := newTestClient(t)
-	s := mustOpen(t, dir)
-	mustCommit(t, s, encTable(t, c, "T1", false, "x"))
-	mustCommit(t, s, encTable(t, c, "T2", false, "y"))
-	if err := s.Delete("T1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("nope"); err == nil {
-		t.Fatal("deleting unknown table succeeded")
-	}
-	if files := snapshotFiles(t, dir); len(files) != 1 {
-		t.Fatalf("snapshots after delete: %v, want 1", files)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := mustOpen(t, dir)
-	assertNoDamage(t, s2)
-	tables := s2.Tables()
-	if len(tables) != 1 || tables[0].Name != "T2" {
-		t.Fatalf("recovered tables %v, want just T2", tables)
-	}
-}
-
 // TestClosedStore: mutating a closed store fails with ErrClosed and
 // closing twice is fine.
 func TestClosedStore(t *testing.T) {

@@ -229,23 +229,11 @@ func (e *encoder) job(j *JobInfo) {
 // AppendJobInfo appends the image of j a Frame's Job field carries (its
 // fields in declared order, as the frame codec writes them) to dst. The
 // store's job records hold the same image, so a job's record on disk
-// and its JobStatus answer are one encoding.
+// and its JobStatus answer are one encoding; Reader.JobInfo reads it.
 func AppendJobInfo(dst []byte, j *JobInfo) []byte {
 	e := encoder{b: dst}
 	e.job(j)
 	return e.b
-}
-
-// ParseJobInfo parses an AppendJobInfo image, treating b as hostile:
-// trailing bytes are an error. The strings are copies, so b may be
-// reused.
-func ParseJobInfo(b []byte) (JobInfo, error) {
-	d := decoder{b: b}
-	j := d.jobFields()
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	return j, d.err
 }
 
 func (e *encoder) uvarint(x uint64) {
@@ -327,15 +315,15 @@ func (e *encoder) limit(what string, n, max int) {
 // unmarshal decodes one frame payload into v, which must be a *Hello,
 // *HelloAck, *Request or *Frame; every field of *v is overwritten.
 func unmarshal(b []byte, v any) error {
-	d := decoder{b: b}
-	kind := d.uvarint()
+	d := decoder{NewReader(b, ErrBadFrame)}
+	kind := d.Uvarint()
 	switch m := v.(type) {
 	case *Hello:
 		d.kind(kind, kindHello)
 		*m = Hello{Version: d.uint32()}
 	case *HelloAck:
 		d.kind(kind, kindHelloAck)
-		*m = HelloAck{Version: d.uint32(), Err: d.string()}
+		*m = HelloAck{Version: d.uint32(), Err: d.String()}
 	case *Request:
 		d.kind(kind, kindRequest)
 		*m = d.request()
@@ -345,30 +333,19 @@ func unmarshal(b []byte, v any) error {
 	default:
 		return fmt.Errorf("wire: decode: cannot receive into %v", reflect.TypeOf(v))
 	}
-	if d.err == nil && len(d.b) != 0 {
-		d.fail("%d trailing bytes", len(d.b))
-	}
-	return d.err
+	return d.Done()
 }
 
-// decoder reads one message. The first malformed field sets err and
-// empties b, so every later read returns a zero value and loops over
-// counts read after it end at once.
+// decoder reads one message with the Reader's primitives, adding the
+// frame codec's own: bools, presence bytes, float64s and the capped
+// fields.
 type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
-	}
-	d.b = nil
+	Reader
 }
 
 func (d *decoder) kind(got uint64, want int) {
 	if got != uint64(want) && d.err == nil {
-		d.fail("message kind %d, want %d", got, want)
+		d.Fail("message kind %d, want %d", got, want)
 	}
 }
 
@@ -377,15 +354,15 @@ func (d *decoder) kind(got uint64, want int) {
 
 func (d *decoder) request() Request {
 	return Request{
-		ID:        d.uvarint(),
+		ID:        d.Uvarint(),
 		Upload:    d.upload(),
 		Join:      d.join(),
 		Ping:      d.bool(),
-		Cancel:    d.uvarint(),
+		Cancel:    d.Uvarint(),
 		Describe:  d.bool(),
 		Submit:    d.submit(),
-		JobStatus: d.string(),
-		Attach:    d.string(),
+		JobStatus: d.String(),
+		Attach:    d.String(),
 	}
 }
 
@@ -393,19 +370,19 @@ func (d *decoder) upload() *UploadRequest {
 	if !d.present() {
 		return nil
 	}
-	u := &UploadRequest{Table: d.string()}
+	u := &UploadRequest{Table: d.String()}
 	if n := d.count("upload rows", minUploadRowBytes, maxUploadRows); n > 0 {
 		u.Rows = make([]UploadRow, n)
 		for i := range u.Rows {
-			u.Rows[i] = UploadRow{JoinCiphertext: d.bytes(), Payload: d.bytes()}
+			u.Rows[i] = UploadRow{JoinCiphertext: d.Bytes(), Payload: d.Bytes()}
 		}
 	}
 	u.Append = d.bool()
 	u.Commit = d.bool()
-	u.Index = d.bytes()
-	u.Shard = d.int()
-	u.ShardCount = d.int()
-	u.NDV = d.int()
+	u.Index = d.Bytes()
+	u.Shard = d.Int()
+	u.ShardCount = d.Int()
+	u.NDV = d.Int()
 	return u
 }
 
@@ -421,13 +398,13 @@ func (d *decoder) join() *JoinRequest {
 		return nil
 	}
 	return &JoinRequest{
-		TableA:       d.string(),
-		TableB:       d.string(),
+		TableA:       d.String(),
+		TableB:       d.String(),
 		TokenA:       d.capped("token A", maxTokenBytes),
 		TokenB:       d.capped("token B", maxTokenBytes),
 		PrefilterA:   d.capped("prefilter A", maxPrefilterBytes),
 		PrefilterB:   d.capped("prefilter B", maxPrefilterBytes),
-		Workers:      d.int(),
+		Workers:      d.Int(),
 		CandidatesA:  d.ints("candidates A"),
 		CandidatesB:  d.ints("candidates B"),
 		SkipPayloadA: d.bool(),
@@ -437,13 +414,13 @@ func (d *decoder) join() *JoinRequest {
 
 func (d *decoder) frame() Frame {
 	return Frame{
-		ID:      d.uvarint(),
-		Err:     d.string(),
+		ID:      d.Uvarint(),
+		Err:     d.String(),
 		Ok:      d.bool(),
 		Batch:   d.batch(),
 		Summary: d.summary(),
 		Tables:  d.tables(),
-		Code:    d.string(),
+		Code:    d.String(),
 		Health:  d.health(),
 		Job:     d.job(),
 	}
@@ -455,13 +432,13 @@ func (d *decoder) batch() *JoinBatch {
 	if !d.present() {
 		return nil
 	}
-	rec := d.bytes()
+	rec := d.Bytes()
 	if d.err != nil {
 		return nil
 	}
 	rows, err := ParseRows(rec)
 	if err != nil {
-		d.fail("batch: %v", err)
+		d.Fail("batch: %v", err)
 		return nil
 	}
 	return &JoinBatch{Rows: rows}
@@ -471,7 +448,7 @@ func (d *decoder) summary() *JoinSummary {
 	if !d.present() {
 		return nil
 	}
-	return &JoinSummary{RevealedPairs: d.int()}
+	return &JoinSummary{RevealedPairs: d.Int()}
 }
 
 func (d *decoder) tables() *TableList {
@@ -483,12 +460,12 @@ func (d *decoder) tables() *TableList {
 		tl.Tables = make([]TableInfo, n)
 		for i := range tl.Tables {
 			tl.Tables[i] = TableInfo{
-				Name:       d.string(),
-				Rows:       d.int(),
+				Name:       d.String(),
+				Rows:       d.Int(),
 				Indexed:    d.bool(),
-				Shard:      d.int(),
-				ShardCount: d.int(),
-				NDV:        d.int(),
+				Shard:      d.Int(),
+				ShardCount: d.Int(),
+				NDV:        d.Int(),
 			}
 		}
 	}
@@ -501,15 +478,15 @@ func (d *decoder) health() *HealthInfo {
 	}
 	return &HealthInfo{
 		Ready:         d.bool(),
-		Tables:        d.int(),
-		ActiveConns:   d.int(),
-		InflightJoins: d.int(),
-		ShedTotal:     d.uvarint(),
-		RevealedPairs: d.uvarint(),
+		Tables:        d.Int(),
+		ActiveConns:   d.Int(),
+		InflightJoins: d.Int(),
+		ShedTotal:     d.Uvarint(),
+		RevealedPairs: d.Uvarint(),
 		UptimeSeconds: d.float64(),
-		JobsQueued:    d.int(),
-		JobsRunning:   d.int(),
-		JobsStored:    d.int(),
+		JobsQueued:    d.Int(),
+		JobsRunning:   d.Int(),
+		JobsStored:    d.Int(),
 	}
 }
 
@@ -517,65 +494,27 @@ func (d *decoder) job() *JobInfo {
 	if !d.present() {
 		return nil
 	}
-	j := d.jobFields()
+	j := d.JobInfo()
 	return &j
 }
 
-func (d *decoder) jobFields() JobInfo {
-	return JobInfo{
-		ID:            d.string(),
-		State:         d.string(),
-		TableA:        d.string(),
-		TableB:        d.string(),
-		RowsDecrypted: d.int(),
-		StepsDone:     d.int(),
-		RevealedPairs: d.int(),
-		ResultRows:    d.int(),
-		Err:           d.string(),
-		CreatedUnix:   d.int64(),
-		StartedUnix:   d.int64(),
-		FinishedUnix:  d.int64(),
-	}
-}
-
-func (d *decoder) uvarint() uint64 {
-	x, n := uvarint(d.b)
-	if n <= 0 {
-		d.fail("truncated, overlong or non-minimal uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return x
-}
-
-func (d *decoder) int64() int64 { return int64(d.uvarint()) }
-
-func (d *decoder) int() int {
-	x := d.int64()
-	if int64(int(x)) != x {
-		d.fail("integer %d out of range", x)
-		return 0
-	}
-	return int(x)
-}
-
 func (d *decoder) uint32() uint32 {
-	x := d.uvarint()
+	x := d.Uvarint()
 	if x > math.MaxUint32 {
-		d.fail("version %d out of range", x)
+		d.Fail("version %d out of range", x)
 		return 0
 	}
 	return uint32(x)
 }
 
 func (d *decoder) bool() bool {
-	switch x := d.uvarint(); x {
+	switch x := d.Uvarint(); x {
 	case 0:
 		return false
 	case 1:
 		return true
 	default:
-		d.fail("bool or presence byte %d", x)
+		d.Fail("bool or presence byte %d", x)
 		return false
 	}
 }
@@ -583,51 +522,32 @@ func (d *decoder) bool() bool {
 func (d *decoder) present() bool { return d.bool() }
 
 func (d *decoder) float64() float64 {
-	if len(d.b) < 8 {
-		d.fail("truncated float64")
+	p := d.Next(8)
+	if p == nil {
 		return 0
 	}
-	x := math.Float64frombits(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return x
+	return math.Float64frombits(binary.BigEndian.Uint64(p))
 }
 
-// bytes reads a byte string in place, capped at its own length; an
-// empty one is nil.
-func (d *decoder) bytes() []byte { return d.capped("byte string", math.MaxInt) }
-
+// capped reads a byte string that may hold at most max bytes.
 func (d *decoder) capped(what string, max int) []byte {
-	n := d.uvarint()
-	switch {
-	case n > uint64(len(d.b)):
-		d.fail("%s of %d bytes past the end (%d left)", what, n, len(d.b))
-		return nil
-	case n > uint64(max):
-		d.fail("%s of %d bytes exceeds the cap of %d", what, n, max)
-		return nil
-	case n == 0:
+	p := d.Bytes()
+	if len(p) > max {
+		d.Fail("%s of %d bytes exceeds the cap of %d", what, len(p), max)
 		return nil
 	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
 	return p
 }
 
-func (d *decoder) string() string { return string(d.bytes()) }
-
-// count reads a list length and checks it, before the caller allocates,
-// against max and against the bytes left at min bytes per element.
+// count reads a list length that fits the bytes left at min bytes per
+// element and is at most max.
 func (d *decoder) count(what string, min, max int) int {
-	n := d.uvarint()
-	switch {
-	case n > uint64(len(d.b)/min):
-		d.fail("%d %s cannot fit in %d bytes", n, what, len(d.b))
-		return 0
-	case n > uint64(max):
-		d.fail("%d %s exceed the cap of %d", n, what, max)
+	n := d.Count(what, min)
+	if n > max {
+		d.Fail("%d %s exceed the cap of %d", n, what, max)
 		return 0
 	}
-	return int(n)
+	return n
 }
 
 func (d *decoder) ints(what string) []int {
@@ -637,7 +557,7 @@ func (d *decoder) ints(what string) []int {
 	}
 	xs := make([]int, n)
 	for i := range xs {
-		xs[i] = d.int()
+		xs[i] = d.Int()
 	}
 	return xs
 }

@@ -3,8 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -41,10 +39,8 @@ func AppendRows(dst []byte, rows []JoinedRow) []byte {
 		r := &rows[i]
 		dst = binary.AppendUvarint(dst, uint64(r.RowA))
 		dst = binary.AppendUvarint(dst, uint64(r.RowB))
-		dst = binary.AppendUvarint(dst, uint64(len(r.PayloadA)))
-		dst = append(dst, r.PayloadA...)
-		dst = binary.AppendUvarint(dst, uint64(len(r.PayloadB)))
-		dst = append(dst, r.PayloadB...)
+		dst = AppendBytes(dst, r.PayloadA)
+		dst = AppendBytes(dst, r.PayloadB)
 	}
 	return dst
 }
@@ -53,31 +49,17 @@ func AppendRows(dst []byte, rows []JoinedRow) []byte {
 // returned rows' payloads alias b (each capped at its own length), so b
 // must not be modified while they are in use.
 func ParseRows(b []byte) ([]JoinedRow, error) {
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(b)/minRowBytes) {
-		return nil, fmt.Errorf("%w: %d rows cannot fit in %d bytes", ErrBadRows, count, len(b))
-	}
-	rows := make([]JoinedRow, count)
+	r := NewReader(b, ErrBadRows)
+	rows := make([]JoinedRow, r.Count("rows", minRowBytes))
 	for i := range rows {
-		r := &rows[i]
-		if r.RowA, b, err = readRowID(b); err != nil {
-			return nil, err
-		}
-		if r.RowB, b, err = readRowID(b); err != nil {
-			return nil, err
-		}
-		if r.PayloadA, b, err = readPayload(b); err != nil {
-			return nil, err
-		}
-		if r.PayloadB, b, err = readPayload(b); err != nil {
-			return nil, err
-		}
+		// Field by field: a whole-struct store into the heap slice would
+		// be one bulk write barrier per row while the collector runs.
+		row := &rows[i]
+		row.RowA, row.RowB = r.Row(), r.Row()
+		row.PayloadA, row.PayloadB = r.Bytes(), r.Bytes()
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRows, len(b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -95,46 +77,3 @@ func rowsLen(rows []JoinedRow) int {
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// uvarint reads a minimally encoded uvarint, so every value has exactly
-// one encoding. n <= 0 reports a truncated, overlong or padded one.
-func uvarint(b []byte) (x uint64, n int) {
-	x, n = binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0
-	}
-	return x, n
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	x, n := uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated, overlong or non-minimal uvarint", ErrBadRows)
-	}
-	return x, b[n:], nil
-}
-
-func readRowID(b []byte) (int, []byte, error) {
-	x, b, err := readUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	if x > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("%w: row id %d out of range", ErrBadRows, x)
-	}
-	return int(x), b, nil
-}
-
-func readPayload(b []byte) ([]byte, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("%w: payload of %d bytes past the end (%d left)", ErrBadRows, n, len(b))
-	}
-	if n == 0 {
-		return nil, b, nil
-	}
-	return b[:n:n], b[n:], nil
-}

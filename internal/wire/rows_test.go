@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -168,4 +169,25 @@ func FuzzParseRows(f *testing.F) {
 			t.Fatalf("round trip changed the rows: %q, then %q", rows, again)
 		}
 	})
+}
+
+// BenchmarkParseRows parses a record the size of a job_replay spool:
+// 1,500 rows with sealed payloads of 60 to 100 bytes.
+func BenchmarkParseRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]JoinedRow, 1500)
+	for i := range rows {
+		rows[i] = JoinedRow{
+			RowA: i, RowB: rng.Intn(3000),
+			PayloadA: make([]byte, 60+rng.Intn(41)), PayloadB: make([]byte, 60+rng.Intn(41)),
+		}
+	}
+	rec := AppendRows(nil, rows)
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ParseRows(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
