@@ -469,7 +469,9 @@ func randomAffineG2s(n int) []*G2 {
 // scalars. one is a single ScalarBaseMult. scalar8 and batch8 report ns
 // per multiplication on eight scalars: scalar8 is eight ScalarBaseMult
 // calls and one NormalizeG1, what SJ.Enc ran per row at d = 8 before
-// BaseMultG1s, and batch8 is one BaseMultG1s call. lanes is one lane
+// BaseMultG1s, and batch8 is one BaseMultG1s call. batch64 is one
+// BaseMultG1s call on BaseMultGroup scalars, a block of SJ.Enc rows
+// made affine with one inversion, also in ns per multiplication. lanes is one lane
 // chunk (g1CombLanes, which costs the same for one scalar as for eight)
 // and sets the lane crossover, combLaneMin, with one: the lanes win from
 // ceil(lanes/one) scalars on. lanes skips without IFMA.
@@ -504,6 +506,19 @@ func BenchmarkG1ScalarBaseMult(b *testing.B) {
 			BaseMultG1s(out, ks[:])
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneRows), "ns/mult")
+	})
+	b.Run("batch64", func(b *testing.B) {
+		ks64 := make([][32]byte, BaseMultGroup)
+		out64 := make([]*G1, len(ks64))
+		for i := range ks64 {
+			k, _ := rand.Int(rand.Reader, Order)
+			k.FillBytes(ks64[i][:])
+			out64[i] = new(G1)
+		}
+		for i := 0; i < b.N; i++ {
+			BaseMultG1s(out64, ks64)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ks64)), "ns/mult")
 	})
 	b.Run("lanes", func(b *testing.B) {
 		if !useIFMA {

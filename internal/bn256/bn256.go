@@ -31,30 +31,45 @@ func (e *G1) ScalarBaseMult(k *big.Int) *G1 {
 	return e
 }
 
+// BaseMultGroup is the most points BaseMultG1s makes affine with one
+// field inversion: eight lane chunks. A caller with many short batches,
+// SJ.Enc's rows, fills a call up to it.
+const BaseMultGroup = 8 * laneRows
+
 // BaseMultG1s sets out[i] = g1^ks[i] for the big-endian scalars ks,
 // each any 32 bytes (the result depends on ks[i] mod Order), in affine
-// form: ScalarBaseMult on a batch, made affine with one inversion per
-// chunk, with the scalars read as bytes rather than through a big.Int,
-// and constant time throughout, the point at infinity included. On
-// CPUs with AVX-512 IFMA, chunks of combLaneMin to eight scalars run as
-// the eight lanes of one comb (g1CombLanes); the rest run the scalar
-// comb. It panics unless len(out) == len(ks).
+// form: ScalarBaseMult on a batch, with the scalars read as bytes rather
+// than through a big.Int, and constant time throughout, the point at
+// infinity included. The scalars run in chunks of eight, the last one
+// shorter, whatever rows they came from: on CPUs with AVX-512 IFMA a
+// chunk of combLaneMin to eight scalars is the eight lanes of one comb
+// (g1CombLanes), and the rest run the scalar comb. Each chunk's (X:Y:Z)
+// is parked in its outputs, and each group of up to BaseMultGroup of
+// them is made affine in place with one inversion (g1AffineBatch). The
+// outputs must be distinct points. It panics unless len(out) == len(ks).
 func BaseMultG1s(out []*G1, ks [][32]byte) {
 	if len(out) != len(ks) {
 		panic("bn256: BaseMultG1s needs one output per scalar")
 	}
 	for len(ks) > 0 {
-		n := min(len(ks), laneRows)
-		var acc [laneRows]g1Proj
-		if useIFMA && n >= combLaneMin {
-			g1CombLanes(acc[:n], ks[:n])
-		} else {
-			for k := range n {
-				s := combLimbs(&ks[k])
-				acc[k] = g1CombProj(&s)
+		n := min(len(ks), BaseMultGroup)
+		for lo := 0; lo < n; lo += laneRows {
+			hi := min(lo+laneRows, n)
+			var acc [laneRows]g1Proj
+			if useIFMA && hi-lo >= combLaneMin {
+				g1CombLanes(acc[:hi-lo], ks[lo:hi])
+			} else {
+				for k := lo; k < hi; k++ {
+					s := combLimbs(&ks[k])
+					acc[k-lo] = g1CombProj(&s)
+				}
+			}
+			for k := lo; k < hi; k++ {
+				a := &acc[k-lo]
+				out[k].p = curvePoint{a.x, a.y, a.z}
 			}
 		}
-		g1AffineBatch(out[:n], acc[:n])
+		g1AffineBatch(out[:n])
 		out, ks = out[n:], ks[n:]
 	}
 }

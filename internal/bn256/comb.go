@@ -27,10 +27,11 @@ import (
 // oracle and the purego path, and every result is the same, limb for
 // limb.
 //
-// SJ.Enc's d base multiplications per row go through BaseMultG1s, and
-// TokenGen's d per token through BaseMultG2s, which on CPUs with
-// AVX-512 IFMA run up to eight scalars as the eight lanes of one comb
-// (g1CombLanes, g2CombLanes). The lane tables, g1LaneComb and
+// SJ.Enc's base multiplications, d per row and a block of rows per
+// call, go through BaseMultG1s, and TokenGen's d per token through
+// BaseMultG2s, which on CPUs with AVX-512 IFMA run up to eight scalars
+// as the eight lanes of one comb (g1CombLanes, g2CombLanes); in G1 the
+// lanes are filled across row boundaries. The lane tables, g1LaneComb and
 // g2LaneComb, are g1Comb and g2Comb in the lane form of lanes.go: per
 // entry the five 52-bit limbs of each Fp coordinate, x then y, below p.
 // Per window, laneSelect broadcasts each of the 32 entries and blends it
@@ -39,11 +40,12 @@ import (
 // RCB addition with the keep under the mask of non-zero digits is
 // g1AddMixedLanes in G1, an assembly kernel, and ltwist.addMixedKeep on
 // the twist, Go over the Fp2 lane kernels. Digits are recoded
-// branch-free before the loop, and the chunk's points are made affine
-// with one inversion in which a zero Z (a zero norm on the twist) is
-// replaced by one under a mask (g1AffineBatch, g2AffineBatch), so
-// neither the lanes nor the normalisation branch on a scalar, the point
-// at infinity included. The scalar comb is the oracle, and every lane,
+// branch-free before the loop, and the points are made affine with one
+// inversion per group of up to BaseMultGroup points in G1 and per chunk
+// on the twist, in which a zero Z (a zero norm on the twist) is replaced
+// by one under a mask (g1AffineBatch, g2AffineBatch), so neither the
+// lanes nor the normalisation branch on a scalar, the point at infinity
+// included. The scalar comb is the oracle, and every lane,
 // converted back, equals it.
 //
 // The tables are package-level arrays filled in place on first use:
@@ -540,25 +542,26 @@ func (e *gfP) zeroMask() uint64 {
 	return (x|-x)>>63 - 1
 }
 
-// g1AffineBatch sets out[k] to the affine form of the fully reduced
-// (X:Y:Z) ps[k], for up to eight points, with one batchInvert for all
-// of them and no branch on a point at infinity: a zero Z is inverted as
-// one, and the result is then set to infinity, (1, 1, 0), under a mask.
-func g1AffineBatch(out []*G1, ps []g1Proj) {
-	var zs [laneRows]gfP
-	var zps [laneRows]*gfP
-	var inf [laneRows]uint64
-	for k := range ps {
-		inf[k] = ps[k].z.zeroMask()
-		zs[k] = ps[k].z
-		zs[k].cmov(&rOne, inf[k])
-		zps[k] = &zs[k]
+// g1AffineBatch makes each of up to BaseMultGroup distinct points ps[k],
+// which hold a fully reduced homogeneous (X:Y:Z), affine in place, with
+// one batchInvert for all of them and no branch on a point at infinity:
+// a zero Z is inverted as one, and the result is then set to infinity,
+// (1, 1, 0), under a mask. Its scratch is on the stack, and so is
+// batchInvert's at this size.
+func g1AffineBatch(ps []*G1) {
+	var zs [BaseMultGroup]*gfP
+	var inf [BaseMultGroup]uint64
+	for k, c := range ps {
+		z := &c.p.z
+		inf[k] = z.zeroMask()
+		z.cmov(&rOne, inf[k])
+		zs[k] = z
 	}
-	batchInvert(zps[:len(ps)])
-	for k, c := range out {
+	batchInvert(zs[:len(ps)])
+	for k, c := range ps {
 		p := &c.p
-		p.x.Mul(&ps[k].x, &zs[k])
-		p.y.Mul(&ps[k].y, &zs[k])
+		p.x.Mul(&p.x, &p.z)
+		p.y.Mul(&p.y, &p.z)
 		p.z = rOne
 		p.x.cmov(&rOne, inf[k])
 		p.y.cmov(&rOne, inf[k])

@@ -132,8 +132,9 @@ func BenchmarkCombTableBuild(b *testing.B) {
 // mixed addition runs on the whole {0, 1, p-1} grid of its five input
 // coordinates, on random reduced ones, and on curve points with P = Q,
 // P = -Q, P = (0:1:0) and Q = (0, 0), the entry a zero digit selects.
-// On a CPU without BMI2 and ADX the addition is the Go code and its part
-// skips.
+// The batch calls run across BaseMultG1s's group edge (checkGroupEdges)
+// on random scalars. On a CPU without BMI2 and ADX the addition is the
+// Go code and its part skips.
 func TestCombKernelsMatchGeneric(t *testing.T) {
 	for i := range combWindows {
 		for mag := uint64(0); mag <= combEntries; mag++ {
@@ -144,6 +145,12 @@ func TestCombKernelsMatchGeneric(t *testing.T) {
 		checkCombLanesGrid(t)
 		checkG2CombLanesGrid(t)
 	}
+	kr := mrand.New(mrand.NewSource(3))
+	ks := make([]*big.Int, BaseMultGroup+laneRows+1)
+	for i := range ks {
+		ks[i] = new(big.Int).Rand(kr, Order)
+	}
+	checkGroupEdges(t, ks)
 	if !useADX {
 		t.Skip("no assembly addition kernel")
 	}
@@ -185,6 +192,57 @@ func TestCombKernelsMatchGeneric(t *testing.T) {
 		checkAddMixed(t, p, g1Affine{})   // Q = (0, 0)
 		checkAddMixed(t, inf, g1Affine{}) // both
 		checkAddMixed(t, p, g1Comb[r.Intn(combWindows)][r.Intn(combEntries)])
+	}
+}
+
+// groupEdgeSizes are batch lengths around BaseMultG1s's group edge: a
+// group one short, a whole group, one over, and one over a group and a
+// lane chunk.
+var groupEdgeSizes = [...]int{BaseMultGroup - 1, BaseMultGroup, BaseMultGroup + 1, BaseMultGroup + laneRows + 1}
+
+// checkGroupEdges runs BaseMultG1s and BaseMultG2s on the first n of ks
+// for every n in groupEdgeSizes, with a zero scalar in the first and the
+// last slot of every G1 group, and requires every output to encode as
+// ScalarBaseMult's of the same scalar, one by one. ks must hold
+// BaseMultGroup + laneRows + 1 scalars below 2^256.
+func checkGroupEdges(t testing.TB, ks []*big.Int) {
+	t.Helper()
+	want1 := make([][]byte, len(ks))
+	want2 := make([][]byte, len(ks))
+	for i, k := range ks {
+		want1[i] = new(G1).ScalarBaseMult(k).Marshal()
+		want2[i] = new(G2).ScalarBaseMult(k).Marshal()
+	}
+	zero := new(big.Int)
+	zero1, zero2 := new(G1).ScalarBaseMult(zero).Marshal(), new(G2).ScalarBaseMult(zero).Marshal()
+	for _, n := range groupEdgeSizes {
+		zeroAt := make([]bool, n)
+		for lo := 0; lo < n; lo += BaseMultGroup {
+			zeroAt[lo], zeroAt[min(lo+BaseMultGroup, n)-1] = true, true
+		}
+		bs := make([][32]byte, n)
+		out1 := make([]*G1, n)
+		out2 := make([]*G2, n)
+		for i := range bs {
+			if !zeroAt[i] {
+				ks[i].FillBytes(bs[i][:])
+			}
+			out1[i], out2[i] = new(G1), new(G2)
+		}
+		BaseMultG1s(out1, bs)
+		BaseMultG2s(out2, bs)
+		for i := range bs {
+			w1, w2, k := want1[i], want2[i], ks[i]
+			if zeroAt[i] {
+				w1, w2, k = zero1, zero2, zero
+			}
+			if !bytes.Equal(out1[i].Marshal(), w1) {
+				t.Fatalf("batch of %d, scalar %d: BaseMultG1s differs from ScalarBaseMult for k = %v", n, i, k)
+			}
+			if !bytes.Equal(out2[i].Marshal(), w2) {
+				t.Fatalf("batch of %d, scalar %d: BaseMultG2s differs from ScalarBaseMult for k = %v", n, i, k)
+			}
+		}
 	}
 }
 

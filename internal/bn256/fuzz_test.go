@@ -31,9 +31,10 @@ func FuzzG2Unmarshal(f *testing.F) {
 // FuzzScalarBaseMult reads arbitrary bytes as a big-endian scalar and
 // checks the constant-time comb against the variable-time wNAF Mul, by
 // encoding, in both groups. Its batch leg runs BaseMultG1s and
-// BaseMultG2s on the nine scalars k + i mod 2^256, i = 0 .. 8, one lane
-// chunk and a one-scalar tail, and each must encode as
-// ScalarBaseMult's. The corpus under
+// BaseMultG2s on the scalars k + i mod 2^256 in batches across the G1
+// group edge, 63, 64, 65 and 73 of them, with a zero scalar in the
+// first and last slot of every group (checkGroupEdges), and each must
+// encode as ScalarBaseMult's. The corpus under
 // testdata/fuzz/FuzzScalarBaseMult seeds 0, 1, Order - 1, Order,
 // 2^254 - 1 and 2^256 - 1.
 func FuzzScalarBaseMult(f *testing.F) {
@@ -51,25 +52,12 @@ func FuzzScalarBaseMult(f *testing.F) {
 		if !bytes.Equal(new(G2).ScalarBaseMult(k).Marshal(), g2.Marshal()) {
 			t.Fatalf("G2 comb differs from the wNAF for k = %v", k)
 		}
-		ks := make([][32]byte, laneRows+1)
-		kis := make([]*big.Int, len(ks))
-		out := make([]*G1, len(ks))
-		out2 := make([]*G2, len(ks))
-		for i := range ks {
+		kis := make([]*big.Int, BaseMultGroup+laneRows+1)
+		for i := range kis {
 			kis[i] = new(big.Int).Add(k, big.NewInt(int64(i)))
-			kis[i].Mod(kis[i], mod).FillBytes(ks[i][:])
-			out[i], out2[i] = new(G1), new(G2)
+			kis[i].Mod(kis[i], mod)
 		}
-		BaseMultG1s(out, ks)
-		BaseMultG2s(out2, ks)
-		for i, ki := range kis {
-			if !bytes.Equal(out[i].Marshal(), new(G1).ScalarBaseMult(ki).Marshal()) {
-				t.Fatalf("BaseMultG1s scalar %d differs from ScalarBaseMult for k = %v", i, ki)
-			}
-			if !bytes.Equal(out2[i].Marshal(), new(G2).ScalarBaseMult(ki).Marshal()) {
-				t.Fatalf("BaseMultG2s scalar %d differs from ScalarBaseMult for k = %v", i, ki)
-			}
-		}
+		checkGroupEdges(t, kis)
 	})
 }
 

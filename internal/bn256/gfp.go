@@ -1,6 +1,7 @@
 package bn256
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -446,15 +447,13 @@ func (e *gfP) Invert(a *gfP) *gfP {
 	return e
 }
 
-// Marshal appends the 32-byte big-endian canonical encoding of e to out.
+// Marshal writes the 32-byte big-endian canonical encoding of e to out,
+// four big-endian words, the most significant first.
 func (e *gfP) Marshal(out []byte) {
 	var d gfP
 	d.montDecode(e)
-	for i := 0; i < 4; i++ {
-		w := d[3-i]
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(w >> (56 - 8*j))
-		}
+	for i := range 4 {
+		binary.BigEndian.PutUint64(out[8*i:], d[3-i])
 	}
 }
 
@@ -462,12 +461,8 @@ func (e *gfP) Marshal(out []byte) {
 // returns an error if the value is not fully reduced.
 func (e *gfP) Unmarshal(in []byte) error {
 	var d gfP
-	for i := 0; i < 4; i++ {
-		var w uint64
-		for j := 0; j < 8; j++ {
-			w = w<<8 | uint64(in[i*8+j])
-		}
-		d[3-i] = w
+	for i := range 4 {
+		d[3-i] = binary.BigEndian.Uint64(in[8*i:])
 	}
 	if d.gteP() {
 		return errFieldElementRange

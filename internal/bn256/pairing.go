@@ -64,14 +64,14 @@ func (pc *PairingPrecomp) Size() int { return pc.n }
 
 // batchInvert replaces each element of xs with its inverse using
 // Montgomery's trick: one field inversion plus 3(n-1) multiplications.
-// All inputs must be non-zero. Up to eight elements, a lane chunk's,
-// it allocates nothing.
+// All inputs must be non-zero. Up to BaseMultGroup elements, a G1 comb
+// group's, it allocates nothing.
 func batchInvert(xs []*gfP) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	var small [laneRows]gfP
+	var small [BaseMultGroup]gfP
 	prefix := small[:]
 	if n > len(small) {
 		prefix = make([]gfP, n)

@@ -57,26 +57,52 @@ func encryptRows(n int) []PlainRow {
 	return rows
 }
 
+// encryptCase is one table TestEncryptTableMatchesSerial encrypts under
+// its scheme parameters.
+type encryptCase struct {
+	params securejoin.Params
+	rows   []PlainRow
+}
+
 // TestEncryptTableMatchesSerial: from one seeded rng, EncryptTable and
 // EncryptTableIndexed give byte for byte the ciphertexts and sealed
 // payloads of the row-at-a-time loop at any GOMAXPROCS, leave the rng
 // at the same offset, and name the same row when a row is rejected.
-// The SSE index seals its posting lists under crypto/rand nonces, so it
-// is compared by what every search finds rather than by its bytes.
+// The tables at d = 5 and d = 8 have row counts around the edges of
+// the blocks EncryptTable deals out (Scheme.BlockRows, 12 rows at d = 5
+// and 8 at d = 8): one short of a block, one block, one over, and one
+// over two blocks. The SSE index seals its posting lists under crypto/rand
+// nonces, so it is compared by what every search finds rather than by
+// its bytes.
 func TestEncryptTableMatchesSerial(t *testing.T) {
 	params := securejoin.Params{M: 2, T: 2}
 	tooWide := encryptRows(5)
 	tooWide[2].Attrs = [][]byte{[]byte("x"), []byte("y"), []byte("z")}
-	cases := map[string][]PlainRow{
-		"empty":    nil,
-		"one row":  encryptRows(1),
-		"13 rows":  encryptRows(13),
-		"too wide": tooWide,
+	cases := map[string]encryptCase{
+		"empty":    {params, nil},
+		"one row":  {params, encryptRows(1)},
+		"13 rows":  {params, encryptRows(13)},
+		"too wide": {params, tooWide},
+	}
+	for _, p := range []securejoin.Params{{M: 1, T: 1}, {M: 1, T: 4}} {
+		s, err := securejoin.Setup(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := s.BlockRows()
+		for _, n := range []int{per - 1, per, per + 1, 2*per + 1} {
+			rows := encryptRows(n)
+			for i := range rows {
+				rows[i].Attrs = rows[i].Attrs[:1]
+			}
+			cases[fmt.Sprintf("d=%d/%d rows", p.Dim(), n)] = encryptCase{p, rows}
+		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for name, rows := range cases {
+		for name, tc := range cases {
+			params, rows := tc.params, tc.rows
 			for _, indexed := range []bool{false, true} {
 				label := fmt.Sprintf("GOMAXPROCS=%d/%s/indexed=%v", procs, name, indexed)
 				rngWant, rngGot := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))

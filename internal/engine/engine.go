@@ -144,8 +144,10 @@ func (c *Client) Params() securejoin.Params { return c.scheme.Params() }
 // The client's rng is read only here, on the calling goroutine, in the
 // order a row-at-a-time loop reads it — per row gamma1, gamma2, then
 // the payload nonce — so a seeded rng yields the same table at any core
-// count. The row pool then runs the per-row group work and the AES-GCM
-// seal, which read no rng.
+// count. The row pool then runs the group work and the AES-GCM seal,
+// which read no rng, a block of rows per task (Scheme.BlockRows): the
+// block's base multiplications share the comb's lanes and one field
+// inversion.
 func (c *Client) EncryptTable(name string, rows []PlainRow) (*EncryptedTable, error) {
 	rowErr := func(i int, err error) error {
 		return fmt.Errorf("engine: encrypting row %d of %s: %w", i, name, err)
@@ -162,12 +164,16 @@ func (c *Client) EncryptTable(name string, rows []PlainRow) (*EncryptedTable, er
 		}
 	}
 	out := &EncryptedTable{Name: name, Rows: make([]*EncryptedRow, len(rows)), NDV: countDistinctJoinValues(rows)}
-	err := securejoin.ForEachRow(len(rows), 0, func(i int) error {
-		jc, err := c.scheme.EncryptDrawn(drawn[i])
+	per := c.scheme.BlockRows()
+	err := securejoin.ForEachRow((len(rows)+per-1)/per, 0, func(b int) error {
+		lo, hi := b*per, min((b+1)*per, len(rows))
+		cts, err := c.scheme.EncryptBlock(drawn[lo:hi])
 		if err != nil {
-			return rowErr(i, err)
+			return rowErr(lo, err)
 		}
-		out.Rows[i] = &EncryptedRow{Join: jc, Payload: c.sealPayload(nonces[i], rows[i].Payload)}
+		for i, jc := range cts {
+			out.Rows[lo+i] = &EncryptedRow{Join: jc, Payload: c.sealPayload(nonces[lo+i], rows[lo+i].Payload)}
+		}
 		return nil
 	})
 	if err != nil {

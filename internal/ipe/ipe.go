@@ -76,7 +76,7 @@ func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 	if len(v) != msk.N {
 		return nil, fmt.Errorf("ipe: token vector has length %d, want %d", len(v), msk.N)
 	}
-	ks := scalarBytes(msk.B.MulVec(v))
+	ks := appendScalarBytes(make([][32]byte, 0, msk.N), msk.B.MulVec(v))
 	elems := make([]bn256.G2, len(ks))
 	tk := &Token{Elems: make([]*bn256.G2, len(ks))}
 	for i := range elems {
@@ -87,30 +87,49 @@ func (msk *MasterKey) KeyGenModified(v zq.Vector) (*Token, error) {
 }
 
 // EncryptModified computes C = g1^(w B*) with beta = 1; the gamma slots
-// inside w carry the randomness. The d base multiplications are one
-// bn256.BaseMultG1s call, which runs them as the lanes of one comb
-// where the CPU has them, and the elements come back affine, as in
-// KeyGenModified.
+// inside w carry the randomness. It is EncryptModifiedBatch on a batch
+// of one.
 func (msk *MasterKey) EncryptModified(w zq.Vector) (*CiphertextM, error) {
-	if len(w) != msk.N {
-		return nil, fmt.Errorf("ipe: plaintext vector has length %d, want %d", len(w), msk.N)
+	cts, err := msk.EncryptModifiedBatch([]zq.Vector{w})
+	if err != nil {
+		return nil, err
 	}
-	ks := scalarBytes(msk.BStar.MulVec(w))
-	elems := make([]bn256.G1, len(ks))
-	ct := &CiphertextM{Elems: make([]*bn256.G1, len(ks))}
-	for i := range elems {
-		ct.Elems[i] = &elems[i]
-	}
-	bn256.BaseMultG1s(ct.Elems, ks)
-	return ct, nil
+	return cts[0], nil
 }
 
-// scalarBytes returns the big-endian encodings of v's entries, the
-// exponents the bn256 batch base mults take.
-func scalarBytes(v zq.Vector) [][32]byte {
-	ks := make([][32]byte, len(v))
-	for i, c := range v {
-		c.Put(&ks[i])
+// EncryptModifiedBatch computes C = g1^(w B*) for every w in ws. The
+// base multiplications of all of them are one bn256.BaseMultG1s call,
+// which fills the comb's lanes across vectors where the CPU has them
+// and makes up to bn256.BaseMultGroup elements affine with one
+// inversion, so encoding the elements pays no inversion per element.
+func (msk *MasterKey) EncryptModifiedBatch(ws []zq.Vector) ([]*CiphertextM, error) {
+	ks := make([][32]byte, 0, len(ws)*msk.N)
+	for i, w := range ws {
+		if len(w) != msk.N {
+			return nil, fmt.Errorf("ipe: plaintext vector %d has length %d, want %d", i, len(w), msk.N)
+		}
+		ks = appendScalarBytes(ks, msk.BStar.MulVec(w))
+	}
+	elems := make([]bn256.G1, len(ks))
+	ptrs := make([]*bn256.G1, len(ks))
+	for i := range elems {
+		ptrs[i] = &elems[i]
+	}
+	bn256.BaseMultG1s(ptrs, ks)
+	cts := make([]*CiphertextM, len(ws))
+	for i := range cts {
+		lo, hi := i*msk.N, (i+1)*msk.N
+		cts[i] = &CiphertextM{Elems: ptrs[lo:hi:hi]}
+	}
+	return cts, nil
+}
+
+// appendScalarBytes appends the big-endian encodings of v's entries to
+// ks: the exponents the bn256 batch base mults take.
+func appendScalarBytes(ks [][32]byte, v zq.Vector) [][32]byte {
+	for _, c := range v {
+		ks = append(ks, [32]byte{})
+		c.Put(&ks[len(ks)-1])
 	}
 	return ks
 }

@@ -61,11 +61,21 @@ func (w *meanT) t() float64 {
 	return w.mean / math.Sqrt(w.m2/(w.n-1)/w.n)
 }
 
+// ctResult is what measureCT found on the crop with the largest |t|:
+// the signed t (negative when class 0 is the faster), each class's mean
+// time over that crop, and the pairs in the crop and in all.
+type ctResult struct {
+	t            float64
+	crop         float64
+	mean0, mean1 float64 // ns
+	cropped, n   int
+}
+
 // measureCT times tg for ctBudget and returns the largest |t| of the
 // paired differences (class 0 minus class 1) over all pairs and over
 // the pairs whose slower half is at or below the 50th and 90th
 // percentiles, since interrupts and GC add a long tail to both classes.
-func measureCT(tg ctTarget, rng *rand.Rand) (maxT float64, n int) {
+func measureCT(tg ctTarget, rng *rand.Rand) ctResult {
 	var pairs [][2]float64
 	for deadline := time.Now().Add(ctBudget); time.Now().Before(deadline); {
 		var ns [2]float64
@@ -85,31 +95,41 @@ func measureCT(tg ctTarget, rng *rand.Rand) (maxT float64, n int) {
 		sorted[i] = max(p[0], p[1])
 	}
 	slices.Sort(sorted)
+	res := ctResult{n: len(pairs)}
 	for _, crop := range []float64{1, 0.9, 0.5} {
 		limit := sorted[int(crop*float64(len(sorted)-1))]
 		var w meanT
+		var sum0, sum1 float64
 		for _, p := range pairs {
 			if max(p[0], p[1]) <= limit {
 				w.add(p[0] - p[1])
+				sum0 += p[0]
+				sum1 += p[1]
 			}
 		}
 		if w.n < 2 {
 			continue // the crop left no spread: t is undefined
 		}
-		maxT = max(maxT, math.Abs(w.t()))
+		if t := w.t(); math.Abs(t) > math.Abs(res.t) {
+			res.t, res.crop, res.cropped = t, crop, int(w.n)
+			res.mean0, res.mean1 = sum0/w.n, sum1/w.n
+		}
 	}
-	return maxT, len(pairs)
+	return res
 }
 
 // TestConstantTime runs the check on the field product and inverse, on
 // one row's vector product w*B*, the secret-dependent Z_q work of
 // SJ.Enc, and on the base multiplications that follow it,
-// bn256.BaseMultG1s on eight scalars, and TokenGen's, bn256.BaseMultG2s
-// on eight (on a CPU with AVX-512 IFMA, one lane comb each). Class 0 is
-// the zero secret (a zero vector for MulVec, eight zero scalars for the
-// base multiplications, where every comb digit is zero, no keep mask is
-// set and every result is the point at infinity), the input on which
-// variable-time arithmetic is fastest.
+// bn256.BaseMultG1s on eight scalars and on sixteen (two chunks made
+// affine with one shared inversion, as a block of SJ.Enc rows is), and
+// TokenGen's, bn256.BaseMultG2s on eight (on a CPU with AVX-512 IFMA,
+// one lane comb per chunk). Class 0 is the zero secret (a zero vector
+// for MulVec, zero scalars for the base multiplications, where every
+// comb digit is zero, no keep mask is set and every result is the point
+// at infinity), the input on which variable-time arithmetic is fastest.
+// A failure reports the signed t, each class's mean time and the pairs
+// it was measured over.
 func TestConstantTime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing measurement; skipped under -short")
@@ -147,15 +167,20 @@ func TestConstantTime(t *testing.T) {
 	w := zq.NewVector(8)
 	var vsink zq.Vector
 	var ks [8][32]byte
-	g1s := make([]*bn256.G1, len(ks))
+	var ks16 [16][32]byte
+	g1s := make([]*bn256.G1, len(ks16))
 	g2s := make([]*bn256.G2, len(ks))
 	for i := range g1s {
-		g1s[i], g2s[i] = new(bn256.G1), new(bn256.G2)
+		g1s[i] = new(bn256.G1)
 	}
-	fillKs := func(class int) {
-		off := rng.Intn(poolSize - len(ks))
-		copy(ks[:], [2][][32]byte{kZeros, kRandom}[class][off:])
+	for i := range g2s {
+		g2s[i] = new(bn256.G2)
 	}
+	fillKsTo := func(dst [][32]byte, class int) {
+		off := rng.Intn(poolSize - len(dst))
+		copy(dst, [2][][32]byte{kZeros, kRandom}[class][off:])
+	}
+	fillKs := func(class int) { fillKsTo(ks[:], class) }
 	targets := []ctTarget{
 		{"Scalar.Mul", func(class int) { fill(xs, zeros, class) }, func() {
 			for _, x := range xs {
@@ -165,14 +190,18 @@ func TestConstantTime(t *testing.T) {
 		// Inverting zero panics, so Inv's fixed class is 1.
 		{"Scalar.Inv", func(class int) { fill(xs[:1], ones, class) }, func() { sink = xs[0].Inv() }},
 		{"MulVec (d = 8)", func(class int) { fill(w, zeros, class) }, func() { vsink = bStar.MulVec(w) }},
-		{"BaseMultG1s (8 scalars)", fillKs, func() { bn256.BaseMultG1s(g1s, ks[:]) }},
+		{"BaseMultG1s (8 scalars)", fillKs, func() { bn256.BaseMultG1s(g1s[:len(ks)], ks[:]) }},
+		{"BaseMultG1s (16 scalars, one inversion)", func(class int) { fillKsTo(ks16[:], class) },
+			func() { bn256.BaseMultG1s(g1s, ks16[:]) }},
 		{"BaseMultG2s (8 scalars)", fillKs, func() { bn256.BaseMultG2s(g2s, ks[:]) }},
 	}
 	for _, tg := range targets {
-		tval, n := measureCT(tg, rng)
-		t.Logf("%s: |t| = %.2f over %d pairs (threshold %.1f)", tg.name, tval, n, ctThreshold)
-		if tval > ctThreshold {
-			t.Errorf("%s: timing depends on the secret input, |t| = %.2f > %.1f", tg.name, tval, ctThreshold)
+		r := measureCT(tg, rng)
+		t.Logf("%s: |t| = %.2f over %d pairs (threshold %.1f)", tg.name, math.Abs(r.t), r.n, ctThreshold)
+		if math.Abs(r.t) > ctThreshold {
+			t.Errorf("%s: timing depends on the secret input, |t| = %.2f > %.1f: t = %+.2f over the %d of %d pairs "+
+				"whose slower half is at or below the %.0fth percentile, class 0 mean %.0f ns, class 1 mean %.0f ns",
+				tg.name, math.Abs(r.t), ctThreshold, r.t, r.cropped, r.n, 100*r.crop, r.mean0, r.mean1)
 		}
 	}
 	_, _ = sink, vsink

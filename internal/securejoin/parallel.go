@@ -9,9 +9,10 @@ import (
 )
 
 // ForEachRow is the row pool behind SJ.Dec and SJ.Enc of a table
-// (Section 6.5: per-row work parallelizes trivially). It runs row(i)
-// for every i in [0, n) on up to workers goroutines (0 means
-// GOMAXPROCS). Rows are fed in order and feeding stops once a row
+// (Section 6.5: per-row work parallelizes trivially). A "row" here is
+// the caller's unit: SJ.Dec deals chunks of rows (bn256.RowChunk) and
+// SJ.Enc blocks of rows (Scheme.BlockRows). It runs row(i) for every i
+// in [0, n) on up to workers goroutines (0 means GOMAXPROCS). Rows are fed in order and feeding stops once a row
 // fails, so every row below the first failure has run and the error
 // returned is the lowest failing row's, as in the plain loop. row(i)
 // must write only row i's output and read no rng: callers draw

@@ -96,17 +96,22 @@ type RowCiphertext struct {
 	C *ipe.CiphertextM
 }
 
-// Encrypt runs SJ.Enc on one row: DrawRow then EncryptDrawn.
+// Encrypt runs SJ.Enc on one row: DrawRow, then EncryptBlock on a
+// block of one.
 func (s *Scheme) Encrypt(row Row) (*RowCiphertext, error) {
 	dr, err := s.DrawRow(row)
 	if err != nil {
 		return nil, err
 	}
-	return s.EncryptDrawn(dr)
+	cts, err := s.EncryptBlock([]DrawnRow{dr})
+	if err != nil {
+		return nil, err
+	}
+	return cts[0], nil
 }
 
 // DrawnRow is a row with its SJ.Enc randomness, gamma1 and gamma2,
-// drawn: DrawRow's output and EncryptDrawn's input.
+// drawn: DrawRow's output and EncryptBlock's input.
 type DrawnRow struct {
 	row            Row
 	gamma1, gamma2 zq.Scalar
@@ -116,7 +121,7 @@ type DrawnRow struct {
 // the scheme and reads gamma1 then gamma2 from the scheme's rng, as
 // Encrypt does. Every rng read of a row happens here, so a table
 // encryptor that calls DrawRow row by row on one goroutine reads a
-// seeded rng in the serial order whatever runs EncryptDrawn.
+// seeded rng in the serial order whatever runs EncryptBlock.
 func (s *Scheme) DrawRow(row Row) (DrawnRow, error) {
 	if len(row.Attrs) > s.params.M {
 		return DrawnRow{}, fmt.Errorf("securejoin: row has %d attributes, scheme supports %d",
@@ -133,16 +138,41 @@ func (s *Scheme) DrawRow(row Row) (DrawnRow, error) {
 	return DrawnRow{row: row, gamma1: gamma1, gamma2: gamma2}, nil
 }
 
-// EncryptDrawn is SJ.Enc's compute step: it encrypts a drawn row. The
-// plaintext vector is
+// BlockRows is the number of rows a table encryptor hands EncryptBlock
+// at a time: as many as fill one bn256.BaseMultGroup of base
+// multiplications, d per row, and at least one.
+func (s *Scheme) BlockRows() int {
+	return max(1, bn256.BaseMultGroup/s.params.Dim())
+}
+
+// EncryptBlock is SJ.Enc's compute step: it encrypts a block of drawn
+// rows, ciphertext i for row i. Each row's plaintext vector is
 //
 //	w = ( H(a0), gamma2*a1^0..a1^t, ..., gamma2*am^0..am^t, gamma1, 0 )
 //
 // Missing attributes (len(Attrs) < M) are padded with the hash of an
 // out-of-band padding tag so they can never satisfy a selection
-// polynomial by accident. It reads no rng and is safe for concurrent
-// use.
-func (s *Scheme) EncryptDrawn(dr DrawnRow) (*RowCiphertext, error) {
+// polynomial by accident. The block's base multiplications are one
+// ipe.EncryptModifiedBatch call. It reads no rng and is safe for
+// concurrent use.
+func (s *Scheme) EncryptBlock(drs []DrawnRow) ([]*RowCiphertext, error) {
+	ws := make([]zq.Vector, len(drs))
+	for i, dr := range drs {
+		ws[i] = s.plaintext(dr)
+	}
+	cts, err := s.msk.EncryptModifiedBatch(ws)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*RowCiphertext, len(cts))
+	for i, ct := range cts {
+		out[i] = &RowCiphertext{C: ct}
+	}
+	return out, nil
+}
+
+// plaintext returns the drawn row's plaintext vector w.
+func (s *Scheme) plaintext(dr DrawnRow) zq.Vector {
 	row := dr.row
 	d := s.params.Dim()
 	w := zq.NewVector(d)
@@ -162,12 +192,7 @@ func (s *Scheme) EncryptDrawn(dr DrawnRow) (*RowCiphertext, error) {
 	}
 	w[d-2] = dr.gamma1
 	// w[d-1] stays 0.
-
-	ct, err := s.msk.EncryptModified(w)
-	if err != nil {
-		return nil, err
-	}
-	return &RowCiphertext{C: ct}, nil
+	return w
 }
 
 // Selection is the per-table filtering predicate of a join query: for

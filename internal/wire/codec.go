@@ -372,9 +372,13 @@ func (d *decoder) upload() *UploadRequest {
 	}
 	u := &UploadRequest{Table: d.String()}
 	if n := d.count("upload rows", minUploadRowBytes, maxUploadRows); n > 0 {
+		// Field by field, as ParseRows fills its rows: a whole-struct
+		// store pays a bulk write barrier per row while the GC runs.
 		u.Rows = make([]UploadRow, n)
 		for i := range u.Rows {
-			u.Rows[i] = UploadRow{JoinCiphertext: d.Bytes(), Payload: d.Bytes()}
+			r := &u.Rows[i]
+			r.JoinCiphertext = d.Bytes()
+			r.Payload = d.Bytes()
 		}
 	}
 	u.Append = d.bool()

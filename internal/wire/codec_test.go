@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -107,6 +108,27 @@ func BenchmarkSummaryRoundTrip(b *testing.B) {
 		}
 		var f Frame
 		if err := recv.Recv(&f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseUpload parses the upload request of one table the
+// shape the ingest workload uploads: 16 rows at d = 8, so a 516-byte
+// join ciphertext (a count and eight 64-byte G1 points) and a sealed
+// payload of 60 to 100 bytes per row.
+func BenchmarkParseUpload(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]UploadRow, 16)
+	for i := range rows {
+		rows[i] = UploadRow{JoinCiphertext: make([]byte, 4+8*64), Payload: make([]byte, 60+rng.Intn(41))}
+	}
+	req := payload(b, &Request{ID: 1, Upload: &UploadRequest{Table: "T", Rows: rows, Commit: true, NDV: 16}})
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	for b.Loop() {
+		var r Request
+		if err := unmarshal(req, &r); err != nil {
 			b.Fatal(err)
 		}
 	}
