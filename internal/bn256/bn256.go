@@ -110,17 +110,21 @@ func (e *G1) Equal(a *G1) bool {
 
 // Marshal encodes e as 64 bytes: the affine x and y coordinates, big
 // endian. The identity encodes as all zeros.
-func (e *G1) Marshal() []byte {
-	out := make([]byte, 64)
+func (e *G1) Marshal() []byte { return e.AppendMarshal(nil) }
+
+// AppendMarshal appends Marshal's 64 bytes to dst.
+func (e *G1) AppendMarshal(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, 64)...)
 	if e.p.IsInfinity() {
-		return out
+		return dst
 	}
 	var a curvePoint
 	a.Set(&e.p)
 	a.MakeAffine()
-	a.x.Marshal(out[:32])
-	a.y.Marshal(out[32:])
-	return out
+	a.x.Marshal(dst[n : n+32])
+	a.y.Marshal(dst[n+32:])
+	return dst
 }
 
 // Unmarshal decodes a point produced by Marshal, verifying that it lies
@@ -216,17 +220,6 @@ func (e *G2) Equal(a *G2) bool {
 	return e.p.Equal(&a.p)
 }
 
-// NormalizeG2 puts every point of ps in affine form with one field
-// inversion for the whole batch, so that their Marshal calls skip the
-// inversion each would pay. The points' values do not change.
-func NormalizeG2(ps []*G2) {
-	ts := make([]*twistPoint, len(ps))
-	for i, e := range ps {
-		ts[i] = &e.p
-	}
-	batchMakeAffineTwist(ts)
-}
-
 // Flag bits of the compressed G2 encoding, in its first byte: p < 2^254
 // leaves the top two bits of a big-endian coordinate free.
 const (
@@ -237,11 +230,16 @@ const (
 // Marshal encodes e in 64 compressed bytes: x.a0 || x.a1, big endian,
 // with the sign of y (sgn0) in bit 6 of the first byte. The identity
 // encodes as 0x80 followed by zeros.
-func (e *G2) Marshal() []byte {
-	out := make([]byte, 64)
+func (e *G2) Marshal() []byte { return e.AppendMarshal(nil) }
+
+// AppendMarshal appends Marshal's 64 bytes to dst.
+func (e *G2) AppendMarshal(dst []byte) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, 64)...)
+	out := dst[n:]
 	if e.p.IsInfinity() {
 		out[0] = g2Infinity
-		return out
+		return dst
 	}
 	var a twistPoint
 	a.Set(&e.p)
@@ -251,7 +249,7 @@ func (e *G2) Marshal() []byte {
 	if a.y.sgn0() {
 		out[0] |= g2YSign
 	}
-	return out
+	return dst
 }
 
 // Unmarshal decodes a point produced by Marshal: it recovers y from the

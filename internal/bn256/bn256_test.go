@@ -237,3 +237,14 @@ func NormalizeG1(ps []*G1) {
 	}
 	batchMakeAffine(cs)
 }
+
+// NormalizeG2 puts every point of ps in affine form with one field
+// inversion for the whole batch, as TokenGen did before BaseMultG2s:
+// the benchmarks' affine tokens and the scalar8 baseline.
+func NormalizeG2(ps []*G2) {
+	ts := make([]*twistPoint, len(ps))
+	for i, e := range ps {
+		ts[i] = &e.p
+	}
+	batchMakeAffineTwist(ts)
+}

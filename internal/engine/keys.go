@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/layout"
 	"repro/internal/securejoin"
 	"repro/internal/sse"
-	"repro/internal/wire"
 )
 
 // Client key persistence: ExportKeys writes every client secret (Secure
@@ -43,7 +43,7 @@ func (c *Client) ExportKeys(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("engine: encoding SSE keys: %w", err)
 	}
-	b := wire.AppendBytes([]byte(keyFileMagic), schemeBytes)
+	b := layout.AppendBytes([]byte(keyFileMagic), schemeBytes)
 	b = append(append(b, c.payloadKey...), sseBytes...)
 	_, err = w.Write(b)
 	return err
@@ -59,7 +59,7 @@ func LoadClientKeys(r io.Reader) (*Client, error) {
 	if !ok {
 		return nil, errors.New("engine: not a key file of this build (no format header): earlier builds wrote gob key files, which this build does not read; run sjclient keygen again and re-upload the tables")
 	}
-	kr := wire.NewReader(rest, ErrBadKeyFile)
+	kr := layout.NewReader(rest, ErrBadKeyFile)
 	schemeBytes, payloadKey, sseBytes := kr.Bytes(), kr.Next(32), kr.Rest()
 	if err := kr.Done(); err != nil {
 		return nil, err

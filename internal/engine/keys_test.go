@@ -148,3 +148,26 @@ func TestTruncatedKeyFileRefused(t *testing.T) {
 		t.Fatal("key file with a trailing byte accepted")
 	}
 }
+
+// FuzzLoadClientKeys: no key file makes LoadClientKeys panic, and one
+// it accepts exports back to the same bytes. The corpus under
+// testdata/fuzz/FuzzLoadClientKeys seeds a valid file (M = 1, T = 1,
+// so a master key of dimension 5) and its truncation inside each
+// field, master key dimensions 0 and 4097, a singular B, a B entry not
+// reduced mod q, a dimension that does not match M(T+1)+3 and a
+// trailing byte.
+func FuzzLoadClientKeys(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadClientKeys(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := c.ExportKeys(&buf); err != nil {
+			t.Fatalf("accepted key file does not export: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatal("accepted key file exports to different bytes")
+		}
+	})
+}

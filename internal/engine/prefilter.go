@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/securejoin"
 	"repro/internal/sse"
@@ -87,26 +87,17 @@ func candidates(t *EncryptedTable, tokens map[int][]sse.SearchToken) ([]int, err
 	if t.Index == nil || len(tokens) == 0 {
 		return nil, nil
 	}
-	cand := []int{} // non-nil: an empty pre-filter result means no rows
+	var cand []int
 	first := true
 	for _, toks := range tokens {
 		rows, err := t.Index.SearchUnion(toks)
 		if err != nil {
 			return nil, err
 		}
-		// IntersectSorted silently drops rows on unsorted input, so an
-		// index implementation that stops sorting would turn into wrong
-		// (not slow) results; sort defensively when the invariant is
-		// violated.
-		if !sortedUnique(rows) {
-			rows = sortUnique(rows)
+		if !first {
+			rows = sse.IntersectSorted(cand, rows)
 		}
-		if first {
-			cand = rows
-			first = false
-			continue
-		}
-		cand = sse.IntersectSorted(cand, rows)
+		cand, first = rows, false
 	}
 	if cand == nil {
 		// IntersectSorted returns nil for an empty intersection; keep
@@ -123,21 +114,16 @@ func candidates(t *EncryptedTable, tokens map[int][]sse.SearchToken) ([]int, err
 // nil, so absent and empty are indistinguishable, and a multi-join
 // executor never ships an empty list anyway (an empty intermediate
 // short-circuits the whole plan).
-// Out-of-range ids are dropped defensively rather than crashing the
-// decrypt pipeline on a confused (or malicious) client.
+// The list comes from the peer, so it is cleaned before use: a copy,
+// out-of-range ids dropped rather than crashing the decrypt pipeline on
+// a confused (or malicious) client, sorted and deduplicated.
 func mergeCandidates(cand, explicit []int, tableRows int) []int {
 	if len(explicit) == 0 {
 		return cand
 	}
-	if !sortedUnique(explicit) {
-		explicit = sortUnique(explicit)
-	}
-	ex := make([]int, 0, len(explicit))
-	for _, id := range explicit {
-		if id >= 0 && id < tableRows {
-			ex = append(ex, id)
-		}
-	}
+	ex := slices.DeleteFunc(slices.Clone(explicit), func(id int) bool { return id < 0 || id >= tableRows })
+	slices.Sort(ex)
+	ex = slices.Compact(ex)
 	if cand == nil {
 		return ex
 	}
@@ -146,30 +132,6 @@ func mergeCandidates(cand, explicit []int, tableRows int) []int {
 		out = []int{} // keep "no rows" distinct from the "every row" sentinel
 	}
 	return out
-}
-
-// sortedUnique reports whether xs is strictly ascending.
-func sortedUnique(xs []int) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// sortUnique returns xs sorted ascending with duplicates removed.
-func sortUnique(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	n := 0
-	for i, x := range out {
-		if i == 0 || x != out[n-1] {
-			out[n] = x
-			n++
-		}
-	}
-	return out[:n]
 }
 
 // candRow maps an index into a candidate list back to the original row

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"io"
+	"slices"
 	"testing"
 
+	"repro/internal/leakage"
 	"repro/internal/securejoin"
 )
 
@@ -291,5 +293,71 @@ func TestJoinSpecWithoutTokens(t *testing.T) {
 	_, server := setupIndexed(t)
 	if _, err := server.OpenJoin("Teams", "Employees", JoinSpec{}); err == nil {
 		t.Fatal("empty spec accepted")
+	}
+}
+
+// TestExplicitCandidatesCleaned: a peer's explicit candidate list goes
+// through OpenJoin cleaned — out-of-range ids dropped, duplicates
+// removed, order ignored, the caller's slice left alone — so a messy
+// list gives the rows and revealed pairs of its clean form, on either
+// side.
+func TestExplicitCandidatesCleaned(t *testing.T) {
+	client, err := NewClient(securejoin.Params{M: 1, T: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewServer()
+	plain := make([]PlainRow, 10)
+	for i := range plain {
+		plain[i] = PlainRow{JoinValue: []byte{byte('0' + i%3)}, Attrs: [][]byte{[]byte("a")}, Payload: []byte{byte(i)}}
+	}
+	for _, name := range []string{"A", "B"} {
+		tab, err := client.EncryptTable(name, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server.Upload(tab)
+	}
+	run := func(side string, cand []int) ([][2]int, leakage.PairSet) {
+		t.Helper()
+		q, err := client.NewQuery(securejoin.Selection{}, securejoin.Selection{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := JoinSpec{Query: q}
+		if side == "A" {
+			spec.CandidatesA = cand
+		} else {
+			spec.CandidatesB = cand
+		}
+		rows, trace, err := join(server, "A", "B", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([][2]int, len(rows))
+		for i, r := range rows {
+			ids[i] = [2]int{r.RowA, r.RowB}
+		}
+		slices.SortFunc(ids, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
+		return ids, trace.Pairs()
+	}
+	for _, side := range []string{"A", "B"} {
+		messy := []int{7, -1, 3, 3, 1 << 20}
+		gotRows, gotPairs := run(side, messy)
+		wantRows, wantPairs := run(side, []int{3, 7})
+		if !slices.Equal(messy, []int{7, -1, 3, 3, 1 << 20}) {
+			t.Fatalf("side %s: the candidate list was modified to %v", side, messy)
+		}
+		// Rows 3 and 7 hold join value "0" and "1"; each matches the
+		// other table's four or three rows of that value.
+		if len(wantRows) != 7 {
+			t.Fatalf("side %s: clean list gave %d rows %v, want 7", side, len(wantRows), wantRows)
+		}
+		if !slices.Equal(gotRows, wantRows) {
+			t.Fatalf("side %s: messy list gave rows %v, clean list %v", side, gotRows, wantRows)
+		}
+		if !gotPairs.Equal(wantPairs) {
+			t.Fatalf("side %s: messy list revealed %v, clean list %v", side, gotPairs.Sorted(), wantPairs.Sorted())
+		}
 	}
 }

@@ -1,21 +1,30 @@
 package ipe
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/layout"
 	"repro/internal/matrix"
 	"repro/internal/zq"
 )
 
-// Master-key serialization. Only B is stored (32 bytes per entry,
-// preceded by the dimension); B* is recomputed on load, so a key file
-// cannot hold an inconsistent (B, B*) pair.
+// Master-key serialization. Only B is stored (32 bytes per entry, each
+// reduced mod q, preceded by the dimension as a big-endian uint32); B*
+// is recomputed on load, so a key file cannot hold an inconsistent
+// (B, B*) pair.
+
+// maxKeyDim bounds the dimension a master key encoding may declare.
+const maxKeyDim = 1 << 12
+
+// ErrBadKey is wrapped by every error MasterKey.UnmarshalBinary returns.
+var ErrBadKey = errors.New("ipe: malformed master key")
 
 // MarshalBinary encodes the master secret key.
 func (msk *MasterKey) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4, 4+msk.N*msk.N*32)
-	binary.BigEndian.PutUint32(out, uint32(msk.N))
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+msk.N*msk.N*32), uint32(msk.N))
 	for i := 0; i < msk.N; i++ {
 		for j := 0; j < msk.N; j++ {
 			out = append(out, msk.B.At(i, j).Bytes()...)
@@ -25,28 +34,34 @@ func (msk *MasterKey) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a master key produced by MarshalBinary,
-// recomputing the dual matrix and rejecting singular B.
+// recomputing the dual matrix. It checks the body length before it
+// allocates the matrix, and rejects an entry not reduced mod q (so an
+// accepted key re-encodes to the same bytes) and a singular B.
 func (msk *MasterKey) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("ipe: master key encoding too short")
+	r := layout.NewReader(data, ErrBadKey)
+	d := r.Uint32()
+	if d == 0 || d > maxKeyDim {
+		r.Fail("implausible dimension %d", d)
+		d = 0
 	}
-	n := int(binary.BigEndian.Uint32(data))
-	data = data[4:]
-	if n <= 0 || n > 1<<12 {
-		return fmt.Errorf("ipe: implausible master key dimension %d", n)
-	}
-	if len(data) != n*n*32 {
-		return fmt.Errorf("ipe: master key encoding has %d body bytes, want %d", len(data), n*n*32)
+	n := int(d)
+	body := r.Next(n * n * 32)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	b := matrix.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			off := (i*n + j) * 32
-			b.Set(i, j, zq.FromBytes(data[off:off+32]))
+	var entry [32]byte
+	for k := range n * n {
+		p := body[k*32 : (k+1)*32]
+		s := zq.FromBytes(p)
+		s.Put(&entry)
+		if !bytes.Equal(entry[:], p) {
+			return fmt.Errorf("%w: entry (%d, %d) is not reduced mod q", ErrBadKey, k/n, k%n)
 		}
+		b.Set(k/n, k%n, s)
 	}
 	if b.Det().IsZero() {
-		return fmt.Errorf("ipe: master key matrix is singular")
+		return fmt.Errorf("%w: singular matrix", ErrBadKey)
 	}
 	bStar, err := b.Dual()
 	if err != nil {

@@ -161,9 +161,6 @@ func PrecomputeToken(tk *Token) *TokenPrecomp {
 	return &TokenPrecomp{n: len(tk.Elems), pc: bn256.PrecomputePairBatch(tk.Elems)}
 }
 
-// Dim returns the token dimension the precomputation was built for.
-func (tp *TokenPrecomp) Dim() int { return tp.n }
-
 // Decrypt computes the same D value DecryptModified would for the
 // precomputed token, evaluating the recorded Miller program at the
 // ciphertext's G1 elements: DecryptRows of one ciphertext.

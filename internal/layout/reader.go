@@ -1,4 +1,8 @@
-package wire
+// Package layout reads the byte layouts every hostile input of the
+// system is written in, through one Reader with one set of bounds
+// rules. It sits below every other package of this module and imports
+// none of them.
+package layout
 
 import (
 	"encoding/binary"
@@ -6,13 +10,18 @@ import (
 	"math"
 )
 
-// Reader reads the uvarint layouts every hostile input of the system
-// is written in: frame payloads, packed row records, the store's
-// manifest records and job images, and the key file's length prefix.
-// The first malformed field sets the Reader's error, which wraps the
-// sentinel it was made with, and ends the input, so every later read
-// returns a zero value and loops over counts read after it end at once.
-// Byte strings are returned in place, each capped at its own length.
+// Reader reads a layout field by field: uvarints and the byte strings
+// and list counts behind them (frame payloads, packed row records, the
+// store's manifest records and job images, the key file's length
+// prefix), and big-endian uint32s and the byte strings and counts
+// behind those (the SSE index and token map, token and row-ciphertext
+// headers, the scheme header and the master key). The first malformed
+// field sets the Reader's error, which wraps the sentinel it was made
+// with, and ends the input, so every later read returns a zero value
+// and loops over counts read after it end at once. Every bound is
+// compared as a uint64, so no count can turn negative on a 32-bit
+// build. Byte strings are returned in place, each capped at its own
+// length.
 type Reader struct {
 	b []byte
 	// off is where b's unread bytes start. Reading advances an integer,
@@ -34,6 +43,9 @@ func (r *Reader) Fail(format string, args ...any) {
 	}
 	r.off = len(r.b)
 }
+
+// Err returns the first error, or nil.
+func (r *Reader) Err() error { return r.err }
 
 // left is the number of unread bytes.
 func (r *Reader) left() int { return len(r.b) - r.off }
@@ -82,6 +94,15 @@ func (r *Reader) uvarintLong() uint64 {
 	return x
 }
 
+// Uint32 reads a big-endian uint32.
+func (r *Reader) Uint32() uint32 {
+	p := r.Next(4)
+	if p == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint32(p)
+}
+
 // Int reads a uvarint that must fit an int; a negative int is its
 // ten-byte two's complement.
 func (r *Reader) Int() int {
@@ -103,10 +124,15 @@ func (r *Reader) Row() int {
 	return int(x)
 }
 
-// Bytes reads a length-prefixed byte string in place; an empty one is
-// nil.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
+// Bytes reads a byte string behind its uvarint length in place; an
+// empty one is nil.
+func (r *Reader) Bytes() []byte { return r.bytes(r.Uvarint()) }
+
+// Bytes32 reads a byte string behind its uint32 length in place; an
+// empty one is nil.
+func (r *Reader) Bytes32() []byte { return r.bytes(uint64(r.Uint32())) }
+
+func (r *Reader) bytes(n uint64) []byte {
 	if n > uint64(r.left()) {
 		r.Fail("byte string of %d bytes past the end (%d left)", n, r.left())
 		return nil
@@ -114,16 +140,23 @@ func (r *Reader) Bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	return r.Next(int(n))
+	end := r.off + int(n)
+	p := r.b[r.off:end:end]
+	r.off = end
+	return p
 }
 
-// String reads a length-prefixed string (a copy).
+// String reads a string behind its uvarint length (a copy).
 func (r *Reader) String() string { return string(r.Bytes()) }
 
-// Count reads a list length and checks it, before the caller allocates,
-// against the bytes left at min bytes per element.
-func (r *Reader) Count(what string, min int) int {
-	n := r.Uvarint()
+// Count reads a uvarint list length and checks it, before the caller
+// allocates, against the bytes left at min bytes per element.
+func (r *Reader) Count(what string, min int) int { return r.count(r.Uvarint(), what, min) }
+
+// Count32 reads a uint32 list length and checks it as Count does.
+func (r *Reader) Count32(what string, min int) int { return r.count(uint64(r.Uint32()), what, min) }
+
+func (r *Reader) count(n uint64, what string, min int) int {
 	if n > uint64(r.left()/min) {
 		r.Fail("%d %s cannot fit in %d bytes", n, what, r.left())
 		return 0
@@ -131,28 +164,14 @@ func (r *Reader) Count(what string, min int) int {
 	return int(n)
 }
 
-// JobInfo reads the image of a job AppendJobInfo writes.
-func (r *Reader) JobInfo() JobInfo {
-	// A composite literal's calls run left to right, so the fields are
-	// read in declared order.
-	return JobInfo{
-		ID:            r.String(),
-		State:         r.String(),
-		TableA:        r.String(),
-		TableB:        r.String(),
-		RowsDecrypted: r.Int(),
-		StepsDone:     r.Int(),
-		RevealedPairs: r.Int(),
-		ResultRows:    r.Int(),
-		Err:           r.String(),
-		CreatedUnix:   int64(r.Uvarint()),
-		StartedUnix:   int64(r.Uvarint()),
-		FinishedUnix:  int64(r.Uvarint()),
-	}
-}
-
 // AppendBytes appends p behind its uvarint length, the layout Bytes and
 // String read.
 func AppendBytes[T string | []byte](dst []byte, p T) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(p))), p...)
+}
+
+// AppendBytes32 appends p behind its big-endian uint32 length, the
+// layout Bytes32 reads.
+func AppendBytes32[T string | []byte](dst []byte, p T) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(len(p))), p...)
 }

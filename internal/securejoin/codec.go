@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bn256"
 	"repro/internal/ipe"
+	"repro/internal/layout"
 )
 
 // Wire encodings for tokens and row ciphertexts, used by the TCP
@@ -17,18 +18,16 @@ import (
 
 const elemSize = 64
 
-// ErrBadEncoding is wrapped by every error Token.UnmarshalBinary and
-// RowCiphertext.UnmarshalBinary return: the bytes are not a well-formed
-// encoding.
+// ErrBadEncoding is wrapped by every error Token.UnmarshalBinary,
+// RowCiphertext.UnmarshalBinary and LoadScheme return for bytes that
+// are not a well-formed encoding.
 var ErrBadEncoding = errors.New("securejoin: malformed encoding")
 
 // MarshalBinary encodes the token.
 func (t *Token) MarshalBinary() ([]byte, error) {
-	n := len(t.Tk.Elems)
-	out := make([]byte, 4, 4+n*elemSize)
-	binary.BigEndian.PutUint32(out, uint32(n))
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(t.Tk.Elems)*elemSize), uint32(len(t.Tk.Elems)))
 	for _, e := range t.Tk.Elems {
-		out = append(out, e.Marshal()...)
+		out = e.AppendMarshal(out)
 	}
 	return out, nil
 }
@@ -37,14 +36,26 @@ func (t *Token) MarshalBinary() ([]byte, error) {
 // encoding's length, decoding no element: a server compares the count
 // with the row dimension of the token's table before it pays for
 // UnmarshalBinary.
-func TokenDim(data []byte) (int, error) { return elemCount("token", data) }
+func TokenDim(data []byte) (int, error) {
+	n, _, err := readElems("token", data)
+	return n, err
+}
+
+// readElems reads an encoding's element count and the body holding
+// exactly that many elements.
+func readElems(what string, data []byte) (int, []byte, error) {
+	r := layout.NewReader(data, ErrBadEncoding)
+	n := r.Count32(what+" elements", elemSize)
+	body := r.Next(n * elemSize)
+	return n, body, r.Done()
+}
 
 // UnmarshalBinary decodes a token produced by MarshalBinary, validating
 // every group element (G2 subgroup membership included, so a malicious
 // encoder cannot smuggle points of small order) in one
 // bn256.UnmarshalG2s call. An error names the lowest failing element.
 func (t *Token) UnmarshalBinary(data []byte) error {
-	n, err := elemCount("token", data)
+	n, body, err := readElems("token", data)
 	if err != nil {
 		return err
 	}
@@ -52,7 +63,7 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 	for i := range elems {
 		elems[i] = new(bn256.G2)
 	}
-	if i, err := bn256.UnmarshalG2s(data[4:], elems); err != nil {
+	if i, err := bn256.UnmarshalG2s(body, elems); err != nil {
 		return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
 	}
 	t.Tk = &ipe.Token{Elems: elems}
@@ -61,11 +72,9 @@ func (t *Token) UnmarshalBinary(data []byte) error {
 
 // MarshalBinary encodes the row ciphertext.
 func (ct *RowCiphertext) MarshalBinary() ([]byte, error) {
-	n := len(ct.C.Elems)
-	out := make([]byte, 4, 4+n*elemSize)
-	binary.BigEndian.PutUint32(out, uint32(n))
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 4+len(ct.C.Elems)*elemSize), uint32(len(ct.C.Elems)))
 	for _, e := range ct.C.Elems {
-		out = append(out, e.Marshal()...)
+		out = e.AppendMarshal(out)
 	}
 	return out, nil
 }
@@ -74,30 +83,17 @@ func (ct *RowCiphertext) MarshalBinary() ([]byte, error) {
 // validating every group element. G1 has cofactor 1, so the curve
 // equation is the whole membership check.
 func (ct *RowCiphertext) UnmarshalBinary(data []byte) error {
-	n, err := elemCount("ciphertext", data)
+	n, body, err := readElems("ciphertext", data)
 	if err != nil {
 		return err
 	}
 	elems := make([]*bn256.G1, n)
 	for i := range elems {
 		elems[i] = new(bn256.G1)
-		if err := elems[i].Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
+		if err := elems[i].Unmarshal(body[i*elemSize : (i+1)*elemSize]); err != nil {
 			return fmt.Errorf("%w: ciphertext element %d: %w", ErrBadEncoding, i, err)
 		}
 	}
 	ct.C = &ipe.CiphertextM{Elems: elems}
 	return nil
-}
-
-// elemCount reads the element count of an encoding and checks that the
-// body holds exactly that many elements.
-func elemCount(what string, data []byte) (int, error) {
-	if len(data) < 4 {
-		return 0, fmt.Errorf("%w: %s encoding too short", ErrBadEncoding, what)
-	}
-	n := int(binary.BigEndian.Uint32(data))
-	if len(data)-4 != n*elemSize {
-		return 0, fmt.Errorf("%w: %s encoding has %d trailing bytes, want %d", ErrBadEncoding, what, len(data)-4, n*elemSize)
-	}
-	return n, nil
 }

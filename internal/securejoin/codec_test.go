@@ -156,13 +156,13 @@ func FuzzTokenUnmarshal(f *testing.F) {
 // data, reached the element-wise way: the count check, then each element
 // through (*bn256.G2).Unmarshal in order, the first failure named.
 func tokenErrorElementwise(data []byte) error {
-	n, err := elemCount("token", data)
+	n, body, err := readElems("token", data)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < n; i++ {
 		var e bn256.G2
-		if err := e.Unmarshal(data[4+i*elemSize : 4+(i+1)*elemSize]); err != nil {
+		if err := e.Unmarshal(body[i*elemSize : (i+1)*elemSize]); err != nil {
 			return fmt.Errorf("%w: token element %d: %w", ErrBadEncoding, i, err)
 		}
 	}

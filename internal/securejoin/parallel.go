@@ -12,13 +12,14 @@ import (
 // (Section 6.5: per-row work parallelizes trivially). A "row" here is
 // the caller's unit: SJ.Dec deals chunks of rows (bn256.RowChunk) and
 // SJ.Enc blocks of rows (Scheme.BlockRows). It runs row(i) for every i
-// in [0, n) on up to workers goroutines (0 means GOMAXPROCS). Rows are fed in order and feeding stops once a row
-// fails, so every row below the first failure has run and the error
-// returned is the lowest failing row's, as in the plain loop. row(i)
-// must write only row i's output and read no rng: callers draw
-// randomness before the pool, in row order, so seeded outputs do not
-// depend on the worker count. With one worker, or n <= 1, it is the
-// plain loop on the calling goroutine.
+// in [0, n) on up to workers goroutines (0 means GOMAXPROCS), the
+// calling goroutine one of them. Workers claim rows in increasing order
+// from one counter and claim none once a row has failed, so every row
+// below the first failure has run and the error returned is the lowest
+// failing row's, as in the plain loop. row(i) must write only row i's
+// output and read no rng: callers draw randomness before the pool, in
+// row order, so seeded outputs do not depend on the worker count. With
+// one worker, or n <= 1, it is the plain loop on the calling goroutine.
 func ForEachRow(n, workers int, row func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -35,32 +36,34 @@ func ForEachRow(n, workers int, row func(i int) error) error {
 		return nil
 	}
 
-	// Each worker keeps its first failure, which is its lowest: a
-	// worker receives rows in increasing order.
+	// Each worker stops at its first failure, which is its lowest: a
+	// worker claims rows in increasing order.
 	errs := make([]error, workers)
 	errRows := make([]int, workers)
+	var next atomic.Int64
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if errs[w] != nil {
-					continue
-				}
-				if err := row(i); err != nil {
-					errs[w], errRows[w] = err, i
-					failed.Store(true)
-				}
+	work := func(w int) {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
-		}(w)
+			if err := row(i); err != nil {
+				errs[w], errRows[w] = err, i
+				failed.Store(true)
+				return
+			}
+		}
 	}
-	for i := 0; i < n && !failed.Load(); i++ {
-		next <- i
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
-	close(next)
+	work(0)
 	wg.Wait()
 
 	var first error

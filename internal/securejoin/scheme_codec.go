@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/ipe"
+	"repro/internal/layout"
 )
 
 // Scheme (master key) serialization, so a client can persist its key
@@ -18,32 +19,31 @@ func (s *Scheme) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 8, 8+len(mskBytes))
-	binary.BigEndian.PutUint32(out[0:4], uint32(s.params.M))
-	binary.BigEndian.PutUint32(out[4:8], uint32(s.params.T))
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, 8+len(mskBytes)), uint32(s.params.M))
+	out = binary.BigEndian.AppendUint32(out, uint32(s.params.T))
 	return append(out, mskBytes...), nil
 }
 
-// LoadScheme reconstructs a scheme from MarshalBinary output. rng
-// supplies randomness for subsequent operations (nil = crypto/rand).
+// LoadScheme reconstructs a scheme from MarshalBinary output; every
+// error wraps ErrBadEncoding. rng supplies randomness for subsequent
+// operations (nil = crypto/rand).
 func LoadScheme(data []byte, rng io.Reader) (*Scheme, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("securejoin: scheme encoding too short")
-	}
-	params := Params{
-		M: int(binary.BigEndian.Uint32(data[0:4])),
-		T: int(binary.BigEndian.Uint32(data[4:8])),
+	r := layout.NewReader(data, ErrBadEncoding)
+	params := Params{M: int(r.Uint32()), T: int(r.Uint32())}
+	mskBytes := r.Rest()
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadEncoding, err)
 	}
 	msk := &ipe.MasterKey{}
-	if err := msk.UnmarshalBinary(data[8:]); err != nil {
-		return nil, err
+	if err := msk.UnmarshalBinary(mskBytes); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadEncoding, err)
 	}
 	if msk.N != params.Dim() {
-		return nil, fmt.Errorf("securejoin: master key dimension %d does not match params dimension %d",
-			msk.N, params.Dim())
+		return nil, fmt.Errorf("%w: master key dimension %d does not match params dimension %d",
+			ErrBadEncoding, msk.N, params.Dim())
 	}
 	return &Scheme{params: params, msk: msk, rng: rng}, nil
 }

@@ -5,106 +5,60 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+
+	"repro/internal/layout"
 )
 
 // Wire encodings for the SSE pre-filter: the Index (uploaded alongside
 // a table) and per-attribute search-token lists (carried by prefiltered
-// join requests). Both are counted sequences of length-prefixed byte
-// strings, sorted so the encodings are deterministic. Both arrive from
-// a peer, so the decoders bound every count by the bytes left before
-// allocating and accept only the sorted, duplicate-free encoding the
-// encoders write.
+// join requests). Both are counted sequences of byte strings, each
+// count and length a big-endian uint32, sorted so the encodings are
+// deterministic. Both arrive from a peer, so the decoders read them
+// through layout.Reader, which bounds every count by the bytes left
+// before anything is allocated, and accept only the sorted,
+// duplicate-free encoding the encoders write.
 
-// minIndexEntryBytes and minTokenAttrBytes are the smallest encodings
-// of an index entry (two empty length-prefixed strings) and of a token
-// map attribute (its number and an empty token count).
+// minIndexEntryBytes, minTokenAttrBytes and minTokenBytes are the
+// smallest encodings of an index entry (two empty byte strings), of a
+// token map attribute (its number and an empty token count) and of a
+// search token (two empty byte strings).
 const (
 	minIndexEntryBytes = 8
 	minTokenAttrBytes  = 8
+	minTokenBytes      = 8
 )
-
-// MarshalBinary encodes the index.
-func (idx *Index) MarshalBinary() ([]byte, error) {
-	keys := make([]string, 0, len(idx.postings))
-	for k := range idx.postings {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var out []byte
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(keys)))
-	out = append(out, n[:]...)
-	for _, k := range keys {
-		v := idx.postings[k]
-		binary.BigEndian.PutUint32(n[:], uint32(len(k)))
-		out = append(out, n[:]...)
-		out = append(out, k...)
-		binary.BigEndian.PutUint32(n[:], uint32(len(v)))
-		out = append(out, n[:]...)
-		out = append(out, v...)
-	}
-	return out, nil
-}
 
 // ErrBadEncoding is wrapped by every error Index.UnmarshalBinary and
 // UnmarshalTokenMap return: the bytes are not a well-formed encoding.
 var ErrBadEncoding = errors.New("sse: malformed encoding")
 
+// MarshalBinary encodes the index.
+func (idx *Index) MarshalBinary() ([]byte, error) {
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(idx.postings)))
+	for _, k := range slices.Sorted(maps.Keys(idx.postings)) {
+		out = layout.AppendBytes32(layout.AppendBytes32(out, k), idx.postings[k])
+	}
+	return out, nil
+}
+
 // UnmarshalBinary decodes an index produced by MarshalBinary.
 func (idx *Index) UnmarshalBinary(data []byte) error {
-	readUint := func() (uint32, error) {
-		if len(data) < 4 {
-			return 0, fmt.Errorf("%w: truncated index encoding", ErrBadEncoding)
-		}
-		v := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		return v, nil
-	}
-	readBytes := func(n uint32) ([]byte, error) {
-		if uint32(len(data)) < n {
-			return nil, fmt.Errorf("%w: truncated index encoding", ErrBadEncoding)
-		}
-		b := data[:n]
-		data = data[n:]
-		return b, nil
-	}
-
-	count, err := readUint()
-	if err != nil {
-		return err
-	}
-	if count > uint32(len(data)/minIndexEntryBytes) {
-		return fmt.Errorf("%w: %d index entries cannot fit in %d bytes", ErrBadEncoding, count, len(data))
-	}
-	postings := make(map[string][]byte, count)
+	r := layout.NewReader(data, ErrBadEncoding)
+	n := r.Count32("index entries", minIndexEntryBytes)
+	postings := make(map[string][]byte, n)
 	var prev []byte
-	for i := uint32(0); i < count; i++ {
-		klen, err := readUint()
-		if err != nil {
-			return err
-		}
-		k, err := readBytes(klen)
-		if err != nil {
-			return err
-		}
-		vlen, err := readUint()
-		if err != nil {
-			return err
-		}
-		v, err := readBytes(vlen)
-		if err != nil {
-			return err
-		}
+	for i := range n {
+		k, v := r.Bytes32(), r.Bytes32()
 		if i > 0 && bytes.Compare(k, prev) <= 0 {
-			return fmt.Errorf("%w: index keys out of order or repeated at entry %d", ErrBadEncoding, i)
+			r.Fail("index keys out of order or repeated at entry %d", i)
 		}
 		prev = k
-		postings[string(k)] = append([]byte(nil), v...)
+		postings[string(k)] = bytes.Clone(v)
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in index encoding", ErrBadEncoding, len(data))
+	if err := r.Done(); err != nil {
+		return err
 	}
 	idx.postings = postings
 	return nil
@@ -115,104 +69,42 @@ func (idx *Index) UnmarshalBinary(data []byte) error {
 // for transport inside a join request. Attributes are sorted so the
 // encoding is deterministic.
 func MarshalTokenMap(tokens map[int][]SearchToken) ([]byte, error) {
-	attrs := make([]int, 0, len(tokens))
-	for a := range tokens {
-		if a < 0 {
-			return nil, fmt.Errorf("sse: negative attribute %d in token map", a)
-		}
-		attrs = append(attrs, a)
+	attrs := slices.Sorted(maps.Keys(tokens))
+	if len(attrs) > 0 && attrs[0] < 0 {
+		return nil, fmt.Errorf("sse: negative attribute %d in token map", attrs[0])
 	}
-	sort.Ints(attrs)
-
-	var out []byte
-	var n [4]byte
-	putUint := func(v uint32) {
-		binary.BigEndian.PutUint32(n[:], v)
-		out = append(out, n[:]...)
-	}
-	putBytes := func(b []byte) {
-		putUint(uint32(len(b)))
-		out = append(out, b...)
-	}
-	putUint(uint32(len(attrs)))
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(attrs)))
 	for _, a := range attrs {
-		putUint(uint32(a))
-		putUint(uint32(len(tokens[a])))
+		out = binary.BigEndian.AppendUint32(out, uint32(a))
+		out = binary.BigEndian.AppendUint32(out, uint32(len(tokens[a])))
 		for _, st := range tokens[a] {
-			putBytes(st.Token)
-			putBytes(st.Key)
+			out = layout.AppendBytes32(layout.AppendBytes32(out, st.Token), st.Key)
 		}
 	}
 	return out, nil
 }
 
-// UnmarshalTokenMap decodes MarshalTokenMap output.
+// UnmarshalTokenMap decodes MarshalTokenMap output. The tokens are
+// copies: none aliases data.
 func UnmarshalTokenMap(data []byte) (map[int][]SearchToken, error) {
-	readUint := func() (uint32, error) {
-		if len(data) < 4 {
-			return 0, fmt.Errorf("%w: truncated token map encoding", ErrBadEncoding)
-		}
-		v := binary.BigEndian.Uint32(data)
-		data = data[4:]
-		return v, nil
-	}
-	readBytes := func() ([]byte, error) {
-		n, err := readUint()
-		if err != nil {
-			return nil, err
-		}
-		if uint32(len(data)) < n {
-			return nil, fmt.Errorf("%w: truncated token map encoding", ErrBadEncoding)
-		}
-		b := append([]byte(nil), data[:n]...)
-		data = data[n:]
-		return b, nil
-	}
-
-	nattrs, err := readUint()
-	if err != nil {
-		return nil, err
-	}
-	if nattrs > uint32(len(data)/minTokenAttrBytes) {
-		return nil, fmt.Errorf("%w: %d token map attributes cannot fit in %d bytes", ErrBadEncoding, nattrs, len(data))
-	}
-	out := make(map[int][]SearchToken, nattrs)
-	var prev uint32
-	for i := uint32(0); i < nattrs; i++ {
-		attr, err := readUint()
-		if err != nil {
-			return nil, err
-		}
-		ntoks, err := readUint()
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && attr <= prev {
-			return nil, fmt.Errorf("%w: token map attribute %d out of order or repeated", ErrBadEncoding, attr)
+	r := layout.NewReader(data, ErrBadEncoding)
+	n := r.Count32("token map attributes", minTokenAttrBytes)
+	out := make(map[int][]SearchToken, n)
+	prev := int64(-1)
+	for range n {
+		attr := int64(r.Uint32())
+		toks := make([]SearchToken, r.Count32("search tokens", minTokenBytes))
+		if attr <= prev {
+			r.Fail("token map attribute %d out of order or repeated", attr)
 		}
 		prev = attr
-		// Each token costs at least 8 encoded bytes, so the remaining
-		// input bounds the preallocation against a hostile count.
-		capHint := ntoks
-		if max := uint32(len(data) / 8); capHint > max {
-			capHint = max
-		}
-		toks := make([]SearchToken, 0, capHint)
-		for j := uint32(0); j < ntoks; j++ {
-			tok, err := readBytes()
-			if err != nil {
-				return nil, err
-			}
-			key, err := readBytes()
-			if err != nil {
-				return nil, err
-			}
-			toks = append(toks, SearchToken{Token: tok, Key: key})
+		for j := range toks {
+			toks[j] = SearchToken{Token: bytes.Clone(r.Bytes32()), Key: bytes.Clone(r.Bytes32())}
 		}
 		out[int(attr)] = toks
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in token map encoding", ErrBadEncoding, len(data))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/layout"
 	"repro/internal/leakage"
 	"repro/internal/wire"
 )
@@ -33,7 +34,7 @@ import (
 //	opLedger     uvarint class count; per class a uvarint row count,
 //	             then per row its table name and uvarint row index
 //
-// parseRecord reads a payload with wire.Reader, the reader of every
+// parseRecord reads a payload with layout.Reader, the reader of every
 // frame and row record, and treats it as hostile. Every value has one
 // encoding, so a payload it accepts re-encodes to the same bytes.
 // DESIGN.md has the same tables.
@@ -82,21 +83,21 @@ func appendRecord(dst []byte, rec *record) []byte {
 	dst = binary.AppendUvarint(dst, rec.Seq)
 	switch rec.Op {
 	case opCommit:
-		dst = wire.AppendBytes(dst, rec.Table)
-		dst = wire.AppendBytes(dst, rec.Snapshot)
-		dst = wire.AppendBytes(dst, rec.Digest)
+		dst = layout.AppendBytes(dst, rec.Table)
+		dst = layout.AppendBytes(dst, rec.Snapshot)
+		dst = layout.AppendBytes(dst, rec.Digest)
 	case opJob:
-		dst = wire.AppendBytes(dst, rec.Snapshot)
-		dst = wire.AppendBytes(dst, rec.Digest)
+		dst = layout.AppendBytes(dst, rec.Snapshot)
+		dst = layout.AppendBytes(dst, rec.Digest)
 		dst = wire.AppendJobInfo(dst, &rec.Job)
 	case opJobDelete:
-		dst = wire.AppendBytes(dst, rec.Job.ID)
+		dst = layout.AppendBytes(dst, rec.Job.ID)
 	case opLedger:
 		dst = binary.AppendUvarint(dst, uint64(len(rec.Merges)))
 		for _, class := range rec.Merges {
 			dst = binary.AppendUvarint(dst, uint64(len(class)))
 			for _, ref := range class {
-				dst = wire.AppendBytes(dst, ref.Table)
+				dst = layout.AppendBytes(dst, ref.Table)
 				dst = binary.AppendUvarint(dst, uint64(ref.Row))
 			}
 		}
@@ -152,14 +153,14 @@ func readRecord(br *bufio.Reader) (*record, int64, error) {
 // and count is checked against the bytes left before anything is
 // allocated, and trailing bytes are an error. Digests alias payload.
 func parseRecord(payload []byte) (*record, error) {
-	r := wire.NewReader(payload, errBadRecord)
+	r := layout.NewReader(payload, errBadRecord)
 	op, seq := r.Uvarint(), r.Uvarint()
 	rec := &record{Op: uint8(op), Seq: seq}
 	switch op {
 	case opCommit:
 		rec.Table, rec.Snapshot, rec.Digest = r.String(), r.String(), r.Bytes()
 	case opJob:
-		rec.Snapshot, rec.Digest, rec.Job = r.String(), r.Bytes(), r.JobInfo()
+		rec.Snapshot, rec.Digest, rec.Job = r.String(), r.Bytes(), wire.ReadJobInfo(&r)
 	case opJobDelete:
 		rec.Job.ID = r.String()
 	case opLedger:

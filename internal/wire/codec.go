@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+
+	"repro/internal/layout"
 )
 
 // The frame codec. A frame payload is one message: a kind byte, then
@@ -229,11 +231,31 @@ func (e *encoder) job(j *JobInfo) {
 // AppendJobInfo appends the image of j a Frame's Job field carries (its
 // fields in declared order, as the frame codec writes them) to dst. The
 // store's job records hold the same image, so a job's record on disk
-// and its JobStatus answer are one encoding; Reader.JobInfo reads it.
+// and its JobStatus answer are one encoding; ReadJobInfo reads it.
 func AppendJobInfo(dst []byte, j *JobInfo) []byte {
 	e := encoder{b: dst}
 	e.job(j)
 	return e.b
+}
+
+// ReadJobInfo reads the image of a job AppendJobInfo writes.
+func ReadJobInfo(r *layout.Reader) JobInfo {
+	// A composite literal's calls run left to right, so the fields are
+	// read in declared order.
+	return JobInfo{
+		ID:            r.String(),
+		State:         r.String(),
+		TableA:        r.String(),
+		TableB:        r.String(),
+		RowsDecrypted: r.Int(),
+		StepsDone:     r.Int(),
+		RevealedPairs: r.Int(),
+		ResultRows:    r.Int(),
+		Err:           r.String(),
+		CreatedUnix:   int64(r.Uvarint()),
+		StartedUnix:   int64(r.Uvarint()),
+		FinishedUnix:  int64(r.Uvarint()),
+	}
 }
 
 func (e *encoder) uvarint(x uint64) {
@@ -315,7 +337,7 @@ func (e *encoder) limit(what string, n, max int) {
 // unmarshal decodes one frame payload into v, which must be a *Hello,
 // *HelloAck, *Request or *Frame; every field of *v is overwritten.
 func unmarshal(b []byte, v any) error {
-	d := decoder{NewReader(b, ErrBadFrame)}
+	d := decoder{layout.NewReader(b, ErrBadFrame)}
 	kind := d.Uvarint()
 	switch m := v.(type) {
 	case *Hello:
@@ -336,15 +358,15 @@ func unmarshal(b []byte, v any) error {
 	return d.Done()
 }
 
-// decoder reads one message with the Reader's primitives, adding the
-// frame codec's own: bools, presence bytes, float64s and the capped
+// decoder reads one message with layout.Reader's primitives, adding
+// the frame codec's own: bools, presence bytes, float64s and the capped
 // fields.
 type decoder struct {
-	Reader
+	layout.Reader
 }
 
 func (d *decoder) kind(got uint64, want int) {
-	if got != uint64(want) && d.err == nil {
+	if got != uint64(want) && d.Err() == nil {
 		d.Fail("message kind %d, want %d", got, want)
 	}
 }
@@ -437,7 +459,7 @@ func (d *decoder) batch() *JoinBatch {
 		return nil
 	}
 	rec := d.Bytes()
-	if d.err != nil {
+	if d.Err() != nil {
 		return nil
 	}
 	rows, err := ParseRows(rec)
@@ -498,7 +520,7 @@ func (d *decoder) job() *JobInfo {
 	if !d.present() {
 		return nil
 	}
-	j := d.JobInfo()
+	j := ReadJobInfo(&d.Reader)
 	return &j
 }
 

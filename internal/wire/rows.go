@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/bits"
 	"slices"
+
+	"repro/internal/layout"
 )
 
 // The packed row record is the one binary image of a list of join
@@ -39,8 +41,8 @@ func AppendRows(dst []byte, rows []JoinedRow) []byte {
 		r := &rows[i]
 		dst = binary.AppendUvarint(dst, uint64(r.RowA))
 		dst = binary.AppendUvarint(dst, uint64(r.RowB))
-		dst = AppendBytes(dst, r.PayloadA)
-		dst = AppendBytes(dst, r.PayloadB)
+		dst = layout.AppendBytes(dst, r.PayloadA)
+		dst = layout.AppendBytes(dst, r.PayloadB)
 	}
 	return dst
 }
@@ -49,7 +51,7 @@ func AppendRows(dst []byte, rows []JoinedRow) []byte {
 // returned rows' payloads alias b (each capped at its own length), so b
 // must not be modified while they are in use.
 func ParseRows(b []byte) ([]JoinedRow, error) {
-	r := NewReader(b, ErrBadRows)
+	r := layout.NewReader(b, ErrBadRows)
 	rows := make([]JoinedRow, r.Count("rows", minRowBytes))
 	for i := range rows {
 		// Field by field: a whole-struct store into the heap slice would
