@@ -58,10 +58,7 @@ func TestGFpEdgeValues(t *testing.T) {
 		{new(big.Int).Add(P, one), one},
 		{new(big.Int).Sub(new(big.Int).Lsh(P, 1), one), pm1},
 	} {
-		var e gfP
-		for i, w := range c.in.Bits() {
-			e[i] = uint64(w)
-		}
+		e := rawGFp(c.in)
 		e.reduceOnce()
 		if got := rawBig(&e); got.Cmp(c.want) != 0 {
 			t.Fatalf("reduceOnce(%v) = %v, want %v", c.in, got, c.want)
@@ -376,13 +373,7 @@ func checkTowerKernels(t testing.TB, o towerOperands) {
 
 // rawGFp loads n < 2^256 into limbs as is: no reduction, no Montgomery
 // conversion.
-func rawGFp(n *big.Int) gfP {
-	var e gfP
-	for i, w := range n.Bits() {
-		e[i] = uint64(w)
-	}
-	return e
-}
+func rawGFp(n *big.Int) gfP { return limbs(n) }
 
 // rawBig returns the raw limbs of e as an integer, without Montgomery
 // decoding.

@@ -31,13 +31,8 @@ func initGFp() {
 	if P.BitLen() > 256 {
 		panic("bn256: prime does not fit in four limbs")
 	}
-	pLimbs, p2Limbs = [4]uint64{}, [4]uint64{}
-	for i, w := range P.Bits() {
-		pLimbs[i] = uint64(w)
-	}
-	for i, w := range new(big.Int).Lsh(P, 1).Bits() {
-		p2Limbs[i] = uint64(w)
-	}
+	pLimbs = limbs(P)
+	p2Limbs = limbs(new(big.Int).Lsh(P, 1))
 
 	// np = -p^-1 mod 2^64 via Newton iteration on the low limb.
 	inv := pLimbs[0] // p is odd, so p^-1 mod 2 == 1 == pLimbs[0] mod 2
@@ -54,10 +49,20 @@ func initGFp() {
 	rBig := new(big.Int).Mod(big256, P)
 	rOne = gfPFromRawBig(rBig)
 
-	pMinus2 = [4]uint64{}
-	for i, w := range new(big.Int).Sub(P, big.NewInt(2)).Bits() {
-		pMinus2[i] = uint64(w)
+	pMinus2 = limbs(new(big.Int).Sub(P, big.NewInt(2)))
+}
+
+// limbs returns 0 <= n < 2^256 as four little-endian 64-bit limbs. It
+// reads n's big-endian bytes, not its Words, whose width is the
+// platform's: eight 32-bit words on a 32-bit build.
+func limbs(n *big.Int) [4]uint64 {
+	var b [32]byte
+	n.FillBytes(b[:])
+	var l [4]uint64
+	for i := range l {
+		l[i] = binary.BigEndian.Uint64(b[32-8*(i+1):])
 	}
+	return l
 }
 
 // gfPFromRawBig loads a reduced big.Int into limbs without Montgomery
@@ -66,11 +71,7 @@ func gfPFromRawBig(n *big.Int) gfP {
 	if n.Sign() < 0 || n.Cmp(P) >= 0 {
 		panic("bn256: value out of range")
 	}
-	var e gfP
-	for i, w := range n.Bits() {
-		e[i] = uint64(w)
-	}
-	return e
+	return limbs(n)
 }
 
 // newGFp converts a small signed integer into a Montgomery-form field

@@ -427,10 +427,12 @@ func (s *JoinStream) Next() ([]JoinResult, error) {
 		s.revealed = f.Summary.RevealedPairs
 		return nil, io.EOF
 	case f.Batch != nil:
+		// The payloads alias the frame buffer Recv allocated for this
+		// frame alone, so they are opened in place.
 		out := make([]JoinResult, len(f.Batch.Rows))
 		for i := range f.Batch.Rows {
 			r := &f.Batch.Rows[i]
-			pa, pb, err := s.c.keys.OpenRow(r)
+			pa, pb, err := s.c.keys.OpenRowInPlace(r)
 			if err != nil {
 				s.err = fmt.Errorf("client: opening result %d: %w", i, err)
 				s.abort()

@@ -198,32 +198,61 @@ func (c *Client) NewQuery(selA, selB securejoin.Selection) (*securejoin.Query, e
 	return c.scheme.NewQuery(selA, selB)
 }
 
-// OpenPayload decrypts a payload blob from a join result. A blob that
-// fails authentication yields an error wrapping ErrPayloadAuth.
+// OpenPayload decrypts a payload blob from a join result into a new
+// slice. A blob that fails authentication yields an error wrapping
+// ErrPayloadAuth.
 func (c *Client) OpenPayload(sealed []byte) ([]byte, error) {
+	return c.openPayload(sealed, false)
+}
+
+// openPayload decrypts sealed, into its own ciphertext bytes when
+// inPlace is set. The plaintext is capped at its own length, so an
+// append to it never writes past it.
+func (c *Client) openPayload(sealed []byte, inPlace bool) ([]byte, error) {
 	ns := c.payloadAEAD.NonceSize()
 	if len(sealed) < ns {
 		return nil, fmt.Errorf("%w: sealed payload shorter than nonce", ErrPayloadAuth)
 	}
-	pt, err := c.payloadAEAD.Open(nil, sealed[:ns], sealed[ns:], nil)
+	nonce, ct := sealed[:ns], sealed[ns:]
+	var dst []byte
+	if inPlace {
+		dst = ct[:0]
+	}
+	pt, err := c.payloadAEAD.Open(dst, nonce, ct, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrPayloadAuth, err)
 	}
-	return pt, nil
+	return pt[:len(pt):len(pt)], nil
 }
 
-// OpenRow opens both sealed payloads of a join result row. A sealed
-// payload is never empty (it holds at least a nonce and a tag), so an
-// empty one is a side whose payload the server skipped (a key-only
-// projection): it stays nil.
+// OpenRow opens both sealed payloads of a join result row into new
+// slices, leaving r's bytes as they are: the opener of bytes it does
+// not own, such as the server's table payloads an in-process join
+// returns. A sealed payload is never empty (it holds at least a nonce
+// and a tag), so an empty one is a side whose payload the server
+// skipped (a key-only projection): it stays nil.
 func (c *Client) OpenRow(r *JoinedRow) (pa, pb []byte, err error) {
+	return c.openRow(r, false)
+}
+
+// OpenRowInPlace opens both sealed payloads of r as OpenRow does, but
+// decrypts each over its own ciphertext: the plaintexts alias r's
+// payloads, each capped at its own length, and the sealed bytes are
+// gone (zeroed, for a payload that fails authentication). Only the
+// owner of those bytes may call it — a client on the frame buffer Recv
+// allocated for it.
+func (c *Client) OpenRowInPlace(r *JoinedRow) (pa, pb []byte, err error) {
+	return c.openRow(r, true)
+}
+
+func (c *Client) openRow(r *JoinedRow, inPlace bool) (pa, pb []byte, err error) {
 	if len(r.PayloadA) > 0 {
-		if pa, err = c.OpenPayload(r.PayloadA); err != nil {
+		if pa, err = c.openPayload(r.PayloadA, inPlace); err != nil {
 			return nil, nil, fmt.Errorf("payload A of row %d: %w", r.RowA, err)
 		}
 	}
 	if len(r.PayloadB) > 0 {
-		if pb, err = c.OpenPayload(r.PayloadB); err != nil {
+		if pb, err = c.openPayload(r.PayloadB, inPlace); err != nil {
 			return nil, nil, fmt.Errorf("payload B of row %d: %w", r.RowB, err)
 		}
 	}

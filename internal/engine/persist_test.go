@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -215,6 +217,24 @@ func TestLoadTableRejectsCorruption(t *testing.T) {
 		case !strings.Contains(err.Error(), c.want):
 			t.Errorf("%s: error %q, want it to say %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestLoadTableAllocatesWhatArrives: a 7-byte snapshot whose first
+// header announces a frame of wire.MaxFrameSize bytes is refused
+// without a buffer of that size.
+func TestLoadTableAllocatesWhatArrives(t *testing.T) {
+	data := binary.BigEndian.AppendUint32(nil, wire.MaxFrameSize)
+	data = append(data, 3, 0, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadTable(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTruncatedFrame) {
+		t.Fatalf("got %v, want wire.ErrTruncatedFrame", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 2<<20 {
+		t.Fatalf("LoadTable of a 7-byte input allocated %d bytes", n)
 	}
 }
 

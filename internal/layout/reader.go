@@ -50,6 +50,10 @@ func (r *Reader) Err() error { return r.err }
 // left is the number of unread bytes.
 func (r *Reader) left() int { return len(r.b) - r.off }
 
+// Offset is the number of bytes read so far: where the next field
+// starts in the input.
+func (r *Reader) Offset() int { return r.off }
+
 // Done returns the first error, or one for any bytes left unread.
 func (r *Reader) Done() error {
 	if r.err == nil && r.left() != 0 {

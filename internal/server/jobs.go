@@ -325,7 +325,7 @@ func (s *Server) lookupJob(id string) *job {
 // pinJob resolves a job ID and marks the job attached in the same
 // jobMu critical section, so the TTL reaper cannot delete the job —
 // or, worse, its store spool out from under a concurrent
-// ReadJobRows — between an attach's lookup and its streaming. Callers
+// ReadJobSpool — between an attach's lookup and its streaming. Callers
 // must pair a non-nil return with unpinJob.
 func (s *Server) pinJob(id string) *job {
 	s.jobMu.Lock()
@@ -392,7 +392,7 @@ func (ss *session) handleSubmit(id uint64, sub *wire.SubmitRequest) error {
 func (ss *session) handleAttach(id uint64, jobID string) error {
 	s := ss.srv
 	// Pin, not lookup: without the pin the TTL reaper can DeleteJob the
-	// spool while this attach is between lookup and ReadJobRows, failing
+	// spool while this attach is between lookup and ReadJobSpool, failing
 	// the stream with a raw spool read error instead of a typed
 	// unknown-job. Pinned jobs are deferred to a later reaper tick.
 	j := s.pinJob(jobID)
@@ -414,13 +414,28 @@ func (ss *session) handleAttach(id uint64, jobID string) error {
 	if errMsg != "" {
 		return ss.sendErr(id, fmt.Errorf("job %s failed: %s", jobID, errMsg))
 	}
-	if rows == nil && durable {
+	// A durable job's spool goes to the wire as stored: the store checks
+	// its digest, CutRows checks every row and the count the job's record
+	// gives, and only then does the first frame go out, so a bad spool
+	// costs the client one error frame and nothing else.
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	var rec []byte
+	want := len(rows)
+	if durable {
 		var err error
-		if rows, err = s.store.ReadJobRows(jobID); err != nil {
+		if rec, want, err = s.store.ReadJobSpool(jobID, *buf); err != nil {
 			return ss.sendErr(id, err)
 		}
+	} else {
+		rec = wire.AppendRows((*buf)[:0], rows)
 	}
-	sent, err := ss.sendRowBatches(id, rows)
+	*buf = rec
+	b, err := wire.CutRows(rec, want, s.batch)
+	if err != nil {
+		return ss.sendErr(id, fmt.Errorf("job %s result: %w", jobID, err))
+	}
+	sent, err := ss.sendBatches(id, &b)
 	if err != nil {
 		ss.sendErr(id, fmt.Errorf("streaming result: %v", err))
 		return err

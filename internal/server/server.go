@@ -604,26 +604,44 @@ func parseToken(tk **securejoin.Token, data []byte, n int, t *engine.EncryptedTa
 	return (*tk).UnmarshalBinary(data)
 }
 
-// sendRowBatches streams joined rows to the client re-split into frames
-// bounded by both the configured row count and a byte budget: the
-// engine's batch bounds probe-side rows, but duplicate join keys can
-// multiply the output (skewed keys turn 2 probe rows into thousands of
-// matches), and sealed payloads can be large. Shared by the sync join
-// path and job attachment.
-func (ss *session) sendRowBatches(id uint64, rows []wire.JoinedRow) (int, error) {
+// recordBufs holds the buffers a result stream stages its packed row
+// record in — a spool read for an attach, or rows packed for a frame —
+// between streams. Being a pool, it keeps none of them past two
+// garbage collections on an idle server.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// sendRows streams joined rows to the client: packed into one record
+// (wire.AppendRows) and cut into frames by the one split rule
+// (wire.CutRows), bounded by the configured row count and the byte
+// budget. The engine's batch bounds probe-side rows, but duplicate join
+// keys can multiply the output (skewed keys turn 2 probe rows into
+// thousands of matches), and sealed payloads can be large.
+func (ss *session) sendRows(id uint64, rows []wire.JoinedRow) (int, error) {
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	*buf = wire.AppendRows((*buf)[:0], rows)
+	b, err := wire.CutRows(*buf, len(rows), ss.srv.batch)
+	if err != nil {
+		return 0, err
+	}
+	return ss.sendBatches(id, &b)
+}
+
+// sendBatches writes b's frames, each under the connection's write lock
+// so frames of concurrent requests interleave whole.
+func (ss *session) sendBatches(id uint64, b *wire.Batches) (int, error) {
 	sent := 0
-	for len(rows) > 0 {
-		n, bytes := 0, 0
-		for n < len(rows) && (n == 0 || (n < ss.srv.batch && bytes < wire.FrameByteBudget)) {
-			bytes += len(rows[n].PayloadA) + len(rows[n].PayloadB) + 64
-			n++
-		}
-		ss.srv.met.BatchBytes.Add(uint64(bytes))
-		if err := ss.send(&wire.Frame{ID: id, Batch: &wire.JoinBatch{Rows: rows[:n:n]}}); err != nil {
+	for i := range b.Frames {
+		f := &b.Frames[i]
+		ss.srv.met.BatchBytes.Add(uint64(f.Charge))
+		ss.writeMu.Lock()
+		err := ss.conn.SendBatch(id, b, i)
+		ss.writeMu.Unlock()
+		if err != nil {
 			return sent, err
 		}
-		sent += n
-		rows = rows[n:]
+		ss.srv.met.FramesOut.Inc()
+		sent += f.Rows
 	}
 	return sent, nil
 }
@@ -641,7 +659,7 @@ func (ss *session) joinTask(id uint64, jr *wire.JoinRequest) joinTask {
 		begin:  func() { started = time.Now() },
 		cancel: ss.cancelled(id),
 		sink: func(rows []wire.JoinedRow) error {
-			n, err := ss.sendRowBatches(id, rows)
+			n, err := ss.sendRows(id, rows)
 			sent += n
 			if err != nil {
 				// finish still tries a terminal frame: if the conn is alive

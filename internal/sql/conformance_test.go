@@ -218,6 +218,31 @@ func TestSQLConformanceMultiJoin(t *testing.T) {
 	payloads := [][]engine.PlainRow{teams, employees, offices}
 	eng := srv.Engine()
 	keys := c.Keys()
+	// The in-process runner opens payloads the server's tables hold, so
+	// it must open copies: every sealed payload stays byte-identical.
+	sealed := func() string {
+		ta, tb, err := eng.Tables("Teams", "Employees")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc, _, err := eng.Tables("Offices", "Offices")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tab := range []*engine.EncryptedTable{ta, tb, tc} {
+			for _, r := range tab.Rows {
+				fmt.Fprintf(&b, "%x\n", r.Payload)
+			}
+		}
+		return b.String()
+	}
+	sealedBefore := sealed()
+	t.Cleanup(func() {
+		if sealed() != sealedBefore {
+			t.Error("the in-process runner changed a sealed payload of the server's tables")
+		}
+	})
 
 	for _, cq := range multiJoinQueries {
 		cq := cq

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -106,34 +108,73 @@ func (s *Store) Jobs() []JobMeta {
 	return out
 }
 
-// ReadJobRows loads and verifies one job's spooled result rows. The
-// spool is digest-checked on every read — it is consulted lazily, long
-// after Open, so verification cannot be front-loaded into recovery. A
-// failed job yields its recorded error.
-func (s *Store) ReadJobRows(id string) ([]JobRow, error) {
+// ReadJobSpool reads one job's spool, the packed row record as stored,
+// into dst's array (growing it when short) and checks it against its
+// recorded SHA-256 digest; rows is the row count the job's record
+// gives. The spool is digest-checked on every read — it is consulted
+// lazily, long after Open, so verification cannot be front-loaded into
+// recovery. The record itself is not parsed: a caller that serves it
+// checks it first (wire.CutRows). A failed job yields its recorded
+// error.
+func (s *Store) ReadJobSpool(id string, dst []byte) (rec []byte, rows int, err error) {
 	s.mu.Lock()
 	je, ok := s.jobs[id]
 	dir := s.dir
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("store: unknown job %q", id)
+		return nil, 0, fmt.Errorf("store: unknown job %q", id)
 	}
 	if je.info.Err != "" {
-		return nil, fmt.Errorf("store: job %q failed: %s", id, je.info.Err)
+		return nil, 0, fmt.Errorf("store: job %q failed: %s", id, je.info.Err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, jobsDir, je.snapshot))
+	if rec, err = readFile(filepath.Join(dir, jobsDir, je.snapshot), dst); err != nil {
+		return nil, 0, fmt.Errorf("store: reading job spool: %w", err)
+	}
+	if sum := sha256.Sum256(rec); !bytes.Equal(sum[:], je.digest) {
+		return nil, 0, fmt.Errorf("store: job %q spool checksum mismatch", id)
+	}
+	return rec, je.info.ResultRows, nil
+}
+
+// readFile reads the file at path into dst's array, growing it when
+// the file is longer. A spool never changes once installed, so its
+// size is read once; the digest check catches any other content.
+func readFile(path string, dst []byte) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: reading job spool: %w", err)
+		return nil, err
 	}
-	if sum := sha256.Sum256(data); !bytes.Equal(sum[:], je.digest) {
-		return nil, fmt.Errorf("store: job %q spool checksum mismatch", id)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	rows, err := wire.ParseRows(data)
+	size := int(fi.Size())
+	if int64(size) != fi.Size() {
+		return nil, fmt.Errorf("%d-byte file exceeds the address space", fi.Size())
+	}
+	b := slices.Grow(dst[:0], size)[:size]
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// ReadJobRows reads and verifies one job's spool (ReadJobSpool) and
+// parses its rows, which alias a buffer of their own. The server sends
+// a spool as stored instead; the benchmark's unrolled replay and the
+// store's tests read rows through this.
+func (s *Store) ReadJobRows(id string) ([]JobRow, error) {
+	rec, want, err := s.ReadJobSpool(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := wire.ParseRows(rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: decoding job spool: %w", err)
 	}
-	if len(rows) != je.info.ResultRows {
-		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(rows), je.info.ResultRows)
+	if len(rows) != want {
+		return nil, fmt.Errorf("store: job %q spool holds %d rows, record says %d", id, len(rows), want)
 	}
 	return rows, nil
 }

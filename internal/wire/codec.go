@@ -91,12 +91,17 @@ func marshal(v any) ([]byte, error) {
 }
 
 // encoder writes one message, or with counting set only adds up its
-// size in n.
+// size in n. With packed set it writes a batch frame whose rows' bytes
+// the caller sends from their record itself (Conn.SendBatch): the batch
+// body stops after its length and row count, and cut marks where the
+// rows' bytes go.
 type encoder struct {
 	b        []byte
 	n        int
 	counting bool
 	err      error
+	packed   *BatchFrame
+	cut      int
 }
 
 func (e *encoder) message(v any) {
@@ -319,6 +324,13 @@ func (e *encoder) ints(what string, xs []int) {
 
 // rows writes a batch body: the packed row record behind its length.
 func (e *encoder) rows(rows []JoinedRow) {
+	if f := e.packed; f != nil {
+		count := uint64(f.Rows)
+		e.uvarint(uint64(uvarintLen(count) + f.end - f.start))
+		e.uvarint(count)
+		e.cut = len(e.b)
+		return
+	}
 	n := rowsLen(rows)
 	e.uvarint(uint64(n))
 	if e.counting {

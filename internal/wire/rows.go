@@ -66,6 +66,62 @@ func ParseRows(b []byte) ([]JoinedRow, error) {
 	return rows, nil
 }
 
+// Batches is a packed row record cut into the JoinBatch frames that
+// carry it to a client. A frame's body is its row count followed by its
+// rows' bytes, sent from the record as they are (Conn.SendBatch). Rows
+// fill a frame in order until it holds maxRows rows or its rows' charge
+// reaches FrameByteBudget, each row charging its two payloads' bytes
+// plus 64, so every frame holds at least one row and a record of no
+// rows is no frame. This is the one split rule of every result stream:
+// a synchronous join's, an in-memory job's and a spooled job's.
+type Batches struct {
+	rec    []byte
+	Frames []BatchFrame
+}
+
+// BatchFrame is one frame of a Batches: its row count, its rows' charge
+// against FrameByteBudget, and where its rows lie in the record.
+type BatchFrame struct {
+	Rows, Charge int
+	start, end   int
+}
+
+// CutRows reads rec, treating it as hostile, as a packed row record of
+// want rows, checking every field as ParseRows does, and cuts it into
+// frames of at most maxRows rows. Nothing is copied: the Batches alias
+// rec, which must not change until its last frame is sent.
+func CutRows(rec []byte, want, maxRows int) (Batches, error) {
+	r := layout.NewReader(rec, ErrBadRows)
+	n := r.Count("rows", minRowBytes)
+	if r.Err() == nil && n != want {
+		r.Fail("%d rows, want %d", n, want)
+	}
+	if err := r.Err(); err != nil {
+		return Batches{}, err
+	}
+	b := Batches{rec: rec}
+	f := BatchFrame{start: r.Offset()}
+	for range n {
+		if f.Rows > 0 && (f.Rows >= maxRows || f.Charge >= FrameByteBudget) {
+			f.end = r.Offset()
+			b.Frames = append(b.Frames, f)
+			f = BatchFrame{start: f.end}
+		}
+		r.Row()
+		r.Row()
+		f.Charge += len(r.Bytes()) + len(r.Bytes()) + 64
+		f.Rows++
+	}
+	if err := r.Done(); err != nil {
+		return Batches{}, err
+	}
+	if f.Rows > 0 {
+		f.end = len(rec)
+		b.Frames = append(b.Frames, f)
+	}
+	return b, nil
+}
+
 // rowsLen is the size of the packed record of rows.
 func rowsLen(rows []JoinedRow) int {
 	n := uvarintLen(uint64(len(rows)))

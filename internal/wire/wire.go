@@ -8,7 +8,8 @@
 // encodings (see securejoin's MarshalBinary/UnmarshalBinary); payloads
 // are opaque AEAD blobs. Bulk result rows travel as one packed row
 // record (AppendRows/ParseRows), which the server's job spool stores
-// too.
+// too, so a record cut into frames (CutRows) is sent as it is stored
+// (SendBatch).
 package wire
 
 import (
@@ -333,15 +334,25 @@ type TableInfo struct {
 	NDV        int
 }
 
+// recvPrealloc is the most Recv allocates for a frame's payload before
+// its bytes arrive; a longer payload's buffer grows as they do, so a
+// peer that announces a large frame and sends little costs little. It
+// holds every frame of the benchmark's workloads.
+const recvPrealloc = 1 << 20
+
 // Conn frames messages over a byte stream: each message is a 4-byte
 // big-endian payload length followed by the message's encoding (see
 // codec.go). The messages are *Hello, *HelloAck, *Request and *Frame.
-// Send and Recv are not individually goroutine-safe; callers serialize
-// writers and readers separately (one writer lock, one reader goroutine
-// is the intended pattern).
+// Send, SendBatch and Recv are not individually goroutine-safe; callers
+// serialize writers and readers separately (one writer lock, one reader
+// goroutine is the intended pattern).
 type Conn struct {
 	r *bufio.Reader
 	w io.Writer
+	// head and vec are SendBatch's scratch: a frame's encoded fields and
+	// the three pieces of its vectored write.
+	head []byte
+	vec  [3][]byte
 }
 
 // NewConn wraps rw in protocol framing.
@@ -357,6 +368,33 @@ func (c *Conn) Send(v any) error {
 		return err
 	}
 	if _, err := c.w.Write(b); err != nil {
+		return fmt.Errorf("wire: send: %w", err)
+	}
+	return nil
+}
+
+// SendBatch writes frame i of b as a JoinBatch frame of request id: the
+// bytes Send writes for a Frame{ID: id, Batch: ...} of the same rows,
+// with the rows' bytes taken from b's record as they are, in one
+// vectored write where the connection supports it. Like Send, it
+// refuses a frame over MaxFrameSize.
+func (c *Conn) SendBatch(id uint64, b *Batches, i int) error {
+	f := &b.Frames[i]
+	body := b.rec[f.start:f.end]
+	e := encoder{b: append(c.head[:0], 0, 0, 0, 0), packed: f}
+	e.uvarint(kindFrame)
+	e.frame(&Frame{ID: id, Batch: &JoinBatch{}})
+	c.head = e.b
+	size := len(e.b) - 4 + len(body)
+	if size > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(e.b, uint32(size))
+	c.vec = [3][]byte{e.b[:e.cut], body, e.b[e.cut:]}
+	v := net.Buffers(c.vec[:])
+	_, err := v.WriteTo(c.w)
+	c.vec = [3][]byte{} // drop the reference to the record
+	if err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	return nil
@@ -383,11 +421,31 @@ func (c *Conn) Recv(v any) error {
 	if n == 0 || n > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
+	payload, err := readPayload(c.r, int(n))
+	if err != nil {
 		return fmt.Errorf("%w: payload: %w", ErrTruncatedFrame, err)
 	}
 	return unmarshal(payload, v)
+}
+
+// readPayload reads an n-byte payload into a buffer of exactly n bytes,
+// allocating at most recvPrealloc bytes before any arrive and doubling
+// the buffer as they do.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, min(n, recvPrealloc))
+	read := 0
+	for {
+		if _, err := io.ReadFull(r, p[read:]); err != nil {
+			return nil, err
+		}
+		if len(p) == n {
+			return p, nil
+		}
+		read = len(p)
+		grown := make([]byte, min(n, 2*len(p)))
+		copy(grown, p)
+		p = grown
+	}
 }
 
 // ClientHandshake performs the client side of the version handshake:
