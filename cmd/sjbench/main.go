@@ -88,7 +88,7 @@ func fig3(scaleDiv float64, seed int64) error {
 			return err
 		}
 		for _, sel := range tpch.Selectivities {
-			res, err := w.RunJoin(bench.Selection(sel.Label, 1), true, bench.PerCore)
+			res, err := w.RunJoin(bench.Selection(sel.Label, 1), true)
 			if err != nil {
 				return err
 			}
@@ -111,7 +111,7 @@ func fig4(scaleDiv float64, seed int64) error {
 			return err
 		}
 		for _, sel := range tpch.Selectivities {
-			res, err := w.RunJoin(bench.Selection(sel.Label, t), true, bench.PerCore)
+			res, err := w.RunJoin(bench.Selection(sel.Label, t), true)
 			if err != nil {
 				return err
 			}
@@ -131,7 +131,7 @@ func comparison(scaleDiv float64, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ours, err := w.RunJoin(bench.Selection(tpch.Sel100, 1), true, bench.PerCore)
+	ours, err := w.RunJoin(bench.Selection(tpch.Sel100, 1), true)
 	if err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ func comparison(scaleDiv float64, seed int64) error {
 	// Run the same query a second time with fresh randomness: Secure Join
 	// repeats the full cost but leaks nothing new; Hahn reuses unwrapped
 	// rows (cheaper) at the price of cross-query linkability.
-	ours2, err := w.RunJoin(bench.Selection(tpch.Sel100, 1), true, bench.PerCore)
+	ours2, err := w.RunJoin(bench.Selection(tpch.Sel100, 1), true)
 	if err != nil {
 		return err
 	}

@@ -181,7 +181,6 @@ func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 	catalogSpec := fs.String("catalog", "", "schemas as Name:joincol:attr1,attr2;Name2:...")
 	query := fs.String("query", "", "SQL statement to run (default: one statement per line of stdin)")
 	maxRows := fs.Int("maxrows", 20, "result rows to print per statement")
-	workers := fs.Int("workers", 0, "SJ.Dec worker hint for the server (0 = server default)")
 	async := fs.Bool("async", false, "submit the join as a server-side job and exit; collect results later with sjclient job -id")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -193,7 +192,6 @@ func cmdJoin(args []string, stdin io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	catalog.SetDefaultWorkers(*workers)
 	// Fail fast on flag/plan mismatches before any key material is
 	// loaded or server dialed. The step count does not depend on the
 	// statistics the sync below brings in.

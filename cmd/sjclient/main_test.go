@@ -239,14 +239,13 @@ func TestJoinPicksPrefilteredPlanAfterSync(t *testing.T) {
 	target := startServers(t, 1)
 	f.upload(t, target, true)
 
-	explain := f.join(t, target, "EXPLAIN "+twoWay, "", "-workers", "2")
+	explain := f.join(t, target, "EXPLAIN "+twoWay, "")
 	mustContain(t, explain,
 		"plan: prefiltered",
 		"side B: Customers [indexed, 7 rows]",
 		"-> prefiltered, 1 SSE token(s), est. 1 candidate row(s)",
 		"side A: Orders [indexed, 75 rows]",
-		"-> full scan (no WHERE predicates)",
-		"workers: 2")
+		"-> full scan (no WHERE predicates)")
 
 	// With 7 customers every selectivity class floors to 0 rows, so all
 	// 7 are 'none' and every one of the 75 orders survives the join.

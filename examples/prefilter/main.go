@@ -1,19 +1,14 @@
-// Pre-filter and parallelization example: quantifies the two optional
-// server-side optimizations on one workload — the same engine join
-// with JoinSpec.Prefilter unset or set, on one SJ.Dec worker or all.
-//
-//  1. The SSE pre-filter of Section 4.3: resolving the selection
-//     predicates through a searchable index first means SJ.Dec runs over
-//     selectivity*n candidate rows instead of n — at the cost of also
-//     revealing which rows match each individual attribute predicate.
-//  2. Parallel decryption (Section 6.5): per-row SJ.Dec calls are
-//     independent and spread across cores.
+// Pre-filter example: quantifies the SSE pre-filter of Section 4.3 on
+// one workload — the same engine join with JoinSpec.Prefilter unset or
+// set, on one SJ.Dec worker. Resolving the selection predicates through
+// a searchable index first means SJ.Dec runs over selectivity*n
+// candidate rows instead of n — at the cost of also revealing which
+// rows match each individual attribute predicate.
 package main
 
 import (
 	"fmt"
 	"log"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/tpch"
@@ -27,32 +22,24 @@ func main() {
 	}
 	sel := bench.Selection(tpch.Sel25, 1)
 
-	full, err := w.RunJoin(sel, false, bench.PerCore)
+	full, err := w.RunJoin(sel, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("full scan        : %8.2fs  (%d matches, %d pairs revealed) — leakage-optimal, SJ.Dec on every row\n",
 		full.ServerTime.Seconds(), full.Matches, full.RevealedPairs)
 
-	pre, err := w.RunJoin(sel, true, bench.PerCore)
+	pre, err := w.RunJoin(sel, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("SSE pre-filter   : %8.2fs  (%d matches, %d pairs revealed) — SJ.Dec only on selection-matching rows\n",
 		pre.ServerTime.Seconds(), pre.Matches, pre.RevealedPairs)
 
-	par, err := w.RunJoin(sel, true, 0)
-	if err != nil {
-		log.Fatal(err)
+	if pre.Matches != full.Matches {
+		log.Fatalf("the pre-filter changed the result: %d/%d", full.Matches, pre.Matches)
 	}
-	fmt.Printf("pre-filter + %2d cores: %5.2fs (%d matches)\n",
-		runtime.GOMAXPROCS(0), par.ServerTime.Seconds(), par.Matches)
-
-	if pre.Matches != full.Matches || par.Matches != full.Matches {
-		log.Fatalf("optimized paths changed the result: %d/%d/%d",
-			full.Matches, pre.Matches, par.Matches)
-	}
-	fmt.Println("\nall three paths returned identical join results")
+	fmt.Println("\nboth paths returned identical join results")
 	fmt.Println("(the pre-filter trades SSE access-pattern leakage for the speedup;")
 	fmt.Println(" see internal/engine/prefilter.go for the exact statement)")
 }

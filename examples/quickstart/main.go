@@ -39,8 +39,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server.Upload(encAlbums)
-	server.Upload(encArtists)
+	for _, t := range []*engine.EncryptedTable{encAlbums, encArtists} {
+		if err := server.RegisterTable(t); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	// 3. Issue a query:
 	//    SELECT * FROM Albums JOIN Artists ON artist

@@ -56,7 +56,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		server.Upload(enc)
+		if err := server.RegisterTable(enc); err != nil {
+			log.Fatal(err)
+		}
 	}
 	// Sync row counts so the planner orders multi-join chains from
 	// statistics (none of the tables is SSE-indexed here, so every

@@ -165,7 +165,9 @@ func BuildWorkload(scaleFactor float64, t int, seed int64) (*Workload, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv.Upload(tab)
+		if err := srv.RegisterTable(tab); err != nil {
+			return nil, err
+		}
 	}
 	return &Workload{Dataset: ds, keys: keys, srv: srv}, nil
 }
@@ -183,11 +185,11 @@ func Selection(label string, inSize int) securejoin.Selection {
 	return securejoin.Selection{0: values}
 }
 
-// PerCore is the Workers value behind every series of Figures 3 and 4
+// perCore is the Workers value behind every series of Figures 3 and 4
 // and the Section 6.5 comparison: one SJ.Dec worker, so the seconds are
 // per core — comparable across hosts and with the paper's
 // single-threaded numbers.
-const PerCore = 1
+const perCore = 1
 
 // JoinResult is one server-side join measurement.
 type JoinResult struct {
@@ -207,11 +209,11 @@ type JoinResult struct {
 // query carries SSE tokens and SJ.Dec runs over the selection-matching
 // rows only — the paper's evaluation setup, whose runtime grows as
 // selectivity * n (the slope ordering of Figures 3 and 4); unset is the
-// leakage-optimal full scan, independent of selectivity. workers is
-// engine.JoinSpec.Workers (0 = every core).
-func (w *Workload) RunJoin(sel securejoin.Selection, prefilter bool, workers int) (JoinResult, error) {
+// leakage-optimal full scan, independent of selectivity. SJ.Dec runs
+// on perCore workers.
+func (w *Workload) RunJoin(sel securejoin.Selection, prefilter bool) (JoinResult, error) {
 	var last engine.JoinProgress
-	spec := engine.JoinSpec{Workers: workers, Progress: func(p engine.JoinProgress) { last = p }}
+	spec := engine.JoinSpec{Workers: perCore, Progress: func(p engine.JoinProgress) { last = p }}
 	var err error
 	if prefilter {
 		spec.Prefilter, err = w.keys.NewPrefilterQuery(sel, sel)

@@ -73,15 +73,13 @@ func TestWorkloadJoinCounts(t *testing.T) {
 
 		sel := Selection(class.Label, 1)
 		mark := decrypted.Value()
-		pre, err := w.RunJoin(sel, true, PerCore)
+		pre, err := w.RunJoin(sel, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		preDec := decrypted.Value() - mark
 		mark = decrypted.Value()
-		// Every core for the full scans: the counts do not depend on the
-		// worker pool, and they are most of this test's pairings.
-		full, err := w.RunJoin(sel, false, 0)
+		full, err := w.RunJoin(sel, false)
 		if err != nil {
 			t.Fatal(err)
 		}

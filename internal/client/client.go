@@ -384,11 +384,9 @@ func (c *Client) uploadTable(table *engine.EncryptedTable) error {
 	return nil
 }
 
-// JoinResult is one decrypted joined row pair.
-type JoinResult struct {
-	RowA, RowB         int
-	PayloadA, PayloadB []byte
-}
+// JoinResult is one decrypted joined row pair: the wire's result row
+// with its payloads opened.
+type JoinResult = wire.JoinedRow
 
 // JoinStream consumes one join query's results batch by batch as the
 // server streams them. Drain it until Next returns io.EOF, or release
@@ -427,20 +425,20 @@ func (s *JoinStream) Next() ([]JoinResult, error) {
 		s.revealed = f.Summary.RevealedPairs
 		return nil, io.EOF
 	case f.Batch != nil:
-		// The payloads alias the frame buffer Recv allocated for this
-		// frame alone, so they are opened in place.
-		out := make([]JoinResult, len(f.Batch.Rows))
-		for i := range f.Batch.Rows {
-			r := &f.Batch.Rows[i]
-			pa, pb, err := s.c.keys.OpenRowInPlace(r)
-			if err != nil {
+		// The rows and their payloads alias the frame buffer Recv
+		// allocated for this frame alone, so they are opened in place
+		// and returned as they are.
+		rows := f.Batch.Rows
+		for i := range rows {
+			r := &rows[i]
+			var err error
+			if r.PayloadA, r.PayloadB, err = s.c.keys.OpenRowInPlace(r); err != nil {
 				s.err = fmt.Errorf("client: opening result %d: %w", i, err)
 				s.abort()
 				return nil, s.err
 			}
-			out[i] = JoinResult{RowA: r.RowA, RowB: r.RowB, PayloadA: pa, PayloadB: pb}
 		}
-		return out, nil
+		return rows, nil
 	default:
 		s.err = errors.New("client: malformed join frame")
 		s.abort()
@@ -503,10 +501,6 @@ type JoinOpts struct {
 	// access-pattern leakage: the server additionally learns which
 	// rows match each individual attribute predicate.
 	Prefilter bool
-	// Workers hints how many SJ.Dec workers the server should spread
-	// this query's pairings over; 0 keeps the server default, and the
-	// server clamps the hint to its core count.
-	Workers int
 }
 
 // adHocReq compiles an ad-hoc join — two selections plus options — into
@@ -514,7 +508,7 @@ type JoinOpts struct {
 // repeated identical calls are unlinkable at the server), shipped
 // through joinReqFromSpec like every plan step.
 func adHocReq(keys *engine.Client, tableA, tableB string, selA, selB securejoin.Selection, opts JoinOpts) (*wire.JoinRequest, error) {
-	spec := engine.JoinSpec{Workers: opts.Workers}
+	var spec engine.JoinSpec
 	var err error
 	if opts.Prefilter {
 		spec.Prefilter, err = keys.NewPrefilterQuery(selA, selB)
@@ -532,7 +526,7 @@ func adHocReq(keys *engine.Client, tableA, tableB string, selA, selB securejoin.
 // and plan steps, synchronous and submitted, single-server and sharded.
 func joinReqFromSpec(tableA, tableB string, spec engine.JoinSpec) (*wire.JoinRequest, error) {
 	req := &wire.JoinRequest{
-		TableA: tableA, TableB: tableB, Workers: spec.Workers,
+		TableA: tableA, TableB: tableB,
 		// Semi-join candidate lists and key-only projection flags ship
 		// verbatim.
 		CandidatesA: spec.CandidatesA, CandidatesB: spec.CandidatesB,

@@ -410,7 +410,7 @@ func (cl *Cluster) merge(tableA, tableB string, opens []func() (*JoinStream, err
 // open and drain re-sends a request that delivered nothing.
 func (cl *Cluster) runShard(shard int, tableA, tableB string, open func() (*JoinStream, error), ms *clusterStepStream) (int, error) {
 	revealed := 0
-	err := WithRetry(RetryConfig{}, func() error {
+	err := WithRetry(func() error {
 		js, err := open()
 		if err != nil {
 			return err

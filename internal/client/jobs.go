@@ -167,7 +167,7 @@ func (cl *Cluster) SubmitPlan(p *sql.Plan) (*JobInfo, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[s] = WithRetry(RetryConfig{}, func() (err error) {
+			errs[s] = WithRetry(func() (err error) {
 				infos[s], err = c.submit(req)
 				return err
 			})

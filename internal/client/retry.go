@@ -6,34 +6,16 @@ import (
 	"time"
 )
 
-// RetryConfig tunes WithRetry. The zero value selects the defaults.
-type RetryConfig struct {
-	// Attempts is the total number of tries (first call included);
-	// <= 0 selects 4.
-	Attempts int
-	// Base is the delay before the first retry; it doubles per attempt.
-	// <= 0 selects 50ms.
-	Base time.Duration
-	// Max caps the (pre-jitter) delay; <= 0 selects 2s.
-	Max time.Duration
-	// Sleep replaces time.Sleep, for tests; nil selects time.Sleep.
-	Sleep func(time.Duration)
-}
+// The backoff policy of WithRetry: retryAttempts tries in all, the
+// delay before retry n is retryBase<<n capped at retryMax.
+const (
+	retryAttempts = 4
+	retryBase     = 50 * time.Millisecond
+	retryMax      = 2 * time.Second
+)
 
-func (cfg *RetryConfig) defaults() {
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 4
-	}
-	if cfg.Base <= 0 {
-		cfg.Base = 50 * time.Millisecond
-	}
-	if cfg.Max <= 0 {
-		cfg.Max = 2 * time.Second
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
-}
+// testHookSleep, when not nil, replaces time.Sleep between attempts.
+var testHookSleep func(time.Duration)
 
 // WithRetry runs op, retrying it with jittered exponential backoff as
 // long as the error wraps ErrOverloaded — the one failure the server
@@ -42,32 +24,26 @@ func (cfg *RetryConfig) defaults() {
 // immediately; an overloaded final attempt returns its ErrOverloaded
 // so callers can still classify it.
 //
-// The delay before retry n is Base<<n capped at Max, with ±50% uniform
+// The delay before retry n is 50ms<<n capped at 2s, with ±50% uniform
 // jitter so a fleet of shed clients does not reconverge on the server
-// in lockstep.
-func WithRetry(cfg RetryConfig, op func() error) error {
-	cfg.defaults()
+// in lockstep; op runs at most four times.
+func WithRetry(op func() error) error {
 	var err error
-	for attempt := 0; attempt < cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if err = op(); !errors.Is(err, ErrOverloaded) {
 			return err
 		}
-		if attempt == cfg.Attempts-1 {
+		if attempt == retryAttempts-1 {
 			break
 		}
-		// Double up to the cap instead of computing Base<<attempt: a bare
-		// shift overflows int64 around attempt 34 (Base 50ms), going
-		// negative and panicking rand.Int63n below.
-		delay := cfg.Base
-		for i := 0; i < attempt && delay < cfg.Max; i++ {
-			delay <<= 1
-		}
-		if delay <= 0 || delay > cfg.Max {
-			delay = cfg.Max
-		}
+		delay := min(retryBase<<attempt, retryMax)
 		// ±50% jitter: delay/2 + rand[0, delay).
 		delay = delay/2 + time.Duration(rand.Int63n(int64(delay)))
-		cfg.Sleep(delay)
+		if testHookSleep != nil {
+			testHookSleep(delay)
+		} else {
+			time.Sleep(delay)
+		}
 	}
 	return err
 }

@@ -7,14 +7,21 @@ import (
 	"time"
 )
 
+// recordSleeps makes WithRetry record its delays instead of sleeping.
+func recordSleeps(t *testing.T) *[]time.Duration {
+	var slept []time.Duration
+	testHookSleep = func(d time.Duration) { slept = append(slept, d) }
+	t.Cleanup(func() { testHookSleep = nil })
+	return &slept
+}
+
 // TestWithRetryRetriesOverloadedOnly: overload errors retry with
 // backoff until success; anything else returns immediately.
 func TestWithRetryRetriesOverloadedOnly(t *testing.T) {
-	var slept []time.Duration
-	cfg := RetryConfig{Sleep: func(d time.Duration) { slept = append(slept, d) }}
+	slept := recordSleeps(t)
 
 	calls := 0
-	err := WithRetry(cfg, func() error {
+	err := WithRetry(func() error {
 		calls++
 		if calls < 3 {
 			return fmt.Errorf("join rejected: %w", ErrOverloaded)
@@ -27,11 +34,11 @@ func TestWithRetryRetriesOverloadedOnly(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("op called %d times, want 3", calls)
 	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
+	if len(*slept) != 2 {
+		t.Fatalf("slept %d times, want 2", len(*slept))
 	}
 	// Jittered delay of attempt n lands in [base<<n / 2, base<<n * 1.5).
-	for n, d := range slept {
+	for n, d := range *slept {
 		lo, hi := (50*time.Millisecond<<n)/2, 50*time.Millisecond<<n*3/2
 		if d < lo || d >= hi {
 			t.Errorf("delay %d = %v, want in [%v, %v)", n, d, lo, hi)
@@ -41,76 +48,40 @@ func TestWithRetryRetriesOverloadedOnly(t *testing.T) {
 	// A non-overload error is not retried.
 	calls = 0
 	permanent := errors.New("no such table")
-	err = WithRetry(cfg, func() error { calls++; return permanent })
+	err = WithRetry(func() error { calls++; return permanent })
 	if !errors.Is(err, permanent) || calls != 1 {
 		t.Fatalf("permanent error: err=%v after %d calls, want immediate return", err, calls)
 	}
 }
 
 // TestWithRetryExhaustsAttempts: a persistently overloaded server
-// yields the typed error after the configured attempts.
+// yields the typed error after four attempts.
 func TestWithRetryExhaustsAttempts(t *testing.T) {
-	slept := 0
-	cfg := RetryConfig{Attempts: 3, Sleep: func(time.Duration) { slept++ }}
+	slept := recordSleeps(t)
 	calls := 0
-	err := WithRetry(cfg, func() error {
+	err := WithRetry(func() error {
 		calls++
 		return fmt.Errorf("shed: %w", ErrOverloaded)
 	})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("WithRetry = %v, want ErrOverloaded after exhaustion", err)
 	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
+	if calls != 4 {
+		t.Fatalf("op called %d times, want 4", calls)
 	}
-	if slept != 2 {
-		t.Fatalf("slept %d times, want 2 (no sleep after the final attempt)", slept)
+	if len(*slept) != 3 {
+		t.Fatalf("slept %d times, want 3 (no sleep after the final attempt)", len(*slept))
 	}
 }
 
-// TestWithRetryDelayCap: the pre-jitter delay saturates at Max.
+// TestWithRetryDelayCap: every delay is positive and below the 2s cap
+// plus its jitter.
 func TestWithRetryDelayCap(t *testing.T) {
-	var slept []time.Duration
-	cfg := RetryConfig{
-		Attempts: 6,
-		Base:     40 * time.Millisecond,
-		Max:      100 * time.Millisecond,
-		Sleep:    func(d time.Duration) { slept = append(slept, d) },
-	}
-	WithRetry(cfg, func() error { return ErrOverloaded })
-	for n, d := range slept {
-		if max := 100 * time.Millisecond * 3 / 2; d >= max {
-			t.Errorf("delay %d = %v, want < %v (cap plus jitter)", n, d, max)
-		}
-	}
-}
-
-// TestWithRetryManyAttemptsNoOverflow is the regression test for the
-// backoff overflow: Base<<attempt wraps int64 negative around attempt
-// 34, and rand.Int63n panics on a non-positive argument. Sixty-four
-// attempts must complete without panicking, and every delay must stay
-// within the jittered cap.
-func TestWithRetryManyAttemptsNoOverflow(t *testing.T) {
-	var slept []time.Duration
-	cfg := RetryConfig{
-		Attempts: 64,
-		Base:     50 * time.Millisecond,
-		Max:      2 * time.Second,
-		Sleep:    func(d time.Duration) { slept = append(slept, d) },
-	}
-	err := WithRetry(cfg, func() error { return ErrOverloaded })
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("WithRetry = %v, want ErrOverloaded after exhaustion", err)
-	}
-	if len(slept) != 63 {
-		t.Fatalf("slept %d times, want 63", len(slept))
-	}
-	for n, d := range slept {
-		if d <= 0 {
-			t.Fatalf("delay %d = %v; backoff went non-positive (overflow)", n, d)
-		}
-		if max := cfg.Max * 3 / 2; d >= max {
-			t.Errorf("delay %d = %v, want < %v (cap plus jitter)", n, d, max)
+	slept := recordSleeps(t)
+	WithRetry(func() error { return ErrOverloaded })
+	for n, d := range *slept {
+		if max := 2 * time.Second * 3 / 2; d <= 0 || d >= max {
+			t.Errorf("delay %d = %v, want in (0, %v) (cap plus jitter)", n, d, max)
 		}
 	}
 }

@@ -338,31 +338,20 @@ func NewServer() *Server {
 
 // SetStore attaches the durability hook. Call it before serving
 // requests — typically right after restoring the store's tables with
-// Upload — so every subsequent RegisterTable persists.
+// RegisterTable — so every subsequent RegisterTable persists.
 func (s *Server) SetStore(st TableStore) {
 	s.registerMu.Lock()
 	s.store = st
 	s.registerMu.Unlock()
 }
 
-// Upload installs a table in memory only, replacing any previous
-// version. It is the right call for keyless in-process demos and for
-// restoring already-durable tables at recovery; a server with a
-// TableStore attached registers client uploads with RegisterTable so
-// they persist before being acknowledged.
-func (s *Server) Upload(t *EncryptedTable) {
-	s.tablesMu.Lock()
-	s.tables[t.Name] = t
-	s.tablesMu.Unlock()
-}
-
 // RegisterTable stores an encrypted table, replacing any previous
 // version of the same name. With a TableStore attached the version is
 // persisted first and an error leaves the in-memory map — and hence
 // every concurrent query — still on the previous version; without one
-// it is equivalent to Upload. Replacement is atomic for readers: a
-// query snapshots either the old table (with its old SSE index) or the
-// new one, never a mix.
+// it installs the table in memory only and cannot fail. Replacement is
+// atomic for readers: a query snapshots either the old table (with its
+// old SSE index) or the new one, never a mix.
 func (s *Server) RegisterTable(t *EncryptedTable) error {
 	s.registerMu.Lock()
 	defer s.registerMu.Unlock()

@@ -24,6 +24,16 @@ func exampleTables() (teams, employees []PlainRow) {
 	return
 }
 
+// register installs tabs on s, failing the test on an error.
+func register(t testing.TB, s *Server, tabs ...*EncryptedTable) {
+	t.Helper()
+	for _, tab := range tabs {
+		if err := s.RegisterTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func setup(t *testing.T) (*Client, *Server) {
 	t.Helper()
 	client, err := NewClient(securejoin.Params{M: 1, T: 2}, nil)
@@ -40,8 +50,7 @@ func setup(t *testing.T) (*Client, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encT)
-	server.Upload(encE)
+	register(t, server, encT, encE)
 	return client, server
 }
 
@@ -155,7 +164,7 @@ func TestTableStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encT)
+	register(t, server, encT)
 
 	stats := server.TableStats()
 	want := []TableStat{

@@ -28,8 +28,7 @@ func TestKeyExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encT)
-	server.Upload(encE)
+	register(t, server, encT, encE)
 
 	var buf bytes.Buffer
 	if err := orig.ExportKeys(&buf); err != nil {
@@ -87,7 +86,7 @@ func TestKeyExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(extra)
+	register(t, server, extra)
 	q2, err := restored.NewQuery(securejoin.Selection{}, securejoin.Selection{})
 	if err != nil {
 		t.Fatal(err)

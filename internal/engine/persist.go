@@ -19,11 +19,6 @@ import (
 // values are stored, so a snapshot is safe on untrusted storage, and
 // LoadTable parses it as hostile input, like a frame from a peer.
 
-// rowOverhead is what a row is charged against wire.FrameByteBudget
-// beyond its two byte strings, so that no chunk holds more rows than
-// the frame decoder admits.
-const rowOverhead = 64
-
 // frames is a snapshot's byte stream: SaveTable only writes it and
 // LoadTable only reads it.
 type frames struct {
@@ -43,7 +38,7 @@ func UploadChunks(t *EncryptedTable) ([]*wire.UploadRequest, error) {
 			return nil, fmt.Errorf("engine: encoding row %d: %w", i, err)
 		}
 		rows[i] = wire.UploadRow{JoinCiphertext: jc, Payload: r.Payload}
-		charges[i] = len(jc) + len(r.Payload) + rowOverhead
+		charges[i] = len(jc) + len(r.Payload) + wire.RowCharge
 	}
 	var index []byte
 	if t.Index != nil {
@@ -195,7 +190,7 @@ func LoadTable(r io.Reader) (*EncryptedTable, error) {
 		name = up.Table
 		rows = append(rows, chunk...)
 		for _, r := range up.Rows {
-			charges = append(charges, len(r.JoinCiphertext)+len(r.Payload)+rowOverhead)
+			charges = append(charges, len(r.JoinCiphertext)+len(r.Payload)+wire.RowCharge)
 		}
 		counts = append(counts, len(up.Rows))
 		if !up.Commit {

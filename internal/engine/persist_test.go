@@ -56,8 +56,7 @@ func TestSaveLoadTable(t *testing.T) {
 
 	// The reloaded tables must answer queries identically.
 	server := NewServer()
-	server.Upload(loadedT)
-	server.Upload(loadedE)
+	register(t, server, loadedT, loadedE)
 	q, err := client.NewQuery(
 		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
 		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
@@ -304,7 +303,7 @@ func TestSnapshotIsTheUploadSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alone.Rows[0].Payload = make([]byte, wire.FrameByteBudget-rowOverhead-len(jc)-len(idx)+1)
+	alone.Rows[0].Payload = make([]byte, wire.FrameByteBudget-wire.RowCharge-len(jc)-len(idx)+1)
 
 	for _, tc := range []struct {
 		t      *EncryptedTable

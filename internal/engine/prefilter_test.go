@@ -28,8 +28,7 @@ func setupIndexed(t *testing.T) (*Client, *Server) {
 	if encT.Index == nil || encE.Index == nil {
 		t.Fatal("indexed upload did not attach an index")
 	}
-	server.Upload(encT)
-	server.Upload(encE)
+	register(t, server, encT, encE)
 	return client, server
 }
 
@@ -107,8 +106,7 @@ func TestPrefilterOnUnindexedTableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encT)
-	server.Upload(encE)
+	register(t, server, encT, encE)
 
 	pq, err := client.NewPrefilterQuery(
 		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
@@ -316,7 +314,7 @@ func TestExplicitCandidatesCleaned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		server.Upload(tab)
+		register(t, server, tab)
 	}
 	run := func(side string, cand []int) ([][2]int, leakage.PairSet) {
 		t.Helper()

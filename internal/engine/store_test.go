@@ -180,8 +180,7 @@ func TestLedgerCountsClosureOncePerTable(t *testing.T) {
 	newServer := func() *Server {
 		server := NewServer()
 		server.Instrument(metrics.NewRegistry())
-		server.Upload(encT)
-		server.Upload(encE)
+		register(t, server, encT, encE)
 		return server
 	}
 	// run executes the full join and returns its trace.

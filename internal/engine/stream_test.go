@@ -139,7 +139,7 @@ func TestJoinStreamSigmaIsClassSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	server.Upload(encP)
+	register(t, server, encP)
 	// Broken is Teams with a first row no token can decrypt: a probe over
 	// it fails at its first batch.
 	teams, _ := exampleTables()
@@ -148,7 +148,7 @@ func TestJoinStreamSigmaIsClassSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken.Rows[0].Join.C.Elems = broken.Rows[0].Join.C.Elems[:1]
-	server.Upload(broken)
+	register(t, server, broken)
 
 	selA := securejoin.Selection{0: [][]byte{[]byte("a")}}
 	for _, tc := range []struct {
@@ -224,7 +224,10 @@ func TestConcurrentJoins(t *testing.T) {
 				errs <- err
 				return
 			}
-			server.Upload(enc)
+			if err := server.RegisterTable(enc); err != nil {
+				errs <- err
+				return
+			}
 		}
 	}()
 

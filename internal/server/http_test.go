@@ -74,7 +74,7 @@ func TestMetricsEndpointAfterPrefilteredJoin(t *testing.T) {
 	results, revealed, err := c.JoinWith("Teams", "Employees",
 		securejoin.Selection{0: [][]byte{[]byte("Web Application")}},
 		securejoin.Selection{0: [][]byte{[]byte("Tester")}},
-		client.JoinOpts{Prefilter: true, Workers: 2})
+		client.JoinOpts{Prefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestJobSubmitAttachReapStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				var info *client.JobInfo
-				err := client.WithRetry(client.RetryConfig{Base: 5 * time.Millisecond}, func() error {
+				err := client.WithRetry(func() error {
 					var rerr error
 					info, rerr = c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
 					return rerr

@@ -453,12 +453,16 @@ func TestSubmitShedsWhenQueueFull(t *testing.T) {
 	release()
 
 	// A shed submit created no job and is safe to retry verbatim; the
-	// backoff outlasts job A and the resubmission is accepted.
+	// resubmission is accepted once job A is done, which may take more
+	// than one WithRetry.
 	var infoC *client.JobInfo
-	err = client.WithRetry(client.RetryConfig{Attempts: 40, Base: 100 * time.Millisecond}, func() error {
-		var rerr error
-		infoC, rerr = c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
-		return rerr
+	waitFor(t, "a retried submit past the shed", func() bool {
+		err = client.WithRetry(func() error {
+			var rerr error
+			infoC, rerr = c.SubmitJoinQuery("L", "R", securejoin.Selection{}, securejoin.Selection{}, client.JoinOpts{})
+			return rerr
+		})
+		return !errors.Is(err, client.ErrOverloaded)
 	})
 	if err != nil {
 		t.Fatalf("retried submit: %v", err)

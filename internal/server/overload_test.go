@@ -331,14 +331,19 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	waitTaken(t, taken, "the job")
 	attempts := 0
 	var results []client.JoinResult
-	err = client.WithRetry(client.RetryConfig{Attempts: 40, Base: 100 * time.Millisecond}, func() error {
-		attempts++
-		if attempts == 2 {
-			release()
-		}
-		var err error
-		results, _, err = c.JoinWith("L", "R", none, none, client.JoinOpts{})
-		return err
+	// The job may outlast WithRetry's four attempts: call it again until
+	// one gets past the shed.
+	waitFor(t, "a retried join past the shed", func() bool {
+		err = client.WithRetry(func() error {
+			attempts++
+			if attempts == 2 {
+				release()
+			}
+			var err error
+			results, _, err = c.JoinWith("L", "R", none, none, client.JoinOpts{})
+			return err
+		})
+		return !errors.Is(err, client.ErrOverloaded)
 	})
 	if err != nil {
 		t.Fatalf("retried join: %v", err)

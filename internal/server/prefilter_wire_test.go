@@ -57,7 +57,7 @@ func TestPrefilteredJoinOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre, preRevealed, err := c.JoinWith("Teams", "Employees", selA, selB,
-		client.JoinOpts{Prefilter: true, Workers: 4})
+		client.JoinOpts{Prefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}

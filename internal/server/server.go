@@ -18,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,9 +111,10 @@ func NewWithStore(logger *log.Logger, st *store.Store) *Server {
 		st.Instrument(reg)
 		tables := st.Tables()
 		for _, t := range tables {
-			// Upload, not RegisterTable: these versions are already
-			// durable, re-persisting them would only churn the manifest.
-			s.eng.Upload(t)
+			// Before SetStore: these versions are already durable, and
+			// re-persisting them would only churn the manifest. With no
+			// store attached RegisterTable cannot fail.
+			_ = s.eng.RegisterTable(t)
 			s.logf("recovered table %q (%d rows, indexed=%v)", t.Name, len(t.Rows), t.Index != nil)
 		}
 		s.eng.AddLeakage(st.Ledger())
@@ -473,20 +473,6 @@ func (ss *session) sendErr(id uint64, err error) error {
 	return ss.send(&wire.Frame{ID: id, Err: err.Error()})
 }
 
-// clampWorkers bounds a client's SJ.Dec worker hint: the hint cannot
-// commandeer more goroutines than the server has cores, and 0 (or a
-// negative value, including from clients that predate the field) keeps
-// the engine default.
-func clampWorkers(hint int) int {
-	if hint < 0 {
-		return 0
-	}
-	if max := runtime.GOMAXPROCS(0); hint > max {
-		return max
-	}
-	return hint
-}
-
 // handleUpload stages each chunk of an upload sequence and installs
 // the table atomically on the Commit chunk, so a sequence that fails
 // or is abandoned mid-way never leaves a truncated table visible.
@@ -562,7 +548,7 @@ func (s *Server) joinSpecFrom(jr *wire.JoinRequest) (engine.JoinSpec, error) {
 	}
 
 	spec := engine.JoinSpec{
-		Query: q, Batch: s.batch, Workers: clampWorkers(jr.Workers),
+		Query: q, Batch: s.batch,
 		// Semi-join candidate lists and key-only projection flags pass
 		// straight through; the engine intersects candidates with any
 		// prefilter and drops out-of-range ids defensively.

@@ -24,7 +24,6 @@ func (p *Plan) SpecFor(step int, keys *engine.Client) (engine.JoinSpec, error) {
 	}
 	st := &p.Steps[step]
 	spec := engine.JoinSpec{
-		Workers: p.Workers,
 		// Key-only projections: a side whose payload the SELECT list
 		// never references skips payload shipping and opening entirely.
 		SkipPayloadA: st.Left.SkipPayload,

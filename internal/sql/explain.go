@@ -9,8 +9,8 @@ import (
 // plan keeps the historical two-side rendering; a multi-join plan
 // renders the operator tree: the chosen join order (and what drove
 // it), each pairwise encrypted join step with its per-side
-// Scan/Prefilter decision, the stitch table of every bind step, the
-// worker hint, and the leakage consequence of the choices. The output
+// Scan/Prefilter decision, the stitch table of every bind step, and
+// the leakage consequence of the choices. The output
 // is deterministic (predicates are listed in sorted column order) and
 // pinned by golden-file tests.
 func (p *Plan) Describe() string {
@@ -24,7 +24,6 @@ func (p *Plan) Describe() string {
 		}
 		describeSide(&b, "A", &p.Steps[0].Left, "")
 		describeSide(&b, "B", &p.Steps[0].Right, "")
-		describeWorkers(&b, p.Workers)
 		describePlanCache(&b, p)
 		if p.Strategy == Prefiltered {
 			fmt.Fprintf(&b, "leakage: server additionally learns the rows matching each predicate value (SSE access pattern)\n")
@@ -57,7 +56,6 @@ func (p *Plan) Describe() string {
 		describeSide(&b, "A", &st.Left, "  ")
 		describeSide(&b, "B", &st.Right, "  ")
 	}
-	describeWorkers(&b, p.Workers)
 	describePlanCache(&b, p)
 	if p.Strategy == Prefiltered {
 		fmt.Fprintf(&b, "leakage: per pairwise join sigma(q), plus SSE access pattern on prefiltered sides; stitch keys stay client-side\n")
@@ -65,14 +63,6 @@ func (p *Plan) Describe() string {
 		fmt.Fprintf(&b, "leakage: per pairwise join sigma(q) (equality pairs among selected rows); stitch keys stay client-side\n")
 	}
 	return b.String()
-}
-
-func describeWorkers(b *strings.Builder, workers int) {
-	if workers > 0 {
-		fmt.Fprintf(b, "workers: %d\n", workers)
-	} else {
-		fmt.Fprintf(b, "workers: engine default\n")
-	}
 }
 
 // describePlanCache renders whether this plan came from the plan cache.

@@ -18,12 +18,11 @@ func TestExplainGolden(t *testing.T) {
 	cases := []struct {
 		name               string
 		indexedA, indexedB bool
-		workers            int
 		query              string
 	}{
 		{
 			name:     "explain_prefiltered",
-			indexedA: true, indexedB: true, workers: 4,
+			indexedA: true, indexedB: true,
 			query: `EXPLAIN ` + baseQuery +
 				` WHERE Teams.Name = 'Web Application' AND Employees.Role IN ('Tester', 'Programmer')`,
 		},
@@ -43,7 +42,6 @@ func TestExplainGolden(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cat := planCatalog(t, c.indexedA, c.indexedB)
-			cat.SetDefaultWorkers(c.workers)
 			checkGolden(t, cat, c.name, c.query)
 		})
 	}
@@ -88,7 +86,6 @@ func TestExplainGoldenMultiJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cat.SetDefaultWorkers(4)
 		checkGolden(t, cat, "explain_threeway",
 			`EXPLAIN SELECT * FROM Orders JOIN Customers ON Orders.custkey = Customers.custkey`+
 				` JOIN Profiles ON Profiles.custkey = Customers.custkey`+

@@ -8,10 +8,10 @@ import (
 
 // Plan caching. Planning is pure: a compiled Plan depends only on the
 // normalized query shape and on the catalog state the planner consults
-// (schemas, row statistics, index flags, the worker hint). Compile
+// (schemas, row statistics, index flags). Compile
 // therefore memoizes plans under a canonical rendering of the parsed
 // statement, and every catalog mutation that could change a planning
-// decision — SetStats, SetNDV, SetDefaultWorkers, SetSemiJoin —
+// decision — SetStats, SetNDV, SetSemiJoin —
 // clears the cache. Dashboards and EXPLAIN's repeated-query workloads
 // re-plan the same handful of shapes between stat syncs; those compiles
 // become a map lookup.

@@ -144,8 +144,7 @@ func TestPlanCacheSelectSegment(t *testing.T) {
 }
 
 // TestPlanCacheInvalidation checks that every planning input clears the
-// cache: statistics, index flags, the worker hint, and the semi-join
-// and NDV knobs.
+// cache: statistics, index flags, and the semi-join and NDV knobs.
 func TestPlanCacheInvalidation(t *testing.T) {
 	mutations := []struct {
 		name string
@@ -162,7 +161,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"SetDefaultWorkers", func(c *Catalog) { c.SetDefaultWorkers(7) }},
 		{"SetNDV", func(c *Catalog) {
 			if err := c.SetNDV("Teams", 9); err != nil {
 				t.Fatal(err)

@@ -46,9 +46,6 @@ type TableSchema struct {
 // Catalog is the set of known table schemas, keyed case-insensitively.
 type Catalog struct {
 	tables map[string]TableSchema
-	// workers is the SJ.Dec worker hint stamped onto every plan;
-	// 0 keeps the engine default.
-	workers int
 	// met records planner decisions; nil-safe no-op until Instrument.
 	met sqlMetrics
 	// noSemiJoin disables the semi-join reduction on stitch steps
@@ -105,16 +102,6 @@ func NewCatalog(schemas ...TableSchema) (*Catalog, error) {
 		c.tables[key] = s
 	}
 	return c, nil
-}
-
-// SetDefaultWorkers sets the SJ.Dec worker hint stamped onto every
-// subsequent plan (0 = engine default, the initial value).
-func (c *Catalog) SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.workers = n
-	c.invalidatePlans()
 }
 
 // SetStats records a table's execution statistics: its row count and
@@ -326,9 +313,6 @@ type Plan struct {
 	// Strategy is Prefiltered when at least one side of one step
 	// pre-filters.
 	Strategy Strategy
-	// Workers is the SJ.Dec worker hint for the execution
-	// (0 = engine/server default).
-	Workers int
 	// Cached marks a plan served from the catalog's plan cache rather
 	// than compiled fresh (see plancache.go).
 	Cached bool
@@ -455,7 +439,6 @@ func (c *Catalog) PlanQuery(q *JoinQuery) (*Plan, error) {
 		Tables:      tables,
 		OrderReason: reason,
 		Explain:     q.Explain,
-		Workers:     c.workers,
 	}
 	for n := 1; n < len(order); n++ {
 		left, right := sides[partners[n]], sides[order[n]]
@@ -662,7 +645,7 @@ func predSummaries(counts map[string]int) []PredSummary {
 // normalized query shape (see plancache.go): re-compiling an unchanged
 // statement against an unchanged catalog returns a cached copy with
 // Cached set, skipping planning entirely. Catalog mutations (SetStats,
-// SetNDV, SetDefaultWorkers, SetSemiJoin) invalidate the cache.
+// SetNDV, SetSemiJoin) invalidate the cache.
 func (c *Catalog) Compile(query string) (*Plan, error) {
 	q, err := Parse(query)
 	if err != nil {

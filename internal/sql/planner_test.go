@@ -497,22 +497,6 @@ func TestPlanPredSummaries(t *testing.T) {
 	}
 }
 
-func TestPlanWorkers(t *testing.T) {
-	cat := planCatalog(t, true, true)
-	cat.SetDefaultWorkers(4)
-	plan, err := cat.Compile(baseQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Workers != 4 {
-		t.Fatalf("workers = %d, want 4", plan.Workers)
-	}
-	cat.SetDefaultWorkers(-1) // negative clamps to the default
-	if plan, err = cat.Compile(baseQuery); err != nil || plan.Workers != 0 {
-		t.Fatalf("workers = %d, %v; want 0", plan.Workers, err)
-	}
-}
-
 // TestSetIndexed: the index bit SyncCatalog sets through SetStats is
 // what turns a selective side's prefilter on and off.
 func TestSetIndexed(t *testing.T) {

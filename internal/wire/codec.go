@@ -59,9 +59,9 @@ const (
 	// maxCandidates bounds one side's semi-join candidate list.
 	maxCandidates = 1 << 22
 	// maxUploadRows bounds one upload chunk. The client charges every
-	// row at least 64 bytes against FrameByteBudget, so no chunk it
-	// sends holds more.
-	maxUploadRows = FrameByteBudget / 64
+	// row at least RowCharge bytes against FrameByteBudget, so no chunk
+	// it sends holds more.
+	maxUploadRows = FrameByteBudget / RowCharge
 )
 
 // Smallest encodings of a list element, for checking a count against

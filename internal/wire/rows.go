@@ -71,7 +71,7 @@ func ParseRows(b []byte) ([]JoinedRow, error) {
 // rows' bytes, sent from the record as they are (Conn.SendBatch). Rows
 // fill a frame in order until it holds maxRows rows or its rows' charge
 // reaches FrameByteBudget, each row charging its two payloads' bytes
-// plus 64, so every frame holds at least one row and a record of no
+// plus RowCharge, so every frame holds at least one row and a record of no
 // rows is no frame. This is the one split rule of every result stream:
 // a synchronous join's, an in-memory job's and a spooled job's.
 type Batches struct {
@@ -109,7 +109,7 @@ func CutRows(rec []byte, want, maxRows int) (Batches, error) {
 		}
 		r.Row()
 		r.Row()
-		f.Charge += len(r.Bytes()) + len(r.Bytes()) + 64
+		f.Charge += len(r.Bytes()) + len(r.Bytes()) + RowCharge
 		f.Rows++
 	}
 	if err := r.Done(); err != nil {

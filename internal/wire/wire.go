@@ -40,6 +40,12 @@ const MaxFrameSize = 64 << 20
 // hard limit.
 const FrameByteBudget = 16 << 20
 
+// RowCharge is what every row of an upload chunk or a join batch is
+// charged against FrameByteBudget beyond its byte strings. It bounds a
+// frame's row count by FrameByteBudget / RowCharge, the most rows the
+// upload decoder admits.
+const RowCharge = 64
+
 // Typed protocol errors.
 var (
 	// ErrVersionMismatch is returned by the handshake when the peer
@@ -153,10 +159,12 @@ type UploadRow struct {
 // per-attribute SSE search-token lists (sse.MarshalTokenMap encoding):
 // when either is non-empty the server resolves the selection predicates
 // through the tables' SSE indexes first and pays SJ.Dec pairings only
-// for candidate rows. Workers hints how many SJ.Dec workers the server
-// should use for this query (0 picks the server default; the server
-// clamps the hint to its core count). With all three zero the request
-// is the plain full-scan, server-paced join.
+// for candidate rows. With both empty the request is the plain
+// full-scan join.
+//
+// Workers is reserved: clients write 0 and the server ignores it,
+// sizing every join's SJ.Dec pool itself. It keeps its place in the v5
+// encoding so the bytes stay unchanged.
 //
 // CandidatesA/B optionally restrict a side to an explicit row-id list
 // — the semi-join reduction: a multi-join executor ships the hub rows
